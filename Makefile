@@ -5,12 +5,14 @@
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
 # The key benchmarks: the two heaviest figure cells, the paper's
-# 30-transfer latency claim, the hypothesis-selection fan-out, the
+# 30-transfer latency claim, the 60-transfer cross-site cold request (one
+# flow component re-solved at every completion), the hypothesis-selection
+# fan-out, the
 # snapshot layer's concurrency/copy-on-write claims, the scenario
 # overlay/batched-evaluation claims, the warm-start differential
 # evaluation tiers (reuse/fork vs cold), and the end-to-end HTTP serving
 # path (pooled encoders vs encoding/json, plus the coalescing burst).
-KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients
+KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkCold60CrossSite|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients
 
 .PHONY: all build test vet race bench bench-smoke bench-check bench-baseline bench-fleet campaign-check recovery-check fleet-smoke loadgen-smoke profile clean
 
@@ -70,7 +72,7 @@ bench-smoke:
 # legacy path on the same requests (the in-process hot/legacy
 # sub-benchmarks differ only in the response writer).
 bench-check: bench
-	go run ./cmd/benchdiff -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold' BENCH_baseline.json BENCH_$(SHA).json
+	go run ./cmd/benchdiff -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkCold60CrossSite|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold' BENCH_baseline.json BENCH_$(SHA).json
 	go run ./cmd/benchdiff -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hot|BenchmarkHTTPEvaluate30x8/hot' BENCH_baseline.json BENCH_$(SHA).json
 	go run ./cmd/benchdiff -scale 'BenchmarkHTTPPredict30/legacy,BenchmarkHTTPPredict30/hot,1.4;BenchmarkHTTPEvaluate30x8/legacy,BenchmarkHTTPEvaluate30x8/hot,1.4' BENCH_$(SHA).json
 
@@ -122,4 +124,4 @@ profile:
 clean:
 	rm -f bench_*.out
 	rm -rf profiles
-	find . -maxdepth 1 -name 'BENCH_*.json' ! -name 'BENCH_baseline.json' -delete
+	find . -maxdepth 1 -name 'BENCH_*.json' ! -name 'BENCH_baseline.json' ! -name 'BENCH_[0-9][0-9].json' -delete

@@ -13,6 +13,7 @@ package pilgrim_bench
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -209,6 +210,60 @@ func BenchmarkIncrementalSharing(b *testing.B) {
 	}
 	b.ReportMetric(touched/float64(b.N), "vars-touched/op")
 	b.ReportMetric(touched/reshared, "vars-touched/resharing")
+}
+
+// BenchmarkCold60CrossSite is the function-level record of the system
+// benchmark's cold-miss workload: one uncached 60-transfer prediction on
+// g5k_test, every transfer from a random host to a host on another site
+// (Fig. 11's GRID_MULTI shape), sizes log-uniform in 0.1–10 GB. The
+// transfers share the backbone, so they form one flow component and each
+// completion re-solves it: touched/op is how many variables those
+// re-solves re-filled. A ring of distinct requests keeps one request's
+// event order from flattering the number.
+func BenchmarkCold60CrossSite(b *testing.B) {
+	setup(b)
+	snap := entry.Platform.Snapshot()
+	bySite := map[string][]string{}
+	var sites []string
+	for _, h := range entry.Platform.Hosts() {
+		_, rest, _ := strings.Cut(h.ID, ".")
+		site, _, _ := strings.Cut(rest, ".")
+		if _, ok := bySite[site]; !ok {
+			sites = append(sites, site)
+		}
+		bySite[site] = append(bySite[site], h.ID)
+	}
+	rng := stats.NewRNG(13)
+	ring := make([][]sim.Transfer, 64)
+	for r := range ring {
+		for k := 0; k < 60; k++ {
+			si := rng.Intn(len(sites))
+			di := (si + 1 + rng.Intn(len(sites)-1)) % len(sites)
+			src, dst := bySite[sites[si]], bySite[sites[di]]
+			ring[r] = append(ring[r], sim.Transfer{
+				Src: src[rng.Intn(len(src))], Dst: dst[rng.Intn(len(dst))],
+				Size: math.Floor(1e8 * math.Pow(100, rng.Float64())),
+			})
+		}
+	}
+	var touched, reshared int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := sim.NewPooledSnapshotSimulation(snap, entry.Config)
+		for _, t := range ring[i%len(ring)] {
+			s.AddTransfer(t.Src, t.Dst, t.Size)
+		}
+		if _, err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		st := s.Engine().SharingStats()
+		touched += st.VariablesTouched
+		reshared += st.Resharings
+		s.Release()
+	}
+	b.ReportMetric(float64(touched)/float64(b.N), "touched/op")
+	b.ReportMetric(float64(reshared)/float64(b.N), "resharings/op")
 }
 
 // selectFastestHypotheses builds n disjoint 8-transfer hypotheses over

@@ -1,5 +1,7 @@
 package flow
 
+import "slices"
+
 // Checkpoint/Restore give the simulation layer warm-start forking: a base
 // scenario's solver state is captured once and each what-if overlay
 // restores it in O(state), then re-solves only the constraints whose
@@ -8,8 +10,10 @@ package flow
 //
 // A checkpoint is a self-contained value copy — ids, weights, bounds,
 // capacities, allocated rates, attachment lists (in attachment order),
-// creation serials, and the pending dirty sets — everything that feeds
-// Solve's arithmetic or its deterministic ordering. Scratch fields (epoch
+// creation serials, the pending dirty sets, and the record of the last
+// fill (each variable's round, each constraint's log) that lets the next
+// Solve resume — everything that feeds Solve's arithmetic, its
+// deterministic ordering or its work statistics. Scratch fields (epoch
 // marks, per-solve fill levels and work lists) are deliberately excluded:
 // they are rebuilt by the next Solve and never influence results. Caller
 // backreferences (Variable.Data) are also excluded; Restore returns the
@@ -24,6 +28,7 @@ type cpVar struct {
 	bound  float64
 	value  float64
 	fixed  bool
+	round  uint64
 	serial uint64
 	cnsts  []int32
 	dirty  bool
@@ -38,6 +43,7 @@ type cpCnst struct {
 	used     float64
 	serial   uint64
 	vars     []int32
+	log      []fillRecord
 	dirty    bool
 }
 
@@ -47,10 +53,12 @@ type cpCnst struct {
 type Checkpoint struct {
 	serial       uint64
 	solved       bool
-	allDirty     bool
+	round, cut   uint64
 	solves       int
 	lastTouched  int
 	totalTouched int
+	warmSolves   int
+	totalKept    int
 	vars         []cpVar
 	cnsts        []cpCnst
 }
@@ -68,10 +76,13 @@ func (s *System) Checkpoint() *Checkpoint {
 	ck := &Checkpoint{
 		serial:       s.serial,
 		solved:       s.solved,
-		allDirty:     s.allDirty,
+		round:        s.round,
+		cut:          s.cut,
 		solves:       s.solves,
 		lastTouched:  s.lastTouched,
 		totalTouched: s.totalTouched,
+		warmSolves:   s.warmSolves,
+		totalKept:    s.totalKept,
 		vars:         make([]cpVar, len(s.vars)),
 		cnsts:        make([]cpCnst, len(s.cnsts)),
 	}
@@ -82,7 +93,7 @@ func (s *System) Checkpoint() *Checkpoint {
 	for i, v := range s.vars {
 		cv := &ck.vars[i]
 		cv.id, cv.weight, cv.bound, cv.value = v.id, v.weight, v.bound, v.value
-		cv.fixed, cv.serial = v.fixed, v.serial
+		cv.fixed, cv.round, cv.serial = v.fixed, v.round, v.serial
 		if len(v.cnsts) > 0 {
 			cv.cnsts = make([]int32, len(v.cnsts))
 			for j, c := range v.cnsts {
@@ -93,6 +104,7 @@ func (s *System) Checkpoint() *Checkpoint {
 	for i, c := range s.cnsts {
 		cc := &ck.cnsts[i]
 		cc.id, cc.capacity, cc.used, cc.serial = c.id, c.capacity, c.used, c.serial
+		cc.log = slices.Clone(c.log)
 		if len(c.vars) > 0 {
 			cc.vars = make([]int32, len(c.vars))
 			for j, v := range c.vars {
@@ -124,38 +136,26 @@ func (s *System) Checkpoint() *Checkpoint {
 //
 // A restored system continues bit-identically to the captured one: same
 // serials, same attachment and iteration orders, same pending dirty sets,
-// same allocated rates for untouched components.
+// same allocated rates for untouched components, and the same rounds to
+// resume from, so its work statistics match too.
 func (s *System) Restore(ck *Checkpoint) (vars []*Variable, cnsts []*Constraint) {
 	s.Reset()
 	cnsts = make([]*Constraint, len(ck.cnsts))
 	for i := range ck.cnsts {
 		cc := &ck.cnsts[i]
-		var c *Constraint
-		if n := len(s.conFree); n > 0 {
-			c = s.conFree[n-1]
-			s.conFree[n-1] = nil
-			s.conFree = s.conFree[:n-1]
-			cv, act := c.vars[:0], c.active[:0]
-			*c = Constraint{id: cc.id, capacity: cc.capacity, used: cc.used, serial: cc.serial, vars: cv, active: act}
-		} else {
-			c = &Constraint{id: cc.id, capacity: cc.capacity, used: cc.used, serial: cc.serial}
-		}
+		c := s.recycleConstraint()
+		c.id, c.capacity, c.used, c.serial = cc.id, cc.capacity, cc.used, cc.serial
+		c.log = append(c.log, cc.log...)
 		cnsts[i] = c
 		s.cnsts = append(s.cnsts, c)
 	}
 	vars = make([]*Variable, len(ck.vars))
 	for i := range ck.vars {
 		cv := &ck.vars[i]
-		var v *Variable
-		if n := len(s.varFree); n > 0 {
-			v = s.varFree[n-1]
-			s.varFree[n-1] = nil
-			s.varFree = s.varFree[:n-1]
-			cn := v.cnsts[:0]
-			*v = Variable{id: cv.id, weight: cv.weight, bound: cv.bound, value: cv.value, fixed: cv.fixed, cnsts: cn, sys: s, index: i, serial: cv.serial}
-		} else {
-			v = &Variable{id: cv.id, weight: cv.weight, bound: cv.bound, value: cv.value, fixed: cv.fixed, sys: s, index: i, serial: cv.serial}
-		}
+		v := s.recycleVariable()
+		v.id, v.weight, v.bound, v.value = cv.id, cv.weight, cv.bound, cv.value
+		v.fixed, v.round = cv.fixed, cv.round
+		v.sys, v.index, v.serial = s, i, cv.serial
 		for _, ci := range cv.cnsts {
 			v.cnsts = append(v.cnsts, cnsts[ci])
 		}
@@ -180,10 +180,9 @@ func (s *System) Restore(ck *Checkpoint) (vars []*Variable, cnsts []*Constraint)
 	}
 	s.serial = ck.serial
 	s.solved = ck.solved
-	s.allDirty = ck.allDirty
-	s.solves = ck.solves
-	s.lastTouched = ck.lastTouched
-	s.totalTouched = ck.totalTouched
+	s.round, s.cut = ck.round, ck.cut
+	s.solves, s.lastTouched, s.totalTouched = ck.solves, ck.lastTouched, ck.totalTouched
+	s.warmSolves, s.totalKept = ck.warmSolves, ck.totalKept
 	s.touched = nil
 	return vars, cnsts
 }

@@ -184,3 +184,37 @@ func TestForkIndependence(t *testing.T) {
 		t.Fatal("mutating the fork disturbed the source system")
 	}
 }
+
+// TestForkResumesLikeSource pins that a checkpoint carries the record of
+// the last fill: after the same removal, a fork re-fills exactly what its
+// source does — same Touched(), same statistics — not its whole component.
+func TestForkResumesLikeSource(t *testing.T) {
+	s := NewSystem()
+	slow := s.NewConstraint("slow", 10)
+	trunk := s.NewConstraint("trunk", 100)
+	s.AddVariable("early", 1, 0, slow, trunk) // fixed first, at the slow link
+	s.AddVariable("leaver", 1, 0, trunk)
+	s.AddVariable("stayer", 2, 0, trunk)
+	if err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	fork, fvars, _ := s.Fork()
+	s.RemoveVariable(s.Variables()[1])
+	fork.RemoveVariable(fvars[1])
+	if err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fork.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, s, fork, "after the removal")
+	if s.LastTouched() != 1 || s.WarmSolves() != 1 {
+		t.Fatalf("source re-filled %d variables in %d warm solves, want 1 and 1", s.LastTouched(), s.WarmSolves())
+	}
+	if fork.LastTouched() != s.LastTouched() || fork.WarmSolves() != s.WarmSolves() ||
+		fork.VariablesKept() != s.VariablesKept() || fork.Rounds() != s.Rounds() {
+		t.Errorf("fork statistics diverged: touched %d/%d, warm %d/%d, kept %d/%d, rounds %d/%d",
+			fork.LastTouched(), s.LastTouched(), fork.WarmSolves(), s.WarmSolves(),
+			fork.VariablesKept(), s.VariablesKept(), fork.Rounds(), s.Rounds())
+	}
+}

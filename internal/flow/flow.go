@@ -30,7 +30,9 @@
 // allocation bit-for-bit. This mirrors SimGrid's lazy partial invalidation
 // of the max-min system (Casanova et al., arXiv:1309.1630) and is what
 // lets the simulation kernel pay per event only for the flows an event
-// actually disturbs.
+// actually disturbs. Within a disturbed component, a re-solve that follows
+// removals only keeps every filling round that ran before the first one to
+// fix a departed variable, and re-fills just the rest.
 //
 // RTT-awareness is achieved by the caller setting each flow's weight to
 // 1/RTT: on a shared bottleneck, flows then receive bandwidth inversely
@@ -59,10 +61,14 @@ type Variable struct {
 	data   any // caller backreference (SetData), cleared on removal
 
 	sys    *System // owning system, nil once removed
-	index  int     // position in sys.vars, for O(1) removal
+	index  int     // position in sys.vars
 	serial uint64  // creation order, for deterministic solve order
 	mark   uint64  // dirty-closure epoch stamp (scratch)
 	lam    float64 // bound/weight fill level during a solve (scratch)
+
+	// round is the filling round that fixed the variable (System.round at
+	// that time), 0 until a solve has fixed it.
+	round uint64
 }
 
 // ID returns the identifier given at creation. Variables created with an
@@ -112,6 +118,18 @@ type Constraint struct {
 	active    []*Variable // not-yet-fixed crossing variables, compacted per round (scratch)
 	wsum      float64     // Σ weight over active, valid while !wstale (scratch)
 	wstale    bool        // a crossing variable fixed since wsum was summed (scratch)
+
+	// log holds the residual state after each fix that charged this
+	// constraint, in fix order, so a later solve can rewind the constraint
+	// to the start of any round (see Solve).
+	log []fillRecord
+}
+
+// fillRecord is a constraint's (remaining, used) after one crossing
+// variable was fixed in the given round.
+type fillRecord struct {
+	round           uint64
+	remaining, used float64
 }
 
 // ID returns the identifier given at creation. Constraints created with
@@ -150,31 +168,39 @@ func (c *Constraint) Saturated() bool {
 // RemoveVariable, Attach) between solves, and each Solve re-solves only
 // the components disturbed since the previous one.
 type System struct {
-	vars   []*Variable
-	cnsts  []*Constraint
+	vars   []*Variable   // in creation-serial order
+	cnsts  []*Constraint // in creation-serial order
 	solved bool
 	epoch  uint64
 	serial uint64 // next creation serial
 
-	// Dirty bookkeeping between solves. allDirty forces a full solve
-	// (initial state). dirtyVars/dirtyCnsts seed the affected-component
-	// closure; they may contain duplicates or removed variables, both
-	// filtered during closure.
-	allDirty   bool
+	// Dirty bookkeeping between solves: dirtyVars/dirtyCnsts seed the
+	// affected-component closure; they may contain duplicates or removed
+	// variables, both filtered during closure.
 	dirtyVars  []*Variable
 	dirtyCnsts []*Constraint
+
+	// round numbers the filling rounds of every solve since the last
+	// Reset. cut is the round the next Solve must re-run from: noCut right
+	// after a solve, lowered by RemoveVariable to the round that fixed the
+	// departing variable, and zeroed — nothing of the previous solve is
+	// kept — by every other mutation.
+	round uint64
+	cut   uint64
 
 	// Solver work statistics.
 	solves       int
 	lastTouched  int
 	totalTouched int
-	touched      []*Variable // variables re-solved by the last Solve
+	warmSolves   int
+	totalKept    int
+	touched      []*Variable // variables re-filled by the last Solve
 
 	// varFree and conFree recycle removed Variable / Reset Constraint
-	// structs (including their attachment slices' capacity): simulations
-	// churn one variable per activity activation and rebuild constraints
-	// per pooled run, and reuse keeps that churn allocation-free at
-	// steady state.
+	// structs (including their attachment and log slices' capacity):
+	// simulations churn one variable per activity activation and rebuild
+	// constraints per pooled run, and reuse keeps that churn
+	// allocation-free at steady state.
 	varFree []*Variable
 	conFree []*Constraint
 
@@ -186,8 +212,11 @@ type System struct {
 	boundedBuf []*Variable
 }
 
+// noCut is System.cut when nothing has disturbed the last solve.
+const noCut = math.MaxUint64
+
 // NewSystem returns an empty system.
-func NewSystem() *System { return &System{allDirty: true} }
+func NewSystem() *System { return &System{} }
 
 // Reset empties the system — all variables and constraints are dropped
 // and the creation serials restart from zero — while retaining every
@@ -205,19 +234,44 @@ func (s *System) Reset() {
 	s.vars = s.vars[:0]
 	for _, c := range s.cnsts {
 		c.vars = c.vars[:0]
-		c.active = c.active[:0]
 		s.conFree = append(s.conFree, c)
 	}
 	s.cnsts = s.cnsts[:0]
 	s.serial = 0
-	s.allDirty = true
 	s.solved = false
 	s.dirtyVars = s.dirtyVars[:0]
 	s.dirtyCnsts = s.dirtyCnsts[:0]
+	s.round, s.cut = 0, 0
 	s.touched = nil
-	s.solves = 0
-	s.lastTouched = 0
-	s.totalTouched = 0
+	s.solves, s.lastTouched, s.totalTouched = 0, 0, 0
+	s.warmSolves, s.totalKept = 0, 0
+}
+
+// recycleConstraint returns a zeroed Constraint, reusing a struct dropped
+// by Reset (and its slices' capacity) when one is available.
+func (s *System) recycleConstraint() *Constraint {
+	n := len(s.conFree)
+	if n == 0 {
+		return &Constraint{}
+	}
+	c := s.conFree[n-1]
+	s.conFree[n-1] = nil
+	s.conFree = s.conFree[:n-1]
+	*c = Constraint{vars: c.vars[:0], active: c.active[:0], log: c.log[:0]}
+	return c
+}
+
+// recycleVariable is recycleConstraint for Variables.
+func (s *System) recycleVariable() *Variable {
+	n := len(s.varFree)
+	if n == 0 {
+		return &Variable{}
+	}
+	v := s.varFree[n-1]
+	s.varFree[n-1] = nil
+	s.varFree = s.varFree[:n-1]
+	*v = Variable{cnsts: v.cnsts[:0]}
+	return v
 }
 
 // NewConstraint adds a resource with the given capacity (must be >= 0).
@@ -226,16 +280,8 @@ func (s *System) NewConstraint(id string, capacity float64) *Constraint {
 	if capacity < 0 || math.IsNaN(capacity) {
 		panic(fmt.Errorf("flow: constraint %q has invalid capacity %v", id, capacity))
 	}
-	var c *Constraint
-	if n := len(s.conFree); n > 0 {
-		c = s.conFree[n-1]
-		s.conFree[n-1] = nil
-		s.conFree = s.conFree[:n-1]
-		vars, act := c.vars[:0], c.active[:0]
-		*c = Constraint{id: id, capacity: capacity, serial: s.serial, vars: vars, active: act}
-	} else {
-		c = &Constraint{id: id, capacity: capacity, serial: s.serial}
-	}
+	c := s.recycleConstraint()
+	c.id, c.capacity, c.serial = id, capacity, s.serial
 	s.serial++
 	s.cnsts = append(s.cnsts, c)
 	return c
@@ -252,19 +298,13 @@ func (s *System) NewVariable(id string, weight, bound float64) *Variable {
 	if bound <= 0 || math.IsNaN(bound) {
 		bound = math.Inf(1)
 	}
-	var v *Variable
-	if n := len(s.varFree); n > 0 {
-		v = s.varFree[n-1]
-		s.varFree[n-1] = nil
-		s.varFree = s.varFree[:n-1]
-		cn := v.cnsts[:0] // keep the attachment slice's capacity
-		*v = Variable{id: id, weight: weight, bound: bound, cnsts: cn, sys: s, index: len(s.vars), serial: s.serial}
-	} else {
-		v = &Variable{id: id, weight: weight, bound: bound, sys: s, index: len(s.vars), serial: s.serial}
-	}
+	v := s.recycleVariable()
+	v.id, v.weight, v.bound = id, weight, bound
+	v.sys, v.index, v.serial = s, len(s.vars), s.serial
 	s.serial++
 	s.vars = append(s.vars, v)
 	s.dirtyVars = append(s.dirtyVars, v)
+	s.cut = 0
 	s.solved = false
 	return v
 }
@@ -283,8 +323,9 @@ func (s *System) AddVariable(id string, weight, bound float64, cnsts ...*Constra
 
 // RemoveVariable withdraws a flow from the system: it is detached from
 // every constraint it crosses, and the capacity it held becomes available
-// to the remaining flows at the next Solve. Removing a variable that does
-// not belong to this system (or was already removed) panics.
+// to the remaining flows at the next Solve, which re-runs only the filling
+// rounds from the one that fixed v onward (see Solve). Removing a variable
+// that does not belong to this system (or was already removed) panics.
 func (s *System) RemoveVariable(v *Variable) {
 	if v.sys != s {
 		panic(fmt.Errorf("flow: variable %q is not in this system", v.ID()))
@@ -301,11 +342,17 @@ func (s *System) RemoveVariable(v *Variable) {
 		}
 		s.dirtyCnsts = append(s.dirtyCnsts, c)
 	}
+	// Ordered removal, for the same reason: s.vars stays in serial order.
 	last := len(s.vars) - 1
-	s.vars[v.index] = s.vars[last]
-	s.vars[v.index].index = v.index
+	copy(s.vars[v.index:], s.vars[v.index+1:])
 	s.vars[last] = nil
 	s.vars = s.vars[:last]
+	for i := v.index; i < last; i++ {
+		s.vars[i].index = i
+	}
+	if v.round < s.cut {
+		s.cut = v.round
+	}
 	v.sys = nil
 	v.cnsts = v.cnsts[:0]
 	v.data = nil
@@ -330,6 +377,7 @@ func (s *System) SetBound(v *Variable, bound float64) {
 	}
 	v.bound = bound
 	s.dirtyVars = append(s.dirtyVars, v)
+	s.cut = 0
 	s.solved = false
 }
 
@@ -348,6 +396,7 @@ func (s *System) SetCapacity(c *Constraint, capacity float64) bool {
 	}
 	c.capacity = capacity
 	s.dirtyCnsts = append(s.dirtyCnsts, c)
+	s.cut = 0
 	s.solved = false
 	return true
 }
@@ -364,6 +413,7 @@ func (s *System) Attach(v *Variable, c *Constraint) error {
 	v.cnsts = append(v.cnsts, c)
 	c.vars = append(c.vars, v)
 	s.dirtyVars = append(s.dirtyVars, v)
+	s.cut = 0
 	s.solved = false
 	return nil
 }
@@ -376,95 +426,117 @@ func (s *System) MustAttach(v *Variable, c *Constraint) {
 	}
 }
 
-// Variables returns all variables in the system.
+// Variables returns all variables in the system, in creation order.
 func (s *System) Variables() []*Variable { return s.vars }
 
-// Constraints returns all constraints in the system.
+// Constraints returns all constraints in the system, in creation order.
 func (s *System) Constraints() []*Constraint { return s.cnsts }
 
 // ErrUnboundedVariable is returned by Solve when a variable crosses no
 // constraint and has no rate bound: its max-min rate would be infinite.
 var ErrUnboundedVariable = errors.New("flow: variable with no constraint and no bound")
 
-// Solve computes the weighted max-min allocation. Solving is incremental:
-// only the connected components containing a variable added, attached or
-// removed since the previous Solve are recomputed, and every other
-// variable keeps its previous rate unchanged. Calling Solve on an
-// already-solved system is a no-op.
+// Solve computes the weighted max-min allocation. Solving is incremental
+// twice over. Across components: only the connected components containing
+// a variable or constraint mutated since the previous Solve are recomputed,
+// and every other variable keeps its previous rate unchanged. Within those
+// components: when the only mutations were removals, every variable fixed
+// in a round before the earliest one to fix a departed variable stays
+// fixed — a departed variable was still unfixed throughout those rounds,
+// so it never changed a residual capacity, and without its weight every
+// constraint it crossed can only saturate later, which leaves the choice
+// of bottleneck in those rounds, and therefore their arithmetic, exactly
+// as it was. Filling then re-runs only for the variables still connected
+// to a departed one through variables that were unfixed at that point; a
+// from-scratch solve is the same loop with nothing kept. docs/DESIGN.md
+// ("Resuming a solve from the first disturbed level") has the argument in
+// full. Calling Solve on an already-solved system is a no-op.
 func (s *System) Solve() error {
 	if s.solved {
 		return nil
 	}
 	s.solves++
 
-	// Gather the dirty sub-system: every variable and constraint reachable
-	// from a mutation seed through shared constraints. Collection happens
-	// during the closure traversal itself (so the cost is proportional to
-	// the dirty set, not the whole system) and is then sorted by creation
-	// serial so the solve visits resources in a stable order. The
-	// collection slices are per-system scratch, so steady-state solves
-	// allocate nothing.
-	var dirtyV []*Variable
-	var dirtyC []*Constraint
-	if s.allDirty {
-		dirtyV = s.vars
-		dirtyC = s.cnsts
-	} else {
-		dirtyV = s.dirtyVBuf[:0]
-		dirtyC = s.dirtyCBuf[:0]
-		s.epoch++
-		stack := s.stackBuf[:0]
-		markC := func(c *Constraint) {
-			if c.mark != s.epoch {
-				c.mark = s.epoch
-				dirtyC = append(dirtyC, c)
-				stack = append(stack, c)
-			}
+	// Gather the dirty sub-system: every constraint reachable from a
+	// mutation seed, and every variable to re-fill, walking shared
+	// constraints but not through the variables fixed before round cut —
+	// those are kept, and what lies behind them is as undisturbed as
+	// another component. (When cut is 0 nothing is kept and this is the
+	// closure over whole components. When it is not, only removals
+	// happened, so every variable reached was fixed by an earlier solve:
+	// none has round 0.) Collection happens during the traversal itself
+	// (so the cost is proportional to the dirty set, not the whole system)
+	// and is then put in creation order so the solve visits resources in a
+	// stable order. The collection slices are per-system scratch, so
+	// steady-state solves allocate nothing.
+	cut := s.cut
+	kept := 0
+	dirtyV := s.dirtyVBuf[:0]
+	dirtyC := s.dirtyCBuf[:0]
+	s.epoch++
+	stack := s.stackBuf[:0]
+	markC := func(c *Constraint) {
+		if c.mark != s.epoch {
+			c.mark = s.epoch
+			dirtyC = append(dirtyC, c)
+			stack = append(stack, c)
 		}
-		markV := func(v *Variable) {
-			if v.mark != s.epoch {
-				v.mark = s.epoch
-				dirtyV = append(dirtyV, v)
-				for _, c := range v.cnsts {
-					markC(c)
-				}
-			}
+	}
+	markV := func(v *Variable) {
+		if v.mark == s.epoch {
+			return
 		}
-		for _, v := range s.dirtyVars {
-			if v.sys == s { // skip variables removed after being added
-				markV(v)
-			}
+		v.mark = s.epoch
+		if v.round < cut {
+			kept++
+			return
 		}
-		for _, c := range s.dirtyCnsts {
+		dirtyV = append(dirtyV, v)
+		for _, c := range v.cnsts {
 			markC(c)
 		}
-		for len(stack) > 0 {
-			c := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, v := range c.vars {
-				markV(v)
+	}
+	for _, v := range s.dirtyVars {
+		if v.sys == s { // skip variables removed after being added
+			markV(v)
+		}
+	}
+	for _, c := range s.dirtyCnsts {
+		markC(c)
+	}
+	for len(stack) > 0 {
+		c := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range c.vars {
+			markV(v)
+		}
+	}
+	s.stackBuf = stack[:0]
+	// s.cnsts and s.vars are already in creation order, so when a large
+	// share of them is dirty a marked sweep is cheaper than a comparison
+	// sort; both produce the identical sequence.
+	if 4*len(dirtyC) >= len(s.cnsts) {
+		dirtyC = dirtyC[:0]
+		for _, c := range s.cnsts {
+			if c.mark == s.epoch {
+				dirtyC = append(dirtyC, c)
 			}
 		}
-		s.dirtyVBuf = dirtyV
-		s.dirtyCBuf = dirtyC
-		s.stackBuf = stack[:0]
-		// Order the dirty constraints by creation serial. s.cnsts is
-		// already in that order (constraints are never removed), so when
-		// most constraints are dirty a marked sweep is cheaper than a
-		// comparison sort; both produce the identical sequence.
-		if 4*len(dirtyC) >= len(s.cnsts) {
-			dirtyC = dirtyC[:0]
-			for _, c := range s.cnsts {
-				if c.mark == s.epoch {
-					dirtyC = append(dirtyC, c)
-				}
+	} else {
+		slices.SortFunc(dirtyC, func(a, b *Constraint) int { return cmp.Compare(a.serial, b.serial) })
+	}
+	if 4*len(dirtyV) >= len(s.vars) {
+		dirtyV = dirtyV[:0]
+		for _, v := range s.vars {
+			if v.mark == s.epoch && v.round >= cut {
+				dirtyV = append(dirtyV, v)
 			}
-			s.dirtyCBuf = dirtyC
-		} else {
-			slices.SortFunc(dirtyC, func(a, b *Constraint) int { return cmp.Compare(a.serial, b.serial) })
 		}
+	} else {
 		slices.SortFunc(dirtyV, func(a, b *Variable) int { return cmp.Compare(a.serial, b.serial) })
 	}
+	s.dirtyVBuf = dirtyV
+	s.dirtyCBuf = dirtyC
 
 	for _, v := range dirtyV {
 		if len(v.cnsts) == 0 && math.IsInf(v.bound, 1) {
@@ -472,52 +544,74 @@ func (s *System) Solve() error {
 		}
 	}
 
-	// Reset the dirty sub-system. By closure, every variable crossing a
-	// dirty constraint is itself dirty, so capacities restart from full.
+	// Rewind the dirty sub-system to the start of round cut: its variables
+	// restart unfixed at rate 0, its constraints at what the kept
+	// variables left them. Until this solve completes there is no
+	// consistent state to resume from, hence the zeroed s.cut.
+	//
 	// Three working lists keep the progressive-filling rounds proportional
 	// to what is still unfixed rather than to the whole dirty set:
 	//
-	//   - each constraint snapshots its crossing variables into c.active,
-	//     compacted as variables fix (attachment order preserved, so the
-	//     per-round weight sums are bit-identical to a full rescan);
+	//   - each constraint snapshots its unfixed crossing variables into
+	//     c.active, compacted as variables fix (attachment order preserved,
+	//     so the per-round weight sums are bit-identical to a full rescan);
 	//   - work compacts away constraints whose variables are all fixed
 	//     (relative serial order preserved, so λ* tie-breaking between
 	//     equal constraints is unchanged);
-	//   - bounded holds the rate-bounded variables pre-sorted by their
-	//     constant fill level λ_v = bound/weight (stable sort, so equal
-	//     levels keep serial order): the first unfixed entry is the
-	//     candidate each round, replacing a full rescan.
+	//   - bounded holds the rate-bounded variables in serial order, stably
+	//     sorted by their constant fill level λ_v = bound/weight the first
+	//     time a round's constraint level does not already undercut all of
+	//     them: from then on the first unfixed entry is the candidate each
+	//     round, replacing a full rescan.
+	s.cut = 0
+	if kept > 0 {
+		s.warmSolves++
+		s.totalKept += kept
+	}
+	bounded := s.boundedBuf[:0]
+	minLam := math.Inf(1) // lower bound on the unfixed entries of bounded
 	for _, v := range dirtyV {
 		v.fixed = false
 		v.value = 0
-	}
-	bounded := s.boundedBuf[:0]
-	for _, v := range dirtyV {
 		if !math.IsInf(v.bound, 1) {
 			v.lam = v.bound / v.weight
+			if v.lam < minLam {
+				minLam = v.lam
+			}
 			bounded = append(bounded, v)
 		}
 	}
-	slices.SortStableFunc(bounded, func(a, b *Variable) int { return cmp.Compare(a.lam, b.lam) })
-	boundedHead := 0
 	for _, c := range dirtyC {
-		c.remaining = c.capacity
-		c.unfixed = len(c.vars)
-		c.used = 0
-		c.active = append(c.active[:0], c.vars...)
-		c.wstale = true
+		n := len(c.log)
+		for n > 0 && c.log[n-1].round >= cut {
+			n--
+		}
+		c.log = slices.Grow(c.log[:n], len(c.vars)-n) // one record per variable still to fix
+		c.remaining, c.used = c.capacity, 0
+		if n > 0 {
+			c.remaining, c.used = c.log[n-1].remaining, c.log[n-1].used
+		}
+		// Every fixed crossing variable logged one record, so the n left
+		// are the kept ones: a constraint they fill is not scanned.
+		act, w := c.active[:0], 0.0
+		if n < len(c.vars) {
+			for _, v := range c.vars {
+				if !v.fixed {
+					w += v.weight
+					act = append(act, v)
+				}
+			}
+		}
+		c.active, c.unfixed = act, len(act)
+		c.wsum, c.wstale = w, false
 	}
 	work := dirtyC
-	if s.allDirty {
-		// dirtyC aliases s.cnsts here; compaction must not reorder it.
-		work = append(s.dirtyCBuf[:0], dirtyC...)
-		s.dirtyCBuf = work
-	}
 
 	unfixed := len(dirtyV)
 	fix := func(v *Variable, rate float64) {
 		v.fixed = true
 		v.value = rate
+		v.round = s.round
 		unfixed--
 		for _, c := range v.cnsts {
 			c.remaining -= rate
@@ -527,9 +621,12 @@ func (s *System) Solve() error {
 			c.unfixed--
 			c.used += rate
 			c.wstale = true
+			c.log = append(c.log, fillRecord{s.round, c.remaining, c.used})
 		}
 	}
+	boundedSorted, boundedHead := false, 0
 	for unfixed > 0 {
+		s.round++
 		// Find the minimal fill level λ* at which something saturates.
 		// For constraint c: λ_c = remaining_c / Σ weights of unfixed vars.
 		// For a bounded variable v: λ_v = bound_v / weight_v.
@@ -567,12 +664,21 @@ func (s *System) Solve() error {
 			}
 		}
 		work = work[:m]
-		for boundedHead < len(bounded) && bounded[boundedHead].fixed {
-			boundedHead++
-		}
-		if boundedHead < len(bounded) {
-			if v := bounded[boundedHead]; v.lam < lambda {
-				lambda, satCnst, satVar = v.lam, nil, v
+		if minLam < lambda {
+			if !boundedSorted {
+				slices.SortStableFunc(bounded, func(a, b *Variable) int { return cmp.Compare(a.lam, b.lam) })
+				boundedSorted = true
+			}
+			for boundedHead < len(bounded) && bounded[boundedHead].fixed {
+				boundedHead++
+			}
+			minLam = math.Inf(1)
+			if boundedHead < len(bounded) {
+				v := bounded[boundedHead]
+				minLam = v.lam
+				if v.lam < lambda {
+					lambda, satCnst, satVar = v.lam, nil, v
+				}
 			}
 		}
 
@@ -604,16 +710,17 @@ func (s *System) Solve() error {
 	s.touched = dirtyV
 	s.dirtyVars = s.dirtyVars[:0]
 	s.dirtyCnsts = s.dirtyCnsts[:0]
-	s.allDirty = false
+	s.cut = noCut
 	s.solved = true
 	return nil
 }
 
-// Touched returns the variables re-solved by the most recent effective
-// Solve — the only variables whose Rate may have changed. The slice is
-// valid until the next mutation or Solve; callers that update derived
-// state (the simulation engines copying rates) iterate it instead of
-// every variable.
+// Touched returns the variables re-filled by the most recent effective
+// Solve, in creation order — the only variables whose Rate may have
+// changed. A resumed solve leaves out of it the variables it kept fixed
+// and whatever they shield from the departed ones. The slice is valid
+// until the next Solve; callers that update derived state (the simulation
+// engines copying rates) iterate it instead of every variable.
 func (s *System) Touched() []*Variable { return s.touched }
 
 // Solved reports whether the system has been solved since its last
@@ -624,12 +731,27 @@ func (s *System) Solved() bool { return s.solved }
 // (no-op calls on an already-solved system are not counted).
 func (s *System) Solves() int { return s.solves }
 
-// LastTouched returns the number of variables re-solved by the most
-// recent effective Solve — the size of the disturbed components.
+// LastTouched returns the number of variables re-filled by the most
+// recent effective Solve — len(Touched()).
 func (s *System) LastTouched() int { return s.lastTouched }
 
-// TotalTouched returns the cumulative number of variables re-solved
+// TotalTouched returns the cumulative number of variables re-filled
 // across all effective solves; with a from-scratch solver this would be
 // Σ (system size at each solve), so the ratio of the two measures the
 // work saved by incrementality.
 func (s *System) TotalTouched() int { return s.totalTouched }
+
+// Rounds returns the cumulative number of filling rounds run by all
+// effective solves.
+func (s *System) Rounds() int { return int(s.round) }
+
+// WarmSolves returns how many effective solves resumed: they reached at
+// least one variable fixed before the first disturbed round and kept it.
+func (s *System) WarmSolves() int { return s.warmSolves }
+
+// VariablesKept returns the cumulative number of variables warm solves
+// reached and kept fixed. Kept variables are not walked through, so those
+// behind them are not counted: VariablesKept / (VariablesKept +
+// TotalTouched) is a lower bound on the share of re-filling that resuming
+// skipped.
+func (s *System) VariablesKept() int { return s.totalKept }

@@ -228,15 +228,27 @@ type SharingStats struct {
 	// Resharings method).
 	Resharings int
 	// VariablesTouched is the cumulative number of flow variables
-	// re-solved across all resharings. A rebuild-the-world solver would
+	// re-filled across all resharings. A rebuild-the-world solver would
 	// touch every active flow at every resharing; the ratio
 	// VariablesTouched / (Resharings × live flows) measures how much the
 	// incremental solver saves.
 	VariablesTouched int
-	// LastTouched is the number of variables re-solved by the most
-	// recent resharing — the size of the components the last event
-	// disturbed.
+	// LastTouched is the number of variables re-filled by the most
+	// recent resharing — the components the last event disturbed, minus
+	// the variables a resumed solve kept.
 	LastTouched int
+	// Rounds is the cumulative number of progressive-filling rounds the
+	// resharings ran.
+	Rounds int
+	// WarmSolves is how many resharings resumed from a round of the
+	// previous solve (a completion is the only event in between) instead
+	// of re-filling their components from zero.
+	WarmSolves int
+	// VariablesKept is the cumulative number of variables those warm
+	// solves reached and kept fixed (see flow.System.VariablesKept):
+	// VariablesKept / (VariablesKept + VariablesTouched) is a lower bound
+	// on the share of re-filling that resuming skipped.
+	VariablesKept int
 }
 
 // SharingStats returns the solver work statistics of the simulation so
@@ -246,6 +258,9 @@ func (e *Engine) SharingStats() SharingStats {
 		Resharings:       e.events,
 		VariablesTouched: e.sys.TotalTouched(),
 		LastTouched:      e.sys.LastTouched(),
+		Rounds:           e.sys.Rounds(),
+		WarmSolves:       e.sys.WarmSolves(),
+		VariablesKept:    e.sys.VariablesKept(),
 	}
 }
 

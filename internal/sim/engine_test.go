@@ -62,6 +62,51 @@ func TestSharingStatsIncremental(t *testing.T) {
 	}
 }
 
+// A completion is a removal-only change of the sharing problem, so the
+// resharing after it resumes: a flow fixed at an earlier bottleneck than
+// the departed one is kept, not re-filled, and SharingStats says so.
+func TestSharingStatsWarmResolve(t *testing.T) {
+	p := platform.New("root", platform.RoutingFull)
+	as := p.Root()
+	for _, h := range []string{"a", "b", "c"} {
+		as.AddHost(h, 1e9)
+	}
+	slow, _ := as.AddLink("slow", 10e6, 0, platform.Shared)
+	trunk, _ := as.AddLink("trunk", 100e6, 0, platform.Shared)
+	as.AddRoute("a", "c", []platform.LinkUse{{Link: slow, Direction: platform.None}, {Link: trunk, Direction: platform.None}}, true)
+	as.AddRoute("b", "c", []platform.LinkUse{{Link: trunk, Direction: platform.None}}, true)
+	cfg := DefaultConfig()
+	cfg.TCPGamma = 0
+	e := NewEngine(p, cfg)
+	// a->c saturates the slow link first and is fixed there; the two b->c
+	// transfers then split what is left of the trunk. The small one
+	// completes first.
+	for _, tr := range []struct {
+		src  string
+		size float64
+	}{{"a", 1e9}, {"b", 1e9}, {"b", 1e8}} {
+		if _, err := e.AddComm(tr.src, "c", tr.size, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.RunToCompletion(); err != nil {
+		t.Fatal(err)
+	}
+	st := e.SharingStats()
+	if st.WarmSolves == 0 || st.VariablesKept == 0 {
+		t.Errorf("no resumed resharing recorded: %+v", st)
+	}
+	if st.Rounds == 0 || st.WarmSolves >= st.Resharings {
+		t.Errorf("implausible solver statistics: %+v", st)
+	}
+	// First resharing fills all three; after the small transfer leaves
+	// only the other b->c flow is re-filled (a->c is kept); after that one
+	// leaves nothing on the trunk is unfixed.
+	if st.VariablesTouched != 4 {
+		t.Errorf("VariablesTouched = %d, want 4: %+v", st.VariablesTouched, st)
+	}
+}
+
 func TestEngineNowAdvances(t *testing.T) {
 	p := buildPair(t, 100e6, 0)
 	cfg := DefaultConfig()
