@@ -10,7 +10,8 @@ SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 # fan-out, the
 # snapshot layer's concurrency/copy-on-write claims, the scenario
 # overlay/batched-evaluation claims, the warm-start differential
-# evaluation tiers (reuse/fork vs cold), and the end-to-end HTTP serving
+# evaluation tiers (reuse/fork vs cold, on a fixed epoch and on a fresh
+# epoch per iteration), and the end-to-end HTTP serving
 # path (pooled encoders vs encoding/json, plus the coalescing burst).
 KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkCold60CrossSite|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients
 
@@ -63,8 +64,11 @@ bench-smoke:
 
 # bench-check runs the key benchmarks and fails when any figure benchmark
 # slowed by more than 25% against the committed baseline — and when the
-# serving hot path re-grows allocations by more than 10% (allocation
-# counts are nearly deterministic, so the tighter threshold holds). Only
+# serving hot path, a differential evaluate or a simulation on a fresh
+# epoch re-grows allocations by more than 10% (allocation counts are
+# nearly deterministic, so the tighter threshold holds; the last two are
+# the gate that catches an engine built per epoch, which no fixed-epoch
+# benchmark sees). Only
 # single-threaded benchmarks gate cross-run: the RunParallel benchmarks
 # scale with the machine's core count and would make a cross-machine
 # comparison meaningless. The second check is within THIS run: the
@@ -73,7 +77,7 @@ bench-smoke:
 # sub-benchmarks differ only in the response writer).
 bench-check: bench
 	go run ./cmd/benchdiff -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkCold60CrossSite|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold' BENCH_baseline.json BENCH_$(SHA).json
-	go run ./cmd/benchdiff -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hot|BenchmarkHTTPEvaluate30x8/hot' BENCH_baseline.json BENCH_$(SHA).json
+	go run ./cmd/benchdiff -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hot|BenchmarkHTTPEvaluate30x8/hot|BenchmarkEvaluateDifferential30x8/differential|BenchmarkForkVsCold/fresh-epoch' BENCH_baseline.json BENCH_$(SHA).json
 	go run ./cmd/benchdiff -scale 'BenchmarkHTTPPredict30/legacy,BenchmarkHTTPPredict30/hot,1.4;BenchmarkHTTPEvaluate30x8/legacy,BenchmarkHTTPEvaluate30x8/hot,1.4' BENCH_$(SHA).json
 
 # bench-baseline refreshes the committed baseline from a fresh run; commit

@@ -187,8 +187,9 @@ type EvaluateResponse struct {
 // (base epoch, canonical overlay): a failure sweep polled by a scheduler
 // resolves to the same derived epochs every time, which keeps the
 // forecast cache's epoch-keyed entries warm between requests. Bounded
-// LRU; evicted snapshots become collectable once no engine pool flavour
-// pins them.
+// LRU; evicted snapshots become collectable at once — the engine pool is
+// keyed by topology and parks engines without a snapshot, so it never pins
+// an epoch.
 type OverlayCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -889,7 +890,6 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	}
 
 	base := sg.base.snapshot()
-	basePrefix := cacheKeyPrefix(name, sg.base)
 
 	// Collect the distinct sub-simulations of the member set and map every
 	// (query, sub) instance onto them.
@@ -927,17 +927,23 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	// dedup hit) and classify what is left against the member's delta.
 	type memberState struct {
 		g        *evalGroup
-		prefix   string
+		keys     []string // per dsub: this member's cache key
 		answers  []subAnswer
 		need     []int // dsub indices this member still has to resolve
 		class    []sim.DeltaClass
-		cold     []int                // dsub indices falling back to a cold run
-		led      map[int]*flightCall  // flights this member leads, by dsub index
-		followed map[int]*flightCall  // flights owned by other requests, by dsub index
+		cold     []int               // dsub indices falling back to a cold run
+		led      map[int]*flightCall // flights this member leads, by dsub index
+		followed map[int]*flightCall // flights owned by other requests, by dsub index
 	}
 	needBase := make([]bool, len(dsubs))
 	wantCk := make([]bool, len(dsubs))
 	members := make([]*memberState, len(sg.members))
+	// A cache key is a few KB (it spells out the sub's transfers) and is
+	// used at lead, Store, complete and the abandon sweep: each is
+	// concatenated once into this table — one row per member (every member
+	// probes every sub), and a last row for the base epoch, filled only for
+	// the subs that need a base answer.
+	keyTable := make([]string, (len(sg.members)+1)*len(dsubs))
 	// Settle every led flight no matter how this function exits: a panic
 	// must not leave followers waiting forever (abandon no-ops on
 	// flights completed normally below).
@@ -947,20 +953,24 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 				continue
 			}
 			for di, f := range m.led {
-				ev.Cache.abandon(m.prefix+dsubs[di].frag, f)
+				ev.Cache.abandon(m.keys[di], f)
 			}
 		}
 	}()
 	for mi, g := range sg.members {
 		m := &memberState{
 			g:        g,
-			prefix:   cacheKeyPrefix(name, g.entry),
+			keys:     keyTable[mi*len(dsubs) : (mi+1)*len(dsubs)],
 			answers:  make([]subAnswer, len(dsubs)),
 			class:    make([]sim.DeltaClass, len(dsubs)),
 			led:      make(map[int]*flightCall),
 			followed: make(map[int]*flightCall),
 		}
 		members[mi] = m
+		prefix := cacheKeyPrefix(name, g.entry)
+		for di := range dsubs {
+			m.keys[di] = prefix + dsubs[di].frag
+		}
 		needed := make([]bool, len(dsubs))
 		for qi := range queries {
 			for _, di := range inst[qi] {
@@ -972,7 +982,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 					g.hits++ // in-plan dedup: identical sub already pending
 					continue
 				}
-				cached, f, leader := ev.Cache.lead(m.prefix + dsubs[di].frag)
+				cached, f, leader := ev.Cache.lead(m.keys[di])
 				if cached != nil {
 					m.answers[di] = subAnswer{preds: cached, have: true}
 					g.hits++
@@ -1022,9 +1032,11 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	baseAns := make([]subAnswer, len(dsubs))
 	cks := make([]*sim.PlanCheckpoint, len(dsubs))
 	baseLed := make([]*flightCall, len(dsubs))
+	baseKeys := keyTable[len(sg.members)*len(dsubs):]
+	basePrefix := cacheKeyPrefix(name, sg.base)
 	defer func() {
 		for di, f := range baseLed {
-			ev.Cache.abandon(basePrefix+dsubs[di].frag, f)
+			ev.Cache.abandon(baseKeys[di], f)
 		}
 	}()
 	var runIdx []int
@@ -1032,7 +1044,8 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 		if !needBase[di] {
 			continue
 		}
-		preds, f, leader := ev.Cache.leadOrRun(basePrefix + dsubs[di].frag)
+		baseKeys[di] = basePrefix + dsubs[di].frag
+		preds, f, leader := ev.Cache.leadOrRun(baseKeys[di])
 		if preds != nil {
 			baseAns[di] = subAnswer{preds: preds, have: true}
 			if wantCk[di] {
@@ -1059,9 +1072,9 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 			baseAns[di] = subAnswer{preds: preds, err: err, have: true}
 			cks[di] = pcs[j]
 			if err == nil {
-				ev.Cache.Store(basePrefix+dsubs[di].frag, preds)
+				ev.Cache.Store(baseKeys[di], preds)
 			}
-			ev.Cache.complete(basePrefix+dsubs[di].frag, baseLed[di], preds, err)
+			ev.Cache.complete(baseKeys[di], baseLed[di], preds, err)
 		}
 	}
 
@@ -1084,9 +1097,9 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 						g.forked++
 						g.resolved += dsubs[di].footprint(base).TouchedBw(g.delta)
 						if err == nil {
-							ev.Cache.Store(m.prefix+dsubs[di].frag, preds)
+							ev.Cache.Store(m.keys[di], preds)
 						}
-						ev.Cache.complete(m.prefix+dsubs[di].frag, m.led[di], preds, err)
+						ev.Cache.complete(m.keys[di], m.led[di], preds, err)
 						continue
 					}
 				}
@@ -1098,10 +1111,10 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 				if derived {
 					g.reused++
 					if baseAns[di].err == nil {
-						ev.Cache.Store(m.prefix+dsubs[di].frag, baseAns[di].preds)
+						ev.Cache.Store(m.keys[di], baseAns[di].preds)
 					}
 				}
-				ev.Cache.complete(m.prefix+dsubs[di].frag, m.led[di], baseAns[di].preds, baseAns[di].err)
+				ev.Cache.complete(m.keys[di], m.led[di], baseAns[di].preds, baseAns[di].err)
 			case sim.ClassCold:
 				m.cold = append(m.cold, di)
 			}
@@ -1120,9 +1133,9 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 					g.cold++
 				}
 				if err == nil {
-					ev.Cache.Store(m.prefix+dsubs[di].frag, preds)
+					ev.Cache.Store(m.keys[di], preds)
 				}
-				ev.Cache.complete(m.prefix+dsubs[di].frag, m.led[di], preds, err)
+				ev.Cache.complete(m.keys[di], m.led[di], preds, err)
 			}
 		}
 	}
@@ -1133,7 +1146,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	for _, m := range members {
 		for di, f := range m.followed {
 			ds := &dsubs[di]
-			preds, err := ev.Cache.waitFlight(ctx, m.prefix+ds.frag, f, func() ([]Prediction, error) {
+			preds, err := ev.Cache.waitFlight(ctx, m.keys[di], f, func() ([]Prediction, error) {
 				res := sim.RunPlan(m.g.entry.snapshot(), m.g.entry.Config, []sim.PlanQuery{ds.plan})
 				m.g.sims++
 				return planToPreds(&res[0])

@@ -245,6 +245,53 @@ func TestEvaluateDedup(t *testing.T) {
 	}
 }
 
+// TestEvaluateFreshEpochsBuildNoEngine pins the engine pool's key: a
+// what-if request whose factors nobody has asked for derives brand-new
+// epochs, and every fork and cold cell on them must be served by engines
+// the previous request parked — the pool is keyed by topology, so "an
+// epoch nobody has simulated" is not a miss.
+func TestEvaluateFreshEpochsBuildNoEngine(t *testing.T) {
+	ev := newEvaluator(t)
+	ev.Pool = NewWorkerPool(1) // one group at a time: engine demand is the same for both requests
+	request := func(factor float64) EvaluateRequest {
+		return EvaluateRequest{
+			Scenarios: []scenario.Scenario{
+				{Name: "baseline"},
+				{Name: "fork", Mutations: []scenario.Mutation{ // bandwidth on the route: checkpoint fork
+					{Op: scenario.OpScaleLink, Link: testNIC, BandwidthFactor: factor}}},
+				{Name: "cold", Mutations: []scenario.Mutation{ // latency on the route: cold run
+					{Op: scenario.OpSetLink, Link: testNIC, Latency: fptr(factor * 1e-3)}}},
+			},
+			Queries: []EvalQuery{{Kind: QueryPredictTransfers, Transfers: []TransferRequest{
+				{Src: evalSrc, Dst: evalDst, Size: 5e8 * factor}}}},
+		}
+	}
+	first, err := ev.Evaluate("p", request(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sim.PoolStats()
+	second, err := ev.Evaluate("p", request(0.7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := sim.PoolStats()
+	for _, resp := range []*EvaluateResponse{first, second} {
+		if resp.Stats.ForkRuns != 1 || resp.Stats.ForkCold != 1 || resp.Stats.Simulations != 3 {
+			t.Fatalf("tier mix off (want 1 fork, 1 cold, 3 simulations): %+v", resp.Stats)
+		}
+	}
+	if first.Scenarios[1].Epoch == second.Scenarios[1].Epoch || first.Scenarios[2].Epoch == second.Scenarios[2].Epoch {
+		t.Fatal("second request reused the first one's derived epochs")
+	}
+	if after.Acquired-before.Acquired < 3 {
+		t.Errorf("second request acquired %d engines, want >= 3", after.Acquired-before.Acquired)
+	}
+	if built := after.Built - before.Built; built != 0 {
+		t.Errorf("second request built %d engines on its fresh epochs, want 0", built)
+	}
+}
+
 // mustBaseBW reads the test NIC's base bandwidth.
 func (ev *Evaluator) mustBaseBW(t *testing.T) float64 {
 	t.Helper()

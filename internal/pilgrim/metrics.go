@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"pilgrim/internal/sim"
 )
 
 // This file is the Prometheus scrape surface. The repo deliberately
@@ -184,6 +186,11 @@ func WriteServerMetrics(e *Exposition, s *Server) {
 	e.Add("pilgrim_overlay_cache_hits_total", "Scenario-overlay cache hits (derived epochs reused).", Counter, float64(os.Hits))
 	e.Add("pilgrim_overlay_cache_misses_total", "Scenario-overlay cache misses (fresh ApplyOverlay).", Counter, float64(os.Misses))
 	e.Add("pilgrim_overlay_cache_entries", "Derived epochs currently cached.", Gauge, float64(os.Size))
+
+	ep := sim.PoolStats()
+	e.Add("pilgrim_engine_pool_acquired_total", "Simulation engines handed out by the process-wide pool.", Counter, float64(ep.Acquired))
+	e.Add("pilgrim_engine_pool_built_total", "Acquires that constructed an engine instead of recycling one (steady state: flat).", Counter, float64(ep.Built))
+	e.Add("pilgrim_engine_pool_parked", "Idle engines currently held by the pool.", Gauge, float64(ep.Parked))
 
 	as := s.admission.Load().Stats()
 	e.Add("pilgrim_admission_enabled", "1 when -max-inflight bounds the simulation endpoints.", Gauge, b2f(as.Enabled))

@@ -1,6 +1,7 @@
 package pilgrim
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -133,6 +134,9 @@ func TestMetricsExpositionContract(t *testing.T) {
 		"pilgrim_overlay_cache_hits_total",
 		"pilgrim_overlay_cache_misses_total",
 		"pilgrim_overlay_cache_entries",
+		"pilgrim_engine_pool_acquired_total",
+		"pilgrim_engine_pool_built_total",
+		"pilgrim_engine_pool_parked",
 		"pilgrim_admission_enabled",
 		"pilgrim_admission_inflight",
 		"pilgrim_admission_waiting",
@@ -162,6 +166,13 @@ func TestMetricsExpositionContract(t *testing.T) {
 	if v := values["pilgrim_evaluate_cells_total"]; v != 1 {
 		t.Errorf("evaluate cells = %v, want 1", v)
 	}
+	// The one simulation above (the rest were cache hits) acquired a
+	// pooled engine and released it: it is parked, and built never exceeds
+	// acquired.
+	acquired, built := values["pilgrim_engine_pool_acquired_total"], values["pilgrim_engine_pool_built_total"]
+	if acquired < 1 || built > acquired || values["pilgrim_engine_pool_parked"] < 1 {
+		t.Errorf("engine pool: acquired=%v built=%v parked=%v", acquired, built, values["pilgrim_engine_pool_parked"])
+	}
 	if v := values["pilgrim_platforms"]; v != 1 {
 		t.Errorf("platforms = %v, want 1", v)
 	}
@@ -179,6 +190,24 @@ func TestMetricsExpositionContract(t *testing.T) {
 	}
 	if got := values["pilgrim_forecast_cache_misses_total"]; got != float64(cs.Misses) {
 		t.Errorf("metrics misses %v != cache_stats misses %d", got, cs.Misses)
+	}
+	// ... and on the engine pool: cache_stats carries the same counters
+	// under "engine_pool" (process-wide, so only monotonicity is exact).
+	resp, err := http.Get(srv.URL + "/pilgrim/cache_stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var full struct {
+		EnginePool *sim.PoolCounters `json:"engine_pool"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&full); err != nil {
+		t.Fatal(err)
+	}
+	if ep := full.EnginePool; ep == nil {
+		t.Error("cache_stats has no engine_pool object")
+	} else if float64(ep.Acquired) < acquired || float64(ep.Built) < built || ep.Acquired != ep.Reused+ep.Built {
+		t.Errorf("cache_stats engine_pool %+v disagrees with /metrics acquired=%v built=%v", *ep, acquired, built)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"pilgrim/internal/platform"
 	"pilgrim/internal/rrd"
 	"pilgrim/internal/shard"
+	"pilgrim/internal/sim"
 	"pilgrim/internal/store"
 	"pilgrim/internal/workflow"
 )
@@ -439,8 +440,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 // handleCacheStats reports the forecast cache's hit/miss counters, the
 // worker pool's telemetry (hypothesis and evaluate fan-out), the
-// scenario-overlay cache counters, admission-control accounting, and —
-// when the registry is WAL-backed — the durable-store counters:
+// scenario-overlay cache counters, admission-control accounting, the
+// process-wide simulation-engine pool's counters, and — when the registry
+// is WAL-backed — the durable-store counters:
 //
 //	GET /pilgrim/cache_stats
 func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
@@ -450,12 +452,13 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, struct {
 		CacheStats
-		Forecast  WorkerStats     `json:"forecast_workers"`
-		Overlays  OverlayStats    `json:"scenario_overlays"`
-		Admission AdmissionStats  `json:"admission"`
-		Storage   *store.WALStats `json:"storage,omitempty"`
+		Forecast  WorkerStats      `json:"forecast_workers"`
+		Overlays  OverlayStats     `json:"scenario_overlays"`
+		Admission AdmissionStats   `json:"admission"`
+		Engines   sim.PoolCounters `json:"engine_pool"`
+		Storage   *store.WALStats  `json:"storage,omitempty"`
 	}{s.cache.Load().Stats(), s.pool.Load().Stats(), s.overlays.Load().Stats(),
-		s.admission.Load().Stats(), storage})
+		s.admission.Load().Stats(), sim.PoolStats(), storage})
 }
 
 // handleEvaluate implements batched what-if evaluation: POST N scenarios

@@ -45,6 +45,17 @@ func SameTopology(a, b *Snapshot) bool {
 	return a != nil && b != nil && a.topo == b.topo
 }
 
+// TopologyID is an opaque, comparable handle on a snapshot's compiled
+// topology: two snapshots carry equal ids exactly when SameTopology holds.
+// It exists so code outside this package can key state that is valid for
+// every epoch of a platform (sim's engine pool) without naming the
+// topology type. Holding one keeps the topology alive, but no epoch's
+// link state.
+type TopologyID struct{ t *topology }
+
+// TopologyID returns the handle of the compiled topology s is an epoch of.
+func (s *Snapshot) TopologyID() TopologyID { return TopologyID{s.topo} }
+
 // diffPages appends to dst the indices (< n) whose values differ between
 // two page tables, invoking classify for each. Epochs share untouched
 // pages by pointer (copy-on-write), so the scan costs O(changed pages),

@@ -98,7 +98,9 @@ type dueEvent struct {
 // are index slices, link state is read from the snapshot's epoch arrays
 // (lock-free), and shared-resource constraints are addressed by dense
 // link/host index — flat arrays where the previous kernel hashed a
-// (pointer, direction) map key per traversal.
+// (pointer, direction) map key per traversal. Nothing read from the
+// snapshot's epoch outlives Reset, which is what lets the pool rebind a
+// recycled engine to another epoch of the same topology (pool.go).
 type Engine struct {
 	cfg  Config
 	snap *platform.Snapshot
@@ -128,7 +130,8 @@ type Engine struct {
 	heapSlot []int32
 	heapPos  []int32
 
-	due []dueEvent // scratch batch of popped events, reused across Steps
+	due       []dueEvent   // scratch batch of popped events, reused across Steps
+	completed []ActivityID // scratch result of the latest Step
 
 	dirty bool // sharing must be recomputed
 
@@ -147,8 +150,8 @@ type Engine struct {
 
 	events int // sharing recomputations, for benchmarks
 
-	pooled bool // eligible for the engine pool (created by AcquireEngine)
-	inPool bool // currently sitting in the pool's free list
+	pooled   bool // eligible for the engine pool (created by AcquireEngine)
+	released bool // handed back by ReleaseEngine; snap is nil until re-acquired
 }
 
 // NewEngine creates an engine over the given platform's current base
@@ -704,7 +707,8 @@ func (e *Engine) reshare() error {
 
 // Step advances simulated time to the next event and processes it.
 // It returns the activities completed at the new time, and ok=false when
-// no event remains (simulation finished or stalled).
+// no event remains (simulation finished or stalled). The returned slice is
+// engine-owned scratch, valid until the next Step.
 func (e *Engine) Step() (completed []ActivityID, ok bool, err error) {
 	e.drainFree()
 	if e.dirty {
@@ -734,6 +738,7 @@ func (e *Engine) Step() (completed []ActivityID, ok bool, err error) {
 	// batch — and therefore the completed list — comes out in activity-id
 	// order, the processing order of the scan-based kernel.
 	e.due = e.due[:0]
+	e.completed = e.completed[:0]
 	for len(e.heapKey) > 0 && e.heapKey[0] <= t {
 		slot := e.heapSlot[0]
 		e.due = append(e.due, dueEvent{slot: slot, id: e.arena[slot].id})
@@ -766,14 +771,14 @@ func (e *Engine) Step() (completed []ActivityID, ok bool, err error) {
 			a.phase = phaseDone
 			e.doneAt[a.id] = e.now
 			e.deactivate(a)
-			completed = append(completed, a.id)
+			e.completed = append(e.completed, a.id)
 			if a.onDone != nil {
 				a.onDone(e.now)
 			}
 			e.retire(a)
 		}
 	}
-	return completed, true, nil
+	return e.completed, true, nil
 }
 
 // RunToCompletion steps the engine until no event remains. The returned
