@@ -12,7 +12,8 @@ SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 # overlay/batched-evaluation claims, the warm-start differential
 # evaluation tiers (reuse/fork vs cold, on a fixed epoch and on a fresh
 # epoch per iteration), and the end-to-end HTTP serving
-# path (pooled encoders vs encoding/json, plus the coalescing burst).
+# path (one predict sub-benchmark per rung of the serving ladder, pooled
+# encoders vs encoding/json, plus the coalescing burst).
 KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkCold60CrossSite|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients
 
 .PHONY: all build test vet race bench bench-smoke bench-check bench-baseline bench-fleet campaign-check recovery-check fleet-smoke loadgen-smoke profile clean
@@ -71,14 +72,15 @@ bench-smoke:
 # benchmark sees). Only
 # single-threaded benchmarks gate cross-run: the RunParallel benchmarks
 # scale with the machine's core count and would make a cross-machine
-# comparison meaningless. The second check is within THIS run: the
-# pooled-encoder hot path must stay well ahead of the encoding/json
-# legacy path on the same requests (the in-process hot/legacy
-# sub-benchmarks differ only in the response writer).
+# comparison meaningless. The last check is within THIS run: the
+# pooled-encoder path must stay well ahead of the encoding/json legacy
+# path on the same canonical hits (the in-process sub-benchmarks differ
+# only in the response writer), and a rendered hit (same request line)
+# must stay well ahead of a canonical hit (same multiset, reordered).
 bench-check: bench
 	go run ./cmd/benchdiff -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkCold60CrossSite|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold' BENCH_baseline.json BENCH_$(SHA).json
-	go run ./cmd/benchdiff -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hot|BenchmarkHTTPEvaluate30x8/hot|BenchmarkEvaluateDifferential30x8/differential|BenchmarkForkVsCold/fresh-epoch' BENCH_baseline.json BENCH_$(SHA).json
-	go run ./cmd/benchdiff -scale 'BenchmarkHTTPPredict30/legacy,BenchmarkHTTPPredict30/hot,1.4;BenchmarkHTTPEvaluate30x8/legacy,BenchmarkHTTPEvaluate30x8/hot,1.4' BENCH_$(SHA).json
+	go run ./cmd/benchdiff -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPEvaluate30x8/hot|BenchmarkEvaluateDifferential30x8/differential|BenchmarkForkVsCold/fresh-epoch' BENCH_baseline.json BENCH_$(SHA).json
+	go run ./cmd/benchdiff -scale 'BenchmarkHTTPPredict30/legacy,BenchmarkHTTPPredict30/hit-canonical,1.4;BenchmarkHTTPPredict30/hit-canonical,BenchmarkHTTPPredict30/hit-rendered,3;BenchmarkHTTPEvaluate30x8/legacy,BenchmarkHTTPEvaluate30x8/hot,1.4' BENCH_$(SHA).json
 
 # bench-baseline refreshes the committed baseline from a fresh run; commit
 # the result whenever a PR intentionally shifts performance.

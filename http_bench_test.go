@@ -18,8 +18,9 @@ import (
 // The end-to-end HTTP benchmarks measure the whole serving hot path —
 // routing, admission, query parse, cache lookup, response encode — over
 // a real net/http round trip, the numbers a deployed pilgrimd actually
-// delivers. The hot/legacy sub-benchmarks isolate the pooled-encoder
-// work: same server, same requests, only the JSON writer differs.
+// delivers. Where a benchmark has a legacy sub-benchmark it isolates the
+// pooled-encoder work against its canonical-hit sibling: same server,
+// same work up to the answer, only the JSON writer differs.
 
 // benchServer builds a pilgrimd-shaped server with g5k_test registered
 // and a warm forecast cache in front of an httptest listener.
@@ -84,11 +85,12 @@ func (w *discardResponseWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// predictURL renders the 30-transfer predict_transfers query.
-func predictURL(prefix string) string {
+// predictURLOf renders a predict_transfers query for the transfers in the
+// order given.
+func predictURLOf(prefix string, transfers []pilgrim.TransferRequest) string {
 	var sb strings.Builder
 	sb.WriteString(prefix + "/pilgrim/predict_transfers/g5k_test?")
-	for i, tr := range benchTransfers30() {
+	for i, tr := range transfers {
 		if i > 0 {
 			sb.WriteByte('&')
 		}
@@ -118,32 +120,83 @@ func serveDirect(b *testing.B, s *pilgrim.Server, method, url string, body []byt
 }
 
 // BenchmarkHTTPPredict30 is the paper's typical request (§IV-C2: 30
-// concurrent transfers) served through the full HTTP stack with a warm
-// forecast cache: the repeated-poll path a resource manager exercises.
-// The hot/legacy sub-benchmarks run in process (socket and client costs
-// excluded, so the pooled-encoder delta is what's measured — the bench
-// gate asserts hot beats legacy on both ns/op and allocs/op); wire is
-// the same request over a real httptest round trip, the deployed
-// latency number.
+// concurrent transfers) served through the full HTTP stack, one
+// sub-benchmark per rung of the serving ladder (docs/DESIGN.md), each
+// named for what it measures:
+//
+//   - hit-rendered: the same URL every iteration — the resource-manager
+//     poll, answered from the exact-request index with one Write;
+//   - hit-canonical: the same transfer multiset with the parameter order
+//     rotated every iteration — parse, canonicalize, key, LRU hit,
+//     reorder, encode (the entry's renderings are filled beforehand, so no
+//     rotation is ever a rendered hit);
+//   - miss: a request never seen before every iteration — all of the
+//     above plus one simulation and one store;
+//   - legacy: hit-canonical's work with encoding/json as the writer (the
+//     bench gate asserts the pooled encoder beats it);
+//   - wire: hit-rendered over a real httptest round trip, the deployed
+//     latency number.
+//
+// All but wire run in process (socket and client costs excluded).
 func BenchmarkHTTPPredict30(b *testing.B) {
 	s, srv := benchServer(b)
-	url := predictURL(srv.URL)
-	client := srv.Client()
-	benchGet(b, client, url) // warm the cache: steady state is the hit path
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"hot", false}, {"legacy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s.SetLegacyJSON(mode.legacy)
-			defer s.SetLegacyJSON(false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				serveDirect(b, s, http.MethodGet, url, nil)
-			}
-		})
+	transfers := benchTransfers30()
+	// rotations[k] asks for the same multiset starting at transfer k.
+	rotations := make([]string, len(transfers))
+	for k := range rotations {
+		rotations[k] = predictURLOf(srv.URL, append(append([]pilgrim.TransferRequest(nil), transfers[k:]...), transfers[:k]...))
 	}
+	url := rotations[0]
+	client := srv.Client()
+	// Warm the cache, and fill the entry's rendering bound with the first
+	// rotations (a request line is remembered on the first hit of its
+	// answer, hence two passes): the remaining ones can only ever hit
+	// canonically.
+	const filled = 4
+	for pass := 0; pass < 2; pass++ {
+		for _, u := range rotations[:filled] {
+			benchGet(b, client, u)
+		}
+	}
+	canonical := rotations[filled:]
+	b.Run("hit-rendered", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serveDirect(b, s, http.MethodGet, url, nil)
+		}
+	})
+	b.Run("hit-canonical", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serveDirect(b, s, http.MethodGet, canonical[i%len(canonical)], nil)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		// A size no earlier iteration (of this or a previous b.N round)
+		// used makes the request a miss.
+		fresh := transfers[0].Size
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh++
+			transfers[0].Size = fresh
+			u := predictURLOf(srv.URL, transfers)
+			b.StartTimer()
+			serveDirect(b, s, http.MethodGet, u, nil)
+		}
+	})
+	b.Run("legacy", func(b *testing.B) {
+		s.SetLegacyJSON(true)
+		defer s.SetLegacyJSON(false)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serveDirect(b, s, http.MethodGet, url, nil)
+		}
+	})
 	b.Run("wire", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -21,19 +21,25 @@ import (
 // simulation in canonical order on a miss, and permutes cached answers
 // back to request order on a hit — repeated scheduler queries (the
 // paper's RMS polling pattern) skip simulation entirely.
+//
+// A second index, rendered, maps an exact request line to the response
+// body already written for it, so a poller re-issuing the same URL skips
+// canonicalization and encoding too (see renderKey).
 type ForecastCache struct {
 	mu       sync.Mutex
 	capacity int
 	entries  map[string]*list.Element
 	lru      *list.List // front = most recently used
+	rendered map[renderKey]rendering
 	// flights is the in-flight coalescing table (flight.go): one entry
 	// per canonical key currently being simulated, so concurrent
 	// identical requests share one computation instead of racing to
 	// fill the LRU. Active even when capacity <= 0 disables the LRU.
-	flights   map[string]*flightCall
-	hits      uint64
-	misses    uint64
-	coalesced uint64
+	flights      map[string]*flightCall
+	hits         uint64
+	misses       uint64
+	coalesced    uint64
+	renderedHits uint64 // the subset of hits answered from rendered
 }
 
 // cacheEntry is one memoized answer, predictions in canonical order. The
@@ -44,6 +50,12 @@ type ForecastCache struct {
 type cacheEntry struct {
 	key   string
 	preds []Prediction
+	// renderings lists this entry's keys in ForecastCache.rendered (at
+	// most maxRenderingsPerEntry), so eviction can drop them. repeated
+	// records that the answer has been hit at least once: only then is it
+	// worth remembering request lines for (attachRendering).
+	renderings []renderKey
+	repeated   bool
 }
 
 // NewForecastCache returns a cache holding up to capacity distinct
@@ -54,6 +66,7 @@ func NewForecastCache(capacity int) *ForecastCache {
 		capacity: capacity,
 		entries:  make(map[string]*list.Element),
 		lru:      list.New(),
+		rendered: make(map[renderKey]rendering),
 		flights:  make(map[string]*flightCall),
 	}
 }
@@ -61,10 +74,13 @@ func NewForecastCache(capacity int) *ForecastCache {
 // CacheStats is the hit/miss accounting surfaced by the server.
 // CoalescedHits counts requests answered by waiting on another
 // request's in-flight simulation — neither an LRU hit nor a paid miss.
+// RenderedHits is the subset of Hits answered from the exact-request
+// index (the stored response body, no canonicalization or encode).
 type CacheStats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
 	CoalescedHits uint64 `json:"coalesced_hits"`
+	RenderedHits  uint64 `json:"rendered_hits"`
 	Size          int    `json:"size"`
 	Capacity      int    `json:"capacity"`
 }
@@ -73,7 +89,7 @@ type CacheStats struct {
 func (fc *ForecastCache) Stats() CacheStats {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	return CacheStats{Hits: fc.hits, Misses: fc.misses, CoalescedHits: fc.coalesced, Size: fc.lru.Len(), Capacity: fc.capacity}
+	return CacheStats{Hits: fc.hits, Misses: fc.misses, CoalescedHits: fc.coalesced, RenderedHits: fc.renderedHits, Size: fc.lru.Len(), Capacity: fc.capacity}
 }
 
 // canonicalize returns the indices of transfers sorted by (Src, Dst,
@@ -126,6 +142,10 @@ type prefixMemoKey struct {
 	config   sim.Config
 }
 
+func prefixKeyOf(platform string, entry PlatformEntry) prefixMemoKey {
+	return prefixMemoKey{platform: platform, epoch: entry.snapshot().Epoch(), config: entry.Config}
+}
+
 // prefixMemo caches cacheKeyPrefix renderings: the prefix is pure in
 // (platform, epoch, config), and its "%+v" formatting reflects over the
 // config struct — around ten allocations that would otherwise be paid
@@ -141,7 +161,7 @@ const prefixMemoCap = 1024
 // cacheKeyPrefix keys the (platform, epoch, config) the answer is valid
 // for.
 func cacheKeyPrefix(platform string, entry PlatformEntry) string {
-	k := prefixMemoKey{platform: platform, epoch: entry.snapshot().Epoch(), config: entry.Config}
+	k := prefixKeyOf(platform, entry)
 	prefixMemo.RLock()
 	p, ok := prefixMemo.m[k]
 	prefixMemo.RUnlock()
@@ -274,24 +294,30 @@ func canonicalizeQuery(platform string, entry PlatformEntry, transfers []Transfe
 	}
 }
 
-// Lookup probes the cache for a canonical key, counting a hit or miss.
-// The returned predictions are in canonical order and shared — callers
-// reorder via the query's permutation, never mutate.
-func (fc *ForecastCache) Lookup(key string) ([]Prediction, bool) {
-	if fc == nil {
-		return nil, false
-	}
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if fc.capacity > 0 {
-		if el, ok := fc.entries[key]; ok {
-			fc.lru.MoveToFront(el)
-			fc.hits++
-			return el.Value.(*cacheEntry).preds, true
+// touchLocked is the one LRU hit: the entry moves to the front and the
+// hit is counted. Every probe — by canonical key (probe, flight.go) or by
+// exact request line (renderedHit) — goes through it, so the LRU order
+// and the hit count do not depend on which index found the entry. The
+// entry's predictions are in canonical order and shared: callers reorder
+// via the query's permutation, never mutate. fc.mu held.
+func (fc *ForecastCache) touchLocked(el *list.Element) *cacheEntry {
+	fc.lru.MoveToFront(el)
+	fc.hits++
+	ent := el.Value.(*cacheEntry)
+	ent.repeated = true
+	return ent
+}
+
+// evictLocked trims the LRU to capacity. An evicted answer takes its
+// renderings with it. fc.mu held.
+func (fc *ForecastCache) evictLocked() {
+	for fc.lru.Len() > fc.capacity {
+		ent := fc.lru.Remove(fc.lru.Back()).(*cacheEntry)
+		delete(fc.entries, ent.key)
+		for _, k := range ent.renderings {
+			delete(fc.rendered, k)
 		}
 	}
-	fc.misses++
-	return nil, false
 }
 
 // Store memoizes a canonical-order answer under its key (no-op when
@@ -306,11 +332,93 @@ func (fc *ForecastCache) Store(key string, canonical []Prediction) {
 		return
 	}
 	fc.entries[key] = fc.lru.PushFront(&cacheEntry{key: key, preds: canonical})
-	for fc.lru.Len() > fc.capacity {
-		oldest := fc.lru.Back()
-		fc.lru.Remove(oldest)
-		delete(fc.entries, oldest.Value.(*cacheEntry).key)
+	fc.evictLocked()
+}
+
+// renderKey is the exact-request index key: one predict_transfers request
+// line — its raw, unparsed query string — against one (platform, epoch,
+// config). Equal keys are the same question about the same network
+// picture, so the body rendered for one answers the other byte for byte;
+// the struct is comparable, so a lookup builds no string. Only requests
+// without at= or deadline= attach a rendering (handlePredict), which is
+// what lets a hit assume the head epoch and no deadline without parsing.
+type renderKey struct {
+	prefixMemoKey
+	rawQuery string
+}
+
+func renderKeyOf(platform string, entry PlatformEntry, rawQuery string) renderKey {
+	return renderKey{prefixKeyOf(platform, entry), rawQuery}
+}
+
+// rendering is one stored response body and the LRU entry it belongs to.
+// It is a view of that entry, not a cache of its own: it is counted, aged
+// and evicted as the entry.
+type rendering struct {
+	el   *list.Element
+	body []byte
+}
+
+// maxRenderingsPerEntry bounds the request lines remembered per cached
+// answer. A poller repeats one line; a client that permutes parameters
+// fills the bound and is then served by the canonical hit as before —
+// the first lines win, nothing churns.
+const maxRenderingsPerEntry = 4
+
+// hasRendering reports whether a rendering exists for k, touching and
+// counting nothing: the handler asks before admission, and answers (via
+// renderedHit) only after.
+func (fc *ForecastCache) hasRendering(k renderKey) bool {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	_, ok := fc.rendered[k]
+	return ok
+}
+
+// renderedHit returns the body stored for k and counts an LRU hit on the
+// entry it belongs to. The bytes are shared: write, never mutate.
+func (fc *ForecastCache) renderedHit(k renderKey) ([]byte, bool) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	r, ok := fc.rendered[k]
+	if !ok {
+		return nil, false
 	}
+	fc.touchLocked(r.el)
+	fc.renderedHits++
+	return r.body, true
+}
+
+// attachRendering remembers body (copied) as the response to request line
+// k, on the entry cached under the canonical key. No-op when that entry
+// is gone or full, when k is already known — and while the answer has
+// never been hit: a request stream that never repeats (every answer
+// simulated once, stored, evicted) would otherwise pay a body copy per
+// miss and pin a request line and a body per entry for renderings nobody
+// reads — measured at -7 % req/s on bench's cold-miss workload. So the
+// miss stores the answer, the first hit attaches its request line, and
+// the shortcut serves from the second hit on.
+func (fc *ForecastCache) attachRendering(key string, k renderKey, body []byte) {
+	if k != k { // a NaN in the config: the key could never be found or deleted
+		return
+	}
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	el, ok := fc.entries[key]
+	if !ok {
+		return
+	}
+	ent := el.Value.(*cacheEntry)
+	if !ent.repeated || len(ent.renderings) >= maxRenderingsPerEntry {
+		return
+	}
+	for _, have := range ent.renderings { // cheaper than hashing k again
+		if have == k {
+			return
+		}
+	}
+	ent.renderings = append(ent.renderings, k)
+	fc.rendered[k] = rendering{el: el, body: append([]byte(nil), body...)}
 }
 
 // Predict answers a PNFS request through the cache: platform names the
@@ -325,8 +433,15 @@ func (fc *ForecastCache) Predict(platform string, entry PlatformEntry, transfers
 // first requester simulates, duplicates wait for its answer — but give
 // up when their own ctx expires, even if the leader runs on.
 func (fc *ForecastCache) PredictCtx(ctx context.Context, platform string, entry PlatformEntry, transfers []TransferRequest, background [][2]string) ([]Prediction, error) {
+	preds, _, err := fc.predictKeyed(ctx, platform, entry, transfers, background)
+	return preds, err
+}
+
+// predictKeyed is PredictCtx that also returns the canonical key the
+// answer is cached under, for attachRendering.
+func (fc *ForecastCache) predictKeyed(ctx context.Context, platform string, entry PlatformEntry, transfers []TransferRequest, background [][2]string) ([]Prediction, string, error) {
 	if len(transfers) == 0 {
-		return nil, fmt.Errorf("pilgrim: no transfers requested")
+		return nil, "", fmt.Errorf("pilgrim: no transfers requested")
 	}
 	// Pin the epoch once: the cache key and the simulation below must see
 	// the same snapshot even if the platform is recompiled mid-request.
@@ -338,9 +453,9 @@ func (fc *ForecastCache) PredictCtx(ctx context.Context, platform string, entry 
 		return PredictTransfers(entry, q.transfers, q.background)
 	})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return reorder(canonical, q.order), nil
+	return reorder(canonical, q.order), q.key, nil
 }
 
 // SelectFastest is SelectFastest routed through the cache: each

@@ -427,18 +427,6 @@ func writeHotJSON(w http.ResponseWriter, e *hotEnc, v any) {
 	putEnc(e)
 }
 
-// writePredictions answers predict_transfers.
-func (s *Server) writePredictions(w http.ResponseWriter, preds []Prediction) {
-	if s.legacyJSON.Load() {
-		writeJSON(w, preds)
-		return
-	}
-	e := getEnc()
-	e.predictions(preds, 0)
-	e.raw("\n")
-	writeHotJSON(w, e, preds)
-}
-
 // writeSelectFastest answers select_fastest.
 func (s *Server) writeSelectFastest(w http.ResponseWriter, best int, results []HypothesisResult) {
 	if s.legacyJSON.Load() {

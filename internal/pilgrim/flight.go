@@ -43,26 +43,7 @@ type flightCall struct {
 //   - otherwise: another request owns the flight (counted as a
 //     coalesced hit); the caller may wait on f.done.
 func (fc *ForecastCache) lead(key string) (cached []Prediction, f *flightCall, leader bool) {
-	if fc == nil {
-		return nil, nil, true
-	}
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if fc.capacity > 0 {
-		if el, ok := fc.entries[key]; ok {
-			fc.lru.MoveToFront(el)
-			fc.hits++
-			return el.Value.(*cacheEntry).preds, nil, false
-		}
-	}
-	if f := fc.flights[key]; f != nil {
-		fc.coalesced++
-		return nil, f, false
-	}
-	fc.misses++
-	f = &flightCall{done: make(chan struct{})}
-	fc.flights[key] = f
-	return nil, f, true
+	return fc.probe(key, true)
 }
 
 // leadOrRun is lead for callers that cannot park mid-request (the
@@ -71,24 +52,30 @@ func (fc *ForecastCache) lead(key string) (cached []Prediction, f *flightCall, l
 // miss and the caller recomputes instead of waiting — the pre-coalescing
 // racing behavior, bounded to this one narrow window.
 func (fc *ForecastCache) leadOrRun(key string) (cached []Prediction, f *flightCall, leader bool) {
+	return fc.probe(key, false)
+}
+
+// probe is lead (join: follow an owned flight) and leadOrRun (!join: run
+// beside it, f == nil so the owner is not displaced).
+func (fc *ForecastCache) probe(key string, join bool) (cached []Prediction, f *flightCall, leader bool) {
 	if fc == nil {
 		return nil, nil, true
 	}
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	if fc.capacity > 0 {
-		if el, ok := fc.entries[key]; ok {
-			fc.lru.MoveToFront(el)
-			fc.hits++
-			return el.Value.(*cacheEntry).preds, nil, false
-		}
+	if el, ok := fc.entries[key]; ok {
+		return fc.touchLocked(el).preds, nil, false
+	}
+	owner := fc.flights[key]
+	if owner != nil && join {
+		fc.coalesced++
+		return nil, owner, false
 	}
 	fc.misses++
-	if fc.flights[key] != nil {
-		return nil, nil, true // duplicate run; don't displace the owner
+	if owner == nil {
+		f = &flightCall{done: make(chan struct{})}
+		fc.flights[key] = f
 	}
-	f = &flightCall{done: make(chan struct{})}
-	fc.flights[key] = f
 	return nil, f, true
 }
 

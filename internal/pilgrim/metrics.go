@@ -161,6 +161,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func WriteServerMetrics(e *Exposition, s *Server) {
 	cs := s.cache.Load().Stats()
 	e.Add("pilgrim_forecast_cache_hits_total", "Forecast cache hits.", Counter, float64(cs.Hits))
+	e.Add("pilgrim_forecast_cache_rendered_hits_total", "Forecast cache hits answered from the stored response body of the exact request line (a subset of hits).", Counter, float64(cs.RenderedHits))
 	e.Add("pilgrim_forecast_cache_misses_total", "Forecast cache misses (each paid one simulation).", Counter, float64(cs.Misses))
 	e.Add("pilgrim_forecast_cache_coalesced_hits_total", "Requests answered by another request's in-flight simulation.", Counter, float64(cs.CoalescedHits))
 	e.Add("pilgrim_forecast_cache_entries", "Forecast cache entries currently held.", Gauge, float64(cs.Size))

@@ -101,8 +101,12 @@ func TestMetricsExpositionContract(t *testing.T) {
 	transfers := []TransferRequest{
 		{Src: "sagittaire-1.lyon.grid5000.fr", Dst: "graphene-1.nancy.grid5000.fr", Size: 1e8},
 	}
-	if _, err := client.PredictTransfers("g5k_test", transfers); err != nil {
-		t.Fatal(err)
+	// Four identical polls: a miss, a canonical hit that remembers the
+	// request line, then two hits answered from the exact-request index.
+	for i := 0; i < 4; i++ {
+		if _, err := client.PredictTransfers("g5k_test", transfers); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, _, err := client.SelectFastest("g5k_test", []Hypothesis{{Transfers: transfers}, {Transfers: transfers}}); err != nil {
 		t.Fatal(err)
@@ -117,6 +121,7 @@ func TestMetricsExpositionContract(t *testing.T) {
 	values := scrapeMetrics(t, srv.URL)
 	for _, want := range []string{
 		"pilgrim_forecast_cache_hits_total",
+		"pilgrim_forecast_cache_rendered_hits_total",
 		"pilgrim_forecast_cache_misses_total",
 		"pilgrim_forecast_cache_entries",
 		"pilgrim_forecast_cache_capacity",
@@ -190,6 +195,11 @@ func TestMetricsExpositionContract(t *testing.T) {
 	}
 	if got := values["pilgrim_forecast_cache_misses_total"]; got != float64(cs.Misses) {
 		t.Errorf("metrics misses %v != cache_stats misses %d", got, cs.Misses)
+	}
+	// Tier attribution: the last two polls were rendered hits, counted
+	// inside hits on both surfaces.
+	if got := values["pilgrim_forecast_cache_rendered_hits_total"]; got != 2 || cs.RenderedHits != 2 || values["pilgrim_forecast_cache_hits_total"] < got {
+		t.Errorf("rendered hits: metrics %v, cache_stats %d, want 2 (hits %v)", got, cs.RenderedHits, values["pilgrim_forecast_cache_hits_total"])
 	}
 	// ... and on the engine pool: cache_stats carries the same counters
 	// under "engine_pool" (process-wide, so only monotonicity is exact).

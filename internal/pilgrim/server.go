@@ -189,18 +189,41 @@ type OverCapacityError struct {
 	RetryAfterSeconds int64  `json:"retry_after_seconds"`
 }
 
-// admit applies admission control and the optional deadline query
-// parameter (seconds, fractional allowed) to a simulation request.
-// Returns a context for the work, a cleanup to defer, and ok=false when
-// the request was already answered (429 on shed, 504 on a deadline that
-// expired while queued, 400 on a malformed deadline). q is the
-// request's parsed query — the simulation handlers parse it exactly
-// once and share the value (url.Values parsing allocates per call, and
-// these are the QPS paths).
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, q url.Values) (ctx context.Context, cleanup func(), ok bool) {
+// parseQuery parses the request's query string — once per request; the
+// handlers share the value. Unlike r.URL.Query() it does not discard the
+// parse error: a malformed escape or a raw ';' separator would silently
+// drop the parameter it sits in and answer 200 for a different question,
+// so it answers 400 naming the error instead.
+func parseQuery(w http.ResponseWriter, r *http.Request) (url.Values, bool) {
+	q, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("malformed query string: %v", err), http.StatusBadRequest)
+		return nil, false
+	}
+	return q, true
+}
+
+// admit is the shared entry of the simulation endpoints: it parses the
+// query (400 when malformed), then applies the optional deadline
+// parameter and admission control (acquire). ok=false means the request
+// was already answered.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (ctx context.Context, q url.Values, cleanup func(), ok bool) {
+	if q, ok = parseQuery(w, r); !ok {
+		return nil, nil, nil, false
+	}
+	ctx, cleanup, ok = s.acquire(w, r, q.Get("deadline"))
+	return ctx, q, cleanup, ok
+}
+
+// acquire applies admission control and the optional deadline (seconds,
+// fractional allowed; "" for none) to a simulation request. Returns a
+// context for the work, a cleanup to defer, and ok=false when the
+// request was already answered (429 on shed, 504 on a deadline that
+// expired while queued, 400 on a malformed deadline).
+func (s *Server) acquire(w http.ResponseWriter, r *http.Request, dl string) (ctx context.Context, cleanup func(), ok bool) {
 	ctx = r.Context()
 	cancel := func() {}
-	if dl := q.Get("deadline"); dl != "" {
+	if dl != "" {
 		secs, err := strconv.ParseFloat(dl, 64)
 		if err != nil || secs <= 0 || math.IsNaN(secs) || math.IsInf(secs, 0) {
 			http.Error(w, fmt.Sprintf("deadline %q is not a positive number of seconds", dl), http.StatusBadRequest)
@@ -388,8 +411,27 @@ func (s *Server) platformOf(w http.ResponseWriter, r *http.Request, q url.Values
 //	GET /pilgrim/predict_transfers/g5k_test?transfer=src,dst,size&...
 //	    [&bg=src,dst]... [&at=T]
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	ctx, cleanup, ok := s.admit(w, r, q)
+	name := r.PathValue("platform")
+	fc := s.cache.Load()
+	hot := !s.legacyJSON.Load()
+	// Rung 1 of the ladder (docs/DESIGN.md, "Serving hot path"): has this
+	// exact request line been answered against the head epoch? A rendering
+	// is only ever attached to a request that carried neither at= nor
+	// deadline=, so a match needs no parse to know both are absent.
+	poll := false
+	if hot {
+		if head, ok := s.platforms.Get(name); ok {
+			poll = fc.hasRendering(renderKeyOf(name, head, r.URL.RawQuery))
+		}
+	}
+	var q url.Values // stays nil on a poll: no at, no deadline
+	if !poll {
+		var ok bool
+		if q, ok = parseQuery(w, r); !ok {
+			return
+		}
+	}
+	ctx, cleanup, ok := s.acquire(w, r, q.Get("deadline"))
 	if !ok {
 		return
 	}
@@ -397,6 +439,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	entry, ok := s.platformOf(w, r, q)
 	if !ok {
 		return
+	}
+	rk := renderKeyOf(name, entry, r.URL.RawQuery)
+	if poll {
+		if body, ok := fc.renderedHit(rk); ok {
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(body)
+			return
+		}
+		// Evicted, or the epoch moved, since the probe: the long way.
+		if q, ok = parseQuery(w, r); !ok {
+			return
+		}
 	}
 	transfers := make([]TransferRequest, 0, len(q["transfer"]))
 	for _, v := range q["transfer"] {
@@ -427,7 +481,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		finishCtx(w, err)
 		return
 	}
-	preds, err := s.cache.Load().PredictCtx(ctx, r.PathValue("platform"), entry, transfers, background)
+	preds, key, err := fc.predictKeyed(ctx, name, entry, transfers, background)
 	if err != nil {
 		if finishCtx(w, err) {
 			return
@@ -435,7 +489,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.writePredictions(w, preds)
+	if !hot {
+		writeJSON(w, preds)
+		return
+	}
+	e := getEnc()
+	e.predictions(preds, 0)
+	e.raw("\n")
+	if !e.fallback && !q.Has("at") && !q.Has("deadline") {
+		fc.attachRendering(key, rk, e.buf)
+	}
+	writeHotJSON(w, e, preds)
 }
 
 // handleCacheStats reports the forecast cache's hit/miss counters, the
@@ -476,7 +540,7 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 // cache + in-request dedup). Per-scenario and per-cell failures are
 // reported inside the grid; request-shape problems answer 400.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	ctx, cleanup, ok := s.admit(w, r, r.URL.Query())
+	ctx, _, cleanup, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
@@ -598,7 +662,10 @@ func (s *Server) handleBgEstimatePost(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown platform %q", name), http.StatusNotFound)
 		return
 	}
-	q := r.URL.Query()
+	q, ok := parseQuery(w, r)
+	if !ok {
+		return
+	}
 	tool := q.Get("tool")
 	if tool == "" {
 		http.Error(w, "tool parameter required", http.StatusBadRequest)
@@ -633,8 +700,7 @@ func (s *Server) handleBgEstimatePost(w http.ResponseWriter, r *http.Request) {
 //
 //	GET /pilgrim/select_fastest/g5k_test?hypothesis=src,dst,size[;src,dst,size...]&hypothesis=...[&at=T]
 func (s *Server) handleSelectFastest(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	ctx, cleanup, ok := s.admit(w, r, q)
+	ctx, q, cleanup, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
@@ -676,8 +742,7 @@ func (s *Server) handleSelectFastest(w http.ResponseWriter, r *http.Request) {
 // §VI): POST a JSON workflow DAG of compute and transfer tasks, receive
 // the simulated schedule and makespan.
 func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	ctx, cleanup, ok := s.admit(w, r, q)
+	ctx, q, cleanup, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
@@ -925,7 +990,10 @@ func (s *Server) handleRRD(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown metric %s", mp), http.StatusNotFound)
 		return
 	}
-	q := r.URL.Query()
+	q, ok := parseQuery(w, r)
+	if !ok {
+		return
+	}
 	begin, err := parseTimestamp(q.Get("begin"))
 	if err != nil {
 		http.Error(w, fmt.Sprintf("begin: %v", err), http.StatusBadRequest)
