@@ -4,6 +4,11 @@
 
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
+# Runs per key benchmark: benchjson folds them into a median and quartiles,
+# and bench-check compares medians against the baseline's spread instead of
+# one sample against another.
+BENCH_COUNT := 5
+
 # The key benchmarks: the two heaviest figure cells, the paper's
 # 30-transfer latency claim, the 60-transfer cross-site cold request (one
 # flow component re-solved at every completion), the hypothesis-selection
@@ -51,10 +56,11 @@ campaign-check:
 	go run ./cmd/pilgrimsim run examples/campaigns/smoke.yaml
 	go test ./internal/campaign -run 'TestExampleCampaignsGolden|TestReplayConcurrentWithIngestAndHTTP|TestCrashRecoveryDrill'
 
-# bench runs the key benchmarks with -benchmem and writes BENCH_$(SHA).json
-# (ns/op + B/op + allocs/op per benchmark) next to the raw output.
+# bench runs the key benchmarks BENCH_COUNT times with -benchmem and writes
+# BENCH_$(SHA).json (per benchmark: median ns/op + B/op + allocs/op, run
+# count and ns/op quartiles) next to the raw output.
 bench:
-	go test -run '^$$' -bench '$(KEY_BENCH)' -benchmem -count 1 . | tee bench_$(SHA).out
+	go test -run '^$$' -bench '$(KEY_BENCH)' -benchmem -count $(BENCH_COUNT) . | tee bench_$(SHA).out
 	go run ./cmd/benchjson < bench_$(SHA).out > BENCH_$(SHA).json
 	@echo wrote BENCH_$(SHA).json
 
@@ -63,13 +69,15 @@ bench:
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime=1x -benchmem ./...
 
-# bench-check runs the key benchmarks and fails when any figure benchmark
-# slowed by more than 25% against the committed baseline — and when the
-# serving hot path, a differential evaluate or a simulation on a fresh
-# epoch re-grows allocations by more than 10% (allocation counts are
-# nearly deterministic, so the tighter threshold holds; the last two are
-# the gate that catches an engine built per epoch, which no fixed-epoch
-# benchmark sees). Only
+# bench-check runs the key benchmarks and fails when any figure benchmark's
+# median slowed by more than 25% against the committed baseline's and by
+# more than the baseline's own inter-quartile spread — and when the
+# serving hot path (a poll, a canonical hit, an evaluate grid answered from
+# the caches and one with fresh sizes and factors), a differential evaluate
+# or a simulation on a fresh epoch re-grows allocations by more than 10%
+# (allocation counts are nearly deterministic, so the tighter threshold
+# holds; the last two are the gate that catches an engine built per epoch,
+# which no fixed-epoch benchmark sees). Only
 # single-threaded benchmarks gate cross-run: the RunParallel benchmarks
 # scale with the machine's core count and would make a cross-machine
 # comparison meaningless. The last check is within THIS run: the
@@ -78,9 +86,9 @@ bench-smoke:
 # only in the response writer), and a rendered hit (same request line)
 # must stay well ahead of a canonical hit (same multiset, reordered).
 bench-check: bench
-	go run ./cmd/benchdiff -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkCold60CrossSite|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold' BENCH_baseline.json BENCH_$(SHA).json
-	go run ./cmd/benchdiff -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPEvaluate30x8/hot|BenchmarkEvaluateDifferential30x8/differential|BenchmarkForkVsCold/fresh-epoch' BENCH_baseline.json BENCH_$(SHA).json
-	go run ./cmd/benchdiff -scale 'BenchmarkHTTPPredict30/legacy,BenchmarkHTTPPredict30/hit-canonical,1.4;BenchmarkHTTPPredict30/hit-canonical,BenchmarkHTTPPredict30/hit-rendered,3;BenchmarkHTTPEvaluate30x8/legacy,BenchmarkHTTPEvaluate30x8/hot,1.4' BENCH_$(SHA).json
+	go run ./cmd/benchdiff -count $(BENCH_COUNT) -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkCold60CrossSite|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold' BENCH_baseline.json BENCH_$(SHA).json
+	go run ./cmd/benchdiff -count $(BENCH_COUNT) -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPEvaluate30x8/all-hit|BenchmarkHTTPEvaluate30x8/fresh|BenchmarkEvaluateDifferential30x8/differential|BenchmarkForkVsCold/fresh-epoch' BENCH_baseline.json BENCH_$(SHA).json
+	go run ./cmd/benchdiff -scale 'BenchmarkHTTPPredict30/legacy,BenchmarkHTTPPredict30/hit-canonical,1.4;BenchmarkHTTPPredict30/hit-canonical,BenchmarkHTTPPredict30/hit-rendered,3;BenchmarkHTTPEvaluate30x8/legacy,BenchmarkHTTPEvaluate30x8/all-hit,1.4' BENCH_$(SHA).json
 
 # bench-baseline refreshes the committed baseline from a fresh run; commit
 # the result whenever a PR intentionally shifts performance.

@@ -5,7 +5,7 @@
 // committed BENCH_baseline.json, so a slowdown in a figure benchmark
 // breaks the build instead of landing silently:
 //
-//	benchdiff [-threshold 0.25] [-allocs-threshold 0.1] [-match regexp] baseline.json current.json
+//	benchdiff [-threshold 0.25] [-allocs-threshold 0.1] [-count n] [-match regexp] baseline.json current.json
 //
 // The exit status is 1 when at least one benchmark slowed by more than
 // threshold (default 25%) or, with -allocs-threshold > 0, allocated more
@@ -15,6 +15,13 @@
 // quietly re-growing. Improvements and new/removed benchmarks are
 // reported but never fail the comparison; CI noise is expected, so the
 // ns threshold should stay well above run-to-run jitter.
+//
+// With -count N both documents must hold at least N runs of every compared
+// benchmark, folded by benchjson into a median and quartiles, and the ns
+// gate becomes noise-aware: a slowdown fails only when it is beyond the
+// threshold AND the medians differ by more than the baseline's own
+// inter-quartile spread — two single samples can differ by more than that
+// without anything having changed.
 //
 // A second mode asserts scaling ratios WITHIN one document — used by
 // `make bench-fleet` to gate the sharded-fleet speedup, which cannot be
@@ -41,6 +48,9 @@ type entry struct {
 	Name        string   `json:"name"`
 	NsPerOp     float64  `json:"ns_per_op"`
 	AllocsPerOp *float64 `json:"allocs_per_op"`
+	Samples     int      `json:"samples"` // absent on a single run; load makes it 1
+	NsQ1        float64  `json:"ns_per_op_q1"`
+	NsQ3        float64  `json:"ns_per_op_q3"`
 }
 
 type doc struct {
@@ -60,6 +70,7 @@ func load(path string) (map[string]entry, error) {
 	out := make(map[string]entry, len(d.Benchmarks))
 	for _, b := range d.Benchmarks {
 		if b.NsPerOp > 0 {
+			b.Samples = max(b.Samples, 1)
 			out[b.Name] = b
 		}
 	}
@@ -116,6 +127,7 @@ func main() {
 	threshold := flag.Float64("threshold", 0.25, "maximum tolerated ns/op regression (0.25 = +25%)")
 	allocsThreshold := flag.Float64("allocs-threshold", 0, "maximum tolerated allocs/op regression (0 = allocations not checked)")
 	match := flag.String("match", "", "only compare benchmarks matching this regexp (default: all)")
+	count := flag.Int("count", 1, "require this many runs of each benchmark on both sides (go test -count N) and fail only beyond the baseline's inter-quartile spread")
 	scale := flag.String("scale", "", "ratio mode: 'base,variant,minratio[;...]' specs checked within ONE document")
 	flag.Parse()
 	if *scale != "" {
@@ -126,7 +138,7 @@ func main() {
 		os.Exit(runScale(*scale, flag.Arg(0)))
 	}
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold 0.25] [-match re] baseline.json current.json")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold 0.25] [-count n] [-match re] baseline.json current.json")
 		os.Exit(2)
 	}
 	var filter *regexp.Regexp
@@ -167,12 +179,21 @@ func main() {
 		}
 		compared++
 		delta := now.NsPerOp/base[n].NsPerOp - 1
-		status := "ok"
-		if delta > *threshold {
+		status, noise, spread := "ok", "", 0.0
+		if *count > 1 {
+			if base[n].Samples < *count || now.Samples < *count {
+				fmt.Fprintf(os.Stderr, "benchdiff: %s has %d baseline and %d current runs, -count wants %d of each (go test -count %d)\n",
+					n, base[n].Samples, now.Samples, *count, *count)
+				os.Exit(2)
+			}
+			spread = base[n].NsQ3 - base[n].NsQ1
+			noise = fmt.Sprintf("  (medians of %d and %d runs, baseline spread %.0f)", base[n].Samples, now.Samples, spread)
+		}
+		if delta > *threshold && now.NsPerOp-base[n].NsPerOp > spread {
 			status = "FAIL"
 			failed = true
 		}
-		fmt.Printf("  %-45s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n", n, base[n].NsPerOp, now.NsPerOp, delta*100, status)
+		fmt.Printf("  %-45s %12.0f -> %12.0f ns/op  %+6.1f%%%s  %s\n", n, base[n].NsPerOp, now.NsPerOp, delta*100, noise, status)
 		if *allocsThreshold > 0 && base[n].AllocsPerOp != nil && now.AllocsPerOp != nil && *base[n].AllocsPerOp > 0 {
 			adelta := *now.AllocsPerOp / *base[n].AllocsPerOp - 1
 			astatus := "ok"

@@ -2,6 +2,7 @@ package pilgrim_bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -206,9 +207,75 @@ func BenchmarkHTTPPredict30(b *testing.B) {
 	})
 }
 
+// evaluateGrid30x8 returns a renderer of the whatif-grid request shape
+// (bench/README.md): one 30-transfer query under a baseline, three
+// scenarios scaling links off every route (reuse), three scaling a link on
+// a route (fork) and one stretching an on-route latency (cold). Sizes and
+// factors derive from n, so distinct n share no forecast and no overlay.
+func evaluateGrid30x8(b *testing.B) func(n int) []byte {
+	transfers := benchTransfers30()
+	snap := entry.Platform.Snapshot()
+	on := make([]bool, snap.NumLinks())
+	for _, tr := range transfers {
+		route, err := snap.Route(tr.Src, tr.Dst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ref := range route.Refs {
+			on[ref.LinkIndex()] = true
+		}
+	}
+	var onPath, offPath []string
+	for li, hit := range on {
+		if hit {
+			onPath = append(onPath, snap.LinkName(int32(li)))
+		} else {
+			offPath = append(offPath, snap.LinkName(int32(li)))
+		}
+	}
+	return func(n int) []byte {
+		return renderGrid30x8(transfers, onPath, offPath, n)
+	}
+}
+
+func renderGrid30x8(transfers []pilgrim.TransferRequest, onPath, offPath []string, n int) []byte {
+	factor := func(k int) float64 { return 0.3 + float64(k)*0.05 + float64(n%100000)*1e-6 }
+	var body bytes.Buffer
+	body.WriteString(`{"scenarios":[{"name":"baseline"}`)
+	for k := 0; k < 3; k++ {
+		fmt.Fprintf(&body, `,{"name":"off-path-%d","mutations":[{"op":"scale_link","link":%q,"bandwidth_factor":%g}]}`,
+			k, offPath[(n+k)%len(offPath)], factor(k))
+	}
+	for k := 0; k < 3; k++ {
+		fmt.Fprintf(&body, `,{"name":"on-path-bw-%d","mutations":[{"op":"scale_link","link":%q,"bandwidth_factor":%g}]}`,
+			k, onPath[(n+k)%len(onPath)], factor(3+k))
+	}
+	fmt.Fprintf(&body, `,{"name":"on-path-lat","mutations":[{"op":"scale_link","link":%q,"latency_factor":%g}]}`,
+		onPath[(n+3)%len(onPath)], 1+factor(6))
+	body.WriteString(`],"queries":[{"kind":"predict_transfers","transfers":[`)
+	for i, tr := range transfers {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"src":%q,"dst":%q,"size":%d}`, tr.Src, tr.Dst, int(tr.Size)+n*30+i)
+	}
+	body.WriteString(`]}]}`)
+	return body.Bytes()
+}
+
 // BenchmarkHTTPEvaluate30x8 serves an 8-scenario × 30-transfer evaluate
-// grid over HTTP with warm caches: decode (pooled scratch), grid dedup,
-// cache hits, and the streamed row-by-row encode.
+// grid through the full server stack — decode (pooled scratch), grid
+// dedup, the forecast cache, the streamed row-by-row encode — named for
+// what each arm answers from:
+//
+//   - all-hit: one body replayed against warm caches, so every cell is a
+//     forecast-cache hit and nothing simulates;
+//   - fresh: sizes and factors change every iteration (the whatif-grid
+//     shape: 1 base run, 3 reuse, 3 fork, 1 cold) — the what-if traffic a
+//     resource manager actually sends, and the arm whose B/op tracks what a
+//     request allocates;
+//   - legacy: all-hit's work with encoding/json as the writer;
+//   - wire: all-hit over a real httptest round trip.
 func BenchmarkHTTPEvaluate30x8(b *testing.B) {
 	s, srv := benchServer(b)
 	links := entry.Platform.Links()
@@ -242,10 +309,22 @@ func BenchmarkHTTPEvaluate30x8(b *testing.B) {
 		}
 	}
 	post() // warm the forecast and overlay caches
+	// The fresh arm measures the 3 reuse / 3 fork / 1 cold mix or nothing.
+	grid := evaluateGrid30x8(b)
+	var probe struct{ Stats pilgrim.EvaluateStats }
+	resp, err := client.Post(url, "application/json", bytes.NewReader(grid(0)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&probe)
+	resp.Body.Close()
+	if st := probe.Stats; err != nil || st.ForkReused != 3 || st.ForkRuns != 3 || st.ForkCold != 1 || st.Simulations != 5 {
+		b.Fatalf("fresh grid fell off the 3 reuse / 3 fork / 1 cold mix: %+v (decode: %v)", st, err)
+	}
 	for _, mode := range []struct {
 		name   string
 		legacy bool
-	}{{"hot", false}, {"legacy", true}} {
+	}{{"all-hit", false}, {"legacy", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			s.SetLegacyJSON(mode.legacy)
 			defer s.SetLegacyJSON(false)
@@ -256,6 +335,20 @@ func BenchmarkHTTPEvaluate30x8(b *testing.B) {
 			}
 		})
 	}
+	b.Run("fresh", func(b *testing.B) {
+		// A ring of bodies rendered outside the timer. Each request stores 8
+		// forecasts and 7 overlays, so by the time the ring wraps both LRUs
+		// (256 and 128 entries) have long evicted its earlier answers.
+		ring := make([][]byte, 64)
+		for n := range ring {
+			ring[n] = grid(n + 1)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serveDirect(b, s, http.MethodPost, url, ring[i%len(ring)])
+		}
+	})
 	b.Run("wire", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()

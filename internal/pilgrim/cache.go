@@ -5,12 +5,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
-
-	"pilgrim/internal/sim"
 )
 
 // ForecastCache memoizes PNFS predictions behind a bounded LRU. A
@@ -28,14 +26,14 @@ import (
 type ForecastCache struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[string]*list.Element
+	entries  map[forecastKey]*list.Element
 	lru      *list.List // front = most recently used
 	rendered map[renderKey]rendering
 	// flights is the in-flight coalescing table (flight.go): one entry
 	// per canonical key currently being simulated, so concurrent
 	// identical requests share one computation instead of racing to
 	// fill the LRU. Active even when capacity <= 0 disables the LRU.
-	flights      map[string]*flightCall
+	flights      map[forecastKey]*flightCall
 	hits         uint64
 	misses       uint64
 	coalesced    uint64
@@ -48,7 +46,7 @@ type ForecastCache struct {
 // outlive the network picture that produced it — no pointers need
 // pinning.
 type cacheEntry struct {
-	key   string
+	key   forecastKey
 	preds []Prediction
 	// renderings lists this entry's keys in ForecastCache.rendered (at
 	// most maxRenderingsPerEntry), so eviction can drop them. repeated
@@ -64,10 +62,10 @@ type cacheEntry struct {
 func NewForecastCache(capacity int) *ForecastCache {
 	return &ForecastCache{
 		capacity: capacity,
-		entries:  make(map[string]*list.Element),
+		entries:  make(map[forecastKey]*list.Element),
 		lru:      list.New(),
 		rendered: make(map[renderKey]rendering),
-		flights:  make(map[string]*flightCall),
+		flights:  make(map[forecastKey]*flightCall),
 	}
 }
 
@@ -93,113 +91,103 @@ func (fc *ForecastCache) Stats() CacheStats {
 }
 
 // canonicalize returns the indices of transfers sorted by (Src, Dst,
-// Size) — the canonical simulation order.
+// Size) — the canonical simulation order. The sort is stable, so equal
+// transfers keep request order and the permutation is a pure function of
+// the request.
 func canonicalize(transfers []TransferRequest) []int {
 	order := make([]int, len(transfers))
 	for i := range order {
 		order[i] = i
 	}
-	less := func(a, b int) bool {
-		ta, tb := transfers[a], transfers[b]
-		if ta.Src != tb.Src {
-			return ta.Src < tb.Src
+	compare := func(a, b int) int {
+		ta, tb := &transfers[a], &transfers[b]
+		if c := strings.Compare(ta.Src, tb.Src); c != 0 {
+			return c
 		}
-		if ta.Dst != tb.Dst {
-			return ta.Dst < tb.Dst
+		if c := strings.Compare(ta.Dst, tb.Dst); c != 0 {
+			return c
 		}
-		return ta.Size < tb.Size
-	}
-	if len(order) > 64 {
-		sort.SliceStable(order, func(a, b int) bool { return less(order[a], order[b]) })
-		return order
-	}
-	// Insertion sort for request-sized inputs: stable by construction and
-	// allocation-free, where sort.SliceStable pays a reflect-based swapper
-	// on every call of the QPS path.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && less(order[j], order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
+		switch {
+		case ta.Size < tb.Size:
+			return -1
+		case ta.Size > tb.Size:
+			return 1
 		}
+		return 0
 	}
+	// No reflect swapper (sort.SliceStable paid one on every call of the QPS
+	// path), no allocation, and an insertion sort below 20 elements.
+	slices.SortStableFunc(order, compare)
 	return order
 }
 
-// The canonical lookup key has three parts: an entry prefix (platform
-// name, snapshot epoch, model config), the transfer multiset in canonical
-// order with sizes keyed by exact bit pattern, and the sorted background
-// multiset. Epochs are globally unique per network picture, so a
-// link-state update (or a platform rebuild) naturally retires every
-// cached answer computed against the old state, and two entries
-// registered under the same name with different model configurations
-// never share answers. The split lets the evaluate layer canonicalize a
-// query once and re-key it per scenario epoch with one concatenation.
+// A cached answer is keyed by what it is a pure function of: the picture
+// (platform name, snapshot epoch, model config) and the query (transfer
+// multiset in canonical order, sizes by exact bit pattern, then the sorted
+// background multiset). Epochs are globally unique per network picture, so
+// a link-state update (or a platform rebuild) naturally retires every
+// cached answer computed against the old state, and two entries registered
+// under the same name with different model configurations never share
+// answers. The key is a comparable struct, not a string: the picture
+// costs nothing to build, and the evaluate layer spells a query once per
+// request and re-keys it per scenario epoch by swapping the picture.
 
-// prefixMemoKey identifies one cacheKeyPrefix result. sim.Config is all
-// scalars, so the struct is comparable and map-keyable without boxing.
-type prefixMemoKey struct {
+// pictureKey identifies one network picture under one model config.
+type pictureKey struct {
 	platform string
 	epoch    uint64
-	config   sim.Config
+	config   configBits
 }
 
-func prefixKeyOf(platform string, entry PlatformEntry) prefixMemoKey {
-	return prefixMemoKey{platform: platform, epoch: entry.snapshot().Epoch(), config: entry.Config}
+// configBits is sim.Config with its floats as bit patterns. A float NaN
+// never equals itself, so a map key holding one could be stored but never
+// found or deleted; bit patterns always compare, and keep -0 and +0 (which
+// simulate differently) apart.
+type configBits struct {
+	bandwidthFactor, latencyFactor, tcpGamma, minRTT uint64
+	gammaUsesLatencyFactor                           bool
 }
 
-// prefixMemo caches cacheKeyPrefix renderings: the prefix is pure in
-// (platform, epoch, config), and its "%+v" formatting reflects over the
-// config struct — around ten allocations that would otherwise be paid
-// per request on the QPS path. Bounded by wholesale reset; entries are
-// tiny and epochs retire as platforms observe new link state.
-var prefixMemo struct {
-	sync.RWMutex
-	m map[prefixMemoKey]string
+func pictureKeyOf(platform string, entry PlatformEntry) pictureKey {
+	c := entry.Config
+	return pictureKey{platform: platform, epoch: entry.snapshot().Epoch(), config: configBits{
+		bandwidthFactor:        math.Float64bits(c.BandwidthFactor),
+		latencyFactor:          math.Float64bits(c.LatencyFactor),
+		tcpGamma:               math.Float64bits(c.TCPGamma),
+		minRTT:                 math.Float64bits(c.MinRTT),
+		gammaUsesLatencyFactor: c.GammaUsesLatencyFactor,
+	}}
 }
 
-const prefixMemoCap = 1024
+// forecastKey is the canonical lookup key of the LRU and the flight table.
+type forecastKey struct {
+	pictureKey
+	query string
+}
 
-// cacheKeyPrefix keys the (platform, epoch, config) the answer is valid
-// for.
-func cacheKeyPrefix(platform string, entry PlatformEntry) string {
-	k := prefixKeyOf(platform, entry)
-	prefixMemo.RLock()
-	p, ok := prefixMemo.m[k]
-	prefixMemo.RUnlock()
-	if ok {
-		return p
+// queryKey spells the query half of a forecastKey — the transfers in the
+// canonical order given, then the background, already canonical — into one
+// exactly-sized string.
+func queryKey(transfers []TransferRequest, order []int, background [][2]string) string {
+	n := 0
+	for i := range transfers {
+		n += len(transfers[i].Src) + len(transfers[i].Dst) + 3 + 16
 	}
-	p = fmt.Sprintf("%s\x1c%d\x1c%+v", k.platform, k.epoch, k.config)
-	prefixMemo.Lock()
-	if prefixMemo.m == nil || len(prefixMemo.m) >= prefixMemoCap {
-		prefixMemo.m = make(map[prefixMemoKey]string)
+	for _, p := range background {
+		n += len(p[0]) + len(p[1]) + 2
 	}
-	prefixMemo.m[k] = p
-	prefixMemo.Unlock()
-	return p
-}
-
-// transfersKey keys the transfer multiset (in the canonical order given).
-func transfersKey(transfers []TransferRequest, order []int) string {
 	var b strings.Builder
+	b.Grow(n)
+	var bits [16]byte
 	for _, i := range order {
-		t := transfers[i]
+		t := &transfers[i]
 		b.WriteByte(0x1e)
 		b.WriteString(t.Src)
 		b.WriteByte(0x1f)
 		b.WriteString(t.Dst)
 		b.WriteByte(0x1f)
-		b.WriteString(strconv.FormatUint(math.Float64bits(t.Size), 16))
+		b.Write(strconv.AppendUint(bits[:0], math.Float64bits(t.Size), 16))
 	}
-	return b.String()
-}
-
-// backgroundKey keys a background multiset already in canonical (sorted)
-// order.
-func backgroundKey(background [][2]string) string {
-	if len(background) == 0 {
-		return ""
-	}
-	var b strings.Builder
 	for _, p := range background {
 		b.WriteByte(0x1d)
 		b.WriteString(p[0])
@@ -207,42 +195,6 @@ func backgroundKey(background [][2]string) string {
 		b.WriteString(p[1])
 	}
 	return b.String()
-}
-
-// keyScratch pools cacheKey build buffers: the key is assembled
-// append-style into a reused buffer and materialized with one final
-// string allocation, instead of one allocation per size fragment plus
-// builder growth (this runs once per predict/select hypothesis — the
-// QPS path).
-var keyScratch = sync.Pool{
-	New: func() any { b := make([]byte, 0, 512); return &b },
-}
-
-// cacheKey builds the full canonical lookup key; background must already
-// be in canonical order.
-func cacheKey(platform string, entry PlatformEntry, transfers []TransferRequest, order []int, background [][2]string) string {
-	bp := keyScratch.Get().(*[]byte)
-	b := (*bp)[:0]
-	b = append(b, cacheKeyPrefix(platform, entry)...)
-	for _, i := range order {
-		t := transfers[i]
-		b = append(b, 0x1e)
-		b = append(b, t.Src...)
-		b = append(b, 0x1f)
-		b = append(b, t.Dst...)
-		b = append(b, 0x1f)
-		b = strconv.AppendUint(b, math.Float64bits(t.Size), 16)
-	}
-	for _, p := range background {
-		b = append(b, 0x1d)
-		b = append(b, p[0]...)
-		b = append(b, 0x1f)
-		b = append(b, p[1]...)
-	}
-	key := string(b)
-	*bp = b
-	keyScratch.Put(bp)
-	return key
 }
 
 // canonicalBackground returns the background multiset in canonical
@@ -253,25 +205,23 @@ func cacheKey(platform string, entry PlatformEntry, transfers []TransferRequest,
 func canonicalBackground(background [][2]string) [][2]string {
 	if len(background) > 1 {
 		background = append([][2]string(nil), background...)
-		sort.Slice(background, func(i, j int) bool {
-			if background[i][0] != background[j][0] {
-				return background[i][0] < background[j][0]
+		slices.SortFunc(background, func(a, b [2]string) int {
+			if c := strings.Compare(a[0], b[0]); c != 0 {
+				return c
 			}
-			return background[i][1] < background[j][1]
+			return strings.Compare(a[1], b[1])
 		})
 	}
 	return background
 }
 
 // canonicalQuery is one prediction workload in canonical form: the cache
-// key, the transfers in canonical simulation order, the sorted background
-// flows, and the permutation mapping canonical results back to request
-// order. It is the unit the evaluate layer deduplicates: two sub-
-// simulations with equal keys are the same (epoch, config, query) triple
-// and pay for one simulation between them.
+// key, the sorted background flows, and the permutation that sorts the
+// transfers into canonical simulation order (and maps canonical results
+// back to request order). Two requests with equal keys are the same
+// (epoch, config, query) triple and pay for one simulation between them.
 type canonicalQuery struct {
-	key        string
-	transfers  []TransferRequest
+	key        forecastKey
 	background [][2]string
 	order      []int
 }
@@ -282,13 +232,8 @@ type canonicalQuery struct {
 func canonicalizeQuery(platform string, entry PlatformEntry, transfers []TransferRequest, background [][2]string) canonicalQuery {
 	order := canonicalize(transfers)
 	background = canonicalBackground(background)
-	canonicalReq := make([]TransferRequest, len(transfers))
-	for pos, i := range order {
-		canonicalReq[pos] = transfers[i]
-	}
 	return canonicalQuery{
-		key:        cacheKey(platform, entry, transfers, order, background),
-		transfers:  canonicalReq,
+		key:        forecastKey{pictureKeyOf(platform, entry), queryKey(transfers, order, background)},
 		background: background,
 		order:      order,
 	}
@@ -322,7 +267,7 @@ func (fc *ForecastCache) evictLocked() {
 
 // Store memoizes a canonical-order answer under its key (no-op when
 // caching is disabled; a concurrent filler's entry wins).
-func (fc *ForecastCache) Store(key string, canonical []Prediction) {
+func (fc *ForecastCache) Store(key forecastKey, canonical []Prediction) {
 	if fc == nil || fc.capacity <= 0 {
 		return
 	}
@@ -343,12 +288,12 @@ func (fc *ForecastCache) Store(key string, canonical []Prediction) {
 // without at= or deadline= attach a rendering (handlePredict), which is
 // what lets a hit assume the head epoch and no deadline without parsing.
 type renderKey struct {
-	prefixMemoKey
+	pictureKey
 	rawQuery string
 }
 
 func renderKeyOf(platform string, entry PlatformEntry, rawQuery string) renderKey {
-	return renderKey{prefixKeyOf(platform, entry), rawQuery}
+	return renderKey{pictureKeyOf(platform, entry), rawQuery}
 }
 
 // rendering is one stored response body and the LRU entry it belongs to.
@@ -398,10 +343,7 @@ func (fc *ForecastCache) renderedHit(k renderKey) ([]byte, bool) {
 // reads — measured at -7 % req/s on bench's cold-miss workload. So the
 // miss stores the answer, the first hit attaches its request line, and
 // the shortcut serves from the second hit on.
-func (fc *ForecastCache) attachRendering(key string, k renderKey, body []byte) {
-	if k != k { // a NaN in the config: the key could never be found or deleted
-		return
-	}
+func (fc *ForecastCache) attachRendering(key forecastKey, k renderKey, body []byte) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	el, ok := fc.entries[key]
@@ -439,9 +381,9 @@ func (fc *ForecastCache) PredictCtx(ctx context.Context, platform string, entry 
 
 // predictKeyed is PredictCtx that also returns the canonical key the
 // answer is cached under, for attachRendering.
-func (fc *ForecastCache) predictKeyed(ctx context.Context, platform string, entry PlatformEntry, transfers []TransferRequest, background [][2]string) ([]Prediction, string, error) {
+func (fc *ForecastCache) predictKeyed(ctx context.Context, platform string, entry PlatformEntry, transfers []TransferRequest, background [][2]string) ([]Prediction, forecastKey, error) {
 	if len(transfers) == 0 {
-		return nil, "", fmt.Errorf("pilgrim: no transfers requested")
+		return nil, forecastKey{}, fmt.Errorf("pilgrim: no transfers requested")
 	}
 	// Pin the epoch once: the cache key and the simulation below must see
 	// the same snapshot even if the platform is recompiled mid-request.
@@ -450,10 +392,14 @@ func (fc *ForecastCache) predictKeyed(ctx context.Context, platform string, entr
 	// Simulate in canonical order so a given logical workload always
 	// produces a bit-identical answer regardless of parameter order.
 	canonical, err := fc.predictCanonical(ctx, q.key, func() ([]Prediction, error) {
-		return PredictTransfers(entry, q.transfers, q.background)
+		sorted := make([]TransferRequest, len(transfers))
+		for pos, i := range q.order {
+			sorted[pos] = transfers[i]
+		}
+		return PredictTransfers(entry, sorted, q.background)
 	})
 	if err != nil {
-		return nil, "", err
+		return nil, forecastKey{}, err
 	}
 	return reorder(canonical, q.order), q.key, nil
 }

@@ -40,6 +40,19 @@ type hotEnc struct {
 	// legacy encoder errors on it, or reproducing it exactly is not
 	// worth hand-rolling); the caller falls back to encoding/json.
 	fallback bool
+	// row is the last prediction array rendered (see predictions).
+	row rowTemplate
+}
+
+// rowTemplate remembers where in buf the last []Prediction was rendered and
+// where its duration values sit. A what-if grid asks one question under N
+// pictures, so consecutive rows differ only in their durations — or not at
+// all, when two scenarios share an answer.
+type rowTemplate struct {
+	preds      []Prediction // nil: no template (nothing rendered yet, or buf was flushed)
+	depth      int
+	start, end int   // buf[start:end] is the rendering
+	durs       []int // per prediction, the [from, to) of its duration value in buf
 }
 
 var encPool = sync.Pool{
@@ -56,6 +69,7 @@ func getEnc() *hotEnc {
 // putEnc returns a buffer to the pool. Oversized buffers (one huge
 // evaluate grid) are dropped instead of pinning their backing arrays.
 func putEnc(e *hotEnc) {
+	e.row.preds = nil
 	if cap(e.buf) <= 1<<20 {
 		encPool.Put(e)
 	}
@@ -162,7 +176,10 @@ func (e *hotEnc) int(n int)       { e.buf = strconv.AppendInt(e.buf, int64(n), 1
 func (e *hotEnc) uint64(n uint64) { e.buf = strconv.AppendUint(e.buf, n, 10) }
 
 // predictions appends a []Prediction at the given depth. A nil slice is
-// null, an empty one [] — exactly encoding/json's distinction.
+// null, an empty one [] — exactly encoding/json's distinction. When the
+// previous array rendered at this depth is the same slice, its bytes are
+// copied; when it answers the same (src, dst, size) sequence, everything
+// but the durations is — the bytes are the ones a fresh render would write.
 func (e *hotEnc) predictions(preds []Prediction, depth int) {
 	if preds == nil {
 		e.raw("null")
@@ -172,6 +189,18 @@ func (e *hotEnc) predictions(preds []Prediction, depth int) {
 		e.raw("[]")
 		return
 	}
+	t := &e.row
+	if len(t.preds) == len(preds) && t.depth == depth {
+		if &t.preds[0] == &preds[0] {
+			e.buf = append(e.buf, e.buf[t.start:t.end]...)
+			return
+		}
+		if sameQuestion(t.preds, preds) {
+			e.replayRow(preds)
+			return
+		}
+	}
+	t.preds, t.depth, t.start, t.durs = preds, depth, len(e.buf), t.durs[:0]
 	e.raw("[")
 	for i, p := range preds {
 		if i > 0 {
@@ -193,12 +222,45 @@ func (e *hotEnc) predictions(preds []Prediction, depth int) {
 		e.raw(",")
 		e.nl(depth + 2)
 		e.raw(`"duration": `)
+		from := len(e.buf)
 		e.f64(p.Duration)
+		t.durs = append(t.durs, from, len(e.buf))
 		e.nl(depth + 1)
 		e.raw("}")
 	}
 	e.nl(depth)
 	e.raw("]")
+	t.end = len(e.buf)
+}
+
+// sameQuestion reports whether two equally long answers carry the same
+// (src, dst, size) sequence — sizes by bit pattern, since -0 and 0 render
+// differently.
+func sameQuestion(a, b []Prediction) bool {
+	for i := range a {
+		if a[i].Src != b[i].Src || a[i].Dst != b[i].Dst || math.Float64bits(a[i].Size) != math.Float64bits(b[i].Size) {
+			return false
+		}
+	}
+	return true
+}
+
+// replayRow renders preds from the template: the bytes between duration
+// values are copied, the durations formatted afresh, and the template moves
+// to the new rendering.
+func (e *hotEnc) replayRow(preds []Prediction) {
+	t := &e.row
+	start, src := len(e.buf), t.start
+	for i := range preds {
+		from, to := t.durs[2*i], t.durs[2*i+1]
+		e.buf = append(e.buf, e.buf[src:from]...)
+		t.durs[2*i] = len(e.buf)
+		e.f64(preds[i].Duration)
+		t.durs[2*i+1] = len(e.buf)
+		src = to
+	}
+	e.buf = append(e.buf, e.buf[src:t.end]...)
+	t.preds, t.start, t.end = preds, start, len(e.buf)
 }
 
 // hypothesisResults appends a []HypothesisResult at the given depth.
@@ -478,6 +540,7 @@ func (s *Server) writeEvaluate(w http.ResponseWriter, resp *EvaluateResponse) {
 			}
 			_, _ = w.Write(e.buf)
 			e.buf = e.buf[:0]
+			e.row.preds = nil // its bytes just left the buffer
 		}
 		return false
 	}

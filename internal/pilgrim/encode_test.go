@@ -125,13 +125,88 @@ func TestHotSelectFastestMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// question builds one answer to the n-transfer question q: durations vary
+// with seed, (src, dst, size) only with q.
+func question(q string, n int, seed float64) []Prediction {
+	preds := make([]Prediction, n)
+	for i := range preds {
+		preds[i] = Prediction{
+			Src:      q + "-src-" + awkwardStrings[i%len(awkwardStrings)],
+			Dst:      q + "-dst",
+			Size:     5e8 + float64(i),
+			Duration: awkwardFloats[(i+int(seed))%len(awkwardFloats)] + seed/3,
+		}
+	}
+	return preds
+}
+
+func predictionRows(answers ...[]Prediction) []ScenarioResult {
+	rows := make([]ScenarioResult, len(answers))
+	for i, a := range answers {
+		rows[i] = ScenarioResult{Name: "sc", Epoch: uint64(i + 1), Results: []EvalResult{{Predictions: a}}}
+	}
+	return rows
+}
+
+// gridResponses are the shapes the row template (hotEnc.predictions) must
+// not get wrong: one question under many pictures, with answers shared,
+// re-asked, interleaved with other questions, and nearly-but-not-quite the
+// same question.
+func gridResponses() []*EvaluateResponse {
+	base := question("q", 30, 0)
+	fork1, fork2, cold := question("q", 30, 1), question("q", 30, 2), question("q", 30, 3)
+	grown := question("q", 30, 4)
+	grown[17].Size++ // one size differs mid-row: not the same question
+	renamed := question("q", 30, 5)
+	renamed[29].Dst = "elsewhere"
+	negZero := question("z", 2, 0)
+	posZero := question("z", 2, 1)
+	negZero[1].Size, posZero[1].Size = math.Copysign(0, -1), 0
+	hyps := func(seed float64) []HypothesisResult {
+		return []HypothesisResult{
+			{Index: 0, Makespan: 3 + seed, Predictions: question("h0", 4, seed)},
+			{Index: 1, Makespan: 2 + seed, Predictions: question("h1", 4, seed)},
+			{Index: 2, Makespan: 4 + seed, Predictions: question("h0", 4, seed+1)},
+		}
+	}
+	best := 1
+	return []*EvaluateResponse{
+		// The bench shape: baseline and three reuse rows share one slice,
+		// three forks and a cold row answer the same question afresh.
+		{Platform: "p", Scenarios: predictionRows(base, base, base, base, fork1, fork2, fork1, cold)},
+		// A reuse row between two fork rows, and near-miss questions: the
+		// template must not leak across differing sizes or names.
+		{Platform: "p", Scenarios: predictionRows(fork1, base, grown, fork2, renamed, base, base[:29], base)},
+		{Platform: "p", Scenarios: predictionRows(negZero, posZero, negZero)},
+		// Rows with cell errors and failed scenarios between answers.
+		{Platform: "p", Scenarios: []ScenarioResult{
+			{Name: "a", Epoch: 1, Results: []EvalResult{{Predictions: base}}},
+			{Name: "b", Epoch: 2, Results: []EvalResult{{Error: "no route <x>"}}},
+			{Name: "c", Error: "unknown link"},
+			{Name: "d", Epoch: 3, Results: []EvalResult{{Predictions: fork1}}},
+		}},
+		// A row whose tail carries the buffer past the flush threshold: the
+		// template's bytes leave with it, and the next row starts over them.
+		{Platform: "p", Scenarios: []ScenarioResult{
+			{Name: "a", Epoch: 1, Results: []EvalResult{{Predictions: negZero}, {Error: strings.Repeat("e", evalFlushThreshold)}}},
+			{Name: strings.Repeat("b", 300), Epoch: 2, Results: []EvalResult{{Predictions: negZero}, {Predictions: posZero}}},
+		}},
+		// Two queries sharing transfers (one row asks the question twice),
+		// then a select_fastest grid: hypotheses sit two levels deeper.
+		{Platform: "p", Scenarios: []ScenarioResult{
+			{Name: "a", Epoch: 1, Results: []EvalResult{{Predictions: base}, {Predictions: base}, {Best: &best, Hypotheses: hyps(0)}}},
+			{Name: "b", Epoch: 2, Results: []EvalResult{{Predictions: fork1}, {Predictions: fork2}, {Best: &best, Hypotheses: hyps(1)}}},
+		}},
+	}
+}
+
 // evaluateResponses is the evaluate shape matrix: every omitempty
 // combination the grid can produce, including workflow forecasts (the
-// json.Indent re-basing path) and an all-empty row.
+// json.Indent re-basing path) and an all-empty row — then the grid shapes.
 func evaluateResponses() []*EvaluateResponse {
 	best := 1
 	zero := 0
-	return []*EvaluateResponse{
+	return append(gridResponses(), []*EvaluateResponse{
 		{Platform: "p", Scenarios: nil, Stats: EvaluateStats{Scenarios: 1, Queries: 1, Cells: 1, Groups: 1}},
 		{Platform: "p", Scenarios: []ScenarioResult{}},
 		{Platform: "<p>&", Scenarios: []ScenarioResult{{}}},
@@ -153,7 +228,7 @@ func evaluateResponses() []*EvaluateResponse {
 			Simulations: 4, CacheHits: 2, BaseGroups: 1, ForkReused: 1,
 			ForkRuns: 2, ForkCold: 1, ForkResolvedConstraints: 17,
 		}},
-	}
+	}...)
 }
 
 func TestHotEvaluateMatchesEncodingJSON(t *testing.T) {
@@ -177,7 +252,14 @@ func TestHotEvaluateStreamsLargeGrids(t *testing.T) {
 		preds[i] = Prediction{Src: "node-" + strings.Repeat("a", i), Dst: "dst", Size: float64(i) * 1e7, Duration: float64(i) / 3}
 	}
 	for i := 0; i < 200; i++ {
-		rows = append(rows, ScenarioResult{Name: "sc", Epoch: uint64(i + 1), Results: []EvalResult{{Predictions: preds}}})
+		// Shared slices, re-asked questions and flushes interleave: a row
+		// template must not outlive the bytes it points into.
+		answer := preds
+		if i%3 == 1 {
+			answer = append([]Prediction(nil), preds...)
+			answer[i%len(answer)].Duration = float64(i)
+		}
+		rows = append(rows, ScenarioResult{Name: "sc", Epoch: uint64(i + 1), Results: []EvalResult{{Predictions: answer}}})
 	}
 	resp := &EvaluateResponse{Platform: "p", Scenarios: rows, Stats: EvaluateStats{Scenarios: 200, Queries: 1, Cells: 200, Groups: 200}}
 	want := legacyBytes(t, resp)

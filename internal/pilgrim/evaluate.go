@@ -5,8 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 	"sync"
 
 	"pilgrim/internal/platform"
@@ -193,14 +191,21 @@ type EvaluateResponse struct {
 type OverlayCache struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[string]*list.Element
+	entries  map[overlayKey]*list.Element
 	lru      *list.List
 	hits     uint64
 	misses   uint64
 }
 
+// overlayKey is one derived epoch: a base epoch under a canonical overlay
+// (scenario.Resolved.Key).
+type overlayKey struct {
+	base    uint64
+	overlay string
+}
+
 type overlayEntry struct {
-	key  string
+	key  overlayKey
 	snap *platform.Snapshot
 }
 
@@ -213,13 +218,9 @@ const DefaultOverlayCacheSize = 128
 func NewOverlayCache(capacity int) *OverlayCache {
 	return &OverlayCache{
 		capacity: capacity,
-		entries:  make(map[string]*list.Element),
+		entries:  make(map[overlayKey]*list.Element),
 		lru:      list.New(),
 	}
-}
-
-func overlayCacheKey(baseEpoch uint64, key string) string {
-	return strconv.FormatUint(baseEpoch, 16) + "\x1c" + key
 }
 
 func (oc *OverlayCache) get(baseEpoch uint64, key string) (*platform.Snapshot, bool) {
@@ -229,7 +230,7 @@ func (oc *OverlayCache) get(baseEpoch uint64, key string) (*platform.Snapshot, b
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
 	if oc.capacity > 0 {
-		if el, ok := oc.entries[overlayCacheKey(baseEpoch, key)]; ok {
+		if el, ok := oc.entries[overlayKey{baseEpoch, key}]; ok {
 			oc.lru.MoveToFront(el)
 			oc.hits++
 			return el.Value.(*overlayEntry).snap, true
@@ -245,7 +246,7 @@ func (oc *OverlayCache) put(baseEpoch uint64, key string, snap *platform.Snapsho
 	}
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
-	k := overlayCacheKey(baseEpoch, key)
+	k := overlayKey{baseEpoch, key}
 	if _, ok := oc.entries[k]; ok {
 		return
 	}
@@ -374,7 +375,7 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, name string, req EvaluateR
 
 	// Phase 1 (serial): resolve every scenario to its derived epoch and
 	// collapse equal (epoch, background) pictures into groups.
-	groups := make(map[string]*evalGroup)
+	groups := make(map[groupKey]*evalGroup)
 	var order []*evalGroup
 	for si := range scenarios {
 		if err := ctx.Err(); err != nil {
@@ -429,7 +430,7 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, name string, req EvaluateR
 		row.BackgroundFlows = len(resolved.Background)
 
 		bg := canonicalBackground(resolved.Background)
-		gk := groupKey(snap.Epoch(), bg)
+		gk := groupKey{snap.Epoch(), queryKey(nil, nil, bg)}
 		g := groups[gk]
 		if g == nil {
 			g = &evalGroup{entry: entry, base: baseEntry, delta: delta, bg: bg}
@@ -525,45 +526,58 @@ func (ev *Evaluator) scenarioBase(name string, reqAt int64, sc *scenario.Scenari
 	return ev.Platforms.GetAt(name, at)
 }
 
-func groupKey(epoch uint64, bg [][2]string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%x", epoch)
-	for _, f := range bg {
-		b.WriteByte(0x1d)
-		b.WriteString(f[0])
-		b.WriteByte(0x1f)
-		b.WriteString(f[1])
-	}
-	return b.String()
+// groupKey is one (epoch, canonical scenario background) picture; bg is the
+// background half of a queryKey.
+type groupKey struct {
+	epoch uint64
+	bg    string
 }
 
 // subTemplate is the group-independent canonical form of one
-// sub-simulation: the transfer multiset sorted once, its key fragment
-// prebuilt, the sim-level transfer list ready to plan (read-only, shared
-// across groups). Per group, the cache key is the group's entry prefix +
-// tKey + the merged background's key.
+// sub-simulation: the transfer multiset sorted once, its query key spelled
+// once, the sim-level transfer list ready to plan (read-only, shared across
+// groups). Per group, the cache key is the group's picture plus that one
+// query string.
 type subTemplate struct {
-	order   []int
-	canon   []TransferRequest
-	sims    []sim.Transfer
-	tKey    string
-	extraBg [][2]string // per-query background (canonical)
+	transfers []TransferRequest // as requested; order sorts them
+	order     []int
+	sims      []sim.Transfer
+	query     string      // the key under no scenario background
+	extraBg   [][2]string // per-query background (canonical)
+}
+
+// mergedBackground is the canonical union of a scenario's flows (already
+// canonical) and a query's own.
+func mergedBackground(scenarioBg, queryBg [][2]string) [][2]string {
+	if len(queryBg) == 0 {
+		return scenarioBg
+	}
+	return canonicalBackground(append(append([][2]string(nil), scenarioBg...), queryBg...))
+}
+
+// under returns the background the sub simulates with under a scenario
+// background, and its query key there.
+func (t *subTemplate) under(scenarioBg [][2]string) ([][2]string, string) {
+	if len(scenarioBg) == 0 {
+		return t.extraBg, t.query
+	}
+	bg := mergedBackground(scenarioBg, t.extraBg)
+	return bg, queryKey(t.transfers, t.order, bg)
 }
 
 func newSubTemplate(transfers []TransferRequest, extraBg [][2]string) subTemplate {
 	order := canonicalize(transfers)
-	canon := make([]TransferRequest, len(transfers))
 	sims := make([]sim.Transfer, len(transfers))
 	for pos, i := range order {
-		canon[pos] = transfers[i]
 		sims[pos] = sim.Transfer{Src: transfers[i].Src, Dst: transfers[i].Dst, Size: transfers[i].Size}
 	}
+	extraBg = canonicalBackground(extraBg)
 	return subTemplate{
-		order:   order,
-		canon:   canon,
-		sims:    sims,
-		tKey:    transfersKey(transfers, order),
-		extraBg: canonicalBackground(extraBg),
+		transfers: transfers,
+		order:     order,
+		sims:      sims,
+		query:     queryKey(transfers, order, extraBg),
+		extraBg:   extraBg,
 	}
 }
 
@@ -593,7 +607,7 @@ func buildSubTemplates(queries []EvalQuery) [][]subTemplate {
 // its cell.
 type planSub struct {
 	tmpl     *subTemplate
-	key      string
+	key      forecastKey
 	bg       [][2]string  // merged background (for the abandoned-flight fallback)
 	cached   []Prediction // canonical order, when the cache answered
 	err      error        // terminal error delivered by a followed flight
@@ -613,21 +627,21 @@ func (ev *Evaluator) runGroup(ctx context.Context, name string, g *evalGroup, qu
 	results := make([]EvalResult, len(queries))
 	subs := make([][]planSub, len(queries)) // per query, its sub-simulations (nil for workflow)
 	var plan []sim.PlanQuery
-	var ledFlights []*flightCall    // parallel to plan
-	planIdx := make(map[string]int) // canonical key -> plan slot
+	var ledKeys []forecastKey    // parallel to plan
+	var ledFlights []*flightCall // parallel to plan
+	// Within one group the picture is fixed, so the query string alone
+	// identifies a sub.
+	planIdx := make(map[string]int) // query -> plan slot
 	followIdx := make(map[string]*flightCall)
-	prefix := cacheKeyPrefix(name, g.entry)
+	picture := pictureKeyOf(name, g.entry)
 
 	addSub := func(qi int, tmpl *subTemplate) {
-		bg := g.bg
-		if len(tmpl.extraBg) > 0 {
-			bg = canonicalBackground(append(append([][2]string(nil), g.bg...), tmpl.extraBg...))
-		}
-		sub := planSub{tmpl: tmpl, key: prefix + tmpl.tKey + backgroundKey(bg), bg: bg, planSlot: -1}
-		if slot, ok := planIdx[sub.key]; ok {
+		bg, query := tmpl.under(g.bg)
+		sub := planSub{tmpl: tmpl, key: forecastKey{picture, query}, bg: bg, planSlot: -1}
+		if slot, ok := planIdx[query]; ok {
 			sub.planSlot = slot // identical sub already planned this batch
 			g.hits++
-		} else if f, ok := followIdx[sub.key]; ok {
+		} else if f, ok := followIdx[query]; ok {
 			sub.flight = f // identical sub already followed this batch
 			g.hits++
 		} else if canonical, f, leader := ev.Cache.lead(sub.key); canonical != nil {
@@ -635,45 +649,25 @@ func (ev *Evaluator) runGroup(ctx context.Context, name string, g *evalGroup, qu
 			g.hits++
 		} else if leader {
 			sub.planSlot = len(plan)
-			planIdx[sub.key] = len(plan)
+			planIdx[query] = len(plan)
 			plan = append(plan, sim.PlanQuery{Transfers: tmpl.sims, Background: bg})
+			ledKeys = append(ledKeys, sub.key)
 			ledFlights = append(ledFlights, f)
 		} else {
 			// Another request is simulating this key right now: wait for
 			// its answer after our own plan runs and publishes.
 			sub.flight = f
-			followIdx[sub.key] = f
+			followIdx[query] = f
 			g.hits++
 		}
 		subs[qi] = append(subs[qi], sub)
 	}
 
-	for qi := range queries {
-		q := &queries[qi]
-		switch q.Kind {
-		case QueryPredictTransfers, QuerySelectFastest:
-			for ti := range templates[qi] {
-				addSub(qi, &templates[qi][ti])
-			}
-		case QueryPredictWorkflow:
-			// Workflows bypass the transfer cache but still share the
-			// group's engine-pool flavour and background picture (the
-			// scenario's flows plus any per-query ones).
-			bg := g.bg
-			if len(q.Background) > 0 {
-				bg = canonicalBackground(append(append([][2]string(nil), g.bg...), q.Background...))
-			}
-			f, err := workflow.PredictWithBackground(g.entry.snapshot(), g.entry.Config, q.Workflow, bg)
-			g.sims++
-			if err != nil {
-				results[qi].Error = err.Error()
-			} else {
-				results[qi].Forecast = f
-			}
+	for qi := range templates { // nil rows: workflow queries
+		for ti := range templates[qi] {
+			addSub(qi, &templates[qi][ti])
 		}
 	}
-
-	ledKeys := invertPlanIndex(planIdx, len(plan))
 	// Settle every led flight no matter how this function exits: a
 	// panic below must not leave followers waiting forever (abandon is
 	// a no-op on flights completed normally).
@@ -682,23 +676,18 @@ func (ev *Evaluator) runGroup(ctx context.Context, name string, g *evalGroup, qu
 			ev.Cache.abandon(key, ledFlights[slot])
 		}
 	}()
+	g.workflowCells(queries, results)
 
 	planResults := sim.RunPlan(g.entry.snapshot(), g.entry.Config, plan)
 	g.sims += len(plan)
 
-	// Convert and memoize each successful plan slot once; shared slots
-	// and later requests reuse the same canonical slice. The Store
-	// precedes the flight completion (flight.go's arrival invariant).
+	// Convert and publish each plan slot once; shared slots and later
+	// requests reuse the same canonical slice.
 	planPreds := make([][]Prediction, len(plan))
 	for slot, key := range ledKeys {
 		preds, err := planToPreds(&planResults[slot])
-		if err != nil {
-			ev.Cache.complete(key, ledFlights[slot], nil, err)
-			continue
-		}
 		planPreds[slot] = preds
-		ev.Cache.Store(key, preds)
-		ev.Cache.complete(key, ledFlights[slot], preds, nil)
+		ev.Cache.complete(key, ledFlights[slot], preds, err)
 	}
 
 	// Only now — every led flight published — wait for the answers other
@@ -722,7 +711,7 @@ func (ev *Evaluator) runGroup(ctx context.Context, name string, g *evalGroup, qu
 		}
 	}
 
-	foldSubResults(queries, templates, func(qi, si int) ([]Prediction, error) {
+	foldSubResults(queries, templates, nil, func(qi, si int) ([]Prediction, error) {
 		sub := &subs[qi][si]
 		if sub.err != nil {
 			return nil, sub.err
@@ -738,6 +727,26 @@ func (ev *Evaluator) runGroup(ctx context.Context, name string, g *evalGroup, qu
 	return results, nil
 }
 
+// workflowCells answers the group's predict_workflow cells. Workflows
+// bypass the transfer cache but still share the group's engine-pool
+// flavour and background picture (the scenario's flows plus any per-query
+// ones).
+func (g *evalGroup) workflowCells(queries []EvalQuery, results []EvalResult) {
+	for qi := range queries {
+		q := &queries[qi]
+		if q.Kind != QueryPredictWorkflow {
+			continue
+		}
+		f, err := workflow.PredictWithBackground(g.entry.snapshot(), g.entry.Config, q.Workflow, mergedBackground(g.bg, q.Background))
+		g.sims++
+		if err != nil {
+			results[qi].Error = err.Error()
+		} else {
+			results[qi].Forecast = f
+		}
+	}
+}
+
 // planToPreds converts one plan result into canonical-order predictions.
 func planToPreds(pr *sim.PlanResult) ([]Prediction, error) {
 	if pr.Err != nil {
@@ -750,11 +759,36 @@ func planToPreds(pr *sim.PlanResult) ([]Prediction, error) {
 	return preds, nil
 }
 
+// requestOrder maps canonical answers back to request order, once per
+// distinct (answer, permutation): cells that resolved to the same canonical
+// slice — a supergroup's baseline and every member reusing its answer —
+// share one read-only request-order copy, which the encoder recognises
+// (hotEnc.predictions). A nil requestOrder shares nothing.
+type requestOrder map[requestOrderKey][]Prediction
+
+type requestOrderKey struct {
+	canonical *Prediction // first element: cached answers are immutable
+	tmpl      *subTemplate
+}
+
+func (ro requestOrder) of(canonical []Prediction, tmpl *subTemplate) []Prediction {
+	if ro == nil || len(canonical) == 0 {
+		return reorder(canonical, tmpl.order)
+	}
+	k := requestOrderKey{&canonical[0], tmpl}
+	out, ok := ro[k]
+	if !ok {
+		out = reorder(canonical, tmpl.order)
+		ro[k] = out
+	}
+	return out
+}
+
 // foldSubResults assembles the predict_transfers and select_fastest cells
 // from their resolved canonical sub-answers; resolve returns the canonical
 // predictions (or the failure) of the si'th sub-simulation of query qi.
 // Workflow cells are untouched — they carry no transfer subs.
-func foldSubResults(queries []EvalQuery, templates [][]subTemplate, resolve func(qi, si int) ([]Prediction, error), results []EvalResult) {
+func foldSubResults(queries []EvalQuery, templates [][]subTemplate, ordered requestOrder, resolve func(qi, si int) ([]Prediction, error), results []EvalResult) {
 	for qi := range queries {
 		switch queries[qi].Kind {
 		case QueryPredictTransfers:
@@ -763,7 +797,7 @@ func foldSubResults(queries []EvalQuery, templates [][]subTemplate, resolve func
 				results[qi].Error = err.Error()
 				continue
 			}
-			results[qi].Predictions = reorder(canonical, templates[qi][0].order)
+			results[qi].Predictions = ordered.of(canonical, &templates[qi][0])
 		case QuerySelectFastest:
 			hyps := make([]HypothesisResult, len(templates[qi]))
 			failed := false
@@ -774,37 +808,16 @@ func foldSubResults(queries []EvalQuery, templates [][]subTemplate, resolve func
 					failed = true
 					break
 				}
-				preds := reorder(canonical, templates[qi][hi].order)
-				makespan := 0.0
-				for _, p := range preds {
-					if p.Duration > makespan {
-						makespan = p.Duration
-					}
-				}
-				hyps[hi] = HypothesisResult{Index: hi, Makespan: makespan, Predictions: preds}
+				hyps[hi] = hypothesisResult(hi, ordered.of(canonical, &templates[qi][hi]))
 			}
 			if failed {
 				continue
 			}
-			best := 0
-			for hi := 1; hi < len(hyps); hi++ {
-				if hyps[hi].Makespan < hyps[best].Makespan {
-					best = hi
-				}
-			}
+			best := fastest(hyps)
 			results[qi].Best = &best
 			results[qi].Hypotheses = hyps
 		}
 	}
-}
-
-// invertPlanIndex maps plan slots back to their canonical keys.
-func invertPlanIndex(planIdx map[string]int, n int) []string {
-	keys := make([]string, n)
-	for k, slot := range planIdx {
-		keys[slot] = k
-	}
-	return keys
 }
 
 // superGroup is the unit of differential fan-out: every group that derives
@@ -824,10 +837,10 @@ type superGroup struct {
 }
 
 func buildSuperGroups(order []*evalGroup) []*superGroup {
-	index := make(map[string]*superGroup)
+	index := make(map[groupKey]*superGroup)
 	var supers []*superGroup
 	for _, g := range order {
-		k := groupKey(g.base.snapshot().Epoch(), g.bg)
+		k := groupKey{g.base.snapshot().Epoch(), queryKey(nil, nil, g.bg)}
 		sg := index[k]
 		if sg == nil {
 			sg = &superGroup{base: g.base, bg: g.bg}
@@ -843,12 +856,12 @@ func buildSuperGroups(order []*evalGroup) []*superGroup {
 // one background picture, so every member asks the sub with identical
 // transfers and merged background: one base answer — and one fork handle —
 // serves the whole member set. Its cache key under any epoch is that
-// epoch's prefix plus frag.
+// epoch's picture plus query.
 type diffSub struct {
-	tmpl *subTemplate
-	frag string
-	plan sim.PlanQuery
-	fp   *sim.Footprint // lazy: only computed when some member misses
+	tmpl  *subTemplate
+	query string
+	plan  sim.PlanQuery
+	fp    *sim.Footprint // lazy: only computed when some member misses
 }
 
 // footprint resolves (once) the sub's resource footprint on the base
@@ -903,19 +916,15 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 		inst[qi] = make([]int, len(templates[qi]))
 		for si := range templates[qi] {
 			tmpl := &templates[qi][si]
-			bg := sg.bg
-			if len(tmpl.extraBg) > 0 {
-				bg = canonicalBackground(append(append([][2]string(nil), sg.bg...), tmpl.extraBg...))
-			}
-			frag := tmpl.tKey + backgroundKey(bg)
-			di, ok := dedup[frag]
+			bg, query := tmpl.under(sg.bg)
+			di, ok := dedup[query]
 			if !ok {
 				di = len(dsubs)
-				dedup[frag] = di
+				dedup[query] = di
 				dsubs = append(dsubs, diffSub{
-					tmpl: tmpl,
-					frag: frag,
-					plan: sim.PlanQuery{Transfers: tmpl.sims, Background: bg},
+					tmpl:  tmpl,
+					query: query,
+					plan:  sim.PlanQuery{Transfers: tmpl.sims, Background: bg},
 				})
 			}
 			inst[qi][si] = di
@@ -927,51 +936,45 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	// dedup hit) and classify what is left against the member's delta.
 	type memberState struct {
 		g        *evalGroup
-		keys     []string // per dsub: this member's cache key
+		picture  pictureKey // with a dsub's query: this member's cache key
 		answers  []subAnswer
 		need     []int // dsub indices this member still has to resolve
 		class    []sim.DeltaClass
-		cold     []int               // dsub indices falling back to a cold run
-		led      map[int]*flightCall // flights this member leads, by dsub index
-		followed map[int]*flightCall // flights owned by other requests, by dsub index
+		cold     []int         // dsub indices falling back to a cold run
+		led      []*flightCall // per dsub: the flight this member leads, if any
+		followed []*flightCall // per dsub: the flight another request owns, if any
 	}
 	needBase := make([]bool, len(dsubs))
 	wantCk := make([]bool, len(dsubs))
-	members := make([]*memberState, len(sg.members))
-	// A cache key is a few KB (it spells out the sub's transfers) and is
-	// used at lead, Store, complete and the abandon sweep: each is
-	// concatenated once into this table — one row per member (every member
-	// probes every sub), and a last row for the base epoch, filled only for
-	// the subs that need a base answer.
-	keyTable := make([]string, (len(sg.members)+1)*len(dsubs))
+	// Every member's per-dsub columns are rows of request-scoped tables.
+	nd := len(dsubs)
+	members := make([]memberState, len(sg.members))
+	answers := make([]subAnswer, len(members)*nd)
+	classes := make([]sim.DeltaClass, len(members)*nd)
+	flights := make([]*flightCall, 2*len(members)*nd)
+	needed := make([]bool, nd)
+	key := func(picture pictureKey, di int) forecastKey { return forecastKey{picture, dsubs[di].query} }
 	// Settle every led flight no matter how this function exits: a panic
 	// must not leave followers waiting forever (abandon no-ops on
-	// flights completed normally below).
+	// flights completed normally below, and on the nil slots).
 	defer func() {
-		for _, m := range members {
-			if m == nil {
-				continue
-			}
-			for di, f := range m.led {
-				ev.Cache.abandon(m.keys[di], f)
+		for mi := range members {
+			for di, f := range members[mi].led {
+				ev.Cache.abandon(key(members[mi].picture, di), f)
 			}
 		}
 	}()
 	for mi, g := range sg.members {
-		m := &memberState{
+		m := &members[mi]
+		*m = memberState{
 			g:        g,
-			keys:     keyTable[mi*len(dsubs) : (mi+1)*len(dsubs)],
-			answers:  make([]subAnswer, len(dsubs)),
-			class:    make([]sim.DeltaClass, len(dsubs)),
-			led:      make(map[int]*flightCall),
-			followed: make(map[int]*flightCall),
+			picture:  pictureKeyOf(name, g.entry),
+			answers:  answers[mi*nd : (mi+1)*nd],
+			class:    classes[mi*nd : (mi+1)*nd],
+			led:      flights[2*mi*nd : (2*mi+1)*nd],
+			followed: flights[(2*mi+1)*nd : (2*mi+2)*nd],
 		}
-		members[mi] = m
-		prefix := cacheKeyPrefix(name, g.entry)
-		for di := range dsubs {
-			m.keys[di] = prefix + dsubs[di].frag
-		}
-		needed := make([]bool, len(dsubs))
+		clear(needed)
 		for qi := range queries {
 			for _, di := range inst[qi] {
 				if m.answers[di].have {
@@ -982,7 +985,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 					g.hits++ // in-plan dedup: identical sub already pending
 					continue
 				}
-				cached, f, leader := ev.Cache.lead(m.keys[di])
+				cached, f, leader := ev.Cache.lead(key(m.picture, di))
 				if cached != nil {
 					m.answers[di] = subAnswer{preds: cached, have: true}
 					g.hits++
@@ -995,9 +998,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 					g.hits++
 					continue
 				}
-				if f != nil {
-					m.led[di] = f
-				}
+				m.led[di] = f
 				needed[di] = true
 				m.need = append(m.need, di)
 			}
@@ -1032,11 +1033,10 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	baseAns := make([]subAnswer, len(dsubs))
 	cks := make([]*sim.PlanCheckpoint, len(dsubs))
 	baseLed := make([]*flightCall, len(dsubs))
-	baseKeys := keyTable[len(sg.members)*len(dsubs):]
-	basePrefix := cacheKeyPrefix(name, sg.base)
+	basePicture := pictureKeyOf(name, sg.base)
 	defer func() {
 		for di, f := range baseLed {
-			ev.Cache.abandon(baseKeys[di], f)
+			ev.Cache.abandon(key(basePicture, di), f)
 		}
 	}()
 	var runIdx []int
@@ -1044,8 +1044,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 		if !needBase[di] {
 			continue
 		}
-		baseKeys[di] = basePrefix + dsubs[di].frag
-		preds, f, leader := ev.Cache.leadOrRun(baseKeys[di])
+		preds, f, leader := ev.Cache.leadOrRun(key(basePicture, di))
 		if preds != nil {
 			baseAns[di] = subAnswer{preds: preds, have: true}
 			if wantCk[di] {
@@ -1071,10 +1070,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 			preds, err := planToPreds(&res[j])
 			baseAns[di] = subAnswer{preds: preds, err: err, have: true}
 			cks[di] = pcs[j]
-			if err == nil {
-				ev.Cache.Store(baseKeys[di], preds)
-			}
-			ev.Cache.complete(baseKeys[di], baseLed[di], preds, err)
+			ev.Cache.complete(key(basePicture, di), baseLed[di], preds, err)
 		}
 	}
 
@@ -1084,7 +1080,8 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	// any) resolves everything as reuse against keys it already owns; its
 	// reuses are plain dedup, not differential wins, so the fork counters
 	// only move for members with a real delta.
-	for _, m := range members {
+	for mi := range members {
+		m := &members[mi]
 		g := m.g
 		derived := g.delta != nil && !g.delta.Empty()
 		for _, di := range m.need {
@@ -1096,10 +1093,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 						g.sims++
 						g.forked++
 						g.resolved += dsubs[di].footprint(base).TouchedBw(g.delta)
-						if err == nil {
-							ev.Cache.Store(m.keys[di], preds)
-						}
-						ev.Cache.complete(m.keys[di], m.led[di], preds, err)
+						ev.Cache.complete(key(m.picture, di), m.led[di], preds, err)
 						continue
 					}
 				}
@@ -1110,11 +1104,8 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 				m.answers[di] = baseAns[di]
 				if derived {
 					g.reused++
-					if baseAns[di].err == nil {
-						ev.Cache.Store(m.keys[di], baseAns[di].preds)
-					}
 				}
-				ev.Cache.complete(m.keys[di], m.led[di], baseAns[di].preds, baseAns[di].err)
+				ev.Cache.complete(key(m.picture, di), m.led[di], baseAns[di].preds, baseAns[di].err)
 			case sim.ClassCold:
 				m.cold = append(m.cold, di)
 			}
@@ -1132,10 +1123,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 				if derived {
 					g.cold++
 				}
-				if err == nil {
-					ev.Cache.Store(m.keys[di], preds)
-				}
-				ev.Cache.complete(m.keys[di], m.led[di], preds, err)
+				ev.Cache.complete(key(m.picture, di), m.led[di], preds, err)
 			}
 		}
 	}
@@ -1143,10 +1131,14 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	// Every flight this supergroup leads has published; only now wait
 	// for the answers other requests are computing for us (flight.go's
 	// deadlock discipline).
-	for _, m := range members {
+	for mi := range members {
+		m := &members[mi]
 		for di, f := range m.followed {
+			if f == nil {
+				continue
+			}
 			ds := &dsubs[di]
-			preds, err := ev.Cache.waitFlight(ctx, m.keys[di], f, func() ([]Prediction, error) {
+			preds, err := ev.Cache.waitFlight(ctx, key(m.picture, di), f, func() ([]Prediction, error) {
 				res := sim.RunPlan(m.g.entry.snapshot(), m.g.entry.Config, []sim.PlanQuery{ds.plan})
 				m.g.sims++
 				return planToPreds(&res[0])
@@ -1158,33 +1150,16 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 		}
 	}
 
-	for _, m := range members {
-		g := m.g
-		// Workflow cells bypass the transfer machinery entirely, exactly as
-		// in the classic path.
+	ordered := requestOrder{}
+	for mi := range members {
+		m := &members[mi]
 		results := make([]EvalResult, len(queries))
-		for qi := range queries {
-			q := &queries[qi]
-			if q.Kind != QueryPredictWorkflow {
-				continue
-			}
-			bg := g.bg
-			if len(q.Background) > 0 {
-				bg = canonicalBackground(append(append([][2]string(nil), g.bg...), q.Background...))
-			}
-			f, err := workflow.PredictWithBackground(g.entry.snapshot(), g.entry.Config, q.Workflow, bg)
-			g.sims++
-			if err != nil {
-				results[qi].Error = err.Error()
-			} else {
-				results[qi].Forecast = f
-			}
-		}
-		foldSubResults(queries, templates, func(qi, si int) ([]Prediction, error) {
+		m.g.workflowCells(queries, results)
+		foldSubResults(queries, templates, ordered, func(qi, si int) ([]Prediction, error) {
 			a := &m.answers[inst[qi][si]]
 			return a.preds, a.err
 		}, results)
-		g.results = results
+		m.g.results = results
 	}
 	return nil
 }

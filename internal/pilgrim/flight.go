@@ -42,7 +42,7 @@ type flightCall struct {
 //     complete/abandon tolerate that);
 //   - otherwise: another request owns the flight (counted as a
 //     coalesced hit); the caller may wait on f.done.
-func (fc *ForecastCache) lead(key string) (cached []Prediction, f *flightCall, leader bool) {
+func (fc *ForecastCache) lead(key forecastKey) (cached []Prediction, f *flightCall, leader bool) {
 	return fc.probe(key, true)
 }
 
@@ -51,13 +51,13 @@ func (fc *ForecastCache) lead(key string) (cached []Prediction, f *flightCall, l
 // when another request already owns the key's flight it reports a plain
 // miss and the caller recomputes instead of waiting — the pre-coalescing
 // racing behavior, bounded to this one narrow window.
-func (fc *ForecastCache) leadOrRun(key string) (cached []Prediction, f *flightCall, leader bool) {
+func (fc *ForecastCache) leadOrRun(key forecastKey) (cached []Prediction, f *flightCall, leader bool) {
 	return fc.probe(key, false)
 }
 
 // probe is lead (join: follow an owned flight) and leadOrRun (!join: run
 // beside it, f == nil so the owner is not displaced).
-func (fc *ForecastCache) probe(key string, join bool) (cached []Prediction, f *flightCall, leader bool) {
+func (fc *ForecastCache) probe(key forecastKey, join bool) (cached []Prediction, f *flightCall, leader bool) {
 	if fc == nil {
 		return nil, nil, true
 	}
@@ -81,9 +81,14 @@ func (fc *ForecastCache) probe(key string, join bool) (cached []Prediction, f *f
 
 // settle retires a flight and wakes its waiters; idempotent, so a
 // blanket deferred abandon is safe after an explicit complete.
-func (fc *ForecastCache) settle(key string, f *flightCall, preds []Prediction, err error, abandoned bool) {
+func (fc *ForecastCache) settle(key forecastKey, f *flightCall, preds []Prediction, err error, abandoned bool) {
 	if fc == nil || f == nil {
 		return
+	}
+	select {
+	case <-f.done: // settled, so already out of the table: a blanket abandon
+		return
+	default:
 	}
 	fc.mu.Lock()
 	if fc.flights[key] == f {
@@ -96,18 +101,22 @@ func (fc *ForecastCache) settle(key string, f *flightCall, preds []Prediction, e
 	})
 }
 
-// complete publishes a flight's result. Callers must Store a successful
-// answer BEFORE completing: a request arriving after completion must
+// complete publishes a flight's result. A successful answer is stored
+// BEFORE the flight settles: a request arriving after completion must
 // find the LRU entry, or it would re-simulate a key that was already
-// paid for.
-func (fc *ForecastCache) complete(key string, f *flightCall, preds []Prediction, err error) {
+// paid for. f is nil for an answer computed beside another request's
+// flight (leadOrRun); it is stored all the same.
+func (fc *ForecastCache) complete(key forecastKey, f *flightCall, preds []Prediction, err error) {
+	if err == nil {
+		fc.Store(key, preds)
+	}
 	fc.settle(key, f, preds, err, false)
 }
 
 // abandon retires a flight without an answer (the leader panicked out
 // from under it); waiters re-enter the lead/wait protocol. No-op on a
 // flight already completed.
-func (fc *ForecastCache) abandon(key string, f *flightCall) {
+func (fc *ForecastCache) abandon(key forecastKey, f *flightCall) {
 	fc.settle(key, f, nil, nil, true)
 }
 
@@ -116,7 +125,7 @@ func (fc *ForecastCache) abandon(key string, f *flightCall) {
 // (so concurrent abandoned waiters still elect one retry leader). The
 // caller's ctx bounds the wait: a follower honors its own deadline even
 // when the leader runs long.
-func (fc *ForecastCache) waitFlight(ctx context.Context, key string, f *flightCall, simulate func() ([]Prediction, error)) ([]Prediction, error) {
+func (fc *ForecastCache) waitFlight(ctx context.Context, key forecastKey, f *flightCall, simulate func() ([]Prediction, error)) ([]Prediction, error) {
 	select {
 	case <-f.done:
 	case <-ctx.Done():
@@ -132,7 +141,7 @@ func (fc *ForecastCache) waitFlight(ctx context.Context, key string, f *flightCa
 // flight table: at most one simulation per key is in flight at a time,
 // and duplicate requests wait for it instead of racing to fill the
 // cache. simulate must return predictions in canonical order.
-func (fc *ForecastCache) predictCanonical(ctx context.Context, key string, simulate func() ([]Prediction, error)) ([]Prediction, error) {
+func (fc *ForecastCache) predictCanonical(ctx context.Context, key forecastKey, simulate func() ([]Prediction, error)) ([]Prediction, error) {
 	if fc == nil {
 		return simulate()
 	}
@@ -156,16 +165,11 @@ func (fc *ForecastCache) predictCanonical(ctx context.Context, key string, simul
 	}
 }
 
-// runFlight simulates on behalf of every waiter of a led flight. The
-// result is stored before the flight completes, so a request arriving
-// after completion hits the LRU instead of re-simulating; the deferred
-// abandon only fires when simulate panics.
-func (fc *ForecastCache) runFlight(key string, f *flightCall, simulate func() ([]Prediction, error)) (preds []Prediction, err error) {
+// runFlight simulates on behalf of every waiter of a led flight; the
+// deferred abandon only fires when simulate panics.
+func (fc *ForecastCache) runFlight(key forecastKey, f *flightCall, simulate func() ([]Prediction, error)) (preds []Prediction, err error) {
 	defer fc.abandon(key, f)
 	preds, err = simulate()
-	if err == nil {
-		fc.Store(key, preds)
-	}
 	fc.complete(key, f, preds, err)
 	return preds, err
 }

@@ -11,6 +11,10 @@ import (
 	"pilgrim/internal/scenario"
 )
 
+// flightKey is a bare canonical key for tests that drive the flight table
+// directly: the query alone tells keys apart.
+func flightKey(query string) forecastKey { return forecastKey{query: query} }
+
 // TestCoalescingOneSimulationPerKey is the coalescing contract under
 // -race: 64 concurrent requests over 8 distinct keys must pay exactly
 // one simulation per distinct key — every duplicate either coalesces
@@ -33,7 +37,7 @@ func TestCoalescingOneSimulationPerKey(t *testing.T) {
 			go func(k int) {
 				defer done.Done()
 				start.Wait()
-				preds, err := fc.predictCanonical(context.Background(), fmt.Sprintf("key-%d", k), func() ([]Prediction, error) {
+				preds, err := fc.predictCanonical(context.Background(), flightKey(fmt.Sprintf("key-%d", k)), func() ([]Prediction, error) {
 					sims[k].Add(1)
 					time.Sleep(time.Millisecond) // widen the in-flight window
 					return want[k], nil
@@ -120,7 +124,7 @@ func TestCoalescedFollowerHonorsDeadline(t *testing.T) {
 	leaderIn := make(chan struct{})
 	leaderOut := make(chan error, 1)
 	go func() {
-		_, err := fc.predictCanonical(context.Background(), "slow", func() ([]Prediction, error) {
+		_, err := fc.predictCanonical(context.Background(), flightKey("slow"), func() ([]Prediction, error) {
 			close(leaderIn)
 			<-block
 			return []Prediction{{Src: "a", Dst: "b"}}, nil
@@ -131,7 +135,7 @@ func TestCoalescedFollowerHonorsDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, err := fc.predictCanonical(ctx, "slow", func() ([]Prediction, error) {
+	if _, err := fc.predictCanonical(ctx, flightKey("slow"), func() ([]Prediction, error) {
 		t.Error("follower must not simulate while the leader is in flight")
 		return nil, nil
 	}); err != context.DeadlineExceeded {
@@ -156,7 +160,7 @@ func TestAbandonedFlightRetries(t *testing.T) {
 	followerIn := make(chan struct{})
 	go func() {
 		defer func() { recover() }()
-		_, _ = fc.predictCanonical(context.Background(), "k", func() ([]Prediction, error) {
+		_, _ = fc.predictCanonical(context.Background(), flightKey("k"), func() ([]Prediction, error) {
 			close(leaderIn)
 			<-followerIn
 			panic("simulated engine panic")
@@ -170,7 +174,7 @@ func TestAbandonedFlightRetries(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		got, err = fc.predictCanonical(context.Background(), "k", func() ([]Prediction, error) {
+		got, err = fc.predictCanonical(context.Background(), flightKey("k"), func() ([]Prediction, error) {
 			return want, nil
 		})
 	}()

@@ -102,12 +102,12 @@ type WorkerStats struct {
 // Stats returns a snapshot of the pool counters.
 func (p *WorkerPool) Stats() WorkerStats {
 	return WorkerStats{
-		Workers:           p.Workers(),
-		Busy:              p.busy.Load(),
-		Queued:            p.queued.Load(),
-		MaxBusy:           p.maxBusy.Load(),
-		Hypotheses:        p.evaluated.Load(),
-		Batches:           p.batches.Load(),
+		Workers:                 p.Workers(),
+		Busy:                    p.busy.Load(),
+		Queued:                  p.queued.Load(),
+		MaxBusy:                 p.maxBusy.Load(),
+		Hypotheses:              p.evaluated.Load(),
+		Batches:                 p.batches.Load(),
 		EvaluateCalls:           p.evalCalls.Load(),
 		EvaluateCells:           p.evalCells.Load(),
 		EvaluateGroupRuns:       p.evalRuns.Load(),
@@ -231,13 +231,7 @@ func (p *WorkerPool) selectFastestCtx(ctx context.Context, hyps []Hypothesis, pr
 			return
 		}
 		p.evaluated.Add(1)
-		makespan := 0.0
-		for _, pr := range preds {
-			if pr.Duration > makespan {
-				makespan = pr.Duration
-			}
-		}
-		results[i] = HypothesisResult{Index: i, Makespan: makespan, Predictions: preds}
+		results[i] = hypothesisResult(i, preds)
 	})
 	if ctxErr != nil {
 		return 0, nil, ctxErr
@@ -247,13 +241,30 @@ func (p *WorkerPool) selectFastestCtx(ctx context.Context, hyps []Hypothesis, pr
 			return 0, nil, fmt.Errorf("pilgrim: hypothesis %d: %w", i, e)
 		}
 	}
-	best = 0
+	return fastest(results), results, nil
+}
+
+// hypothesisResult scores one hypothesis: its makespan is its slowest
+// transfer.
+func hypothesisResult(index int, preds []Prediction) HypothesisResult {
+	makespan := 0.0
+	for _, p := range preds {
+		if p.Duration > makespan {
+			makespan = p.Duration
+		}
+	}
+	return HypothesisResult{Index: index, Makespan: makespan, Predictions: preds}
+}
+
+// fastest returns the lowest index with the smallest makespan.
+func fastest(results []HypothesisResult) int {
+	best := 0
 	for i := 1; i < len(results); i++ {
 		if results[i].Makespan < results[best].Makespan {
 			best = i
 		}
 	}
-	return best, results, nil
+	return best
 }
 
 // SelectFastest simulates each hypothesis on the pool directly (no
