@@ -21,7 +21,7 @@ BENCH_COUNT := 5
 # encoders vs encoding/json, plus the coalescing burst).
 KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkCold60CrossSite|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients
 
-.PHONY: all build test vet race bench bench-smoke bench-check bench-baseline bench-fleet campaign-check recovery-check fleet-smoke loadgen-smoke profile clean
+.PHONY: all build test vet orphans race bench bench-smoke bench-check bench-baseline bench-fleet campaign-check recovery-check fleet-smoke loadgen-smoke profile clean
 
 all: vet build test
 
@@ -33,6 +33,14 @@ test:
 
 vet:
 	go vet ./...
+
+# orphans fails when an internal package is imported by no non-test code
+# outside itself: a library nothing reaches is deleted, not carried.
+orphans:
+	@imports=$$(go list -f '{{range .Imports}}{{println .}}{{end}}' ./... | sort -u); \
+	for p in $$(go list ./internal/...); do \
+		echo "$$imports" | grep -qx "$$p" || { echo "orphan: $$p is imported by no non-test package"; bad=1; }; \
+	done; [ -z "$$bad" ]
 
 race:
 	go test -race ./internal/pilgrim/... ./internal/sim/... ./internal/flow/... ./internal/campaign/... ./internal/store/... ./internal/shard/... ./internal/gateway/...
@@ -73,7 +81,8 @@ bench-smoke:
 # median slowed by more than 25% against the committed baseline's and by
 # more than the baseline's own inter-quartile spread — and when the
 # serving hot path (a poll, a canonical hit, an evaluate grid answered from
-# the caches and one with fresh sizes and factors), a differential evaluate
+# the caches and one with fresh sizes and factors), a differential evaluate,
+# a single-picture evaluate (the runner's all-cold case)
 # or a simulation on a fresh epoch re-grows allocations by more than 10%
 # (allocation counts are nearly deterministic, so the tighter threshold
 # holds; the last two are the gate that catches an engine built per epoch,
@@ -87,7 +96,7 @@ bench-smoke:
 # must stay well ahead of a canonical hit (same multiset, reordered).
 bench-check: bench
 	go run ./cmd/benchdiff -count $(BENCH_COUNT) -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkCold60CrossSite|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold' BENCH_baseline.json BENCH_$(SHA).json
-	go run ./cmd/benchdiff -count $(BENCH_COUNT) -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPEvaluate30x8/all-hit|BenchmarkHTTPEvaluate30x8/fresh|BenchmarkEvaluateDifferential30x8/differential|BenchmarkForkVsCold/fresh-epoch' BENCH_baseline.json BENCH_$(SHA).json
+	go run ./cmd/benchdiff -count $(BENCH_COUNT) -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPEvaluate30x8/all-hit|BenchmarkHTTPEvaluate30x8/fresh|BenchmarkEvaluateDifferential30x8/differential|BenchmarkEvaluateDifferential30x8/lone|BenchmarkForkVsCold/fresh-epoch' BENCH_baseline.json BENCH_$(SHA).json
 	go run ./cmd/benchdiff -scale 'BenchmarkHTTPPredict30/legacy,BenchmarkHTTPPredict30/hit-canonical,1.4;BenchmarkHTTPPredict30/hit-canonical,BenchmarkHTTPPredict30/hit-rendered,3;BenchmarkHTTPEvaluate30x8/legacy,BenchmarkHTTPEvaluate30x8/all-hit,1.4' BENCH_$(SHA).json
 
 # bench-baseline refreshes the committed baseline from a fresh run; commit

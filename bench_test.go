@@ -750,8 +750,15 @@ func TestPredictionLatencyClaim(t *testing.T) {
 // base-answer reuse) stands between a scenario and a full 30-transfer
 // simulation. The cold variant runs the identical workload with
 // differential evaluation disabled and pays 7 full simulations per
-// iteration.
-func benchEvaluateDifferential(b *testing.B, disable bool) {
+// iteration. The lone variant is the single-picture shape (a campaign
+// step, a RemoteBackend call): the baseline scenario alone, with transfer
+// sizes nobody has asked for, so every iteration is one cold simulation
+// through the runner's nothing-to-share case.
+func benchEvaluateDifferential(b *testing.B, arm string) {
+	disable, derived := arm == "cold", 7
+	if arm == "lone" {
+		derived = 0
+	}
 	setup(b)
 	reg := walRegistry(b)
 	if err := reg.Add("g5k_test", entry); err != nil {
@@ -800,7 +807,7 @@ func benchEvaluateDifferential(b *testing.B, disable bool) {
 	}
 	request := func(i int) pilgrim.EvaluateRequest {
 		scenarios := []scenario.Scenario{{Name: "baseline"}}
-		for s := 0; s < 7; s++ {
+		for s := 0; s < derived; s++ {
 			scenarios = append(scenarios, scenario.Scenario{
 				Name: fmt.Sprintf("deg-%d", s),
 				Mutations: []scenario.Mutation{{
@@ -811,6 +818,11 @@ func benchEvaluateDifferential(b *testing.B, disable bool) {
 					BandwidthFactor: 0.5 + float64(s)*0.01 + float64(i)*1e-9,
 				}},
 			})
+		}
+		if arm == "lone" {
+			for k := range reqs {
+				reqs[k].Size = 5e8 + float64(i)
+			}
 		}
 		return pilgrim.EvaluateRequest{
 			Scenarios: scenarios,
@@ -831,16 +843,21 @@ func benchEvaluateDifferential(b *testing.B, disable bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if disable {
+		switch {
+		case arm == "lone":
+			if resp.Stats.Simulations != 1 || resp.Stats.CacheHits != 0 {
+				b.Fatalf("lone request did not simulate once: %+v", resp.Stats)
+			}
+		case disable:
 			if resp.Stats.Simulations != 7 {
 				b.Fatalf("cold path simulated %d, want 7: %+v", resp.Stats.Simulations, resp.Stats)
 			}
-		} else if resp.Stats.ForkReused != 7 || resp.Stats.Simulations != 0 {
+		case resp.Stats.ForkReused != 7 || resp.Stats.Simulations != 0:
 			b.Fatalf("differential path fell off the reuse fast path: %+v", resp.Stats)
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/8, "scenario-ns/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(1+derived), "scenario-ns/op")
 }
 
 // BenchmarkEvaluateDifferential30x8 pins the warm-start acceptance
@@ -852,8 +869,9 @@ func benchEvaluateDifferential(b *testing.B, disable bool) {
 // cheaper (893 -> 379 µs per request), not because reuse got dearer
 // (137 -> 90 µs).
 func BenchmarkEvaluateDifferential30x8(b *testing.B) {
-	b.Run("differential", func(b *testing.B) { benchEvaluateDifferential(b, false) })
-	b.Run("cold", func(b *testing.B) { benchEvaluateDifferential(b, true) })
+	for _, arm := range []string{"differential", "cold", "lone"} {
+		b.Run(arm, func(b *testing.B) { benchEvaluateDifferential(b, arm) })
+	}
 }
 
 // BenchmarkForkVsCold isolates the middle tier of the differential

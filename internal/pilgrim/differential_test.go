@@ -3,7 +3,10 @@ package pilgrim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"pilgrim/internal/scenario"
@@ -17,7 +20,10 @@ import (
 // must produce responses that marshal byte-identically to a cold
 // evaluator's (DisableDifferential, separate caches). Float64 JSON
 // round-trips exactly, so byte equality is bit equality of every
-// prediction.
+// prediction. Both of those arms run through the one evaluate runner, so a
+// third arm — directRows: every cell answered on its own by PredictTransfers
+// on the applied overlay, no dedup table, no instance map, no fold — must
+// produce the same bytes too.
 func TestEvaluateDifferentialMatchesCold(t *testing.T) {
 	base := newEvaluator(t)
 	entry, ok := base.Platforms.Get("p")
@@ -81,6 +87,13 @@ func TestEvaluateDifferentialMatchesCold(t *testing.T) {
 			}
 			req.Scenarios = append(req.Scenarios, sc)
 		}
+		if seed%3 == 0 {
+			// A no-op overlay: its own epoch, an empty delta against the base.
+			// Picked off the seed, not the rng, so the draws above and below
+			// stay the ones the tier-coverage guard was tuned on.
+			req.Scenarios = append(req.Scenarios, scenario.Scenario{Name: "noop", Mutations: []scenario.Mutation{
+				{Op: scenario.OpScaleLink, Link: links[int(seed)%len(links)], BandwidthFactor: 1}}})
+		}
 		for qi := 0; qi < 1+rng.Intn(3); qi++ {
 			q := EvalQuery{Kind: QueryPredictTransfers, Transfers: transfers()}
 			if rng.Intn(3) == 0 {
@@ -111,6 +124,9 @@ func TestEvaluateDifferentialMatchesCold(t *testing.T) {
 		if errD != nil {
 			continue
 		}
+		if d, c := len(diff.Cache.flights), len(cold.Cache.flights); d != 0 || c != 0 {
+			t.Fatalf("seed %d: flights outlive the request: differential %d, cold %d", seed, d, c)
+		}
 		// Epoch ids come from a process-global allocation counter, so the
 		// two evaluators may number the same derived pictures differently;
 		// provenance strings identify the pictures content-wise instead.
@@ -129,6 +145,13 @@ func TestEvaluateDifferentialMatchesCold(t *testing.T) {
 		if !bytes.Equal(gotD, gotC) {
 			t.Fatalf("seed %d: differential response differs from cold:\n%s\n---\n%s", seed, gotD, gotC)
 		}
+		gotDirect, err := json.Marshal(directRows(entry, req))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !bytes.Equal(gotD, gotDirect) {
+			t.Fatalf("seed %d: evaluate response differs from the direct endpoints:\n%s\n---\n%s", seed, gotD, gotDirect)
+		}
 		totals.ForkReused += respD.Stats.ForkReused
 		totals.ForkRuns += respD.Stats.ForkRuns
 		totals.ForkCold += respD.Stats.ForkCold
@@ -142,4 +165,95 @@ func TestEvaluateDifferentialMatchesCold(t *testing.T) {
 	if totals.ForkResolvedConstraints == 0 {
 		t.Fatalf("forks re-priced no constraints: %+v", totals)
 	}
+}
+
+// directRows answers an evaluate request the slow, obvious way: each
+// scenario compiled on its own, each cell one PredictTransfers call per
+// transfer set on the derived snapshot. Epochs are left zero (the caller
+// zeroes the evaluators' too).
+//
+// A workload's answer is defined on its canonical order — transfers sorted
+// by (src, dst, size), background sorted — which decides, for instance,
+// which transfer a failed link reports first; directPredict sorts with its
+// own few lines rather than the serving path's canonicalize/reorder.
+func directRows(entry PlatformEntry, req EvaluateRequest) []ScenarioResult {
+	base := entry.snapshot()
+	rows := make([]ScenarioResult, len(req.Scenarios))
+	for si := range req.Scenarios {
+		row := &rows[si]
+		row.Name = req.Scenarios[si].Name
+		snap, resolved, err := req.Scenarios[si].Compile(base, nil)
+		if err != nil {
+			row.Error = err.Error()
+			continue
+		}
+		row.Provenance = snap.Provenance()
+		row.BackgroundFlows = len(resolved.Background)
+		derived := entry
+		derived.Snapshot = snap
+		row.Results = make([]EvalResult, len(req.Queries))
+		for qi, q := range req.Queries {
+			bg := append(append([][2]string(nil), resolved.Background...), q.Background...)
+			cell := &row.Results[qi]
+			if q.Kind == QueryPredictTransfers {
+				preds, err := directPredict(derived, q.Transfers, bg)
+				if err != nil {
+					cell.Error = err.Error()
+				}
+				cell.Predictions = preds
+				continue
+			}
+			best := 0
+			for hi, h := range q.Hypotheses {
+				preds, err := directPredict(derived, h.Transfers, bg)
+				if err != nil {
+					*cell = EvalResult{Error: fmt.Sprintf("hypothesis %d: %v", hi, err)}
+					break
+				}
+				hr := HypothesisResult{Index: hi, Predictions: preds}
+				for _, p := range preds {
+					hr.Makespan = math.Max(hr.Makespan, p.Duration)
+				}
+				cell.Hypotheses = append(cell.Hypotheses, hr)
+				if hr.Makespan < cell.Hypotheses[best].Makespan {
+					best = hi
+				}
+				cell.Best = &best
+			}
+		}
+	}
+	return rows
+}
+
+func directPredict(entry PlatformEntry, transfers []TransferRequest, bg [][2]string) ([]Prediction, error) {
+	idx := make([]int, len(transfers))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		ta, tb := transfers[idx[a]], transfers[idx[b]]
+		if ta.Src != tb.Src {
+			return ta.Src < tb.Src
+		}
+		if ta.Dst != tb.Dst {
+			return ta.Dst < tb.Dst
+		}
+		return ta.Size < tb.Size
+	})
+	sorted := make([]TransferRequest, len(transfers))
+	for pos, i := range idx {
+		sorted[pos] = transfers[i]
+	}
+	sort.Slice(bg, func(a, b int) bool {
+		return bg[a][0] < bg[b][0] || bg[a][0] == bg[b][0] && bg[a][1] < bg[b][1]
+	})
+	preds, err := PredictTransfers(entry, sorted, bg)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Prediction, len(preds))
+	for pos, i := range idx {
+		out[i] = preds[pos]
+	}
+	return out, nil
 }

@@ -274,7 +274,7 @@ func TestHotEvaluateStreamsLargeGrids(t *testing.T) {
 	}
 }
 
-// TestLegacyJSONEscapeHatch pins that -legacy-json routes the same
+// TestLegacyJSONEscapeHatch pins that SetLegacyJSON routes the same
 // response through encoding/json — and that both paths serve identical
 // bytes over real HTTP.
 func TestLegacyJSONEscapeHatch(t *testing.T) {

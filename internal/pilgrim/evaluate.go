@@ -24,8 +24,10 @@ import (
 //     scenarios describing the same hypothetical network share that epoch
 //     through the OverlayCache;
 //   - scenarios sharing an (epoch, background) picture form one *group*,
-//     and groups fan out across the WorkerPool; inside a group every
-//     query runs on a single pooled engine (sim.RunPlan);
+//     groups deriving from one base epoch form one *supergroup*, and
+//     supergroups fan out across the WorkerPool; one runner
+//     (runSuperGroup) answers every cell, by base-answer reuse, checkpoint
+//     fork or a batched cold sim.RunPlan on one pooled engine;
 //   - every sub-simulation — a transfer set, a hypothesis — is a
 //     canonical (epoch, config, query) triple deduplicated through the
 //     ForecastCache, so overlapping scenarios and repeated requests pay
@@ -289,11 +291,10 @@ type Evaluator struct {
 	// defaults).
 	MaxScenarios int
 	MaxCells     int
-	// DisableDifferential forces every group to evaluate cold, turning off
-	// the warm-start base-run+delta machinery (the pilgrimd
-	// -differential-eval=false escape hatch). The zero value — differential
-	// evaluation on — is the intended configuration; results are
-	// bit-identical either way.
+	// DisableDifferential makes every group its own base, so nothing is
+	// shared and every sub-simulation runs cold. It is the oracle of the
+	// differential property tests and benchmarks, not a production setting:
+	// results are bit-identical either way.
 	DisableDifferential bool
 }
 
@@ -416,15 +417,17 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, name string, req EvaluateR
 				ev.Overlays.put(base.Epoch(), key, snap)
 			}
 		}
-		baseEntry := entry
-		baseEntry.Snapshot = base
-		delta := &platform.EpochDelta{}
-		if snap != base {
+		entry.Snapshot = snap
+		// A group's base is the epoch its scenario derived from — or, with
+		// differential evaluation off, its own epoch: then no two groups
+		// share a base and none has a delta to classify against.
+		baseEntry, delta := entry, &platform.EpochDelta{}
+		if snap != base && !ev.DisableDifferential {
+			baseEntry.Snapshot = base
 			// O(mutations), no epoch walk: the resolved overlay knows
 			// exactly which resources it changed away from base values.
 			delta = resolved.Delta(base)
 		}
-		entry.Snapshot = snap
 		row.Epoch = snap.Epoch()
 		row.Provenance = snap.Provenance()
 		row.BackgroundFlows = len(resolved.Background)
@@ -441,10 +444,11 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, name string, req EvaluateR
 	}
 	resp.Stats.Groups = len(order)
 
-	// Phase 2 (parallel): run each group's query batch on one pooled
-	// engine, deduplicating sub-simulations through the forecast cache.
-	// Queries are canonicalized once here — per group only the epoch
-	// prefix of each cache key changes.
+	// Phase 2 (parallel): groups deriving from one base epoch under one
+	// background picture share their base answers and fork handles, so the
+	// supergroup is the unit of fan-out, evaluated serially inside one pool
+	// slot. Queries are canonicalized once here — per group only the
+	// picture half of each cache key changes.
 	templates := buildSubTemplates(req.Queries)
 	pool := ev.Pool
 	if pool == nil {
@@ -453,36 +457,19 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, name string, req EvaluateR
 	pool.evalCalls.Add(1)
 	pool.evalCells.Add(uint64(resp.Stats.Cells))
 	pool.evalRuns.Add(uint64(len(order)))
-	var supers []*superGroup
-	if ev.DisableDifferential {
-		errs := make([]error, len(order))
-		if err := pool.RunCtx(ctx, len(order), func(gi int) {
-			g := order[gi]
-			g.results, errs[gi] = ev.runGroup(ctx, name, g, req.Queries, templates)
-		}); err != nil {
-			return nil, err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		// Groups deriving from one base epoch under one background picture
-		// share their base answers and fork handles: the supergroup is the
-		// unit of fan-out, evaluated serially inside one pool slot.
-		supers = buildSuperGroups(order)
+	supers := buildSuperGroups(order)
+	if !ev.DisableDifferential {
 		resp.Stats.BaseGroups = len(supers)
-		errs := make([]error, len(supers))
-		if err := pool.RunCtx(ctx, len(supers), func(si int) {
-			errs[si] = ev.runSuperGroup(ctx, name, supers[si], req.Queries, templates)
-		}); err != nil {
+	}
+	errs := make([]error, len(supers))
+	if err := pool.RunCtx(ctx, len(supers), func(si int) {
+		errs[si] = ev.runSuperGroup(ctx, name, supers[si], req.Queries, templates)
+	}); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -601,132 +588,6 @@ func buildSubTemplates(queries []EvalQuery) [][]subTemplate {
 	return out
 }
 
-// planSub is one cacheable sub-simulation of a group's plan: where its
-// answer comes from (the cache, a plan slot shared with identical subs,
-// or another request's in-flight flight) and how to fold it back into
-// its cell.
-type planSub struct {
-	tmpl     *subTemplate
-	key      forecastKey
-	bg       [][2]string  // merged background (for the abandoned-flight fallback)
-	cached   []Prediction // canonical order, when the cache answered
-	err      error        // terminal error delivered by a followed flight
-	planSlot int          // index into the RunPlan batch, -1 when cached/followed
-	flight   *flightCall  // in-flight answer owned by another request
-}
-
-// runGroup answers every request query against one derived epoch. All
-// misses across all queries run as a single sim.RunPlan batch on one
-// pooled engine; identical sub-simulations — across hypotheses, across
-// queries — collapse onto one plan slot, and subs another request is
-// already simulating coalesce onto that request's flight. Follows the
-// flight deadlock discipline (flight.go): every flight this group leads
-// completes before it waits on a followed one. A non-nil error is the
-// caller's ctx expiring mid-wait and fails the whole request.
-func (ev *Evaluator) runGroup(ctx context.Context, name string, g *evalGroup, queries []EvalQuery, templates [][]subTemplate) ([]EvalResult, error) {
-	results := make([]EvalResult, len(queries))
-	subs := make([][]planSub, len(queries)) // per query, its sub-simulations (nil for workflow)
-	var plan []sim.PlanQuery
-	var ledKeys []forecastKey    // parallel to plan
-	var ledFlights []*flightCall // parallel to plan
-	// Within one group the picture is fixed, so the query string alone
-	// identifies a sub.
-	planIdx := make(map[string]int) // query -> plan slot
-	followIdx := make(map[string]*flightCall)
-	picture := pictureKeyOf(name, g.entry)
-
-	addSub := func(qi int, tmpl *subTemplate) {
-		bg, query := tmpl.under(g.bg)
-		sub := planSub{tmpl: tmpl, key: forecastKey{picture, query}, bg: bg, planSlot: -1}
-		if slot, ok := planIdx[query]; ok {
-			sub.planSlot = slot // identical sub already planned this batch
-			g.hits++
-		} else if f, ok := followIdx[query]; ok {
-			sub.flight = f // identical sub already followed this batch
-			g.hits++
-		} else if canonical, f, leader := ev.Cache.lead(sub.key); canonical != nil {
-			sub.cached = canonical
-			g.hits++
-		} else if leader {
-			sub.planSlot = len(plan)
-			planIdx[query] = len(plan)
-			plan = append(plan, sim.PlanQuery{Transfers: tmpl.sims, Background: bg})
-			ledKeys = append(ledKeys, sub.key)
-			ledFlights = append(ledFlights, f)
-		} else {
-			// Another request is simulating this key right now: wait for
-			// its answer after our own plan runs and publishes.
-			sub.flight = f
-			followIdx[query] = f
-			g.hits++
-		}
-		subs[qi] = append(subs[qi], sub)
-	}
-
-	for qi := range templates { // nil rows: workflow queries
-		for ti := range templates[qi] {
-			addSub(qi, &templates[qi][ti])
-		}
-	}
-	// Settle every led flight no matter how this function exits: a
-	// panic below must not leave followers waiting forever (abandon is
-	// a no-op on flights completed normally).
-	defer func() {
-		for slot, key := range ledKeys {
-			ev.Cache.abandon(key, ledFlights[slot])
-		}
-	}()
-	g.workflowCells(queries, results)
-
-	planResults := sim.RunPlan(g.entry.snapshot(), g.entry.Config, plan)
-	g.sims += len(plan)
-
-	// Convert and publish each plan slot once; shared slots and later
-	// requests reuse the same canonical slice.
-	planPreds := make([][]Prediction, len(plan))
-	for slot, key := range ledKeys {
-		preds, err := planToPreds(&planResults[slot])
-		planPreds[slot] = preds
-		ev.Cache.complete(key, ledFlights[slot], preds, err)
-	}
-
-	// Only now — every led flight published — wait for the answers other
-	// requests are computing for us.
-	for qi := range subs {
-		for si := range subs[qi] {
-			sub := &subs[qi][si]
-			if sub.flight == nil {
-				continue
-			}
-			preds, err := ev.Cache.waitFlight(ctx, sub.key, sub.flight, func() ([]Prediction, error) {
-				res := sim.RunPlan(g.entry.snapshot(), g.entry.Config,
-					[]sim.PlanQuery{{Transfers: sub.tmpl.sims, Background: sub.bg}})
-				g.sims++
-				return planToPreds(&res[0])
-			})
-			if err != nil && ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			sub.cached, sub.err = preds, err
-		}
-	}
-
-	foldSubResults(queries, templates, nil, func(qi, si int) ([]Prediction, error) {
-		sub := &subs[qi][si]
-		if sub.err != nil {
-			return nil, sub.err
-		}
-		if sub.cached != nil {
-			return sub.cached, nil
-		}
-		if err := planResults[sub.planSlot].Err; err != nil {
-			return nil, err
-		}
-		return planPreds[sub.planSlot], nil
-	}, results)
-	return results, nil
-}
-
 // workflowCells answers the group's predict_workflow cells. Workflows
 // bypass the transfer cache but still share the group's engine-pool
 // flavour and background picture (the scenario's flows plus any per-query
@@ -763,7 +624,7 @@ func planToPreds(pr *sim.PlanResult) ([]Prediction, error) {
 // distinct (answer, permutation): cells that resolved to the same canonical
 // slice — a supergroup's baseline and every member reusing its answer —
 // share one read-only request-order copy, which the encoder recognises
-// (hotEnc.predictions). A nil requestOrder shares nothing.
+// (hotEnc.predictions).
 type requestOrder map[requestOrderKey][]Prediction
 
 type requestOrderKey struct {
@@ -772,7 +633,7 @@ type requestOrderKey struct {
 }
 
 func (ro requestOrder) of(canonical []Prediction, tmpl *subTemplate) []Prediction {
-	if ro == nil || len(canonical) == 0 {
+	if len(canonical) == 0 {
 		return reorder(canonical, tmpl.order)
 	}
 	k := requestOrderKey{&canonical[0], tmpl}
@@ -785,30 +646,30 @@ func (ro requestOrder) of(canonical []Prediction, tmpl *subTemplate) []Predictio
 }
 
 // foldSubResults assembles the predict_transfers and select_fastest cells
-// from their resolved canonical sub-answers; resolve returns the canonical
-// predictions (or the failure) of the si'th sub-simulation of query qi.
-// Workflow cells are untouched — they carry no transfer subs.
-func foldSubResults(queries []EvalQuery, templates [][]subTemplate, ordered requestOrder, resolve func(qi, si int) ([]Prediction, error), results []EvalResult) {
+// from one member's resolved canonical sub-answers: inst[qi][si] indexes the
+// answer of the si'th sub-simulation of query qi. Workflow cells are
+// untouched — they carry no transfer subs.
+func foldSubResults(queries []EvalQuery, templates [][]subTemplate, inst [][]int, answers []memberSub, ordered requestOrder, results []EvalResult) {
 	for qi := range queries {
 		switch queries[qi].Kind {
 		case QueryPredictTransfers:
-			canonical, err := resolve(qi, 0)
-			if err != nil {
-				results[qi].Error = err.Error()
+			a := &answers[inst[qi][0]]
+			if a.err != nil {
+				results[qi].Error = a.err.Error()
 				continue
 			}
-			results[qi].Predictions = ordered.of(canonical, &templates[qi][0])
+			results[qi].Predictions = ordered.of(a.preds, &templates[qi][0])
 		case QuerySelectFastest:
 			hyps := make([]HypothesisResult, len(templates[qi]))
 			failed := false
 			for hi := range templates[qi] {
-				canonical, err := resolve(qi, hi)
-				if err != nil {
-					results[qi].Error = fmt.Sprintf("hypothesis %d: %v", hi, err)
+				a := &answers[inst[qi][hi]]
+				if a.err != nil {
+					results[qi].Error = fmt.Sprintf("hypothesis %d: %v", hi, a.err)
 					failed = true
 					break
 				}
-				hyps[hi] = hypothesisResult(hi, ordered.of(canonical, &templates[qi][hi]))
+				hyps[hi] = hypothesisResult(hi, ordered.of(a.preds, &templates[qi][hi]))
 			}
 			if failed {
 				continue
@@ -820,15 +681,15 @@ func foldSubResults(queries []EvalQuery, templates [][]subTemplate, ordered requ
 	}
 }
 
-// superGroup is the unit of differential fan-out: every group that derives
-// from one base epoch under one scenario-background picture. The member
-// epochs differ from that base by small overlays, so the supergroup
-// answers its members against one set of base runs: cells whose query
-// footprint misses a member's delta reuse the base answer outright,
-// bandwidth-only overlaps replay from the base engine's pre-run
-// checkpoint, and the rest run cold — all bit-identical to evaluating
-// each member in isolation (see internal/sim/diff.go for the soundness
-// argument).
+// superGroup is the unit of fan-out: every group that derives from one base
+// epoch under one scenario-background picture. The member epochs differ
+// from that base by small overlays, so the supergroup answers its members
+// against one set of base runs: cells whose query footprint misses a
+// member's delta reuse the base answer outright, bandwidth-only overlaps
+// replay from the base engine's pre-run checkpoint, and the rest run cold —
+// all bit-identical to evaluating each member in isolation (see
+// internal/sim/diff.go for the soundness argument). A supergroup of one
+// group on its own base epoch has no base run to share: it is all cold.
 type superGroup struct {
 	base     PlatformEntry
 	bg       [][2]string
@@ -862,6 +723,13 @@ type diffSub struct {
 	query string
 	plan  sim.PlanQuery
 	fp    *sim.Footprint // lazy: only computed when some member misses
+
+	// The base-answer phase: whether some member reuses or forks the base
+	// answer, that answer, the fork handle and the base-key flight led.
+	needBase, wantCk bool
+	base             subAnswer
+	ck               *sim.PlanCheckpoint
+	baseLed          *flightCall
 }
 
 // footprint resolves (once) the sub's resource footprint on the base
@@ -882,27 +750,32 @@ type subAnswer struct {
 	have  bool
 }
 
-// runSuperGroup answers every member group of one base epoch. Per member
-// it first probes the member's own cache keys (exactly like a cold group
-// would), classifies the remaining subs against the member's delta, then
-// resolves them by base-answer reuse, checkpoint fork, or batched cold
-// runs. All counters live on the member groups except baseSims, which
-// counts base-epoch work attributable to the supergroup as a whole.
+// memberSub is one member's state for one diffSub: its answer once
+// resolved, and how it gets there when the member's cache probe missed.
+type memberSub struct {
+	subAnswer
+	need     bool           // missed the cache: this request resolves it
+	class    sim.DeltaClass // the tier that resolves it (need only)
+	led      *flightCall    // the flight this member leads for it, if any
+	followed *flightCall    // the flight another request owns for it, if any
+}
+
+// runSuperGroup is the one evaluate runner: it answers every member group
+// of one base epoch. Per member it probes the member's own cache keys,
+// classifies the subs that missed (the only place a cell's tier is chosen),
+// runs the base subs some member needs, then resolves each member's subs by
+// base-answer reuse, checkpoint fork, or one batched cold run. All counters
+// live on the member groups except baseSims, which counts base-epoch work
+// attributable to the supergroup as a whole.
 // Member-key misses lead coalescing flights (completed as each answer
 // lands) and keys another request is already simulating are followed —
 // but only after every led flight has published, per flight.go's
 // deadlock discipline. A non-nil error is ctx expiring mid-wait.
 func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGroup, queries []EvalQuery, templates [][]subTemplate) error {
-	// A lone member sitting on its own base epoch has nothing to diff
-	// against — the classic path is strictly cheaper.
-	if len(sg.members) == 1 && sg.members[0].delta.Empty() {
-		g := sg.members[0]
-		var err error
-		g.results, err = ev.runGroup(ctx, name, g, queries, templates)
-		return err
-	}
-
 	base := sg.base.snapshot()
+	// A lone member sitting on its own base epoch has nothing to share: a
+	// base run would be its own answer under its own key.
+	alone := len(sg.members) == 1 && sg.members[0].delta.Empty()
 
 	// Collect the distinct sub-simulations of the member set and map every
 	// (query, sub) instance onto them.
@@ -931,88 +804,78 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 		}
 	}
 
-	// Per member: probe the member's cache keys per instance (preserving
-	// the classic path's hit accounting: a repeated instance is an in-plan
-	// dedup hit) and classify what is left against the member's delta.
+	// Per member: probe the member's cache keys per instance (a repeated
+	// instance is an in-plan dedup hit) and classify what is left against
+	// the member's delta. A member's per-dsub state is one row of a
+	// request-scoped table, in dsub order — which is first-ask order, so
+	// walking a row walks the member's misses in the order it asked them.
 	type memberState struct {
-		g        *evalGroup
-		picture  pictureKey // with a dsub's query: this member's cache key
-		answers  []subAnswer
-		need     []int // dsub indices this member still has to resolve
-		class    []sim.DeltaClass
-		cold     []int         // dsub indices falling back to a cold run
-		led      []*flightCall // per dsub: the flight this member leads, if any
-		followed []*flightCall // per dsub: the flight another request owns, if any
+		g       *evalGroup
+		derived bool        // the member has a delta against the base (the fork_* counters' scope)
+		picture pictureKey  // with a dsub's query: this member's cache key
+		subs    []memberSub // per dsub
 	}
-	needBase := make([]bool, len(dsubs))
-	wantCk := make([]bool, len(dsubs))
-	// Every member's per-dsub columns are rows of request-scoped tables.
 	nd := len(dsubs)
 	members := make([]memberState, len(sg.members))
-	answers := make([]subAnswer, len(members)*nd)
-	classes := make([]sim.DeltaClass, len(members)*nd)
-	flights := make([]*flightCall, 2*len(members)*nd)
-	needed := make([]bool, nd)
+	// The member sitting on the base epoch, if any. An empty delta does not
+	// make one: a no-op overlay (scale_link factor 1) derives its own epoch.
+	var baseMember *memberState
+	basePicture := pictureKeyOf(name, sg.base)
+	table := make([]memberSub, len(members)*nd)
 	key := func(picture pictureKey, di int) forecastKey { return forecastKey{picture, dsubs[di].query} }
 	// Settle every led flight no matter how this function exits: a panic
 	// must not leave followers waiting forever (abandon no-ops on
 	// flights completed normally below, and on the nil slots).
 	defer func() {
 		for mi := range members {
-			for di, f := range members[mi].led {
-				ev.Cache.abandon(key(members[mi].picture, di), f)
+			for di := range members[mi].subs {
+				ev.Cache.abandon(key(members[mi].picture, di), members[mi].subs[di].led)
 			}
 		}
 	}()
 	for mi, g := range sg.members {
 		m := &members[mi]
-		*m = memberState{
-			g:        g,
-			picture:  pictureKeyOf(name, g.entry),
-			answers:  answers[mi*nd : (mi+1)*nd],
-			class:    classes[mi*nd : (mi+1)*nd],
-			led:      flights[2*mi*nd : (2*mi+1)*nd],
-			followed: flights[(2*mi+1)*nd : (2*mi+2)*nd],
+		*m = memberState{g: g, derived: !g.delta.Empty(), picture: pictureKeyOf(name, g.entry), subs: table[mi*nd : (mi+1)*nd]}
+		if m.picture == basePicture {
+			baseMember = m
 		}
-		clear(needed)
 		for qi := range queries {
 			for _, di := range inst[qi] {
-				if m.answers[di].have {
-					g.hits++ // cached answer shared by a repeated instance
-					continue
-				}
-				if needed[di] || m.followed[di] != nil {
-					g.hits++ // in-plan dedup: identical sub already pending
+				sub := &m.subs[di]
+				if sub.have || sub.need || sub.followed != nil {
+					g.hits++ // a repeated instance: answered, or already pending
+					if alone && sub.have {
+						// The LRU answered it, and a lone picture reports one
+						// LRU hit per instance (cache_stats.hits), not per key.
+						ev.Cache.lead(key(m.picture, di))
+					}
 					continue
 				}
 				cached, f, leader := ev.Cache.lead(key(m.picture, di))
 				if cached != nil {
-					m.answers[di] = subAnswer{preds: cached, have: true}
+					sub.subAnswer = subAnswer{preds: cached, have: true}
 					g.hits++
 					continue
 				}
 				if !leader {
 					// Another request is simulating this key: collect its
 					// answer after every flight we lead has published.
-					m.followed[di] = f
+					sub.followed = f
 					g.hits++
 					continue
 				}
-				m.led[di] = f
-				needed[di] = true
-				m.need = append(m.need, di)
-			}
-		}
-		for _, di := range m.need {
-			cls := sim.ClassReuse
-			if !g.delta.Empty() {
-				cls = dsubs[di].footprint(base).Classify(g.delta)
-			}
-			m.class[di] = cls
-			if cls == sim.ClassReuse || cls == sim.ClassFork {
-				needBase[di] = true
-				if cls == sim.ClassFork {
-					wantCk[di] = true
+				sub.led, sub.need = f, true
+				switch {
+				case alone:
+					sub.class = sim.ClassCold
+				case m.derived:
+					sub.class = dsubs[di].footprint(base).Classify(g.delta)
+				default: // no delta: the base answer is this member's answer
+					sub.class = sim.ClassReuse
+				}
+				if sub.class != sim.ClassCold {
+					dsubs[di].needBase = true
+					dsubs[di].wantCk = dsubs[di].wantCk || sub.class == sim.ClassFork
 				}
 			}
 		}
@@ -1029,31 +892,34 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	// below depend on the base answers, and parking here could chain
 	// into a cross-request cycle. When another request owns the flight,
 	// the base sub just runs again (the pre-coalescing race, bounded to
-	// this window).
-	baseAns := make([]subAnswer, len(dsubs))
-	cks := make([]*sim.PlanCheckpoint, len(dsubs))
-	baseLed := make([]*flightCall, len(dsubs))
-	basePicture := pictureKeyOf(name, sg.base)
+	// this window). When the base-epoch member of THIS request leads the
+	// key, its flight is the base flight: one miss for one simulation.
 	defer func() {
-		for di, f := range baseLed {
-			ev.Cache.abandon(key(basePicture, di), f)
+		for di := range dsubs {
+			ev.Cache.abandon(key(basePicture, di), dsubs[di].baseLed)
 		}
 	}()
 	var runIdx []int
 	for di := range dsubs {
-		if !needBase[di] {
+		ds := &dsubs[di]
+		if !ds.needBase {
+			continue
+		}
+		if baseMember != nil && baseMember.subs[di].led != nil {
+			ds.baseLed = baseMember.subs[di].led
+			runIdx = append(runIdx, di)
 			continue
 		}
 		preds, f, leader := ev.Cache.leadOrRun(key(basePicture, di))
 		if preds != nil {
-			baseAns[di] = subAnswer{preds: preds, have: true}
-			if wantCk[di] {
-				cks[di] = sim.CheckpointPlan(base, sg.base.Config, dsubs[di].plan)
+			ds.base = subAnswer{preds: preds, have: true}
+			if ds.wantCk {
+				ds.ck = sim.CheckpointPlan(base, sg.base.Config, ds.plan)
 			}
 			continue
 		}
 		if leader {
-			baseLed[di] = f
+			ds.baseLed = f
 		}
 		runIdx = append(runIdx, di)
 	}
@@ -1062,15 +928,16 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 		want := make([]bool, len(runIdx))
 		for j, di := range runIdx {
 			plan[j] = dsubs[di].plan
-			want[j] = wantCk[di]
+			want[j] = dsubs[di].wantCk
 		}
 		res, pcs := sim.RunPlanCheckpoints(base, sg.base.Config, plan, want)
 		sg.baseSims += len(runIdx)
 		for j, di := range runIdx {
+			ds := &dsubs[di]
 			preds, err := planToPreds(&res[j])
-			baseAns[di] = subAnswer{preds: preds, err: err, have: true}
-			cks[di] = pcs[j]
-			ev.Cache.complete(key(basePicture, di), baseLed[di], preds, err)
+			ds.base = subAnswer{preds: preds, err: err, have: true}
+			ds.ck = pcs[j]
+			ev.Cache.complete(key(basePicture, di), ds.baseLed, preds, err)
 		}
 	}
 
@@ -1083,48 +950,57 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	for mi := range members {
 		m := &members[mi]
 		g := m.g
-		derived := g.delta != nil && !g.delta.Empty()
-		for _, di := range m.need {
-			if m.class[di] == sim.ClassFork {
-				if pc := cks[di]; pc != nil {
+		var cold []sim.PlanQuery
+		for di := range m.subs {
+			sub := &m.subs[di]
+			if !sub.need {
+				continue
+			}
+			if sub.class == sim.ClassFork {
+				if pc := dsubs[di].ck; pc != nil {
 					if pr, ok := pc.Fork(g.entry.snapshot()); ok {
 						preds, err := planToPreds(&pr)
-						m.answers[di] = subAnswer{preds: preds, err: err, have: true}
+						sub.subAnswer = subAnswer{preds: preds, err: err, have: true}
 						g.sims++
 						g.forked++
 						g.resolved += dsubs[di].footprint(base).TouchedBw(g.delta)
-						ev.Cache.complete(key(m.picture, di), m.led[di], preds, err)
+						ev.Cache.complete(key(m.picture, di), sub.led, preds, err)
 						continue
 					}
 				}
-				m.class[di] = sim.ClassCold // no handle (base setup failed) or fork refused
+				sub.class = sim.ClassCold // no handle (base setup failed) or fork refused
 			}
-			switch m.class[di] {
+			switch sub.class {
 			case sim.ClassReuse:
-				m.answers[di] = baseAns[di]
-				if derived {
+				sub.subAnswer = dsubs[di].base
+				if m.derived {
 					g.reused++
 				}
-				ev.Cache.complete(key(m.picture, di), m.led[di], baseAns[di].preds, baseAns[di].err)
+				ev.Cache.complete(key(m.picture, di), sub.led, sub.preds, sub.err)
 			case sim.ClassCold:
-				m.cold = append(m.cold, di)
+				cold = append(cold, dsubs[di].plan)
 			}
 		}
-		if len(m.cold) > 0 {
-			plan := make([]sim.PlanQuery, len(m.cold))
-			for j, di := range m.cold {
-				plan[j] = dsubs[di].plan
+		if len(cold) == 0 {
+			continue
+		}
+		// The member's cold subs — all of its misses when it has nothing to
+		// share — run as one batch on one pooled engine.
+		res := sim.RunPlan(g.entry.snapshot(), g.entry.Config, cold)
+		g.sims += len(cold)
+		if m.derived {
+			g.cold += len(cold)
+		}
+		j := 0
+		for di := range m.subs {
+			sub := &m.subs[di]
+			if !sub.need || sub.class != sim.ClassCold {
+				continue
 			}
-			res := sim.RunPlan(g.entry.snapshot(), g.entry.Config, plan)
-			g.sims += len(plan)
-			for j, di := range m.cold {
-				preds, err := planToPreds(&res[j])
-				m.answers[di] = subAnswer{preds: preds, err: err, have: true}
-				if derived {
-					g.cold++
-				}
-				ev.Cache.complete(key(m.picture, di), m.led[di], preds, err)
-			}
+			preds, err := planToPreds(&res[j])
+			j++
+			sub.subAnswer = subAnswer{preds: preds, err: err, have: true}
+			ev.Cache.complete(key(m.picture, di), sub.led, preds, err)
 		}
 	}
 
@@ -1133,12 +1009,13 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	// deadlock discipline).
 	for mi := range members {
 		m := &members[mi]
-		for di, f := range m.followed {
-			if f == nil {
+		for di := range m.subs {
+			sub := &m.subs[di]
+			if sub.followed == nil {
 				continue
 			}
 			ds := &dsubs[di]
-			preds, err := ev.Cache.waitFlight(ctx, key(m.picture, di), f, func() ([]Prediction, error) {
+			preds, err := ev.Cache.waitFlight(ctx, key(m.picture, di), sub.followed, func() ([]Prediction, error) {
 				res := sim.RunPlan(m.g.entry.snapshot(), m.g.entry.Config, []sim.PlanQuery{ds.plan})
 				m.g.sims++
 				return planToPreds(&res[0])
@@ -1146,7 +1023,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 			if err != nil && ctx.Err() != nil {
 				return ctx.Err()
 			}
-			m.answers[di] = subAnswer{preds: preds, err: err, have: true}
+			sub.subAnswer = subAnswer{preds: preds, err: err, have: true}
 		}
 	}
 
@@ -1155,10 +1032,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 		m := &members[mi]
 		results := make([]EvalResult, len(queries))
 		m.g.workflowCells(queries, results)
-		foldSubResults(queries, templates, ordered, func(qi, si int) ([]Prediction, error) {
-			a := &m.answers[inst[qi][si]]
-			return a.preds, a.err
-		}, results)
+		foldSubResults(queries, templates, inst, m.subs, ordered, results)
 		m.g.results = results
 	}
 	return nil

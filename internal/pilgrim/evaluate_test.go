@@ -203,11 +203,13 @@ func TestEvaluateDedup(t *testing.T) {
 	if ws.EvaluateForkReused != 1 || ws.EvaluateForkRuns != 1 || ws.EvaluateForkCold != 0 {
 		t.Errorf("worker fork stats = %+v", ws)
 	}
-	// Cache counters: 4 member-key probes (the repeated query deduplicates
-	// before the cache) plus 2 base-key probes, no entry yet to hit.
+	// Cache counters: one miss per distinct key led — 2 epochs × 2 workloads
+	// (the repeated query deduplicates before the cache). The baseline member
+	// leads the two base keys, so the base phase runs under those flights and
+	// does not count a second miss for the same simulation.
 	cs := ev.Cache.Stats()
-	if cs.Misses != 6 || cs.Hits != 0 {
-		t.Errorf("cache stats after first batch = %+v", cs)
+	if cs.Misses != 4 || cs.Size != 4 || cs.Hits != 0 {
+		t.Errorf("cache stats after first batch = %+v, want one miss per distinct key (4)", cs)
 	}
 
 	// Re-evaluating the same batch touches the simulator zero times: the
@@ -242,6 +244,146 @@ func TestEvaluateDedup(t *testing.T) {
 	}
 	if r[1].Results[0].Predictions[0].Duration != r[3].Results[0].Predictions[0].Duration {
 		t.Error("equivalent scenarios diverged")
+	}
+}
+
+// TestEvaluateSinglePicture pins the accounting of single-picture requests
+// (no scenario, or one derived scenario: a campaign step, a RemoteBackend
+// call) — the shape that ran on its own cold runner until the runners
+// merged. The expected values were recorded at the last commit with two
+// runners.
+func TestEvaluateSinglePicture(t *testing.T) {
+	one := []TransferRequest{{Src: evalSrc, Dst: evalDst, Size: 5e8}}
+	alt := []TransferRequest{{Src: evalAlt, Dst: evalDst, Size: 5e8}}
+	queries := map[string]EvalQuery{
+		"predict": {Kind: QueryPredictTransfers, Transfers: one},
+		// The third hypothesis repeats the first: one sub, two instances.
+		"select": {Kind: QuerySelectFastest, Hypotheses: []Hypothesis{{Transfers: one}, {Transfers: alt}, {Transfers: one}}},
+		"workflow": {Kind: QueryPredictWorkflow, Workflow: &workflow.Workflow{Name: "w", Tasks: []workflow.Task{
+			{ID: "move", Kind: workflow.TransferData, Src: evalSrc, Dst: evalDst, Bytes: 5e8}}}},
+	}
+	scenarios := map[string][]scenario.Scenario{
+		"none": nil,
+		// Bandwidth on evalSrc's route: `one` forks from a base run, `alt`
+		// (off the NIC) reuses the base answer.
+		"derived": {{Name: "d", Mutations: []scenario.Mutation{
+			{Op: scenario.OpScaleLink, Link: testNIC, BandwidthFactor: 0.5}}}},
+		// A no-op overlay: its own epoch, no delta against the base.
+		"noop": {{Name: "n", Mutations: []scenario.Mutation{
+			{Op: scenario.OpScaleLink, Link: testNIC, BandwidthFactor: 1}}}},
+	}
+	for _, tc := range []struct {
+		scenario, query, cache         string
+		sims, cacheHits, baseGroups    int
+		hits, misses                   uint64
+		size                           int
+		forkReused, forkRuns, forkCold int
+	}{
+		{"none", "predict", "cold", 1, 0, 1, 0, 1, 1, 0, 0, 0},
+		{"none", "predict", "warm", 0, 1, 1, 1, 1, 1, 0, 0, 0},
+		{"none", "predict", "off", 1, 0, 1, 0, 1, 0, 0, 0, 0},
+		{"none", "select", "cold", 2, 1, 1, 0, 2, 2, 0, 0, 0},
+		// 3 LRU hits: a lone picture probes again for the repeated hypothesis,
+		// where a supergroup (derived/select/warm) probes once per distinct key.
+		{"none", "select", "warm", 0, 3, 1, 3, 2, 2, 0, 0, 0},
+		{"none", "select", "off", 2, 1, 1, 0, 2, 0, 0, 0, 0},
+		{"none", "workflow", "cold", 1, 0, 1, 0, 0, 0, 0, 0, 0},
+		{"none", "workflow", "warm", 1, 0, 1, 0, 0, 0, 0, 0, 0},
+		{"none", "workflow", "off", 1, 0, 1, 0, 0, 0, 0, 0, 0},
+		{"derived", "predict", "cold", 2, 0, 1, 0, 2, 2, 0, 1, 0},
+		{"derived", "predict", "warm", 0, 1, 1, 1, 2, 2, 0, 0, 0},
+		{"derived", "predict", "off", 2, 0, 1, 0, 2, 0, 0, 1, 0},
+		{"derived", "select", "cold", 3, 1, 1, 0, 4, 4, 1, 1, 0},
+		{"derived", "select", "warm", 0, 3, 1, 2, 4, 4, 0, 0, 0},
+		{"derived", "select", "off", 3, 1, 1, 0, 4, 0, 1, 1, 0},
+		{"derived", "workflow", "cold", 1, 0, 1, 0, 0, 0, 0, 0, 0},
+		{"derived", "workflow", "warm", 1, 0, 1, 0, 0, 0, 0, 0, 0},
+		{"derived", "workflow", "off", 1, 0, 1, 0, 0, 0, 0, 0, 0},
+		{"noop", "predict", "cold", 1, 0, 1, 0, 1, 1, 0, 0, 0},
+		{"noop", "select", "warm", 0, 3, 1, 3, 2, 2, 0, 0, 0},
+		{"noop", "select", "off", 2, 1, 1, 0, 2, 0, 0, 0, 0},
+	} {
+		ev := newEvaluator(t)
+		runs := 1
+		switch tc.cache {
+		case "warm": // the same request twice; the second one is recorded
+			runs = 2
+		case "off":
+			ev.Cache = NewForecastCache(0)
+		}
+		var resp *EvaluateResponse
+		for i := 0; i < runs; i++ {
+			var err error
+			resp, err = ev.Evaluate("p", EvaluateRequest{Scenarios: scenarios[tc.scenario], Queries: []EvalQuery{queries[tc.query]}})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, cs := resp.Stats, ev.Cache.Stats()
+		if st.Simulations != tc.sims || st.CacheHits != tc.cacheHits || st.BaseGroups != tc.baseGroups ||
+			st.ForkReused != tc.forkReused || st.ForkRuns != tc.forkRuns || st.ForkCold != tc.forkCold {
+			t.Errorf("%s/%s/%s: stats = %+v, want %+v", tc.scenario, tc.query, tc.cache, st, tc)
+		}
+		if cs.Hits != tc.hits || cs.Misses != tc.misses || cs.Size != tc.size {
+			t.Errorf("%s/%s/%s: cache = %+v, want %+v", tc.scenario, tc.query, tc.cache, cs, tc)
+		}
+		if n := len(ev.Cache.flights); n != 0 {
+			t.Errorf("%s/%s/%s: %d flights left in the table", tc.scenario, tc.query, tc.cache, n)
+		}
+	}
+}
+
+// TestEvaluateNoopOverlay pins a supergroup holding a no-op overlay
+// (scale_link factor 1): the overlay derives its own epoch with an empty
+// delta, so it reuses the base answer but is not the base-epoch member — the
+// base phase must not run under its flight. One miss per distinct key, and
+// no flight outlives the request (a leaked one would swallow every later
+// request for its key).
+func TestEvaluateNoopOverlay(t *testing.T) {
+	baseline := scenario.Scenario{Name: "baseline"}
+	noop := scenario.Scenario{Name: "noop", Mutations: []scenario.Mutation{
+		{Op: scenario.OpScaleLink, Link: testNIC, BandwidthFactor: 1}}}
+	scale := scenario.Scenario{Name: "scale", Mutations: []scenario.Mutation{
+		{Op: scenario.OpScaleLink, Link: testNIC, BandwidthFactor: 0.5}}}
+	query := EvalQuery{Kind: QueryPredictTransfers, Transfers: []TransferRequest{{Src: evalSrc, Dst: evalDst, Size: 5e8}}}
+	for _, tc := range []struct {
+		name      string
+		scenarios []scenario.Scenario
+		off       bool
+		misses    uint64 // distinct keys led: the members' plus, absent a baseline, the base key
+	}{
+		{"noop+scale", []scenario.Scenario{noop, scale}, false, 3},
+		{"noop+scale/off", []scenario.Scenario{noop, scale}, true, 3},
+		{"baseline+noop+scale", []scenario.Scenario{baseline, noop, scale}, false, 3},
+		{"baseline+noop+scale/off", []scenario.Scenario{baseline, noop, scale}, true, 3},
+		{"noop+baseline+scale", []scenario.Scenario{noop, baseline, scale}, false, 3},
+	} {
+		ev := newEvaluator(t)
+		if tc.off {
+			ev.Cache = NewForecastCache(0)
+		}
+		resp, err := ev.Evaluate("p", EvaluateRequest{Scenarios: tc.scenarios, Queries: []EvalQuery{query}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One base run, one fork for the scaled NIC; the no-op member and the
+		// baseline take the base answer without counting as differential wins.
+		st := resp.Stats
+		if st.Simulations != 2 || st.ForkRuns != 1 || st.ForkReused != 0 || st.ForkCold != 0 || st.BaseGroups != 1 {
+			t.Errorf("%s: stats = %+v", tc.name, st)
+		}
+		if cs := ev.Cache.Stats(); cs.Misses != tc.misses || cs.Hits != 0 || (!tc.off && cs.Size != 3) {
+			t.Errorf("%s: cache = %+v, want %d misses", tc.name, cs, tc.misses)
+		}
+		if n := len(ev.Cache.flights); n != 0 {
+			t.Errorf("%s: %d flights left in the table", tc.name, n)
+		}
+		rows := resp.Scenarios
+		for si := range rows[:len(rows)-1] { // every row but the scaled one is the base answer
+			if a, b := rows[si].Results[0].Predictions[0].Duration, rows[0].Results[0].Predictions[0].Duration; math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("%s: scenario %d = %v, want the base answer %v", tc.name, si, a, b)
+			}
+		}
 	}
 }
 

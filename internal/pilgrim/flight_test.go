@@ -3,6 +3,7 @@ package pilgrim
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,10 +16,28 @@ import (
 // directly: the query alone tells keys apart.
 func flightKey(query string) forecastKey { return forecastKey{query: query} }
 
+// waitCoalesced returns once n requests have joined flights of fc. A join
+// is counted under the cache lock at the moment the follower commits to the
+// leader's flight, so the counter is the event itself — no sleep, nothing
+// left to scheduler timing. The deadline only turns a join count that can
+// never be reached into a failure instead of a hung test binary (Errorf, not
+// Fatalf: leaders call this off the test goroutine).
+func waitCoalesced(t *testing.T, fc *ForecastCache, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for fc.Stats().CoalescedHits < n {
+		if time.Now().After(deadline) {
+			t.Errorf("coalesced hits = %d, want %d", fc.Stats().CoalescedHits, n)
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestCoalescingOneSimulationPerKey is the coalescing contract under
 // -race: 64 concurrent requests over 8 distinct keys must pay exactly
-// one simulation per distinct key — every duplicate either coalesces
-// onto the in-flight leader or hits the LRU the leader filled.
+// one simulation per distinct key. Each leader holds its flight open until
+// every duplicate of every key has joined one, so all of them coalesce.
 func TestCoalescingOneSimulationPerKey(t *testing.T) {
 	const distinct, dup = 8, 8
 	fc := NewForecastCache(64)
@@ -39,7 +58,7 @@ func TestCoalescingOneSimulationPerKey(t *testing.T) {
 				start.Wait()
 				preds, err := fc.predictCanonical(context.Background(), flightKey(fmt.Sprintf("key-%d", k)), func() ([]Prediction, error) {
 					sims[k].Add(1)
-					time.Sleep(time.Millisecond) // widen the in-flight window
+					waitCoalesced(t, fc, distinct*(dup-1))
 					return want[k], nil
 				})
 				if err != nil {
@@ -70,6 +89,9 @@ func TestCoalescingOneSimulationPerKey(t *testing.T) {
 	if st.Hits+st.CoalescedHits != distinct*(dup-1) {
 		t.Errorf("hits(%d) + coalesced(%d) = %d, want %d",
 			st.Hits, st.CoalescedHits, st.Hits+st.CoalescedHits, distinct*(dup-1))
+	}
+	if st.Hits != 0 {
+		t.Errorf("hits = %d, want 0: no flight settled before every duplicate had joined", st.Hits)
 	}
 }
 
@@ -180,9 +202,7 @@ func TestAbandonedFlightRetries(t *testing.T) {
 	}()
 	// The follower is parked on the leader's flight (coalesced counts
 	// it); release the leader into its panic.
-	for fc.Stats().CoalescedHits == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitCoalesced(t, fc, 1)
 	close(followerIn)
 	<-done
 	if err != nil || len(got) != 1 || got[0] != want[0] {
@@ -191,7 +211,7 @@ func TestAbandonedFlightRetries(t *testing.T) {
 }
 
 // TestCoalescingConcurrentEvaluate races identical and distinct
-// evaluate batches (the runGroup/runSuperGroup lead-complete-wait
+// evaluate batches (runSuperGroup's lead-complete-wait
 // paths) under -race and checks every cell still answers correctly.
 func TestCoalescingConcurrentEvaluate(t *testing.T) {
 	entry := miniEntry(t)

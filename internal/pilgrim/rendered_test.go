@@ -494,21 +494,34 @@ func TestRenderedConcurrentPollersAndWriter(t *testing.T) {
 		record()
 	}
 
-	var stop atomic.Bool
+	// The pollers run until the writer is through (or one of them fails);
+	// the writer paces itself on their answers, not on the clock.
+	const perEpoch = 40
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	// Unbuffered, and pollers only offer: a tick is delivered when the writer
+	// is waiting for one — so it counts an answer finished after the epoch
+	// was published — and is dropped otherwise, so a poller never waits.
+	tick := make(chan struct{})
 	var answered atomic.Uint64
 	var wg sync.WaitGroup
 	for p := 0; p < 8; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
+			for i := 0; ctx.Err() == nil; i++ {
 				which := (p + i) % len(targets)
 				code, body := do(s, "GET", targets[which], "")
 				if code != http.StatusOK || !legal[which][body] {
 					t.Errorf("poller %d: status %d, body not an answer of any epoch: %q", p, code, body)
+					stop()
 					return
 				}
 				answered.Add(1)
+				select {
+				case tick <- struct{}{}:
+				default:
+				}
 			}
 		}(p)
 	}
@@ -517,11 +530,14 @@ func TestRenderedConcurrentPollersAndWriter(t *testing.T) {
 			{Link: lyon(1) + "_nic", Bandwidth: bandwidth(e), Latency: -1}}); err != nil {
 			t.Fatal(err)
 		}
-		for n := answered.Load(); answered.Load() < n+40 && !t.Failed(); {
-			time.Sleep(100 * time.Microsecond) // let the pollers see this epoch
+		for n := 0; n < perEpoch; n++ { // let the pollers see this epoch
+			select {
+			case <-tick:
+			case <-ctx.Done():
+			}
 		}
 	}
-	stop.Store(true)
+	stop()
 	wg.Wait()
 	st := s.cache.Load().Stats()
 	if got := st.Hits + st.Misses + st.CoalescedHits; got != answered.Load() {

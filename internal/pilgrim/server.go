@@ -44,15 +44,11 @@ type Server struct {
 	maxScenarios atomic.Int64
 	maxCells     atomic.Int64
 
-	// differentialOff disables warm-start differential evaluation (the
-	// -differential-eval=false escape hatch); the zero value keeps it on.
+	// differentialOff and legacyJSON select the test oracles
+	// (SetDifferentialEval, SetLegacyJSON); the zero values are what
+	// pilgrimd serves with. Output is byte-identical either way.
 	differentialOff atomic.Bool
-
-	// legacyJSON routes the hot simulation responses through
-	// encoding/json instead of the pooled hand-rolled encoders (the
-	// -legacy-json escape hatch); the zero value keeps the hot path on.
-	// Output is byte-identical either way.
-	legacyJSON atomic.Bool
+	legacyJSON      atomic.Bool
 
 	// admission bounds the simulation endpoints (nil: unlimited);
 	// maxBodyBytes caps request bodies on the body-carrying endpoints
@@ -317,19 +313,19 @@ func (s *Server) ownsPlatform(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // SetDifferentialEval enables (the default) or disables warm-start
-// differential evaluation of derived scenario epochs — the pilgrimd
-// -differential-eval flag. Disabling it forces every group to simulate
-// cold; results are bit-identical either way.
+// differential evaluation of derived scenario epochs. Disabling it forces
+// every sub-simulation to run cold; results are bit-identical either way.
+// It is a test and benchmark hook (the cold oracle), not a pilgrimd flag.
 func (s *Server) SetDifferentialEval(on bool) {
 	s.differentialOff.Store(!on)
 }
 
 // SetLegacyJSON routes the hot simulation responses (predict_transfers,
 // select_fastest, evaluate) through encoding/json instead of the pooled
-// hand-rolled encoders — the pilgrimd -legacy-json escape hatch. The
-// two paths produce byte-identical output (pinned by the encoder
-// differential tests); the flag exists so a suspected encoder bug can
-// be ruled out in production without a rebuild.
+// hand-rolled encoders. The two paths produce byte-identical output; this
+// setter is how the encoder differential tests, the fuzzers and bench-check
+// reach the encoding/json oracle. It is a test and benchmark hook, not a
+// pilgrimd flag.
 func (s *Server) SetLegacyJSON(on bool) {
 	s.legacyJSON.Store(on)
 }
