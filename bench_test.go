@@ -13,6 +13,7 @@ package pilgrim_bench
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -305,53 +306,18 @@ func benchSelectFastest(b *testing.B, workers int) {
 func BenchmarkSelectFastest8x8Sequential(b *testing.B) { benchSelectFastest(b, 1) }
 func BenchmarkSelectFastest8x8Parallel(b *testing.B)   { benchSelectFastest(b, 0) }
 
-// warmRoutePairs draws a fixed pool of host pairs for the warm-route
-// concurrency benchmarks.
-func warmRoutePairs(b *testing.B) [][2]string {
-	b.Helper()
+// BenchmarkWarmRouteSnapshotParallel measures concurrent warm-route
+// resolution through the compiled snapshot, where a warm route is two
+// atomic loads and an array index: forecast workers never serialize on
+// route resolution.
+func BenchmarkWarmRouteSnapshotParallel(b *testing.B) {
 	setup(b)
 	hosts := entry.Platform.Hosts()
-	rng := stats.NewRNG(5)
-	idx := rng.Sample(len(hosts), 128)
+	idx := stats.NewRNG(5).Sample(len(hosts), 128)
 	pairs := make([][2]string, 64)
 	for i := range pairs {
 		pairs[i] = [2]string{hosts[idx[i]].ID, hosts[idx[64+i]].ID}
 	}
-	return pairs
-}
-
-// BenchmarkWarmRouteRWMutexParallel measures concurrent warm-route
-// resolution through the builder platform's memo, where every read takes
-// the RWMutex in shared mode — the path all forecast traffic used before
-// compiled snapshots.
-func BenchmarkWarmRouteRWMutexParallel(b *testing.B) {
-	pairs := warmRoutePairs(b)
-	plat := entry.Platform
-	for _, p := range pairs {
-		if _, err := plat.RouteBetween(p[0], p[1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			p := pairs[i&(len(pairs)-1)]
-			i++
-			if _, err := plat.RouteBetween(p[0], p[1]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkWarmRouteSnapshotParallel is the same workload through the
-// compiled snapshot, where a warm route is one lock-free map load. The
-// throughput gap against the RWMutex variant is the tentpole's
-// concurrency claim.
-func BenchmarkWarmRouteSnapshotParallel(b *testing.B) {
-	pairs := warmRoutePairs(b)
 	snap := entry.Platform.Snapshot()
 	for _, p := range pairs {
 		if _, err := snap.Route(p[0], p[1]); err != nil {
@@ -591,6 +557,34 @@ func BenchmarkPlatformG5KTest(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPlatformSetup measures assembling g5k_test the way every
+// server start does: Generate, then compile the base snapshot. live-B and
+// live-objs are what one assembled platform (builder + snapshot) keeps on
+// the heap after a collection — the set every later GC cycle marks.
+func BenchmarkPlatformSetup(b *testing.B) {
+	ref := g5k.Default()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var plat *platform.Platform
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := platgen.Generate(ref, platgen.Options{Variant: platgen.G5KTest})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Snapshot()
+		plat = p
+	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)), "live-B")
+	b.ReportMetric(float64(int64(after.HeapObjects)-int64(before.HeapObjects)), "live-objs")
+	runtime.KeepAlive(plat)
 }
 
 func BenchmarkPlatformG5KCabinets(b *testing.B) {

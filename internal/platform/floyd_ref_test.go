@@ -7,20 +7,22 @@ import (
 	"testing"
 )
 
-// buildFloydMapRef is the historical map-based Floyd-Warshall, kept
-// verbatim as the reference for the dense-matrix rewrite: same sorted
+// buildFloydMapRef is the historical map-based Floyd-Warshall over point
+// names, kept as the reference for the dense-matrix rewrite: same sorted
 // visit order, same epsilons, same tie-breaking.
 func buildFloydMapRef(as *AS) map[pairKey]string {
 	names := make([]string, 0, len(as.points))
-	for n := range as.points {
-		names = append(names, n)
+	for _, pt := range as.points {
+		names = append(names, pt.name)
 	}
 	sort.Strings(names)
 
-	dist := make(map[pairKey]float64, len(as.edges))
-	next := make(map[pairKey]string, len(as.edges))
-	for k, e := range as.edges {
-		c := e.Latency + 1e-12
+	dist := make(map[pairKey]float64, len(as.routes.keys))
+	next := make(map[pairKey]string, len(as.routes.keys))
+	for key, e := range as.routes.keys {
+		s, d := unpackPair(key)
+		k := pairKey{as.points[s].name, as.points[d].name}
+		c := as.routes.recs[e>>1].lat + 1e-12
 		if old, ok := dist[k]; !ok || c < old {
 			dist[k] = c
 			next[k] = k.dst
@@ -89,12 +91,12 @@ func TestBuildFloydMatchesMapReference(t *testing.T) {
 
 		want := buildFloydMapRef(as)
 		as.buildFloyd()
-		nn := int32(len(as.floydNames))
+		nn := int32(len(as.points))
 		got := 0
 		for i := int32(0); i < nn; i++ {
 			for j := int32(0); j < nn; j++ {
 				nx := as.floydNext[i*nn+j]
-				key := pairKey{as.floydNames[i], as.floydNames[j]}
+				key := pairKey{as.points[i].name, as.points[j].name}
 				wantNext, ok := want[key]
 				if nx < 0 {
 					if ok {
@@ -102,8 +104,8 @@ func TestBuildFloydMatchesMapReference(t *testing.T) {
 					}
 					continue
 				}
-				if !ok || wantNext != as.floydNames[nx] {
-					t.Fatalf("seed %d: next[%v] = %s, reference %s", seed, key, as.floydNames[nx], wantNext)
+				if !ok || wantNext != as.points[nx].name {
+					t.Fatalf("seed %d: next[%v] = %s, reference %s", seed, key, as.points[nx].name, wantNext)
 				}
 				got++
 			}

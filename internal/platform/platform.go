@@ -111,6 +111,8 @@ type Link struct {
 	Bandwidth float64 // bytes per second, nominal
 	Latency   float64 // seconds, one way
 	Policy    SharingPolicy
+
+	ord int32 // creation ordinal on its platform: Platform.linkList[ord] is this link
 }
 
 // LinkUse is one traversal of a link by a route, with the direction used
@@ -130,15 +132,6 @@ func (u LinkUse) Reverse() LinkUse {
 type Route struct {
 	Links   []LinkUse
 	Latency float64
-}
-
-// reverse returns the route traversed in the opposite direction.
-func (r Route) reverse() Route {
-	out := Route{Latency: r.Latency, Links: make([]LinkUse, len(r.Links))}
-	for i, u := range r.Links {
-		out.Links[len(r.Links)-1-i] = u.Reverse()
-	}
-	return out
 }
 
 // concat returns the concatenation of routes.
@@ -256,18 +249,18 @@ type AS struct {
 	links    map[string]*Link
 	linkIDs  []string
 
-	// point kind registry for everything addressable in this AS.
-	points map[string]PointKind
+	// Everything addressable in this AS — hosts, routers, child ASes — in
+	// declaration order: a point's index in points is its ordinal, and
+	// route tables are keyed by ordinal pairs.
+	ords   map[string]int32
+	points []netpoint
 
-	// Full routing: explicit routes between local netpoint names.
-	routes map[pairKey]Route
+	// Declared routes in index form: explicit end-to-end routes under
+	// Full routing, one-hop edges under Floyd routing.
+	routes routeTable
 
-	// Floyd routing: declared one-hop edges; the all-pairs next-hop table
-	// is built lazily on dense indices over the sorted point names
-	// (floydNext is the flattened n×n matrix, -1 when unreachable).
-	edges      map[pairKey]Route
-	floydNames []string
-	floydIdx   map[string]int32
+	// Floyd routing: the all-pairs next-hop table over ordinals, built
+	// lazily (the flattened len(points)² matrix, -1 when unreachable).
 	floydNext  []int32
 	floydBuilt bool
 
@@ -282,24 +275,32 @@ type AS struct {
 	platform *Platform
 }
 
+// netpoint is one addressable point of an AS.
+type netpoint struct {
+	name string
+	kind PointKind
+}
+
 // Platform is the root of the model plus global indices. Hosts, routers
 // and links have platform-unique names (as on Grid'5000, where node names
 // embed their site).
 //
-// Building a platform is not safe for concurrent use; once built, route
-// resolution (RouteBetween) may be called from multiple goroutines — the
-// forecast service resolves routes from concurrent HTTP requests. For the
-// lock-free read path the forecast layers actually serve from, see
-// Snapshot: Compile lowers the platform into an immutable integer-indexed
-// form, memoized here and invalidated on mutation.
+// The builder builds; the snapshot routes. Building a platform is not safe
+// for concurrent use. Forecasts resolve routes through Snapshot: Compile
+// lowers the platform into an immutable integer-indexed form, memoized
+// here and invalidated on mutation. RouteBetween is the builder's own,
+// unmemoized resolver, kept for validation and as the reference the
+// snapshot is tested against.
 type Platform struct {
-	root    *AS
-	hosts   map[string]*Host
-	routers map[string]*Router
-	links   map[string]*Link
+	root     *AS
+	hosts    map[string]*Host
+	routers  map[string]*Router
+	links    map[string]*Link
+	linkList []*Link // creation order: the link ordinals route tables store
 
-	mu    sync.RWMutex
-	cache map[pairKey]Route
+	// mu serializes route resolution on the builder, which may build an
+	// AS's Floyd table lazily (RouteBetween, Compile).
+	mu sync.Mutex
 
 	// snap memoizes the compiled base-epoch snapshot (see snapshot.go);
 	// builders drop it on every mutation via InvalidateRouteCache.
@@ -312,7 +313,6 @@ func New(rootID string, routing RoutingKind) *Platform {
 		hosts:   make(map[string]*Host),
 		routers: make(map[string]*Router),
 		links:   make(map[string]*Link),
-		cache:   make(map[pairKey]Route),
 	}
 	p.root = newAS(rootID, routing, nil, p)
 	return p
@@ -327,9 +327,7 @@ func newAS(id string, routing RoutingKind, parent *AS, p *Platform) *AS {
 		hosts:          make(map[string]*Host),
 		routers:        make(map[string]*Router),
 		links:          make(map[string]*Link),
-		points:         make(map[string]PointKind),
-		routes:         make(map[pairKey]Route),
-		edges:          make(map[pairKey]Route),
+		ords:           make(map[string]int32),
 		asRoutes:       make(map[pairKey]asRoute),
 		clusterPrivate: make(map[string]*Link),
 		platform:       p,
@@ -382,14 +380,35 @@ func (p *Platform) NumHosts() int { return len(p.hosts) }
 // NumLinks returns the number of links on the platform.
 func (p *Platform) NumLinks() int { return len(p.links) }
 
-// InvalidateRouteCache drops memoized end-to-end routes and the compiled
-// snapshot memo. Builders call it automatically; it is exported for tests
-// and tooling. Snapshots already handed out are immutable and unaffected.
+// InvalidateRouteCache drops the compiled snapshot memo, so the next
+// Snapshot call recompiles. Builders call it automatically; it is exported
+// for tests and tooling. Snapshots already handed out are immutable and
+// unaffected.
 func (p *Platform) InvalidateRouteCache() {
-	p.mu.Lock()
-	p.cache = make(map[pairKey]Route)
-	p.mu.Unlock()
 	p.snap.Store(nil)
+}
+
+// checkLinks rejects a route whose traversals name no link or a link of
+// another platform (whose ordinal would address the wrong link here).
+func (p *Platform) checkLinks(links []LinkUse, src, dst string) error {
+	for _, u := range links {
+		l := u.Link
+		if l == nil {
+			return fmt.Errorf("platform: nil link in route %s->%s", src, dst)
+		}
+		if int(l.ord) >= len(p.linkList) || p.linkList[l.ord] != l {
+			return fmt.Errorf("platform: link %q in route %s->%s is not on this platform", l.ID, src, dst)
+		}
+	}
+	return nil
+}
+
+// declare gives a new netpoint the next ordinal of this AS.
+func (as *AS) declare(id string, kind PointKind) {
+	as.ords[id] = int32(len(as.points))
+	as.points = append(as.points, netpoint{id, kind})
+	as.floydBuilt = false
+	as.platform.InvalidateRouteCache()
 }
 
 // AddAS creates a child AS.
@@ -400,8 +419,7 @@ func (as *AS) AddAS(id string, routing RoutingKind) (*AS, error) {
 	child := newAS(id, routing, as, as.platform)
 	as.children[id] = child
 	as.childIDs = append(as.childIDs, id)
-	as.points[id] = ASPoint
-	as.platform.InvalidateRouteCache()
+	as.declare(id, ASPoint)
 	return child, nil
 }
 
@@ -422,9 +440,8 @@ func (as *AS) AddHost(id string, speed float64) (*Host, error) {
 	h := &Host{ID: id, Speed: speed, AS: as}
 	as.hosts[id] = h
 	as.hostIDs = append(as.hostIDs, id)
-	as.points[id] = HostPoint
 	as.platform.hosts[id] = h
-	as.platform.InvalidateRouteCache()
+	as.declare(id, HostPoint)
 	return h, nil
 }
 
@@ -439,9 +456,8 @@ func (as *AS) AddRouter(id string) (*Router, error) {
 	r := &Router{ID: id, AS: as}
 	as.routers[id] = r
 	as.routerID = append(as.routerID, id)
-	as.points[id] = RouterPoint
 	as.platform.routers[id] = r
-	as.platform.InvalidateRouteCache()
+	as.declare(id, RouterPoint)
 	return r, nil
 }
 
@@ -456,11 +472,13 @@ func (as *AS) AddLink(id string, bandwidth, latency float64, policy SharingPolic
 	if _, dup := as.platform.links[id]; dup {
 		return nil, fmt.Errorf("platform: link %q already exists", id)
 	}
-	l := &Link{ID: id, Bandwidth: bandwidth, Latency: latency, Policy: policy}
+	p := as.platform
+	l := &Link{ID: id, Bandwidth: bandwidth, Latency: latency, Policy: policy, ord: int32(len(p.linkList))}
 	as.links[id] = l
 	as.linkIDs = append(as.linkIDs, id)
-	as.platform.links[id] = l
-	as.platform.InvalidateRouteCache()
+	p.links[id] = l
+	p.linkList = append(p.linkList, l)
+	p.InvalidateRouteCache()
 	return l, nil
 }
 
@@ -468,7 +486,7 @@ func (as *AS) checkFresh(id string) error {
 	if id == "" {
 		return fmt.Errorf("platform: empty identifier in AS %q", as.ID)
 	}
-	if _, dup := as.points[id]; dup {
+	if _, dup := as.ords[id]; dup {
 		return fmt.Errorf("platform: %q already defined in AS %q", id, as.ID)
 	}
 	return nil
@@ -489,44 +507,33 @@ func (as *AS) Parent() *AS { return as.parent }
 // AddRoute declares an explicit route between two netpoints of this AS
 // (Full routing), or a one-hop edge (Floyd routing). If symmetrical is
 // true the reverse route is derived automatically with reversed link order
-// and flipped directions.
+// and flipped directions. A rejected declaration changes nothing.
 func (as *AS) AddRoute(src, dst string, links []LinkUse, symmetrical bool) error {
 	if as.Routing == RoutingCluster {
 		return fmt.Errorf("platform: AS %q uses Cluster routing; routes are implicit", as.ID)
 	}
-	if _, ok := as.points[src]; !ok {
+	si, ok := as.ords[src]
+	if !ok {
 		return fmt.Errorf("platform: route source %q unknown in AS %q", src, as.ID)
 	}
-	if _, ok := as.points[dst]; !ok {
+	di, ok := as.ords[dst]
+	if !ok {
 		return fmt.Errorf("platform: route destination %q unknown in AS %q", dst, as.ID)
 	}
 	if src == dst {
 		return fmt.Errorf("platform: route from %q to itself in AS %q", src, as.ID)
 	}
-	r := Route{Links: append([]LinkUse(nil), links...)}
-	for _, u := range links {
-		if u.Link == nil {
-			return fmt.Errorf("platform: nil link in route %s->%s", src, dst)
-		}
-		r.Latency += u.Link.Latency
+	if err := as.platform.checkLinks(links, src, dst); err != nil {
+		return err
 	}
-	table := as.routes
-	if as.Routing == RoutingFloyd {
-		table = as.edges
-		as.floydBuilt = false
-	}
-	key := pairKey{src, dst}
-	if _, dup := table[key]; dup {
+	if as.routes.has(si, di) {
 		return fmt.Errorf("platform: duplicate route %s->%s in AS %q", src, dst, as.ID)
 	}
-	table[key] = r
-	if symmetrical {
-		rkey := pairKey{dst, src}
-		if _, dup := table[rkey]; dup {
-			return fmt.Errorf("platform: duplicate reverse route %s->%s in AS %q", dst, src, as.ID)
-		}
-		table[rkey] = r.reverse()
+	if symmetrical && as.routes.has(di, si) {
+		return fmt.Errorf("platform: duplicate reverse route %s->%s in AS %q", dst, src, as.ID)
 	}
+	as.routes.add(si, di, links, symmetrical)
+	as.floydBuilt = false
 	as.platform.InvalidateRouteCache()
 	return nil
 }
@@ -534,14 +541,15 @@ func (as *AS) AddRoute(src, dst string, links []LinkUse, symmetrical bool) error
 // AddASRoute declares a route between two child ASes of this AS, or
 // between a child AS and a local netpoint (router or host) of this AS.
 // gwSrc and gwDst are netpoints inside srcAS and dstAS; for a local
-// endpoint the gateway must be the endpoint itself (or empty).
+// endpoint the gateway must be the endpoint itself (or empty). A rejected
+// declaration changes nothing.
 func (as *AS) AddASRoute(srcAS, gwSrc, dstAS, gwDst string, links []LinkUse, symmetrical bool) error {
 	checkEnd := func(end, gw string) error {
-		kind, ok := as.points[end]
+		o, ok := as.ords[end]
 		if !ok {
 			return fmt.Errorf("platform: ASroute endpoint %q unknown in AS %q", end, as.ID)
 		}
-		if kind != ASPoint && gw != "" && gw != end {
+		if as.points[o].kind != ASPoint && gw != "" && gw != end {
 			return fmt.Errorf("platform: local ASroute endpoint %q cannot have distinct gateway %q", end, gw)
 		}
 		return nil
@@ -561,13 +569,19 @@ func (as *AS) AddASRoute(srcAS, gwSrc, dstAS, gwDst string, links []LinkUse, sym
 	if srcAS == dstAS {
 		return fmt.Errorf("platform: ASroute from %q to itself", srcAS)
 	}
+	if err := as.platform.checkLinks(links, srcAS, dstAS); err != nil {
+		return err
+	}
+	key, rkey := pairKey{srcAS, dstAS}, pairKey{dstAS, srcAS}
+	if _, dup := as.asRoutes[key]; dup {
+		return fmt.Errorf("platform: duplicate ASroute %s->%s in AS %q", srcAS, dstAS, as.ID)
+	}
+	if _, dup := as.asRoutes[rkey]; dup && symmetrical {
+		return fmt.Errorf("platform: duplicate reverse ASroute %s->%s", dstAS, srcAS)
+	}
 	r := asRoute{gwSrc: gwSrc, gwDst: gwDst, links: append([]LinkUse(nil), links...)}
 	for _, u := range links {
 		r.latency += u.Link.Latency
-	}
-	key := pairKey{srcAS, dstAS}
-	if _, dup := as.asRoutes[key]; dup {
-		return fmt.Errorf("platform: duplicate ASroute %s->%s in AS %q", srcAS, dstAS, as.ID)
 	}
 	as.asRoutes[key] = r
 	if symmetrical {
@@ -575,10 +589,6 @@ func (as *AS) AddASRoute(srcAS, gwSrc, dstAS, gwDst string, links []LinkUse, sym
 		rev.links = make([]LinkUse, len(r.links))
 		for i, u := range r.links {
 			rev.links[len(r.links)-1-i] = u.Reverse()
-		}
-		rkey := pairKey{dstAS, srcAS}
-		if _, dup := as.asRoutes[rkey]; dup {
-			return fmt.Errorf("platform: duplicate reverse ASroute %s->%s", dstAS, srcAS)
 		}
 		as.asRoutes[rkey] = rev
 	}

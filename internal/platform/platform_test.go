@@ -344,19 +344,117 @@ func TestFloydPicksShortestPath(t *testing.T) {
 	}
 }
 
+// TestRouteCacheInvalidation checks that a mutation is visible at once:
+// RouteBetween memoizes nothing, and the snapshot memo is dropped.
 func TestRouteCacheInvalidation(t *testing.T) {
 	p := buildTwoSitePlatform(t)
-	if _, err := p.RouteBetween("sagittaire-1", "sagittaire-2"); err != nil {
+	s := p.Snapshot()
+	lyon := p.Root().Children()[0]
+	if _, err := lyon.AddHost("sagittaire-4", 1e9); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.cache) == 0 {
-		t.Fatal("route not cached")
+	if p.Snapshot() == s {
+		t.Fatal("snapshot memo not invalidated by mutation")
 	}
-	if _, err := p.Root().AddLink("new", 1e9, 0, Shared); err != nil {
+	if _, err := p.RouteBetween("gw.lyon", "sagittaire-4"); err == nil {
+		t.Fatal("route resolved before it was declared")
+	}
+	l, err := lyon.AddLink("sagittaire-4_nic", 125e6, 1e-4, Shared)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.cache) != 0 {
-		t.Fatal("cache not invalidated by mutation")
+	if err := lyon.AddRoute("sagittaire-4", "gw.lyon", []LinkUse{{l, Up}}, true); err != nil {
+		t.Fatal(err)
+	}
+	r, err := p.RouteBetween("gw.lyon", "sagittaire-4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Links) != 1 || r.Links[0] != (LinkUse{l, Down}) {
+		t.Fatalf("reverse of a fresh declaration = %+v", r.Links)
+	}
+	if _, err := p.Snapshot().Route("gw.lyon", "sagittaire-4"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRejectedDeclarationChangesNothing checks that a symmetric
+// declaration whose reverse is already taken is refused as a whole: its
+// forward half must reach neither RouteBetween, nor a recompiled
+// snapshot, nor the XML export — for host routes and AS routes alike.
+func TestRejectedDeclarationChangesNothing(t *testing.T) {
+	p := buildTwoSitePlatform(t)
+	root := p.Root()
+	lyon := root.Children()[0]
+	if _, err := lyon.AddHost("sagittaire-4", 1e9); err != nil {
+		t.Fatal(err)
+	}
+	nic, err := lyon.AddLink("sagittaire-4_nic", 125e6, 1e-4, Shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lyon.AddRoute("gw.lyon", "sagittaire-4", []LinkUse{{nic, Down}}, false); err != nil {
+		t.Fatal(err)
+	}
+	rennes, err := root.AddAS("AS_rennes", RoutingFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rennes.AddRouter("gw.rennes"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rennes.AddHost("paravance-1", 1e9); err != nil {
+		t.Fatal(err)
+	}
+	pnic, _ := rennes.AddLink("paravance-1_nic", 125e6, 1e-4, Shared)
+	if err := rennes.AddRoute("paravance-1", "gw.rennes", []LinkUse{{pnic, Up}}, true); err != nil {
+		t.Fatal(err)
+	}
+	bb, _ := root.AddLink("bb_rennes_lyon", 1.25e9, 3e-3, FullDuplex)
+	if err := root.AddASRoute("AS_rennes", "gw.rennes", "AS_lyon", "gw.lyon", []LinkUse{{bb, Up}}, false); err != nil {
+		t.Fatal(err)
+	}
+
+	var before strings.Builder
+	if err := p.WriteXML(&before); err != nil {
+		t.Fatal(err)
+	}
+	s := p.Snapshot()
+	if err := lyon.AddRoute("sagittaire-4", "gw.lyon", []LinkUse{{nic, Up}}, true); err == nil {
+		t.Fatal("symmetric route over a declared reverse accepted")
+	}
+	if err := root.AddASRoute("AS_lyon", "gw.lyon", "AS_rennes", "gw.rennes", []LinkUse{{bb, Down}}, true); err == nil {
+		t.Fatal("symmetric ASroute over a declared reverse accepted")
+	}
+
+	var after strings.Builder
+	if err := p.WriteXML(&after); err != nil {
+		t.Fatal(err)
+	}
+	if after.String() != before.String() {
+		t.Error("rejected declarations changed the XML export")
+	}
+	if p.Snapshot() != s {
+		t.Fatal("rejected declarations dropped the snapshot memo")
+	}
+	p.InvalidateRouteCache()
+	recompiled := p.Snapshot()
+	for _, pair := range [][2]string{{"sagittaire-4", "gw.lyon"}, {"sagittaire-1", "paravance-1"}} {
+		if r, err := p.RouteBetween(pair[0], pair[1]); err == nil {
+			t.Errorf("RouteBetween %s->%s resolves a rejected declaration: %+v", pair[0], pair[1], r.Links)
+		}
+		if _, err := recompiled.Route(pair[0], pair[1]); err == nil {
+			t.Errorf("Snapshot.Route %s->%s resolves a rejected declaration", pair[0], pair[1])
+		}
+	}
+	// The declarations that were accepted still resolve.
+	for _, pair := range [][2]string{{"gw.lyon", "sagittaire-4"}, {"paravance-1", "sagittaire-1"}} {
+		if _, err := p.RouteBetween(pair[0], pair[1]); err != nil {
+			t.Error(err)
+		}
+		if _, err := recompiled.Route(pair[0], pair[1]); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -17,27 +17,17 @@ import (
 //  3. when an endpoint is a child AS, recurse from the endpoint to that
 //     AS's gateway for the chosen AS-level route, and splice.
 //
-// Results are memoized; builders invalidate the cache on mutation. The
-// memo is read under a shared lock, so concurrent forecast workers
-// resolving warm routes never serialize on each other; only a cache miss
-// takes the exclusive lock (which also protects the lazily built Floyd
-// tables behind resolve).
+// Nothing is memoized: every call builds a fresh Route. This is the
+// builder's reference resolver (Validate, ResolveAllHostPairs, and the
+// tests Snapshot.Route is checked against); forecasts resolve through the
+// compiled snapshot. Concurrent calls are safe but serialized, since a
+// resolution may build an AS's Floyd table.
 func (p *Platform) RouteBetween(src, dst string) (Route, error) {
 	if src == dst {
 		return Route{}, fmt.Errorf("platform: route from %q to itself", src)
 	}
-	key := pairKey{src, dst}
-	p.mu.RLock()
-	r, ok := p.cache[key]
-	p.mu.RUnlock()
-	if ok {
-		return r, nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if r, ok := p.cache[key]; ok { // raced with another resolver
-		return r, nil
-	}
 	srcAS, err := p.asOf(src)
 	if err != nil {
 		return Route{}, err
@@ -46,12 +36,7 @@ func (p *Platform) RouteBetween(src, dst string) (Route, error) {
 	if err != nil {
 		return Route{}, err
 	}
-	r, err = p.resolve(src, srcAS, dst, dstAS)
-	if err != nil {
-		return Route{}, err
-	}
-	p.cache[key] = r
-	return r, nil
+	return p.resolve(src, srcAS, dst, dstAS)
 }
 
 // asOf returns the AS directly containing the named host or router.
@@ -138,11 +123,13 @@ func (p *Platform) resolve(src string, srcAS *AS, dst string, dstAS *AS) (Route,
 func (as *AS) localRoute(src, dst string) (Route, error) {
 	switch as.Routing {
 	case RoutingFull:
-		r, ok := as.routes[pairKey{src, dst}]
-		if !ok {
+		si, sok := as.ords[src]
+		di, dok := as.ords[dst]
+		refs, lat, ok := as.routes.appendTo(nil, si, di)
+		if !sok || !dok || !ok {
 			return Route{}, fmt.Errorf("platform: no route %s->%s in Full AS %q", src, dst, as.ID)
 		}
-		return r, nil
+		return as.platform.expand(refs, lat), nil
 	case RoutingFloyd:
 		return as.floydRoute(src, dst)
 	case RoutingCluster:
@@ -150,6 +137,15 @@ func (as *AS) localRoute(src, dst string) (Route, error) {
 	default:
 		return Route{}, fmt.Errorf("platform: AS %q has unsupported routing", as.ID)
 	}
+}
+
+// expand turns traversals addressed by link ordinal into a Route.
+func (p *Platform) expand(refs []LinkRef, lat float64) Route {
+	r := Route{Latency: lat}
+	for _, ref := range refs {
+		r.Links = append(r.Links, LinkUse{Link: p.linkList[ref.LinkIndex()], Direction: ref.Direction()})
+	}
+	return r
 }
 
 // clusterRoute computes the implicit route of a Cluster AS.
@@ -182,49 +178,35 @@ func (as *AS) floydRoute(src, dst string) (Route, error) {
 	if !as.floydBuilt {
 		as.buildFloyd()
 	}
-	si, ok := as.floydIdx[src]
+	si, ok := as.ords[src]
 	if !ok {
 		return Route{}, fmt.Errorf("platform: %q unknown in Floyd AS %q", src, as.ID)
 	}
-	di, ok := as.floydIdx[dst]
+	di, ok := as.ords[dst]
 	if !ok {
 		return Route{}, fmt.Errorf("platform: %q unknown in Floyd AS %q", dst, as.ID)
 	}
-	// Reconstruct the path from the next-hop matrix.
-	n := int32(len(as.floydNames))
-	var r Route
-	for cur := si; cur != di; {
-		next := as.floydNext[cur*n+di]
-		if next < 0 {
-			return Route{}, fmt.Errorf("platform: no Floyd path %s->%s in AS %q", src, dst, as.ID)
-		}
-		edge := as.edges[pairKey{as.floydNames[cur], as.floydNames[next]}]
-		r.Links = append(r.Links, edge.Links...)
-		r.Latency += edge.Latency
-		cur = next
+	refs, lat, ok := as.routes.floydPath(nil, as.floydNext, int32(len(as.points)), si, di)
+	if !ok {
+		return Route{}, fmt.Errorf("platform: no Floyd path %s->%s in AS %q", src, dst, as.ID)
 	}
-	return r, nil
+	return as.platform.expand(refs, lat), nil
 }
 
-// buildFloyd runs Floyd-Warshall over the declared edges on dense index
-// matrices: points map to indices over the sorted name list, and distance
-// and next-hop live in flat n×n arrays — no map hashing in the O(n³)
+// buildFloyd runs Floyd-Warshall over the declared edges on dense n×n
+// matrices indexed by point ordinal — no map hashing in the O(n³)
 // relaxation. Tie-breaking is identical to the historical map-based
-// implementation (see TestBuildFloydMatchesMapReference): names are
-// visited in sorted order, an unreachable pair behaves as +Inf, and the
-// same epsilons apply.
+// implementation (see TestBuildFloydMatchesMapReference): intermediate
+// points are taken in sorted-name order, an unreachable pair behaves as
+// +Inf, and the same epsilons apply. (Within one intermediate's pass no
+// entry it reads changes, so only the intermediates' order matters.)
 func (as *AS) buildFloyd() {
-	names := make([]string, 0, len(as.points))
-	for n := range as.points {
-		names = append(names, n)
+	n := len(as.points)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	// Deterministic order for reproducible tie-breaking.
-	sort.Strings(names)
-	n := len(names)
-	idx := make(map[string]int32, n)
-	for i, name := range names {
-		idx[name] = int32(i)
-	}
+	sort.Slice(order, func(a, b int) bool { return as.points[order[a]].name < as.points[order[b]].name })
 
 	dist := make([]float64, n*n)
 	next := make([]int32, n*n)
@@ -232,17 +214,18 @@ func (as *AS) buildFloyd() {
 		dist[i] = math.Inf(1)
 		next[i] = -1
 	}
-	for k, e := range as.edges {
+	for key, e := range as.routes.keys {
 		// Edge cost: latency with a small per-hop epsilon so that
 		// zero-latency platforms still prefer fewer hops.
-		i, j := int(idx[k.src]), int(idx[k.dst])
-		c := e.Latency + 1e-12
+		si, sj := unpackPair(key)
+		i, j := int(si), int(sj)
+		c := as.routes.recs[e>>1].lat + 1e-12
 		if c < dist[i*n+j] {
 			dist[i*n+j] = c
 			next[i*n+j] = int32(j)
 		}
 	}
-	for k := 0; k < n; k++ {
+	for _, k := range order {
 		for i := 0; i < n; i++ {
 			dik := dist[i*n+k]
 			if math.IsInf(dik, 1) {
@@ -263,8 +246,6 @@ func (as *AS) buildFloyd() {
 			}
 		}
 	}
-	as.floydNames = names
-	as.floydIdx = idx
 	as.floydNext = next
 	as.floydBuilt = true
 }

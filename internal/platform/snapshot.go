@@ -25,9 +25,8 @@ import (
 // Concurrency: a Snapshot is immutable after Compile; every read — index
 // lookups, link state, route resolution — is lock-free. Cold route
 // resolutions race benignly on an atomic publish (both compute the same
-// immutable value; the first wins). This is what lets concurrent forecast
-// workers resolve warm routes without serializing on the RWMutex that
-// guards the builder Platform's route memo.
+// immutable value; the first wins), so concurrent forecast workers never
+// serialize on route resolution.
 
 // LinkRef packs one link traversal of a compiled route into an int32: the
 // link's dense index shifted left by two bits, or-ed with the traversal
@@ -147,6 +146,7 @@ type topology struct {
 	pointNames []string
 	pointIdx   map[string]int32
 	pointAS    []int32 // endpoint id -> owning AS index
+	pointOrd   []int32 // endpoint id -> ordinal in its owning AS
 
 	linkNames  []string
 	linkIdx    map[string]int32
@@ -155,7 +155,7 @@ type topology struct {
 	linkLat0   []float64 // base-epoch latency
 
 	ases  []snapAS
-	arena []LinkRef // shared storage for all eagerly compiled routes
+	arena []LinkRef // shared storage for the AS-level routes' links
 
 	// routes publishes end-to-end resolutions on demand through a
 	// two-level table of atomic pointers: one row per source endpoint,
@@ -191,24 +191,22 @@ type snapASRoute struct {
 // snapAS is the compiled form of one AS. Netpoints are addressed by
 // *codes*: endpoints (hosts/routers) use their endpoint id, child ASes
 // use numPoints + their AS index — globally unique, so per-AS tables can
-// be keyed by packed code pairs without string hashing.
+// be keyed by packed code pairs without string hashing. Declared routes
+// stay keyed by the builder's per-AS ordinals (topology.ordOf maps a code
+// to its ordinal).
 type snapAS struct {
 	id      string
 	routing RoutingKind
 	code    int32   // this AS's own point code (in its parent's tables)
+	ord     int32   // this AS's ordinal in its parent
 	chain   []int32 // ancestry as AS indices, root-first, self included
 
-	// Full routing: explicit local routes keyed by packed codes.
-	full map[uint64]routeRef
-
-	// Floyd routing, compiled eagerly on dense local indices: fCode maps a
-	// point code to its local index, fNext is the flattened n×n next-hop
-	// matrix (-1 when unreachable), fEdge holds the declared one-hop
-	// routes keyed by packed local index pairs.
-	fN    int32
-	fCode map[int32]int32
-	fNext []int32
-	fEdge map[uint64]routeRef
+	// Full routing: the declared routes; Floyd routing: the declared
+	// one-hop edges, plus the n×n next-hop matrix over ordinals (-1 when
+	// unreachable), built eagerly.
+	routes routeTable
+	fN     int32
+	fNext  []int32
 
 	// Cluster routing: per-host private link index, optional backbone
 	// link index (-1 none) and gateway router endpoint id (-1 none).
@@ -219,8 +217,6 @@ type snapAS struct {
 	// AS-level routes between child points, keyed by packed codes.
 	asRoutes map[uint64]snapASRoute
 }
-
-func packPair(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
 
 // Compile lowers the platform into a fresh base-epoch snapshot. The
 // platform must not be mutated concurrently (the builder API is already
@@ -269,12 +265,14 @@ func (p *Platform) Compile() *Snapshot {
 	t.linkPolicy = make([]SharingPolicy, len(linkNames))
 	t.linkBW0 = make([]float64, len(linkNames))
 	t.linkLat0 = make([]float64, len(linkNames))
+	linkOfOrd := make([]int32, len(p.linkList)) // creation ordinal -> compiled index
 	for i, n := range linkNames {
 		l := p.links[n]
 		t.linkIdx[n] = int32(i)
 		t.linkPolicy[i] = l.Policy
 		t.linkBW0[i] = l.Bandwidth
 		t.linkLat0[i] = l.Latency
+		linkOfOrd[l.ord] = int32(i)
 	}
 
 	// Enumerate ASes depth-first and compile each.
@@ -299,13 +297,12 @@ func (p *Platform) Compile() *Snapshot {
 	}
 
 	numPoints := int32(len(t.pointNames))
+	t.pointOrd = make([]int32, numPoints)
 	codeOf := func(as *AS, name string) int32 {
-		switch as.points[name] {
-		case ASPoint:
-			return numPoints + asIdx[as.children[name]]
-		default:
-			return t.pointIdx[name]
+		if child, ok := as.children[name]; ok {
+			return numPoints + asIdx[child]
 		}
+		return t.pointIdx[name]
 	}
 
 	var compileAS func(as *AS)
@@ -322,36 +319,32 @@ func (p *Platform) Compile() *Snapshot {
 		sa.chain = chain
 		sa.clBB, sa.clRouter = -1, -1
 
+		// The ordinal of every point, so compiled lookups can key the
+		// builder's route records by code.
+		for o, pt := range as.points {
+			if pt.kind == ASPoint {
+				t.ases[asIdx[as.children[pt.name]]].ord = int32(o)
+			} else {
+				t.pointOrd[t.pointIdx[pt.name]] = int32(o)
+			}
+		}
+
 		pushLinks := func(links []LinkUse, lat float64) routeRef {
 			off := int32(len(t.arena))
 			for _, u := range links {
-				t.arena = append(t.arena, MakeLinkRef(t.linkIdx[u.Link.ID], u.Direction))
+				t.arena = append(t.arena, MakeLinkRef(linkOfOrd[u.Link.ord], u.Direction))
 			}
 			return routeRef{off: off, n: int32(len(links)), lat: lat}
 		}
 
+		sa.routes = as.routes.compiled(linkOfOrd)
 		switch as.Routing {
-		case RoutingFull:
-			sa.full = make(map[uint64]routeRef, len(as.routes))
-			for k, r := range as.routes {
-				sa.full[packPair(codeOf(as, k.src), codeOf(as, k.dst))] = pushLinks(r.Links, r.Latency)
-			}
 		case RoutingFloyd:
 			if !as.floydBuilt {
 				as.buildFloyd()
 			}
-			n := int32(len(as.floydNames))
-			sa.fN = n
-			sa.fCode = make(map[int32]int32, n)
-			for li, name := range as.floydNames {
-				sa.fCode[codeOf(as, name)] = int32(li)
-			}
-			sa.fNext = append([]int32(nil), as.floydNext...)
-			sa.fEdge = make(map[uint64]routeRef, len(as.edges))
-			for k, e := range as.edges {
-				li, lj := as.floydIdx[k.src], as.floydIdx[k.dst]
-				sa.fEdge[packPair(li, lj)] = pushLinks(e.Links, e.Latency)
-			}
+			sa.fN = int32(len(as.points))
+			sa.fNext = as.floydNext // never written after buildFloyd returns it
 		case RoutingCluster:
 			sa.clPrivate = make(map[int32]int32, len(as.clusterPrivate))
 			for host, l := range as.clusterPrivate {
@@ -820,20 +813,33 @@ func (t *topology) codeName(code int32) string {
 	return t.ases[code-int32(len(t.pointNames))].id
 }
 
-// localRoute resolves a route inside one compiled AS.
+// ordOf returns the ordinal of the point with the given code in the AS
+// holding it.
+func (t *topology) ordOf(code int32) int32 {
+	if int(code) < len(t.pointOrd) {
+		return t.pointOrd[code]
+	}
+	return t.ases[code-int32(len(t.pointOrd))].ord
+}
+
+// localRoute resolves a route between two points of one compiled AS.
 func (t *topology) localRoute(asI int32, src, dst int32, refs *[]LinkRef) (float64, error) {
 	sa := &t.ases[asI]
+	var lat float64
+	var ok bool
 	switch sa.routing {
 	case RoutingFull:
-		rr, ok := sa.full[packPair(src, dst)]
-		if !ok {
+		if *refs, lat, ok = sa.routes.appendTo(*refs, t.ordOf(src), t.ordOf(dst)); !ok {
 			return 0, fmt.Errorf("platform: no route %s->%s in Full AS %q",
 				t.codeName(src), t.codeName(dst), sa.id)
 		}
-		*refs = append(*refs, t.arena[rr.off:rr.off+rr.n]...)
-		return rr.lat, nil
+		return lat, nil
 	case RoutingFloyd:
-		return t.floydRoute(sa, src, dst, refs)
+		if *refs, lat, ok = sa.routes.floydPath(*refs, sa.fNext, sa.fN, t.ordOf(src), t.ordOf(dst)); !ok {
+			return 0, fmt.Errorf("platform: no Floyd path %s->%s in AS %q",
+				t.codeName(src), t.codeName(dst), sa.id)
+		}
+		return lat, nil
 	case RoutingCluster:
 		return t.clusterRoute(sa, src, dst, refs)
 	default:
@@ -860,32 +866,6 @@ func (t *topology) clusterRoute(sa *snapAS, src, dst int32, refs *[]LinkRef) (fl
 		lat += t.linkLat0[down]
 	} else if dst != sa.clRouter {
 		return 0, fmt.Errorf("platform: %q not in cluster AS %q", t.codeName(dst), sa.id)
-	}
-	return lat, nil
-}
-
-// floydRoute reconstructs the shortest path from the compiled next-hop
-// matrix, splicing the declared edge routes.
-func (t *topology) floydRoute(sa *snapAS, src, dst int32, refs *[]LinkRef) (float64, error) {
-	li, ok := sa.fCode[src]
-	if !ok {
-		return 0, fmt.Errorf("platform: %q unknown in Floyd AS %q", t.codeName(src), sa.id)
-	}
-	lj, ok := sa.fCode[dst]
-	if !ok {
-		return 0, fmt.Errorf("platform: %q unknown in Floyd AS %q", t.codeName(dst), sa.id)
-	}
-	var lat float64
-	for cur := li; cur != lj; {
-		next := sa.fNext[cur*sa.fN+lj]
-		if next < 0 {
-			return 0, fmt.Errorf("platform: no Floyd path %s->%s in AS %q",
-				t.codeName(src), t.codeName(dst), sa.id)
-		}
-		edge := sa.fEdge[packPair(cur, next)]
-		*refs = append(*refs, t.arena[edge.off:edge.off+edge.n]...)
-		lat += edge.lat
-		cur = next
 	}
 	return lat, nil
 }

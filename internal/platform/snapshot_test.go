@@ -402,7 +402,7 @@ func TestValidateSamplesAcrossClusters(t *testing.T) {
 	if as.ID != "AS_nancy" {
 		t.Fatalf("unexpected AS order: %s", as.ID)
 	}
-	delete(as.routes, pairKey{"nancy-gw", "nancy-4"})
+	delete(as.routes.keys, packPair(as.ords["nancy-gw"], as.ords["nancy-4"]))
 	p.InvalidateRouteCache()
 	if err := p.Validate(0); err == nil {
 		t.Fatal("sanity: full validation should fail on the broken route")

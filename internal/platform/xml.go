@@ -296,21 +296,20 @@ func dumpAS(as *AS) xmlAS {
 	// Routes sorted for deterministic output. Symmetry is not
 	// reconstructed: both directions serialize explicitly, which is valid
 	// (AddRoute with symmetrical=NO for each).
-	routeKeys := make([]pairKey, 0, len(as.routes))
-	for k := range as.routes {
-		routeKeys = append(routeKeys, k)
+	routeKeys := make([]pairKey, 0, len(as.routes.keys))
+	for k := range as.routes.keys {
+		s, d := unpackPair(k)
+		routeKeys = append(routeKeys, pairKey{as.points[s].name, as.points[d].name})
 	}
 	sortPairs(routeKeys)
+	var refs []LinkRef
 	for _, k := range routeKeys {
-		x.Routes = append(x.Routes, dumpRoute(k, as.routes[k]))
-	}
-	edgeKeys := make([]pairKey, 0, len(as.edges))
-	for k := range as.edges {
-		edgeKeys = append(edgeKeys, k)
-	}
-	sortPairs(edgeKeys)
-	for _, k := range edgeKeys {
-		x.Routes = append(x.Routes, dumpRoute(k, as.edges[k]))
+		refs, _, _ = as.routes.appendTo(refs[:0], as.ords[k.src], as.ords[k.dst])
+		xr := xmlRoute{Src: k.src, Dst: k.dst, Symmetrical: "NO"}
+		for _, ref := range refs {
+			xr.Links = append(xr.Links, xmlLinkCtn{ID: as.platform.linkList[ref.LinkIndex()].ID, Direction: dirAttr(ref.Direction())})
+		}
+		x.Routes = append(x.Routes, xr)
 	}
 	asKeys := make([]pairKey, 0, len(as.asRoutes))
 	for k := range as.asRoutes {
@@ -347,14 +346,6 @@ func dumpAS(as *AS) xmlAS {
 		x.Children = append(x.Children, dumpAS(c))
 	}
 	return x
-}
-
-func dumpRoute(k pairKey, r Route) xmlRoute {
-	xr := xmlRoute{Src: k.src, Dst: k.dst, Symmetrical: "NO"}
-	for _, u := range r.Links {
-		xr.Links = append(xr.Links, xmlLinkCtn{ID: u.Link.ID, Direction: dirAttr(u.Direction)})
-	}
-	return xr
 }
 
 func dirAttr(d Direction) string {

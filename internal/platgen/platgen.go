@@ -227,24 +227,25 @@ func (g *generator) fillSiteDetailed(p *platform.Platform, as *platform.AS, site
 		}
 	}
 
-	// pathToGW returns the uplink chain from a host's switch to the site
-	// gateway (empty for hosts plugged straight into the gateway).
-	bpOf := func(eq string) []platform.LinkUse {
+	// appendBP appends an equipment's backplane traversal, if it has one.
+	appendBP := func(links []platform.LinkUse, eq string) []platform.LinkUse {
 		if l := backplane[eq]; l != nil {
-			return []platform.LinkUse{{Link: l, Direction: platform.None}}
+			return append(links, platform.LinkUse{Link: l, Direction: platform.None})
 		}
-		return nil
+		return links
 	}
 
+	// One scratch route for every declaration: AddRoute copies its input.
+	var links []platform.LinkUse
 	// Routes host -> gateway.
 	for _, h := range hosts {
-		links := []platform.LinkUse{{Link: h.nicLink, Direction: platform.Up}}
-		links = append(links, bpOf(h.sw)...)
+		links = append(links[:0], platform.LinkUse{Link: h.nicLink, Direction: platform.Up})
+		links = appendBP(links, h.sw)
 		if up := uplink[h.sw]; up != nil {
 			links = append(links, platform.LinkUse{Link: up, Direction: platform.Up})
 		}
 		if h.sw != gw { // gateway backplane, unless already added above
-			links = append(links, bpOf(gw)...)
+			links = appendBP(links, gw)
 		}
 		if err := as.AddRoute(h.fqdn, gw, links, true); err != nil {
 			return err
@@ -252,29 +253,22 @@ func (g *generator) fillSiteDetailed(p *platform.Platform, as *platform.AS, site
 	}
 	// Routes host -> host.
 	for i, a := range hosts {
-		for j, b := range hosts {
-			if i >= j {
-				continue
-			}
-			var links []platform.LinkUse
-			links = append(links, platform.LinkUse{Link: a.nicLink, Direction: platform.Up})
-			if a.sw == b.sw {
-				// Same equipment: through its backplane only.
-				links = append(links, bpOf(a.sw)...)
-			} else {
-				links = append(links, bpOf(a.sw)...)
+		for _, b := range hosts[i+1:] {
+			links = append(links[:0], platform.LinkUse{Link: a.nicLink, Direction: platform.Up})
+			links = appendBP(links, a.sw)
+			if a.sw != b.sw { // same equipment: through its backplane only
 				if up := uplink[a.sw]; up != nil {
 					links = append(links, platform.LinkUse{Link: up, Direction: platform.Up})
 				}
 				// The site gateway is traversed unless it is one of the
 				// endpoints' own switches (already accounted above/below).
 				if a.sw != gw && b.sw != gw {
-					links = append(links, bpOf(gw)...)
+					links = appendBP(links, gw)
 				}
 				if down := uplink[b.sw]; down != nil {
 					links = append(links, platform.LinkUse{Link: down, Direction: platform.Down})
 				}
-				links = append(links, bpOf(b.sw)...)
+				links = appendBP(links, b.sw)
 			}
 			links = append(links, platform.LinkUse{Link: b.nicLink, Direction: platform.Down})
 			if err := as.AddRoute(a.fqdn, b.fqdn, links, true); err != nil {
@@ -473,7 +467,8 @@ func (g *generator) generateFlat() (*platform.Platform, error) {
 
 	type flatHost struct {
 		hostInfo
-		toGW []platform.LinkUse // path from host up to its site gateway
+		toGW   []platform.LinkUse // path from host up to its site gateway
+		fromGW []platform.LinkUse // its reverse
 	}
 	var hosts []flatHost
 	gwBySite := make(map[string]string)
@@ -525,6 +520,9 @@ func (g *generator) generateFlat() (*platform.Platform, error) {
 				if up := uplink[itf.Switch]; up != nil {
 					fh.toGW = append(fh.toGW, platform.LinkUse{Link: up, Direction: platform.Up})
 				}
+				for i := len(fh.toGW) - 1; i >= 0; i-- {
+					fh.fromGW = append(fh.fromGW, fh.toGW[i].Reverse())
+				}
 				hosts = append(hosts, fh)
 			}
 		}
@@ -563,33 +561,21 @@ func (g *generator) generateFlat() (*platform.Platform, error) {
 		}
 	}
 
-	reverse := func(us []platform.LinkUse) []platform.LinkUse {
-		out := make([]platform.LinkUse, len(us))
-		for i, u := range us {
-			out[len(us)-1-i] = u.Reverse()
-		}
-		return out
-	}
-
-	// The full O(N^2) route table.
+	// The full O(N^2) route table, declared through one scratch route
+	// (AddRoute copies its input).
+	var links []platform.LinkUse
 	for i, a := range hosts {
-		for j, b := range hosts {
-			if i >= j {
-				continue
-			}
-			var links []platform.LinkUse
-			if a.site == b.site {
-				if a.sw == b.sw {
-					links = append(links, platform.LinkUse{Link: a.nicLink, Direction: platform.Up},
-						platform.LinkUse{Link: b.nicLink, Direction: platform.Down})
-				} else {
-					links = append(links, a.toGW...)
-					links = append(links, reverse(b.toGW)...)
-				}
-			} else {
-				links = append(links, a.toGW...)
+		for _, b := range hosts[i+1:] {
+			switch {
+			case a.site == b.site && a.sw == b.sw:
+				links = append(links[:0], platform.LinkUse{Link: a.nicLink, Direction: platform.Up},
+					platform.LinkUse{Link: b.nicLink, Direction: platform.Down})
+			case a.site == b.site:
+				links = append(append(links[:0], a.toGW...), b.fromGW...)
+			default:
+				links = append(links[:0], a.toGW...)
 				links = append(links, bbPath[[2]string{a.site, b.site}]...)
-				links = append(links, reverse(b.toGW)...)
+				links = append(links, b.fromGW...)
 			}
 			if err := root.AddRoute(a.fqdn, b.fqdn, links, true); err != nil {
 				return nil, err
