@@ -19,8 +19,10 @@ BENCH_COUNT := 5
 # epoch per iteration), and the end-to-end HTTP serving
 # path (one predict sub-benchmark per rung of the serving ladder, pooled
 # encoders vs encoding/json, plus the coalescing burst), and assembling
-# the g5k_test platform (Generate + compile, with the live heap it keeps).
-KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkCold60CrossSite|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients|BenchmarkPlatformSetup
+# the g5k_test platform (Generate + compile, with the live heap it keeps),
+# and publishing every host pair's route into a fresh snapshot (the memo's
+# live heap and one forced GC over it).
+KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkCold60CrossSite|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs
 
 .PHONY: all build test vet orphans race bench bench-smoke bench-check bench-baseline bench-fleet campaign-check recovery-check fleet-smoke loadgen-smoke profile clean
 
@@ -44,7 +46,7 @@ orphans:
 	done; [ -z "$$bad" ]
 
 race:
-	go test -race ./internal/pilgrim/... ./internal/sim/... ./internal/flow/... ./internal/campaign/... ./internal/store/... ./internal/shard/... ./internal/gateway/...
+	go test -race ./internal/platform/... ./internal/pilgrim/... ./internal/sim/... ./internal/flow/... ./internal/campaign/... ./internal/store/... ./internal/shard/... ./internal/gateway/...
 
 # recovery-check is the durability gate: WAL framing/torn-tail/corruption
 # fault injection, registry warm-restart byte-identity (with and without
@@ -87,8 +89,9 @@ bench-smoke:
 # or a simulation on a fresh epoch re-grows allocations by more than 10%
 # (allocation counts are nearly deterministic, so the tighter threshold
 # holds; the last two are the gate that catches an engine built per epoch,
-# which no fixed-epoch benchmark sees) — and when assembling g5k_test
-# does (the gate that catches per-route objects coming back). Only
+# which no fixed-epoch benchmark sees) — and when assembling g5k_test or
+# publishing all its host-pair routes does (the gates that catch
+# per-route objects coming back, in the builder or in the route memo). Only
 # single-threaded benchmarks gate cross-run: the RunParallel benchmarks
 # scale with the machine's core count and would make a cross-machine
 # comparison meaningless. The last check is within THIS run: the
@@ -98,7 +101,7 @@ bench-smoke:
 # must stay well ahead of a canonical hit (same multiset, reordered).
 bench-check: bench
 	go run ./cmd/benchdiff -count $(BENCH_COUNT) -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkCold60CrossSite|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold' BENCH_baseline.json BENCH_$(SHA).json
-	go run ./cmd/benchdiff -count $(BENCH_COUNT) -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPEvaluate30x8/all-hit|BenchmarkHTTPEvaluate30x8/fresh|BenchmarkEvaluateDifferential30x8/differential|BenchmarkEvaluateDifferential30x8/lone|BenchmarkForkVsCold/fresh-epoch|BenchmarkPlatformSetup' BENCH_baseline.json BENCH_$(SHA).json
+	go run ./cmd/benchdiff -count $(BENCH_COUNT) -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPEvaluate30x8/all-hit|BenchmarkHTTPEvaluate30x8/fresh|BenchmarkEvaluateDifferential30x8/differential|BenchmarkEvaluateDifferential30x8/lone|BenchmarkForkVsCold/fresh-epoch|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs' BENCH_baseline.json BENCH_$(SHA).json
 	go run ./cmd/benchdiff -scale 'BenchmarkHTTPPredict30/legacy,BenchmarkHTTPPredict30/hit-canonical,1.4;BenchmarkHTTPPredict30/hit-canonical,BenchmarkHTTPPredict30/hit-rendered,3;BenchmarkHTTPEvaluate30x8/legacy,BenchmarkHTTPEvaluate30x8/all-hit,1.4' BENCH_$(SHA).json
 
 # bench-baseline refreshes the committed baseline from a fresh run; commit

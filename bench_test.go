@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pilgrim/internal/experiments"
 	"pilgrim/internal/g5k"
@@ -307,9 +308,9 @@ func BenchmarkSelectFastest8x8Sequential(b *testing.B) { benchSelectFastest(b, 1
 func BenchmarkSelectFastest8x8Parallel(b *testing.B)   { benchSelectFastest(b, 0) }
 
 // BenchmarkWarmRouteSnapshotParallel measures concurrent warm-route
-// resolution through the compiled snapshot, where a warm route is two
-// atomic loads and an array index: forecast workers never serialize on
-// route resolution.
+// resolution through the compiled snapshot, where a warm route is three
+// atomic loads (row, slot, chunk directory) and no lock: forecast workers
+// never serialize on route resolution.
 func BenchmarkWarmRouteSnapshotParallel(b *testing.B) {
 	setup(b)
 	hosts := entry.Platform.Hosts()
@@ -585,6 +586,49 @@ func BenchmarkPlatformSetup(b *testing.B) {
 	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)), "live-B")
 	b.ReportMetric(float64(int64(after.HeapObjects)-int64(before.HeapObjects)), "live-objs")
 	runtime.KeepAlive(plat)
+}
+
+// BenchmarkRouteMemoAllPairs measures publishing all 265 740 ordered host
+// pairs of g5k_test into a freshly compiled snapshot — the route memo a
+// long-running server converges to. memo-B and memo-objs are what the
+// published routes keep on the heap beyond the compiled snapshot; gc-us
+// is one forced collection with that memo live.
+func BenchmarkRouteMemoAllPairs(b *testing.B) {
+	setup(b)
+	p := entry.Platform
+	var hosts []string
+	for _, h := range p.Hosts() {
+		hosts = append(hosts, h.ID)
+	}
+	var before, after runtime.MemStats
+	snap := p.Compile()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap = p.Compile()
+		for _, src := range hosts {
+			for _, dst := range hosts {
+				if src == dst {
+					continue
+				}
+				if _, err := snap.Route(src, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	start := time.Now()
+	runtime.GC()
+	gc := time.Since(start)
+	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)), "memo-B")
+	b.ReportMetric(float64(int64(after.HeapObjects)-int64(before.HeapObjects)), "memo-objs")
+	b.ReportMetric(float64(gc.Microseconds()), "gc-us")
+	runtime.KeepAlive(snap)
 }
 
 func BenchmarkPlatformG5KCabinets(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -22,11 +23,11 @@ import (
 // between epochs — so folding a batch of live measurements (NWS/iperf)
 // into the forecast picture costs O(changed links), not O(platform).
 //
-// Concurrency: a Snapshot is immutable after Compile; every read — index
-// lookups, link state, route resolution — is lock-free. Cold route
-// resolutions race benignly on an atomic publish (both compute the same
-// immutable value; the first wins), so concurrent forecast workers never
-// serialize on route resolution.
+// Concurrency: a Snapshot is immutable after Compile apart from its
+// published-route memo; every read — index lookups, link state, warm
+// route resolution — is lock-free. A cold route is resolved outside any
+// lock and published under one short mutex, so concurrent forecast
+// workers never serialize on a route somebody already asked for.
 
 // LinkRef packs one link traversal of a compiled route into an int32: the
 // link's dense index shifted left by two bits, or-ed with the traversal
@@ -157,21 +158,78 @@ type topology struct {
 	ases  []snapAS
 	arena []LinkRef // shared storage for the AS-level routes' links
 
-	// routes publishes end-to-end resolutions on demand through a
-	// two-level table of atomic pointers: one row per source endpoint,
-	// allocated on the source's first resolution, with one slot per
-	// destination. A warm read is two atomic loads and an array index —
-	// no lock, no hashing — so concurrent forecast workers never touch a
-	// shared cache line outside the routes themselves. Cold resolutions
-	// race benignly: both compute the identical immutable route and the
-	// first CompareAndSwap wins. Memory: one row costs 8·numPoints bytes,
-	// paid only for endpoints that actually source traffic.
+	// routes publishes end-to-end resolutions on demand: one row per
+	// source endpoint, allocated on the source's first resolution, with
+	// one slot per destination holding 1 + the route's index in memo (0:
+	// not published yet). A warm read is three atomic loads — row, slot,
+	// chunk directory — and two array indexes: no lock, no hashing.
+	// Memory: one row costs 4·numPoints pointer-free bytes, paid only for
+	// endpoints that actually source traffic.
 	routes []atomic.Pointer[routeRow]
+	memo   routeMemo
 }
 
-// routeRow holds the published routes out of one source endpoint.
+// routeRow holds the indices of the published routes out of one source
+// endpoint.
 type routeRow struct {
-	slots []atomic.Pointer[CompiledRoute]
+	slots []atomic.Uint32
+}
+
+// Published routes live in fixed-size chunks of CompiledRoute reached
+// through a chunk directory; each route's Refs is a full-capacity window
+// of a pointer-free LinkRef chunk. Chunks are never moved or reused, so
+// a *CompiledRoute and its Refs stay valid for the topology's lifetime —
+// the engine and its callers hold them across requests. Every published
+// pair costs 32 bytes plus 4 per link, and the collector marks one object
+// per chunk instead of two per route.
+const (
+	memoChunkShift = 9
+	memoChunkSize  = 1 << memoChunkShift
+	memoChunkMask  = memoChunkSize - 1
+	memoRefChunk   = 8192 // LinkRefs per arena chunk
+)
+
+type routeChunk [memoChunkSize]CompiledRoute
+
+// routeMemo stores the published routes. Readers only call at; add runs
+// under mu. The directory grows by publishing a longer slice header, so
+// a reader still holding an older header indexes only chunks it sees.
+type routeMemo struct {
+	dir atomic.Pointer[[]*routeChunk]
+
+	mu   sync.Mutex
+	n    uint32    // routes published
+	refs []LinkRef // unused tail of the current arena chunk
+}
+
+// at returns published route i. i must come from a slot load, which
+// orders this read after the add that stored the route and its chunk.
+func (m *routeMemo) at(i uint32) *CompiledRoute {
+	return &(*m.dir.Load())[i>>memoChunkShift][i&memoChunkMask]
+}
+
+// add copies a resolved route into the memo and returns its index. The
+// caller holds mu and publishes the index to readers afterwards.
+func (m *routeMemo) add(refs []LinkRef, lat float64) uint32 {
+	i := m.n
+	if i&memoChunkMask == 0 {
+		var dir []*routeChunk
+		if d := m.dir.Load(); d != nil {
+			dir = *d
+		}
+		dir = append(dir, new(routeChunk))
+		m.dir.Store(&dir)
+	}
+	n := len(refs)
+	if n > len(m.refs) {
+		m.refs = make([]LinkRef, max(memoRefChunk, n))
+	}
+	r := m.at(i)
+	r.Refs, r.Latency = m.refs[:n:n], lat
+	copy(r.Refs, refs)
+	m.refs = m.refs[n:]
+	m.n++
+	return i
 }
 
 // routeRef is a slice of the shared arena plus the route's base latency.
@@ -683,9 +741,10 @@ func (s *Snapshot) RouteLatency(r *CompiledRoute) float64 {
 // Route resolves the end-to-end route between two hosts (or routers) in
 // compiled form. Resolution mirrors Platform.RouteBetween — same AS walk,
 // same tables, bit-identical link order and latency sums — but reads only
-// immutable compiled state: warm routes are a lock-free map load, cold
-// ones a pure computation published for the next caller. The returned
-// route is shared and must not be mutated.
+// immutable compiled state: warm routes are a lock-free table load, cold
+// ones a pure computation published for the next caller. Every caller of
+// a pair, in every epoch derived from the same compilation, gets the same
+// pointer. The returned route is shared and must not be mutated.
 func (s *Snapshot) Route(src, dst string) (*CompiledRoute, error) {
 	if src == dst {
 		return nil, fmt.Errorf("platform: route from %q to itself", src)
@@ -702,46 +761,42 @@ func (s *Snapshot) Route(src, dst string) (*CompiledRoute, error) {
 	return t.route(si, di)
 }
 
-// RouteIdx is Route addressed by endpoint indices (a host's endpoint id
-// is its host index).
-func (s *Snapshot) RouteIdx(src, dst int32) (*CompiledRoute, error) {
-	if src == dst {
-		return nil, fmt.Errorf("platform: route from %q to itself", s.topo.pointNames[src])
-	}
-	return s.topo.route(src, dst)
-}
-
 func (t *topology) route(src, dst int32) (*CompiledRoute, error) {
-	row := t.routes[src].Load()
-	if row == nil {
-		fresh := &routeRow{slots: make([]atomic.Pointer[CompiledRoute], len(t.pointNames))}
-		if t.routes[src].CompareAndSwap(nil, fresh) {
-			row = fresh
-		} else {
-			row = t.routes[src].Load()
+	if row := t.routes[src].Load(); row != nil {
+		if i := row.slots[dst].Load(); i != 0 {
+			return t.memo.at(i - 1), nil
 		}
 	}
-	if r := row.slots[dst].Load(); r != nil {
-		return r, nil
-	}
-	r := &CompiledRoute{Refs: make([]LinkRef, 0, 8)}
-	lat, err := t.resolve(src, t.pointAS[src], dst, t.pointAS[dst], &r.Refs)
+	var buf [32]LinkRef
+	refs, lat, err := t.resolve(src, t.pointAS[src], dst, t.pointAS[dst], buf[:0])
 	if err != nil {
 		return nil, err
 	}
-	r.Latency = lat
-	if !row.slots[dst].CompareAndSwap(nil, r) {
-		return row.slots[dst].Load(), nil // lost a benign resolution race
+	m := &t.memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	row := t.routes[src].Load()
+	if row == nil {
+		row = &routeRow{slots: make([]atomic.Uint32, len(t.pointNames))}
+		t.routes[src].Store(row)
 	}
-	return r, nil
+	// Re-check: a concurrent caller may have published the pair while we
+	// resolved it, and every caller must get the same pointer.
+	if i := row.slots[dst].Load(); i != 0 {
+		return m.at(i - 1), nil
+	}
+	i := m.add(refs, lat)
+	row.slots[dst].Store(i + 1)
+	return m.at(i), nil
 }
 
 // resolve mirrors Platform.resolve on compiled state: find the deepest
 // common ancestor AS, look up the AS-level route between the branches,
 // recurse to the gateways and splice. Latencies are summed bottom-up in
 // the exact association Platform.resolve uses (sub-route totals first,
-// then concatenation), so the result is bit-identical.
-func (t *topology) resolve(src, srcAS int32, dst, dstAS int32, refs *[]LinkRef) (float64, error) {
+// then concatenation), so the result is bit-identical. The links are
+// appended to refs.
+func (t *topology) resolve(src, srcAS int32, dst, dstAS int32, refs []LinkRef) ([]LinkRef, float64, error) {
 	if srcAS == dstAS {
 		return t.localRoute(srcAS, src, dst, refs)
 	}
@@ -752,7 +807,7 @@ func (t *topology) resolve(src, srcAS int32, dst, dstAS int32, refs *[]LinkRef) 
 		common++
 	}
 	if common == 0 {
-		return 0, fmt.Errorf("platform: %q and %q share no ancestor AS", t.pointNames[src], t.pointNames[dst])
+		return nil, 0, fmt.Errorf("platform: %q and %q share no ancestor AS", t.pointNames[src], t.pointNames[dst])
 	}
 	ancestor := &t.ases[sChain[common-1]]
 
@@ -772,37 +827,36 @@ func (t *topology) resolve(src, srcAS int32, dst, dstAS int32, refs *[]LinkRef) 
 
 	ar, ok := ancestor.asRoutes[packPair(srcPoint, dstPoint)]
 	if !ok {
-		return 0, fmt.Errorf("platform: no ASroute %s->%s in AS %q (for %s->%s)",
+		return nil, 0, fmt.Errorf("platform: no ASroute %s->%s in AS %q (for %s->%s)",
 			t.codeName(srcPoint), t.codeName(dstPoint), ancestor.id,
 			t.pointNames[src], t.pointNames[dst])
 	}
 
-	var lat float64
+	var lat, sub float64
+	var err error
 	if haveSrcChild && src != ar.gwSrc {
 		if ar.gwSrc < 0 {
-			return 0, fmt.Errorf("platform: unresolvable gateway of ASroute %s->%s in AS %q",
+			return nil, 0, fmt.Errorf("platform: unresolvable gateway of ASroute %s->%s in AS %q",
 				t.codeName(srcPoint), t.codeName(dstPoint), ancestor.id)
 		}
-		hl, err := t.resolve(src, srcAS, ar.gwSrc, ar.gwSrcAS, refs)
-		if err != nil {
-			return 0, err
+		if refs, sub, err = t.resolve(src, srcAS, ar.gwSrc, ar.gwSrcAS, refs); err != nil {
+			return nil, 0, err
 		}
-		lat += hl
+		lat += sub
 	}
-	*refs = append(*refs, t.arena[ar.links.off:ar.links.off+ar.links.n]...)
+	refs = append(refs, t.arena[ar.links.off:ar.links.off+ar.links.n]...)
 	lat += ar.links.lat
 	if haveDstChild && dst != ar.gwDst {
 		if ar.gwDst < 0 {
-			return 0, fmt.Errorf("platform: unresolvable gateway of ASroute %s->%s in AS %q",
+			return nil, 0, fmt.Errorf("platform: unresolvable gateway of ASroute %s->%s in AS %q",
 				t.codeName(srcPoint), t.codeName(dstPoint), ancestor.id)
 		}
-		tl, err := t.resolve(ar.gwDst, ar.gwDstAS, dst, dstAS, refs)
-		if err != nil {
-			return 0, err
+		if refs, sub, err = t.resolve(ar.gwDst, ar.gwDstAS, dst, dstAS, refs); err != nil {
+			return nil, 0, err
 		}
-		lat += tl
+		lat += sub
 	}
-	return lat, nil
+	return refs, lat, nil
 }
 
 // codeName renders a point code for error messages.
@@ -823,51 +877,51 @@ func (t *topology) ordOf(code int32) int32 {
 }
 
 // localRoute resolves a route between two points of one compiled AS.
-func (t *topology) localRoute(asI int32, src, dst int32, refs *[]LinkRef) (float64, error) {
+func (t *topology) localRoute(asI int32, src, dst int32, refs []LinkRef) ([]LinkRef, float64, error) {
 	sa := &t.ases[asI]
 	var lat float64
 	var ok bool
 	switch sa.routing {
 	case RoutingFull:
-		if *refs, lat, ok = sa.routes.appendTo(*refs, t.ordOf(src), t.ordOf(dst)); !ok {
-			return 0, fmt.Errorf("platform: no route %s->%s in Full AS %q",
+		if refs, lat, ok = sa.routes.appendTo(refs, t.ordOf(src), t.ordOf(dst)); !ok {
+			return nil, 0, fmt.Errorf("platform: no route %s->%s in Full AS %q",
 				t.codeName(src), t.codeName(dst), sa.id)
 		}
-		return lat, nil
+		return refs, lat, nil
 	case RoutingFloyd:
-		if *refs, lat, ok = sa.routes.floydPath(*refs, sa.fNext, sa.fN, t.ordOf(src), t.ordOf(dst)); !ok {
-			return 0, fmt.Errorf("platform: no Floyd path %s->%s in AS %q",
+		if refs, lat, ok = sa.routes.floydPath(refs, sa.fNext, sa.fN, t.ordOf(src), t.ordOf(dst)); !ok {
+			return nil, 0, fmt.Errorf("platform: no Floyd path %s->%s in AS %q",
 				t.codeName(src), t.codeName(dst), sa.id)
 		}
-		return lat, nil
+		return refs, lat, nil
 	case RoutingCluster:
 		return t.clusterRoute(sa, src, dst, refs)
 	default:
-		return 0, fmt.Errorf("platform: AS %q has unsupported routing", sa.id)
+		return nil, 0, fmt.Errorf("platform: AS %q has unsupported routing", sa.id)
 	}
 }
 
 // clusterRoute synthesizes the implicit route of a Cluster AS, adding
 // latencies in the same order as AS.clusterRoute.
-func (t *topology) clusterRoute(sa *snapAS, src, dst int32, refs *[]LinkRef) (float64, error) {
+func (t *topology) clusterRoute(sa *snapAS, src, dst int32, refs []LinkRef) ([]LinkRef, float64, error) {
 	var lat float64
 	if up, ok := sa.clPrivate[src]; ok {
-		*refs = append(*refs, MakeLinkRef(up, Up))
+		refs = append(refs, MakeLinkRef(up, Up))
 		lat += t.linkLat0[up]
 	} else if src != sa.clRouter {
-		return 0, fmt.Errorf("platform: %q not in cluster AS %q", t.codeName(src), sa.id)
+		return nil, 0, fmt.Errorf("platform: %q not in cluster AS %q", t.codeName(src), sa.id)
 	}
 	if sa.clBB >= 0 {
-		*refs = append(*refs, MakeLinkRef(sa.clBB, None))
+		refs = append(refs, MakeLinkRef(sa.clBB, None))
 		lat += t.linkLat0[sa.clBB]
 	}
 	if down, ok := sa.clPrivate[dst]; ok {
-		*refs = append(*refs, MakeLinkRef(down, Down))
+		refs = append(refs, MakeLinkRef(down, Down))
 		lat += t.linkLat0[down]
 	} else if dst != sa.clRouter {
-		return 0, fmt.Errorf("platform: %q not in cluster AS %q", t.codeName(dst), sa.id)
+		return nil, 0, fmt.Errorf("platform: %q not in cluster AS %q", t.codeName(dst), sa.id)
 	}
-	return lat, nil
+	return refs, lat, nil
 }
 
 // ExpandRoute converts a compiled route back to the builder-level link

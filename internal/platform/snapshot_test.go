@@ -126,22 +126,32 @@ func buildMixedPlatform(t testing.TB, nHosts int) *Platform {
 	return p
 }
 
-// requireSameRoute asserts a compiled route is bit-identical to a builder
-// route: same links in the same order, same directions, same latency bits.
-func requireSameRoute(t *testing.T, s *Snapshot, want Route, got *CompiledRoute, whoA, whoB string) {
-	t.Helper()
+// routeMismatch reports how a compiled route differs from a builder
+// route — links, order, directions, latency bits — or nil when it is
+// bit-identical.
+func routeMismatch(s *Snapshot, want Route, got *CompiledRoute) error {
 	if len(want.Links) != len(got.Refs) {
-		t.Fatalf("%s->%s: %d links vs %d refs", whoA, whoB, len(want.Links), len(got.Refs))
+		return fmt.Errorf("%d links vs %d refs", len(want.Links), len(got.Refs))
 	}
 	for i, u := range want.Links {
 		ref := got.Refs[i]
 		if s.LinkName(ref.LinkIndex()) != u.Link.ID || ref.Direction() != u.Direction {
-			t.Fatalf("%s->%s hop %d: want %s:%v got %s:%v", whoA, whoB, i,
+			return fmt.Errorf("hop %d: want %s:%v got %s:%v", i,
 				u.Link.ID, u.Direction, s.LinkName(ref.LinkIndex()), ref.Direction())
 		}
 	}
 	if math.Float64bits(want.Latency) != math.Float64bits(s.RouteLatency(got)) {
-		t.Fatalf("%s->%s: latency %v vs %v (bits differ)", whoA, whoB, want.Latency, s.RouteLatency(got))
+		return fmt.Errorf("latency %v vs %v (bits differ)", want.Latency, s.RouteLatency(got))
+	}
+	return nil
+}
+
+// requireSameRoute asserts a compiled route is bit-identical to a builder
+// route.
+func requireSameRoute(t *testing.T, s *Snapshot, want Route, got *CompiledRoute, whoA, whoB string) {
+	t.Helper()
+	if err := routeMismatch(s, want, got); err != nil {
+		t.Fatalf("%s->%s: %v", whoA, whoB, err)
 	}
 }
 
@@ -384,6 +394,110 @@ func TestSnapshotConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSnapshotConcurrentPublication publishes every ordered endpoint pair
+// of a platform with more pairs than one route chunk and more links than
+// one arena chunk from many goroutines at once, so chunks grow while
+// other goroutines read. Half the goroutines go through epochs derived
+// with WithLinkState. Every answer is checked against the builder's
+// resolver, which shares nothing with the snapshot's memo (links,
+// directions, latency bits), and every caller in every epoch must get the
+// same pointer for a pair.
+func TestSnapshotConcurrentPublication(t *testing.T) {
+	p := buildMixedPlatform(t, 24)
+	points := []string{"lyon-gw", "nancy-gw", "cl-gw", "m-in", "m-mid", "m-out"}
+	for _, h := range p.Hosts() {
+		points = append(points, h.ID)
+	}
+	var pairs [][2]string
+	var want []Route
+	links := 0
+	for _, a := range points {
+		for _, b := range points {
+			if a == b {
+				continue
+			}
+			r, err := p.RouteBetween(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs = append(pairs, [2]string{a, b})
+			want = append(want, r)
+			links += len(r.Links)
+		}
+	}
+	if len(pairs) <= memoChunkSize || links <= memoRefChunk {
+		t.Fatalf("platform too small to grow the memo: %d pairs, %d links", len(pairs), links)
+	}
+
+	s := p.Compile()
+	const workers = 8
+	got := make([][]*CompiledRoute, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		got[g] = make([]*CompiledRoute, len(pairs))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			snap := s
+			for k := range pairs {
+				// Even goroutines walk forwards together, contending for
+				// the same cold pairs; odd ones walk backwards, crossing
+				// them, and re-derive their epoch every 500 pairs.
+				i := k
+				if g%2 == 1 {
+					i = len(pairs) - 1 - k
+					if k%500 == 0 {
+						var err error
+						if snap, err = s.WithLinkState([]LinkUpdate{{Link: "cl_bb", Bandwidth: 1e9 + float64(k), Latency: -1}}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+				r, err := snap.Route(pairs[i][0], pairs[i][1])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := routeMismatch(snap, want[i], r); err != nil {
+					t.Errorf("%s->%s (goroutine %d): %v", pairs[i][0], pairs[i][1], g, err)
+					return
+				}
+				got[g][i] = r
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	late, err := s.WithLinkState([]LinkUpdate{{Link: "bb_ln", Bandwidth: 2e9, Latency: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pr := range pairs {
+		first := got[0][i]
+		for g := 1; g < workers; g++ {
+			if got[g][i] != first {
+				t.Fatalf("%s->%s: goroutines 0 and %d got different routes", pr[0], pr[1], g)
+			}
+		}
+		for _, snap := range []*Snapshot{s, late} {
+			r, err := snap.Route(pr[0], pr[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r != first {
+				t.Fatalf("%s->%s: epoch %d republished the route", pr[0], pr[1], snap.Epoch())
+			}
+		}
+		// Published routes never move: the first answer still holds the
+		// right links after every later chunk was allocated.
+		requireSameRoute(t, s, want[i], first, pr[0], pr[1])
+	}
 }
 
 // TestValidateSamplesAcrossClusters checks that Validate's host sampling
