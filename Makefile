@@ -14,15 +14,14 @@ BENCH_COUNT := 5
 # flow component re-solved at every completion), the hypothesis-selection
 # fan-out, the
 # snapshot layer's concurrency/copy-on-write claims, the scenario
-# overlay/batched-evaluation claims, the warm-start differential
-# evaluation tiers (reuse/fork vs cold, on a fixed epoch and on a fresh
-# epoch per iteration), and the end-to-end HTTP serving
+# overlay/batched-evaluation claims, differential evaluation (base-answer
+# reuse vs cold), and the end-to-end HTTP serving
 # path (one predict sub-benchmark per rung of the serving ladder, pooled
 # encoders vs encoding/json, plus the coalescing burst), and assembling
 # the g5k_test platform (Generate + compile, with the live heap it keeps),
 # and publishing every host pair's route into a fresh snapshot (the memo's
 # live heap and one forced GC over it).
-KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkCold60CrossSite|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs
+KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkCold60CrossSite|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs
 
 .PHONY: all build test vet orphans race bench bench-smoke bench-check bench-baseline bench-fleet campaign-check recovery-check fleet-smoke loadgen-smoke profile clean
 
@@ -84,12 +83,12 @@ bench-smoke:
 # median slowed by more than 25% against the committed baseline's and by
 # more than the baseline's own inter-quartile spread — and when the
 # serving hot path (a poll, a canonical hit, an evaluate grid answered from
-# the caches and one with fresh sizes and factors), a differential evaluate,
-# a single-picture evaluate (the runner's all-cold case)
-# or a simulation on a fresh epoch re-grows allocations by more than 10%
-# (allocation counts are nearly deterministic, so the tighter threshold
-# holds; the last two are the gate that catches an engine built per epoch,
-# which no fixed-epoch benchmark sees) — and when assembling g5k_test or
+# the caches and one with fresh sizes and factors), a differential evaluate
+# or a single-picture evaluate (the runner's all-cold case) re-grows
+# allocations by more than 10% (allocation counts are nearly deterministic,
+# so the tighter threshold holds; the fresh-factor grid, whose derived
+# epochs are new every iteration, is the gate that catches an engine built
+# per epoch, which no fixed-epoch benchmark sees) — and when assembling g5k_test or
 # publishing all its host-pair routes does (the gates that catch
 # per-route objects coming back, in the builder or in the route memo). Only
 # single-threaded benchmarks gate cross-run: the RunParallel benchmarks
@@ -100,8 +99,8 @@ bench-smoke:
 # only in the response writer), and a rendered hit (same request line)
 # must stay well ahead of a canonical hit (same multiset, reordered).
 bench-check: bench
-	go run ./cmd/benchdiff -count $(BENCH_COUNT) -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkCold60CrossSite|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold' BENCH_baseline.json BENCH_$(SHA).json
-	go run ./cmd/benchdiff -count $(BENCH_COUNT) -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPEvaluate30x8/all-hit|BenchmarkHTTPEvaluate30x8/fresh|BenchmarkEvaluateDifferential30x8/differential|BenchmarkEvaluateDifferential30x8/lone|BenchmarkForkVsCold/fresh-epoch|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs' BENCH_baseline.json BENCH_$(SHA).json
+	go run ./cmd/benchdiff -count $(BENCH_COUNT) -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkCold60CrossSite|BenchmarkEvaluateDifferential30x8' BENCH_baseline.json BENCH_$(SHA).json
+	go run ./cmd/benchdiff -count $(BENCH_COUNT) -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPEvaluate30x8/all-hit|BenchmarkHTTPEvaluate30x8/fresh|BenchmarkEvaluateDifferential30x8/differential|BenchmarkEvaluateDifferential30x8/lone|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs' BENCH_baseline.json BENCH_$(SHA).json
 	go run ./cmd/benchdiff -scale 'BenchmarkHTTPPredict30/legacy,BenchmarkHTTPPredict30/hit-canonical,1.4;BenchmarkHTTPPredict30/hit-canonical,BenchmarkHTTPPredict30/hit-rendered,3;BenchmarkHTTPEvaluate30x8/legacy,BenchmarkHTTPEvaluate30x8/all-hit,1.4' BENCH_$(SHA).json
 
 # bench-baseline refreshes the committed baseline from a fresh run; commit
@@ -141,7 +140,7 @@ loadgen-smoke:
 
 # profile captures CPU and allocation profiles of the evaluate hot path
 # (the differential and steady-state evaluate benchmarks exercise the
-# overlay, classification, fork, and cache layers). Inspect with
+# overlay, classification, and cache layers). Inspect with
 # `go tool pprof profiles/evaluate_cpu.pprof`.
 profile:
 	mkdir -p profiles

@@ -13,14 +13,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
-	"pilgrim/internal/execo"
 	"pilgrim/internal/experiments"
 	"pilgrim/internal/g5k"
 	"pilgrim/internal/pilgrim"
@@ -102,50 +100,17 @@ func run(figArg string, reps, nsizes int, outDir string, quick bool, variantArg 
 		}
 	}
 
-	// Orchestrate the campaign with the execo engine: sequential figures,
-	// with the per-figure cell sweep inside RunFigure.
-	results := make([]*experiments.Result, len(specs))
-	var actions []execo.Action
-	for i, spec := range specs {
-		i, spec := i, spec
-		actions = append(actions, execo.Func(spec.ID, func(context.Context) error {
-			start := time.Now()
-			res, err := runner.RunFigure(spec)
-			if err != nil {
-				return err
-			}
-			results[i] = res
-			figure := res.Figure()
-			fmt.Println(figure.RenderASCII(18))
-			fmt.Printf("  [%s completed in %.1fs; large-size median error %+.3f, small-size %+.3f]\n\n",
-				spec.ID, time.Since(start).Seconds(),
-				res.LargeSizeMedianError(), res.SmallSizeMedianError())
-			if outDir != "" {
-				f, err := os.Create(filepath.Join(outDir, spec.ID+".csv"))
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := figure.WriteCSV(f); err != nil {
-					return err
-				}
-			}
-			return nil
-		}))
-	}
-	report := execo.Run(context.Background(), execo.Sequential("campaign", actions...))
-	if report.Err != nil {
-		fmt.Fprint(os.Stderr, report.String())
-		return report.Err
+	// Figures run one after another; the first failure stops the campaign.
+	results := make([]*experiments.Result, 0, len(specs))
+	for _, spec := range specs {
+		res, err := runFigure(runner, spec, outDir)
+		if err != nil {
+			return fmt.Errorf("%s: %w", spec.ID, err)
+		}
+		results = append(results, res)
 	}
 
-	var ok []*experiments.Result
-	for _, r := range results {
-		if r != nil {
-			ok = append(ok, r)
-		}
-	}
-	sum := experiments.Summarize(ok)
+	sum := experiments.Summarize(results)
 	paper := experiments.PaperSummary
 	fmt.Println(plot.Table(fmt.Sprintf("Global accuracy over %d transfers with size > %.3g B (paper §V-B):", sum.N, experiments.LargeTransferThreshold),
 		[][2]string{
@@ -162,10 +127,37 @@ func run(figArg string, reps, nsizes int, outDir string, quick bool, variantArg 
 		defer f.Close()
 		fmt.Fprintf(f, "n=%d median_abs_error=%.4f stddev=%.4f frac_below_0.575=%.4f\n",
 			sum.N, sum.MedianAbsError, sum.StdDevError, sum.FractionBelow0575)
-		for _, r := range ok {
+		for _, r := range results {
 			fmt.Fprintf(f, "%s large_size_median_error=%+.4f small_size_median_error=%+.4f\n",
 				r.Spec.ID, r.LargeSizeMedianError(), r.SmallSizeMedianError())
 		}
 	}
 	return nil
+}
+
+// runFigure runs one figure's sweep, prints its box plot and error summary,
+// and, given an output directory, writes the figure's CSV there.
+func runFigure(runner *experiments.Runner, spec experiments.Spec, outDir string) (*experiments.Result, error) {
+	start := time.Now()
+	res, err := runner.RunFigure(spec)
+	if err != nil {
+		return nil, err
+	}
+	figure := res.Figure()
+	fmt.Println(figure.RenderASCII(18))
+	fmt.Printf("  [%s completed in %.1fs; large-size median error %+.3f, small-size %+.3f]\n\n",
+		spec.ID, time.Since(start).Seconds(),
+		res.LargeSizeMedianError(), res.SmallSizeMedianError())
+	if outDir == "" {
+		return res, nil
+	}
+	f, err := os.Create(filepath.Join(outDir, spec.ID+".csv"))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if err := figure.WriteCSV(f); err != nil {
+		return nil, err
+	}
+	return res, nil
 }

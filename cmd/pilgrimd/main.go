@@ -29,8 +29,8 @@
 // future. An RRD file tree (as written by the metrology collector) can be
 // served with -rrd-tree. Batched what-if evaluation
 // (POST /pilgrim/evaluate/{platform}: N scenarios × M queries) is bounded
-// by -max-scenarios and -max-evaluate-fanout; derived scenario epochs are
-// answered by warm-start reuse/fork of base runs.
+// by -max-scenarios and -max-evaluate-fanout; a derived scenario's cell
+// reuses the base run's answer when its routes miss every mutation.
 //
 // With -data-dir the registry is durable: every accepted observation,
 // background estimate, and rejected batch is written to a CRC-checked

@@ -381,26 +381,6 @@ func (s *System) SetBound(v *Variable, bound float64) {
 	s.solved = false
 }
 
-// SetCapacity changes the capacity of a constraint (capacity must be
-// >= 0, as in NewConstraint). Setting a capacity equal to the current one
-// is a no-op and does not dirty the constraint's component — callers can
-// blindly re-assert capacities (the differential fork path re-prices every
-// restored constraint against its new snapshot) and only actual changes
-// trigger re-solving. It reports whether the capacity changed.
-func (s *System) SetCapacity(c *Constraint, capacity float64) bool {
-	if capacity < 0 || math.IsNaN(capacity) {
-		panic(fmt.Errorf("flow: constraint %q set to invalid capacity %v", c.ID(), capacity))
-	}
-	if capacity == c.capacity {
-		return false
-	}
-	c.capacity = capacity
-	s.dirtyCnsts = append(s.dirtyCnsts, c)
-	s.cut = 0
-	s.solved = false
-	return true
-}
-
 // Attach declares that variable v consumes capacity on constraint c.
 // Attaching the same pair twice is an error (it would double-count the
 // flow on that link).

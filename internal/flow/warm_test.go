@@ -25,9 +25,7 @@ const (
 	warmRemove
 	warmRemoveMany
 	warmSetBound
-	warmSetCapacity
 	warmSolve
-	warmFork
 	warmOps
 )
 
@@ -91,7 +89,7 @@ func componentSize(seeds []*Variable) int {
 }
 
 // runWarmScript interprets script as 4-byte records — the first sizes the
-// system, the rest are mutations, solves and forks — checking every solve
+// system, the rest are mutations and solves — checking every solve
 // against the scratch oracle. Any byte string is a valid script.
 func runWarmScript(t testing.TB, script []byte) warmTally {
 	t.Helper()
@@ -165,12 +163,8 @@ func runWarmScript(t testing.TB, script []byte) warmTally {
 			if len(vars) > 0 {
 				s.SetBound(vars[a%len(vars)], warmBounds[b%len(warmBounds)])
 			}
-		case warmSetCapacity:
-			s.SetCapacity(cnsts[a%len(cnsts)], warmCaps[b%len(warmCaps)])
 		case warmSolve:
 			solve(i)
-		case warmFork:
-			s, _, _ = s.Fork()
 		}
 	}
 	solve(n)
@@ -178,8 +172,8 @@ func runWarmScript(t testing.TB, script []byte) warmTally {
 }
 
 // randomWarmScript draws a removal-heavy script: a build-up of flows, then
-// mostly departures between solves, with the occasional arrival, rebound,
-// re-priced capacity and fork.
+// mostly departures between solves, with the occasional arrival and
+// rebound.
 func randomWarmScript(g *stats.RNG) []byte {
 	record := func(op int) []byte {
 		return []byte{byte(op), byte(g.Intn(256)), byte(g.Intn(256)), byte(g.Intn(256))}
@@ -200,12 +194,8 @@ func randomWarmScript(g *stats.RNG) []byte {
 			op = warmSolve
 		case r < 0.84:
 			op = warmAdd
-		case r < 0.90:
-			op = warmSetBound
-		case r < 0.96:
-			op = warmSetCapacity
 		default:
-			op = warmFork
+			op = warmSetBound
 		}
 		script = append(script, record(op)...)
 	}
@@ -214,8 +204,8 @@ func randomWarmScript(g *stats.RNG) []byte {
 
 // TestWarmResolveBitIdentical is the contract of the prefix-preserving
 // re-solve: across scripts mixing single and multiple removals, binding
-// bounds, λ ties, several components, arrivals, SetBound, SetCapacity and
-// mid-script forks, every solve is bit-identical to a from-scratch clone —
+// bounds, λ ties, several components, arrivals and SetBound, every solve
+// is bit-identical to a from-scratch clone —
 // and the resume path really runs, re-filling less than the disturbed
 // components hold.
 func TestWarmResolveBitIdentical(t *testing.T) {
@@ -349,12 +339,12 @@ func TestWarmResolveKeepsShieldedVariables(t *testing.T) {
 	}
 
 	// Any other mutation re-fills the whole component.
-	s.SetCapacity(c1, 50)
+	s.SetBound(stayer, 50)
 	if err := s.Solve(); err != nil {
 		t.Fatal(err)
 	}
 	requireMatchesScratch(t, s, 3)
 	if s.LastTouched() != 2 {
-		t.Errorf("after SetCapacity, %d variables re-filled, want 2", s.LastTouched())
+		t.Errorf("after SetBound, %d variables re-filled, want 2", s.LastTouched())
 	}
 }

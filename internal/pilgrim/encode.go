@@ -460,10 +460,6 @@ func (e *hotEnc) evaluateStats(st *EvaluateStats, depth int) {
 		e.field(&first, depth+1, `"fork_cold": `)
 		e.int(st.ForkCold)
 	}
-	if st.ForkResolvedConstraints != 0 {
-		e.field(&first, depth+1, `"fork_resolved_constraints": `)
-		e.int(st.ForkResolvedConstraints)
-	}
 	e.nl(depth)
 	e.raw("}")
 }

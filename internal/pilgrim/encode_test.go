@@ -226,7 +226,7 @@ func evaluateResponses() []*EvaluateResponse {
 		}, Stats: EvaluateStats{
 			Scenarios: 2, Queries: 6, Cells: 12, Groups: 2, OverlaysReused: 1,
 			Simulations: 4, CacheHits: 2, BaseGroups: 1, ForkReused: 1,
-			ForkRuns: 2, ForkCold: 1, ForkResolvedConstraints: 17,
+			ForkRuns: 2, ForkCold: 1,
 		}},
 	}...)
 }

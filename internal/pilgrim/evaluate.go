@@ -26,8 +26,8 @@ import (
 //   - scenarios sharing an (epoch, background) picture form one *group*,
 //     groups deriving from one base epoch form one *supergroup*, and
 //     supergroups fan out across the WorkerPool; one runner
-//     (runSuperGroup) answers every cell, by base-answer reuse, checkpoint
-//     fork or a batched cold sim.RunPlan on one pooled engine;
+//     (runSuperGroup) answers every cell, by base-answer reuse or in one
+//     batched sim.RunPlan per derived epoch on one pooled engine;
 //   - every sub-simulation — a transfer set, a hypothesis — is a
 //     canonical (epoch, config, query) triple deduplicated through the
 //     ForecastCache, so overlapping scenarios and repeated requests pay
@@ -152,7 +152,7 @@ type EvaluateStats struct {
 	// ApplyOverlay.
 	OverlaysReused int `json:"overlays_reused"`
 	// Simulations counts sub-simulations actually executed (base runs,
-	// checkpoint forks, cold runs, and workflow forecasts alike); CacheHits
+	// derived-epoch runs and workflow forecasts alike); CacheHits
 	// counts sub-simulations answered from the forecast cache.
 	Simulations int `json:"simulations"`
 	CacheHits   int `json:"cache_hits"`
@@ -162,17 +162,14 @@ type EvaluateStats struct {
 	// disabled.
 	BaseGroups int `json:"base_groups,omitempty"`
 	// ForkReused counts derived-epoch cells answered by provably
-	// bit-identical reuse of the base answer (no simulation); ForkRuns
-	// counts cells answered by replaying the base engine's pre-run
-	// checkpoint on the derived epoch; ForkCold counts derived cells that
-	// fell back to a full cold run (delta touched schedule-time state).
+	// bit-identical reuse of the base answer (no simulation). ForkRuns and
+	// ForkCold count the derived cells that ran on their own epoch: those
+	// whose footprint crosses bandwidth changes only, and those it crosses a
+	// latency or availability change. Both cost one run; the fork_ names
+	// are kept for clients.
 	ForkReused int `json:"fork_reused,omitempty"`
 	ForkRuns   int `json:"fork_runs,omitempty"`
 	ForkCold   int `json:"fork_cold,omitempty"`
-	// ForkResolvedConstraints totals the bandwidth-changed constraints the
-	// forks re-priced — the actual incremental-solver work the warm starts
-	// paid instead of full re-simulations.
-	ForkResolvedConstraints int `json:"fork_resolved_constraints,omitempty"`
 }
 
 // EvaluateResponse is the evaluate answer: one row per scenario, in
@@ -311,9 +308,8 @@ type evalGroup struct {
 	sims      int                  // sub-simulations this group executed
 	hits      int                  // sub-simulations answered by the cache
 	reused    int                  // derived cells answered by base-result reuse
-	forked    int                  // derived cells answered by checkpoint-fork replay
-	cold      int                  // derived cells that fell back to a cold run
-	resolved  int                  // constraints re-priced across this group's forks
+	forked    int                  // derived cells run, footprint crossing bandwidth changes only
+	cold      int                  // derived cells run, footprint crossing a latency/availability change
 }
 
 // Evaluate answers one N×M batch for the named platform. Request-shape
@@ -445,7 +441,7 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, name string, req EvaluateR
 	resp.Stats.Groups = len(order)
 
 	// Phase 2 (parallel): groups deriving from one base epoch under one
-	// background picture share their base answers and fork handles, so the
+	// background picture share their base answers, so the
 	// supergroup is the unit of fan-out, evaluated serially inside one pool
 	// slot. Queries are canonicalized once here — per group only the
 	// picture half of each cache key changes.
@@ -483,7 +479,6 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, name string, req EvaluateR
 		resp.Stats.ForkReused += g.reused
 		resp.Stats.ForkRuns += g.forked
 		resp.Stats.ForkCold += g.cold
-		resp.Stats.ForkResolvedConstraints += g.resolved
 		for _, si := range g.scenarios {
 			resp.Scenarios[si].Results = g.results
 		}
@@ -492,7 +487,6 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, name string, req EvaluateR
 	pool.evalForkReused.Add(uint64(resp.Stats.ForkReused))
 	pool.evalForkRuns.Add(uint64(resp.Stats.ForkRuns))
 	pool.evalForkCold.Add(uint64(resp.Stats.ForkCold))
-	pool.evalForkConstraints.Add(uint64(resp.Stats.ForkResolvedConstraints))
 	return resp, nil
 }
 
@@ -685,11 +679,11 @@ func foldSubResults(queries []EvalQuery, templates [][]subTemplate, inst [][]int
 // epoch under one scenario-background picture. The member epochs differ
 // from that base by small overlays, so the supergroup answers its members
 // against one set of base runs: cells whose query footprint misses a
-// member's delta reuse the base answer outright, bandwidth-only overlaps
-// replay from the base engine's pre-run checkpoint, and the rest run cold —
-// all bit-identical to evaluating each member in isolation (see
-// internal/sim/diff.go for the soundness argument). A supergroup of one
-// group on its own base epoch has no base run to share: it is all cold.
+// member's delta reuse the base answer outright, and the rest run on the
+// member's own epoch — all bit-identical to evaluating each member in
+// isolation (see internal/sim/diff.go for the soundness argument). A
+// supergroup of one group on its own base epoch has no base run to share:
+// it is all cold.
 type superGroup struct {
 	base     PlatformEntry
 	bg       [][2]string
@@ -715,21 +709,19 @@ func buildSuperGroups(order []*evalGroup) []*superGroup {
 
 // diffSub is one distinct sub-simulation of a supergroup. Members share
 // one background picture, so every member asks the sub with identical
-// transfers and merged background: one base answer — and one fork handle —
-// serves the whole member set. Its cache key under any epoch is that
-// epoch's picture plus query.
+// transfers and merged background: one base answer serves the whole member
+// set. Its cache key under any epoch is that epoch's picture plus query.
 type diffSub struct {
 	tmpl  *subTemplate
 	query string
 	plan  sim.PlanQuery
 	fp    *sim.Footprint // lazy: only computed when some member misses
 
-	// The base-answer phase: whether some member reuses or forks the base
-	// answer, that answer, the fork handle and the base-key flight led.
-	needBase, wantCk bool
-	base             subAnswer
-	ck               *sim.PlanCheckpoint
-	baseLed          *flightCall
+	// The base-answer phase: whether some member reuses the base answer,
+	// that answer, and the base-key flight led.
+	needBase bool
+	base     subAnswer
+	baseLed  *flightCall
 }
 
 // footprint resolves (once) the sub's resource footprint on the base
@@ -763,8 +755,8 @@ type memberSub struct {
 // runSuperGroup is the one evaluate runner: it answers every member group
 // of one base epoch. Per member it probes the member's own cache keys,
 // classifies the subs that missed (the only place a cell's tier is chosen),
-// runs the base subs some member needs, then resolves each member's subs by
-// base-answer reuse, checkpoint fork, or one batched cold run. All counters
+// runs the base subs some member reuses, then resolves each member's subs by
+// base-answer reuse or in one batched run on its epoch. All counters
 // live on the member groups except baseSims, which counts base-epoch work
 // attributable to the supergroup as a whole.
 // Member-key misses lead coalescing flights (completed as each answer
@@ -873,19 +865,16 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 				default: // no delta: the base answer is this member's answer
 					sub.class = sim.ClassReuse
 				}
-				if sub.class != sim.ClassCold {
+				if sub.class == sim.ClassReuse {
 					dsubs[di].needBase = true
-					dsubs[di].wantCk = dsubs[di].wantCk || sub.class == sim.ClassFork
 				}
 			}
 		}
 	}
 
-	// Resolve the base answers the members need: from the forecast cache
-	// when an earlier request already paid for them (capturing a fork
-	// handle separately costs only the plan setup), else by running the
-	// missing base subs as one batch with checkpoints where forks want
-	// them.
+	// Resolve the base answers the members reuse: from the forecast cache
+	// when an earlier request already paid for them, else by running the
+	// missing base subs as one batch.
 	// Base keys lead flights too (leadOrRun) so concurrent predict
 	// requests against the base epoch can coalesce onto this batch —
 	// but this phase never waits on a foreign flight: member answers
@@ -913,9 +902,6 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 		preds, f, leader := ev.Cache.leadOrRun(key(basePicture, di))
 		if preds != nil {
 			ds.base = subAnswer{preds: preds, have: true}
-			if ds.wantCk {
-				ds.ck = sim.CheckpointPlan(base, sg.base.Config, ds.plan)
-			}
 			continue
 		}
 		if leader {
@@ -925,76 +911,62 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	}
 	if len(runIdx) > 0 {
 		plan := make([]sim.PlanQuery, len(runIdx))
-		want := make([]bool, len(runIdx))
 		for j, di := range runIdx {
 			plan[j] = dsubs[di].plan
-			want[j] = dsubs[di].wantCk
 		}
-		res, pcs := sim.RunPlanCheckpoints(base, sg.base.Config, plan, want)
+		res := sim.RunPlan(base, sg.base.Config, plan)
 		sg.baseSims += len(runIdx)
 		for j, di := range runIdx {
 			ds := &dsubs[di]
 			preds, err := planToPreds(&res[j])
 			ds.base = subAnswer{preds: preds, err: err, have: true}
-			ds.ck = pcs[j]
 			ev.Cache.complete(key(basePicture, di), ds.baseLed, preds, err)
 		}
 	}
 
-	// Answer each member's remaining subs by the cheapest sound strategy,
-	// memoizing successes under the member's own keys so the next request
-	// short-circuits at the cache probes above. The base-epoch member (if
-	// any) resolves everything as reuse against keys it already owns; its
-	// reuses are plain dedup, not differential wins, so the fork counters
-	// only move for members with a real delta.
+	// Answer each member's remaining subs, memoizing them under the member's
+	// own keys so the next request short-circuits at the cache probes above.
+	// The base-epoch member (if any) resolves everything as reuse against
+	// keys it already owns; its reuses are plain dedup, not differential
+	// wins, so the fork_* counters only move for members with a real delta.
 	for mi := range members {
 		m := &members[mi]
 		g := m.g
-		var cold []sim.PlanQuery
+		var run []sim.PlanQuery
 		for di := range m.subs {
 			sub := &m.subs[di]
 			if !sub.need {
 				continue
 			}
-			if sub.class == sim.ClassFork {
-				if pc := dsubs[di].ck; pc != nil {
-					if pr, ok := pc.Fork(g.entry.snapshot()); ok {
-						preds, err := planToPreds(&pr)
-						sub.subAnswer = subAnswer{preds: preds, err: err, have: true}
-						g.sims++
-						g.forked++
-						g.resolved += dsubs[di].footprint(base).TouchedBw(g.delta)
-						ev.Cache.complete(key(m.picture, di), sub.led, preds, err)
-						continue
-					}
-				}
-				sub.class = sim.ClassCold // no handle (base setup failed) or fork refused
-			}
-			switch sub.class {
-			case sim.ClassReuse:
+			if sub.class == sim.ClassReuse {
 				sub.subAnswer = dsubs[di].base
 				if m.derived {
 					g.reused++
 				}
 				ev.Cache.complete(key(m.picture, di), sub.led, sub.preds, sub.err)
-			case sim.ClassCold:
-				cold = append(cold, dsubs[di].plan)
+				continue
 			}
+			if m.derived {
+				if sub.class == sim.ClassFork {
+					g.forked++
+				} else {
+					g.cold++
+				}
+			}
+			run = append(run, dsubs[di].plan)
 		}
-		if len(cold) == 0 {
+		if len(run) == 0 {
 			continue
 		}
-		// The member's cold subs — all of its misses when it has nothing to
-		// share — run as one batch on one pooled engine.
-		res := sim.RunPlan(g.entry.snapshot(), g.entry.Config, cold)
-		g.sims += len(cold)
-		if m.derived {
-			g.cold += len(cold)
-		}
+		// The member's other subs — bandwidth-only and cold alike, all of its
+		// misses when it has nothing to share — run as one batch on one
+		// pooled engine bound to its epoch.
+		res := sim.RunPlan(g.entry.snapshot(), g.entry.Config, run)
+		g.sims += len(run)
 		j := 0
 		for di := range m.subs {
 			sub := &m.subs[di]
-			if !sub.need || sub.class != sim.ClassCold {
+			if !sub.need || sub.class == sim.ClassReuse {
 				continue
 			}
 			preds, err := planToPreds(&res[j])

@@ -181,7 +181,6 @@ func WriteServerMetrics(e *Exposition, s *Server) {
 	e.Add("pilgrim_evaluate_fork_total", "Derived evaluate cells by differential tier.", Counter, float64(ws.EvaluateForkReused), Label{"tier", "reused"})
 	e.Add("pilgrim_evaluate_fork_total", "", Counter, float64(ws.EvaluateForkRuns), Label{"tier", "forked"})
 	e.Add("pilgrim_evaluate_fork_total", "", Counter, float64(ws.EvaluateForkCold), Label{"tier", "cold"})
-	e.Add("pilgrim_evaluate_fork_resolved_constraints_total", "Bandwidth constraints re-priced by checkpoint forks.", Counter, float64(ws.EvaluateForkConstraints))
 
 	os := s.overlays.Load().Stats()
 	e.Add("pilgrim_overlay_cache_hits_total", "Scenario-overlay cache hits (derived epochs reused).", Counter, float64(os.Hits))

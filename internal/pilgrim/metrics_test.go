@@ -135,7 +135,6 @@ func TestMetricsExpositionContract(t *testing.T) {
 		"pilgrim_evaluate_cells_total",
 		"pilgrim_evaluate_group_runs_total",
 		"pilgrim_evaluate_simulations_total",
-		"pilgrim_evaluate_fork_resolved_constraints_total",
 		"pilgrim_overlay_cache_hits_total",
 		"pilgrim_overlay_cache_misses_total",
 		"pilgrim_overlay_cache_entries",

@@ -38,12 +38,11 @@ type WorkerPool struct {
 	evalSims  atomic.Uint64
 
 	// Differential-evaluation telemetry: derived cells answered by base
-	// reuse, by checkpoint-fork replay, by cold fallback, and the
-	// constraints the forks re-priced.
-	evalForkReused      atomic.Uint64
-	evalForkRuns        atomic.Uint64
-	evalForkCold        atomic.Uint64
-	evalForkConstraints atomic.Uint64
+	// reuse, and derived cells run whose footprint crosses bandwidth changes
+	// only or a latency/availability change.
+	evalForkReused atomic.Uint64
+	evalForkRuns   atomic.Uint64
+	evalForkCold   atomic.Uint64
 }
 
 // NewWorkerPool returns a pool running up to workers hypothesis
@@ -91,31 +90,30 @@ type WorkerStats struct {
 	EvaluateGroupRuns uint64 `json:"evaluate_group_runs"`
 	EvaluateSims      uint64 `json:"evaluate_simulations"`
 	// Differential-evaluation totals: derived cells answered by provable
-	// base-answer reuse (no simulation), by checkpoint-fork replay, by
-	// cold fallback, and the bandwidth constraints the forks re-priced.
-	EvaluateForkReused      uint64 `json:"evaluate_fork_reused"`
-	EvaluateForkRuns        uint64 `json:"evaluate_fork_runs"`
-	EvaluateForkCold        uint64 `json:"evaluate_fork_cold"`
-	EvaluateForkConstraints uint64 `json:"evaluate_fork_resolved_constraints"`
+	// base-answer reuse (no simulation), and derived cells run on their own
+	// epoch whose footprint crosses bandwidth changes only (fork) or a
+	// latency or availability change (cold).
+	EvaluateForkReused uint64 `json:"evaluate_fork_reused"`
+	EvaluateForkRuns   uint64 `json:"evaluate_fork_runs"`
+	EvaluateForkCold   uint64 `json:"evaluate_fork_cold"`
 }
 
 // Stats returns a snapshot of the pool counters.
 func (p *WorkerPool) Stats() WorkerStats {
 	return WorkerStats{
-		Workers:                 p.Workers(),
-		Busy:                    p.busy.Load(),
-		Queued:                  p.queued.Load(),
-		MaxBusy:                 p.maxBusy.Load(),
-		Hypotheses:              p.evaluated.Load(),
-		Batches:                 p.batches.Load(),
-		EvaluateCalls:           p.evalCalls.Load(),
-		EvaluateCells:           p.evalCells.Load(),
-		EvaluateGroupRuns:       p.evalRuns.Load(),
-		EvaluateSims:            p.evalSims.Load(),
-		EvaluateForkReused:      p.evalForkReused.Load(),
-		EvaluateForkRuns:        p.evalForkRuns.Load(),
-		EvaluateForkCold:        p.evalForkCold.Load(),
-		EvaluateForkConstraints: p.evalForkConstraints.Load(),
+		Workers:            p.Workers(),
+		Busy:               p.busy.Load(),
+		Queued:             p.queued.Load(),
+		MaxBusy:            p.maxBusy.Load(),
+		Hypotheses:         p.evaluated.Load(),
+		Batches:            p.batches.Load(),
+		EvaluateCalls:      p.evalCalls.Load(),
+		EvaluateCells:      p.evalCells.Load(),
+		EvaluateGroupRuns:  p.evalRuns.Load(),
+		EvaluateSims:       p.evalSims.Load(),
+		EvaluateForkReused: p.evalForkReused.Load(),
+		EvaluateForkRuns:   p.evalForkRuns.Load(),
+		EvaluateForkCold:   p.evalForkCold.Load(),
 	}
 }
 

@@ -3,10 +3,9 @@ package platform
 // Epoch deltas — the dense "what changed" summary between two snapshots of
 // the same compiled topology. The differential evaluation path classifies
 // every sub-simulation against a delta: a query whose resource footprint
-// misses the delta entirely reuses the base answer outright; one that only
-// crosses bandwidth changes replays from a pre-run engine checkpoint,
-// re-pricing just the changed constraints; anything touching a latency or
-// availability change falls back to a cold run.
+// misses the delta entirely reuses the base answer outright; any other runs
+// on the derived epoch, labelled by whether it crosses bandwidth changes
+// only or a latency or availability change.
 
 // EpochDelta lists the dense link/host indices whose state differs between
 // a base snapshot and one derived from it, classified by what changed.
@@ -40,7 +39,7 @@ func (d *EpochDelta) Size() int {
 
 // SameTopology reports whether two snapshots are epochs of one compiled
 // topology — same dense indices, routes, and routing policies — which is
-// the precondition for diffing them or forking engine state across them.
+// the precondition for diffing them or sharing a pooled engine across them.
 func SameTopology(a, b *Snapshot) bool {
 	return a != nil && b != nil && a.topo == b.topo
 }

@@ -57,42 +57,25 @@ func RunPlan(snap *platform.Snapshot, cfg Config, queries []PlanQuery) []PlanRes
 }
 
 // runPlanQuery mirrors Simulation.Run on a caller-owned engine:
-// background flows first, then transfers, then run to completion.
+// background flows first, then transfers (with no completion callbacks —
+// results are read from the Done ledger), then run to completion.
 func runPlanQuery(e *Engine, q *PlanQuery) PlanResult {
-	ids, err := setupPlanQuery(e, q)
-	if err != nil {
-		return PlanResult{Err: err}
-	}
-	return finishPlanQuery(e, q, ids)
-}
-
-// setupPlanQuery installs the query's background flows and transfers with
-// no completion callbacks — the engine stays checkpointable — and returns
-// the transfer activity ids in declaration order.
-func setupPlanQuery(e *Engine, q *PlanQuery) ([]ActivityID, error) {
 	if len(q.Transfers) == 0 {
-		return nil, fmt.Errorf("sim: plan query has no transfers")
+		return PlanResult{Err: fmt.Errorf("sim: plan query has no transfers")}
 	}
 	for _, bg := range q.Background {
 		if _, err := e.AddBackgroundFlow(bg[0], bg[1], 0); err != nil {
-			return nil, fmt.Errorf("sim: background flow %s->%s: %w", bg[0], bg[1], err)
+			return PlanResult{Err: fmt.Errorf("sim: background flow %s->%s: %w", bg[0], bg[1], err)}
 		}
 	}
 	ids := make([]ActivityID, len(q.Transfers))
 	for i, t := range q.Transfers {
 		id, err := e.AddComm(t.Src, t.Dst, t.Size, t.Start, nil)
 		if err != nil {
-			return nil, fmt.Errorf("sim: transfer %s->%s: %w", t.Src, t.Dst, err)
+			return PlanResult{Err: fmt.Errorf("sim: transfer %s->%s: %w", t.Src, t.Dst, err)}
 		}
 		ids[i] = id
 	}
-	return ids, nil
-}
-
-// finishPlanQuery runs the prepared engine to completion and collects the
-// per-transfer results through the Done ledger. Activity ids survive a
-// checkpoint restore, so the same ids collect from a forked engine too.
-func finishPlanQuery(e *Engine, q *PlanQuery, ids []ActivityID) PlanResult {
 	n, err := e.RunToCompletion()
 	if err != nil {
 		return PlanResult{Err: err}

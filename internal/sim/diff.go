@@ -4,34 +4,32 @@ import (
 	"pilgrim/internal/platform"
 )
 
-// Differential plan evaluation: one base run + N cheap deltas. Scenario
+// Differential plan evaluation: one base run + N derived epochs. Scenario
 // sweeps ask the same queries against many epochs that differ from a
-// shared base by a handful of mutations. Instead of simulating every
-// (epoch, query) cell cold, the runner computes each query's resource
-// footprint once, classifies it against each epoch's delta, and answers:
+// shared base by a handful of mutations. The runner computes each query's
+// resource footprint once and classifies it against each epoch's delta:
 //
 //   - ClassReuse — the footprint misses the delta entirely: the base
 //     result is provably bit-identical, no simulation at all;
-//   - ClassFork  — only bandwidths of footprint links changed: restore
-//     the base engine's pre-run checkpoint into an engine bound to the
-//     derived epoch and replay (activations read capacities lazily from
-//     the new epoch, so only the disturbed flow components re-solve);
+//   - ClassFork  — the footprint crosses bandwidth changes only;
 //   - ClassCold  — a latency or availability change touches the
-//     footprint (schedule-time state the checkpoint already baked in),
-//     or the epochs don't share a topology: full cold simulation.
+//     footprint, or the epochs don't share a topology.
 //
-// All three produce bit-identical results to a cold run; they differ only
-// in cost.
+// Only reuse skips work: fork and cold cells alike run on a pooled engine
+// bound to the derived epoch. ClassFork is a label (what the delta touched),
+// not a strategy (docs/DESIGN.md, "Why bandwidth-only cells no longer
+// fork").
 
-// DeltaClass is the answer strategy chosen for one (query, epoch) cell.
+// DeltaClass is the classification of one (query, epoch) cell.
 type DeltaClass uint8
 
 const (
 	// ClassReuse reuses the base result outright.
 	ClassReuse DeltaClass = iota
-	// ClassFork replays from the base engine's pre-run checkpoint.
+	// ClassFork marks a footprint that crosses bandwidth changes only.
 	ClassFork
-	// ClassCold runs a full cold simulation.
+	// ClassCold marks a footprint that crosses a latency or availability
+	// change (or an epoch of another topology).
 	ClassCold
 )
 
@@ -85,16 +83,14 @@ func PlanFootprint(snap *platform.Snapshot, q *PlanQuery) Footprint {
 	return f
 }
 
-// Classify chooses the answer strategy for this footprint against one
-// epoch delta (nil means "unknown delta" and classifies cold).
+// Classify places this footprint against one epoch delta (nil means
+// "unknown delta" and classifies cold).
 //
-// Latency and availability changes on footprint resources force a cold
-// run: latencies are baked into scheduled activities (latency phase,
-// RTT weight, window bound) and availability gates schedule-time
-// admission, so a checkpoint captured on the base epoch is stale for
-// them. Host speed changes never matter to transfer plans — plan queries
-// schedule no computation. Bandwidth is read lazily at activation, so
-// bandwidth-only overlap forks; no overlap at all reuses.
+// Reuse is sound exactly when no footprint resource changed in a way a
+// transfer plan reads: link bandwidth (at activation), link latency
+// (latency phase, RTT weight, window bound) and link or host availability
+// (admission). Host speed changes never matter to transfer plans — plan
+// queries schedule no computation.
 func (f *Footprint) Classify(d *platform.EpochDelta) DeltaClass {
 	if !f.ok || d == nil {
 		return ClassCold
@@ -122,193 +118,54 @@ func (f *Footprint) Classify(d *platform.EpochDelta) DeltaClass {
 	return ClassReuse
 }
 
-// TouchedBw counts the delta's bandwidth-changed links the footprint
-// crosses — the constraints a fork will re-price.
-func (f *Footprint) TouchedBw(d *platform.EpochDelta) int {
-	if !f.ok || d == nil {
-		return 0
-	}
-	n := 0
-	for _, li := range d.BwLinks {
-		if f.links[li] {
-			n++
-		}
-	}
-	return n
-}
-
-// PlanCheckpoint is a C0 capture of one plan query: the workload scheduled
-// on its base epoch, the event loop not yet started, no constraint
-// materialized. It is the warm-start handle of differential evaluation:
-// Fork replays the captured plan on any sibling epoch of the same
-// topology, skipping route resolution and activity scheduling, and the
-// lazily-created constraints read the sibling's capacities directly.
-type PlanCheckpoint struct {
-	ck  *EngineCheckpoint
-	q   PlanQuery
-	ids []ActivityID
-}
-
-// CheckpointPlan schedules the query on a pooled engine bound to snap and
-// captures its C0 checkpoint without running the event loop — the cheap
-// way to obtain a fork handle when the base answer itself is already known
-// (e.g. cached). Returns nil when the query cannot be scheduled on snap.
-func CheckpointPlan(snap *platform.Snapshot, cfg Config, q PlanQuery) *PlanCheckpoint {
-	e := AcquireEngineSnapshot(snap, cfg)
-	defer ReleaseEngine(e)
-	ids, err := setupPlanQuery(e, &q)
-	if err != nil {
-		return nil
-	}
-	ck, err := e.Checkpoint()
-	if err != nil {
-		return nil
-	}
-	return &PlanCheckpoint{ck: ck, q: q, ids: ids}
-}
-
-// RunPlanCheckpoints is RunPlan with fork handles: queries whose want flag
-// is set additionally capture a C0 checkpoint before running (nil handle
-// when the query's setup failed). A nil want degenerates to RunPlan.
-func RunPlanCheckpoints(snap *platform.Snapshot, cfg Config, queries []PlanQuery, want []bool) ([]PlanResult, []*PlanCheckpoint) {
-	out := make([]PlanResult, len(queries))
-	cks := make([]*PlanCheckpoint, len(queries))
-	if len(queries) == 0 {
-		return out, cks
-	}
-	e := AcquireEngineSnapshot(snap, cfg)
-	defer ReleaseEngine(e)
-	for qi := range queries {
-		if qi > 0 {
-			e.Reset()
-		}
-		q := &queries[qi]
-		ids, err := setupPlanQuery(e, q)
-		if err != nil {
-			out[qi] = PlanResult{Err: err}
-			continue
-		}
-		if want != nil && want[qi] {
-			// setupPlanQuery schedules with nil callbacks, so Checkpoint
-			// cannot fail here.
-			if ck, err := e.Checkpoint(); err == nil {
-				cks[qi] = &PlanCheckpoint{ck: ck, q: *q, ids: ids}
-			}
-		}
-		out[qi] = finishPlanQuery(e, q, ids)
-	}
-	return out, cks
-}
-
-// Fork replays the captured plan on snap (an epoch of the checkpoint's
-// topology) and returns the result. ok is false when the fork machinery
-// itself cannot run here (incompatible epoch) — the caller should fall
-// back to a cold run. Query-level failures surface inside the PlanResult.
-func (pc *PlanCheckpoint) Fork(snap *platform.Snapshot) (PlanResult, bool) {
-	fe, err := ForkFrom(pc.ck, snap)
-	if err != nil {
-		return PlanResult{}, false
-	}
-	res := finishPlanQuery(fe, &pc.q, pc.ids)
-	ReleaseEngine(fe)
-	return res, true
-}
-
-// DiffStats summarizes how a differential plan run answered its cells.
+// DiffStats summarizes how a differential plan run classified its cells.
 type DiffStats struct {
 	// Reused cells took the base answer with no simulation.
 	Reused int
-	// Forked cells replayed from the base checkpoint.
+	// Forked cells crossed bandwidth changes only and ran on their epoch.
 	Forked int
-	// Cold cells ran a full simulation.
+	// Cold cells crossed a latency or availability change (or another
+	// topology) and ran on their epoch.
 	Cold int
-	// ResolvedConstraints is the total number of bandwidth-changed
-	// constraints re-priced across all forked cells.
-	ResolvedConstraints int
 }
 
 // RunPlanDiff answers every query of the plan against the base epoch and
-// against each member epoch, using the cheapest sound strategy per
-// (member, query) cell. Results are bit-identical to RunPlan on each
-// epoch separately. Reused cells share the base PlanResult value
-// (including its Results slice) — treat results as read-only.
+// against each member epoch: reused cells take the base answer, and each
+// member's other cells run as one batched RunPlan on that member's epoch.
+// Results are bit-identical to RunPlan on each epoch separately. Reused
+// cells share the base PlanResult value (including its Results slice) —
+// treat results as read-only.
 func RunPlanDiff(base *platform.Snapshot, cfg Config, queries []PlanQuery, members []*platform.Snapshot) (baseOut []PlanResult, memberOut [][]PlanResult, stats DiffStats) {
-	baseOut = make([]PlanResult, len(queries))
 	memberOut = make([][]PlanResult, len(members))
 	for mi := range memberOut {
 		memberOut[mi] = make([]PlanResult, len(queries))
 	}
-	if len(queries) == 0 {
-		return baseOut, memberOut, stats
-	}
+	baseOut = RunPlan(base, cfg, queries)
 	deltas := make([]*platform.EpochDelta, len(members))
 	for mi, m := range members {
 		deltas[mi], _ = platform.DiffSnapshots(base, m) // nil on topology mismatch -> cold
 	}
-
-	coldIdx := make([][]int, len(members))
-	classes := make([]DeltaClass, len(members))
-	e := AcquireEngineSnapshot(base, cfg)
-	defer ReleaseEngine(e)
+	runIdx := make([][]int, len(members))
 	for qi := range queries {
-		q := &queries[qi]
-		if qi > 0 {
-			e.Reset()
-		}
-		f := PlanFootprint(base, q)
-		needFork := false
+		f := PlanFootprint(base, &queries[qi])
 		for mi := range members {
-			classes[mi] = f.Classify(deltas[mi])
-			if classes[mi] == ClassFork {
-				needFork = true
-			}
-		}
-		ids, err := setupPlanQuery(e, q)
-		var ck *EngineCheckpoint
-		if err != nil {
-			baseOut[qi] = PlanResult{Err: err}
-		} else {
-			if needFork {
-				// Capture at C0: activities scheduled, event loop not yet
-				// started, no constraint materialized. setupPlanQuery
-				// schedules with nil callbacks, so Checkpoint cannot fail.
-				ck, _ = e.Checkpoint()
-			}
-			baseOut[qi] = finishPlanQuery(e, q, ids)
-		}
-		for mi := range members {
-			switch classes[mi] {
+			switch f.Classify(deltas[mi]) {
 			case ClassReuse:
-				// Footprint misses the delta: identical schedule-time
-				// admission, identical capacities, identical latencies —
-				// the base answer (or base setup error) is the member's.
+				// Footprint misses the delta: identical admission, capacities
+				// and latencies — the base answer (or base setup error) is the
+				// member's.
 				memberOut[mi][qi] = baseOut[qi]
 				stats.Reused++
+				continue
 			case ClassFork:
-				if ck == nil {
-					// Base setup failed before a checkpoint existed; the
-					// member's bandwidths differ so the base error cannot
-					// be soundly reused. Run it cold.
-					coldIdx[mi] = append(coldIdx[mi], qi)
-					continue
-				}
-				fe, ferr := ForkFrom(ck, members[mi])
-				if ferr != nil {
-					coldIdx[mi] = append(coldIdx[mi], qi)
-					continue
-				}
-				memberOut[mi][qi] = finishPlanQuery(fe, q, ids)
-				ReleaseEngine(fe)
 				stats.Forked++
-				stats.ResolvedConstraints += f.TouchedBw(deltas[mi])
 			case ClassCold:
-				coldIdx[mi] = append(coldIdx[mi], qi)
+				stats.Cold++
 			}
+			runIdx[mi] = append(runIdx[mi], qi)
 		}
 	}
-
-	// Cold backlogs run batched per member, one pooled engine each.
-	for mi, idxs := range coldIdx {
+	for mi, idxs := range runIdx {
 		if len(idxs) == 0 {
 			continue
 		}
@@ -316,11 +173,9 @@ func RunPlanDiff(base *platform.Snapshot, cfg Config, queries []PlanQuery, membe
 		for j, qi := range idxs {
 			qs[j] = queries[qi]
 		}
-		res := RunPlan(members[mi], cfg, qs)
-		for j, qi := range idxs {
-			memberOut[mi][qi] = res[j]
+		for j, res := range RunPlan(members[mi], cfg, qs) {
+			memberOut[mi][idxs[j]] = res
 		}
-		stats.Cold += len(idxs)
 	}
 	return baseOut, memberOut, stats
 }

@@ -133,7 +133,7 @@ func parkedOf(snap *platform.Snapshot, cfg Config) []*Engine {
 // bandwidths, latencies, host speeds and availability must be
 // indistinguishable from a fresh NewEngineSnapshot(B): same activity ids,
 // same admission errors, same completion dates and SharingStats, bit for
-// bit. The third arm makes the recycled engine a ForkFrom target.
+// bit.
 func TestEnginePoolRebindBitIdentical(t *testing.T) {
 	completions, refusals := 0, 0
 	for seed := int64(0); seed < 48; seed++ {
@@ -186,52 +186,6 @@ func TestEnginePoolRebindBitIdentical(t *testing.T) {
 					t.Fatalf("abandon=%v: recycled engine diverged from fresh\n got %+v\nwant %+v", abandon, got, want)
 				}
 			}
-
-			// Fork arm: a C0 checkpoint of a plan on the base epoch, forked
-			// onto a bandwidth-only sibling (the condition under which a fork
-			// is exact) — into the engine that last ran on epoch B.
-			q := randomPlanQueries(rng, hosts)[0]
-			src := NewEngineSnapshot(base, cfg)
-			ids, err := setupPlanQuery(src, &q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ck, err := src.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var bw []platform.OverlayLink
-			for li := int32(0); li < int32(base.NumLinks()); li++ {
-				bw = append(bw, platform.OverlayLink{Link: li,
-					Bandwidth: base.LinkBandwidth(li) * (0.3 + rng.Float64()), Latency: math.NaN()})
-			}
-			sibling, err := base.ApplyOverlay(bw, nil, "bw only")
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh := NewEngineSnapshot(sibling, cfg)
-			if err := fresh.RestoreCheckpoint(ck); err != nil {
-				t.Fatal(err)
-			}
-			fresh.ReconcileCapacities()
-			wantFork, wantStats := finishPlanQuery(fresh, &q, ids), fresh.SharingStats()
-
-			parked := parkedOf(base, cfg)
-			fe, err := ForkFrom(ck, sibling)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(parked) != 1 || fe != parked[0] {
-				t.Fatalf("fork did not land on the recycled engine (parked %d)", len(parked))
-			}
-			gotFork, gotStats := finishPlanQuery(fe, &q, ids), fe.SharingStats()
-			ReleaseEngine(fe)
-			requireSamePlanResults(t, "fork into recycled engine", []PlanResult{gotFork}, []PlanResult{wantFork})
-			if gotStats != wantStats {
-				t.Fatalf("fork stats: recycled %+v, fresh %+v", gotStats, wantStats)
-			}
-			cold := RunPlan(sibling, cfg, []PlanQuery{q})
-			requireSamePlanResults(t, "fork vs cold", []PlanResult{gotFork}, cold)
 		})
 	}
 	// Epoch B must both run transfers and refuse some (failed link/host),
