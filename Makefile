@@ -82,8 +82,9 @@ bench-smoke:
 # bench-check runs the key benchmarks and fails when any figure benchmark's
 # median slowed by more than 25% against the committed baseline's and by
 # more than the baseline's own inter-quartile spread — and when the
-# serving hot path (a poll, a canonical hit, an evaluate grid answered from
-# the caches and one with fresh sizes and factors), a differential evaluate
+# serving hot path (a poll, a canonical hit, a miss, an evaluate grid
+# answered from the caches and one with fresh sizes and factors), the
+# in-process forecast (whose one allocation is the answer), a differential evaluate
 # or a single-picture evaluate (the runner's all-cold case) re-grows
 # allocations by more than 10% (allocation counts are nearly deterministic,
 # so the tighter threshold holds; the fresh-factor grid, whose derived
@@ -100,7 +101,7 @@ bench-smoke:
 # must stay well ahead of a canonical hit (same multiset, reordered).
 bench-check: bench
 	go run ./cmd/benchdiff -count $(BENCH_COUNT) -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkCold60CrossSite|BenchmarkEvaluateDifferential30x8' BENCH_baseline.json BENCH_$(SHA).json
-	go run ./cmd/benchdiff -count $(BENCH_COUNT) -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPEvaluate30x8/all-hit|BenchmarkHTTPEvaluate30x8/fresh|BenchmarkEvaluateDifferential30x8/differential|BenchmarkEvaluateDifferential30x8/lone|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs' BENCH_baseline.json BENCH_$(SHA).json
+	go run ./cmd/benchdiff -count $(BENCH_COUNT) -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPPredict30/miss|BenchmarkPredict30Transfers$$|BenchmarkHTTPEvaluate30x8/all-hit|BenchmarkHTTPEvaluate30x8/fresh|BenchmarkEvaluateDifferential30x8/differential|BenchmarkEvaluateDifferential30x8/lone|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs' BENCH_baseline.json BENCH_$(SHA).json
 	go run ./cmd/benchdiff -scale 'BenchmarkHTTPPredict30/legacy,BenchmarkHTTPPredict30/hit-canonical,1.4;BenchmarkHTTPPredict30/hit-canonical,BenchmarkHTTPPredict30/hit-rendered,3;BenchmarkHTTPEvaluate30x8/legacy,BenchmarkHTTPEvaluate30x8/all-hit,1.4' BENCH_$(SHA).json
 
 # bench-baseline refreshes the committed baseline from a fresh run; commit

@@ -375,15 +375,20 @@ func (fc *ForecastCache) Predict(platform string, entry PlatformEntry, transfers
 // first requester simulates, duplicates wait for its answer — but give
 // up when their own ctx expires, even if the leader runs on.
 func (fc *ForecastCache) PredictCtx(ctx context.Context, platform string, entry PlatformEntry, transfers []TransferRequest, background [][2]string) ([]Prediction, error) {
-	preds, _, err := fc.predictKeyed(ctx, platform, entry, transfers, background)
-	return preds, err
+	canonical, q, err := fc.predictKeyed(ctx, platform, entry, transfers, background)
+	if err != nil {
+		return nil, err
+	}
+	return reorder(canonical, q.order), nil
 }
 
-// predictKeyed is PredictCtx that also returns the canonical key the
-// answer is cached under, for attachRendering.
-func (fc *ForecastCache) predictKeyed(ctx context.Context, platform string, entry PlatformEntry, transfers []TransferRequest, background [][2]string) ([]Prediction, forecastKey, error) {
+// predictKeyed is PredictCtx without the final reorder: it returns the
+// cached canonical-order answer (shared: read, never mutate) and the
+// canonical query — the permutation back to request order and the key
+// the answer is cached under, for attachRendering.
+func (fc *ForecastCache) predictKeyed(ctx context.Context, platform string, entry PlatformEntry, transfers []TransferRequest, background [][2]string) ([]Prediction, canonicalQuery, error) {
 	if len(transfers) == 0 {
-		return nil, forecastKey{}, fmt.Errorf("pilgrim: no transfers requested")
+		return nil, canonicalQuery{}, fmt.Errorf("pilgrim: no transfers requested")
 	}
 	// Pin the epoch once: the cache key and the simulation below must see
 	// the same snapshot even if the platform is recompiled mid-request.
@@ -392,16 +397,12 @@ func (fc *ForecastCache) predictKeyed(ctx context.Context, platform string, entr
 	// Simulate in canonical order so a given logical workload always
 	// produces a bit-identical answer regardless of parameter order.
 	canonical, err := fc.predictCanonical(ctx, q.key, func() ([]Prediction, error) {
-		sorted := make([]TransferRequest, len(transfers))
-		for pos, i := range q.order {
-			sorted[pos] = transfers[i]
-		}
-		return PredictTransfers(entry, sorted, q.background)
+		return predictOrdered(entry, transfers, q.order, q.background)
 	})
 	if err != nil {
-		return nil, forecastKey{}, err
+		return nil, canonicalQuery{}, err
 	}
-	return reorder(canonical, q.order), q.key, nil
+	return canonical, q, nil
 }
 
 // SelectFastest is SelectFastest routed through the cache: each

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -42,6 +43,8 @@ type hotEnc struct {
 	fallback bool
 	// row is the last prediction array rendered (see predictions).
 	row rowTemplate
+	// inv is predictionsInOrder's inverse-permutation scratch.
+	inv []int
 }
 
 // rowTemplate remembers where in buf the last []Prediction was rendered and
@@ -202,35 +205,70 @@ func (e *hotEnc) predictions(preds []Prediction, depth int) {
 	}
 	t.preds, t.depth, t.start, t.durs = preds, depth, len(e.buf), t.durs[:0]
 	e.raw("[")
-	for i, p := range preds {
+	for i := range preds {
 		if i > 0 {
 			e.raw(",")
 		}
-		e.nl(depth + 1)
-		e.raw("{")
-		e.nl(depth + 2)
-		e.raw(`"src": `)
-		e.str(p.Src)
-		e.raw(",")
-		e.nl(depth + 2)
-		e.raw(`"dst": `)
-		e.str(p.Dst)
-		e.raw(",")
-		e.nl(depth + 2)
-		e.raw(`"size": `)
-		e.f64(p.Size)
-		e.raw(",")
-		e.nl(depth + 2)
-		e.raw(`"duration": `)
-		from := len(e.buf)
-		e.f64(p.Duration)
-		t.durs = append(t.durs, from, len(e.buf))
-		e.nl(depth + 1)
-		e.raw("}")
+		from, to := e.prediction(&preds[i], depth+1)
+		t.durs = append(t.durs, from, to)
 	}
 	e.nl(depth)
 	e.raw("]")
 	t.end = len(e.buf)
+}
+
+// predictionsInOrder appends the answer to a predict_transfers request
+// from its canonical-order answer: element i is canonical[pos] where
+// order[pos] == i. The bytes are those predictions(reorder(canonical,
+// order), depth) writes, without building the reordered slice; the row
+// template is neither read nor set, since the same slice renders
+// differently under another permutation.
+func (e *hotEnc) predictionsInOrder(canonical []Prediction, order []int, depth int) {
+	if len(canonical) == 0 {
+		e.raw("[]") // reorder never returns nil
+		return
+	}
+	n := len(order)
+	e.inv = slices.Grow(e.inv[:0], n)[:n]
+	for pos, i := range order {
+		e.inv[i] = pos
+	}
+	e.raw("[")
+	for i, pos := range e.inv {
+		if i > 0 {
+			e.raw(",")
+		}
+		e.prediction(&canonical[pos], depth+1)
+	}
+	e.nl(depth)
+	e.raw("]")
+}
+
+// prediction appends one array element at the given depth and returns
+// where in buf its duration value sits.
+func (e *hotEnc) prediction(p *Prediction, depth int) (durFrom, durTo int) {
+	e.nl(depth)
+	e.raw("{")
+	e.nl(depth + 1)
+	e.raw(`"src": `)
+	e.str(p.Src)
+	e.raw(",")
+	e.nl(depth + 1)
+	e.raw(`"dst": `)
+	e.str(p.Dst)
+	e.raw(",")
+	e.nl(depth + 1)
+	e.raw(`"size": `)
+	e.f64(p.Size)
+	e.raw(",")
+	e.nl(depth + 1)
+	e.raw(`"duration": `)
+	durFrom = len(e.buf)
+	e.f64(p.Duration)
+	durTo = len(e.buf)
+	e.nl(depth)
+	e.raw("}")
+	return durFrom, durTo
 }
 
 // sameQuestion reports whether two equally long answers carry the same
@@ -472,12 +510,13 @@ const evalFlushThreshold = 64 << 10
 
 // writeHotJSON finishes one hot-path response: on a clean encode the
 // pooled buffer goes out in one Write; on fallback the legacy encoder
-// re-renders v from scratch (headers not yet written, so the two paths
-// are indistinguishable on the wire).
-func writeHotJSON(w http.ResponseWriter, e *hotEnc, v any) {
+// re-renders legacy() from scratch (headers not yet written, so the two
+// paths are indistinguishable on the wire). legacy builds the value only
+// when it is needed.
+func writeHotJSON(w http.ResponseWriter, e *hotEnc, legacy func() any) {
 	if e.fallback {
 		putEnc(e)
-		writeJSON(w, v)
+		writeJSON(w, legacy())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -493,7 +532,17 @@ func (s *Server) writeSelectFastest(w http.ResponseWriter, best int, results []H
 	}
 	e := getEnc()
 	e.selectFastestResponse(best, results)
-	writeHotJSON(w, e, selectFastestResponse{Best: best, Results: results})
+	writeHotJSON(w, e, func() any { return selectFastestResponse{Best: best, Results: results} })
+}
+
+// encodePredictions renders the predict_transfers answer — canonical in
+// request order, through the permutation — into a pooled encoder, for
+// writeHotJSON with the reordered slice as its fallback value.
+func encodePredictions(canonical []Prediction, order []int) *hotEnc {
+	e := getEnc()
+	e.predictionsInOrder(canonical, order, 0)
+	e.raw("\n")
+	return e
 }
 
 // selectFastestResponse is the select_fastest answer shape (shared by

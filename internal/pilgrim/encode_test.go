@@ -3,8 +3,10 @@ package pilgrim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -274,6 +276,80 @@ func TestHotEvaluateStreamsLargeGrids(t *testing.T) {
 	}
 }
 
+// orderedPredictionBytes answers the way handlePredict does: the
+// canonical answer rendered in request order through the permutation,
+// falling back to encoding/json of the reordered slice.
+func orderedPredictionBytes(canonical []Prediction, order []int) (body []byte, fallback bool) {
+	e := encodePredictions(canonical, order)
+	fallback = e.fallback
+	rec := httptest.NewRecorder()
+	writeHotJSON(rec, e, func() any { return reorder(canonical, order) })
+	return rec.Body.Bytes(), fallback
+}
+
+// legacyWriteBytes is what the SetLegacyJSON path writes for v (nothing,
+// when encoding/json refuses it).
+func legacyWriteBytes(v any) []byte {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, v)
+	return rec.Body.Bytes()
+}
+
+// TestPredictionsInOrderMatchesReorder pins the hot predict writer's
+// request-order rendering: byte-identical to encoding/json of
+// reorder(canonical, order) for arbitrary permutations, for the stable
+// order canonicalize gives equal transfers, for one transfer — and for a
+// non-finite duration, which must take the fallback and still write the
+// legacy bytes.
+func TestPredictionsInOrderMatchesReorder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	type tc struct {
+		name      string
+		canonical []Prediction
+		order     []int
+	}
+	var cases []tc
+	for _, n := range []int{1, 2, 3, 7, 30, 61} {
+		for k := 0; k < 3; k++ {
+			cases = append(cases, tc{fmt.Sprintf("perm n=%d #%d", n, k), question("q", n, float64(k)), rng.Perm(n)})
+		}
+	}
+	// Equal transfers: the request repeats (src, dst, size) triples, and the
+	// canonical answers of the repeats differ only in their durations.
+	var req []TransferRequest
+	for i := 0; i < 20; i++ {
+		req = append(req, TransferRequest{Src: fmt.Sprintf("s%d", rng.Intn(3)), Dst: "d", Size: float64(1 + rng.Intn(2))})
+	}
+	order := canonicalize(req)
+	canonical := make([]Prediction, len(req))
+	for pos, i := range order {
+		canonical[pos] = Prediction{Src: req[i].Src, Dst: req[i].Dst, Size: req[i].Size, Duration: float64(pos) + 0.5}
+	}
+	cases = append(cases, tc{"equal transfers", canonical, order})
+	for _, c := range cases {
+		got, fallback := orderedPredictionBytes(c.canonical, c.order)
+		if fallback {
+			t.Errorf("%s: unexpected fallback", c.name)
+			continue
+		}
+		if want := legacyBytes(t, reorder(c.canonical, c.order)); !bytes.Equal(got, want) {
+			t.Errorf("%s: request-order rendering diverged\nhot:    %q\nlegacy: %q", c.name, got, want)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		nonFinite := question("q", 5, 1)
+		nonFinite[3].Duration = f
+		perm := []int{4, 2, 0, 1, 3}
+		got, fallback := orderedPredictionBytes(nonFinite, perm)
+		if !fallback {
+			t.Errorf("duration %v: fallback flag not set", f)
+		}
+		if want := legacyWriteBytes(reorder(nonFinite, perm)); !bytes.Equal(got, want) {
+			t.Errorf("duration %v: fallback wrote %q, legacy %q", f, got, want)
+		}
+	}
+}
+
 // TestLegacyJSONEscapeHatch pins that SetLegacyJSON routes the same
 // response through encoding/json — and that both paths serve identical
 // bytes over real HTTP.
@@ -329,10 +405,20 @@ func FuzzHotPredictionsEncoder(f *testing.F) {
 	f.Add("src", "dst", 5e8, 12.5)
 	f.Add("<s>& ", "\xff\x00\t", 1e-7, -1e21)
 	f.Add("", "", math.Copysign(0, -1), 9.999999999999999e20)
+	f.Add("s", "d", 5e8, math.NaN())
 	f.Fuzz(func(t *testing.T, src, dst string, size, duration float64) {
 		preds := []Prediction{{Src: src, Dst: dst, Size: size, Duration: duration}}
 		got, fallback := hotPredictionBytes(preds)
-		if math.IsNaN(size) || math.IsInf(size, 0) || math.IsNaN(duration) || math.IsInf(duration, 0) {
+		nonFinite := math.IsNaN(size) || math.IsInf(size, 0) || math.IsNaN(duration) || math.IsInf(duration, 0)
+		// The same prediction beside its mirror image, answered in request
+		// order through a swap: the hot predict writer, fallback included.
+		canonical := []Prediction{preds[0], {Src: dst, Dst: src, Size: size, Duration: -duration}}
+		order := []int{1, 0}
+		ordered, orderedFallback := orderedPredictionBytes(canonical, order)
+		if want := legacyWriteBytes(reorder(canonical, order)); orderedFallback != nonFinite || !bytes.Equal(ordered, want) {
+			t.Fatalf("request-order rendering diverged (fallback %v)\nhot:    %q\nlegacy: %q", orderedFallback, ordered, want)
+		}
+		if nonFinite {
 			if !fallback {
 				t.Fatalf("non-finite floats must fall back (size=%v duration=%v)", size, duration)
 			}

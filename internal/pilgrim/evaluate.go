@@ -26,8 +26,9 @@ import (
 //   - scenarios sharing an (epoch, background) picture form one *group*,
 //     groups deriving from one base epoch form one *supergroup*, and
 //     supergroups fan out across the WorkerPool; one runner
-//     (runSuperGroup) answers every cell, by base-answer reuse or in one
-//     batched sim.RunPlan per derived epoch on one pooled engine;
+//     (runSuperGroup) answers every cell, by base-answer reuse or by
+//     running the cell's query on one pooled engine per derived epoch
+//     (sim.Engine.RunQuery) straight into the answer the cache keeps;
 //   - every sub-simulation — a transfer set, a hypothesis — is a
 //     canonical (epoch, config, query) triple deduplicated through the
 //     ForecastCache, so overlapping scenarios and repeated requests pay
@@ -602,18 +603,6 @@ func (g *evalGroup) workflowCells(queries []EvalQuery, results []EvalResult) {
 	}
 }
 
-// planToPreds converts one plan result into canonical-order predictions.
-func planToPreds(pr *sim.PlanResult) ([]Prediction, error) {
-	if pr.Err != nil {
-		return nil, pr.Err
-	}
-	preds := make([]Prediction, len(pr.Results))
-	for i, r := range pr.Results {
-		preds[i] = Prediction{Src: r.Src, Dst: r.Dst, Size: r.Size, Duration: r.Duration}
-	}
-	return preds, nil
-}
-
 // requestOrder maps canonical answers back to request order, once per
 // distinct (answer, permutation): cells that resolved to the same canonical
 // slice — a supergroup's baseline and every member reusing its answer —
@@ -909,19 +898,20 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 		}
 		runIdx = append(runIdx, di)
 	}
+	// Every run below answers on a pooled engine straight into the
+	// canonical []Prediction the cache keeps; sc holds the completion dates.
+	sc := getRunScratch()
+	defer sc.put()
 	if len(runIdx) > 0 {
-		plan := make([]sim.PlanQuery, len(runIdx))
-		for j, di := range runIdx {
-			plan[j] = dsubs[di].plan
-		}
-		res := sim.RunPlan(base, sg.base.Config, plan)
-		sg.baseSims += len(runIdx)
-		for j, di := range runIdx {
+		e := sim.AcquireEngineSnapshot(base, sg.base.Config)
+		for _, di := range runIdx {
 			ds := &dsubs[di]
-			preds, err := planToPreds(&res[j])
+			preds, err := simulate(e, &ds.plan, sc)
 			ds.base = subAnswer{preds: preds, err: err, have: true}
 			ev.Cache.complete(key(basePicture, di), ds.baseLed, preds, err)
 		}
+		sim.ReleaseEngine(e)
+		sg.baseSims += len(runIdx)
 	}
 
 	// Answer each member's remaining subs, memoizing them under the member's
@@ -932,7 +922,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	for mi := range members {
 		m := &members[mi]
 		g := m.g
-		var run []sim.PlanQuery
+		run := 0
 		for di := range m.subs {
 			sub := &m.subs[di]
 			if !sub.need {
@@ -953,27 +943,26 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 					g.cold++
 				}
 			}
-			run = append(run, dsubs[di].plan)
+			run++
 		}
-		if len(run) == 0 {
+		if run == 0 {
 			continue
 		}
 		// The member's other subs — bandwidth-only and cold alike, all of its
-		// misses when it has nothing to share — run as one batch on one
+		// misses when it has nothing to share — run one after another on one
 		// pooled engine bound to its epoch.
-		res := sim.RunPlan(g.entry.snapshot(), g.entry.Config, run)
-		g.sims += len(run)
-		j := 0
+		e := sim.AcquireEngineSnapshot(g.entry.snapshot(), g.entry.Config)
 		for di := range m.subs {
 			sub := &m.subs[di]
 			if !sub.need || sub.class == sim.ClassReuse {
 				continue
 			}
-			preds, err := planToPreds(&res[j])
-			j++
+			preds, err := simulate(e, &dsubs[di].plan, sc)
 			sub.subAnswer = subAnswer{preds: preds, err: err, have: true}
 			ev.Cache.complete(key(m.picture, di), sub.led, preds, err)
 		}
+		sim.ReleaseEngine(e)
+		g.sims += run
 	}
 
 	// Every flight this supergroup leads has published; only now wait
@@ -988,9 +977,10 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 			}
 			ds := &dsubs[di]
 			preds, err := ev.Cache.waitFlight(ctx, key(m.picture, di), sub.followed, func() ([]Prediction, error) {
-				res := sim.RunPlan(m.g.entry.snapshot(), m.g.entry.Config, []sim.PlanQuery{ds.plan})
+				e := sim.AcquireEngineSnapshot(m.g.entry.snapshot(), m.g.entry.Config)
+				defer sim.ReleaseEngine(e)
 				m.g.sims++
-				return planToPreds(&res[0])
+				return simulate(e, &ds.plan, sc)
 			})
 			if err != nil && ctx.Err() != nil {
 				return ctx.Err()

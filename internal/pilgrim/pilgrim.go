@@ -45,6 +45,7 @@ package pilgrim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -547,23 +548,63 @@ func PredictTransfers(entry PlatformEntry, transfers []TransferRequest, backgrou
 	if len(transfers) == 0 {
 		return nil, fmt.Errorf("pilgrim: no transfers requested")
 	}
-	s := sim.NewPooledSnapshotSimulation(entry.snapshot(), entry.Config)
-	defer s.Release()
-	for _, bg := range background {
-		s.AddBackgroundFlow(bg[0], bg[1])
+	return predictOrdered(entry, transfers, nil, background)
+}
+
+// runScratch is what one forecast run needs and no answer keeps: the
+// transfers in simulation order and the completion dates the sim runner
+// writes. Pooled, so a run allocates only the []Prediction it returns —
+// the slice the forecast cache keeps.
+type runScratch struct {
+	sims  []sim.Transfer
+	dates []float64
+}
+
+var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+
+func getRunScratch() *runScratch { return runScratchPool.Get().(*runScratch) }
+
+// put returns the scratch to the pool without pinning the request's
+// strings.
+func (sc *runScratch) put() {
+	clear(sc.sims)
+	sc.sims = sc.sims[:0]
+	runScratchPool.Put(sc)
+}
+
+// predictOrdered simulates transfers — in the order order lists them, or
+// as given when order is nil — on a pooled engine bound to entry's epoch,
+// and returns the answer in simulation order.
+func predictOrdered(entry PlatformEntry, transfers []TransferRequest, order []int, background [][2]string) ([]Prediction, error) {
+	sc := getRunScratch()
+	defer sc.put()
+	for pos := range transfers {
+		i := pos
+		if order != nil {
+			i = order[pos]
+		}
+		t := &transfers[i]
+		sc.sims = append(sc.sims, sim.Transfer{Src: t.Src, Dst: t.Dst, Size: t.Size})
 	}
-	for _, t := range transfers {
-		s.AddTransfer(t.Src, t.Dst, t.Size)
-	}
-	results, err := s.Run()
-	if err != nil {
+	e := sim.AcquireEngineSnapshot(entry.snapshot(), entry.Config)
+	defer sim.ReleaseEngine(e)
+	return simulate(e, &sim.PlanQuery{Transfers: sc.sims, Background: background}, sc)
+}
+
+// simulate answers q on e (sim.Engine.RunQuery) and builds the answer in
+// q's transfer order straight from the completion dates, which land in
+// sc's scratch.
+func simulate(e *sim.Engine, q *sim.PlanQuery, sc *runScratch) ([]Prediction, error) {
+	n := len(q.Transfers)
+	sc.dates = slices.Grow(sc.dates[:0], n)[:n]
+	if err := e.RunQuery(q, sc.dates); err != nil {
 		return nil, err
 	}
-	out := make([]Prediction, len(results))
-	for i, r := range results {
-		out[i] = Prediction{Src: r.Src, Dst: r.Dst, Size: r.Size, Duration: r.Duration}
+	preds := make([]Prediction, n)
+	for i, t := range q.Transfers {
+		preds[i] = Prediction{Src: t.Src, Dst: t.Dst, Size: t.Size, Duration: sc.dates[i] - t.Start}
 	}
-	return out, nil
+	return preds, nil
 }
 
 // Hypothesis is one alternative considered by SelectFastest: a set of

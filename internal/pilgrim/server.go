@@ -448,15 +448,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	transfers := make([]TransferRequest, 0, len(q["transfer"]))
+	tl := transferLists.Get().(*[]TransferRequest)
+	defer putTransferList(tl)
 	for _, v := range q["transfer"] {
 		t, err := parseTransferParam(v)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		transfers = append(transfers, t)
+		*tl = append(*tl, t)
 	}
+	transfers := *tl
 	if len(transfers) == 0 {
 		http.Error(w, "at least one transfer parameter required", http.StatusBadRequest)
 		return
@@ -477,7 +479,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		finishCtx(w, err)
 		return
 	}
-	preds, key, err := fc.predictKeyed(ctx, name, entry, transfers, background)
+	canonical, cq, err := fc.predictKeyed(ctx, name, entry, transfers, background)
 	if err != nil {
 		if finishCtx(w, err) {
 			return
@@ -486,16 +488,28 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !hot {
-		writeJSON(w, preds)
+		writeJSON(w, reorder(canonical, cq.order))
 		return
 	}
-	e := getEnc()
-	e.predictions(preds, 0)
-	e.raw("\n")
+	// The canonical answer is rendered in request order as it is encoded
+	// (docs/DESIGN.md, "Serving hot path"): no reordered copy is built
+	// unless the encoder falls back to encoding/json.
+	e := encodePredictions(canonical, cq.order)
 	if !e.fallback && !q.Has("at") && !q.Has("deadline") {
-		fc.attachRendering(key, rk, e.buf)
+		fc.attachRendering(cq.key, rk, e.buf)
 	}
-	writeHotJSON(w, e, preds)
+	writeHotJSON(w, e, func() any { return reorder(canonical, cq.order) })
+}
+
+// transferLists pools handlePredict's parsed transfer lists. Nothing a
+// request leaves behind holds the slice — a cached answer keeps the
+// request's strings, never the list — so it is recycled on return.
+var transferLists = sync.Pool{New: func() any { return new([]TransferRequest) }}
+
+func putTransferList(tl *[]TransferRequest) {
+	clear(*tl)
+	*tl = (*tl)[:0]
+	transferLists.Put(tl)
 }
 
 // handleCacheStats reports the forecast cache's hit/miss counters, the

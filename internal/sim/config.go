@@ -23,8 +23,10 @@
 //
 //   - Engine: the event kernel (communications, computations, background
 //     flows) — add activities, step events, read completions;
-//   - Simulation: the batch façade used by the forecast service — declare
-//     transfers, Run, read per-transfer durations;
+//   - RunQuery and Simulation: run a set of concurrent transfers (plus
+//     background flows) to completion — RunQuery writes the completion
+//     dates into caller-owned storage (the forecast service's path),
+//     Simulation declares transfers, Runs and returns per-transfer results;
 //   - Kernel/Process (msg.go): a small MSG-style process API (send,
 //     receive, execute, sleep) for simulating distributed applications,
 //     which is how the paper's forecast service actually instantiates its

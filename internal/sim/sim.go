@@ -25,16 +25,15 @@ type TransferResult struct {
 	Duration float64
 }
 
-// Simulation is the batch façade used by the forecast service: declare a
-// set of concurrent transfers, Run, and read the predicted completion
-// times. It mirrors the paper's use of SimGrid — "a simulation is
+// Simulation is the batch façade over Engine.RunQuery: declare a set of
+// concurrent transfers, Run, and read the predicted completion times. It
+// mirrors the paper's use of SimGrid — "a simulation is
 // instantiated, containing one send and one receive process for each
 // requested transfer" (§IV-C2) — without the process-API overhead.
 type Simulation struct {
-	engine    *Engine
-	transfers []Transfer
-	bg        []Transfer
-	ran       bool
+	engine *Engine
+	query  PlanQuery
+	ran    bool
 }
 
 // NewSimulation creates a simulation over the platform's current base
@@ -79,13 +78,13 @@ func (s *Simulation) AddTransfer(src, dst string, size float64) {
 
 // AddTransferAt declares a transfer with an explicit start date.
 func (s *Simulation) AddTransferAt(src, dst string, size, start float64) {
-	s.transfers = append(s.transfers, Transfer{Src: src, Dst: dst, Size: size, Start: start})
+	s.query.Transfers = append(s.query.Transfers, Transfer{Src: src, Dst: dst, Size: size, Start: start})
 }
 
 // AddBackgroundFlow declares a persistent contending flow (cross-traffic)
 // present from simulated time 0.
 func (s *Simulation) AddBackgroundFlow(src, dst string) {
-	s.bg = append(s.bg, Transfer{Src: src, Dst: dst})
+	s.query.Background = append(s.query.Background, [2]string{src, dst})
 }
 
 // Run simulates all declared transfers and returns their results in
@@ -95,33 +94,11 @@ func (s *Simulation) Run() ([]TransferResult, error) {
 		return nil, fmt.Errorf("sim: Run called twice")
 	}
 	s.ran = true
-	results := make([]TransferResult, len(s.transfers))
-	for _, t := range s.bg {
-		if _, err := s.engine.AddBackgroundFlow(t.Src, t.Dst, 0); err != nil {
-			return nil, fmt.Errorf("sim: background flow %s->%s: %w", t.Src, t.Dst, err)
-		}
-	}
-	for i, t := range s.transfers {
-		i, t := i, t
-		_, err := s.engine.AddComm(t.Src, t.Dst, t.Size, t.Start, func(now float64) {
-			results[i] = TransferResult{
-				Transfer:   t,
-				Completion: now,
-				Duration:   now - t.Start,
-			}
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sim: transfer %s->%s: %w", t.Src, t.Dst, err)
-		}
-	}
-	n, err := s.engine.RunToCompletion()
-	if err != nil {
+	done := make([]float64, len(s.query.Transfers))
+	if err := s.engine.RunQuery(&s.query, done); err != nil {
 		return nil, err
 	}
-	if n != len(s.transfers) {
-		return nil, fmt.Errorf("sim: %d of %d transfers completed", n, len(s.transfers))
-	}
-	return results, nil
+	return transferResults(s.query.Transfers, done), nil
 }
 
 // Engine exposes the underlying engine (benchmarks read Resharings).
