@@ -105,9 +105,9 @@ type PlatformRef struct {
 	// Generate).
 	Name string `json:"name,omitempty"`
 	// Model toggles mirror the pilgrimd flags.
-	GammaLatFactor     bool `json:"gamma_latfactor,omitempty"`
-	EquipmentLimits    bool `json:"equipment_limits,omitempty"`
-	MeasuredLatencies  bool `json:"measured_latencies,omitempty"`
+	GammaLatFactor    bool `json:"gamma_latfactor,omitempty"`
+	EquipmentLimits   bool `json:"equipment_limits,omitempty"`
+	MeasuredLatencies bool `json:"measured_latencies,omitempty"`
 }
 
 // PlatformName returns the registry name the campaign addresses.

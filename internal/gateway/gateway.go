@@ -447,6 +447,7 @@ func (g *Gateway) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 		out.Hits += cs.Hits
 		out.Misses += cs.Misses
 		out.CoalescedHits += cs.CoalescedHits
+		out.RenderedHits += cs.RenderedHits
 		out.Size += cs.Size
 		out.Capacity += cs.Capacity
 	}

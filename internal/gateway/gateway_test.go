@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync/atomic"
@@ -248,6 +249,86 @@ func TestScatterGatherDegradesPartial(t *testing.T) {
 	}
 	if ok != 2 {
 		t.Fatalf("%d shards healthy, want 2", ok)
+	}
+}
+
+// TestFleetCacheStatsSumsEveryCounter drives rendered hits on two shards,
+// stops the third, and checks that every pilgrim.CacheStats field of the
+// fleet answer is the sum of the live shards' own stats documents.
+func TestFleetCacheStatsSumsEveryCounter(t *testing.T) {
+	f := newFleet(t, 3, "g5k_mini", "alpha", "beta", "gamma", "delta")
+	ring := f.gw.Ring()
+	byOwner := map[string]string{} // shard -> a platform it owns
+	for _, p := range []string{"g5k_mini", "alpha", "beta", "gamma", "delta"} {
+		if owner := ring.Owner(p).Name; byOwner[owner] == "" && len(byOwner) < 2 {
+			byOwner[owner] = p
+		}
+	}
+	if len(byOwner) != 2 {
+		t.Fatalf("platforms cover %d shards, want 2", len(byOwner))
+	}
+	for _, w := range f.m.Workers {
+		if byOwner[w.Name] == "" {
+			f.workers[w.Name].Close()
+		}
+	}
+	// The same request line four times: a miss, a hit that remembers the
+	// line, then two rendered hits.
+	for _, p := range byOwner {
+		url := f.front.URL + "/pilgrim/predict_transfers/" + p +
+			"?transfer=sagittaire-1.lyon.grid5000.fr,graphene-1.nancy.grid5000.fr,1e8"
+		for i := 0; i < 4; i++ {
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d", p, resp.StatusCode)
+			}
+		}
+	}
+
+	resp, err := http.Get(f.front.URL + "/pilgrim/cache_stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fleetStats FleetCacheStats
+	if err := json.NewDecoder(resp.Body).Decode(&fleetStats); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	var sum pilgrim.CacheStats
+	total := reflect.ValueOf(&sum).Elem()
+	for _, sc := range fleetStats.Shards {
+		if !sc.OK {
+			continue
+		}
+		var cs pilgrim.CacheStats
+		if err := json.Unmarshal(sc.Stats, &cs); err != nil {
+			t.Fatal(err)
+		}
+		if cs.RenderedHits == 0 {
+			t.Errorf("shard %s: no rendered hits in %s", sc.Shard, sc.Stats)
+		}
+		v := reflect.ValueOf(cs)
+		for i := 0; i < v.NumField(); i++ {
+			switch fv := total.Field(i); fv.Kind() {
+			case reflect.Int:
+				fv.SetInt(fv.Int() + v.Field(i).Int())
+			case reflect.Uint64:
+				fv.SetUint(fv.Uint() + v.Field(i).Uint())
+			default:
+				t.Fatalf("CacheStats.%s has kind %s: extend the sum", total.Type().Field(i).Name, fv.Kind())
+			}
+		}
+	}
+	if sum.RenderedHits == 0 {
+		t.Fatal("no live shard reported rendered hits")
+	}
+	if fleetStats.CacheStats != sum {
+		t.Errorf("fleet counters %+v, sum of live shards %+v", fleetStats.CacheStats, sum)
 	}
 }
 

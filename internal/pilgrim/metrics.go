@@ -182,7 +182,7 @@ func WriteServerMetrics(e *Exposition, s *Server) {
 	e.Add("pilgrim_evaluate_fork_total", "", Counter, float64(ws.EvaluateForkRuns), Label{"tier", "forked"})
 	e.Add("pilgrim_evaluate_fork_total", "", Counter, float64(ws.EvaluateForkCold), Label{"tier", "cold"})
 
-	os := s.overlays.Load().Stats()
+	os := s.overlays.Stats()
 	e.Add("pilgrim_overlay_cache_hits_total", "Scenario-overlay cache hits (derived epochs reused).", Counter, float64(os.Hits))
 	e.Add("pilgrim_overlay_cache_misses_total", "Scenario-overlay cache misses (fresh ApplyOverlay).", Counter, float64(os.Misses))
 	e.Add("pilgrim_overlay_cache_entries", "Derived epochs currently cached.", Gauge, float64(os.Size))

@@ -37,7 +37,7 @@ type Server struct {
 	metrics   *metrology.Registry
 	cache     atomic.Pointer[ForecastCache]
 	pool      atomic.Pointer[WorkerPool]
-	overlays  atomic.Pointer[OverlayCache]
+	overlays  *OverlayCache
 	mux       *http.ServeMux
 
 	// Evaluate limits (0 selects the package defaults).
@@ -90,11 +90,11 @@ func NewServer(platforms *Registry, metrics *metrology.Registry) *Server {
 	s := &Server{
 		platforms: platforms,
 		metrics:   metrics,
+		overlays:  NewOverlayCache(DefaultOverlayCacheSize),
 		mux:       http.NewServeMux(),
 	}
 	s.cache.Store(NewForecastCache(DefaultForecastCacheSize))
 	s.pool.Store(NewWorkerPool(DefaultForecastWorkers))
-	s.overlays.Store(NewOverlayCache(DefaultOverlayCacheSize))
 	s.mux.HandleFunc("GET /pilgrim/platforms", s.handlePlatforms)
 	s.mux.HandleFunc("GET /pilgrim/predict_transfers/{platform}", s.handlePredict)
 	s.mux.HandleFunc("GET /pilgrim/select_fastest/{platform}", s.handleSelectFastest)
@@ -134,13 +134,6 @@ func (s *Server) SetForecastWorkers(n int) {
 func (s *Server) SetEvaluateLimits(maxScenarios, maxCells int) {
 	s.maxScenarios.Store(int64(maxScenarios))
 	s.maxCells.Store(int64(maxCells))
-}
-
-// SetOverlayCache replaces the server's scenario-overlay cache with one
-// of the given capacity (capacity <= 0 disables cross-request epoch
-// reuse).
-func (s *Server) SetOverlayCache(capacity int) {
-	s.overlays.Store(NewOverlayCache(capacity))
 }
 
 // SetAdmission bounds the simulation endpoints (predict_transfers,
@@ -337,7 +330,7 @@ func (s *Server) evaluator() *Evaluator {
 		Platforms:           s.platforms,
 		Cache:               s.cache.Load(),
 		Pool:                s.pool.Load(),
-		Overlays:            s.overlays.Load(),
+		Overlays:            s.overlays,
 		MaxScenarios:        int(s.maxScenarios.Load()),
 		MaxCells:            int(s.maxCells.Load()),
 		DisableDifferential: s.differentialOff.Load(),
@@ -531,7 +524,7 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 		Admission AdmissionStats   `json:"admission"`
 		Engines   sim.PoolCounters `json:"engine_pool"`
 		Storage   *store.WALStats  `json:"storage,omitempty"`
-	}{s.cache.Load().Stats(), s.pool.Load().Stats(), s.overlays.Load().Stats(),
+	}{s.cache.Load().Stats(), s.pool.Load().Stats(), s.overlays.Stats(),
 		s.admission.Load().Stats(), sim.PoolStats(), storage})
 }
 

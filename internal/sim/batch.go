@@ -65,11 +65,11 @@ func (e *Engine) RunQuery(q *PlanQuery, done []float64) error {
 	// first+i in the ledger.
 	first := e.nextID
 	for _, t := range q.Transfers {
-		if _, err := e.AddComm(t.Src, t.Dst, t.Size, t.Start, nil); err != nil {
+		if _, err := e.AddComm(t.Src, t.Dst, t.Size, t.Start); err != nil {
 			return fmt.Errorf("sim: transfer %s->%s: %w", t.Src, t.Dst, err)
 		}
 	}
-	n, err := e.RunToCompletion()
+	n, err := e.RunToCompletion(nil)
 	if err != nil {
 		return err
 	}

@@ -129,24 +129,25 @@ func TestDownResourcesRejectActivities(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngineSnapshot(snap, DefaultConfig())
-	if _, err := e.AddExec("c", 1e9, 0, nil); err == nil || !strings.Contains(err.Error(), "down") {
+	if _, err := e.AddExec("c", 1e9, 0); err == nil || !strings.Contains(err.Error(), "down") {
 		t.Errorf("exec on failed host: err = %v", err)
 	}
-	if _, err := e.AddComm("a", "c", 1e8, 0, nil); err == nil || !strings.Contains(err.Error(), "down") {
+	if _, err := e.AddComm("a", "c", 1e8, 0); err == nil || !strings.Contains(err.Error(), "down") {
 		t.Errorf("comm to failed host: err = %v", err)
 	}
-	if _, err := e.AddComm("c", "a", 1e8, 0, nil); err == nil || !strings.Contains(err.Error(), "down") {
+	if _, err := e.AddComm("c", "a", 1e8, 0); err == nil || !strings.Contains(err.Error(), "down") {
 		t.Errorf("comm from failed host: err = %v", err)
 	}
 	// Healthy pairs still work on the same epoch.
-	if _, err := e.AddComm("a", "b", 1e8, 0, nil); err != nil {
+	if _, err := e.AddComm("a", "b", 1e8, 0); err != nil {
 		t.Errorf("healthy comm rejected: %v", err)
 	}
 }
 
 // callbackOracle answers q the way the forecast service did before
 // RunQuery: the test drives Engine.AddComm itself and records every
-// completion date from its own onDone callback, with the error texts the
+// completion date as RunToCompletion's observer reports it — never from
+// the Done ledger RunQuery reads — with the error texts the
 // per-transfer-callback runner produced.
 func callbackOracle(e *Engine, q *PlanQuery) ([]float64, error) {
 	for _, bg := range q.Background {
@@ -155,14 +156,23 @@ func callbackOracle(e *Engine, q *PlanQuery) ([]float64, error) {
 		}
 	}
 	dates := make([]float64, len(q.Transfers))
+	transfer := make(map[ActivityID]int, len(q.Transfers))
 	for i, t := range q.Transfers {
-		i := i
 		dates[i] = math.NaN()
-		if _, err := e.AddComm(t.Src, t.Dst, t.Size, t.Start, func(now float64) { dates[i] = now }); err != nil {
+		id, err := e.AddComm(t.Src, t.Dst, t.Size, t.Start)
+		if err != nil {
 			return nil, fmt.Errorf("sim: transfer %s->%s: %w", t.Src, t.Dst, err)
 		}
+		transfer[id] = i
 	}
-	n, err := e.RunToCompletion()
+	n, err := e.RunToCompletion(func(id ActivityID) error {
+		i, ok := transfer[id]
+		if !ok {
+			return fmt.Errorf("oracle: activity %d is no transfer", id)
+		}
+		dates[i] = e.Now()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

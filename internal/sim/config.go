@@ -19,18 +19,18 @@
 // TCPGamma / (2 × RTT) — SimGrid's network/TCP_gamma option, which the
 // paper sets to 4194304 to match the senders' kernel configuration.
 //
-// Three layers are exposed:
+// Two layers are exposed:
 //
 //   - Engine: the event kernel (communications, computations, background
-//     flows) — add activities, step events, read completions;
+//     flows) — add activities, then RunToCompletion, whose optional
+//     observer sees each completion as it happens (workflows start their
+//     dependents from it);
 //   - RunQuery and Simulation: run a set of concurrent transfers (plus
 //     background flows) to completion — RunQuery writes the completion
 //     dates into caller-owned storage (the forecast service's path),
-//     Simulation declares transfers, Runs and returns per-transfer results;
-//   - Kernel/Process (msg.go): a small MSG-style process API (send,
-//     receive, execute, sleep) for simulating distributed applications,
-//     which is how the paper's forecast service actually instantiates its
-//     simulations (one sender and one receiver process per transfer).
+//     Simulation declares transfers, Runs and returns per-transfer results.
+//     Simulation is the paper's "one send and one receive process for each
+//     requested transfer" (§IV-C2) without a process layer.
 package sim
 
 // Config carries the parameters of the fluid TCP model.

@@ -17,7 +17,6 @@ type activityKind int
 const (
 	commActivity activityKind = iota
 	execActivity
-	timerActivity
 )
 
 // activityPhase tracks the lifecycle of an activity.
@@ -65,25 +64,17 @@ type activity struct {
 	host int32 // dense host index, -1 when not an exec
 
 	// fv is the live flow-system variable while the activity is in
-	// phaseActive (nil for timers). It is inserted on activation and
-	// removed on completion, so the max-min system mutates incrementally
-	// instead of being rebuilt per event. The variable's Data backref
-	// points here.
+	// phaseActive. It is inserted on activation and removed on completion,
+	// so the max-min system mutates incrementally instead of being rebuilt
+	// per event. The variable's Data backref points here.
 	fv *flow.Variable
-
-	onDone func(now float64)
 }
 
-// dueEvent is one popped heap entry awaiting processing. The id guards
-// against a slot being retired and reused by an onDone callback while the
-// rest of the batch is still being processed.
-type dueEvent struct {
-	slot int32
-	id   ActivityID
-}
-
-// Engine is the discrete-event kernel. It is not safe for concurrent use;
-// the MSG layer serializes access.
+// Engine is the discrete-event kernel. It is not safe for concurrent use.
+//
+// Completions are reported one way: the list Step returns, which
+// RunToCompletion, the one run loop, hands to an optional observer. The
+// Done ledger keeps the same dates for reading once the run is over.
 //
 // The kernel is built around an indexed min-heap of per-activity
 // next-event dates: a scheduled activity is keyed by its start date, a
@@ -108,10 +99,13 @@ type Engine struct {
 	now    float64
 	nextID ActivityID
 
-	// Dense activity arena. arena is indexed by slot; completed slots go
-	// through pendingFree (callbacks may retire activities while Step is
-	// iterating a batch) into freeSlots and are reused by the next add,
-	// struct and all.
+	// Dense activity arena. arena is indexed by slot; a completed slot
+	// waits in pendingFree until the next Step, then joins freeSlots and is
+	// reused by a later add, struct and all. Deferring reuse means an
+	// activity the run observer adds after a completion batch never takes a
+	// slot that batch vacated. Slots never affect results (heap ties break
+	// on id); the deferral keeps the arena layout, and so the stall scan's
+	// report order, stable.
 	arena       []*activity
 	freeSlots   []int32
 	pendingFree []int32
@@ -130,7 +124,7 @@ type Engine struct {
 	heapSlot []int32
 	heapPos  []int32
 
-	due       []dueEvent   // scratch batch of popped events, reused across Steps
+	due       []int32      // scratch batch of popped slots, reused across Steps
 	completed []ActivityID // scratch result of the latest Step
 
 	dirty bool // sharing must be recomputed
@@ -198,7 +192,6 @@ func (e *Engine) Reset() {
 		a := e.arena[i]
 		a.phase = phaseDone
 		a.fv = nil
-		a.onDone = nil
 		a.links = nil
 		a.host = -1
 	}
@@ -406,14 +399,11 @@ func (e *Engine) lookup(id ActivityID) *activity {
 	return e.arena[slot]
 }
 
-// retire releases a finished activity's slot for reuse. The release is
-// deferred to the next Step boundary because retire runs inside Step's
-// batch loop (and from onDone callbacks), where an immediate reuse could
-// alias an entry of the batch being processed.
+// retire releases a finished activity's slot for reuse from the next Step
+// on (see pendingFree).
 func (e *Engine) retire(a *activity) {
 	e.slotOf[a.id] = -1
 	e.live--
-	a.onDone = nil
 	a.links = nil
 	a.host = -1
 	e.pendingFree = append(e.pendingFree, a.slot)
@@ -430,8 +420,8 @@ func (e *Engine) drainFree() {
 // public scheduling API ----------------------------------------------------
 
 // AddComm schedules a communication of size bytes from src to dst starting
-// at date start (>= Now). onDone, if non-nil, runs when it completes.
-func (e *Engine) AddComm(src, dst string, size, start float64, onDone func(now float64)) (ActivityID, error) {
+// at date start (>= Now).
+func (e *Engine) AddComm(src, dst string, size, start float64) (ActivityID, error) {
 	if size <= 0 || math.IsNaN(size) || math.IsInf(size, 0) {
 		return 0, fmt.Errorf("sim: invalid transfer size %v", size)
 	}
@@ -468,7 +458,6 @@ func (e *Engine) AddComm(src, dst string, size, start float64, onDone func(now f
 		host:      -1,
 		weight:    1 / e.cfg.rttWeight(lat),
 		bound:     e.cfg.windowBound(lat),
-		onDone:    onDone,
 	}), nil
 }
 
@@ -478,7 +467,7 @@ func (e *Engine) AddComm(src, dst string, size, start float64, onDone func(now f
 // future work: metrology-observed cross-traffic can be injected into each
 // forecast simulation.
 func (e *Engine) AddBackgroundFlow(src, dst string, start float64) (ActivityID, error) {
-	id, err := e.AddComm(src, dst, math.MaxFloat64/4, start, nil)
+	id, err := e.AddComm(src, dst, math.MaxFloat64/4, start)
 	if err != nil {
 		return 0, err
 	}
@@ -501,7 +490,7 @@ func (e *Engine) RemoveBackgroundFlow(id ActivityID) error {
 
 // AddExec schedules a computation of the given flops on host, starting at
 // date start. Concurrent computations on one host share its speed equally.
-func (e *Engine) AddExec(host string, flops, start float64, onDone func(now float64)) (ActivityID, error) {
+func (e *Engine) AddExec(host string, flops, start float64) (ActivityID, error) {
 	if flops <= 0 || math.IsNaN(flops) || math.IsInf(flops, 0) {
 		return 0, fmt.Errorf("sim: invalid flops %v", flops)
 	}
@@ -521,27 +510,6 @@ func (e *Engine) AddExec(host string, flops, start float64, onDone func(now floa
 		start:     start,
 		remaining: flops,
 		host:      hi,
-		onDone:    onDone,
-	}), nil
-}
-
-// AddTimer schedules a pure time event firing duration seconds after
-// start. Timers consume no resources; the MSG layer uses them for Sleep.
-func (e *Engine) AddTimer(duration, start float64, onDone func(now float64)) (ActivityID, error) {
-	if duration < 0 || math.IsNaN(duration) {
-		return 0, fmt.Errorf("sim: invalid timer duration %v", duration)
-	}
-	if start < e.now {
-		return 0, fmt.Errorf("sim: start date %v is in the past (now %v)", start, e.now)
-	}
-	return e.add(activity{
-		kind:      timerActivity,
-		phase:     phaseScheduled,
-		start:     start,
-		remaining: duration,
-		rate:      1,
-		host:      -1,
-		onDone:    onDone,
 	}), nil
 }
 
@@ -585,10 +553,9 @@ func (e *Engine) hostConstraint(hi int32) *flow.Constraint {
 	return c
 }
 
-// activate moves the activity to its consuming phase: comms and execs get
-// a flow variable in the max-min system (their event key is assigned by
-// the resharing at the next Step, once a rate is known); timers get their
-// fixed expiry key directly.
+// activate moves the activity to its consuming phase: it gets a flow
+// variable in the max-min system, and its event key is assigned by the
+// resharing at the next Step, once a rate is known.
 func (e *Engine) activate(a *activity) {
 	a.phase = phaseActive
 	a.lastUpdate = e.now
@@ -641,8 +608,6 @@ func (e *Engine) activate(a *activity) {
 		a.fv = v
 		a.rate = 0
 		e.sys.MustAttach(v, e.hostConstraint(a.host))
-	case timerActivity:
-		e.heapPush(a.slot, e.now+a.remaining)
 	}
 	e.dirty = true
 }
@@ -741,22 +706,17 @@ func (e *Engine) Step() (completed []ActivityID, ok bool, err error) {
 	e.completed = e.completed[:0]
 	for len(e.heapKey) > 0 && e.heapKey[0] <= t {
 		slot := e.heapSlot[0]
-		e.due = append(e.due, dueEvent{slot: slot, id: e.arena[slot].id})
+		e.due = append(e.due, slot)
 		e.heapRemove(slot)
 	}
 
-	for _, ev := range e.due {
-		a := e.arena[ev.slot]
-		if a.id != ev.id || a.phase == phaseDone {
-			// Retired (and possibly recycled) by a callback earlier in
-			// this batch.
-			continue
-		}
+	for _, slot := range e.due {
+		a := e.arena[slot]
 		switch a.phase {
 		case phaseScheduled:
 			if a.kind == commActivity && a.latLeft > 0 {
 				a.phase = phaseLatency
-				e.heapPush(ev.slot, e.now+a.latLeft)
+				e.heapPush(slot, e.now+a.latLeft)
 			} else {
 				e.activate(a)
 			}
@@ -772,17 +732,22 @@ func (e *Engine) Step() (completed []ActivityID, ok bool, err error) {
 			e.doneAt[a.id] = e.now
 			e.deactivate(a)
 			e.completed = append(e.completed, a.id)
-			if a.onDone != nil {
-				a.onDone(e.now)
-			}
 			e.retire(a)
 		}
 	}
 	return e.completed, true, nil
 }
 
-// RunToCompletion steps the engine until no event remains. The returned
-// count is the number of activities that completed.
+// RunToCompletion steps the engine until no event remains — the engine's
+// one run loop. The returned count is the number of activities that
+// completed.
+//
+// observe, when non-nil, is called for each completed activity after the
+// Step that completed it, in completion order, with Now equal to the
+// completion date. It may add activities (starting at Now or later) and
+// withdraw background flows, but must not Step; a non-nil error stops the
+// run and is returned as is. RunQuery passes nil and reads the Done
+// ledger once the run is over.
 //
 // A defensive event budget turns scheduling bugs (stalled zero-dt loops)
 // into diagnosable errors instead of hangs: each activity generates a
@@ -792,9 +757,9 @@ func (e *Engine) Step() (completed []ActivityID, ok bool, err error) {
 // by construction. Scaling with that figure rather than the engine's
 // historical total keeps the budget meaningful for long-lived engines
 // (background-flow churn in testbed sessions no longer inflates it), and
-// still grows with mid-run spawning so workflow chains never trip it
-// spuriously.
-func (e *Engine) RunToCompletion() (int, error) {
+// still grows with activities the observer adds so workflow chains never
+// trip it spuriously.
+func (e *Engine) RunToCompletion(observe func(ActivityID) error) (int, error) {
 	total := 0
 	steps := 0
 	base := e.live
@@ -807,6 +772,13 @@ func (e *Engine) RunToCompletion() (int, error) {
 		total += len(done)
 		if !ok {
 			return total, nil
+		}
+		if observe != nil {
+			for _, id := range done {
+				if err := observe(id); err != nil {
+					return total, err
+				}
+			}
 		}
 		steps++
 		if steps > 100*(base+int(e.nextID)-spawned0+10) {

@@ -41,7 +41,6 @@ type refActivity struct {
 
 	fv       *flow.Variable
 	finished float64
-	onDone   func(now float64)
 }
 
 // refConstraintKey is the historical map key addressing shared resources
@@ -76,7 +75,7 @@ func newRefEngine(plat *platform.Platform, cfg Config) *refEngine {
 	}
 }
 
-func (e *refEngine) addComm(src, dst string, size, start float64, onDone func(float64)) (ActivityID, error) {
+func (e *refEngine) addComm(src, dst string, size, start float64) (ActivityID, error) {
 	route, err := e.plat.RouteBetween(src, dst)
 	if err != nil {
 		return 0, err
@@ -91,7 +90,6 @@ func (e *refEngine) addComm(src, dst string, size, start float64, onDone func(fl
 		links:     route.Links,
 		weight:    1 / e.cfg.rttWeight(route.Latency),
 		bound:     e.cfg.windowBound(route.Latency),
-		onDone:    onDone,
 	}
 	e.acts = append(e.acts, a)
 	e.dirty = true
@@ -99,7 +97,7 @@ func (e *refEngine) addComm(src, dst string, size, start float64, onDone func(fl
 }
 
 func (e *refEngine) addBackgroundFlow(src, dst string, start float64) (ActivityID, error) {
-	id, err := e.addComm(src, dst, math.MaxFloat64/4, start, nil)
+	id, err := e.addComm(src, dst, math.MaxFloat64/4, start)
 	if err != nil {
 		return 0, err
 	}
@@ -114,7 +112,7 @@ func (e *refEngine) removeBackgroundFlow(id ActivityID) {
 	e.deactivate(a)
 }
 
-func (e *refEngine) addExec(host string, flops, start float64, onDone func(float64)) (ActivityID, error) {
+func (e *refEngine) addExec(host string, flops, start float64) (ActivityID, error) {
 	h := e.plat.Host(host)
 	if h == nil {
 		return 0, fmt.Errorf("ref: unknown host %q", host)
@@ -126,26 +124,10 @@ func (e *refEngine) addExec(host string, flops, start float64, onDone func(float
 		start:     start,
 		remaining: flops,
 		host:      h,
-		onDone:    onDone,
 	}
 	e.acts = append(e.acts, a)
 	e.dirty = true
 	return a.id, nil
-}
-
-func (e *refEngine) addTimer(duration, start float64, onDone func(float64)) ActivityID {
-	a := &refActivity{
-		id:        ActivityID(len(e.acts)),
-		kind:      timerActivity,
-		phase:     phaseScheduled,
-		start:     start,
-		remaining: duration,
-		rate:      1,
-		onDone:    onDone,
-	}
-	e.acts = append(e.acts, a)
-	e.dirty = true
-	return a.id
 }
 
 func (e *refEngine) constraintFor(k refConstraintKey, capacity float64) *flow.Constraint {
@@ -210,8 +192,6 @@ func (e *refEngine) activate(a *refActivity) {
 		a.eventAt = math.Inf(1)
 		c := e.constraintFor(refConstraintKey{host: a.host}, a.host.Speed)
 		e.sys.MustAttach(v, c)
-	case timerActivity:
-		a.eventAt = e.now + a.remaining
 	}
 	e.dirty = true
 }
@@ -317,15 +297,13 @@ func (e *refEngine) step() (completed []ActivityID, ok bool, err error) {
 			a.finished = e.now
 			e.deactivate(a)
 			completed = append(completed, a.id)
-			if a.onDone != nil {
-				a.onDone(e.now)
-			}
 		}
 	}
 	return completed, true, nil
 }
 
-func (e *refEngine) runToCompletion() (int, error) {
+// runToCompletion mirrors Engine.RunToCompletion, observer included.
+func (e *refEngine) runToCompletion(observe func(ActivityID) error) (int, error) {
 	total, steps := 0, 0
 	for {
 		done, ok, err := e.step()
@@ -335,6 +313,11 @@ func (e *refEngine) runToCompletion() (int, error) {
 		total += len(done)
 		if !ok {
 			return total, nil
+		}
+		for _, id := range done {
+			if err := observe(id); err != nil {
+				return total, err
+			}
 		}
 		if steps++; steps > 100*(len(e.acts)+10) {
 			return total, fmt.Errorf("ref: event budget exhausted at t=%v", e.now)
@@ -392,12 +375,12 @@ func buildRandomPlatform(t *testing.T, rng *rand.Rand, hosts int) *platform.Plat
 }
 
 // refWorkload drives both engines identically: concurrent transfers with
-// random sizes and starts, execs, sleeping timers, background flows that
-// appear and are withdrawn mid-run, and completion-chained follow-ups.
+// random sizes and starts, execs, a background flow withdrawn mid-run, and
+// a completion-chained follow-up.
 type refWorkload struct {
 	comms  []Transfer
 	execs  []Transfer // Src = host, Size = flops
-	bgOff  float64    // date the background flow is withdrawn
+	bgOff  float64    // the background flow is withdrawn at the first completion from this date on
 	bgPair [2]string
 	chain  Transfer // extra transfer launched when comms[0] completes
 }
@@ -432,56 +415,71 @@ func randomWorkload(rng *rand.Rand, hosts int) refWorkload {
 	return w
 }
 
-// runWorkload drives one kernel through the workload using the closures
-// the caller wires to it, returning per-comm completion dates.
+// kernelOps wires runWorkload to one kernel.
 type kernelOps struct {
-	addComm  func(src, dst string, size, start float64, onDone func(float64)) (ActivityID, error)
-	addExec  func(host string, flops, start float64, onDone func(float64)) (ActivityID, error)
-	addTimer func(duration, start float64, onDone func(float64)) (ActivityID, error)
+	addComm  func(src, dst string, size, start float64) (ActivityID, error)
+	addExec  func(host string, flops, start float64) (ActivityID, error)
 	addBG    func(src, dst string, start float64) (ActivityID, error)
 	removeBG func(ActivityID) error
-	run      func() (int, error)
+	now      func() float64
+	run      func(observe func(ActivityID) error) (int, error)
 }
 
-func runWorkload(t *testing.T, w refWorkload, ops kernelOps) (dates []float64, chainDate float64) {
+// runWorkload drives one kernel through the workload, reacting to
+// completions through the run observer: it reads each comm's date as the
+// completion is reported, launches the chained transfer when comms[0]
+// completes and withdraws the background flow at the first completion at
+// or after bgOff. It returns per-comm completion dates, the chained
+// transfer's, and whether the background flow was withdrawn.
+func runWorkload(t *testing.T, w refWorkload, ops kernelOps) (dates []float64, chainDate float64, withdrawn bool) {
 	t.Helper()
 	dates = make([]float64, len(w.comms))
 	bgID, err := ops.addBG(w.bgPair[0], w.bgPair[1], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ops.addTimer(w.bgOff, 0, func(now float64) {
-		if err := ops.removeBG(bgID); err != nil {
-			t.Errorf("removeBG: %v", err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	comm := make(map[ActivityID]int, len(w.comms))
 	for i, c := range w.comms {
-		i, c := i, c
-		onDone := func(now float64) { dates[i] = now }
-		if i == 0 {
-			onDone = func(now float64) {
-				dates[0] = now
-				if _, err := ops.addComm(w.chain.Src, w.chain.Dst, w.chain.Size, now,
-					func(n2 float64) { chainDate = n2 }); err != nil {
-					t.Errorf("chain: %v", err)
-				}
-			}
-		}
-		if _, err := ops.addComm(c.Src, c.Dst, c.Size, c.Start, onDone); err != nil {
+		id, err := ops.addComm(c.Src, c.Dst, c.Size, c.Start)
+		if err != nil {
 			t.Fatal(err)
 		}
+		comm[id] = i
 	}
 	for _, x := range w.execs {
-		if _, err := ops.addExec(x.Src, x.Size, 0, nil); err != nil {
+		if _, err := ops.addExec(x.Src, x.Size, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ops.run(); err != nil {
+	chainID := ActivityID(-1)
+	observe := func(id ActivityID) error {
+		now := ops.now()
+		if !withdrawn && now >= w.bgOff {
+			withdrawn = true
+			if err := ops.removeBG(bgID); err != nil {
+				return fmt.Errorf("removeBG: %w", err)
+			}
+		}
+		if id == chainID {
+			chainDate = now
+			return nil
+		}
+		i, ok := comm[id]
+		if !ok {
+			return nil // an exec
+		}
+		dates[i] = now
+		if i == 0 {
+			if chainID, err = ops.addComm(w.chain.Src, w.chain.Dst, w.chain.Size, now); err != nil {
+				return fmt.Errorf("chain: %w", err)
+			}
+		}
+		return nil
+	}
+	if _, err := ops.run(observe); err != nil {
 		t.Fatal(err)
 	}
-	return dates, chainDate
+	return dates, chainDate, withdrawn
 }
 
 // TestHeapKernelMatchesScanReference is the differential property test:
@@ -490,6 +488,7 @@ func runWorkload(t *testing.T, w refWorkload, ops kernelOps) (dates []float64, c
 // exactly (bit-for-bit), including background-flow churn and mid-run
 // activity chaining.
 func TestHeapKernelMatchesScanReference(t *testing.T) {
+	withdrawals := 0
 	for seed := int64(0); seed < 40; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -503,29 +502,33 @@ func TestHeapKernelMatchesScanReference(t *testing.T) {
 			}
 
 			eng := NewEngine(plat, cfg)
-			engDates, engChain := runWorkload(t, w, kernelOps{
+			engDates, engChain, engOff := runWorkload(t, w, kernelOps{
 				addComm:  eng.AddComm,
 				addExec:  eng.AddExec,
-				addTimer: eng.AddTimer,
 				addBG:    eng.AddBackgroundFlow,
 				removeBG: eng.RemoveBackgroundFlow,
+				now:      eng.Now,
 				run:      eng.RunToCompletion,
 			})
 
 			ref := newRefEngine(plat, cfg)
-			refDates, refChain := runWorkload(t, w, kernelOps{
+			refDates, refChain, refOff := runWorkload(t, w, kernelOps{
 				addComm: ref.addComm,
 				addExec: ref.addExec,
-				addTimer: func(d, s float64, f func(float64)) (ActivityID, error) {
-					return ref.addTimer(d, s, f), nil
-				},
-				addBG: ref.addBackgroundFlow,
+				addBG:   ref.addBackgroundFlow,
 				removeBG: func(id ActivityID) error {
 					ref.removeBackgroundFlow(id)
 					return nil
 				},
+				now: func() float64 { return ref.now },
 				run: ref.runToCompletion,
 			})
+			if engOff != refOff {
+				t.Errorf("background withdrawn: heap=%v ref=%v", engOff, refOff)
+			}
+			if engOff {
+				withdrawals++
+			}
 
 			for i := range engDates {
 				if engDates[i] != refDates[i] {
@@ -547,6 +550,9 @@ func TestHeapKernelMatchesScanReference(t *testing.T) {
 			}
 		})
 	}
+	if withdrawals == 0 {
+		t.Error("coverage hole: no seed withdrew its background flow mid-run")
+	}
 }
 
 // TestEnginePoolReuseAfterAbandonedRun is a regression test: releasing
@@ -561,7 +567,7 @@ func TestEnginePoolReuseAfterAbandonedRun(t *testing.T) {
 
 	e := AcquireEngine(plat, cfg)
 	for i := 0; i < 6; i++ {
-		if _, err := e.AddComm(fmt.Sprintf("h%d", i), fmt.Sprintf("h%d", i+1), 1e8, 0, nil); err != nil {
+		if _, err := e.AddComm(fmt.Sprintf("h%d", i), fmt.Sprintf("h%d", i+1), 1e8, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -586,10 +592,10 @@ func TestEnginePoolReuseAfterAbandonedRun(t *testing.T) {
 
 	e = AcquireEngine(plat, cfg)
 	defer ReleaseEngine(e)
-	if _, err := e.AddComm("h0", "h1", 1e6, 0, nil); err != nil {
+	if _, err := e.AddComm("h0", "h1", 1e6, 0); err != nil {
 		t.Fatal(err)
 	}
-	n, err := e.RunToCompletion()
+	n, err := e.RunToCompletion(nil)
 	if err != nil || n != 1 {
 		t.Fatalf("recycled run: n=%d err=%v", n, err)
 	}
@@ -605,12 +611,12 @@ func TestEnginePoolBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 
 	run := func(e *Engine) ([]float64, float64, int) {
-		dates, chain := runWorkload(t, w, kernelOps{
+		dates, chain, _ := runWorkload(t, w, kernelOps{
 			addComm:  e.AddComm,
 			addExec:  e.AddExec,
-			addTimer: e.AddTimer,
 			addBG:    e.AddBackgroundFlow,
 			removeBG: e.RemoveBackgroundFlow,
+			now:      e.Now,
 			run:      e.RunToCompletion,
 		})
 		return dates, chain, e.Resharings()

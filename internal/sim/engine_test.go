@@ -10,10 +10,10 @@ import (
 func TestResharingsCounted(t *testing.T) {
 	p := buildPair(t, 100e6, 0)
 	e := NewEngine(p, DefaultConfig())
-	if _, err := e.AddComm("a", "b", 1e6, 0, nil); err != nil {
+	if _, err := e.AddComm("a", "b", 1e6, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunToCompletion(); err != nil {
+	if _, err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.Resharings() == 0 {
@@ -38,13 +38,13 @@ func TestSharingStatsIncremental(t *testing.T) {
 	cfg.TCPGamma = 0
 	e := NewEngine(p, cfg)
 	// Same size, but the c->d link is half as fast: a->b finishes first.
-	if _, err := e.AddComm("a", "b", 92e6, 0, nil); err != nil {
+	if _, err := e.AddComm("a", "b", 92e6, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AddComm("c", "d", 92e6, 0, nil); err != nil {
+	if _, err := e.AddComm("c", "d", 92e6, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunToCompletion(); err != nil {
+	if _, err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
 	}
 	st := e.SharingStats()
@@ -85,11 +85,11 @@ func TestSharingStatsWarmResolve(t *testing.T) {
 		src  string
 		size float64
 	}{{"a", 1e9}, {"b", 1e9}, {"b", 1e8}} {
-		if _, err := e.AddComm(tr.src, "c", tr.size, 0, nil); err != nil {
+		if _, err := e.AddComm(tr.src, "c", tr.size, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.RunToCompletion(); err != nil {
+	if _, err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
 	}
 	st := e.SharingStats()
@@ -115,10 +115,10 @@ func TestEngineNowAdvances(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("initial now = %v", e.Now())
 	}
-	if _, err := e.AddComm("a", "b", 92e6, 0, nil); err != nil {
+	if _, err := e.AddComm("a", "b", 92e6, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunToCompletion(); err != nil {
+	if _, err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(e.Now()-1) > 1e-9 {
@@ -167,16 +167,19 @@ func TestEngineMixedCommExec(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0
 	e := NewEngine(p, cfg)
-	var commEnd, execEnd float64
-	if _, err := e.AddComm("a", "b", 92e6, 0, func(now float64) { commEnd = now }); err != nil {
+	comm, err := e.AddComm("a", "b", 92e6, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AddExec("a", 2e9, 0, func(now float64) { execEnd = now }); err != nil {
+	exec, err := e.AddExec("a", 2e9, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunToCompletion(); err != nil {
+	if _, err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
 	}
+	_, commEnd := e.Done(comm)
+	_, execEnd := e.Done(exec)
 	if math.Abs(commEnd-1) > 1e-9 {
 		t.Errorf("comm end = %v, want 1", commEnd)
 	}
@@ -186,23 +189,33 @@ func TestEngineMixedCommExec(t *testing.T) {
 }
 
 func TestActivityAddedMidRun(t *testing.T) {
-	// An onDone callback schedules a follow-up activity (the workflow
-	// pattern); the engine must pick it up and complete it.
+	// The run observer schedules a follow-up activity when the first one
+	// completes (the workflow pattern); the engine must pick it up and
+	// complete it, and report it to the observer too.
 	p := buildPair(t, 100e6, 0)
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0
 	cfg.LatencyFactor = 1
 	e := NewEngine(p, cfg)
-	var secondEnd float64
-	if _, err := e.AddComm("a", "b", 92e6, 0, func(now float64) {
-		if _, err := e.AddComm("b", "a", 92e6, now, func(n2 float64) { secondEnd = n2 }); err != nil {
-			t.Errorf("mid-run AddComm: %v", err)
-		}
-	}); err != nil {
+	first, err := e.AddComm("a", "b", 92e6, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunToCompletion(); err != nil {
-		t.Fatal(err)
+	second := ActivityID(-1)
+	var secondEnd float64
+	n, err := e.RunToCompletion(func(id ActivityID) error {
+		switch id {
+		case first:
+			var err error
+			second, err = e.AddComm("b", "a", 92e6, e.Now())
+			return err
+		case second:
+			secondEnd = e.Now()
+		}
+		return nil
+	})
+	if err != nil || n != 2 {
+		t.Fatalf("run: %d completions, err %v", n, err)
 	}
 	if math.Abs(secondEnd-2) > 1e-9 {
 		t.Errorf("chained completion = %v, want 2", secondEnd)
@@ -212,14 +225,14 @@ func TestActivityAddedMidRun(t *testing.T) {
 func TestDoneQueries(t *testing.T) {
 	p := buildPair(t, 100e6, 0)
 	e := NewEngine(p, DefaultConfig())
-	id, err := e.AddComm("a", "b", 1e6, 0, nil)
+	id, err := e.AddComm("a", "b", 1e6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if done, _ := e.Done(id); done {
 		t.Error("done before running")
 	}
-	if _, err := e.RunToCompletion(); err != nil {
+	if _, err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
 	}
 	done, at := e.Done(id)
@@ -228,17 +241,6 @@ func TestDoneQueries(t *testing.T) {
 	}
 	if done, _ := e.Done(9999); done {
 		t.Error("unknown activity reported done")
-	}
-}
-
-func TestTimerValidation(t *testing.T) {
-	p := buildPair(t, 100e6, 0)
-	e := NewEngine(p, DefaultConfig())
-	if _, err := e.AddTimer(-1, 0, nil); err == nil {
-		t.Error("negative duration accepted")
-	}
-	if _, err := e.AddTimer(1, -1, nil); err == nil {
-		t.Error("past start accepted")
 	}
 }
 

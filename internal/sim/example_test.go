@@ -35,34 +35,3 @@ func ExamplePredict() {
 	// transfer 0: 1.00 s
 	// transfer 1: 1.00 s
 }
-
-// The MSG-style process API simulates distributed applications: here a
-// one-message rendezvous between two hosts.
-func ExampleKernel() {
-	p := platform.New("demo", platform.RoutingFull)
-	as := p.Root()
-	as.AddHost("client", 1e9)
-	as.AddHost("server", 1e9)
-	l, _ := as.AddLink("wire", 100e6, 0, platform.Shared)
-	as.AddRoute("client", "server", []platform.LinkUse{{Link: l, Direction: platform.None}}, true)
-
-	cfg := sim.DefaultConfig()
-	cfg.TCPGamma = 0
-	k := sim.NewKernel(p, cfg)
-	k.Spawn("sender", "client", func(proc *sim.Process) error {
-		return proc.Send("inbox", "payload", 92e6)
-	})
-	k.Spawn("receiver", "server", func(proc *sim.Process) error {
-		m, err := proc.Recv("inbox")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("got %q at t=%.2f s\n", m.Payload, proc.Now())
-		return nil
-	})
-	if err := k.Run(); err != nil {
-		fmt.Println("run:", err)
-	}
-	// Output:
-	// got "payload" at t=1.00 s
-}

@@ -25,7 +25,7 @@ import (
 // snapshot's topology and sets its snap pointer; that is the whole
 // rebinding, because a Reset engine holds no epoch-specific state:
 //   - Reset clears the activity arena's references (routes, flow
-//     variables, callbacks), the event heap, the completion ledger and the
+//     variables), the event heap, the completion ledger and the
 //     flow system, and empties linkCnst/hostCnst — the only places a
 //     capacity is ever stored;
 //   - what survives is storage sized by the topology (linkCnst by

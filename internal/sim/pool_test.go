@@ -46,10 +46,10 @@ func schedulePlan(e *Engine, w refWorkload) runTrace {
 	}
 	note(e.AddBackgroundFlow(w.bgPair[0], w.bgPair[1], 0))
 	for _, c := range w.comms {
-		note(e.AddComm(c.Src, c.Dst, c.Size, c.Start, nil))
+		note(e.AddComm(c.Src, c.Dst, c.Size, c.Start))
 	}
 	for _, x := range w.execs {
-		note(e.AddExec(x.Src, x.Size, 0, nil))
+		note(e.AddExec(x.Src, x.Size, 0))
 	}
 	return tr
 }
@@ -68,7 +68,7 @@ func finishPlan(e *Engine, w refWorkload, tr runTrace) runTrace {
 		err = e.RemoveBackgroundFlow(tr.IDs[0])
 	}
 	if err == nil {
-		tr.Finished, err = e.RunToCompletion()
+		tr.Finished, err = e.RunToCompletion(nil)
 	}
 	tr.RunErr = errText(err)
 	for i, id := range tr.IDs {
@@ -310,10 +310,10 @@ func TestEnginePoolEvictsLeastRecentlyUsedFlavour(t *testing.T) {
 	hot := buildRandomPlatform(t, rng, 3).Snapshot()
 	use := func(s *platform.Snapshot) {
 		e := AcquireEngineSnapshot(s, cfg)
-		if _, err := e.AddComm("h0", "h1", 1e6, 0, nil); err != nil {
+		if _, err := e.AddComm("h0", "h1", 1e6, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.RunToCompletion(); err != nil {
+		if _, err := e.RunToCompletion(nil); err != nil {
 			t.Fatal(err)
 		}
 		ReleaseEngine(e)

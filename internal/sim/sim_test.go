@@ -367,47 +367,34 @@ func TestRunTwiceFails(t *testing.T) {
 func TestEngineExecSharing(t *testing.T) {
 	p := buildPair(t, 1e8, 0)
 	e := NewEngine(p, DefaultConfig())
-	var t1, t2 float64
-	if _, err := e.AddExec("a", 1e9, 0, func(now float64) { t1 = now }); err != nil {
+	var ids [2]ActivityID
+	for i := range ids {
+		var err error
+		if ids[i], err = e.AddExec("a", 1e9, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AddExec("a", 1e9, 0, func(now float64) { t2 = now }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RunToCompletion(); err != nil {
-		t.Fatal(err)
-	}
+	_, t1 := e.Done(ids[0])
+	_, t2 := e.Done(ids[1])
 	// Two 1 Gflop tasks sharing a 1 Gflop/s host: both end at t=2.
 	if math.Abs(t1-2) > 1e-9 || math.Abs(t2-2) > 1e-9 {
 		t.Errorf("exec completions = %v, %v, want 2, 2", t1, t2)
 	}
 }
 
-func TestEngineTimer(t *testing.T) {
-	p := buildPair(t, 1e8, 0)
-	e := NewEngine(p, DefaultConfig())
-	var fired float64
-	if _, err := e.AddTimer(3.5, 1.0, func(now float64) { fired = now }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RunToCompletion(); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fired-4.5) > 1e-9 {
-		t.Errorf("timer fired at %v, want 4.5", fired)
-	}
-}
-
 func TestEngineRejectsPastStart(t *testing.T) {
 	p := buildPair(t, 1e8, 0)
 	e := NewEngine(p, DefaultConfig())
-	if _, err := e.AddComm("a", "b", 1e6, 0, nil); err != nil {
+	if _, err := e.AddComm("a", "b", 1e6, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunToCompletion(); err != nil {
+	if _, err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AddComm("a", "b", 1e6, 0, nil); err == nil {
+	if _, err := e.AddComm("a", "b", 1e6, 0); err == nil {
 		t.Error("past start date accepted")
 	}
 }
@@ -421,8 +408,8 @@ func TestRemoveBackgroundFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var done float64
-	if _, err := e.AddComm("a", "b", 92e6, 0, func(now float64) { done = now }); err != nil {
+	comm, err := e.AddComm("a", "b", 92e6, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Run a few steps then drop the background flow; expect duration
@@ -433,10 +420,10 @@ func TestRemoveBackgroundFlow(t *testing.T) {
 	if err := e.RemoveBackgroundFlow(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunToCompletion(); err != nil {
+	if _, err := e.RunToCompletion(nil); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(done-1) > 1e-6 {
+	if _, done := e.Done(comm); math.Abs(done-1) > 1e-6 {
 		t.Errorf("duration with removed background = %v, want ~1", done)
 	}
 	if err := e.RemoveBackgroundFlow(id); err == nil {

@@ -215,68 +215,54 @@ func PredictWithBackground(snap *platform.Snapshot, cfg sim.Config, w *Workflow,
 
 	schedules := make([]TaskSchedule, n)
 	started := make([]bool, n)
+	taskOf := make(map[sim.ActivityID]int, n)
 
-	var startTask func(i int, now float64) error
-	onDone := func(i int) func(now float64) {
-		return func(now float64) {
-			schedules[i].Finish = now
-			for _, j := range succ[i] {
-				pending[j]--
-				if pending[j] == 0 && !started[j] {
-					// Start dependents at the completion instant.
-					if err := startTask(j, now); err != nil {
-						// Starting can only fail on invalid hosts, which
-						// Validate cannot know; surface via panic and
-						// recover in Predict's caller frame below.
-						panic(err)
-					}
-				}
-			}
-		}
-	}
-	startTask = func(i int, now float64) error {
+	startTask := func(i int, now float64) error {
 		t := &w.Tasks[i]
 		started[i] = true
 		schedules[i] = TaskSchedule{ID: t.ID, Start: now}
+		var id sim.ActivityID
+		var err error
 		switch t.Kind {
 		case Compute:
-			_, err := engine.AddExec(t.Host, t.Flops, now, onDone(i))
-			return err
+			id, err = engine.AddExec(t.Host, t.Flops, now)
 		case TransferData:
-			_, err := engine.AddComm(t.Src, t.Dst, t.Bytes, now, onDone(i))
-			return err
+			id, err = engine.AddComm(t.Src, t.Dst, t.Bytes, now)
 		default:
-			return fmt.Errorf("workflow: task %q has invalid kind", t.ID)
+			err = fmt.Errorf("workflow: task %q has invalid kind", t.ID)
+		}
+		if err != nil {
+			return err
+		}
+		taskOf[id] = i
+		return nil
+	}
+	for i := range w.Tasks {
+		if pending[i] == 0 {
+			if err := startTask(i, 0); err != nil {
+				return nil, err
+			}
 		}
 	}
-
-	var runErr error
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if err, ok := r.(error); ok {
-					runErr = err
-					return
-				}
-				panic(r)
-			}
-		}()
-		for i := range w.Tasks {
-			if pending[i] == 0 {
-				if err := startTask(i, 0); err != nil {
-					runErr = err
-					return
+	// Dependents start at the instant their last dependency completes.
+	// Starting can fail on hosts Validate cannot know (unknown or down in
+	// this epoch); the run stops with that error.
+	observe := func(id sim.ActivityID) error {
+		i := taskOf[id]
+		now := engine.Now()
+		schedules[i].Finish = now
+		for _, j := range succ[i] {
+			pending[j]--
+			if pending[j] == 0 && !started[j] {
+				if err := startTask(j, now); err != nil {
+					return err
 				}
 			}
 		}
-		if runErr == nil {
-			if _, err := engine.RunToCompletion(); err != nil {
-				runErr = err
-			}
-		}
-	}()
-	if runErr != nil {
-		return nil, runErr
+		return nil
+	}
+	if _, err := engine.RunToCompletion(observe); err != nil {
+		return nil, err
 	}
 
 	f := &Forecast{Name: w.Name, Tasks: schedules}

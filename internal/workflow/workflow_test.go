@@ -163,7 +163,7 @@ func TestPredictUnknownHostFails(t *testing.T) {
 	if _, err := Predict(p.Snapshot(), cfg, w); err == nil {
 		t.Fatal("unknown host accepted")
 	}
-	// Unknown host in a dependent task (started from a callback).
+	// Unknown host in a dependent task (started from the run observer).
 	w2 := &Workflow{Name: "bad2", Tasks: []Task{
 		{ID: "ok", Kind: Compute, Host: "a", Flops: 1e9},
 		{ID: "t", Kind: TransferData, Src: "a", Dst: "ghost", Bytes: 1, DependsOn: []string{"ok"}},
