@@ -19,9 +19,10 @@ BENCH_COUNT := 5
 # path (one predict sub-benchmark per rung of the serving ladder, pooled
 # encoders vs encoding/json, plus the coalescing burst), and assembling
 # the g5k_test platform (Generate + compile, with the live heap it keeps),
-# and publishing every host pair's route into a fresh snapshot (the memo's
-# live heap and one forced GC over it).
-KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkCold60CrossSite|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs
+# publishing every host pair's route into a fresh snapshot (the memo's
+# live heap and one forced GC over it), and a durable restart (store.Open
+# plus Registry.Add over a 2000-observation log tail).
+KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkCold60CrossSite|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs|BenchmarkRegistryRestart
 
 .PHONY: all build test vet orphans race bench bench-smoke bench-check bench-baseline bench-fleet campaign-check recovery-check fleet-smoke loadgen-smoke profile clean
 
@@ -49,12 +50,14 @@ race:
 
 # recovery-check is the durability gate: WAL framing/torn-tail/corruption
 # fault injection, registry warm-restart byte-identity (with and without
-# a clean close, across compaction, under concurrent ingest), and the
-# campaign-level restart drill (docs/OPERATIONS.md).
+# a clean close, across compaction, under concurrent ingest, with
+# non-finite observations), the campaign-level restart drill
+# (docs/OPERATIONS.md), and one restart benchmark iteration as a smoke test.
 recovery-check:
 	go test -count 1 ./internal/store/...
-	go test -count 1 ./internal/pilgrim -run 'TestRegistryWarmRestart|TestRegistryRecoveryWithoutClose|TestRegistryRefusesForeignDataDir|TestRegistryConcurrentIngestAndCompaction'
+	go test -count 1 ./internal/pilgrim -run 'TestRegistryWarmRestart|TestRegistryRecoveryWithoutClose|TestRegistryRefusesForeignDataDir|TestRegistryConcurrentIngestAndCompaction|TestRegistryNonFiniteUpdatesAgreeAcrossModes'
 	go test -count 1 ./internal/campaign -run 'TestCrashRecoveryDrill'
+	go test -run '^$$' -bench 'BenchmarkRegistryRestart' -benchtime 1x -benchmem .
 
 # campaign-check is the CI drill gate: every example campaign must
 # validate (names resolve against the generated platform), the smoke
@@ -89,9 +92,10 @@ bench-smoke:
 # allocations by more than 10% (allocation counts are nearly deterministic,
 # so the tighter threshold holds; the fresh-factor grid, whose derived
 # epochs are new every iteration, is the gate that catches an engine built
-# per epoch, which no fixed-epoch benchmark sees) — and when assembling g5k_test or
-# publishing all its host-pair routes does (the gates that catch
-# per-route objects coming back, in the builder or in the route memo). Only
+# per epoch, which no fixed-epoch benchmark sees) — and when assembling g5k_test,
+# publishing all its host-pair routes (the gates that catch per-route
+# objects coming back, in the builder or in the route memo) or a durable
+# restart (the gate that catches a per-field allocating log decoder) does. Only
 # single-threaded benchmarks gate cross-run: the RunParallel benchmarks
 # scale with the machine's core count and would make a cross-machine
 # comparison meaningless. The last check is within THIS run: the
@@ -101,7 +105,7 @@ bench-smoke:
 # must stay well ahead of a canonical hit (same multiset, reordered).
 bench-check: bench
 	go run ./cmd/benchdiff -count $(BENCH_COUNT) -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkCold60CrossSite|BenchmarkEvaluateDifferential30x8' BENCH_baseline.json BENCH_$(SHA).json
-	go run ./cmd/benchdiff -count $(BENCH_COUNT) -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPPredict30/miss|BenchmarkPredict30Transfers$$|BenchmarkHTTPEvaluate30x8/all-hit|BenchmarkHTTPEvaluate30x8/fresh|BenchmarkEvaluateDifferential30x8/differential|BenchmarkEvaluateDifferential30x8/lone|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs' BENCH_baseline.json BENCH_$(SHA).json
+	go run ./cmd/benchdiff -count $(BENCH_COUNT) -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPPredict30/miss|BenchmarkPredict30Transfers$$|BenchmarkHTTPEvaluate30x8/all-hit|BenchmarkHTTPEvaluate30x8/fresh|BenchmarkEvaluateDifferential30x8/differential|BenchmarkEvaluateDifferential30x8/lone|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs|BenchmarkRegistryRestart' BENCH_baseline.json BENCH_$(SHA).json
 	go run ./cmd/benchdiff -scale 'BenchmarkHTTPPredict30/legacy,BenchmarkHTTPPredict30/hit-canonical,1.4;BenchmarkHTTPPredict30/hit-canonical,BenchmarkHTTPPredict30/hit-rendered,3;BenchmarkHTTPEvaluate30x8/legacy,BenchmarkHTTPEvaluate30x8/all-hit,1.4' BENCH_$(SHA).json
 
 # bench-baseline refreshes the committed baseline from a fresh run; commit

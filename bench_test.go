@@ -631,6 +631,71 @@ func BenchmarkRouteMemoAllPairs(b *testing.B) {
 	runtime.KeepAlive(snap)
 }
 
+// BenchmarkRegistryRestart measures a durable pilgrimd restart: store.Open
+// over a data directory holding 2000 logged observations of 8 links each
+// (bench/'s ingest-churn shape: links from a few dozen, bandwidths at
+// 50-100 % of nominal, latencies kept), then Registry.Add of g5k_test,
+// which replays that log tail into the timeline and the NWS bank. The
+// directory is built once, outside the timer; a restart leaves it as it was.
+func BenchmarkRegistryRestart(b *testing.B) {
+	setup(b)
+	snap := entry.Platform.Snapshot()
+	dir := b.TempDir()
+	w, rec, err := store.Open(store.Options{Dir: dir, Fsync: store.FsyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := pilgrim.NewRegistry()
+	if err := reg.SetStorage(w, rec); err != nil {
+		b.Fatal(err)
+	}
+	if err := reg.Add("g5k_test", entry); err != nil {
+		b.Fatal(err)
+	}
+	rng := stats.NewRNG(27)
+	pool := rng.Sample(snap.NumLinks(), 48)
+	for k := 0; k < 2000; k++ {
+		updates := make([]platform.LinkUpdate, 0, 8)
+		for _, i := range rng.Sample(len(pool), 8) {
+			li := int32(pool[i])
+			f := 0.5 + float64(rng.Intn(500))/1000
+			updates = append(updates, platform.LinkUpdate{
+				Link: snap.LinkName(li), Bandwidth: math.Floor(snap.LinkBandwidth(li) * f), Latency: -1})
+		}
+		if _, err := reg.ObserveLinkState("g5k_test", 1336111200+int64(k), "bench", updates); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := reg.Close(); err != nil {
+		b.Fatal(err)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, rec, err := store.Open(store.Options{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		reg := pilgrim.NewRegistry()
+		reg.SetTimelineDepth(pilgrim.DefaultTimelineDepth)
+		if err := reg.SetStorage(w, rec); err != nil {
+			b.Fatal(err)
+		}
+		if err := reg.Add("g5k_test", entry); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if st, _ := reg.TimelineStats("g5k_test"); st.Appends != 2000 {
+			b.Fatalf("restart restored %d observations, want 2000", st.Appends)
+		}
+		if err := reg.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
 func BenchmarkPlatformG5KCabinets(b *testing.B) {
 	ref := g5k.Default()
 	b.ReportAllocs()

@@ -136,11 +136,21 @@ func (s *slidingMean) Predict() (float64, bool) {
 }
 
 // slidingMedian predicts the median of the last k observations (NWS
-// "MEDIAN").
+// "MEDIAN"). Beside the ring buffer it keeps the window's samples sorted,
+// moving one sample out and one in per observation, so Predict reads the
+// middle instead of sorting a copy of the window.
 type slidingMedian struct {
-	w       *window
-	k       int
-	scratch []float64
+	w *window
+	k int
+	// sorted holds the window's samples in sort.Float64s order (NaNs
+	// first). Its bit patterns are the window's: an evicted sample is
+	// removed by bits, never a ±0 or NaN that merely compares equal.
+	sorted []float64
+	// nans, negZeros and posZeros count those samples in the window. While
+	// it holds a NaN, or both zeros, sort.Float64s's output depends on the
+	// window's raw order, so Predict sorts a raw-order copy in scratch.
+	nans, negZeros, posZeros int
+	scratch                  []float64
 }
 
 // NewSlidingMedian returns the k-sample sliding-window median predictor.
@@ -148,24 +158,92 @@ func NewSlidingMedian(k int) Forecaster {
 	if k < 1 {
 		panic(errors.New("nws: window must be >= 1"))
 	}
-	return &slidingMedian{w: newWindow(k), k: k, scratch: make([]float64, k)}
+	return &slidingMedian{w: newWindow(k), k: k, sorted: make([]float64, 0, k), scratch: make([]float64, k)}
 }
 
 func (s *slidingMedian) Name() string { return fmt.Sprintf("MEDIAN(%d)", s.k) }
 func (s *slidingMedian) Update(v float64) {
+	if s.w.full {
+		s.remove(s.w.buf[s.w.head])
+	}
 	s.w.push(v)
+	s.insert(v)
 }
+
 func (s *slidingMedian) Predict() (float64, bool) {
-	vs := s.w.valuesInto(s.scratch)
-	if len(vs) == 0 {
+	vs := s.sorted
+	if s.nans > 0 || (s.negZeros > 0 && s.posZeros > 0) {
+		vs = s.w.valuesInto(s.scratch)
+		sort.Float64s(vs)
+	}
+	n := len(vs)
+	if n == 0 {
 		return 0, false
 	}
-	sort.Float64s(vs)
-	n := len(vs)
 	if n%2 == 1 {
 		return vs[n/2], true
 	}
 	return (vs[n/2-1] + vs[n/2]) / 2, true
+}
+
+// sortsBefore is sort.Float64s's order.
+func sortsBefore(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// count adjusts the NaN and signed-zero tallies for v by delta.
+func (s *slidingMedian) count(v float64, delta int) {
+	switch {
+	case v != v:
+		s.nans += delta
+	case v == 0 && math.Signbit(v):
+		s.negZeros += delta
+	case v == 0:
+		s.posZeros += delta
+	}
+}
+
+// insert adds v after every sample that does not sort after it.
+func (s *slidingMedian) insert(v float64) {
+	lo, hi := 0, len(s.sorted)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); sortsBefore(v, s.sorted[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	s.sorted = append(s.sorted, 0)
+	copy(s.sorted[lo+1:], s.sorted[lo:])
+	s.sorted[lo] = v
+	s.count(v, 1)
+}
+
+// remove drops one sample with v's bit pattern: a binary search finds the
+// run of samples that compare equal to v, a scan of it the exact bits.
+func (s *slidingMedian) remove(v float64) {
+	lo, hi := 0, len(s.sorted)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); sortsBefore(s.sorted[mid], v) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	bits := math.Float64bits(v)
+	for math.Float64bits(s.sorted[lo]) != bits {
+		lo++
+	}
+	s.sorted = append(s.sorted[:lo], s.sorted[lo+1:]...)
+	s.count(v, -1)
+}
+
+// rebuild recomputes the sorted copy and the tallies from the ring buffer.
+func (s *slidingMedian) rebuild() {
+	s.sorted = s.w.valuesInto(s.sorted[:cap(s.sorted)])
+	sort.Float64s(s.sorted)
+	s.nans, s.negZeros, s.posZeros = 0, 0, 0
+	for _, v := range s.sorted {
+		s.count(v, 1)
+	}
 }
 
 // expSmoothing predicts an exponentially smoothed value (NWS adaptive

@@ -2,6 +2,8 @@ package nws
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -51,6 +53,64 @@ func TestSlidingMedianOddEven(t *testing.T) {
 	f.Update(7)
 	if v, _ := f.Predict(); v != 6 {
 		t.Errorf("even median = %v, want 6", v)
+	}
+}
+
+// TestSlidingMedianMatchesSortOracle holds the sorted-window median to the
+// copy-and-sort it replaced — the raw ring copied in buffer order, then
+// sort.Float64s — bit for bit, after every observation of random streams
+// drawn from small pools (so windows repeat values), with both signed zeros
+// and NaNs of three payloads, across export/import round trips.
+func TestSlidingMedianMatchesSortOracle(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pools := map[string][]float64{
+		"repeats":      {1, 2, 2, 2.5, 3, 3, 7, 1e8},
+		"signed zeros": {0, negZero, 0, negZero, 1, -1, 2.5},
+		"nans":         {math.NaN(), math.Float64frombits(0x7ff8000000000002), math.Float64frombits(0xfff8000000000000), 0, negZero, 1, 4},
+		"wide":         {-1e300, -3, 5e-324, 1.5, 9, 1e21, math.Inf(1), math.Inf(-1)},
+	}
+	for _, k := range []int{1, 2, 4, 5, 21} {
+		for name, pool := range pools {
+			for seed := int64(1); seed <= 20; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				f := NewSlidingMedian(k).(*slidingMedian)
+				ring, head, full := make([]float64, k), 0, false
+				for step := 0; step < 300; step++ {
+					v := pool[rng.Intn(len(pool))]
+					f.Update(v)
+					ring[head] = v
+					if head++; head == k {
+						head, full = 0, true
+					}
+					want := append([]float64(nil), ring[:head]...)
+					if full {
+						want = append(want[:0], ring...)
+					}
+					sort.Float64s(want)
+					got, ok := f.Predict()
+					n := len(want)
+					wantV := want[n/2]
+					if n%2 == 0 {
+						wantV = (want[n/2-1] + want[n/2]) / 2
+					}
+					// An even window averages its middle pair, and which NaN
+					// payload a sum of two NaNs carries is the compiled
+					// operand order's choice, not the algorithm's.
+					nanSum := n%2 == 0 && math.IsNaN(wantV) && math.IsNaN(got)
+					if !ok || (math.Float64bits(got) != math.Float64bits(wantV) && !nanSum) {
+						t.Fatalf("k=%d %s seed %d step %d: median %v (%#x), copy-and-sort %v (%#x); window %v",
+							k, name, seed, step, got, math.Float64bits(got), wantV, math.Float64bits(wantV), ring)
+					}
+					if step%37 == 36 {
+						g := NewSlidingMedian(k).(*slidingMedian)
+						if err := g.importState(f.exportState()); err != nil {
+							t.Fatal(err)
+						}
+						f = g
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -11,9 +11,12 @@ package nws
 //
 // State is carried in JSON-friendly structures. Go's encoding/json
 // round-trips finite float64 values exactly (shortest-representation
-// encoding), and every value the battery holds is finite — observation
-// ingest rejects NaN/Inf — so export→encode→decode→import reproduces
-// bit-identical forecasts.
+// encoding), and every value the battery holds is finite — the registry
+// rewrites a non-finite observed bandwidth or latency to the keep-current
+// sentinel before it logs or applies a batch, and the bank learns only
+// values that enter the epoch — so export→encode→decode→import reproduces
+// bit-identical forecasts. A sliding window's ring buffer is the exported
+// state; the median's sorted copy of it is rebuilt on import.
 
 import (
 	"errors"
@@ -117,7 +120,11 @@ func (s *slidingMedian) exportState() ForecasterState {
 }
 
 func (s *slidingMedian) importState(st ForecasterState) error {
-	return s.w.importFrom(st, s.Name())
+	if err := s.w.importFrom(st, s.Name()); err != nil {
+		return err
+	}
+	s.rebuild()
+	return nil
 }
 
 func (e *expSmoothing) exportState() ForecasterState {

@@ -8,8 +8,8 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"unicode/utf8"
 
+	"pilgrim/internal/jsonenc"
 	"pilgrim/internal/workflow"
 )
 
@@ -25,10 +25,9 @@ import (
 //
 //	enc := json.NewEncoder(w); enc.SetIndent("", " "); enc.Encode(v)
 //
-// including the one-space indent ladder, the trailing newline, ES6
-// float formatting ('f' inside [1e-6, 1e21), 'e' outside, e-09→e-9
-// exponent cleanup), HTML-escaped strings (<, >, & as \u00XX),
-// � replacement for invalid UTF-8, and  /  escapes.
+// including the one-space indent ladder, the trailing newline, and
+// encoding/json's string and float rules (internal/jsonenc: HTML-escaped
+// strings, ES6 float formatting).
 // Anything these encoders cannot reproduce exactly — a non-finite
 // float, a workflow forecast that fails to marshal — flips the
 // buffer's fallback flag and the caller re-encodes through
@@ -92,86 +91,18 @@ func (e *hotEnc) nl(depth int) {
 // raw appends literal bytes (punctuation and pre-escaped keys).
 func (e *hotEnc) raw(s string) { e.buf = append(e.buf, s...) }
 
-const hexDigits = "0123456789abcdef"
-
 // str appends a JSON string exactly as encoding/json does with HTML
 // escaping on (the Encoder default).
-func (e *hotEnc) str(s string) {
-	dst := append(e.buf, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				// Control bytes below 0x20 and the HTML trio <, >, &.
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, "\\ufffd"...)
-			i += size
-			start = i
-			continue
-		}
-		// U+2028/U+2029 break JSONP consumers; encoding/json escapes
-		// them unconditionally, so the hot path must too.
-		if c == '\u2028' || c == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	e.buf = append(dst, '"')
-}
+func (e *hotEnc) str(s string) { e.buf = jsonenc.AppendString(e.buf, s) }
 
-// f64 appends a float in ES6 number-to-string form (encoding/json's
-// floatEncoder): 'f' format inside [1e-6, 1e21), 'e' outside, with the
-// two-digit negative exponent collapsed (e-09 → e-9). Non-finite values
-// flip the fallback flag — the legacy encoder rejects them, and the
-// caller must reproduce that, not invent a representation.
+// f64 appends a float in encoding/json's float64 form. Non-finite values
+// flip the fallback flag — the legacy encoder rejects them, and the caller
+// must reproduce that, not invent a representation.
 func (e *hotEnc) f64(f float64) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
+	var ok bool
+	if e.buf, ok = jsonenc.AppendFloat(e.buf, f); !ok {
 		e.fallback = true
 		e.buf = append(e.buf, '0')
-		return
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	e.buf = strconv.AppendFloat(e.buf, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(e.buf); n >= 4 && e.buf[n-4] == 'e' && e.buf[n-3] == '-' && e.buf[n-2] == '0' {
-			e.buf[n-2] = e.buf[n-1]
-			e.buf = e.buf[:n-1]
-		}
 	}
 }
 

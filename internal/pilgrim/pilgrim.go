@@ -360,6 +360,7 @@ func (r *Registry) ObserveLinkState(name string, t int64, source string, updates
 			return nil, fmt.Errorf("platform: unknown link %q in link-state update", u.Link)
 		}
 	}
+	updates = finiteUpdates(updates)
 	epoch := platform.AllocateEpoch()
 	if s := r.backend(); s != nil {
 		err := s.Append(store.Record{

@@ -290,3 +290,28 @@ func feedBank(bank *nws.Bank, snap *platform.Snapshot, updates []platform.LinkUp
 		}
 	}
 }
+
+// finiteUpdates rewrites non-finite bandwidths and latencies to the -1
+// keep-current sentinel, copying the batch only when it holds one. An
+// epoch ignores such a value either way, but a log record cannot carry it
+// (JSON has no NaN or Inf): rewriting first makes the logged record, the
+// timeline entry and the epoch agree in memory and durable mode.
+func finiteUpdates(updates []platform.LinkUpdate) []platform.LinkUpdate {
+	finite := func(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+	for i, u := range updates {
+		if finite(u.Bandwidth) && finite(u.Latency) {
+			continue
+		}
+		out := append([]platform.LinkUpdate(nil), updates...)
+		for j := i; j < len(out); j++ {
+			if !finite(out[j].Bandwidth) {
+				out[j].Bandwidth = -1
+			}
+			if !finite(out[j].Latency) {
+				out[j].Latency = -1
+			}
+		}
+		return out
+	}
+	return updates
+}

@@ -2,6 +2,9 @@ package pilgrim
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -290,5 +293,131 @@ func TestRegistryConcurrentIngestAndCompaction(t *testing.T) {
 	}
 	if got := reg2.UpdateRejects("p"); got != 100 {
 		t.Fatalf("recovered %d rejects, want 100", got)
+	}
+}
+
+// registryPicture renders what a registry answers for platform "p" — every
+// link's state at the latest epoch and in the horizon forecast, bit for
+// bit, and the retained observations without their epoch ids (which the
+// process-wide allocator numbers differently per registry).
+func registryPicture(t *testing.T, reg *Registry) string {
+	t.Helper()
+	re, ok := reg.lookup("p")
+	if !ok {
+		t.Fatal("platform missing")
+	}
+	at, _ := re.tl.LatestTime()
+	fut, err := reg.GetAt("p", at+60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	latest := re.tl.Latest()
+	var b strings.Builder
+	for li := int32(0); li < int32(latest.NumLinks()); li++ {
+		fmt.Fprintf(&b, "link %d: %x %x forecast %x %x\n", li,
+			math.Float64bits(latest.LinkBandwidth(li)), math.Float64bits(latest.LinkLatency(li)),
+			math.Float64bits(fut.Snapshot.LinkBandwidth(li)), math.Float64bits(fut.Snapshot.LinkLatency(li)))
+	}
+	for _, r := range re.tl.Records() {
+		fmt.Fprintf(&b, "t=%d %s:", r.Time, r.Source)
+		for _, u := range r.Updates {
+			fmt.Fprintf(&b, " %s %x %x", u.Link, math.Float64bits(u.Bandwidth), math.Float64bits(u.Latency))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestRegistryNonFiniteUpdatesAgreeAcrossModes feeds a memory and a
+// durable registry the same batches holding NaN, +Inf and -Inf bandwidths
+// and latencies — values LinkUpdate documents or the epoch treats as "keep
+// current". Both must accept them and reach the same link state and
+// forecasts, and the durable one must recover them byte-identically after
+// a restart and after a compaction.
+func TestRegistryNonFiniteUpdatesAgreeAcrossModes(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	plat, err := platgen.Generate(g5k.Mini(), platgen.Options{Variant: platgen.G5KTest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := plat.Snapshot().LinkName(0)
+	batches := [][]platform.LinkUpdate{
+		{{Link: testNIC, Bandwidth: 1e8, Latency: -1}, {Link: other, Bandwidth: 2e8, Latency: 1e-4}},
+		{{Link: testNIC, Bandwidth: nan, Latency: 2e-4}, {Link: other, Bandwidth: inf, Latency: nan}},
+		{{Link: testNIC, Bandwidth: 1.2e8, Latency: -inf}, {Link: other, Bandwidth: -inf, Latency: inf}},
+		{{Link: testNIC, Bandwidth: nan, Latency: nan}},
+		{{Link: testNIC, Bandwidth: 0.9e8, Latency: 3e-4}, {Link: other, Bandwidth: 1.1e8, Latency: -1}},
+		{{Link: other, Bandwidth: inf, Latency: -inf}},
+	}
+	mem := NewRegistry()
+	mem.SetTimelineDepth(3)
+	if err := mem.Add("p", PlatformEntry{Platform: plat, Config: sim.DefaultConfig()}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	open := func() (*Registry, *store.WAL) {
+		w, rec, err := store.Open(store.Options{Dir: dir, Fsync: store.FsyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewRegistry()
+		reg.SetTimelineDepth(3)
+		if err := reg.SetStorage(w, rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Add("p", PlatformEntry{Platform: plat, Config: sim.DefaultConfig()}); err != nil {
+			t.Fatal(err)
+		}
+		return reg, w
+	}
+	feed := func(regs []*Registry, from, to int) {
+		for i := from; i < to; i++ {
+			for _, reg := range regs {
+				if _, err := reg.ObserveLinkState("p", int64(1000+10*i), "nonfinite", batches[i]); err != nil {
+					t.Fatalf("batch %d: %v", i, err)
+				}
+			}
+		}
+	}
+	dur, _ := open()
+	feed([]*Registry{mem, dur}, 0, 4)
+	if !math.IsNaN(batches[1][0].Bandwidth) {
+		t.Fatal("the registry rewrote the caller's batch")
+	}
+	want := registryPicture(t, mem)
+	if got := registryPicture(t, dur); got != want {
+		t.Fatalf("durable registry diverges from memory:\n  memory:  %s\n  durable: %s", want, got)
+	}
+	wantStats := statsJSON(t, dur)
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dur, w := open()
+	if got := statsJSON(t, dur); got != wantStats {
+		t.Fatalf("restart diverges:\n  orig:     %s\n  restored: %s", wantStats, got)
+	}
+	if got := registryPicture(t, dur); got != want {
+		t.Fatalf("restart diverges from memory:\n  memory:   %s\n  restored: %s", want, got)
+	}
+	dur.gate.Lock()
+	err = w.Compact(dur.captureState())
+	dur.gate.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed([]*Registry{mem, dur}, 4, len(batches))
+	want, wantStats = registryPicture(t, mem), statsJSON(t, dur)
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dur, _ = open()
+	defer dur.Close()
+	if got := statsJSON(t, dur); got != wantStats {
+		t.Fatalf("restart after compaction diverges:\n  orig:     %s\n  restored: %s", wantStats, got)
+	}
+	if got := registryPicture(t, dur); got != want {
+		t.Fatalf("restart after compaction diverges from memory:\n  memory:   %s\n  restored: %s", want, got)
 	}
 }

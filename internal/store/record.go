@@ -18,9 +18,17 @@
 // Both files carry an 8-byte magic header followed by length-prefixed,
 // CRC32C-checked JSON records. Snapshots are written to a temp file,
 // fsynced, and renamed — they are atomic and never torn; the log absorbs
-// the torn-write risk and recovery truncates it at the first bad record.
-// Compaction bumps seq: write snap-<seq+1>, start wal-<seq+1>, delete
-// the older generation.
+// the torn-write risk and recovery truncates it at the first short or
+// checksum-failing frame. Compaction bumps seq: write snap-<seq+1>, start
+// wal-<seq+1>, delete the older generation.
+//
+// A log record is exactly the bytes json.Marshal(rec) writes, but a
+// hand-written codec (codec.go) writes and reads them, since a restart
+// decodes every record of the log tail; snapshots stay encoding/json. A
+// frame that passes its checksum but does not decode as a record is no
+// torn write, and truncating there would drop every acknowledged record
+// after it: Open fails instead, naming the segment and the byte offset,
+// and leaves the file untouched.
 package store
 
 import (

@@ -277,11 +277,14 @@ func (w *WAL) openSegment(rec *RecoveredState) error {
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store: reading log: %w", err)
 	}
-	records, valid := parseLog(data)
-	for _, r := range records {
-		rec.apply(r)
+	records, valid, err := parseLog(data, rec)
+	if err != nil {
+		// Checksummed yet undecodable is not a torn write: truncating here
+		// would drop every acknowledged record after it. Leave the file as
+		// it is for an operator to inspect.
+		return fmt.Errorf("store: %s: %w", path, err)
 	}
-	w.recs = len(records)
+	w.recs = records
 
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -321,26 +324,29 @@ func (w *WAL) openSegment(rec *RecoveredState) error {
 	return nil
 }
 
-// parseLog walks a log image and returns the decodable records plus the
-// byte length of the valid prefix. A missing/torn header yields length 0
-// (the caller rewrites it); the first bad frame — short, oversized,
-// CRC-mismatched, or undecodable — ends the walk.
-func parseLog(data []byte) ([]Record, int64) {
+// parseLog walks a log image, folding its records into rec, and returns
+// how many it found plus the byte length of the valid prefix. A
+// missing/torn header yields length 0 (the caller rewrites it); the first
+// short, oversized or CRC-mismatched frame ends the walk as the torn tail.
+// A frame that passes its CRC but does not decode is an error naming its
+// offset.
+func parseLog(data []byte, rec *RecoveredState) (int, int64, error) {
 	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-		return nil, 0
+		return 0, 0, nil
 	}
-	var out []Record
-	off := int64(len(walMagic))
+	var dec recordDecoder
+	records, off := 0, int64(len(walMagic))
 	for {
 		frame, n := parseFrame(data, off)
 		if frame == nil {
-			return out, off
+			return records, off, nil
 		}
 		var r Record
-		if err := json.Unmarshal(frame, &r); err != nil {
-			return out, off
+		if err := dec.decode(frame, &r); err != nil {
+			return 0, 0, fmt.Errorf("record at byte offset %d passes its checksum but does not decode: %w", off, err)
 		}
-		out = append(out, r)
+		rec.apply(r)
+		records++
 		off = n
 	}
 }
@@ -366,11 +372,32 @@ func parseFrame(data []byte, off int64) ([]byte, int64) {
 
 // appendFrame frames payload into buf.
 func appendFrame(buf, payload []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	start := len(buf)
+	buf = append(append(buf, 0, 0, 0, 0, 0, 0, 0, 0), payload...)
+	sealFrame(buf[start:])
+	return buf
+}
+
+// frameRecord appends rec as one frame to buf, encoding it in place.
+func frameRecord(buf []byte, rec *Record) ([]byte, error) {
+	start := len(buf)
+	buf, err := appendRecord(append(buf, 0, 0, 0, 0, 0, 0, 0, 0), rec)
+	if err != nil {
+		return buf[:start], err
+	}
+	if n := len(buf) - start - 8; n > maxRecordBytes {
+		return buf[:start], fmt.Errorf("record of %d bytes exceeds the %d limit", n, maxRecordBytes)
+	}
+	sealFrame(buf[start:])
+	return buf, nil
+}
+
+// sealFrame fills in the header of frame, an 8-byte header followed by
+// the payload.
+func sealFrame(frame []byte) {
+	payload := frame[8:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
 }
 
 // Append logs one mutation. On return the record has been handed to the
@@ -378,19 +405,15 @@ func appendFrame(buf, payload []byte) []byte {
 // depends on the fsync policy. Callers log before applying: a record
 // that fails to append must not mutate the registry.
 func (w *WAL) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encoding record: %w", err)
-	}
-	if len(payload) > maxRecordBytes {
-		return fmt.Errorf("store: record of %d bytes exceeds the %d limit", len(payload), maxRecordBytes)
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return errors.New("store: append to closed WAL")
 	}
-	w.buf = appendFrame(w.buf[:0], payload)
+	var err error
+	if w.buf, err = frameRecord(w.buf[:0], &rec); err != nil {
+		return fmt.Errorf("store: encoding record: %w", err)
+	}
 	if _, err := w.f.Write(w.buf); err != nil {
 		return fmt.Errorf("store: appending record: %w", err)
 	}
