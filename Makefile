@@ -46,7 +46,7 @@ orphans:
 	done; [ -z "$$bad" ]
 
 race:
-	go test -race ./internal/platform/... ./internal/pilgrim/... ./internal/sim/... ./internal/flow/... ./internal/campaign/... ./internal/store/... ./internal/shard/... ./internal/gateway/...
+	go test -race ./internal/keyed/... ./internal/platform/... ./internal/pilgrim/... ./internal/sim/... ./internal/flow/... ./internal/campaign/... ./internal/store/... ./internal/shard/... ./internal/gateway/...
 
 # recovery-check is the durability gate: WAL framing/torn-tail/corruption
 # fault injection, registry warm-restart byte-identity (with and without

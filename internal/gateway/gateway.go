@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pilgrim/internal/keyed"
 	"pilgrim/internal/pilgrim"
 	"pilgrim/internal/shard"
 )
@@ -76,24 +77,15 @@ type Gateway struct {
 	fanouts     atomic.Uint64
 	fanErrors   atomic.Uint64
 	proxyErrors atomic.Uint64
-	coalesced   atomic.Uint64
 
 	mu      sync.Mutex
 	proxied map[string]uint64 // per-shard proxied request count
-
-	// flightMu guards flights, the in-flight scatter-gather table:
+	// fans is the in-flight scatter-gather table, guarded by mu:
 	// concurrent reads of the same path share one fan-out instead of
-	// multiplying load on every shard (mirrors the workers' forecast
-	// coalescing layer, internal/pilgrim/flight.go).
-	flightMu sync.Mutex
-	flights  map[string]*gatherFlight
-}
-
-// gatherFlight is one in-flight scatter-gather other requests wait on;
-// legs is valid once done closes.
-type gatherFlight struct {
-	done chan struct{}
-	legs []leg
+	// multiplying load on every shard. It uses the workers' forecast
+	// coalescing type (internal/keyed) with capacity 0: nothing is kept
+	// once a fan-out lands.
+	fans *keyed.Cache[string, []leg]
 }
 
 // New builds a gateway over the membership in opts.Source.
@@ -115,8 +107,8 @@ func New(opts Options) (*Gateway, error) {
 		maxFan:     opts.MaxFanOut,
 		maxBody:    opts.MaxBodyBytes,
 		proxied:    make(map[string]uint64),
-		flights:    make(map[string]*gatherFlight),
 	}
+	g.fans = keyed.New[string, []leg](&g.mu, 0, nil)
 	if g.fanTimeout <= 0 {
 		g.fanTimeout = DefaultFanTimeout
 	}
@@ -287,33 +279,17 @@ type leg struct {
 // deadlines. Stats endpoints are read-only and shard-local, so a
 // coalesced answer is exactly as fresh as the racing reads it replaces.
 func (g *Gateway) gather(ctx context.Context, path string) []leg {
-	g.flightMu.Lock()
-	if f := g.flights[path]; f != nil {
-		g.flightMu.Unlock()
-		g.coalesced.Add(1)
-		select {
-		case <-f.done:
-			return f.legs
-		case <-ctx.Done():
-			workers := g.table.Ring().Workers()
-			legs := make([]leg, len(workers))
-			for i, wk := range workers {
-				legs[i] = leg{worker: wk, err: ctx.Err()}
-			}
-			return legs
+	legs, err := g.fans.Do(ctx, path, func() ([]leg, error) {
+		return g.scatter(context.WithoutCancel(ctx), path), nil
+	})
+	if err != nil { // this follower's own deadline passed first
+		workers := g.table.Ring().Workers()
+		legs = make([]leg, len(workers))
+		for i, wk := range workers {
+			legs[i] = leg{worker: wk, err: err}
 		}
 	}
-	f := &gatherFlight{done: make(chan struct{})}
-	g.flights[path] = f
-	g.flightMu.Unlock()
-	defer func() {
-		g.flightMu.Lock()
-		delete(g.flights, path)
-		g.flightMu.Unlock()
-		close(f.done)
-	}()
-	f.legs = g.scatter(context.WithoutCancel(ctx), path)
-	return f.legs
+	return legs
 }
 
 // scatter queries path on every shard with bounded parallelism and a
@@ -499,10 +475,10 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.Add("pilgrim_gateway_shards", "Workers in the current shard map.", pilgrim.Gauge, float64(g.table.Ring().Len()))
 	e.Add("pilgrim_gateway_reloads_total", "Shard-map reloads that changed membership.", pilgrim.Counter, float64(g.reloads.Load()))
 	e.Add("pilgrim_gateway_fanouts_total", "Scatter-gather reads served.", pilgrim.Counter, float64(g.fanouts.Load()))
-	e.Add("pilgrim_gateway_coalesced_fanouts_total", "Fleet-wide reads answered by another request's in-flight fan-out.", pilgrim.Counter, float64(g.coalesced.Load()))
+	g.mu.Lock()
+	e.Add("pilgrim_gateway_coalesced_fanouts_total", "Fleet-wide reads answered by another request's in-flight fan-out.", pilgrim.Counter, float64(g.fans.Counts().Coalesced))
 	e.Add("pilgrim_gateway_fan_shard_errors_total", "Scatter-gather legs that failed (partial answers).", pilgrim.Counter, float64(g.fanErrors.Load()))
 	e.Add("pilgrim_gateway_proxy_errors_total", "Proxied requests whose owning shard was unreachable (502).", pilgrim.Counter, float64(g.proxyErrors.Load()))
-	g.mu.Lock()
 	for name, n := range g.proxied {
 		e.Add("pilgrim_gateway_proxied_total", "Platform requests proxied, by owning shard.", pilgrim.Counter, float64(n), pilgrim.Label{Name: "shard", Value: name})
 	}

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,7 +11,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -551,5 +554,133 @@ func TestEvaluateThroughGateway(t *testing.T) {
 	}
 	if e := resp.Scenarios[0].Results[0].Error; e != "" {
 		t.Fatalf("cell error: %s", e)
+	}
+}
+
+// TestScatterLegBackoffHonoursFanTimeout fronts one live worker and one
+// shard that sheds with a long Retry-After: the shedding leg's backoff
+// must end at the per-shard deadline, so the fleet read answers promptly
+// with that shard named as the partial one instead of sleeping out the
+// hint.
+func TestScatterLegBackoffHonoursFanTimeout(t *testing.T) {
+	live := httptest.NewServer(newWorkerServer(t, "g5k_mini"))
+	defer live.Close()
+	shed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "30")
+		http.Error(w, "overloaded", http.StatusServiceUnavailable)
+	}))
+	defer shed.Close()
+	gw, err := New(Options{
+		Source:     shard.Source{Flag: "live=" + live.URL + ",shed=" + shed.URL},
+		FanTimeout: 200 * time.Millisecond,
+		Retry:      fastRetry,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	front := httptest.NewServer(gw)
+	defer front.Close()
+
+	began := time.Now()
+	resp, err := http.Get(front.URL + "/pilgrim/platforms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if took := time.Since(began); took > 5*time.Second {
+		t.Errorf("platforms took %v with a 200ms fan timeout", took)
+	}
+	if got := resp.Header.Get("X-Pilgrim-Partial"); got != "shed" {
+		t.Errorf("X-Pilgrim-Partial = %q, want shed", got)
+	}
+}
+
+// coalescedFanouts counts the fleet-wide reads that joined another
+// request's in-flight fan-out.
+func (g *Gateway) coalescedFanouts() uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.fans.Counts().Coalesced
+}
+
+// TestGatherCoalescesConcurrentReads holds one fleet read at the shard
+// until n-1 more have joined it: the shard is asked once, every joined
+// request gets the same answer, and a follower whose own context ends
+// while it waits gets ok=false legs without disturbing the others.
+func TestGatherCoalescesConcurrentReads(t *testing.T) {
+	const n = 6
+	var gw *Gateway
+	entered := make(chan struct{})
+	var once sync.Once
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		once.Do(func() { close(entered) })
+		for gw.coalescedFanouts() < n-1 {
+			runtime.Gosched()
+		}
+		writeJSON(w, pilgrim.CacheStats{Hits: 3, Misses: 1, Size: 1, Capacity: 8})
+	}))
+	defer stub.Close()
+	gw, err := New(Options{Source: shard.Source{Flag: "solo=" + stub.URL}, Retry: fastRetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	front := httptest.NewServer(gw)
+	defer front.Close()
+
+	answers := make(chan string, n-1)
+	read := func() {
+		resp, err := http.Get(front.URL + "/pilgrim/cache_stats")
+		if err != nil {
+			t.Error(err)
+			answers <- ""
+			return
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		answers <- string(body)
+	}
+	go read() // the leader
+	<-entered
+
+	ctx, cancel := context.WithCancel(context.Background())
+	early := httptest.NewRecorder()
+	gone := make(chan struct{})
+	go func() {
+		defer close(gone)
+		gw.ServeHTTP(early, httptest.NewRequest(http.MethodGet, "/pilgrim/cache_stats", nil).WithContext(ctx))
+	}()
+	for gw.coalescedFanouts() < 1 {
+		runtime.Gosched()
+	}
+	cancel()
+	<-gone
+	var expired FleetCacheStats
+	if err := json.Unmarshal(early.Body.Bytes(), &expired); err != nil {
+		t.Fatal(err)
+	}
+	if len(expired.Shards) != 1 || expired.Shards[0].OK || expired.Hits != 0 {
+		t.Errorf("expired follower's answer %s: want one ok=false leg", early.Body.Bytes())
+	}
+
+	for i := 0; i < n-2; i++ {
+		go read()
+	}
+	first := <-answers
+	for i := 1; i < n-1; i++ {
+		if a := <-answers; a != first {
+			t.Errorf("coalesced answers differ:\n%s\n%s", first, a)
+		}
+	}
+	var fleetStats FleetCacheStats
+	if err := json.Unmarshal([]byte(first), &fleetStats); err != nil {
+		t.Fatal(err)
+	}
+	if len(fleetStats.Shards) != 1 || !fleetStats.Shards[0].OK || fleetStats.Hits != 3 {
+		t.Errorf("leader's answer %s: want the shard's stats", first)
+	}
+	if got := gw.fanouts.Load(); got != 1 {
+		t.Errorf("%d fan-outs for %d concurrent reads, want 1", got, n)
 	}
 }

@@ -1,7 +1,6 @@
 package pilgrim
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"math"
@@ -9,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"pilgrim/internal/keyed"
 )
 
 // ForecastCache memoizes PNFS predictions behind a bounded LRU. A
@@ -24,19 +25,13 @@ import (
 // body already written for it, so a poller re-issuing the same URL skips
 // canonicalization and encoding too (see renderKey).
 type ForecastCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[forecastKey]*list.Element
-	lru      *list.List // front = most recently used
-	rendered map[renderKey]rendering
-	// flights is the in-flight coalescing table (flight.go): one entry
-	// per canonical key currently being simulated, so concurrent
-	// identical requests share one computation instead of racing to
-	// fill the LRU. Active even when capacity <= 0 disables the LRU.
-	flights      map[forecastKey]*flightCall
-	hits         uint64
-	misses       uint64
-	coalesced    uint64
+	mu sync.Mutex
+	// entries is the LRU of canonical answers and the flight table of the
+	// keys being simulated (internal/keyed), guarded by mu: concurrent
+	// identical requests share one simulation instead of racing to fill
+	// the LRU. Flights run even when capacity <= 0 disables the LRU.
+	entries      *keyed.Cache[forecastKey, cacheEntry]
+	rendered     map[renderKey]rendering
 	renderedHits uint64 // the subset of hits answered from rendered
 }
 
@@ -46,27 +41,19 @@ type ForecastCache struct {
 // outlive the network picture that produced it — no pointers need
 // pinning.
 type cacheEntry struct {
-	key   forecastKey
 	preds []Prediction
 	// renderings lists this entry's keys in ForecastCache.rendered (at
-	// most maxRenderingsPerEntry), so eviction can drop them. repeated
-	// records that the answer has been hit at least once: only then is it
-	// worth remembering request lines for (attachRendering).
+	// most maxRenderingsPerEntry), so eviction can drop them.
 	renderings []renderKey
-	repeated   bool
 }
 
 // NewForecastCache returns a cache holding up to capacity distinct
 // queries. A capacity <= 0 disables caching: every Predict simulates and
 // counts as a miss.
 func NewForecastCache(capacity int) *ForecastCache {
-	return &ForecastCache{
-		capacity: capacity,
-		entries:  make(map[forecastKey]*list.Element),
-		lru:      list.New(),
-		rendered: make(map[renderKey]rendering),
-		flights:  make(map[forecastKey]*flightCall),
-	}
+	fc := &ForecastCache{rendered: make(map[renderKey]rendering)}
+	fc.entries = keyed.New(&fc.mu, capacity, fc.forget)
+	return fc
 }
 
 // CacheStats is the hit/miss accounting surfaced by the server.
@@ -87,7 +74,9 @@ type CacheStats struct {
 func (fc *ForecastCache) Stats() CacheStats {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	return CacheStats{Hits: fc.hits, Misses: fc.misses, CoalescedHits: fc.coalesced, RenderedHits: fc.renderedHits, Size: fc.lru.Len(), Capacity: fc.capacity}
+	n := fc.entries.Counts()
+	return CacheStats{Hits: n.Hits, Misses: n.Misses, CoalescedHits: n.Coalesced, RenderedHits: fc.renderedHits,
+		Size: fc.entries.Len(), Capacity: fc.entries.Capacity()}
 }
 
 // canonicalize returns the indices of transfers sorted by (Src, Dst,
@@ -239,45 +228,41 @@ func canonicalizeQuery(platform string, entry PlatformEntry, transfers []Transfe
 	}
 }
 
-// touchLocked is the one LRU hit: the entry moves to the front and the
-// hit is counted. Every probe — by canonical key (probe, flight.go) or by
-// exact request line (renderedHit) — goes through it, so the LRU order
-// and the hit count do not depend on which index found the entry. The
-// entry's predictions are in canonical order and shared: callers reorder
-// via the query's permutation, never mutate. fc.mu held.
-func (fc *ForecastCache) touchLocked(el *list.Element) *cacheEntry {
-	fc.lru.MoveToFront(el)
-	fc.hits++
-	ent := el.Value.(*cacheEntry)
-	ent.repeated = true
-	return ent
-}
-
-// evictLocked trims the LRU to capacity. An evicted answer takes its
+// forget is the LRU's eviction hook: an evicted answer takes its
 // renderings with it. fc.mu held.
-func (fc *ForecastCache) evictLocked() {
-	for fc.lru.Len() > fc.capacity {
-		ent := fc.lru.Remove(fc.lru.Back()).(*cacheEntry)
-		delete(fc.entries, ent.key)
-		for _, k := range ent.renderings {
-			delete(fc.rendered, k)
-		}
+func (fc *ForecastCache) forget(_ forecastKey, ent cacheEntry) {
+	for _, k := range ent.renderings {
+		delete(fc.rendered, k)
 	}
 }
 
 // Store memoizes a canonical-order answer under its key (no-op when
 // caching is disabled; a concurrent filler's entry wins).
 func (fc *ForecastCache) Store(key forecastKey, canonical []Prediction) {
-	if fc == nil || fc.capacity <= 0 {
-		return
-	}
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	if _, ok := fc.entries[key]; ok { // concurrent request filled it
-		return
+	fc.entries.Add(key, cacheEntry{preds: canonical})
+}
+
+// lead probes the LRU and the flight table under one acquisition of fc.mu
+// (keyed.Cache.Lead): a hit returns the cached canonical answer (shared:
+// read, never mutate); leader means the caller owns f and must settle it;
+// otherwise f is another request's flight, to wait on.
+func (fc *ForecastCache) lead(key forecastKey) ([]Prediction, *keyed.Flight[cacheEntry], bool) {
+	return fc.probe(key, true)
+}
+
+// probe is lead, but with join false a key another request owns reports a
+// plain miss with f == nil, for callers that cannot park mid-request (the
+// evaluate base-answer phase): they compute beside the owner.
+func (fc *ForecastCache) probe(key forecastKey, join bool) ([]Prediction, *keyed.Flight[cacheEntry], bool) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	e, f, leader := fc.entries.Lead(key, join)
+	if e != nil {
+		return e.Value.preds, nil, false
 	}
-	fc.entries[key] = fc.lru.PushFront(&cacheEntry{key: key, preds: canonical})
-	fc.evictLocked()
+	return nil, f, leader
 }
 
 // renderKey is the exact-request index key: one predict_transfers request
@@ -300,7 +285,7 @@ func renderKeyOf(platform string, entry PlatformEntry, rawQuery string) renderKe
 // It is a view of that entry, not a cache of its own: it is counted, aged
 // and evicted as the entry.
 type rendering struct {
-	el   *list.Element
+	el   *keyed.Entry[forecastKey, cacheEntry]
 	body []byte
 }
 
@@ -329,7 +314,7 @@ func (fc *ForecastCache) renderedHit(k renderKey) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	fc.touchLocked(r.el)
+	fc.entries.Touch(r.el)
 	fc.renderedHits++
 	return r.body, true
 }
@@ -346,12 +331,12 @@ func (fc *ForecastCache) renderedHit(k renderKey) ([]byte, bool) {
 func (fc *ForecastCache) attachRendering(key forecastKey, k renderKey, body []byte) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	el, ok := fc.entries[key]
+	el, ok := fc.entries.Peek(key)
 	if !ok {
 		return
 	}
-	ent := el.Value.(*cacheEntry)
-	if !ent.repeated || len(ent.renderings) >= maxRenderingsPerEntry {
+	ent := &el.Value
+	if !el.Reused() || len(ent.renderings) >= maxRenderingsPerEntry {
 		return
 	}
 	for _, have := range ent.renderings { // cheaper than hashing k again
@@ -371,7 +356,7 @@ func (fc *ForecastCache) Predict(platform string, entry PlatformEntry, transfers
 }
 
 // PredictCtx is Predict under a request context. Concurrent identical
-// requests coalesce onto one in-flight simulation (flight.go): the
+// requests coalesce onto one in-flight simulation (internal/keyed): the
 // first requester simulates, duplicates wait for its answer — but give
 // up when their own ctx expires, even if the leader runs on.
 func (fc *ForecastCache) PredictCtx(ctx context.Context, platform string, entry PlatformEntry, transfers []TransferRequest, background [][2]string) ([]Prediction, error) {
@@ -396,13 +381,14 @@ func (fc *ForecastCache) predictKeyed(ctx context.Context, platform string, entr
 	q := canonicalizeQuery(platform, entry, transfers, background)
 	// Simulate in canonical order so a given logical workload always
 	// produces a bit-identical answer regardless of parameter order.
-	canonical, err := fc.predictCanonical(ctx, q.key, func() ([]Prediction, error) {
-		return predictOrdered(entry, transfers, q.order, q.background)
+	ent, err := fc.entries.Do(ctx, q.key, func() (cacheEntry, error) {
+		preds, err := predictOrdered(entry, transfers, q.order, q.background)
+		return cacheEntry{preds: preds}, err
 	})
 	if err != nil {
 		return nil, canonicalQuery{}, err
 	}
-	return canonical, q, nil
+	return ent.preds, q, nil
 }
 
 // SelectFastest is SelectFastest routed through the cache: each

@@ -1,6 +1,7 @@
 package pilgrim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -366,7 +367,18 @@ func TestForecastCacheEvictsUnderNaNConfig(t *testing.T) {
 	}
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	if len(fc.entries) != 2 || fc.lru.Len() != 2 {
-		t.Fatalf("index holds %d entries, LRU %d, capacity 2: evicted entries leaked", len(fc.entries), fc.lru.Len())
+	if n := fc.entries.Len(); n != 2 {
+		t.Fatalf("LRU holds %d entries, capacity 2: evicted entries leaked", n)
 	}
+}
+
+// predictCanonical answers one canonical key through the LRU and the
+// flight table, simulate returning predictions in canonical order: the
+// forecast cache's coalescing protocol with nothing around it.
+func (fc *ForecastCache) predictCanonical(ctx context.Context, key forecastKey, simulate func() ([]Prediction, error)) ([]Prediction, error) {
+	ent, err := fc.entries.Do(ctx, key, func() (cacheEntry, error) {
+		preds, err := simulate()
+		return cacheEntry{preds: preds}, err
+	})
+	return ent.preds, err
 }

@@ -2,6 +2,7 @@ package pilgrim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -117,7 +118,8 @@ func (p RetryPolicy) backoffDelay(attempt int, retryAfter time.Duration) time.Du
 // retryable but attempts are exhausted, so proxies (the gateway) can
 // forward the upstream's own answer instead of synthesizing one; the
 // error return is non-nil only when no response was obtained at all.
-// Context cancellation on the built request stops retries immediately.
+// Context cancellation on the built request stops retries immediately,
+// backoff included: a long Retry-After hint never outlives the caller.
 func (p RetryPolicy) Do(hc *http.Client, build func() (*http.Request, error)) (*http.Response, error) {
 	attempts := p.MaxAttempts
 	if attempts <= 0 {
@@ -125,15 +127,23 @@ func (p RetryPolicy) Do(hc *http.Client, build func() (*http.Request, error)) (*
 	}
 	var lastErr error
 	var retryAfter time.Duration
+	ctx := context.Background() // the last built request's
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
-			time.Sleep(p.backoffDelay(attempt-1, retryAfter))
+			backoff := time.NewTimer(p.backoffDelay(attempt-1, retryAfter))
+			select {
+			case <-backoff.C:
+			case <-ctx.Done():
+				backoff.Stop()
+				return nil, ctx.Err()
+			}
 			retryAfter = 0
 		}
 		req, err := build()
 		if err != nil {
 			return nil, err
 		}
+		ctx = req.Context()
 		resp, err := hc.Do(req)
 		if err != nil {
 			lastErr = err

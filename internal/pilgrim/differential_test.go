@@ -124,7 +124,7 @@ func TestEvaluateDifferentialMatchesCold(t *testing.T) {
 		if errD != nil {
 			continue
 		}
-		if d, c := len(diff.Cache.flights), len(cold.Cache.flights); d != 0 || c != 0 {
+		if d, c := diff.Cache.entries.Flights(), cold.Cache.entries.Flights(); d != 0 || c != 0 {
 			t.Fatalf("seed %d: flights outlive the request: differential %d, cold %d", seed, d, c)
 		}
 		// Epoch ids come from a process-global allocation counter, so the

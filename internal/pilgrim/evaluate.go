@@ -1,12 +1,12 @@
 package pilgrim
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"math"
 	"sync"
 
+	"pilgrim/internal/keyed"
 	"pilgrim/internal/platform"
 	"pilgrim/internal/scenario"
 	"pilgrim/internal/sim"
@@ -187,14 +187,12 @@ type EvaluateResponse struct {
 // forecast cache's epoch-keyed entries warm between requests. Bounded
 // LRU; evicted snapshots become collectable at once — the engine pool is
 // keyed by topology and parks engines without a snapshot, so it never pins
-// an epoch.
+// an epoch. Concurrent requests deriving the same epoch share one
+// derivation (the keyed flight table), and with it one epoch id, so their
+// sub-simulations key alike and run once.
 type OverlayCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[overlayKey]*list.Element
-	lru      *list.List
-	hits     uint64
-	misses   uint64
+	mu      sync.Mutex
+	derived *keyed.Cache[overlayKey, *platform.Snapshot]
 }
 
 // overlayKey is one derived epoch: a base epoch under a canonical overlay
@@ -204,61 +202,38 @@ type overlayKey struct {
 	overlay string
 }
 
-type overlayEntry struct {
-	key  overlayKey
-	snap *platform.Snapshot
-}
-
 // DefaultOverlayCacheSize is the overlay cache capacity NewServer
 // installs.
 const DefaultOverlayCacheSize = 128
 
 // NewOverlayCache returns an overlay cache holding up to capacity derived
-// epochs (capacity <= 0 disables reuse: every scenario derives afresh).
+// epochs (capacity <= 0 disables reuse across requests: only concurrent
+// derivations of one epoch are shared).
 func NewOverlayCache(capacity int) *OverlayCache {
-	return &OverlayCache{
-		capacity: capacity,
-		entries:  make(map[overlayKey]*list.Element),
-		lru:      list.New(),
-	}
+	oc := &OverlayCache{}
+	oc.derived = keyed.New[overlayKey, *platform.Snapshot](&oc.mu, capacity, nil)
+	return oc
 }
 
-func (oc *OverlayCache) get(baseEpoch uint64, key string) (*platform.Snapshot, bool) {
+// derive returns the epoch resolved derives from base, and whether it was
+// reused — cached, or derived by a concurrent request this one waited for
+// — rather than derived here. The wait is bounded by ctx; a derivation
+// waits on nothing, so it cannot close a wait cycle.
+func (oc *OverlayCache) derive(ctx context.Context, base *platform.Snapshot, resolved *scenario.Resolved) (snap *platform.Snapshot, reused bool, err error) {
 	if oc == nil {
-		return nil, false
+		snap, err = resolved.Apply(base)
+		return snap, false, err
 	}
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	if oc.capacity > 0 {
-		if el, ok := oc.entries[overlayKey{baseEpoch, key}]; ok {
-			oc.lru.MoveToFront(el)
-			oc.hits++
-			return el.Value.(*overlayEntry).snap, true
-		}
-	}
-	oc.misses++
-	return nil, false
-}
-
-func (oc *OverlayCache) put(baseEpoch uint64, key string, snap *platform.Snapshot) {
-	if oc == nil || oc.capacity <= 0 {
-		return
-	}
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	k := overlayKey{baseEpoch, key}
-	if _, ok := oc.entries[k]; ok {
-		return
-	}
-	oc.entries[k] = oc.lru.PushFront(&overlayEntry{key: k, snap: snap})
-	for oc.lru.Len() > oc.capacity {
-		oldest := oc.lru.Back()
-		oc.lru.Remove(oldest)
-		delete(oc.entries, oldest.Value.(*overlayEntry).key)
-	}
+	reused = true
+	snap, err = oc.derived.Do(ctx, overlayKey{base.Epoch(), resolved.Key()}, func() (*platform.Snapshot, error) {
+		reused = false
+		return resolved.Apply(base)
+	})
+	return snap, reused, err
 }
 
 // OverlayStats is the overlay cache accounting surfaced by cache_stats.
+// Hits counts derivations shared with a concurrent request too.
 type OverlayStats struct {
 	Hits     uint64 `json:"hits"`
 	Misses   uint64 `json:"misses"`
@@ -273,7 +248,8 @@ func (oc *OverlayCache) Stats() OverlayStats {
 	}
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
-	return OverlayStats{Hits: oc.hits, Misses: oc.misses, Size: oc.lru.Len(), Capacity: oc.capacity}
+	n := oc.derived.Counts()
+	return OverlayStats{Hits: n.Hits + n.Coalesced, Misses: n.Misses, Size: oc.derived.Len(), Capacity: oc.derived.Capacity()}
 }
 
 // Evaluator bundles the moving parts of batched evaluation. The server
@@ -400,18 +376,14 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, name string, req EvaluateR
 		}
 		snap := base
 		if !resolved.Empty() {
-			key := resolved.Key()
-			cached, ok := ev.Overlays.get(base.Epoch(), key)
-			if ok {
-				snap = cached
+			var reused bool
+			snap, reused, err = ev.Overlays.derive(ctx, base, resolved)
+			if err != nil { // an expired ctx fails the call at the next check
+				row.Error = err.Error()
+				continue
+			}
+			if reused {
 				resp.Stats.OverlaysReused++
-			} else {
-				snap, err = resolved.Apply(base)
-				if err != nil {
-					row.Error = err.Error()
-					continue
-				}
-				ev.Overlays.put(base.Epoch(), key, snap)
 			}
 		}
 		entry.Snapshot = snap
@@ -710,7 +682,7 @@ type diffSub struct {
 	// that answer, and the base-key flight led.
 	needBase bool
 	base     subAnswer
-	baseLed  *flightCall
+	baseLed  *keyed.Flight[cacheEntry]
 }
 
 // footprint resolves (once) the sub's resource footprint on the base
@@ -735,10 +707,10 @@ type subAnswer struct {
 // resolved, and how it gets there when the member's cache probe missed.
 type memberSub struct {
 	subAnswer
-	need     bool           // missed the cache: this request resolves it
-	class    sim.DeltaClass // the tier that resolves it (need only)
-	led      *flightCall    // the flight this member leads for it, if any
-	followed *flightCall    // the flight another request owns for it, if any
+	need     bool                      // missed the cache: this request resolves it
+	class    sim.DeltaClass            // the tier that resolves it (need only)
+	led      *keyed.Flight[cacheEntry] // the flight this member leads for it, if any
+	followed *keyed.Flight[cacheEntry] // the flight another request owns for it, if any
 }
 
 // runSuperGroup is the one evaluate runner: it answers every member group
@@ -750,8 +722,8 @@ type memberSub struct {
 // attributable to the supergroup as a whole.
 // Member-key misses lead coalescing flights (completed as each answer
 // lands) and keys another request is already simulating are followed —
-// but only after every led flight has published, per flight.go's
-// deadlock discipline. A non-nil error is ctx expiring mid-wait.
+// but only after every led flight has published, per the deadlock rule of
+// internal/keyed. A non-nil error is ctx expiring mid-wait.
 func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGroup, queries []EvalQuery, templates [][]subTemplate) error {
 	base := sg.base.snapshot()
 	// A lone member sitting on its own base epoch has nothing to share: a
@@ -810,7 +782,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	defer func() {
 		for mi := range members {
 			for di := range members[mi].subs {
-				ev.Cache.abandon(key(members[mi].picture, di), members[mi].subs[di].led)
+				ev.Cache.entries.Abandon(key(members[mi].picture, di), members[mi].subs[di].led)
 			}
 		}
 	}()
@@ -827,8 +799,12 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 					g.hits++ // a repeated instance: answered, or already pending
 					if alone && sub.have {
 						// The LRU answered it, and a lone picture reports one
-						// LRU hit per instance (cache_stats.hits), not per key.
-						ev.Cache.lead(key(m.picture, di))
+						// LRU hit per instance (cache_stats.hits), not per key
+						// (should it have been evicted since, settle the flight
+						// this probe opened).
+						if _, f, leader := ev.Cache.lead(key(m.picture, di)); leader {
+							ev.Cache.entries.Abandon(key(m.picture, di), f)
+						}
 					}
 					continue
 				}
@@ -864,7 +840,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	// Resolve the base answers the members reuse: from the forecast cache
 	// when an earlier request already paid for them, else by running the
 	// missing base subs as one batch.
-	// Base keys lead flights too (leadOrRun) so concurrent predict
+	// Base keys lead flights too (probe without joining) so concurrent predict
 	// requests against the base epoch can coalesce onto this batch —
 	// but this phase never waits on a foreign flight: member answers
 	// below depend on the base answers, and parking here could chain
@@ -874,7 +850,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 	// key, its flight is the base flight: one miss for one simulation.
 	defer func() {
 		for di := range dsubs {
-			ev.Cache.abandon(key(basePicture, di), dsubs[di].baseLed)
+			ev.Cache.entries.Abandon(key(basePicture, di), dsubs[di].baseLed)
 		}
 	}()
 	var runIdx []int
@@ -888,7 +864,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 			runIdx = append(runIdx, di)
 			continue
 		}
-		preds, f, leader := ev.Cache.leadOrRun(key(basePicture, di))
+		preds, f, leader := ev.Cache.probe(key(basePicture, di), false)
 		if preds != nil {
 			ds.base = subAnswer{preds: preds, have: true}
 			continue
@@ -908,7 +884,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 			ds := &dsubs[di]
 			preds, err := simulate(e, &ds.plan, sc)
 			ds.base = subAnswer{preds: preds, err: err, have: true}
-			ev.Cache.complete(key(basePicture, di), ds.baseLed, preds, err)
+			ev.Cache.entries.Complete(key(basePicture, di), ds.baseLed, cacheEntry{preds: preds}, err)
 		}
 		sim.ReleaseEngine(e)
 		sg.baseSims += len(runIdx)
@@ -933,7 +909,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 				if m.derived {
 					g.reused++
 				}
-				ev.Cache.complete(key(m.picture, di), sub.led, sub.preds, sub.err)
+				ev.Cache.entries.Complete(key(m.picture, di), sub.led, cacheEntry{preds: sub.preds}, sub.err)
 				continue
 			}
 			if m.derived {
@@ -959,15 +935,15 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 			}
 			preds, err := simulate(e, &dsubs[di].plan, sc)
 			sub.subAnswer = subAnswer{preds: preds, err: err, have: true}
-			ev.Cache.complete(key(m.picture, di), sub.led, preds, err)
+			ev.Cache.entries.Complete(key(m.picture, di), sub.led, cacheEntry{preds: preds}, err)
 		}
 		sim.ReleaseEngine(e)
 		g.sims += run
 	}
 
 	// Every flight this supergroup leads has published; only now wait
-	// for the answers other requests are computing for us (flight.go's
-	// deadlock discipline).
+	// for the answers other requests are computing for us (the deadlock
+	// rule of internal/keyed).
 	for mi := range members {
 		m := &members[mi]
 		for di := range m.subs {
@@ -976,16 +952,17 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 				continue
 			}
 			ds := &dsubs[di]
-			preds, err := ev.Cache.waitFlight(ctx, key(m.picture, di), sub.followed, func() ([]Prediction, error) {
+			ent, err := ev.Cache.entries.Wait(ctx, key(m.picture, di), sub.followed, func() (cacheEntry, error) {
 				e := sim.AcquireEngineSnapshot(m.g.entry.snapshot(), m.g.entry.Config)
 				defer sim.ReleaseEngine(e)
 				m.g.sims++
-				return simulate(e, &ds.plan, sc)
+				preds, err := simulate(e, &ds.plan, sc)
+				return cacheEntry{preds: preds}, err
 			})
 			if err != nil && ctx.Err() != nil {
 				return ctx.Err()
 			}
-			sub.subAnswer = subAnswer{preds: preds, err: err, have: true}
+			sub.subAnswer = subAnswer{preds: ent.preds, err: err, have: true}
 		}
 	}
 

@@ -2,16 +2,21 @@ package pilgrim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pilgrim/internal/bgtraffic"
 	"pilgrim/internal/g5k"
+	"pilgrim/internal/keyed"
 	"pilgrim/internal/metrology"
 	"pilgrim/internal/platform"
 	"pilgrim/internal/platgen"
@@ -325,7 +330,7 @@ func TestEvaluateSinglePicture(t *testing.T) {
 		if cs.Hits != tc.hits || cs.Misses != tc.misses || cs.Size != tc.size {
 			t.Errorf("%s/%s/%s: cache = %+v, want %+v", tc.scenario, tc.query, tc.cache, cs, tc)
 		}
-		if n := len(ev.Cache.flights); n != 0 {
+		if n := ev.Cache.entries.Flights(); n != 0 {
 			t.Errorf("%s/%s/%s: %d flights left in the table", tc.scenario, tc.query, tc.cache, n)
 		}
 	}
@@ -374,7 +379,7 @@ func TestEvaluateNoopOverlay(t *testing.T) {
 		if cs := ev.Cache.Stats(); cs.Misses != tc.misses || cs.Hits != 0 || (!tc.off && cs.Size != 3) {
 			t.Errorf("%s: cache = %+v, want %d misses", tc.name, cs, tc.misses)
 		}
-		if n := len(ev.Cache.flights); n != 0 {
+		if n := ev.Cache.entries.Flights(); n != 0 {
 			t.Errorf("%s: %d flights left in the table", tc.name, n)
 		}
 		rows := resp.Scenarios
@@ -383,6 +388,84 @@ func TestEvaluateNoopOverlay(t *testing.T) {
 				t.Errorf("%s: scenario %d = %v, want the base answer %v", tc.name, si, a, b)
 			}
 		}
+	}
+}
+
+// gateLocker is the overlay cache's own mutex, made first come first
+// served for the first n callers: a later caller waits until all n have
+// held it.
+type gateLocker struct {
+	mu                *sync.Mutex
+	n                 int32
+	arrived, acquired atomic.Int32
+}
+
+func (g *gateLocker) Lock() {
+	if g.arrived.Add(1) > g.n {
+		for g.acquired.Load() < g.n {
+			runtime.Gosched()
+		}
+	}
+	g.mu.Lock()
+	g.acquired.Add(1)
+}
+
+func (g *gateLocker) Unlock() { g.mu.Unlock() }
+
+// TestEvaluateConcurrentScenariosShareOneEpoch releases identical
+// requests on a cold evaluator at once, all of them blocked on the overlay
+// cache's probe, and lets the first derivation land only after every
+// request has probed: the scenario's epoch is derived once and shared, so
+// every response names the same derived epoch, and the sub-simulations
+// key alike and run once between them. Deriving per request would mint an
+// epoch each, and with it a forecast-cache key each.
+func TestEvaluateConcurrentScenariosShareOneEpoch(t *testing.T) {
+	const callers = 32
+	ev := newEvaluator(t)
+	gate := &gateLocker{mu: &ev.Overlays.mu, n: callers}
+	ev.Overlays.derived = keyed.New[overlayKey, *platform.Snapshot](gate, DefaultOverlayCacheSize, nil)
+	req := EvaluateRequest{
+		Scenarios: []scenario.Scenario{{Name: "baseline"}, {Name: "scale", Mutations: []scenario.Mutation{
+			{Op: scenario.OpScaleLink, Link: testNIC, BandwidthFactor: 0.5}}}},
+		Queries: []EvalQuery{{Kind: QueryPredictTransfers, Transfers: []TransferRequest{{Src: evalSrc, Dst: evalDst, Size: 5e8}}}},
+	}
+	epochs := make([]uint64, callers)
+	reused := make([]int, callers)
+	var done sync.WaitGroup
+	gate.mu.Lock()
+	for i := 0; i < callers; i++ {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			resp, err := ev.EvaluateCtx(context.Background(), "p", req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			epochs[i], reused[i] = resp.Scenarios[1].Epoch, resp.Stats.OverlaysReused
+		}(i)
+	}
+	for deadline := time.Now().Add(30 * time.Second); gate.arrived.Load() < callers; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			gate.mu.Unlock()
+			t.Fatalf("%d of %d requests reached the overlay probe", gate.arrived.Load(), callers)
+		}
+	}
+	gate.mu.Unlock()
+	done.Wait()
+	shared := 0
+	for i := range epochs {
+		if epochs[i] != epochs[0] || epochs[i] == 0 {
+			t.Fatalf("derived epochs %v: want one, shared by every request", epochs)
+		}
+		shared += reused[i]
+	}
+	if os := ev.Overlays.Stats(); os.Misses != 1 || os.Hits != callers-1 || shared != callers-1 {
+		t.Errorf("overlays %+v, %d reused: want 1 derivation shared by %d requests", os, shared, callers-1)
+	}
+	// Two distinct keys: the baseline cell and the scaled cell.
+	if cs := ev.Cache.Stats(); cs.Misses != 2 || cs.Hits+cs.CoalescedHits != 2*callers-2 {
+		t.Errorf("forecast cache %+v: want 2 misses, one per distinct key", cs)
 	}
 }
 

@@ -428,11 +428,11 @@ func TestRenderedEvictionAndBound(t *testing.T) {
 		fc.mu.Lock()
 		var perEntry []int
 		total := 0
-		for _, el := range fc.entries {
-			n := len(el.Value.(*cacheEntry).renderings)
+		fc.entries.Each(func(_ forecastKey, ent cacheEntry) {
+			n := len(ent.renderings)
 			perEntry = append(perEntry, n)
 			total += n
-		}
+		})
 		indexed := len(fc.rendered)
 		fc.mu.Unlock()
 		for _, n := range perEntry {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pilgrim/internal/keyed"
 	"pilgrim/internal/platform"
 )
 
@@ -51,33 +52,28 @@ import (
 // builder Platform) alive.
 //
 // Bounds. Memory is bounded by flavours × maxFreePerPool engines: one
-// flavour per (platform, Config) in use, at most maxPoolKeys of them (the
-// least recently acquired flavour is evicted beyond that — a process
-// cycling through many platforms, such as the test suite), each parking at
-// most maxFreePerPool idle engines (a burst's concurrency high-water
-// mark, not its total). Evicted or surplus engines are simply garbage.
+// flavour per (platform, Config) in use, at most maxPoolKeys of them (a
+// keyed LRU without flights: the least recently acquired flavour is
+// evicted beyond that — a process cycling through many platforms, such as
+// the test suite), each parking at most maxFreePerPool idle engines (a
+// burst's concurrency high-water mark, not its total). Evicted or surplus
+// engines are simply garbage.
 
 type poolKey struct {
 	topo platform.TopologyID
 	cfg  Config
 }
 
-type enginePool struct {
-	free    []*Engine
-	lastUse uint64 // poolTick at the flavour's latest acquire (LRU eviction)
-}
-
 const maxPoolKeys = 64
 
 var maxFreePerPool = 4 * runtime.GOMAXPROCS(0)
 
-// One mutex guards the flavour map, every free list and the LRU clock: the
-// critical sections are a map lookup and a slice push/pop, against tens of
+// One mutex guards the flavour LRU and every free list: the critical
+// sections are a lookup and a slice push/pop, against tens of
 // microseconds of simulation between them.
 var (
-	poolsMu  sync.Mutex
-	pools    = make(map[poolKey]*enginePool)
-	poolTick uint64
+	poolsMu sync.Mutex
+	pools   = keyed.New[poolKey, []*Engine](&poolsMu, maxPoolKeys, nil)
 
 	poolAcquired atomic.Uint64
 	poolBuilt    atomic.Uint64
@@ -102,10 +98,8 @@ func PoolStats() PoolCounters {
 	s := PoolCounters{Acquired: poolAcquired.Load(), Built: built}
 	s.Reused = s.Acquired - built
 	poolsMu.Lock()
-	s.Flavours = len(pools)
-	for _, p := range pools {
-		s.Parked += len(p.free)
-	}
+	s.Flavours = pools.Len()
+	pools.Each(func(_ poolKey, free []*Engine) { s.Parked += len(free) })
 	poolsMu.Unlock()
 	return s
 }
@@ -124,20 +118,12 @@ func AcquireEngineSnapshot(snap *platform.Snapshot, cfg Config) *Engine {
 	key := poolKey{topo: snap.TopologyID(), cfg: cfg}
 	var e *Engine
 	poolsMu.Lock()
-	p := pools[key]
-	if p == nil {
-		if len(pools) >= maxPoolKeys {
-			evictLRUFlavour()
-		}
-		p = &enginePool{}
-		pools[key] = p
-	}
-	poolTick++
-	p.lastUse = poolTick
-	if n := len(p.free); n > 0 {
-		e = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	p := pools.Add(key, nil) // the flavour's entry, new or not
+	pools.Touch(p)
+	if n := len(p.Value); n > 0 {
+		e = p.Value[n-1]
+		p.Value[n-1] = nil
+		p.Value = p.Value[:n-1]
 	}
 	poolsMu.Unlock()
 
@@ -153,22 +139,9 @@ func AcquireEngineSnapshot(snap *platform.Snapshot, cfg Config) *Engine {
 	return e
 }
 
-// evictLRUFlavour drops the least recently acquired flavour with its
-// parked engines. Engines of that flavour still in flight are dropped on
-// release (their key is gone). Called with poolsMu held.
-func evictLRUFlavour() {
-	var victim poolKey
-	oldest := ^uint64(0)
-	for k, p := range pools {
-		if p.lastUse < oldest {
-			victim, oldest = k, p.lastUse
-		}
-	}
-	delete(pools, victim)
-}
-
 // ReleaseEngine resets the engine, drops its snapshot reference and parks
-// it for the next acquire on any epoch of the same topology. The caller
+// it for the next acquire on any epoch of the same topology, unless its
+// flavour was evicted meanwhile or parks enough engines already. The caller
 // must not use the engine — or any ActivityID it handed out — afterwards.
 // Engines that did not come from AcquireEngine, and engines already
 // released, are ignored, so Release is always safe to call.
@@ -181,8 +154,8 @@ func ReleaseEngine(e *Engine) {
 	e.snap = nil
 	e.released = true
 	poolsMu.Lock()
-	if p := pools[key]; p != nil && len(p.free) < maxFreePerPool {
-		p.free = append(p.free, e)
+	if p, ok := pools.Peek(key); ok && len(p.Value) < maxFreePerPool {
+		p.Value = append(p.Value, e)
 	}
 	poolsMu.Unlock()
 }

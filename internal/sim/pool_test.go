@@ -121,8 +121,8 @@ func wildEpoch(t testing.TB, rng *rand.Rand, snap *platform.Snapshot) *platform.
 func parkedOf(snap *platform.Snapshot, cfg Config) []*Engine {
 	poolsMu.Lock()
 	defer poolsMu.Unlock()
-	if p := pools[poolKey{topo: snap.TopologyID(), cfg: cfg}]; p != nil {
-		return append([]*Engine(nil), p.free...)
+	if p, ok := pools.Peek(poolKey{topo: snap.TopologyID(), cfg: cfg}); ok {
+		return append([]*Engine(nil), p.Value...)
 	}
 	return nil
 }
@@ -286,16 +286,16 @@ func TestEnginePoolOneFlavourPerTopology(t *testing.T) {
 	poolsMu.Lock()
 	defer poolsMu.Unlock()
 	flavours := 0
-	for key, p := range pools {
+	pools.Each(func(key poolKey, free []*Engine) {
 		if key.topo == snap.TopologyID() {
 			flavours++
 		}
-		for _, e := range p.free {
+		for _, e := range free {
 			if e.snap != nil {
 				t.Errorf("parked engine of flavour %v pins epoch %d", key.cfg, e.snap.Epoch())
 			}
 		}
-	}
+	})
 	if flavours != 1 {
 		t.Errorf("300 epochs of one topology are pooled under %d flavours, want 1", flavours)
 	}
