@@ -145,13 +145,21 @@ loadgen-smoke:
 
 # profile captures CPU and allocation profiles of the evaluate hot path
 # (the differential and steady-state evaluate benchmarks exercise the
-# overlay, classification, and cache layers). Inspect with
-# `go tool pprof profiles/evaluate_cpu.pprof`.
+# overlay, classification, and cache layers), and CPU profiles of the two
+# shapes where the max-min solver (flow.System.Solve) dominates: an
+# evaluate grid with fresh sizes and factors served over HTTP (the
+# whatif-grid workload's shape) and one cold 60-transfer cross-site
+# forecast (cold-miss's). Inspect with e.g.
+# `go tool pprof -top profiles/cold60_cpu.pprof`.
 profile:
 	mkdir -p profiles
 	go test -run '^$$' -bench 'BenchmarkEvaluateDifferential30x8|BenchmarkEvaluate30x8' -benchtime 1000x -count 1 \
 		-cpuprofile profiles/evaluate_cpu.pprof -memprofile profiles/evaluate_mem.pprof .
-	@echo wrote profiles/evaluate_cpu.pprof profiles/evaluate_mem.pprof
+	go test -run '^$$' -bench '^BenchmarkHTTPEvaluate30x8$$/^fresh$$' -benchtime 2000x -count 1 \
+		-cpuprofile profiles/whatif_cpu.pprof .
+	go test -run '^$$' -bench '^BenchmarkCold60CrossSite$$' -benchtime 3000x -count 1 \
+		-cpuprofile profiles/cold60_cpu.pprof .
+	@echo wrote profiles/evaluate_cpu.pprof profiles/evaluate_mem.pprof profiles/whatif_cpu.pprof profiles/cold60_cpu.pprof
 
 clean:
 	rm -f bench_*.out

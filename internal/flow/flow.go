@@ -34,6 +34,16 @@
 // removals only keeps every filling round that ran before the first one to
 // fix a departed variable, and re-fills just the rest.
 //
+// The same invalidation runs per link. A constraint crossed by a single
+// variable (a host NIC direction, in the network model) is that
+// variable's private cap: it couples nothing, so it stays out of the
+// dirty closure and the filling rounds, and enters only as a constant fill
+// level of its variable. A departing variable that was fixed by its own
+// cap or bound, on links that never saturated as the bottleneck from its
+// round on, freed nothing anybody was waiting for: RemoveVariable drops its
+// charge from those links' records directly and the next Solve re-fills
+// nothing.
+//
 // RTT-awareness is achieved by the caller setting each flow's weight to
 // 1/RTT: on a shared bottleneck, flows then receive bandwidth inversely
 // proportional to their round-trip time, which is the empirically observed
@@ -45,6 +55,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	mathbits "math/bits"
 	"slices"
 	"strconv"
 )
@@ -63,8 +74,14 @@ type Variable struct {
 	sys    *System // owning system, nil once removed
 	index  int     // position in sys.vars
 	serial uint64  // creation order, for deterministic solve order
-	mark   uint64  // dirty-closure epoch stamp (scratch)
-	lam    float64 // bound/weight fill level during a solve (scratch)
+
+	// lam is the variable's own fill level during a solve: the smallest of
+	// bound/weight and capacity/weight over its private constraints. by is
+	// the serial of the private constraint that set it, or byBound; it
+	// breaks ties with shared constraints the way a scan in serial order
+	// would. (scratch)
+	lam float64
+	by  uint64
 
 	// round is the filling round that fixed the variable (System.round at
 	// that time), 0 until a solve has fixed it.
@@ -112,7 +129,7 @@ type Constraint struct {
 	used     float64
 
 	serial    uint64      // creation order, for deterministic solve order
-	mark      uint64      // dirty-closure epoch stamp (scratch)
+	index     int         // position in sys.cnsts
 	remaining float64     // residual capacity during a solve (scratch)
 	unfixed   int         // unfixed crossing variables during a solve (scratch)
 	active    []*Variable // not-yet-fixed crossing variables, compacted per round (scratch)
@@ -120,16 +137,18 @@ type Constraint struct {
 	wstale    bool        // a crossing variable fixed since wsum was summed (scratch)
 
 	// log holds the residual state after each fix that charged this
-	// constraint, in fix order, so a later solve can rewind the constraint
-	// to the start of any round (see Solve).
+	// constraint while it was shared, in fix order, so a later solve can
+	// rewind the constraint to the start of any round (see Solve). won is
+	// the last round the constraint was the bottleneck of.
 	log []fillRecord
+	won uint64
 }
 
 // fillRecord is a constraint's (remaining, used) after one crossing
-// variable was fixed in the given round.
+// variable was fixed at rate in the given round.
 type fillRecord struct {
-	round           uint64
-	remaining, used float64
+	round                 uint64
+	rate, remaining, used float64
 }
 
 // ID returns the identifier given at creation. Constraints created with
@@ -149,8 +168,17 @@ func (c *Constraint) ID() string {
 func (c *Constraint) Capacity() float64 { return c.capacity }
 
 // Usage returns the total rate allocated on this constraint by the last
-// Solve.
-func (c *Constraint) Usage() float64 { return c.used }
+// Solve. A private constraint keeps no sum of its own: its usage is its
+// one variable's rate.
+func (c *Constraint) Usage() float64 {
+	switch len(c.vars) {
+	case 0:
+		return 0
+	case 1:
+		return c.vars[0].value
+	}
+	return c.used
+}
 
 // Variables returns the variables crossing this constraint.
 func (c *Constraint) Variables() []*Variable { return c.vars }
@@ -158,7 +186,7 @@ func (c *Constraint) Variables() []*Variable { return c.vars }
 // Saturated reports whether the last Solve used the full capacity, within
 // a relative tolerance.
 func (c *Constraint) Saturated() bool {
-	return c.used >= c.capacity*(1-1e-9)
+	return c.Usage() >= c.capacity*(1-1e-9)
 }
 
 // System holds variables and constraints and computes allocations.
@@ -171,7 +199,6 @@ type System struct {
 	vars   []*Variable   // in creation-serial order
 	cnsts  []*Constraint // in creation-serial order
 	solved bool
-	epoch  uint64
 	serial uint64 // next creation serial
 
 	// Dirty bookkeeping between solves: dirtyVars/dirtyCnsts seed the
@@ -182,7 +209,8 @@ type System struct {
 
 	// round numbers the filling rounds of every solve since the last
 	// Reset. cut is the round the next Solve must re-run from: noCut right
-	// after a solve, lowered by RemoveVariable to the round that fixed the
+	// after a solve (and after a quiet departure, which leaves nothing to
+	// re-run), lowered by RemoveVariable to the round that fixed the
 	// departing variable, and zeroed — nothing of the previous solve is
 	// kept — by every other mutation.
 	round uint64
@@ -206,14 +234,21 @@ type System struct {
 
 	// Per-solve scratch buffers, reused so a solve allocates nothing at
 	// steady state. dirtyVBuf doubles as the touched list between solves.
-	dirtyVBuf  []*Variable
-	dirtyCBuf  []*Constraint
-	stackBuf   []*Constraint
-	boundedBuf []*Variable
+	// vbits and cbits mark the positions in vars and cnsts the dirty
+	// closure reached; every bit is clear between solves.
+	dirtyVBuf    []*Variable
+	dirtyCBuf    []*Constraint
+	stackBuf     []*Constraint
+	ownBuf       []*Variable
+	vbits, cbits []uint64
 }
 
 // noCut is System.cut when nothing has disturbed the last solve.
 const noCut = math.MaxUint64
+
+// byBound is Variable.by when the variable's own level is its bound: a
+// bound wins only a strict comparison, so it ranks after every constraint.
+const byBound = math.MaxUint64
 
 // NewSystem returns an empty system.
 func NewSystem() *System { return &System{} }
@@ -281,7 +316,7 @@ func (s *System) NewConstraint(id string, capacity float64) *Constraint {
 		panic(fmt.Errorf("flow: constraint %q has invalid capacity %v", id, capacity))
 	}
 	c := s.recycleConstraint()
-	c.id, c.capacity, c.serial = id, capacity, s.serial
+	c.id, c.capacity, c.serial, c.index = id, capacity, s.serial, len(s.cnsts)
 	s.serial++
 	s.cnsts = append(s.cnsts, c)
 	return c
@@ -324,13 +359,18 @@ func (s *System) AddVariable(id string, weight, bound float64, cnsts ...*Constra
 // RemoveVariable withdraws a flow from the system: it is detached from
 // every constraint it crosses, and the capacity it held becomes available
 // to the remaining flows at the next Solve, which re-runs only the filling
-// rounds from the one that fixed v onward (see Solve). Removing a variable
-// that does not belong to this system (or was already removed) panics.
+// rounds from the one that fixed v onward (see Solve) — or none, when the
+// departure is quiet (see quiet). Removing a variable that does not belong
+// to this system (or was already removed) panics.
 func (s *System) RemoveVariable(v *Variable) {
 	if v.sys != s {
 		panic(fmt.Errorf("flow: variable %q is not in this system", v.ID()))
 	}
+	quiet := s.quiet(v)
 	for _, c := range v.cnsts {
+		if quiet && len(c.vars) > 1 {
+			c.unlog(v.round)
+		}
 		for i, w := range c.vars {
 			if w == v {
 				// Ordered removal keeps c.vars in attachment order, so
@@ -340,7 +380,9 @@ func (s *System) RemoveVariable(v *Variable) {
 				break
 			}
 		}
-		s.dirtyCnsts = append(s.dirtyCnsts, c)
+		if !quiet {
+			s.dirtyCnsts = append(s.dirtyCnsts, c)
+		}
 	}
 	// Ordered removal, for the same reason: s.vars stays in serial order.
 	last := len(s.vars) - 1
@@ -350,7 +392,7 @@ func (s *System) RemoveVariable(v *Variable) {
 	for i := v.index; i < last; i++ {
 		s.vars[i].index = i
 	}
-	if v.round < s.cut {
+	if !quiet && v.round < s.cut {
 		s.cut = v.round
 	}
 	v.sys = nil
@@ -358,6 +400,55 @@ func (s *System) RemoveVariable(v *Variable) {
 	v.data = nil
 	s.varFree = append(s.varFree, v)
 	s.solved = false
+}
+
+// quiet reports whether removing v changes no other rate: the system is
+// as the last Solve (or a quiet departure) left it, and none of v's shared
+// constraints was the bottleneck of v's round or of a later one. Then v
+// was fixed alone, by its own level (a shared bottleneck would have won
+// v's round), and without it every later round finds the same bottleneck
+// with the same bits — docs/DESIGN.md, "Quiet departures".
+func (s *System) quiet(v *Variable) bool {
+	if s.cut != noCut {
+		return false
+	}
+	for _, c := range v.cnsts {
+		if len(c.vars) > 1 && c.won >= v.round {
+			return false
+		}
+	}
+	return true
+}
+
+// unlog deletes the one record of the given round from the log and
+// replays the later records' charges onto the residual state before it,
+// as the fixes would have charged the constraint had that round not run.
+func (c *Constraint) unlog(round uint64) {
+	i := c.logIndex(round)
+	if i == len(c.log) || c.log[i].round != round {
+		panic(fmt.Errorf("flow: internal error: constraint %q has no record of round %d", c.ID(), round))
+	}
+	remaining, used := c.capacity, 0.0
+	if i > 0 {
+		remaining, used = c.log[i-1].remaining, c.log[i-1].used
+	}
+	c.log = append(c.log[:i], c.log[i+1:]...)
+	for k := i; k < len(c.log); k++ {
+		r := &c.log[k]
+		remaining -= r.rate
+		if remaining < 0 {
+			remaining = 0
+		}
+		used += r.rate
+		r.remaining, r.used = remaining, used
+	}
+	c.used = used
+}
+
+// logIndex returns the position of the first record of round or later.
+func (c *Constraint) logIndex(round uint64) int {
+	i, _ := slices.BinarySearchFunc(c.log, round, func(r fillRecord, round uint64) int { return cmp.Compare(r.round, round) })
+	return i
 }
 
 // SetBound changes the rate bound of a live variable (bound <= 0 means
@@ -430,50 +521,49 @@ var ErrUnboundedVariable = errors.New("flow: variable with no constraint and no 
 // to a departed one through variables that were unfixed at that point; a
 // from-scratch solve is the same loop with nothing kept. docs/DESIGN.md
 // ("Resuming a solve from the first disturbed level") has the argument in
-// full. Calling Solve on an already-solved system is a no-op.
+// full.
+//
+// Components are joined only by shared constraints — those crossed by
+// more than one variable. A private constraint, crossed by one, enters
+// the solve as a constant fill level of its variable, ranked against the
+// shared constraints exactly where a scan in serial order would have
+// found it (docs/DESIGN.md, "Private constraints"). Calling Solve on an
+// already-solved system is a no-op.
 func (s *System) Solve() error {
 	if s.solved {
 		return nil
 	}
 	s.solves++
 
-	// Gather the dirty sub-system: every constraint reachable from a
-	// mutation seed, and every variable to re-fill, walking shared
+	// Gather the dirty sub-system: every shared constraint reachable from
+	// a mutation seed, and every variable to re-fill, walking shared
 	// constraints but not through the variables fixed before round cut —
 	// those are kept, and what lies behind them is as undisturbed as
 	// another component. (When cut is 0 nothing is kept and this is the
 	// closure over whole components. When it is not, only removals
 	// happened, so every variable reached was fixed by an earlier solve:
-	// none has round 0.) Collection happens during the traversal itself
-	// (so the cost is proportional to the dirty set, not the whole system)
-	// and is then put in creation order so the solve visits resources in a
-	// stable order. The collection slices are per-system scratch, so
-	// steady-state solves allocate nothing.
+	// none has round 0.) The traversal marks positions in two bitmaps, so
+	// its cost is proportional to the dirty set, and reading them back in
+	// position order lists the dirty set in creation order, so the solve
+	// visits resources in a stable order. The collection slices are
+	// per-system scratch, so steady-state solves allocate nothing.
 	cut := s.cut
-	kept := 0
-	dirtyV := s.dirtyVBuf[:0]
-	dirtyC := s.dirtyCBuf[:0]
-	s.epoch++
+	s.vbits = growBits(s.vbits, len(s.vars))
+	s.cbits = growBits(s.cbits, len(s.cnsts))
 	stack := s.stackBuf[:0]
 	markC := func(c *Constraint) {
-		if c.mark != s.epoch {
-			c.mark = s.epoch
-			dirtyC = append(dirtyC, c)
+		if setBit(s.cbits, c.index) {
 			stack = append(stack, c)
 		}
 	}
 	markV := func(v *Variable) {
-		if v.mark == s.epoch {
+		if !setBit(s.vbits, v.index) || v.round < cut {
 			return
 		}
-		v.mark = s.epoch
-		if v.round < cut {
-			kept++
-			return
-		}
-		dirtyV = append(dirtyV, v)
 		for _, c := range v.cnsts {
-			markC(c)
+			if len(c.vars) > 1 {
+				markC(c)
+			}
 		}
 	}
 	for _, v := range s.dirtyVars {
@@ -482,7 +572,13 @@ func (s *System) Solve() error {
 		}
 	}
 	for _, c := range s.dirtyCnsts {
-		markC(c)
+		switch len(c.vars) {
+		case 0:
+		case 1: // turned private: only its variable can have changed
+			markV(c.vars[0])
+		default:
+			markC(c)
+		}
 	}
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
@@ -492,29 +588,11 @@ func (s *System) Solve() error {
 		}
 	}
 	s.stackBuf = stack[:0]
-	// s.cnsts and s.vars are already in creation order, so when a large
-	// share of them is dirty a marked sweep is cheaper than a comparison
-	// sort; both produce the identical sequence.
-	if 4*len(dirtyC) >= len(s.cnsts) {
-		dirtyC = dirtyC[:0]
-		for _, c := range s.cnsts {
-			if c.mark == s.epoch {
-				dirtyC = append(dirtyC, c)
-			}
-		}
-	} else {
-		slices.SortFunc(dirtyC, func(a, b *Constraint) int { return cmp.Compare(a.serial, b.serial) })
-	}
-	if 4*len(dirtyV) >= len(s.vars) {
-		dirtyV = dirtyV[:0]
-		for _, v := range s.vars {
-			if v.mark == s.epoch && v.round >= cut {
-				dirtyV = append(dirtyV, v)
-			}
-		}
-	} else {
-		slices.SortFunc(dirtyV, func(a, b *Variable) int { return cmp.Compare(a.serial, b.serial) })
-	}
+	dirtyC := collectBits(s.dirtyCBuf[:0], s.cbits, s.cnsts)
+	dirtyV := collectBits(s.dirtyVBuf[:0], s.vbits, s.vars)
+	kept := len(dirtyV)
+	dirtyV = slices.DeleteFunc(dirtyV, func(v *Variable) bool { return v.round < cut })
+	kept -= len(dirtyV)
 	s.dirtyVBuf = dirtyV
 	s.dirtyCBuf = dirtyC
 
@@ -525,47 +603,64 @@ func (s *System) Solve() error {
 	}
 
 	// Rewind the dirty sub-system to the start of round cut: its variables
-	// restart unfixed at rate 0, its constraints at what the kept
+	// restart unfixed at rate 0, its shared constraints at what the kept
 	// variables left them. Until this solve completes there is no
 	// consistent state to resume from, hence the zeroed s.cut.
 	//
 	// Three working lists keep the progressive-filling rounds proportional
 	// to what is still unfixed rather than to the whole dirty set:
 	//
-	//   - each constraint snapshots its unfixed crossing variables into
-	//     c.active, compacted as variables fix (attachment order preserved,
-	//     so the per-round weight sums are bit-identical to a full rescan);
+	//   - each shared constraint snapshots its unfixed crossing variables
+	//     into c.active, compacted as variables fix (attachment order
+	//     preserved, so the per-round weight sums are bit-identical to a
+	//     full rescan);
 	//   - work compacts away constraints whose variables are all fixed
 	//     (relative serial order preserved, so λ* tie-breaking between
 	//     equal constraints is unchanged);
-	//   - bounded holds the rate-bounded variables in serial order, stably
-	//     sorted by their constant fill level λ_v = bound/weight the first
-	//     time a round's constraint level does not already undercut all of
-	//     them: from then on the first unfixed entry is the candidate each
-	//     round, replacing a full rescan.
+	//   - own holds the variables with a level of their own (a bound or a
+	//     private constraint), sorted once by (level, tie key, creation
+	//     order): each round its first unfixed entry is the candidate.
 	s.cut = 0
 	if kept > 0 {
 		s.warmSolves++
 		s.totalKept += kept
 	}
-	bounded := s.boundedBuf[:0]
-	minLam := math.Inf(1) // lower bound on the unfixed entries of bounded
+	own := s.ownBuf[:0]
 	for _, v := range dirtyV {
 		v.fixed = false
 		v.value = 0
+		v.lam, v.by = math.Inf(1), byBound
 		if !math.IsInf(v.bound, 1) {
 			v.lam = v.bound / v.weight
-			if v.lam < minLam {
-				minLam = v.lam
+		}
+		for _, c := range v.cnsts {
+			// A private constraint's level is remaining/Σw with nothing
+			// else charged and nothing else summed: capacity/weight.
+			if l := c.capacity / v.weight; len(c.vars) == 1 && (l < v.lam || l == v.lam && c.serial < v.by) {
+				v.lam, v.by = l, c.serial
 			}
-			bounded = append(bounded, v)
+		}
+		if !math.IsInf(v.lam, 1) {
+			own = append(own, v)
 		}
 	}
-	for _, c := range dirtyC {
-		n := len(c.log)
-		for n > 0 && c.log[n-1].round >= cut {
-			n--
+	slices.SortFunc(own, func(a, b *Variable) int {
+		// Plain comparisons: levels are never NaN, and skipping
+		// cmp.Compare's NaN checks halves this sort, which every solve runs.
+		switch {
+		case a.lam < b.lam:
+			return -1
+		case a.lam > b.lam:
+			return 1
+		case a.by < b.by:
+			return -1
+		case a.by > b.by:
+			return 1
 		}
+		return cmp.Compare(a.serial, b.serial)
+	})
+	for _, c := range dirtyC {
+		n := c.logIndex(cut)
 		c.log = slices.Grow(c.log[:n], len(c.vars)-n) // one record per variable still to fix
 		c.remaining, c.used = c.capacity, 0
 		if n > 0 {
@@ -594,6 +689,9 @@ func (s *System) Solve() error {
 		v.round = s.round
 		unfixed--
 		for _, c := range v.cnsts {
+			if len(c.vars) == 1 {
+				continue // private: its usage is v's rate
+			}
 			c.remaining -= rate
 			if c.remaining < 0 {
 				c.remaining = 0
@@ -601,23 +699,22 @@ func (s *System) Solve() error {
 			c.unfixed--
 			c.used += rate
 			c.wstale = true
-			c.log = append(c.log, fillRecord{s.round, c.remaining, c.used})
+			c.log = append(c.log, fillRecord{s.round, rate, c.remaining, c.used})
 		}
 	}
-	boundedSorted, boundedHead := false, 0
+	head := 0
 	for unfixed > 0 {
 		s.round++
 		// Find the minimal fill level λ* at which something saturates.
-		// For constraint c: λ_c = remaining_c / Σ weights of unfixed vars.
-		// For a bounded variable v: λ_v = bound_v / weight_v.
-		// Weight sums are recomputed from scratch — never maintained by
-		// subtraction, which accumulates floating-point residue that can
-		// make an exhausted constraint look populated and stall the loop —
-		// but only for constraints a fix actually disturbed (wstale): an
-		// undisturbed constraint's sum is the same bits either way.
+		// For shared constraint c: λ_c = remaining_c / Σ weights of
+		// unfixed vars. Weight sums are recomputed from scratch — never
+		// maintained by subtraction, which accumulates floating-point
+		// residue that can make an exhausted constraint look populated and
+		// stall the loop — but only for constraints a fix actually
+		// disturbed (wstale): an undisturbed constraint's sum is the same
+		// bits either way.
 		lambda := math.Inf(1)
 		var satCnst *Constraint
-		var satVar *Variable
 		m := 0
 		for _, c := range work {
 			if c.unfixed == 0 {
@@ -640,50 +737,47 @@ func (s *System) Solve() error {
 			}
 			l := c.remaining / c.wsum
 			if l < lambda {
-				lambda, satCnst, satVar = l, c, nil
+				lambda, satCnst = l, c
 			}
 		}
 		work = work[:m]
-		if minLam < lambda {
-			if !boundedSorted {
-				slices.SortStableFunc(bounded, func(a, b *Variable) int { return cmp.Compare(a.lam, b.lam) })
-				boundedSorted = true
-			}
-			for boundedHead < len(bounded) && bounded[boundedHead].fixed {
-				boundedHead++
-			}
-			minLam = math.Inf(1)
-			if boundedHead < len(bounded) {
-				v := bounded[boundedHead]
-				minLam = v.lam
-				if v.lam < lambda {
-					lambda, satCnst, satVar = v.lam, nil, v
+		// The first unfixed variable of own wins if its level is lower, or
+		// equal and set by a private constraint older than satCnst: the
+		// first minimum of a scan over every constraint in serial order,
+		// then a bound only below all of them.
+		for head < len(own) && own[head].fixed {
+			head++
+		}
+		if head < len(own) {
+			if v := own[head]; v.lam < lambda || v.lam == lambda && v.by < satCnst.serial {
+				if v.by == byBound {
+					fix(v, v.bound)
+				} else {
+					fix(v, v.weight*v.lam)
 				}
+				continue
 			}
 		}
 
-		if satCnst == nil && satVar == nil {
+		if satCnst == nil {
 			// No constraint limits the remaining variables: they are all
 			// unbounded through constraints with zero unfixed weight.
 			// This cannot happen because every unfixed variable either has
-			// a bound (covered above) or crosses a constraint whose
-			// unfixed weight includes its own positive weight.
+			// a finite level of its own (covered above) or crosses a shared
+			// constraint whose unfixed weight includes its own positive
+			// weight.
 			return errors.New("flow: internal error: no saturating resource found")
-		}
-
-		if satVar != nil {
-			fix(satVar, satVar.bound)
-			continue
 		}
 		// Fix every unfixed variable crossing the saturated constraint at
 		// weight-proportional share of λ*.
+		satCnst.won = s.round
 		for _, v := range satCnst.active {
 			if !v.fixed {
 				fix(v, v.weight*lambda)
 			}
 		}
 	}
-	s.boundedBuf = bounded[:0]
+	s.ownBuf = own[:0]
 
 	s.lastTouched = len(dirtyV)
 	s.totalTouched += len(dirtyV)
@@ -695,10 +789,41 @@ func (s *System) Solve() error {
 	return nil
 }
 
+// growBits returns bits, extended with clear words to cover n positions.
+func growBits(bits []uint64, n int) []uint64 {
+	if w := (n + 63) >> 6; w > len(bits) {
+		bits = append(bits, make([]uint64, w-len(bits))...)
+	}
+	return bits
+}
+
+// setBit sets bit i and reports whether it was clear.
+func setBit(bits []uint64, i int) bool {
+	w, b := i>>6, uint64(1)<<(i&63)
+	if bits[w]&b != 0 {
+		return false
+	}
+	bits[w] |= b
+	return true
+}
+
+// collectBits appends all[i] for every set bit i, in position order, and
+// clears the bits.
+func collectBits[T any](dst []T, bits []uint64, all []T) []T {
+	for w := range bits[:(len(all)+63)>>6] {
+		for word := bits[w]; word != 0; word &= word - 1 {
+			dst = append(dst, all[w<<6+mathbits.TrailingZeros64(word)])
+		}
+		bits[w] = 0
+	}
+	return dst
+}
+
 // Touched returns the variables re-filled by the most recent effective
 // Solve, in creation order — the only variables whose Rate may have
 // changed. A resumed solve leaves out of it the variables it kept fixed
-// and whatever they shield from the departed ones. The slice is valid
+// and whatever they shield from the departed ones, and a solve after
+// quiet departures only leaves it empty. The slice is valid
 // until the next Solve; callers that update derived state (the simulation
 // engines copying rates) iterate it instead of every variable.
 func (s *System) Touched() []*Variable { return s.touched }
@@ -722,7 +847,7 @@ func (s *System) LastTouched() int { return s.lastTouched }
 func (s *System) TotalTouched() int { return s.totalTouched }
 
 // Rounds returns the cumulative number of filling rounds run by all
-// effective solves.
+// effective solves (none for a solve after quiet departures only).
 func (s *System) Rounds() int { return int(s.round) }
 
 // WarmSolves returns how many effective solves resumed: they reached at

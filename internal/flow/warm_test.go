@@ -7,9 +7,11 @@ import (
 	"pilgrim/internal/stats"
 )
 
-// The oracle for resumed solves is the from-scratch clone: after every
-// Solve of a scripted mutation sequence, every rate and usage must equal,
-// bit for bit, what a fresh system built in creation order computes.
+// The oracles for resumed solves are the from-scratch clone and the
+// reference filler: after every Solve of a scripted mutation sequence,
+// every rate and usage must equal, bit for bit, what a fresh system built
+// in creation order computes, and what a progressive filler with none of
+// the solver's shortcuts computes on the live structure.
 
 // Value palettes with deliberate repeats: equal weights on equal
 // capacities produce equal fill levels (λ ties), and the small bounds bind.
@@ -19,7 +21,9 @@ var (
 	warmCaps    = [8]float64{10, 10, 20, 100, 100, 33, 0.75, 250}
 )
 
-// Script opcodes (first byte of each 4-byte record, modulo warmOps).
+// Script opcodes (first byte of each 4-byte record, modulo warmOps). For
+// warmAdd, op/warmOps%3 more is how many fresh constraints the new flow
+// alone crosses (0, NIC up, NIC up and down).
 const (
 	warmAdd = iota
 	warmRemove
@@ -34,9 +38,21 @@ const warmGroups = 3
 
 // warmTally is what a script run reports about the solver's work.
 type warmTally struct {
-	solves     int
-	warmSolves int // solves that kept at least one round
-	partial    int // solves that re-filled fewer variables than their components hold
+	solves          int
+	warmSolves      int // solves that kept at least one round
+	partial         int // solves that re-filled fewer variables than their components hold
+	privateWins     int // rounds the reference filler gave to a one-variable constraint
+	sharedToPrivate int // constraints shared at one solve and private at the next
+	quiet           int // removals that left nothing for the next solve to re-fill
+}
+
+func (t *warmTally) add(o warmTally) {
+	t.solves += o.solves
+	t.warmSolves += o.warmSolves
+	t.partial += o.partial
+	t.privateWins += o.privateWins
+	t.sharedToPrivate += o.sharedToPrivate
+	t.quiet += o.quiet
 }
 
 // requireMatchesScratch fails unless s, just solved, matches a from-scratch
@@ -59,6 +75,107 @@ func requireMatchesScratch(t testing.TB, s *System, step int) {
 				step, c.ID(), got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
+}
+
+// referenceFill is the rule the solver's shortcuts must reproduce:
+// progressive filling on the live structure of s with nothing kept from
+// earlier solves, no private levels and no candidate lists. Each round
+// scans every constraint in creation order for the first minimal level
+// remaining/Σw over the unfixed variables crossing it (weights summed in
+// attachment order), lets a bound level bound/weight undercut it only
+// strictly (the first minimal one in creation order), and fixes what
+// wins. It returns rates and usages index-aligned with s.Variables() and
+// s.Constraints(), and how many rounds a one-variable constraint won.
+func referenceFill(t testing.TB, s *System) (rates, usages []float64, privateWins int) {
+	t.Helper()
+	vars, cnsts := s.Variables(), s.Constraints()
+	vpos := make(map[*Variable]int, len(vars))
+	for i, v := range vars {
+		vpos[v] = i
+	}
+	// members[j] and crossed[i] are the attachments as positions.
+	members := make([][]int, len(cnsts))
+	crossed := make([][]int, len(vars))
+	remaining := make([]float64, len(cnsts))
+	for j, c := range cnsts {
+		remaining[j] = c.Capacity()
+		for _, v := range c.Variables() {
+			members[j] = append(members[j], vpos[v])
+			crossed[vpos[v]] = append(crossed[vpos[v]], j)
+		}
+	}
+	rates = make([]float64, len(vars))
+	usages = make([]float64, len(cnsts))
+	fixed := make([]bool, len(vars))
+	fix := func(i int, rate float64) {
+		fixed[i] = true
+		rates[i] = rate
+		for _, j := range crossed[i] {
+			remaining[j] -= rate
+			if remaining[j] < 0 {
+				remaining[j] = 0
+			}
+			usages[j] += rate
+		}
+	}
+	for left := len(vars); left > 0; {
+		lambda, sat, bounded := math.Inf(1), -1, -1
+		for j := range cnsts {
+			w, unfixed := 0.0, false
+			for _, i := range members[j] {
+				if !fixed[i] {
+					w += vars[i].Weight()
+					unfixed = true
+				}
+			}
+			if l := remaining[j] / w; unfixed && l < lambda {
+				lambda, sat = l, j
+			}
+		}
+		for i, v := range vars {
+			if l := v.Bound() / v.Weight(); !fixed[i] && l < lambda {
+				lambda, bounded = l, i
+			}
+		}
+		switch {
+		case bounded >= 0:
+			fix(bounded, vars[bounded].Bound())
+			left--
+		case sat >= 0:
+			if len(members[sat]) == 1 {
+				privateWins++
+			}
+			for _, i := range members[sat] {
+				if !fixed[i] {
+					fix(i, vars[i].Weight()*lambda)
+					left--
+				}
+			}
+		default:
+			t.Fatalf("reference filler: nothing saturates with %d variables unfixed", left)
+		}
+	}
+	return rates, usages, privateWins
+}
+
+// requireMatchesReference fails unless s, just solved, matches
+// referenceFill bit for bit, and returns the filler's private wins.
+func requireMatchesReference(t testing.TB, s *System, step int) int {
+	t.Helper()
+	rates, usages, privateWins := referenceFill(t, s)
+	for i, v := range s.Variables() {
+		if got, want := v.Rate(), rates[i]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: variable %s: rate %v (%x), reference %v (%x)",
+				step, v.ID(), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for i, c := range s.Constraints() {
+		if got, want := c.Usage(), usages[i]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: constraint %s: usage %v (%x), reference %v (%x)",
+				step, c.ID(), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	return privateWins
 }
 
 // componentSize counts the variables connected to any of seeds.
@@ -90,7 +207,7 @@ func componentSize(seeds []*Variable) int {
 
 // runWarmScript interprets script as 4-byte records — the first sizes the
 // system, the rest are mutations and solves — checking every solve
-// against the scratch oracle. Any byte string is a valid script.
+// against both oracles. Any byte string is a valid script.
 func runWarmScript(t testing.TB, script []byte) warmTally {
 	t.Helper()
 	var tally warmTally
@@ -108,14 +225,39 @@ func runWarmScript(t testing.TB, script []byte) warmTally {
 	for i := 0; i < nc; i++ {
 		s.NewConstraint("", warmCaps[(capSeed+i*5)%len(warmCaps)])
 	}
+	// shared holds the constraints shared at the last effective solve;
+	// onlyQuiet is whether every mutation since then was a quiet removal.
+	shared := make(map[*Constraint]bool)
+	onlyQuiet := true
+	remove := func(v *Variable) {
+		settled := s.cut == noCut
+		s.RemoveVariable(v)
+		if settled && s.cut == noCut {
+			tally.quiet++
+		} else {
+			onlyQuiet = false
+		}
+	}
 	solve := func(step int) {
 		solvesBefore, warmBefore := s.Solves(), s.WarmSolves()
 		if err := s.Solve(); err != nil {
 			t.Fatalf("step %d: solve: %v", step, err)
 		}
 		requireMatchesScratch(t, s, step)
+		privateWins := requireMatchesReference(t, s, step)
 		if s.Solves() == solvesBefore {
 			return // nothing changed since the last solve
+		}
+		if onlyQuiet && s.LastTouched() != 0 {
+			t.Fatalf("step %d: only quiet departures since the last solve, yet %d variables re-filled", step, s.LastTouched())
+		}
+		onlyQuiet = true
+		tally.privateWins += privateWins
+		for _, c := range s.Constraints() {
+			if shared[c] && len(c.Variables()) == 1 {
+				tally.sharedToPrivate++
+			}
+			shared[c] = len(c.Variables()) > 1
 		}
 		if s.LastTouched() != len(s.Touched()) {
 			t.Fatalf("step %d: LastTouched %d, Touched() holds %d", step, s.LastTouched(), len(s.Touched()))
@@ -149,19 +291,39 @@ func runWarmScript(t testing.TB, script []byte) warmTally {
 			for j := range picked {
 				picked[j] = cands[(b+j)%len(cands)]
 			}
+			// The engine's shape: the route's shared links between the
+			// flow's own NIC directions, which nothing else crosses yet.
+			// The engine creates a NIC at its first use, so the down one
+			// may be the older.
+			if nics := op / warmOps % 3; nics > 0 {
+				var down *Constraint
+				if nics == 2 && b&1 != 0 {
+					down = s.NewConstraint("", warmCaps[(a+c)%len(warmCaps)])
+				}
+				up := s.NewConstraint("", warmCaps[(b+c)%len(warmCaps)])
+				if nics == 2 && down == nil {
+					down = s.NewConstraint("", warmCaps[(a+c)%len(warmCaps)])
+				}
+				picked = append([]*Constraint{up}, picked...)
+				if down != nil {
+					picked = append(picked, down)
+				}
+			}
 			s.AddVariable("", warmWeights[a/warmGroups%len(warmWeights)], warmBounds[(c>>2)%len(warmBounds)], picked...)
+			onlyQuiet = false
 		case warmRemove:
 			if len(vars) > 0 {
-				s.RemoveVariable(vars[a%len(vars)])
+				remove(vars[a%len(vars)])
 			}
 		case warmRemoveMany:
 			for k := 2 + b%3; k > 0 && len(s.Variables()) > 0; k-- {
 				vs := s.Variables()
-				s.RemoveVariable(vs[(a+k*c)%len(vs)])
+				remove(vs[(a+k*c)%len(vs)])
 			}
 		case warmSetBound:
 			if len(vars) > 0 {
 				s.SetBound(vars[a%len(vars)], warmBounds[b%len(warmBounds)])
+				onlyQuiet = false
 			}
 		case warmSolve:
 			solve(i)
@@ -173,9 +335,13 @@ func runWarmScript(t testing.TB, script []byte) warmTally {
 
 // randomWarmScript draws a removal-heavy script: a build-up of flows, then
 // mostly departures between solves, with the occasional arrival and
-// rebound.
-func randomWarmScript(g *stats.RNG) []byte {
+// rebound. With nics, each arriving flow also crosses zero to two fresh
+// constraints of its own, as an engine flow crosses its hosts' NICs.
+func randomWarmScript(g *stats.RNG, nics bool) []byte {
 	record := func(op int) []byte {
+		if op == warmAdd && nics {
+			op += warmOps * g.Intn(3)
+		}
 		return []byte{byte(op), byte(g.Intn(256)), byte(g.Intn(256)), byte(g.Intn(256))}
 	}
 	script := record(g.Intn(256))
@@ -205,27 +371,33 @@ func randomWarmScript(g *stats.RNG) []byte {
 // TestWarmResolveBitIdentical is the contract of the prefix-preserving
 // re-solve: across scripts mixing single and multiple removals, binding
 // bounds, λ ties, several components, arrivals and SetBound, every solve
-// is bit-identical to a from-scratch clone —
+// is bit-identical to a from-scratch clone and to the reference filler —
 // and the resume path really runs, re-filling less than the disturbed
-// components hold.
+// components hold. A second batch gives flows NICs of their own, so
+// private levels win rounds, shared constraints turn private, and
+// departures are quiet.
 func TestWarmResolveBitIdentical(t *testing.T) {
 	var total warmTally
-	for seed := int64(1); seed <= 1200; seed++ {
-		func() {
-			defer func() {
-				if t.Failed() {
-					t.Logf("failing seed: %d", seed)
-				}
+	for _, nics := range []bool{false, true} {
+		for seed := int64(1); seed <= 1200; seed++ {
+			func() {
+				defer func() {
+					if t.Failed() {
+						t.Logf("failing seed: %d (nics %v)", seed, nics)
+					}
+				}()
+				total.add(runWarmScript(t, randomWarmScript(stats.NewRNG(seed), nics)))
 			}()
-			tally := runWarmScript(t, randomWarmScript(stats.NewRNG(seed)))
-			total.solves += tally.solves
-			total.warmSolves += tally.warmSolves
-			total.partial += tally.partial
-		}()
+		}
 	}
 	t.Logf("%d scripted solves: %d warm, %d re-filled less than their components", total.solves, total.warmSolves, total.partial)
 	if total.warmSolves == 0 || total.partial == 0 {
 		t.Errorf("resume path not exercised: %d warm solves, %d partial re-fills", total.warmSolves, total.partial)
+	}
+	t.Logf("%d private-level wins, %d shared constraints turned private, %d quiet departures", total.privateWins, total.sharedToPrivate, total.quiet)
+	if total.privateWins == 0 || total.sharedToPrivate == 0 || total.quiet == 0 {
+		t.Errorf("private constraints not exercised: %d private-level wins, %d shared→private, %d quiet departures",
+			total.privateWins, total.sharedToPrivate, total.quiet)
 	}
 }
 
@@ -346,5 +518,133 @@ func TestWarmResolveKeepsShieldedVariables(t *testing.T) {
 	requireMatchesScratch(t, s, 3)
 	if s.LastTouched() != 2 {
 		t.Errorf("after SetBound, %d variables re-filled, want 2", s.LastTouched())
+	}
+}
+
+// quietShape builds a backbone crossed by three flows, each also crossing
+// a NIC of its own: leaver's NIC (or, with bounded, its rate bound) fixes
+// it first, then stayer's NIC. last is capped at lastNIC by its NIC — or
+// by what is left of the backbone, if lastNIC is larger.
+func quietShape(t *testing.T, bounded bool, lastNIC float64) (s *System, backbone *Constraint, leaver, stayer, last *Variable) {
+	t.Helper()
+	s = NewSystem()
+	backbone = s.NewConstraint("backbone", 100)
+	nic, bound := 10.0, 0.0
+	if bounded {
+		nic, bound = 1000, 10
+	}
+	leaver = s.AddVariable("leaver", 1, bound, s.NewConstraint("leaver-nic", nic), backbone)
+	stayer = s.AddVariable("stayer", 1, 0, s.NewConstraint("stayer-nic", 30), backbone)
+	last = s.AddVariable("last", 1, 0, backbone, s.NewConstraint("last-nic", lastNIC))
+	if err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	requireMatchesScratch(t, s, 0)
+	requireMatchesReference(t, s, 0)
+	return s, backbone, leaver, stayer, last
+}
+
+// A flow fixed by its own NIC (or bound) leaves while the backbone it
+// shared never saturated from its round on: nothing it held was holding
+// anyone back, so the next Solve re-fills nothing, and rates and usages
+// are still those of both oracles.
+func TestQuietDepartureRefillsNothing(t *testing.T) {
+	for _, bounded := range []bool{false, true} {
+		s, backbone, leaver, stayer, last := quietShape(t, bounded, 40)
+		if got := backbone.Usage(); got != 80 {
+			t.Fatalf("bounded=%v: backbone usage %v before the departure, want 80 (unsaturated)", bounded, got)
+		}
+		s.RemoveVariable(leaver)
+		solves := s.Solves()
+		if err := s.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Solves() != solves+1 {
+			t.Errorf("bounded=%v: the solve after a quiet departure was not counted", bounded)
+		}
+		if s.LastTouched() != 0 || len(s.Touched()) != 0 {
+			t.Errorf("bounded=%v: %d variables re-filled (Touched() holds %d), want 0", bounded, s.LastTouched(), len(s.Touched()))
+		}
+		requireMatchesScratch(t, s, 1)
+		requireMatchesReference(t, s, 1)
+		if stayer.Rate() != 30 || last.Rate() != 40 || backbone.Usage() != 70 {
+			t.Errorf("bounded=%v: stayer %v, last %v, backbone usage %v; want 30, 40, 70", bounded, stayer.Rate(), last.Rate(), backbone.Usage())
+		}
+		// Departures stay quiet back to back, and the log they leave
+		// still resumes a later, ordinary re-solve correctly.
+		s.RemoveVariable(stayer)
+		s.AddVariable("late", 2, 0, backbone)
+		if err := s.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		requireMatchesScratch(t, s, 2)
+		requireMatchesReference(t, s, 2)
+	}
+}
+
+// The counter-case: the backbone did bind after the departed flow's round
+// (it fixed last), so the departure frees capacity last was waiting for,
+// and the flows fixed from the departed one's round on are re-filled.
+func TestLoudDepartureRefillsWhatItFreed(t *testing.T) {
+	for _, bounded := range []bool{false, true} {
+		s, backbone, leaver, stayer, last := quietShape(t, bounded, 1000)
+		if got := last.Rate(); got != 60 {
+			t.Fatalf("bounded=%v: last %v before the departure, want 60 (the backbone's remainder)", bounded, got)
+		}
+		s.RemoveVariable(leaver)
+		if err := s.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		requireMatchesScratch(t, s, 1)
+		requireMatchesReference(t, s, 1)
+		if got := s.Touched(); len(got) != 2 || got[0] != stayer || got[1] != last {
+			t.Errorf("bounded=%v: Touched() holds %d variables, want stayer and last", bounded, len(got))
+		}
+		if stayer.Rate() != 30 || last.Rate() != 70 || backbone.Usage() != 100 {
+			t.Errorf("bounded=%v: stayer %v, last %v, backbone usage %v; want 30, 70, 100", bounded, stayer.Rate(), last.Rate(), backbone.Usage())
+		}
+	}
+}
+
+// Equal levels are broken as a scan over every constraint in serial order
+// breaks them, whichever constraint of a variable was attached first. Here
+// a variable's two NICs and a shared link sit at the same level 1/3; u's
+// rate tells which won: a NIC older than the link (u gets what is left of
+// 4/3 after v's 1: 0x3fd5555555555554), or the link (u gets 1/3 itself:
+// 0x3fd5555555555555).
+func TestPrivateLevelTiesBreakInSerialOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		olderNIC bool // one NIC is created before the link
+		swap     bool // attach the NICs in the other order
+		want     uint64
+	}{
+		{"older NIC attached last", true, false, 0x3fd5555555555554},
+		{"older NIC attached first", true, true, 0x3fd5555555555554},
+		{"both NICs newer", false, false, 0x3fd5555555555555},
+	} {
+		s := NewSystem()
+		var nics [2]*Constraint
+		if tc.olderNIC {
+			nics[0] = s.NewConstraint("nic0", 1)
+		}
+		link := s.NewConstraint("link", 4.0/3)
+		if !tc.olderNIC {
+			nics[0] = s.NewConstraint("nic0", 1)
+		}
+		nics[1] = s.NewConstraint("nic1", 1)
+		if tc.swap {
+			nics[0], nics[1] = nics[1], nics[0]
+		}
+		s.AddVariable("v", 3, 0, nics[1], link, nics[0])
+		u := s.AddVariable("u", 1, 0, link)
+		if err := s.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		requireMatchesScratch(t, s, 0)
+		requireMatchesReference(t, s, 0)
+		if got := math.Float64bits(u.Rate()); got != tc.want {
+			t.Errorf("%s: u = %x, want %x", tc.name, got, tc.want)
+		}
 	}
 }

@@ -227,23 +227,28 @@ type SharingStats struct {
 	// re-filled across all resharings. A rebuild-the-world solver would
 	// touch every active flow at every resharing; the ratio
 	// VariablesTouched / (Resharings × live flows) measures how much the
-	// incremental solver saves.
+	// incremental solver saves. A quiet departure (a flow that left links
+	// which never bound anyone after it, see flow.System.RemoveVariable)
+	// re-fills nothing, so this falls for the same answers as the solver
+	// skips more.
 	VariablesTouched int
 	// LastTouched is the number of variables re-filled by the most
 	// recent resharing — the components the last event disturbed, minus
-	// the variables a resumed solve kept.
+	// the variables a resumed solve kept; 0 after a quiet departure.
 	LastTouched int
 	// Rounds is the cumulative number of progressive-filling rounds the
-	// resharings ran.
+	// resharings ran. Quiet departures run none.
 	Rounds int
 	// WarmSolves is how many resharings resumed from a round of the
 	// previous solve (a completion is the only event in between) instead
-	// of re-filling their components from zero.
+	// of re-filling their components from zero. A quiet departure's
+	// resharing is not one of them: it resumes nothing.
 	WarmSolves int
 	// VariablesKept is the cumulative number of variables those warm
 	// solves reached and kept fixed (see flow.System.VariablesKept):
 	// VariablesKept / (VariablesKept + VariablesTouched) is a lower bound
-	// on the share of re-filling that resuming skipped.
+	// on the share of re-filling that resuming skipped. Quiet departures
+	// keep nothing, so it falls when they replace a resume.
 	VariablesKept int
 }
 
