@@ -149,7 +149,9 @@ loadgen-smoke:
 # shapes where the max-min solver (flow.System.Solve) dominates: an
 # evaluate grid with fresh sizes and factors served over HTTP (the
 # whatif-grid workload's shape) and one cold 60-transfer cross-site
-# forecast (cold-miss's). Inspect with e.g.
+# forecast (cold-miss's). It also profiles platform assembly (Generate +
+# Snapshot of g5k_test, what every workload's setup_s pays) into
+# setup_cpu.pprof. Inspect with e.g.
 # `go tool pprof -top profiles/cold60_cpu.pprof`.
 profile:
 	mkdir -p profiles
@@ -159,7 +161,9 @@ profile:
 		-cpuprofile profiles/whatif_cpu.pprof .
 	go test -run '^$$' -bench '^BenchmarkCold60CrossSite$$' -benchtime 3000x -count 1 \
 		-cpuprofile profiles/cold60_cpu.pprof .
-	@echo wrote profiles/evaluate_cpu.pprof profiles/evaluate_mem.pprof profiles/whatif_cpu.pprof profiles/cold60_cpu.pprof
+	go test -run '^$$' -bench '^BenchmarkPlatformSetup$$' -benchtime 100x -count 1 \
+		-cpuprofile profiles/setup_cpu.pprof .
+	@echo wrote profiles/evaluate_cpu.pprof profiles/evaluate_mem.pprof profiles/whatif_cpu.pprof profiles/cold60_cpu.pprof profiles/setup_cpu.pprof
 
 clean:
 	rm -f bench_*.out

@@ -17,17 +17,16 @@ func buildFloydMapRef(as *AS) map[pairKey]string {
 	}
 	sort.Strings(names)
 
-	dist := make(map[pairKey]float64, len(as.routes.keys))
-	next := make(map[pairKey]string, len(as.routes.keys))
-	for key, e := range as.routes.keys {
-		s, d := unpackPair(key)
+	dist := make(map[pairKey]float64)
+	next := make(map[pairKey]string)
+	as.routes.each(func(s, d int32, lat float64) {
 		k := pairKey{as.points[s].name, as.points[d].name}
-		c := as.routes.recs[e>>1].lat + 1e-12
+		c := lat + 1e-12
 		if old, ok := dist[k]; !ok || c < old {
 			dist[k] = c
 			next[k] = k.dst
 		}
-	}
+	})
 	for _, k := range names {
 		for _, i := range names {
 			dik, ok := dist[pairKey{i, k}]

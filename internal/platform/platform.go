@@ -259,6 +259,10 @@ type AS struct {
 	// Full routing, one-hop edges under Floyd routing.
 	routes routeTable
 
+	// The ordinals of the last declared route's endpoints: AddRoute's
+	// guesses at the next declaration's (see lookup).
+	lastSrc, lastDst int32
+
 	// Floyd routing: the all-pairs next-hop table over ordinals, built
 	// lazily (the flattened len(points)² matrix, -1 when unreachable).
 	floydNext  []int32
@@ -385,7 +389,9 @@ func (p *Platform) NumLinks() int { return len(p.links) }
 // for tests and tooling. Snapshots already handed out are immutable and
 // unaffected.
 func (p *Platform) InvalidateRouteCache() {
-	p.snap.Store(nil)
+	if p.snap.Load() != nil {
+		p.snap.Store(nil)
+	}
 }
 
 // checkLinks rejects a route whose traversals name no link or a link of
@@ -512,11 +518,15 @@ func (as *AS) AddRoute(src, dst string, links []LinkUse, symmetrical bool) error
 	if as.Routing == RoutingCluster {
 		return fmt.Errorf("platform: AS %q uses Cluster routing; routes are implicit", as.ID)
 	}
-	si, ok := as.ords[src]
+	si, ok := as.lookup(src, as.lastSrc)
 	if !ok {
 		return fmt.Errorf("platform: route source %q unknown in AS %q", src, as.ID)
 	}
-	di, ok := as.ords[dst]
+	hint := si + 1
+	if si == as.lastSrc {
+		hint = as.lastDst + 1
+	}
+	di, ok := as.lookup(dst, hint)
 	if !ok {
 		return fmt.Errorf("platform: route destination %q unknown in AS %q", dst, as.ID)
 	}
@@ -526,16 +536,28 @@ func (as *AS) AddRoute(src, dst string, links []LinkUse, symmetrical bool) error
 	if err := as.platform.checkLinks(links, src, dst); err != nil {
 		return err
 	}
-	if as.routes.has(si, di) {
+	if as.routes.entry(si, di) != 0 {
 		return fmt.Errorf("platform: duplicate route %s->%s in AS %q", src, dst, as.ID)
 	}
-	if symmetrical && as.routes.has(di, si) {
+	if symmetrical && as.routes.entry(di, si) != 0 {
 		return fmt.Errorf("platform: duplicate reverse route %s->%s in AS %q", dst, src, as.ID)
 	}
-	as.routes.add(si, di, links, symmetrical)
+	as.routes.add(si, di, links, symmetrical, int32(len(as.points)))
+	as.lastSrc, as.lastDst = si, di
 	as.floydBuilt = false
 	as.platform.InvalidateRouteCache()
 	return nil
+}
+
+// lookup returns the ordinal of the point named name, trying hint first:
+// a builder declaring routes in point order names the hinted point, and
+// comparing one name costs less than hashing it.
+func (as *AS) lookup(name string, hint int32) (int32, bool) {
+	if uint32(hint) < uint32(len(as.points)) && as.points[hint].name == name {
+		return hint, true
+	}
+	o, ok := as.ords[name]
+	return o, ok
 }
 
 // AddASRoute declares a route between two child ASes of this AS, or

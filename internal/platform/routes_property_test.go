@@ -111,7 +111,10 @@ type asModelRoute struct {
 
 // randomRoutingPlatform builds a root AS over 2-4 child ASes of random
 // routing kinds and declares random routes, recording each declaration.
-func randomRoutingPlatform(t *testing.T, rng *rand.Rand) (*Platform, map[string]*modelAS, map[[2]string]asModelRoute) {
+// With interleaved, a Full or Floyd AS declares each point's routes to the
+// earlier points right after the point itself, and compiles now and then,
+// so its route index grows (and is copied) as it fills.
+func randomRoutingPlatform(t *testing.T, rng *rand.Rand, interleaved bool) (*Platform, map[string]*modelAS, map[[2]string]asModelRoute) {
 	t.Helper()
 	p := New("root", RoutingFull)
 	root := p.Root()
@@ -166,25 +169,45 @@ func randomRoutingPlatform(t *testing.T, rng *rand.Rand) (*Platform, map[string]
 			t.Fatal(err)
 		}
 		m := &modelAS{as: as, gw: fmt.Sprintf("gw%d", ci), routes: make(map[[2]string]declaredRoute)}
-		if _, err := as.AddRouter(m.gw); err != nil {
-			t.Fatal(err)
-		}
-		m.points = append(m.points, m.gw)
+		// The routers (the gateway first) precede the hosts.
+		names := []string{m.gw}
 		if kind == RoutingFloyd {
 			for r := 0; r < rng.Intn(3); r++ {
-				name := fmt.Sprintf("r%d-%d", ci, r)
-				if _, err := as.AddRouter(name); err != nil {
-					t.Fatal(err)
-				}
-				m.points = append(m.points, name)
+				names = append(names, fmt.Sprintf("r%d-%d", ci, r))
 			}
 		}
+		routers := len(names)
 		for h := 0; h < 2+rng.Intn(4); h++ {
-			name := fmt.Sprintf("h%d-%d", ci, h)
-			if _, err := as.AddHost(name, 1e9); err != nil {
+			names = append(names, fmt.Sprintf("h%d-%d", ci, h))
+		}
+		addPoint := func(i int) {
+			var err error
+			if i < routers {
+				_, err = as.AddRouter(names[i])
+			} else {
+				_, err = as.AddHost(names[i], 1e9)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
-			m.points = append(m.points, name)
+			m.points = append(m.points, names[i])
+		}
+		interleave := interleaved && kind != RoutingCluster
+		if !interleave {
+			for i := range names {
+				addPoint(i)
+			}
+		}
+		// grow adds point i, then has declare(i) declare its routes to
+		// the earlier points, compiling now and then.
+		grow := func(declare func(i int)) {
+			for i := range names {
+				addPoint(i)
+				declare(i)
+				if rng.Intn(3) == 0 {
+					p.Snapshot()
+				}
+			}
 		}
 		switch kind {
 		case RoutingFull:
@@ -192,17 +215,28 @@ func randomRoutingPlatform(t *testing.T, rng *rand.Rand) (*Platform, map[string]
 			for i := 0; i < 3+rng.Intn(5); i++ {
 				pool = append(pool, newLink(as))
 			}
+			pair := func(a, b string) {
+				if a == m.gw {
+					// gw -> host always exists; host -> gw now and then
+					// does not, so some cross-AS heads are missing.
+					declarePair(m, a, b, pool, 3, rng.Intn(10) == 0)
+					return
+				}
+				if rng.Intn(6) != 0 {
+					declarePair(m, a, b, pool, 4, true)
+				}
+			}
+			if interleave {
+				grow(func(i int) {
+					for _, a := range names[:i] {
+						pair(a, names[i])
+					}
+				})
+				break
+			}
 			for i, a := range m.points {
 				for _, b := range m.points[i+1:] {
-					if a == m.gw {
-						// gw -> host always exists; host -> gw now and then
-						// does not, so some cross-AS heads are missing.
-						declarePair(m, a, b, pool, 3, rng.Intn(10) == 0)
-						continue
-					}
-					if rng.Intn(6) != 0 {
-						declarePair(m, a, b, pool, 4, true)
-					}
+					pair(a, b)
 				}
 			}
 		case RoutingFloyd:
@@ -211,10 +245,21 @@ func randomRoutingPlatform(t *testing.T, rng *rand.Rand) (*Platform, map[string]
 			for i := 0; i < 3+rng.Intn(5); i++ {
 				pool = append(pool, newLink(as))
 			}
-			for i := 1; i < len(m.points); i++ {
+			edge := func(i int) {
 				parent := m.points[rng.Intn(i)]
 				m.treeParent[m.points[i]] = parent
 				declarePair(m, parent, m.points[i], pool, 2, false)
+			}
+			if interleave {
+				grow(func(i int) {
+					if i > 0 {
+						edge(i)
+					}
+				})
+				break
+			}
+			for i := 1; i < len(m.points); i++ {
+				edge(i)
 			}
 		case RoutingCluster:
 			var bb *Link
@@ -279,10 +324,17 @@ func randomRoutingPlatform(t *testing.T, rng *rand.Rand) (*Platform, map[string]
 // checks RouteBetween and Snapshot.Route for every endpoint pair against
 // the test's own record of what it declared — not against each other, so
 // a defect shared by the builder and the compiled tables cannot hide.
+// The interleaved mode declares points after routes, so the route index
+// regrows under compiled snapshots.
 func TestRoutesMatchDeclarations(t *testing.T) {
+	t.Run("points-first", func(t *testing.T) { checkRoutesMatchDeclarations(t, false) })
+	t.Run("interleaved", func(t *testing.T) { checkRoutesMatchDeclarations(t, true) })
+}
+
+func checkRoutesMatchDeclarations(t *testing.T, interleaved bool) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p, models, asRoutes := randomRoutingPlatform(t, rng)
+		p, models, asRoutes := randomRoutingPlatform(t, rng, interleaved)
 		s := p.Snapshot()
 
 		owner := make(map[string]string)

@@ -214,17 +214,15 @@ func (as *AS) buildFloyd() {
 		dist[i] = math.Inf(1)
 		next[i] = -1
 	}
-	for key, e := range as.routes.keys {
+	as.routes.each(func(si, sj int32, lat float64) {
 		// Edge cost: latency with a small per-hop epsilon so that
 		// zero-latency platforms still prefer fewer hops.
-		si, sj := unpackPair(key)
 		i, j := int(si), int(sj)
-		c := as.routes.recs[e>>1].lat + 1e-12
-		if c < dist[i*n+j] {
+		if c := lat + 1e-12; c < dist[i*n+j] {
 			dist[i*n+j] = c
-			next[i*n+j] = int32(j)
+			next[i*n+j] = sj
 		}
-	}
+	})
 	for _, k := range order {
 		for i := 0; i < n; i++ {
 			dik := dist[i*n+k]

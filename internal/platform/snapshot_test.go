@@ -516,7 +516,7 @@ func TestValidateSamplesAcrossClusters(t *testing.T) {
 	if as.ID != "AS_nancy" {
 		t.Fatalf("unexpected AS order: %s", as.ID)
 	}
-	delete(as.routes.keys, packPair(as.ords["nancy-gw"], as.ords["nancy-4"]))
+	as.routes.idx[int(as.ords["nancy-gw"])*int(as.routes.n)+int(as.ords["nancy-4"])] = 0
 	p.InvalidateRouteCache()
 	if err := p.Validate(0); err == nil {
 		t.Fatal("sanity: full validation should fail on the broken route")

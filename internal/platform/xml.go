@@ -296,11 +296,10 @@ func dumpAS(as *AS) xmlAS {
 	// Routes sorted for deterministic output. Symmetry is not
 	// reconstructed: both directions serialize explicitly, which is valid
 	// (AddRoute with symmetrical=NO for each).
-	routeKeys := make([]pairKey, 0, len(as.routes.keys))
-	for k := range as.routes.keys {
-		s, d := unpackPair(k)
+	var routeKeys []pairKey
+	as.routes.each(func(s, d int32, _ float64) {
 		routeKeys = append(routeKeys, pairKey{as.points[s].name, as.points[d].name})
-	}
+	})
 	sortPairs(routeKeys)
 	var refs []LinkRef
 	for _, k := range routeKeys {
