@@ -710,7 +710,9 @@ func BenchmarkPlatformG5KCabinets(b *testing.B) {
 // BenchmarkRoutingHierarchical / Flat are the AS ablation of §IV-C2: the
 // paper notes that before hierarchical routing, flat Grid'5000 routing
 // tables were too large to simulate. Allocated bytes per op show the
-// route-storage blowup of the flat platform.
+// route-storage blowup of the flat platform. Routes resolve through the
+// compiled snapshot, the resolver forecasts use, so each op also pays
+// one Compile.
 func BenchmarkRoutingHierarchical(b *testing.B) {
 	ref := g5k.Default()
 	b.ReportAllocs()
@@ -722,6 +724,7 @@ func BenchmarkRoutingHierarchical(b *testing.B) {
 		}
 		// Resolve a representative sample of routes (full resolution is
 		// quadratic; the flat variant pays it at build time instead).
+		snap := plat.Snapshot()
 		hosts := plat.Hosts()
 		for k := 0; k < 100; k++ {
 			a := hosts[(k*37)%len(hosts)]
@@ -729,7 +732,7 @@ func BenchmarkRoutingHierarchical(b *testing.B) {
 			if a == c {
 				continue
 			}
-			if _, err := plat.RouteBetween(a.ID, c.ID); err != nil {
+			if _, err := snap.Route(a.ID, c.ID); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -745,6 +748,7 @@ func BenchmarkRoutingFlat(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		snap := plat.Snapshot()
 		hosts := plat.Hosts()
 		for k := 0; k < 100; k++ {
 			a := hosts[(k*37)%len(hosts)]
@@ -752,7 +756,7 @@ func BenchmarkRoutingFlat(b *testing.B) {
 			if a == c {
 				continue
 			}
-			if _, err := plat.RouteBetween(a.ID, c.ID); err != nil {
+			if _, err := snap.Route(a.ID, c.ID); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -127,23 +127,6 @@ func (u LinkUse) Reverse() LinkUse {
 	return LinkUse{Link: u.Link, Direction: u.Direction.Reverse()}
 }
 
-// Route is a resolved end-to-end path: the ordered links it traverses and
-// the sum of their latencies.
-type Route struct {
-	Links   []LinkUse
-	Latency float64
-}
-
-// concat returns the concatenation of routes.
-func concat(rs ...Route) Route {
-	var out Route
-	for _, r := range rs {
-		out.Links = append(out.Links, r.Links...)
-		out.Latency += r.Latency
-	}
-	return out
-}
-
 // PointKind discriminates the entities that can be route endpoints inside
 // an AS.
 type PointKind int
@@ -289,12 +272,10 @@ type netpoint struct {
 // and links have platform-unique names (as on Grid'5000, where node names
 // embed their site).
 //
-// The builder builds; the snapshot routes. Building a platform is not safe
-// for concurrent use. Forecasts resolve routes through Snapshot: Compile
-// lowers the platform into an immutable integer-indexed form, memoized
-// here and invalidated on mutation. RouteBetween is the builder's own,
-// unmemoized resolver, kept for validation and as the reference the
-// snapshot is tested against.
+// The builder declares; the snapshot routes. Building a platform is not
+// safe for concurrent use. Routes are resolved only through Snapshot:
+// Compile lowers the platform into an immutable integer-indexed form,
+// memoized here and invalidated on mutation.
 type Platform struct {
 	root     *AS
 	hosts    map[string]*Host
@@ -302,8 +283,9 @@ type Platform struct {
 	links    map[string]*Link
 	linkList []*Link // creation order: the link ordinals route tables store
 
-	// mu serializes route resolution on the builder, which may build an
-	// AS's Floyd table lazily (RouteBetween, Compile).
+	// mu serializes Compile, the only builder of Floyd tables: concurrent
+	// first Snapshot calls may compile together, and each would otherwise
+	// build and store the same AS's table.
 	mu sync.Mutex
 
 	// snap memoizes the compiled base-epoch snapshot (see snapshot.go);

@@ -74,9 +74,20 @@ func buildTwoSitePlatform(t *testing.T) *Platform {
 	return p
 }
 
+// snapshotRoute resolves src->dst through p's memoized snapshot, in
+// builder form.
+func snapshotRoute(p *Platform, src, dst string) (linkRoute, error) {
+	s := p.Snapshot()
+	r, err := s.Route(src, dst)
+	if err != nil {
+		return linkRoute{}, err
+	}
+	return linkRoute{Links: s.ExpandRoute(r), Latency: r.Latency}, nil
+}
+
 func TestIntraSiteRoute(t *testing.T) {
 	p := buildTwoSitePlatform(t)
-	r, err := p.RouteBetween("sagittaire-1", "sagittaire-2")
+	r, err := snapshotRoute(p, "sagittaire-1", "sagittaire-2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +104,7 @@ func TestIntraSiteRoute(t *testing.T) {
 
 func TestCrossSiteRouteSplicesGateways(t *testing.T) {
 	p := buildTwoSitePlatform(t)
-	r, err := p.RouteBetween("sagittaire-1", "graphene-2")
+	r, err := snapshotRoute(p, "sagittaire-1", "graphene-2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +123,11 @@ func TestCrossSiteRouteSplicesGateways(t *testing.T) {
 
 func TestReverseRouteFlipsDirections(t *testing.T) {
 	p := buildTwoSitePlatform(t)
-	fwd, err := p.RouteBetween("sagittaire-1", "graphene-2")
+	fwd, err := snapshotRoute(p, "sagittaire-1", "graphene-2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := p.RouteBetween("graphene-2", "sagittaire-1")
+	rev, err := snapshotRoute(p, "graphene-2", "sagittaire-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +148,14 @@ func TestReverseRouteFlipsDirections(t *testing.T) {
 
 func TestRouteToSelfFails(t *testing.T) {
 	p := buildTwoSitePlatform(t)
-	if _, err := p.RouteBetween("sagittaire-1", "sagittaire-1"); err == nil {
+	if _, err := snapshotRoute(p, "sagittaire-1", "sagittaire-1"); err == nil {
 		t.Fatal("expected error for self route")
 	}
 }
 
 func TestUnknownEndpointFails(t *testing.T) {
 	p := buildTwoSitePlatform(t)
-	if _, err := p.RouteBetween("sagittaire-1", "nonexistent"); err == nil {
+	if _, err := snapshotRoute(p, "sagittaire-1", "nonexistent"); err == nil {
 		t.Fatal("expected error for unknown endpoint")
 	}
 }
@@ -154,7 +165,7 @@ func TestMissingRouteFails(t *testing.T) {
 	a, _ := p.Root().AddHost("a", 1e9)
 	b, _ := p.Root().AddHost("b", 1e9)
 	_, _ = a, b
-	if _, err := p.RouteBetween("a", "b"); err == nil {
+	if _, err := snapshotRoute(p, "a", "b"); err == nil {
 		t.Fatal("expected error for missing route")
 	}
 }
@@ -207,7 +218,7 @@ func TestClusterRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := p.RouteBetween("n1", "n2")
+	r, err := snapshotRoute(p, "n1", "n2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +234,7 @@ func TestClusterRouting(t *testing.T) {
 	}
 
 	// Host to the cluster router: private link + backbone only.
-	r2, err := p.RouteBetween("n3", "sw")
+	r2, err := snapshotRoute(p, "n3", "sw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +257,7 @@ func TestClusterRoutingNoBackbone(t *testing.T) {
 	if err := as.SetClusterTopology("sw", 125e6, 1e-4, Shared, nil); err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.RouteBetween("a", "b")
+	r, err := snapshotRoute(p, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +294,7 @@ func TestFloydRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := p.RouteBetween("a", "b")
+	r, err := snapshotRoute(p, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +306,7 @@ func TestFloydRouting(t *testing.T) {
 	}
 
 	// Reverse direction must also resolve (symmetrical edges).
-	rrev, err := p.RouteBetween("b", "a")
+	rrev, err := snapshotRoute(p, "b", "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +342,7 @@ func TestFloydPicksShortestPath(t *testing.T) {
 	if err := as.AddRoute("r", "b", []LinkUse{{h2, None}}, true); err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.RouteBetween("a", "b")
+	r, err := snapshotRoute(p, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +356,7 @@ func TestFloydPicksShortestPath(t *testing.T) {
 }
 
 // TestRouteCacheInvalidation checks that a mutation is visible at once:
-// RouteBetween memoizes nothing, and the snapshot memo is dropped.
+// the snapshot memo is dropped, and the recompiled snapshot routes it.
 func TestRouteCacheInvalidation(t *testing.T) {
 	p := buildTwoSitePlatform(t)
 	s := p.Snapshot()
@@ -356,7 +367,7 @@ func TestRouteCacheInvalidation(t *testing.T) {
 	if p.Snapshot() == s {
 		t.Fatal("snapshot memo not invalidated by mutation")
 	}
-	if _, err := p.RouteBetween("gw.lyon", "sagittaire-4"); err == nil {
+	if _, err := snapshotRoute(p, "gw.lyon", "sagittaire-4"); err == nil {
 		t.Fatal("route resolved before it was declared")
 	}
 	l, err := lyon.AddLink("sagittaire-4_nic", 125e6, 1e-4, Shared)
@@ -366,22 +377,20 @@ func TestRouteCacheInvalidation(t *testing.T) {
 	if err := lyon.AddRoute("sagittaire-4", "gw.lyon", []LinkUse{{l, Up}}, true); err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.RouteBetween("gw.lyon", "sagittaire-4")
+	r, err := snapshotRoute(p, "gw.lyon", "sagittaire-4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Links) != 1 || r.Links[0] != (LinkUse{l, Down}) {
 		t.Fatalf("reverse of a fresh declaration = %+v", r.Links)
 	}
-	if _, err := p.Snapshot().Route("gw.lyon", "sagittaire-4"); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestRejectedDeclarationChangesNothing checks that a symmetric
 // declaration whose reverse is already taken is refused as a whole: its
-// forward half must reach neither RouteBetween, nor a recompiled
-// snapshot, nor the XML export — for host routes and AS routes alike.
+// forward half must reach neither the reference resolver, nor a
+// recompiled snapshot, nor the XML export — for host routes and AS routes
+// alike.
 func TestRejectedDeclarationChangesNothing(t *testing.T) {
 	p := buildTwoSitePlatform(t)
 	root := p.Root()
@@ -440,8 +449,8 @@ func TestRejectedDeclarationChangesNothing(t *testing.T) {
 	p.InvalidateRouteCache()
 	recompiled := p.Snapshot()
 	for _, pair := range [][2]string{{"sagittaire-4", "gw.lyon"}, {"sagittaire-1", "paravance-1"}} {
-		if r, err := p.RouteBetween(pair[0], pair[1]); err == nil {
-			t.Errorf("RouteBetween %s->%s resolves a rejected declaration: %+v", pair[0], pair[1], r.Links)
+		if r, err := p.refRouteBetween(pair[0], pair[1]); err == nil {
+			t.Errorf("refRouteBetween %s->%s resolves a rejected declaration: %+v", pair[0], pair[1], r.Links)
 		}
 		if _, err := recompiled.Route(pair[0], pair[1]); err == nil {
 			t.Errorf("Snapshot.Route %s->%s resolves a rejected declaration", pair[0], pair[1])
@@ -449,7 +458,7 @@ func TestRejectedDeclarationChangesNothing(t *testing.T) {
 	}
 	// The declarations that were accepted still resolve.
 	for _, pair := range [][2]string{{"gw.lyon", "sagittaire-4"}, {"paravance-1", "sagittaire-1"}} {
-		if _, err := p.RouteBetween(pair[0], pair[1]); err != nil {
+		if _, err := p.refRouteBetween(pair[0], pair[1]); err != nil {
 			t.Error(err)
 		}
 		if _, err := recompiled.Route(pair[0], pair[1]); err != nil {
@@ -474,7 +483,11 @@ func TestHostProps(t *testing.T) {
 	}
 }
 
-func TestValidateDetectsBadGateway(t *testing.T) {
+// TestDanglingGatewayFailsOnlyCrossingPairs declares an AS route whose
+// source gateway exists nowhere. A pair whose path crosses that AS route
+// must fail to resolve with the unresolvable-gateway error; a pair that
+// does not cross it must still resolve.
+func TestDanglingGatewayFailsOnlyCrossingPairs(t *testing.T) {
 	p := New("root", RoutingFull)
 	root := p.Root()
 	a, _ := root.AddAS("A", RoutingFull)
@@ -490,30 +503,15 @@ func TestValidateDetectsBadGateway(t *testing.T) {
 	if err := root.AddASRoute("A", "ghost", "B", "hb", []LinkUse{{l, None}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(0); err == nil {
-		t.Fatal("Validate accepted dangling gateway")
-	}
-}
-
-func TestValidatePasses(t *testing.T) {
-	p := buildTwoSitePlatform(t)
-	if err := p.Validate(0); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-}
-
-func TestResolveAllHostPairs(t *testing.T) {
-	p := buildTwoSitePlatform(t)
-	st, err := p.ResolveAllHostPairs()
-	if err != nil {
+	if err := root.AddASRoute("B", "hb", "A", "ha", []LinkUse{{l, None}}, false); err != nil {
 		t.Fatal(err)
 	}
-	// 6 hosts -> 30 ordered pairs.
-	if st.Pairs != 30 {
-		t.Errorf("pairs = %d, want 30", st.Pairs)
+	s := p.Snapshot()
+	if _, err := s.Route("ha", "hb"); err == nil || !strings.Contains(err.Error(), "unresolvable gateway") {
+		t.Fatalf("ha->hb crosses the dangling gateway: err = %v, want unresolvable gateway", err)
 	}
-	if st.AvgLength < 2 || st.AvgLength > 3 {
-		t.Errorf("avg route length = %v, implausible", st.AvgLength)
+	if _, err := s.Route("hb", "ha"); err != nil {
+		t.Fatalf("hb->ha does not cross the dangling gateway: %v", err)
 	}
 }
 

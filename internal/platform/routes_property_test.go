@@ -321,9 +321,10 @@ func randomRoutingPlatform(t *testing.T, rng *rand.Rand, interleaved bool) (*Pla
 // TestRoutesMatchDeclarations builds random Full/Floyd/Cluster platforms
 // with symmetric and one-way routes, Up/Down/None traversals and distinct
 // non-zero latencies (so the summation order shows in the bits), and
-// checks RouteBetween and Snapshot.Route for every endpoint pair against
-// the test's own record of what it declared — not against each other, so
-// a defect shared by the builder and the compiled tables cannot hide.
+// checks the reference resolver and Snapshot.Route for every endpoint
+// pair against the test's own record of what it declared — not against
+// each other, so a defect shared by the builder and the compiled tables
+// cannot hide.
 // The interleaved mode declares points after routes, so the route index
 // regrows under compiled snapshots.
 func TestRoutesMatchDeclarations(t *testing.T) {
@@ -383,23 +384,23 @@ func checkRoutesMatchDeclarations(t *testing.T, interleaved bool) {
 					continue
 				}
 				want, ok := expect(a, b)
-				got, errB := p.RouteBetween(a, b)
+				got, errB := p.refRouteBetween(a, b)
 				cr, errS := s.Route(a, b)
 				if !ok {
 					if errB == nil || errS == nil {
-						t.Fatalf("seed %d %s->%s: nothing declared, yet RouteBetween err=%v, Snapshot err=%v", seed, a, b, errB, errS)
+						t.Fatalf("seed %d %s->%s: nothing declared, yet refRouteBetween err=%v, Snapshot err=%v", seed, a, b, errB, errS)
 					}
 					continue
 				}
 				if errB != nil || errS != nil {
-					t.Fatalf("seed %d %s->%s: RouteBetween err=%v, Snapshot err=%v", seed, a, b, errB, errS)
+					t.Fatalf("seed %d %s->%s: refRouteBetween err=%v, Snapshot err=%v", seed, a, b, errB, errS)
 				}
 				if len(got.Links) != len(want.links) || len(cr.Refs) != len(want.links) {
-					t.Fatalf("seed %d %s->%s: want %d links, RouteBetween %d, Snapshot %d", seed, a, b, len(want.links), len(got.Links), len(cr.Refs))
+					t.Fatalf("seed %d %s->%s: want %d links, refRouteBetween %d, Snapshot %d", seed, a, b, len(want.links), len(got.Links), len(cr.Refs))
 				}
 				for i, u := range want.links {
 					if got.Links[i] != u {
-						t.Fatalf("seed %d %s->%s hop %d: RouteBetween %s:%v, want %s:%v", seed, a, b, i, got.Links[i].Link.ID, got.Links[i].Direction, u.Link.ID, u.Direction)
+						t.Fatalf("seed %d %s->%s hop %d: refRouteBetween %s:%v, want %s:%v", seed, a, b, i, got.Links[i].Link.ID, got.Links[i].Direction, u.Link.ID, u.Direction)
 					}
 					if ref := cr.Refs[i]; s.LinkName(ref.LinkIndex()) != u.Link.ID || ref.Direction() != u.Direction {
 						t.Fatalf("seed %d %s->%s hop %d: Snapshot %s:%v, want %s:%v", seed, a, b, i, s.LinkName(ref.LinkIndex()), ref.Direction(), u.Link.ID, u.Direction)
@@ -407,7 +408,7 @@ func checkRoutesMatchDeclarations(t *testing.T, interleaved bool) {
 				}
 				wb := math.Float64bits(want.lat)
 				if math.Float64bits(got.Latency) != wb || math.Float64bits(cr.Latency) != wb {
-					t.Fatalf("seed %d %s->%s: latency want %v, RouteBetween %v, Snapshot %v", seed, a, b, want.lat, got.Latency, cr.Latency)
+					t.Fatalf("seed %d %s->%s: latency want %v, refRouteBetween %v, Snapshot %v", seed, a, b, want.lat, got.Latency, cr.Latency)
 				}
 				checked++
 			}

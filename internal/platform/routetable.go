@@ -1,5 +1,10 @@
 package platform
 
+import (
+	"math"
+	"sort"
+)
+
 // routeTable holds the routes declared inside one AS in index form, the
 // form the compiled snapshot reads them in. Each declaration is one
 // record: a slice of a pointer-free arena of LinkRefs, plus its latency
@@ -116,6 +121,61 @@ func (rt *routeTable) floydPath(out []LinkRef, next []int32, n, si, di int32) ([
 		cur = hop
 	}
 	return out, lat, true
+}
+
+// buildFloyd runs Floyd-Warshall over the declared edges on dense n×n
+// matrices indexed by point ordinal — no map hashing in the O(n³)
+// relaxation. Tie-breaking is identical to the historical map-based
+// implementation (see TestBuildFloydMatchesMapReference): intermediate
+// points are taken in sorted-name order, an unreachable pair behaves as
+// +Inf, and the same epsilons apply. (Within one intermediate's pass no
+// entry it reads changes, so only the intermediates' order matters.)
+func (as *AS) buildFloyd() {
+	n := len(as.points)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return as.points[order[a]].name < as.points[order[b]].name })
+
+	dist := make([]float64, n*n)
+	next := make([]int32, n*n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		next[i] = -1
+	}
+	as.routes.each(func(si, sj int32, lat float64) {
+		// Edge cost: latency with a small per-hop epsilon so that
+		// zero-latency platforms still prefer fewer hops.
+		i, j := int(si), int(sj)
+		if c := lat + 1e-12; c < dist[i*n+j] {
+			dist[i*n+j] = c
+			next[i*n+j] = sj
+		}
+	})
+	for _, k := range order {
+		for i := 0; i < n; i++ {
+			dik := dist[i*n+k]
+			if math.IsInf(dik, 1) {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				if i == j {
+					continue
+				}
+				dkj := dist[k*n+j]
+				if math.IsInf(dkj, 1) {
+					continue
+				}
+				if dik+dkj < dist[i*n+j]-1e-15 {
+					dist[i*n+j] = dik + dkj
+					next[i*n+j] = next[i*n+k]
+				}
+			}
+		}
+	}
+	as.floydNext = next
+	as.floydBuilt = true
 }
 
 // compiled returns the table a snapshot reads: the arena re-addressed

@@ -282,8 +282,9 @@ type snapAS struct {
 // share. Most callers want Snapshot, which memoizes the compilation until
 // the next mutation.
 func (p *Platform) Compile() *Snapshot {
-	// Floyd tables are built lazily by the query path under p.mu; take the
-	// same lock so compiling during live traffic is safe.
+	// Compile is the only builder of Floyd tables, which it builds lazily
+	// and stores on the AS; the lock keeps concurrent compiles (racing
+	// first Snapshot calls) from building and storing them together.
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
@@ -739,10 +740,11 @@ func (s *Snapshot) RouteLatency(r *CompiledRoute) float64 {
 }
 
 // Route resolves the end-to-end route between two hosts (or routers) in
-// compiled form. Resolution mirrors Platform.RouteBetween — same AS walk,
-// same tables, bit-identical link order and latency sums — but reads only
-// immutable compiled state: warm routes are a lock-free table load, cold
-// ones a pure computation published for the next caller. Every caller of
+// compiled form. It is the only route resolver outside tests; the test
+// oracle refRouteBetween (routeref_test.go) walks the builder's tables the
+// same way and must agree bit for bit. Route reads only immutable
+// compiled state: warm routes are a lock-free table load, cold ones a
+// pure computation published for the next caller. Every caller of
 // a pair, in every epoch derived from the same compilation, gets the same
 // pointer. The returned route is shared and must not be mutated.
 func (s *Snapshot) Route(src, dst string) (*CompiledRoute, error) {
@@ -790,12 +792,12 @@ func (t *topology) route(src, dst int32) (*CompiledRoute, error) {
 	return m.at(i), nil
 }
 
-// resolve mirrors Platform.resolve on compiled state: find the deepest
-// common ancestor AS, look up the AS-level route between the branches,
-// recurse to the gateways and splice. Latencies are summed bottom-up in
-// the exact association Platform.resolve uses (sub-route totals first,
-// then concatenation), so the result is bit-identical. The links are
-// appended to refs.
+// resolve walks the compiled AS tree: find the deepest common ancestor
+// AS, look up the AS-level route between the branches, recurse to the
+// gateways and splice. Latencies are summed bottom-up (sub-route totals
+// first, then concatenation), the association of the test oracle
+// refRouteBetween, so the two agree bit for bit. The links are appended
+// to refs.
 func (t *topology) resolve(src, srcAS int32, dst, dstAS int32, refs []LinkRef) ([]LinkRef, float64, error) {
 	if srcAS == dstAS {
 		return t.localRoute(srcAS, src, dst, refs)
@@ -902,7 +904,7 @@ func (t *topology) localRoute(asI int32, src, dst int32, refs []LinkRef) ([]Link
 }
 
 // clusterRoute synthesizes the implicit route of a Cluster AS, adding
-// latencies in the same order as AS.clusterRoute.
+// latencies uplink, backbone, downlink.
 func (t *topology) clusterRoute(sa *snapAS, src, dst int32, refs []LinkRef) ([]LinkRef, float64, error) {
 	var lat float64
 	if up, ok := sa.clPrivate[src]; ok {

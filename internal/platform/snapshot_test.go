@@ -129,7 +129,7 @@ func buildMixedPlatform(t testing.TB, nHosts int) *Platform {
 // routeMismatch reports how a compiled route differs from a builder
 // route — links, order, directions, latency bits — or nil when it is
 // bit-identical.
-func routeMismatch(s *Snapshot, want Route, got *CompiledRoute) error {
+func routeMismatch(s *Snapshot, want linkRoute, got *CompiledRoute) error {
 	if len(want.Links) != len(got.Refs) {
 		return fmt.Errorf("%d links vs %d refs", len(want.Links), len(got.Refs))
 	}
@@ -148,14 +148,15 @@ func routeMismatch(s *Snapshot, want Route, got *CompiledRoute) error {
 
 // requireSameRoute asserts a compiled route is bit-identical to a builder
 // route.
-func requireSameRoute(t *testing.T, s *Snapshot, want Route, got *CompiledRoute, whoA, whoB string) {
+func requireSameRoute(t *testing.T, s *Snapshot, want linkRoute, got *CompiledRoute, whoA, whoB string) {
 	t.Helper()
 	if err := routeMismatch(s, want, got); err != nil {
 		t.Fatalf("%s->%s: %v", whoA, whoB, err)
 	}
 }
 
-// TestSnapshotRouteEquivalence checks Snapshot.Route against RouteBetween
+// TestSnapshotRouteEquivalence checks Snapshot.Route against the reference
+// resolver (refRouteBetween)
 // for every endpoint pair of a platform mixing Full, Floyd and Cluster
 // routing.
 func TestSnapshotRouteEquivalence(t *testing.T) {
@@ -173,10 +174,10 @@ func TestSnapshotRouteEquivalence(t *testing.T) {
 			if a == b {
 				continue
 			}
-			want, errW := p.RouteBetween(a, b)
+			want, errW := p.refRouteBetween(a, b)
 			got, errG := s.Route(a, b)
 			if (errW == nil) != (errG == nil) {
-				t.Fatalf("%s->%s: RouteBetween err=%v, Snapshot err=%v", a, b, errW, errG)
+				t.Fatalf("%s->%s: refRouteBetween err=%v, Snapshot err=%v", a, b, errW, errG)
 			}
 			if errW != nil {
 				continue
@@ -300,7 +301,7 @@ func TestWithLinkState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := p.RouteBetween(pair[0], pair[1])
+		want, err := p.refRouteBetween(pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +354,7 @@ func TestSnapshotConcurrentAccess(t *testing.T) {
 			if a == b {
 				continue
 			}
-			r, err := p.RouteBetween(a.ID, b.ID)
+			r, err := p.refRouteBetween(a.ID, b.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -411,14 +412,14 @@ func TestSnapshotConcurrentPublication(t *testing.T) {
 		points = append(points, h.ID)
 	}
 	var pairs [][2]string
-	var want []Route
+	var want []linkRoute
 	links := 0
 	for _, a := range points {
 		for _, b := range points {
 			if a == b {
 				continue
 			}
-			r, err := p.RouteBetween(a, b)
+			r, err := p.refRouteBetween(a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -500,29 +501,44 @@ func TestSnapshotConcurrentPublication(t *testing.T) {
 	}
 }
 
-// TestValidateSamplesAcrossClusters checks that Validate's host sampling
-// strides across the whole (sorted) host list instead of taking the first
-// N names, which on multi-cluster platforms all come from one cluster.
-func TestValidateSamplesAcrossClusters(t *testing.T) {
-	p := buildMixedPlatform(t, 10) // clusters: cl-*, lyon-*, mesh-0, nancy-*
-	if err := p.Validate(6); err != nil {
-		t.Fatal(err)
-	}
-	// Break a route of the *last* cluster in sorted host order (nancy): a
-	// first-N sample (all cl-* hosts) would never notice. nancy-4 is the
-	// host a 6-of-31 stride lands on; dropping its gateway route breaks
-	// every cross-AS path that ends there.
-	as := p.Root().Children()[1] // AS_nancy
-	if as.ID != "AS_nancy" {
-		t.Fatalf("unexpected AS order: %s", as.ID)
-	}
-	as.routes.idx[int(as.ords["nancy-gw"])*int(as.routes.n)+int(as.ords["nancy-4"])] = 0
-	p.InvalidateRouteCache()
-	if err := p.Validate(0); err == nil {
-		t.Fatal("sanity: full validation should fail on the broken route")
-	}
-	p.InvalidateRouteCache()
-	if err := p.Validate(6); err == nil {
-		t.Fatal("stride sampling (6 of 31 hosts) should reach the nancy cluster and fail")
+// TestConcurrentFirstSnapshot races the first Snapshot calls of fresh
+// platforms holding a Floyd AS, so several compiles may run at once and
+// each finds the Floyd table unbuilt (run it under -race: Platform.mu is
+// what serializes the builds). Every caller must get the one published
+// snapshot, and its routes through the Floyd AS must match the reference.
+func TestConcurrentFirstSnapshot(t *testing.T) {
+	pairs := [][2]string{{"mesh-0", "m-out"}, {"lyon-1", "mesh-0"}, {"m-out", "cl-2"}}
+	const workers = 8
+	for round := 0; round < 20; round++ {
+		p := buildMixedPlatform(t, 3)
+		got := make([]*Snapshot, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				got[g] = p.Snapshot()
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for g, s := range got {
+			if s != got[0] {
+				t.Fatalf("round %d: goroutine %d got snapshot epoch %d, goroutine 0 epoch %d", round, g, s.Epoch(), got[0].Epoch())
+			}
+		}
+		for _, pr := range pairs {
+			want, err := p.refRouteBetween(pr[0], pr[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := got[0].Route(pr[0], pr[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRoute(t, got[0], want, r, pr[0], pr[1])
+		}
 	}
 }

@@ -53,7 +53,7 @@ func TestParseSample(t *testing.T) {
 	if h.Prop("cluster") != "sagittaire" {
 		t.Errorf("prop missing: %v", h.Props)
 	}
-	r, err := p.RouteBetween("n1", "m2")
+	r, err := snapshotRoute(p, "n1", "m2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestParseSample(t *testing.T) {
 		t.Errorf("cross route = %v, want %v", ids, want)
 	}
 	// Reverse must flip the full-duplex backbone direction.
-	rev, err := p.RouteBetween("m2", "n1")
+	rev, err := snapshotRoute(p, "m2", "n1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestXMLRoundTrip(t *testing.T) {
 			if a == b {
 				continue
 			}
-			r1, err := p1.RouteBetween(a.ID, b.ID)
+			r1, err := p1.refRouteBetween(a.ID, b.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := p2.RouteBetween(a.ID, b.ID)
+			r2, err := p2.refRouteBetween(a.ID, b.ID)
 			if err != nil {
 				t.Fatalf("route %s->%s lost after round trip: %v", a.ID, b.ID, err)
 			}

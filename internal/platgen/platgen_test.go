@@ -24,9 +24,7 @@ func TestGenerateTestVariantMini(t *testing.T) {
 	if p.NumHosts() != 14 { // 6 sagittaire + 8 graphene
 		t.Errorf("hosts = %d, want 14", p.NumHosts())
 	}
-	if err := p.Validate(0); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
+	requireRoutes(t, p, 0)
 }
 
 func TestGenerateFullDataset(t *testing.T) {
@@ -36,15 +34,13 @@ func TestGenerateFullDataset(t *testing.T) {
 		t.Errorf("hosts = %d, want %d", p.NumHosts(), ref.NumNodes())
 	}
 	// Spot-check routes rather than all ~266k pairs.
-	if err := p.Validate(40); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
+	requireRoutes(t, p, 40)
 }
 
 func TestIntraClusterRouteFlat(t *testing.T) {
 	// sagittaire is flat: two nodes' route is just the two NICs.
 	p := genTest(t, g5k.Mini(), Options{Variant: G5KTest})
-	r, err := p.RouteBetween("sagittaire-1.lyon.grid5000.fr", "sagittaire-2.lyon.grid5000.fr")
+	r, err := route(p, "sagittaire-1.lyon.grid5000.fr", "sagittaire-2.lyon.grid5000.fr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +57,7 @@ func TestIntraClusterRouteGrouped(t *testing.T) {
 	// graphene-1 (sgraphene1) to graphene-5 (sgraphene2) in Mini crosses
 	// both uplinks: nic, up1, up2, nic = 4 links.
 	p := genTest(t, g5k.Mini(), Options{Variant: G5KTest})
-	r, err := p.RouteBetween("graphene-1.nancy.grid5000.fr", "graphene-5.nancy.grid5000.fr")
+	r, err := route(p, "graphene-1.nancy.grid5000.fr", "graphene-5.nancy.grid5000.fr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +69,7 @@ func TestIntraClusterRouteGrouped(t *testing.T) {
 		t.Errorf("route misses uplink: %v", ids)
 	}
 	// Same group: NICs only (non-blocking switch).
-	r2, err := p.RouteBetween("graphene-1.nancy.grid5000.fr", "graphene-2.nancy.grid5000.fr")
+	r2, err := route(p, "graphene-1.nancy.grid5000.fr", "graphene-2.nancy.grid5000.fr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +80,7 @@ func TestIntraClusterRouteGrouped(t *testing.T) {
 
 func TestCrossSiteRoute(t *testing.T) {
 	p := genTest(t, g5k.Mini(), Options{Variant: G5KTest})
-	r, err := p.RouteBetween("sagittaire-1.lyon.grid5000.fr", "graphene-1.nancy.grid5000.fr")
+	r, err := route(p, "sagittaire-1.lyon.grid5000.fr", "graphene-1.nancy.grid5000.fr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +100,7 @@ func TestCrossSiteRoute(t *testing.T) {
 
 func TestMeasuredLatenciesOption(t *testing.T) {
 	p := genTest(t, g5k.Mini(), Options{Variant: G5KTest, UseMeasuredLatencies: true})
-	r, err := p.RouteBetween("sagittaire-1.lyon.grid5000.fr", "graphene-1.nancy.grid5000.fr")
+	r, err := route(p, "sagittaire-1.lyon.grid5000.fr", "graphene-1.nancy.grid5000.fr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +143,7 @@ func TestEquipmentLimitsOption(t *testing.T) {
 		t.Error("missing gw-nancy backplane link")
 	}
 	// A same-group graphene route passes through its switch backplane.
-	r, err := lim.RouteBetween("graphene-1.nancy.grid5000.fr", "graphene-2.nancy.grid5000.fr")
+	r, err := route(lim, "graphene-1.nancy.grid5000.fr", "graphene-2.nancy.grid5000.fr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +158,7 @@ func TestEquipmentLimitsOption(t *testing.T) {
 			if a == b {
 				continue
 			}
-			rr, err := lim.RouteBetween(a.ID, b.ID)
+			rr, err := route(lim, a.ID, b.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,12 +179,10 @@ func TestGenerateCabinets(t *testing.T) {
 	if p.NumHosts() != ref.NumNodes() {
 		t.Errorf("hosts = %d, want %d", p.NumHosts(), ref.NumNodes())
 	}
-	if err := p.Validate(0); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
+	requireRoutes(t, p, 0)
 	// Abstraction: graphene's intra-cluster cross-group route goes
 	// through the aggregated cluster backbone, not individual uplinks.
-	r, err := p.RouteBetween("graphene-1.nancy.grid5000.fr", "graphene-5.nancy.grid5000.fr")
+	r, err := route(p, "graphene-1.nancy.grid5000.fr", "graphene-5.nancy.grid5000.fr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +221,7 @@ func TestFlatVariant(t *testing.T) {
 	if len(p.Root().Children()) != 0 {
 		t.Error("flat platform should have no child AS")
 	}
-	if err := p.Validate(0); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
+	requireRoutes(t, p, 0)
 	// Flat and hierarchical must resolve identical link sequences.
 	h := genTest(t, ref, Options{Variant: G5KTest})
 	for _, pair := range [][2]string{
@@ -237,11 +229,11 @@ func TestFlatVariant(t *testing.T) {
 		{"graphene-1.nancy.grid5000.fr", "graphene-6.nancy.grid5000.fr"},
 		{"sagittaire-2.lyon.grid5000.fr", "graphene-7.nancy.grid5000.fr"},
 	} {
-		rf, err := p.RouteBetween(pair[0], pair[1])
+		rf, err := route(p, pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		rh, err := h.RouteBetween(pair[0], pair[1])
+		rh, err := route(h, pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +298,52 @@ func TestSimulationOnGeneratedPlatform(t *testing.T) {
 	}
 }
 
-func routeIDs(r platform.Route) []string {
+// resolved is a route resolved through a platform's snapshot, in builder
+// form.
+type resolved struct {
+	Links   []platform.LinkUse
+	Latency float64
+}
+
+// route resolves src->dst through p's snapshot.
+func route(p *platform.Platform, src, dst string) (resolved, error) {
+	s := p.Snapshot()
+	r, err := s.Route(src, dst)
+	if err != nil {
+		return resolved{}, err
+	}
+	return resolved{Links: s.ExpandRoute(r), Latency: r.Latency}, nil
+}
+
+// requireRoutes resolves every ordered pair of p's hosts through its
+// snapshot, or of sample hosts when sample > 0 and p has more. The sample
+// strides across the sorted host list: the first N names would all come
+// from one cluster (names sort by cluster) and skip every inter-cluster
+// and inter-site route.
+func requireRoutes(t *testing.T, p *platform.Platform, sample int) {
+	t.Helper()
+	hosts := p.Hosts()
+	if sample > 0 && len(hosts) > sample {
+		sampled := make([]*platform.Host, sample)
+		for i := range sampled {
+			sampled[i] = hosts[i*len(hosts)/sample]
+		}
+		hosts = sampled
+	}
+	s := p.Snapshot()
+	for _, a := range hosts {
+		for _, b := range hosts {
+			if a == b {
+				continue
+			}
+			if _, err := s.Route(a.ID, b.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+func routeIDs(r resolved) []string {
 	out := make([]string, len(r.Links))
 	for i, u := range r.Links {
 		out[i] = u.Link.ID

@@ -20,11 +20,11 @@ func TestRouteSymmetryProperty(t *testing.T) {
 				if a == b {
 					continue
 				}
-				fwd, err := p.RouteBetween(a.ID, b.ID)
+				fwd, err := route(p, a.ID, b.ID)
 				if err != nil {
 					t.Fatalf("%v %s->%s: %v", variant, a.ID, b.ID, err)
 				}
-				rev, err := p.RouteBetween(b.ID, a.ID)
+				rev, err := route(p, b.ID, a.ID)
 				if err != nil {
 					t.Fatalf("%v reverse %s->%s: %v", variant, b.ID, a.ID, err)
 				}

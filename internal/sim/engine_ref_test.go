@@ -57,6 +57,7 @@ type refConstraintKey struct {
 type refEngine struct {
 	cfg   Config
 	plat  *platform.Platform
+	snap  *platform.Snapshot // a fresh compile, sharing no memo with the engine
 	now   float64
 	acts  []*refActivity // id order
 	dirty bool
@@ -70,13 +71,14 @@ func newRefEngine(plat *platform.Platform, cfg Config) *refEngine {
 	return &refEngine{
 		cfg:   cfg,
 		plat:  plat,
+		snap:  plat.Compile(),
 		sys:   flow.NewSystem(),
 		cnsts: make(map[refConstraintKey]*flow.Constraint),
 	}
 }
 
 func (e *refEngine) addComm(src, dst string, size, start float64) (ActivityID, error) {
-	route, err := e.plat.RouteBetween(src, dst)
+	route, err := e.snap.Route(src, dst)
 	if err != nil {
 		return 0, err
 	}
@@ -87,7 +89,7 @@ func (e *refEngine) addComm(src, dst string, size, start float64) (ActivityID, e
 		start:     start,
 		latLeft:   e.cfg.LatencyFactor * route.Latency,
 		remaining: size,
-		links:     route.Links,
+		links:     e.snap.ExpandRoute(route),
 		weight:    1 / e.cfg.rttWeight(route.Latency),
 		bound:     e.cfg.windowBound(route.Latency),
 	}
