@@ -103,10 +103,13 @@ bench-smoke:
 # path on the same canonical hits (the in-process sub-benchmarks differ
 # only in the response writer), and a rendered hit (same request line)
 # must stay well ahead of a canonical hit (same multiset, reordered).
+# All three gates run and print a verdict; the target fails if any failed.
 bench-check: bench
-	go run ./cmd/benchdiff -count $(BENCH_COUNT) -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkCold60CrossSite|BenchmarkEvaluateDifferential30x8' BENCH_baseline.json BENCH_$(SHA).json
-	go run ./cmd/benchdiff -count $(BENCH_COUNT) -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPPredict30/miss|BenchmarkPredict30Transfers$$|BenchmarkHTTPEvaluate30x8/all-hit|BenchmarkHTTPEvaluate30x8/fresh|BenchmarkEvaluateDifferential30x8/differential|BenchmarkEvaluateDifferential30x8/lone|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs|BenchmarkRegistryRestart' BENCH_baseline.json BENCH_$(SHA).json
-	go run ./cmd/benchdiff -scale 'BenchmarkHTTPPredict30/legacy,BenchmarkHTTPPredict30/hit-canonical,1.4;BenchmarkHTTPPredict30/hit-canonical,BenchmarkHTTPPredict30/hit-rendered,3;BenchmarkHTTPEvaluate30x8/legacy,BenchmarkHTTPEvaluate30x8/all-hit,1.4' BENCH_$(SHA).json
+	@fail=0; \
+	if go run ./cmd/benchdiff -count $(BENCH_COUNT) -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkCold60CrossSite|BenchmarkEvaluateDifferential30x8' BENCH_baseline.json BENCH_$(SHA).json; then echo "bench-check: ns gate passed"; else echo "bench-check: ns gate FAILED"; fail=1; fi; \
+	if go run ./cmd/benchdiff -count $(BENCH_COUNT) -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hit-rendered|BenchmarkHTTPPredict30/hit-canonical|BenchmarkHTTPPredict30/miss|BenchmarkPredict30Transfers$$|BenchmarkHTTPEvaluate30x8/all-hit|BenchmarkHTTPEvaluate30x8/fresh|BenchmarkEvaluateDifferential30x8/differential|BenchmarkEvaluateDifferential30x8/lone|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs|BenchmarkRegistryRestart' BENCH_baseline.json BENCH_$(SHA).json; then echo "bench-check: allocs gate passed"; else echo "bench-check: allocs gate FAILED"; fail=1; fi; \
+	if go run ./cmd/benchdiff -scale 'BenchmarkHTTPPredict30/legacy,BenchmarkHTTPPredict30/hit-canonical,1.4;BenchmarkHTTPPredict30/hit-canonical,BenchmarkHTTPPredict30/hit-rendered,3;BenchmarkHTTPEvaluate30x8/legacy,BenchmarkHTTPEvaluate30x8/all-hit,1.4' BENCH_$(SHA).json; then echo "bench-check: scale gate passed"; else echo "bench-check: scale gate FAILED"; fail=1; fi; \
+	exit $$fail
 
 # bench-baseline refreshes the committed baseline from a fresh run; commit
 # the result whenever a PR intentionally shifts performance.

@@ -74,12 +74,8 @@ func run(figArg string, reps, nsizes int, outDir string, quick bool, variantArg 
 	}
 
 	var opts platgen.Options
-	switch variantArg {
-	case "g5k_test":
-		opts.Variant = platgen.G5KTest
-	case "g5k_cabinets":
-		opts.Variant = platgen.G5KCabinets
-	default:
+	var ok bool
+	if opts.Variant, ok = platgen.ParseVariant(variantArg); !ok {
 		return fmt.Errorf("unknown variant %q", variantArg)
 	}
 

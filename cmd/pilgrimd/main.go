@@ -209,19 +209,8 @@ func run(ctx context.Context, o options) error {
 		if name == "" {
 			continue
 		}
-		dataset := ref
-		var variant platgen.Variant
-		switch name {
-		case "g5k_test":
-			variant = platgen.G5KTest
-		case "g5k_cabinets":
-			variant = platgen.G5KCabinets
-		case "g5k_mini":
-			// The compact two-site reference campaigns generate with; the
-			// topology flavour is the detailed one.
-			dataset = g5k.Mini()
-			variant = platgen.G5KTest
-		default:
+		dataset, variant, ok := platgen.Named(name, ref)
+		if !ok {
 			return fmt.Errorf("unknown platform %q in -platforms (have g5k_test, g5k_cabinets, g5k_mini)", name)
 		}
 		plat, err := platgen.Generate(dataset, platgen.Options{

@@ -204,15 +204,8 @@ func main() {
 // the named platform locally (the same deterministic build pilgrimd
 // performs for its -platforms flag) and sampling host pairs.
 func buildQueries(server, platform string, transfers, distinct int, seed int64) ([]string, error) {
-	dataset := g5k.Default()
-	variant := platgen.G5KTest
-	switch platform {
-	case "g5k_test":
-	case "g5k_cabinets":
-		variant = platgen.G5KCabinets
-	case "g5k_mini":
-		dataset = g5k.Mini()
-	default:
+	dataset, variant, ok := platgen.Named(platform, g5k.Default())
+	if !ok {
 		return nil, fmt.Errorf("unknown platform %q (have g5k_test, g5k_cabinets, g5k_mini)", platform)
 	}
 	plat, err := platgen.Generate(dataset, platgen.Options{Variant: variant})

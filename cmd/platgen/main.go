@@ -65,12 +65,8 @@ func run(variant string, flat, equipLimits, measuredLat bool, g5kAPI, jsonFile, 
 		EquipmentLimits:      equipLimits,
 		UseMeasuredLatencies: measuredLat,
 	}
-	switch variant {
-	case "g5k_test":
-		opts.Variant = platgen.G5KTest
-	case "g5k_cabinets":
-		opts.Variant = platgen.G5KCabinets
-	default:
+	var ok bool
+	if opts.Variant, ok = platgen.ParseVariant(variant); !ok {
 		return fmt.Errorf("unknown variant %q", variant)
 	}
 

@@ -511,96 +511,3 @@ func firstLine(s string) string {
 	}
 	return s
 }
-
-// decodeAssertion decodes one assertion mapping.
-func decodeAssertion(n *node, ctx string) (Assertion, error) {
-	var a Assertion
-	if err := wantKind(n, mapNode, ctx); err != nil {
-		return a, err
-	}
-	if err := checkKeys(n, ctx, "type", "scenario", "query", "metric", "transfer", "task",
-		"hypothesis", "min", "max", "value", "against", "max_factor", "min_factor",
-		"max_increase", "best", "contains", "tolerance"); err != nil {
-		return a, err
-	}
-	a.line = n.line
-	var err error
-	if a.Type, err = optString(n, "type"); err != nil {
-		return a, err
-	}
-	if a.Scenario, err = optString(n, "scenario"); err != nil {
-		return a, err
-	}
-	if a.Query, err = optInt(n, "query"); err != nil {
-		return a, err
-	}
-	if a.Metric, err = optString(n, "metric"); err != nil {
-		return a, err
-	}
-	if a.Transfer, err = optInt(n, "transfer"); err != nil {
-		return a, err
-	}
-	if a.Task, err = optString(n, "task"); err != nil {
-		return a, err
-	}
-	if h := n.child("hypothesis"); h != nil && !h.isNull() {
-		v, err := optInt(n, "hypothesis")
-		if err != nil {
-			return a, err
-		}
-		a.Hypothesis = &v
-	}
-	if a.Min, err = optFloatPtr(n, "min"); err != nil {
-		return a, err
-	}
-	if a.Max, err = optFloatPtr(n, "max"); err != nil {
-		return a, err
-	}
-	if a.Value, err = optFloatPtr(n, "value"); err != nil {
-		return a, err
-	}
-	if a.Against, err = optString(n, "against"); err != nil {
-		return a, err
-	}
-	if a.MaxFactor, err = optFloatPtr(n, "max_factor"); err != nil {
-		return a, err
-	}
-	if a.MinFactor, err = optFloatPtr(n, "min_factor"); err != nil {
-		return a, err
-	}
-	if a.MaxIncrease, err = optFloatPtr(n, "max_increase"); err != nil {
-		return a, err
-	}
-	if b := n.child("best"); b != nil && !b.isNull() {
-		v, err := optInt(n, "best")
-		if err != nil {
-			return a, err
-		}
-		a.Best = &v
-	}
-	if a.Contains, err = optString(n, "contains"); err != nil {
-		return a, err
-	}
-	if tol := n.child("tolerance"); tol != nil && !tol.isNull() {
-		switch tol.kind {
-		case scalarNode:
-			// Shorthand: `tolerance: 0.5` is an absolute band.
-			if a.Tol.Abs, err = scalarFloat(tol, "tolerance"); err != nil {
-				return a, err
-			}
-		case mapNode:
-			if err := checkKeys(tol, ctx+" tolerance", "abs", "rel"); err != nil {
-				return a, err
-			}
-			if a.Tol.Abs, err = optFloat(tol, "abs"); err != nil {
-				return a, err
-			}
-			if a.Tol.Rel, err = optFloat(tol, "rel"); err != nil {
-				return a, err
-			}
-		default:
-			return a, parseErrf(tol.line, "%s: tolerance must be a number or {abs, rel}", ctx)
-		}
-	}
-	return a, nil
-}

@@ -3,7 +3,9 @@ package campaign
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
+	"strings"
 	"time"
 
 	"pilgrim/internal/pilgrim"
@@ -139,8 +141,8 @@ func Load(data []byte) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := decodeCampaign(root)
-	if err != nil {
+	c := &Campaign{Start: DefaultStart}
+	if err := decode(root, reflect.ValueOf(c).Elem(), "campaign"); err != nil {
 		return nil, err
 	}
 	if err := c.Validate(); err != nil {
@@ -314,617 +316,209 @@ func validateQuery(q *pilgrim.EvalQuery, i int) error {
 }
 
 // ---------------------------------------------------------------------
-// Strict decoding: every mapping key must be known, every scalar must
-// parse as its field's type, and every error names the source line.
+// Strict decoding. A campaign's field names are the json tags of the
+// types it fills in — its own and the evaluate API's — read by
+// reflection, so a tagged field is decodable with no other edit. Every
+// mapping key must name a field, every scalar must parse as its field's
+// type, and every error is a *ParseError naming the source line.
 
-func decodeCampaign(root *node) (*Campaign, error) {
-	if err := wantKind(root, mapNode, "campaign document"); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(root, "campaign", "name", "description", "platform", "start", "events", "steps"); err != nil {
-		return nil, err
-	}
-	c := &Campaign{Start: DefaultStart}
-	var err error
-	if c.Name, err = optString(root, "name"); err != nil {
-		return nil, err
-	}
-	if c.Description, err = optString(root, "description"); err != nil {
-		return nil, err
-	}
-	if p := root.child("platform"); p != nil && !p.isNull() {
-		if c.Platform, err = decodePlatformRef(p); err != nil {
-			return nil, err
+// decode fills v from n; path names v in error messages. A null mapping
+// value leaves its field as it was; sequence items and the document root
+// have no null form.
+func decode(n *node, v reflect.Value, path string) error {
+	// The campaign-only spellings the JSON form lacks.
+	switch p := v.Addr().Interface().(type) {
+	case *PlatformRef:
+		if n.kind == scalarNode {
+			// `platform: g5k_test` generates and addresses the variant by
+			// the same name.
+			p.Generate = n.scalar
+			return nil
 		}
-	}
-	if s := root.child("start"); s != nil && !s.isNull() {
-		if c.Start, err = scalarInt(s, "start"); err != nil {
-			return nil, err
+	case *Tolerance:
+		if n.kind == scalarNode {
+			// `tolerance: 0.5` is an absolute band.
+			return decode(n, reflect.ValueOf(&p.Abs).Elem(), path)
 		}
-	}
-	if ev := root.child("events"); ev != nil && !ev.isNull() {
-		if err := wantKind(ev, seqNode, "events"); err != nil {
-			return nil, err
+	case *[2]string:
+		// A background flow is a {src, dst} mapping.
+		var f struct {
+			Src string `json:"src"`
+			Dst string `json:"dst"`
 		}
-		for i, item := range ev.items {
-			e, err := decodeEvent(item, i)
-			if err != nil {
-				return nil, err
-			}
-			c.Events = append(c.Events, *e)
+		if err := decode(n, reflect.ValueOf(&f).Elem(), path); err != nil {
+			return err
 		}
-	}
-	if st := root.child("steps"); st != nil && !st.isNull() {
-		if err := wantKind(st, seqNode, "steps"); err != nil {
-			return nil, err
+		if f.Src == "" || f.Dst == "" {
+			return parseErrf(n.line, "%s: needs src and dst", path)
 		}
-		for i, item := range st.items {
-			s, err := decodeStep(item, i)
-			if err != nil {
-				return nil, err
-			}
-			c.Steps = append(c.Steps, *s)
+		*p = [2]string{f.Src, f.Dst}
+		return nil
+	}
+	switch v.Kind() {
+	case reflect.Struct:
+		return decodeStruct(n, v, path)
+	case reflect.Slice:
+		if n.kind != seqNode {
+			return parseErrf(n.line, "%s: expected a sequence, got a %s", path, n.kind)
 		}
-	}
-	return c, nil
-}
-
-func decodePlatformRef(n *node) (PlatformRef, error) {
-	var p PlatformRef
-	if n.kind == scalarNode {
-		// Shorthand: `platform: g5k_test` generates and addresses the
-		// variant by the same name.
-		p.Generate = n.scalar
-		return p, nil
-	}
-	if err := wantKind(n, mapNode, "platform"); err != nil {
-		return p, err
-	}
-	if err := checkKeys(n, "platform", "generate", "name", "gamma_latfactor", "equipment_limits", "measured_latencies"); err != nil {
-		return p, err
-	}
-	var err error
-	if p.Generate, err = optString(n, "generate"); err != nil {
-		return p, err
-	}
-	if p.Name, err = optString(n, "name"); err != nil {
-		return p, err
-	}
-	if p.GammaLatFactor, err = optBool(n, "gamma_latfactor"); err != nil {
-		return p, err
-	}
-	if p.EquipmentLimits, err = optBool(n, "equipment_limits"); err != nil {
-		return p, err
-	}
-	if p.MeasuredLatencies, err = optBool(n, "measured_latencies"); err != nil {
-		return p, err
-	}
-	return p, nil
-}
-
-func decodeEvent(n *node, i int) (*Event, error) {
-	ctx := fmt.Sprintf("event %d", i)
-	if err := wantKind(n, mapNode, ctx); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, ctx, "at", "action", "source", "links", "link", "host", "src", "dst", "flows"); err != nil {
-		return nil, err
-	}
-	e := &Event{line: n.line}
-	var err error
-	if e.At, err = requiredDuration(n, "at", ctx); err != nil {
-		return nil, err
-	}
-	if e.Action, err = optString(n, "action"); err != nil {
-		return nil, err
-	}
-	if e.Action == actionUpdateLinks {
-		e.Action = ActionObserve
-	}
-	if e.Source, err = optString(n, "source"); err != nil {
-		return nil, err
-	}
-	if e.Link, err = optString(n, "link"); err != nil {
-		return nil, err
-	}
-	if e.Host, err = optString(n, "host"); err != nil {
-		return nil, err
-	}
-	if e.Src, err = optString(n, "src"); err != nil {
-		return nil, err
-	}
-	if e.Dst, err = optString(n, "dst"); err != nil {
-		return nil, err
-	}
-	if e.Flows, err = optInt(n, "flows"); err != nil {
-		return nil, err
-	}
-	if links := n.child("links"); links != nil && !links.isNull() {
-		if err := wantKind(links, seqNode, ctx+" links"); err != nil {
-			return nil, err
+		if len(n.items) > 0 {
+			v.Set(reflect.MakeSlice(v.Type(), len(n.items), len(n.items)))
 		}
-		for li, item := range links.items {
-			obs, err := decodeLinkObservation(item, fmt.Sprintf("%s link %d", ctx, li))
-			if err != nil {
-				return nil, err
-			}
-			e.Links = append(e.Links, obs)
-		}
-	}
-	return e, nil
-}
-
-func decodeLinkObservation(n *node, ctx string) (LinkObservation, error) {
-	var obs LinkObservation
-	if err := wantKind(n, mapNode, ctx); err != nil {
-		return obs, err
-	}
-	if err := checkKeys(n, ctx, "link", "bandwidth", "latency"); err != nil {
-		return obs, err
-	}
-	var err error
-	if obs.Link, err = optString(n, "link"); err != nil {
-		return obs, err
-	}
-	if obs.Bandwidth, err = optFloatPtr(n, "bandwidth"); err != nil {
-		return obs, err
-	}
-	if obs.Latency, err = optFloatPtr(n, "latency"); err != nil {
-		return obs, err
-	}
-	return obs, nil
-}
-
-func decodeStep(n *node, i int) (*Step, error) {
-	ctx := fmt.Sprintf("step %d", i)
-	if err := wantKind(n, mapNode, ctx); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, ctx, "at", "name", "scenarios", "queries", "assertions"); err != nil {
-		return nil, err
-	}
-	s := &Step{line: n.line}
-	var err error
-	if s.At, err = requiredDuration(n, "at", ctx); err != nil {
-		return nil, err
-	}
-	if s.Name, err = optString(n, "name"); err != nil {
-		return nil, err
-	}
-	if sc := n.child("scenarios"); sc != nil && !sc.isNull() {
-		if err := wantKind(sc, seqNode, ctx+" scenarios"); err != nil {
-			return nil, err
-		}
-		for si, item := range sc.items {
-			one, err := decodeScenario(item, fmt.Sprintf("%s scenario %d", ctx, si))
-			if err != nil {
-				return nil, err
-			}
-			s.Scenarios = append(s.Scenarios, one)
-		}
-	}
-	if q := n.child("queries"); q != nil && !q.isNull() {
-		if err := wantKind(q, seqNode, ctx+" queries"); err != nil {
-			return nil, err
-		}
-		for qi, item := range q.items {
-			one, err := decodeQuery(item, fmt.Sprintf("%s query %d", ctx, qi))
-			if err != nil {
-				return nil, err
-			}
-			s.Queries = append(s.Queries, one)
-		}
-	}
-	if a := n.child("assertions"); a != nil && !a.isNull() {
-		if err := wantKind(a, seqNode, ctx+" assertions"); err != nil {
-			return nil, err
-		}
-		for ai, item := range a.items {
-			one, err := decodeAssertion(item, fmt.Sprintf("%s assertion %d", ctx, ai))
-			if err != nil {
-				return nil, err
-			}
-			s.Assertions = append(s.Assertions, one)
-		}
-	}
-	return s, nil
-}
-
-func decodeScenario(n *node, ctx string) (scenario.Scenario, error) {
-	var sc scenario.Scenario
-	if err := wantKind(n, mapNode, ctx); err != nil {
-		return sc, err
-	}
-	if err := checkKeys(n, ctx, "name", "mutations"); err != nil {
-		return sc, err
-	}
-	var err error
-	if sc.Name, err = optString(n, "name"); err != nil {
-		return sc, err
-	}
-	if m := n.child("mutations"); m != nil && !m.isNull() {
-		if err := wantKind(m, seqNode, ctx+" mutations"); err != nil {
-			return sc, err
-		}
-		for mi, item := range m.items {
-			mut, err := decodeMutation(item, fmt.Sprintf("%s mutation %d", ctx, mi))
-			if err != nil {
-				return sc, err
-			}
-			sc.Mutations = append(sc.Mutations, mut)
-		}
-	}
-	return sc, nil
-}
-
-func decodeMutation(n *node, ctx string) (scenario.Mutation, error) {
-	var m scenario.Mutation
-	if err := wantKind(n, mapNode, ctx); err != nil {
-		return m, err
-	}
-	if err := checkKeys(n, ctx, "op", "link", "host", "bandwidth_factor", "latency_factor",
-		"bandwidth", "latency", "src", "dst", "flows", "time"); err != nil {
-		return m, err
-	}
-	op, err := optString(n, "op")
-	if err != nil {
-		return m, err
-	}
-	m.Op = scenario.Op(op)
-	if m.Link, err = optString(n, "link"); err != nil {
-		return m, err
-	}
-	if m.Host, err = optString(n, "host"); err != nil {
-		return m, err
-	}
-	if m.BandwidthFactor, err = optFloat(n, "bandwidth_factor"); err != nil {
-		return m, err
-	}
-	if m.LatencyFactor, err = optFloat(n, "latency_factor"); err != nil {
-		return m, err
-	}
-	if m.Bandwidth, err = optFloatPtr(n, "bandwidth"); err != nil {
-		return m, err
-	}
-	if m.Latency, err = optFloatPtr(n, "latency"); err != nil {
-		return m, err
-	}
-	if m.Src, err = optString(n, "src"); err != nil {
-		return m, err
-	}
-	if m.Dst, err = optString(n, "dst"); err != nil {
-		return m, err
-	}
-	if m.Flows, err = optInt(n, "flows"); err != nil {
-		return m, err
-	}
-	if m.Time, err = optInt64(n, "time"); err != nil {
-		return m, err
-	}
-	return m, nil
-}
-
-func decodeQuery(n *node, ctx string) (pilgrim.EvalQuery, error) {
-	var q pilgrim.EvalQuery
-	if err := wantKind(n, mapNode, ctx); err != nil {
-		return q, err
-	}
-	if err := checkKeys(n, ctx, "kind", "transfers", "bg", "hypotheses", "workflow"); err != nil {
-		return q, err
-	}
-	var err error
-	if q.Kind, err = optString(n, "kind"); err != nil {
-		return q, err
-	}
-	if t := n.child("transfers"); t != nil && !t.isNull() {
-		if q.Transfers, err = decodeTransfers(t, ctx+" transfers"); err != nil {
-			return q, err
-		}
-	}
-	if bg := n.child("bg"); bg != nil && !bg.isNull() {
-		if q.Background, err = decodeFlows(bg, ctx+" bg"); err != nil {
-			return q, err
-		}
-	}
-	if h := n.child("hypotheses"); h != nil && !h.isNull() {
-		if err := wantKind(h, seqNode, ctx+" hypotheses"); err != nil {
-			return q, err
-		}
-		for hi, item := range h.items {
-			hctx := fmt.Sprintf("%s hypothesis %d", ctx, hi)
-			if err := wantKind(item, mapNode, hctx); err != nil {
-				return q, err
-			}
-			if err := checkKeys(item, hctx, "transfers"); err != nil {
-				return q, err
-			}
-			var hyp pilgrim.Hypothesis
-			if t := item.child("transfers"); t != nil && !t.isNull() {
-				if hyp.Transfers, err = decodeTransfers(t, hctx+" transfers"); err != nil {
-					return q, err
-				}
-			}
-			q.Hypotheses = append(q.Hypotheses, hyp)
-		}
-	}
-	if w := n.child("workflow"); w != nil && !w.isNull() {
-		if q.Workflow, err = decodeWorkflow(w, ctx+" workflow"); err != nil {
-			return q, err
-		}
-	}
-	return q, nil
-}
-
-func decodeTransfers(n *node, ctx string) ([]pilgrim.TransferRequest, error) {
-	if err := wantKind(n, seqNode, ctx); err != nil {
-		return nil, err
-	}
-	out := make([]pilgrim.TransferRequest, 0, len(n.items))
-	for i, item := range n.items {
-		tctx := fmt.Sprintf("%s %d", ctx, i)
-		if err := wantKind(item, mapNode, tctx); err != nil {
-			return nil, err
-		}
-		if err := checkKeys(item, tctx, "src", "dst", "size"); err != nil {
-			return nil, err
-		}
-		var t pilgrim.TransferRequest
-		var err error
-		if t.Src, err = optString(item, "src"); err != nil {
-			return nil, err
-		}
-		if t.Dst, err = optString(item, "dst"); err != nil {
-			return nil, err
-		}
-		if t.Size, err = optFloat(item, "size"); err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// decodeFlows decodes a background-flow list: items are {src: A, dst: B}
-// mappings.
-func decodeFlows(n *node, ctx string) ([][2]string, error) {
-	if err := wantKind(n, seqNode, ctx); err != nil {
-		return nil, err
-	}
-	out := make([][2]string, 0, len(n.items))
-	for i, item := range n.items {
-		fctx := fmt.Sprintf("%s %d", ctx, i)
-		if err := wantKind(item, mapNode, fctx); err != nil {
-			return nil, err
-		}
-		if err := checkKeys(item, fctx, "src", "dst"); err != nil {
-			return nil, err
-		}
-		src, err := optString(item, "src")
-		if err != nil {
-			return nil, err
-		}
-		dst, err := optString(item, "dst")
-		if err != nil {
-			return nil, err
-		}
-		if src == "" || dst == "" {
-			return nil, parseErrf(item.line, "%s: needs src and dst", fctx)
-		}
-		out = append(out, [2]string{src, dst})
-	}
-	return out, nil
-}
-
-func decodeWorkflow(n *node, ctx string) (*workflow.Workflow, error) {
-	if err := wantKind(n, mapNode, ctx); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, ctx, "name", "tasks"); err != nil {
-		return nil, err
-	}
-	w := &workflow.Workflow{}
-	var err error
-	if w.Name, err = optString(n, "name"); err != nil {
-		return nil, err
-	}
-	tasks := n.child("tasks")
-	if tasks == nil || tasks.isNull() {
-		return nil, parseErrf(n.line, "%s: needs tasks", ctx)
-	}
-	if err := wantKind(tasks, seqNode, ctx+" tasks"); err != nil {
-		return nil, err
-	}
-	for ti, item := range tasks.items {
-		tctx := fmt.Sprintf("%s task %d", ctx, ti)
-		if err := wantKind(item, mapNode, tctx); err != nil {
-			return nil, err
-		}
-		if err := checkKeys(item, tctx, "id", "kind", "host", "flops", "src", "dst", "bytes", "depends_on"); err != nil {
-			return nil, err
-		}
-		var t workflow.Task
-		if t.ID, err = optString(item, "id"); err != nil {
-			return nil, err
-		}
-		if t.KindName, err = optString(item, "kind"); err != nil {
-			return nil, err
-		}
-		if t.Host, err = optString(item, "host"); err != nil {
-			return nil, err
-		}
-		if t.Flops, err = optFloat(item, "flops"); err != nil {
-			return nil, err
-		}
-		if t.Src, err = optString(item, "src"); err != nil {
-			return nil, err
-		}
-		if t.Dst, err = optString(item, "dst"); err != nil {
-			return nil, err
-		}
-		if t.Bytes, err = optFloat(item, "bytes"); err != nil {
-			return nil, err
-		}
-		if deps := item.child("depends_on"); deps != nil && !deps.isNull() {
-			if err := wantKind(deps, seqNode, tctx+" depends_on"); err != nil {
-				return nil, err
-			}
-			for _, d := range deps.items {
-				if d.kind != scalarNode {
-					return nil, parseErrf(d.line, "%s depends_on: entries must be task ids", tctx)
-				}
-				t.DependsOn = append(t.DependsOn, d.scalar)
+		for i, item := range n.items {
+			if err := decode(item, v.Index(i), fmt.Sprintf("%s[%d]", path, i)); err != nil {
+				return err
 			}
 		}
-		w.Tasks = append(w.Tasks, t)
+		return nil
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		return decode(n, v.Elem(), path)
 	}
-	return w, nil
+	return decodeScalar(n, v, path)
 }
 
-// ---------------------------------------------------------------------
-// Typed scalar accessors. All errors carry the source line.
-
-func wantKind(n *node, kind nodeKind, ctx string) error {
-	if n == nil {
-		return parseErrf(0, "%s: missing", ctx)
+// decodeStruct fills a struct from a mapping keyed by its json names.
+func decodeStruct(n *node, v reflect.Value, path string) error {
+	if n.kind != mapNode {
+		return parseErrf(n.line, "%s: expected a mapping, got a %s", path, n.kind)
 	}
-	if n.kind != kind {
-		return parseErrf(n.line, "%s: expected a %s, got a %s", ctx, kind, n.kind)
-	}
-	return nil
-}
-
-// checkKeys rejects unknown mapping keys — strict decoding catches
-// typos ("asertions") instead of silently ignoring them.
-func checkKeys(n *node, ctx string, allowed ...string) error {
+	names, index := jsonFields(v.Type())
 	for _, k := range n.keys {
-		found := false
-		for _, a := range allowed {
-			if k == a {
-				found = true
-				break
+		c := n.vals[k]
+		i, ok := index[k]
+		if !ok {
+			return parseErrf(c.line, "%s: unknown field %q (known: %v)", path, k, names)
+		}
+		if c.isNull() {
+			continue
+		}
+		f, fpath := v.Field(i), path+"."+k
+		if k == "at" {
+			// An event's or a step's instant.
+			secs, err := offset(c, fpath)
+			if err != nil {
+				return err
 			}
+			f.SetInt(secs)
+		} else if err := decode(c, f, fpath); err != nil {
+			return err
 		}
-		if !found {
-			return parseErrf(n.vals[k].line, "%s: unknown field %q (known: %v)", ctx, k, allowed)
+	}
+	// What a decoded value keeps of its source, and the keys it may not
+	// leave out.
+	switch p := v.Addr().Interface().(type) {
+	case *Event:
+		p.line = n.line
+		if p.Action == actionUpdateLinks {
+			p.Action = ActionObserve
 		}
+		return require(n, "at", path)
+	case *Step:
+		p.line = n.line
+		return require(n, "at", path)
+	case *Assertion:
+		p.line = n.line
+	case *workflow.Workflow:
+		return require(n, "tasks", path)
 	}
 	return nil
 }
 
-func optString(n *node, key string) (string, error) {
-	c := n.child(key)
-	if c == nil || c.isNull() {
-		return "", nil
+// jsonFields lists t's json names in declaration order and maps each to
+// its field index. Unexported and `json:"-"` fields have none.
+func jsonFields(t reflect.Type) ([]string, map[string]int) {
+	var names []string
+	index := make(map[string]int, t.NumField())
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if !f.IsExported() || name == "-" {
+			continue
+		}
+		if name == "" {
+			name = f.Name
+		}
+		names = append(names, name)
+		index[name] = i
 	}
+	return names, index
+}
+
+// scalarKinds says what a scalar field of each supported kind expects.
+var scalarKinds = map[reflect.Kind]string{
+	reflect.String:  "a string",
+	reflect.Bool:    "a boolean",
+	reflect.Int:     "an integer",
+	reflect.Int64:   "an integer",
+	reflect.Float64: "a number",
+}
+
+func decodeScalar(n *node, v reflect.Value, path string) error {
+	want, ok := scalarKinds[v.Kind()]
+	if !ok {
+		return parseErrf(n.line, "%s: cannot decode into %s", path, v.Type())
+	}
+	if n.kind != scalarNode {
+		return parseErrf(n.line, "%s: expected %s, got a %s", path, want, n.kind)
+	}
+	s := n.scalar
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(s)
+	case reflect.Bool:
+		switch s {
+		case "true", "True", "TRUE", "yes", "on":
+			v.SetBool(true)
+		case "false", "False", "FALSE", "no", "off":
+			v.SetBool(false)
+		default:
+			return parseErrf(n.line, "%s: invalid boolean %q", path, s)
+		}
+	case reflect.Int, reflect.Int64:
+		x, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return parseErrf(n.line, "%s: invalid integer %q", path, s)
+		}
+		if v.OverflowInt(x) {
+			return parseErrf(n.line, "%s: integer %d out of range", path, x)
+		}
+		v.SetInt(x)
+	case reflect.Float64:
+		x, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return parseErrf(n.line, "%s: invalid number %q", path, s)
+		}
+		v.SetFloat(x)
+	}
+	return nil
+}
+
+// require rejects a mapping that leaves key out or null.
+func require(n *node, key, path string) error {
+	if c := n.child(key); c == nil || c.isNull() {
+		return parseErrf(n.line, "%s: missing %s", path, key)
+	}
+	return nil
+}
+
+// offset parses an `at:` instant: a bare integer is whole seconds,
+// otherwise a Go duration string ("90s", "2m30s"). The timeline's
+// resolution is one second, so fractional seconds are rejected rather
+// than silently rounded.
+func offset(c *node, path string) (int64, error) {
 	if c.kind != scalarNode {
-		return "", parseErrf(c.line, "%s: expected a string, got a %s", key, c.kind)
-	}
-	return c.scalar, nil
-}
-
-func optBool(n *node, key string) (bool, error) {
-	c := n.child(key)
-	if c == nil || c.isNull() {
-		return false, nil
-	}
-	if c.kind != scalarNode {
-		return false, parseErrf(c.line, "%s: expected a boolean, got a %s", key, c.kind)
-	}
-	switch c.scalar {
-	case "true", "True", "TRUE", "yes", "on":
-		return true, nil
-	case "false", "False", "FALSE", "no", "off":
-		return false, nil
-	}
-	return false, parseErrf(c.line, "%s: invalid boolean %q", key, c.scalar)
-}
-
-func scalarFloat(c *node, key string) (float64, error) {
-	if c.kind != scalarNode {
-		return 0, parseErrf(c.line, "%s: expected a number, got a %s", key, c.kind)
-	}
-	v, err := strconv.ParseFloat(c.scalar, 64)
-	if err != nil {
-		return 0, parseErrf(c.line, "%s: invalid number %q", key, c.scalar)
-	}
-	return v, nil
-}
-
-func optFloat(n *node, key string) (float64, error) {
-	c := n.child(key)
-	if c == nil || c.isNull() {
-		return 0, nil
-	}
-	return scalarFloat(c, key)
-}
-
-func optFloatPtr(n *node, key string) (*float64, error) {
-	c := n.child(key)
-	if c == nil || c.isNull() {
-		return nil, nil
-	}
-	v, err := scalarFloat(c, key)
-	if err != nil {
-		return nil, err
-	}
-	return &v, nil
-}
-
-func scalarInt(c *node, key string) (int64, error) {
-	if c.kind != scalarNode {
-		return 0, parseErrf(c.line, "%s: expected an integer, got a %s", key, c.kind)
-	}
-	v, err := strconv.ParseInt(c.scalar, 10, 64)
-	if err != nil {
-		return 0, parseErrf(c.line, "%s: invalid integer %q", key, c.scalar)
-	}
-	return v, nil
-}
-
-func optInt(n *node, key string) (int, error) {
-	c := n.child(key)
-	if c == nil || c.isNull() {
-		return 0, nil
-	}
-	v, err := scalarInt(c, key)
-	if err != nil {
-		return 0, err
-	}
-	if v != int64(int(v)) {
-		return 0, parseErrf(c.line, "%s: integer %d out of range", key, v)
-	}
-	return int(v), nil
-}
-
-func optInt64(n *node, key string) (int64, error) {
-	c := n.child(key)
-	if c == nil || c.isNull() {
-		return 0, nil
-	}
-	return scalarInt(c, key)
-}
-
-// requiredDuration parses an `at:` offset: a bare number is whole
-// seconds, otherwise a Go duration string ("90s", "2m30s"). The
-// timeline's resolution is one second, so fractional seconds are
-// rejected rather than silently rounded.
-func requiredDuration(n *node, key, ctx string) (int64, error) {
-	c := n.child(key)
-	if c == nil || c.isNull() {
-		return 0, parseErrf(n.line, "%s: missing %s", ctx, key)
-	}
-	if c.kind != scalarNode {
-		return 0, parseErrf(c.line, "%s: expected a duration, got a %s", key, c.kind)
+		return 0, parseErrf(c.line, "%s: expected a duration, got a %s", path, c.kind)
 	}
 	if secs, err := strconv.ParseInt(c.scalar, 10, 64); err == nil {
 		return secs, nil
 	}
 	d, err := time.ParseDuration(c.scalar)
 	if err != nil {
-		return 0, parseErrf(c.line, "%s: invalid duration %q", key, c.scalar)
+		return 0, parseErrf(c.line, "%s: invalid duration %q", path, c.scalar)
 	}
 	if d%time.Second != 0 {
-		return 0, parseErrf(c.line, "%s: duration %q is not a whole number of seconds (timeline resolution)", key, c.scalar)
+		return 0, parseErrf(c.line, "%s: duration %q is not a whole number of seconds (timeline resolution)", path, c.scalar)
 	}
 	return int64(d / time.Second), nil
 }

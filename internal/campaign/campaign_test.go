@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -115,6 +116,12 @@ func TestLoadRejects(t *testing.T) {
 		{"unterminated quote", "name: \"x\nplatform: g5k_mini\n", "quote"},
 		{"unterminated flow", "name: x\nplatform: g5k_mini\nsteps: [\n", "flow"},
 		{"scalar where sequence expected", "name: x\nplatform: g5k_mini\nsteps: yes\n", "expected a sequence"},
+		{"flow with src but no dst", strings.Replace(valid, "size: 1.0e8}\n", "size: 1.0e8}\n        bg: [{src: graphene-2.nancy.grid5000.fr}]\n", 1), "needs src and dst"},
+		{"tolerance given as a list", strings.Replace(valid, "tolerance: {abs: 0.1, rel: 0.01}", "tolerance: [0.1, 0.01]", 1), "tolerance"},
+		{"invalid boolean", strings.Replace(valid, "  name: mini\n", "  name: mini\n  gamma_latfactor: maybe\n", 1), `invalid boolean "maybe"`},
+		{"overflowing flows", strings.Replace(valid, "flows: 2", "flows: 99999999999999999999", 1), "flows"},
+		{"non-scalar at", strings.Replace(valid, "at: 5\n", "at: [5]\n", 1), "expected a duration"},
+		{"unknown key in a mutation", strings.Replace(valid, "bandwidth_factor: 0.5}", "bandwidth_factor: 0.5, speed: 2}", 1), `"speed"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,5 +182,95 @@ steps:
 	}
 	if c.Start != DefaultStart {
 		t.Errorf("default start = %d", c.Start)
+	}
+}
+
+// TestCampaignFieldsFollowJSONTags generates, from the json tags alone, a
+// document that sets every tagged field of every type a campaign reaches,
+// and checks that each field lands non-zero. It names no field, so a
+// tagged field added later is covered with no edit here.
+func TestCampaignFieldsFollowJSONTags(t *testing.T) {
+	var doc strings.Builder
+	writeSample(t, &doc, reflect.TypeOf(Campaign{}))
+	root, err := parseYAML([]byte(doc.String()))
+	if err != nil {
+		t.Fatalf("%v\n%s", err, doc.String())
+	}
+	var c Campaign
+	if err := decode(root, reflect.ValueOf(&c).Elem(), "campaign"); err != nil {
+		t.Fatalf("%v\n%s", err, doc.String())
+	}
+	types := map[reflect.Type]bool{}
+	requireAllSet(t, reflect.ValueOf(c), "campaign", types)
+	t.Logf("%d types, every tagged field set", len(types))
+}
+
+// taggedFields returns t's fields that carry a json name.
+func taggedFields(t reflect.Type) (fields []reflect.StructField, names []string) {
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		if name != "" && name != "-" {
+			fields = append(fields, t.Field(i))
+			names = append(names, name)
+		}
+	}
+	return fields, names
+}
+
+// writeSample writes a flow-style YAML value of type t, non-zero in
+// every tagged field.
+func writeSample(t *testing.T, b *strings.Builder, typ reflect.Type) {
+	switch typ.Kind() {
+	case reflect.Struct:
+		fields, names := taggedFields(typ)
+		b.WriteString("{")
+		for i, f := range fields {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(names[i] + ": ")
+			writeSample(t, b, f.Type)
+		}
+		b.WriteString("}")
+	case reflect.Slice:
+		b.WriteString("[")
+		writeSample(t, b, typ.Elem())
+		b.WriteString("]")
+	case reflect.Array: // a [2]string background flow
+		b.WriteString("{src: a, dst: b}")
+	case reflect.Pointer:
+		writeSample(t, b, typ.Elem())
+	case reflect.String:
+		b.WriteString("x")
+	case reflect.Bool:
+		b.WriteString("true")
+	case reflect.Int, reflect.Int64:
+		b.WriteString("1")
+	case reflect.Float64:
+		b.WriteString("1.5")
+	default:
+		t.Fatalf("no sample for a %s field", typ)
+	}
+}
+
+// requireAllSet fails for every tagged field of v, or of a value v
+// reaches, left zero.
+func requireAllSet(t *testing.T, v reflect.Value, path string, types map[reflect.Type]bool) {
+	switch v.Kind() {
+	case reflect.Struct:
+		types[v.Type()] = true
+		fields, names := taggedFields(v.Type())
+		for i, f := range fields {
+			fv := v.FieldByIndex(f.Index)
+			if fv.IsZero() {
+				t.Errorf("%s.%s: not decoded", path, names[i])
+				continue
+			}
+			requireAllSet(t, fv, path+"."+names[i], types)
+		}
+	case reflect.Slice:
+		requireAllSet(t, v.Index(0), path+"[0]", types)
+	case reflect.Pointer:
+		requireAllSet(t, v.Elem(), path, types)
 	}
 }

@@ -29,6 +29,15 @@ func FuzzLoad(f *testing.F) {
 	f.Add("steps:\n  - at: 1\n    queries:\n      - kind: guess\n")
 	f.Add("a: {b: [1, {c: d}, 'e']}\nf:\n  - g: h\n")
 	f.Add("x: 1.0e8\ny: -5\nz: null\nw: true\n")
+	// The campaign-only shorthands: a scalar platform, a scalar
+	// tolerance, a duration instant, the update_links alias, and a
+	// {src, dst} background flow.
+	const step = "steps:\n  - at: 1\n    queries:\n      - {kind: predict_transfers, transfers: [{src: a, dst: b, size: 1}]}\n"
+	f.Add("name: x\nplatform: g5k_cabinets\n" + step)
+	f.Add("name: x\nplatform: g5k_mini\n" + step + "    assertions:\n      - {type: bound, max: 9, tolerance: 0.5}\n")
+	f.Add("name: x\nplatform: g5k_mini\nsteps:\n  - at: 2m30s\n    queries:\n      - {kind: predict_transfers, transfers: [{src: a, dst: b, size: 1}]}\n")
+	f.Add("name: x\nplatform: g5k_mini\nevents:\n  - {at: 1, action: update_links, links: [{link: l, bandwidth: 5}]}\n" + step)
+	f.Add("name: x\nplatform: g5k_mini\nsteps:\n  - at: 1\n    queries:\n      - {kind: predict_transfers, transfers: [{src: a, dst: b, size: 1}], bg: [{src: a, dst: c}]}\n")
 
 	f.Fuzz(func(t *testing.T, doc string) {
 		c, err := Load([]byte(doc))

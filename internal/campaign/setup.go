@@ -10,9 +10,8 @@ import (
 	"pilgrim/internal/store"
 )
 
-// GenerateVariants maps the campaign `generate:` values to a reference
-// dataset and platgen variant. g5k_mini builds the compact two-site
-// reference — the fast flavour for smoke campaigns and CI.
+// GenerateVariants lists the campaign `generate:` values (platgen.Named
+// resolves each to a reference dataset and variant).
 var GenerateVariants = []string{"g5k_test", "g5k_cabinets", "g5k_mini"}
 
 // BuildRegistry generates the campaign's platform from the embedded
@@ -32,17 +31,8 @@ func BuildDurableRegistry(ref PlatformRef, s pilgrim.Storage, recovered *store.R
 	if ref.Generate == "" {
 		return nil, fmt.Errorf("campaign: platform has no generate: variant (in-process replay needs one; use -server for a remote platform)")
 	}
-	dataset := g5k.Default()
-	var variant platgen.Variant
-	switch ref.Generate {
-	case "g5k_test":
-		variant = platgen.G5KTest
-	case "g5k_cabinets":
-		variant = platgen.G5KCabinets
-	case "g5k_mini":
-		dataset = g5k.Mini()
-		variant = platgen.G5KTest
-	default:
+	dataset, variant, ok := platgen.Named(ref.Generate, g5k.Default())
+	if !ok {
 		return nil, fmt.Errorf("campaign: unknown generate variant %q (have %v)", ref.Generate, GenerateVariants)
 	}
 	plat, err := platgen.Generate(dataset, platgen.Options{

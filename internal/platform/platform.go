@@ -283,9 +283,10 @@ type Platform struct {
 	links    map[string]*Link
 	linkList []*Link // creation order: the link ordinals route tables store
 
-	// mu serializes Compile, the only builder of Floyd tables: concurrent
-	// first Snapshot calls may compile together, and each would otherwise
-	// build and store the same AS's table.
+	// mu serializes compiles: compile is the only builder of Floyd
+	// tables, and two compiles would otherwise build and store the same
+	// AS's table together. Snapshot holds it from its second look at
+	// snap to the store, so racing first callers compile once.
 	mu sync.Mutex
 
 	// snap memoizes the compiled base-epoch snapshot (see snapshot.go);

@@ -282,12 +282,15 @@ type snapAS struct {
 // share. Most callers want Snapshot, which memoizes the compilation until
 // the next mutation.
 func (p *Platform) Compile() *Snapshot {
-	// Compile is the only builder of Floyd tables, which it builds lazily
-	// and stores on the AS; the lock keeps concurrent compiles (racing
-	// first Snapshot calls) from building and storing them together.
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.compile()
+}
 
+// compile is Compile's body; the caller holds p.mu. It is the only
+// builder of Floyd tables, which it builds lazily and stores on the AS,
+// so the lock keeps two compiles from building and storing them together.
+func (p *Platform) compile() *Snapshot {
 	t := &topology{src: p}
 
 	// Dense host/link indices in sorted-name order (matching Hosts/Links).
@@ -467,11 +470,16 @@ func (p *Platform) Snapshot() *Snapshot {
 	if s := p.snap.Load(); s != nil {
 		return s
 	}
-	s := p.Compile()
-	if p.snap.CompareAndSwap(nil, s) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// Racing first callers queue on mu; all but the first find the
+	// snapshot it published.
+	if s := p.snap.Load(); s != nil {
 		return s
 	}
-	return p.snap.Load()
+	s := p.compile()
+	p.snap.Store(s)
+	return s
 }
 
 // Epoch returns the process-unique epoch number of this snapshot's

@@ -502,15 +502,16 @@ func TestSnapshotConcurrentPublication(t *testing.T) {
 }
 
 // TestConcurrentFirstSnapshot races the first Snapshot calls of fresh
-// platforms holding a Floyd AS, so several compiles may run at once and
-// each finds the Floyd table unbuilt (run it under -race: Platform.mu is
-// what serializes the builds). Every caller must get the one published
+// platforms holding a Floyd AS (run it under -race: Platform.mu is what
+// serializes the Floyd builds). The platform must compile once per
+// round — each compile mints an epoch — every caller must get that one
 // snapshot, and its routes through the Floyd AS must match the reference.
 func TestConcurrentFirstSnapshot(t *testing.T) {
 	pairs := [][2]string{{"mesh-0", "m-out"}, {"lyon-1", "mesh-0"}, {"m-out", "cl-2"}}
 	const workers = 8
 	for round := 0; round < 20; round++ {
 		p := buildMixedPlatform(t, 3)
+		before := snapshotEpochs.Load()
 		got := make([]*Snapshot, workers)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -524,6 +525,9 @@ func TestConcurrentFirstSnapshot(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
+		if n := snapshotEpochs.Load() - before; n != 1 {
+			t.Fatalf("round %d: %d racing first callers compiled %d times, want once", round, workers, n)
+		}
 		for g, s := range got {
 			if s != got[0] {
 				t.Fatalf("round %d: goroutine %d got snapshot epoch %d, goroutine 0 epoch %d", round, g, s.Epoch(), got[0].Epoch())

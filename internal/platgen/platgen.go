@@ -56,6 +56,28 @@ func (v Variant) String() string {
 	}
 }
 
+// ParseVariant is the inverse of String.
+func ParseVariant(name string) (Variant, bool) {
+	for _, v := range []Variant{G5KTest, G5KCabinets} {
+		if v.String() == name {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// Named resolves a generated platform's name to the reference it is
+// built from and its variant. A variant name builds ref; "g5k_mini"
+// builds the compact two-site g5k.Mini with the G5KTest topology, the
+// fast flavour for smoke campaigns and CI.
+func Named(name string, ref *g5k.Reference) (*g5k.Reference, Variant, bool) {
+	if name == "g5k_mini" {
+		return g5k.Mini(), G5KTest, true
+	}
+	v, ok := ParseVariant(name)
+	return ref, v, ok
+}
+
 // Options configures generation. The zero value reproduces the paper's
 // g5k_test platform.
 type Options struct {

@@ -380,3 +380,32 @@ func BenchmarkGenerateFlat(b *testing.B) {
 		}
 	}
 }
+
+// TestNamedPlatforms: ParseVariant inverts String, and Named builds
+// g5k_mini from the mini reference and every other name from the one
+// given.
+func TestNamedPlatforms(t *testing.T) {
+	for _, v := range []Variant{G5KTest, G5KCabinets} {
+		if got, ok := ParseVariant(v.String()); !ok || got != v {
+			t.Errorf("ParseVariant(%q) = %v, %v", v, got, ok)
+		}
+	}
+	ref := g5k.Default()
+	for name, want := range map[string]Variant{"g5k_test": G5KTest, "g5k_cabinets": G5KCabinets} {
+		if got, v, ok := Named(name, ref); !ok || got != ref || v != want {
+			t.Errorf("Named(%q) = %p, %v, %v", name, got, v, ok)
+		}
+	}
+	mini, v, ok := Named("g5k_mini", ref)
+	if !ok || v != G5KTest || len(mini.Sites) != len(g5k.Mini().Sites) || mini == ref {
+		t.Errorf("Named(g5k_mini) = %d sites, %v, %v", len(mini.Sites), v, ok)
+	}
+	for _, name := range []string{"", "g5k_mini2", "Variant(0)"} {
+		if _, ok := ParseVariant(name); ok {
+			t.Errorf("ParseVariant(%q) accepted", name)
+		}
+		if _, _, ok := Named(name, ref); ok {
+			t.Errorf("Named(%q) accepted", name)
+		}
+	}
+}
