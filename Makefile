@@ -17,12 +17,13 @@ BENCH_COUNT := 5
 # overlay/batched-evaluation claims, differential evaluation (base-answer
 # reuse vs cold), and the end-to-end HTTP serving
 # path (one predict sub-benchmark per rung of the serving ladder, pooled
-# encoders vs encoding/json, plus the coalescing burst), and assembling
+# encoders vs encoding/json, cold-miss's 60-transfer cross-site request
+# served in process, plus the coalescing burst), and assembling
 # the g5k_test platform (Generate + compile, with the live heap it keeps),
 # publishing every host pair's route into a fresh snapshot (the memo's
 # live heap and one forced GC over it), and a durable restart (store.Open
 # plus Registry.Add over a 2000-observation log tail).
-KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkCold60CrossSite|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs|BenchmarkRegistryRestart
+KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkCold60CrossSite|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPPredict60CrossSite|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs|BenchmarkRegistryRestart
 
 .PHONY: all build test vet orphans race bench bench-smoke bench-check bench-baseline bench-fleet campaign-check recovery-check fleet-smoke loadgen-smoke profile clean
 
@@ -152,7 +153,9 @@ loadgen-smoke:
 # shapes where the max-min solver (flow.System.Solve) dominates: an
 # evaluate grid with fresh sizes and factors served over HTTP (the
 # whatif-grid workload's shape) and one cold 60-transfer cross-site
-# forecast (cold-miss's). It also profiles platform assembly (Generate +
+# forecast (cold-miss's), and of that forecast's request served through
+# the handler (coldmiss_http_cpu.pprof: query decode, canonicalize, the
+# simulation, store and encode). It also profiles platform assembly (Generate +
 # Snapshot of g5k_test, what every workload's setup_s pays) into
 # setup_cpu.pprof. Inspect with e.g.
 # `go tool pprof -top profiles/cold60_cpu.pprof`.
@@ -164,9 +167,11 @@ profile:
 		-cpuprofile profiles/whatif_cpu.pprof .
 	go test -run '^$$' -bench '^BenchmarkCold60CrossSite$$' -benchtime 3000x -count 1 \
 		-cpuprofile profiles/cold60_cpu.pprof .
+	go test -run '^$$' -bench '^BenchmarkHTTPPredict60CrossSite$$/^miss$$' -benchtime 3000x -count 1 \
+		-cpuprofile profiles/coldmiss_http_cpu.pprof .
 	go test -run '^$$' -bench '^BenchmarkPlatformSetup$$' -benchtime 100x -count 1 \
 		-cpuprofile profiles/setup_cpu.pprof .
-	@echo wrote profiles/evaluate_cpu.pprof profiles/evaluate_mem.pprof profiles/whatif_cpu.pprof profiles/cold60_cpu.pprof profiles/setup_cpu.pprof
+	@echo wrote profiles/evaluate_cpu.pprof profiles/evaluate_mem.pprof profiles/whatif_cpu.pprof profiles/cold60_cpu.pprof profiles/coldmiss_http_cpu.pprof profiles/setup_cpu.pprof
 
 clean:
 	rm -f bench_*.out

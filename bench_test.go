@@ -214,17 +214,10 @@ func BenchmarkIncrementalSharing(b *testing.B) {
 	b.ReportMetric(touched/reshared, "vars-touched/resharing")
 }
 
-// BenchmarkCold60CrossSite is the function-level record of the system
-// benchmark's cold-miss workload: one uncached 60-transfer prediction on
-// g5k_test, every transfer from a random host to a host on another site
-// (Fig. 11's GRID_MULTI shape), sizes log-uniform in 0.1–10 GB. The
-// transfers share the backbone, so they form one flow component and each
-// completion re-solves it: touched/op is how many variables those
-// re-solves re-filled. A ring of distinct requests keeps one request's
-// event order from flattering the number.
-func BenchmarkCold60CrossSite(b *testing.B) {
-	setup(b)
-	snap := entry.Platform.Snapshot()
+// crossSiteRing returns 64 cold-miss-shaped requests on g5k_test: 60
+// transfers each, every one from a random host to a host on another site,
+// sizes log-uniform in 0.1–10 GB.
+func crossSiteRing() [][]sim.Transfer {
 	bySite := map[string][]string{}
 	var sites []string
 	for _, h := range entry.Platform.Hosts() {
@@ -248,6 +241,21 @@ func BenchmarkCold60CrossSite(b *testing.B) {
 			})
 		}
 	}
+	return ring
+}
+
+// BenchmarkCold60CrossSite is the function-level record of the system
+// benchmark's cold-miss workload: one uncached 60-transfer prediction on
+// g5k_test, every transfer from a random host to a host on another site
+// (Fig. 11's GRID_MULTI shape), sizes log-uniform in 0.1–10 GB. The
+// transfers share the backbone, so they form one flow component and each
+// completion re-solves it: touched/op is how many variables those
+// re-solves re-filled. A ring of distinct requests keeps one request's
+// event order from flattering the number.
+func BenchmarkCold60CrossSite(b *testing.B) {
+	setup(b)
+	snap := entry.Platform.Snapshot()
+	ring := crossSiteRing()
 	var touched, reshared int
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -207,6 +207,42 @@ func BenchmarkHTTPPredict30(b *testing.B) {
 	})
 }
 
+// BenchmarkHTTPPredict60CrossSite is the system benchmark's cold-miss
+// request served in process: BenchmarkCold60CrossSite's requests (60
+// cross-site transfers), spelled as bench/'s clients spell them.
+//
+//   - miss: a distinct request every iteration (the ring's next request,
+//     its first size moved each time) with every route already published,
+//     so each iteration is query decode, canonicalize, one simulation, one
+//     store and the encode — cold-miss's server work.
+func BenchmarkHTTPPredict60CrossSite(b *testing.B) {
+	s, srv := benchServer(b)
+	var ring [][]pilgrim.TransferRequest
+	for _, req := range crossSiteRing() {
+		var transfers []pilgrim.TransferRequest
+		for _, t := range req {
+			transfers = append(transfers, pilgrim.TransferRequest{Src: t.Src, Dst: t.Dst, Size: t.Size})
+		}
+		ring = append(ring, transfers)
+		// Publishes every route the ring asks for.
+		serveDirect(b, s, http.MethodGet, predictURLOf(srv.URL, transfers), nil)
+	}
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			// A size no earlier iteration (of this or a previous b.N round)
+			// used makes the request a miss.
+			transfers := ring[i%len(ring)]
+			transfers[0].Size++
+			u := predictURLOf(srv.URL, transfers)
+			b.StartTimer()
+			serveDirect(b, s, http.MethodGet, u, nil)
+		}
+	})
+}
+
 // evaluateGrid30x8 returns a renderer of the whatif-grid request shape
 // (bench/README.md): one 30-transfer query under a baseline, three
 // scenarios scaling links off every route (reuse), three scaling a link on

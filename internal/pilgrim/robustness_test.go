@@ -108,8 +108,10 @@ func TestDeadlineExpiredWhileQueued(t *testing.T) {
 }
 
 // TestDeadlineParam checks the deadline query parameter: malformed values
-// answer 400, a generous deadline lets the request through, and an
-// already-expired one answers 504 before any simulation starts.
+// answer 400, a generous deadline lets the request through — also one
+// beyond time.Duration's range (~9.2e9 s), whose nanosecond count used to
+// wrap negative and answer 504 at once — and an already-expired one
+// answers 504 before any simulation starts.
 func TestDeadlineParam(t *testing.T) {
 	_, srv := newRobustnessServer(t)
 	for _, bad := range []string{"abc", "-1", "0", "NaN", "+Inf"} {
@@ -122,17 +124,21 @@ func TestDeadlineParam(t *testing.T) {
 			t.Fatalf("deadline=%s: status %d, want 400", bad, resp.StatusCode)
 		}
 	}
-	resp, err := http.Get(srv.URL + predictPath + "&deadline=30")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("deadline=30: status %d, want 200", resp.StatusCode)
+	for _, generous := range []string{"30", "1e9", "9.3e9", "1e300"} {
+		for _, path := range []string{predictPath, "/pilgrim/select_fastest/g5k_test?hypothesis=" + lyon(1) + "," + lyon(2) + ",1e8"} {
+			resp, err := http.Get(srv.URL + path + "&deadline=" + generous)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s&deadline=%s: status %d, want 200", path, generous, resp.StatusCode)
+			}
+		}
 	}
 	// A nanosecond deadline expires during admit(); the handler's
 	// pre-simulation check turns it into 504 rather than burning a sim.
-	resp, err = http.Get(srv.URL + predictPath + "&deadline=0.000000001")
+	resp, err := http.Get(srv.URL + predictPath + "&deadline=0.000000001")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (ctx context.Cont
 }
 
 // acquire applies admission control and the optional deadline (seconds,
-// fractional allowed; "" for none) to a simulation request. Returns a
+// fractional allowed; "" for none) to a simulation request. A budget
+// beyond time.Duration's range (~292 years) is no deadline. Returns a
 // context for the work, a cleanup to defer, and ok=false when the
 // request was already answered (429 on shed, 504 on a deadline that
 // expired while queued, 400 on a malformed deadline).
@@ -218,7 +219,9 @@ func (s *Server) acquire(w http.ResponseWriter, r *http.Request, dl string) (ctx
 			http.Error(w, fmt.Sprintf("deadline %q is not a positive number of seconds", dl), http.StatusBadRequest)
 			return nil, nil, false
 		}
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(secs*float64(time.Second)))
+		if ns := secs * float64(time.Second); ns < math.MaxInt64 {
+			ctx, cancel = context.WithTimeout(ctx, time.Duration(ns))
+		}
 	}
 	adm := s.admission.Load()
 	release, err := adm.Acquire(ctx)
@@ -369,8 +372,9 @@ func parseTransferParam(v string) (TransferRequest, error) {
 // the entry is pinned to the newest-observation epoch; with a past T, to
 // the timeline epoch in effect at T; with a future T inside the horizon
 // cap, to the NWS-extrapolated forecast epoch. Beyond-horizon futures and
-// malformed timestamps answer 400, unknown platforms 404.
-func (s *Server) platformOf(w http.ResponseWriter, r *http.Request, q url.Values) (PlatformEntry, bool) {
+// malformed timestamps answer 400, unknown platforms 404. atParam is the
+// request's first at= value ("" for none).
+func (s *Server) platformOf(w http.ResponseWriter, r *http.Request, atParam string) (PlatformEntry, bool) {
 	if !s.ownsPlatform(w, r) {
 		return PlatformEntry{}, false
 	}
@@ -380,7 +384,7 @@ func (s *Server) platformOf(w http.ResponseWriter, r *http.Request, q url.Values
 		http.Error(w, fmt.Sprintf("unknown platform %q", name), http.StatusNotFound)
 		return PlatformEntry{}, false
 	}
-	if atParam := q.Get("at"); atParam != "" {
+	if atParam != "" {
 		at, err := parseTimestamp(atParam)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("at: %v", err), http.StatusBadRequest)
@@ -413,19 +417,21 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			poll = fc.hasRendering(renderKeyOf(name, head, r.URL.RawQuery))
 		}
 	}
-	var q url.Values // stays nil on a poll: no at, no deadline
+	// On a poll p stays the shared empty query (no at, no deadline) unless
+	// the rendered hit falls through: a poll decodes nothing.
+	p := &emptyPredictQuery
 	if !poll {
-		var ok bool
-		if q, ok = parseQuery(w, r); !ok {
+		if p = decodePredict(w, r); p == nil {
 			return
 		}
+		defer p.release()
 	}
-	ctx, cleanup, ok := s.acquire(w, r, q.Get("deadline"))
+	ctx, cleanup, ok := s.acquire(w, r, p.deadline)
 	if !ok {
 		return
 	}
 	defer cleanup()
-	entry, ok := s.platformOf(w, r, q)
+	entry, ok := s.platformOf(w, r, p.at)
 	if !ok {
 		return
 	}
@@ -437,33 +443,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// Evicted, or the epoch moved, since the probe: the long way.
-		if q, ok = parseQuery(w, r); !ok {
+		if p = decodePredict(w, r); p == nil {
 			return
 		}
+		defer p.release()
 	}
-	tl := transferLists.Get().(*[]TransferRequest)
-	defer putTransferList(tl)
-	for _, v := range q["transfer"] {
-		t, err := parseTransferParam(v)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		*tl = append(*tl, t)
-	}
-	transfers := *tl
-	if len(transfers) == 0 {
-		http.Error(w, "at least one transfer parameter required", http.StatusBadRequest)
+	if err := p.err(); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	var background [][2]string
-	for _, v := range q["bg"] {
-		src, dst, ok := strings.Cut(v, ",")
-		if !ok || strings.Contains(dst, ",") {
-			http.Error(w, fmt.Sprintf("bg %q is not src,dst", v), http.StatusBadRequest)
-			return
-		}
-		background = append(background, [2]string{src, dst})
 	}
 	// One simulation, not interruptible mid-run: honor the deadline by
 	// refusing to start once it has passed (it may have expired while the
@@ -472,7 +459,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		finishCtx(w, err)
 		return
 	}
-	canonical, cq, err := fc.predictKeyed(ctx, name, entry, transfers, background)
+	canonical, cq, err := fc.predictKeyed(ctx, name, entry, p.transfers, p.background)
 	if err != nil {
 		if finishCtx(w, err) {
 			return
@@ -488,21 +475,28 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// (docs/DESIGN.md, "Serving hot path"): no reordered copy is built
 	// unless the encoder falls back to encoding/json.
 	e := encodePredictions(canonical, cq.order)
-	if !e.fallback && !q.Has("at") && !q.Has("deadline") {
+	if !e.fallback && !p.hasAt && !p.hasDeadline {
 		fc.attachRendering(cq.key, rk, e.buf)
 	}
 	writeHotJSON(w, e, func() any { return reorder(canonical, cq.order) })
 }
 
-// transferLists pools handlePredict's parsed transfer lists. Nothing a
-// request leaves behind holds the slice — a cached answer keeps the
-// request's strings, never the list — so it is recycled on return.
-var transferLists = sync.Pool{New: func() any { return new([]TransferRequest) }}
-
-func putTransferList(tl *[]TransferRequest) {
-	clear(*tl)
-	*tl = (*tl)[:0]
-	transferLists.Put(tl)
+// decodePredict decodes r's query into a pooled predictQuery, to be
+// released by the caller: strictly when it can (predictQuery.decodeStrict),
+// through url.ParseQuery otherwise. Returns nil when the query was
+// malformed and the 400 has been written.
+func decodePredict(w http.ResponseWriter, r *http.Request) *predictQuery {
+	p := predictQueries.Get().(*predictQuery)
+	if p.decodeStrict(r.URL.RawQuery) {
+		return p
+	}
+	q, ok := parseQuery(w, r)
+	if !ok {
+		p.release()
+		return nil
+	}
+	p.fromValues(q)
+	return p
 }
 
 // handleCacheStats reports the forecast cache's hit/miss counters, the
@@ -557,7 +551,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EvaluateRequest
-	if !s.decodeJSONBody(w, r, "evaluate request", &req) {
+	if !s.decodeJSONBody(w, r, "evaluate request", &req, req.decodeStrict) {
 		return
 	}
 	resp, err := s.evaluator().EvaluateCtx(ctx, name, req)
@@ -582,11 +576,13 @@ var bodyScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 const maxPooledBody = 1 << 20
 
 // decodeJSONBody reads r's JSON body — capped at the configured body
-// limit — into a pooled scratch buffer and unmarshals it into v.
-// Reports whether it succeeded; on failure the response (413 or 400)
-// has been written. json.Unmarshal copies every string it decodes, so
-// recycling the scratch after return is safe.
-func (s *Server) decodeJSONBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+// limit — into a pooled scratch buffer and decodes it into v: with strict
+// (a one-pass decoder into v, decode.go) when it is non-nil and accepts the
+// body, with json.Unmarshal otherwise. Reports whether it succeeded; on
+// failure the response (413 or 400) has been written. Both decoders copy
+// every string they decode, so recycling the scratch after return is
+// safe.
+func (s *Server) decodeJSONBody(w http.ResponseWriter, r *http.Request, what string, v any, strict func([]byte) bool) bool {
 	buf := bodyScratch.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer func() {
@@ -600,6 +596,9 @@ func (s *Server) decodeJSONBody(w http.ResponseWriter, r *http.Request, what str
 		}
 		http.Error(w, fmt.Sprintf("decoding %s: %v", what, err), http.StatusBadRequest)
 		return false
+	}
+	if strict != nil && strict(buf.Bytes()) {
+		return true
 	}
 	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
 		http.Error(w, fmt.Sprintf("decoding %s: %v", what, err), http.StatusBadRequest)
@@ -708,7 +707,7 @@ func (s *Server) handleSelectFastest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cleanup()
-	entry, ok := s.platformOf(w, r, q)
+	entry, ok := s.platformOf(w, r, q.Get("at"))
 	if !ok {
 		return
 	}
@@ -750,12 +749,12 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cleanup()
-	entry, ok := s.platformOf(w, r, q)
+	entry, ok := s.platformOf(w, r, q.Get("at"))
 	if !ok {
 		return
 	}
 	var wf workflow.Workflow
-	if !s.decodeJSONBody(w, r, "workflow", &wf) {
+	if !s.decodeJSONBody(w, r, "workflow", &wf, nil) {
 		return
 	}
 	if err := ctx.Err(); err != nil {
