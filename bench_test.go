@@ -199,7 +199,7 @@ func BenchmarkIncrementalSharing(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := sim.NewSimulation(plat, entry.Config)
+		s := sim.NewSnapshotSimulation(plat.Snapshot(), entry.Config)
 		for k := 0; k < 50; k++ {
 			s.AddTransfer(hosts[idx[k]].ID, hosts[idx[50+k]].ID, 5e8)
 		}
@@ -596,26 +596,36 @@ func BenchmarkPlatformSetup(b *testing.B) {
 	runtime.KeepAlive(plat)
 }
 
-// BenchmarkRouteMemoAllPairs measures publishing all 265 740 ordered host
-// pairs of g5k_test into a freshly compiled snapshot — the route memo a
-// long-running server converges to. memo-B and memo-objs are what the
-// published routes keep on the heap beyond the compiled snapshot; gc-us
-// is one forced collection with that memo live.
+// BenchmarkRouteMemoAllPairs measures compiling g5k_test and publishing
+// all 265 740 ordered host pairs into the fresh snapshot — the route memo a
+// long-running server converges to. Each iteration compiles a platform
+// generated outside the timer, since a platform compiles once. memo-B and
+// memo-objs are what the published routes keep on the heap beyond the
+// compiled snapshot; gc-us is one forced collection with that memo live.
 func BenchmarkRouteMemoAllPairs(b *testing.B) {
 	setup(b)
-	p := entry.Platform
 	var hosts []string
-	for _, h := range p.Hosts() {
+	for _, h := range entry.Platform.Hosts() {
 		hosts = append(hosts, h.ID)
 	}
+	generate := func() *platform.Platform {
+		p, err := platgen.Generate(g5k.Default(), platgen.Options{Variant: platgen.G5KTest})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
 	var before, after runtime.MemStats
-	snap := p.Compile()
+	snap := generate().Snapshot()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap = p.Compile()
+		b.StopTimer()
+		p := generate()
+		b.StartTimer()
+		snap = p.Snapshot()
 		for _, src := range hosts {
 			for _, dst := range hosts {
 				if src == dst {

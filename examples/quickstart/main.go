@@ -40,9 +40,12 @@ func main() {
 		}
 	}
 
+	// Compile the platform once; the snapshot answers every forecast.
+	snap := p.Snapshot()
+
 	// Predict three concurrent transfers. The two transfers leaving
 	// alice compete for her access link; the third is independent.
-	results, err := sim.Predict(p, sim.DefaultConfig(), []sim.Transfer{
+	results, err := sim.Predict(snap, sim.DefaultConfig(), []sim.Transfer{
 		{Src: "alice", Dst: "bob", Size: 1e9},
 		{Src: "alice", Dst: "carol", Size: 1e9},
 		{Src: "bob", Dst: "carol", Size: 250e6},
@@ -58,7 +61,7 @@ func main() {
 
 	// The same question through the paper's fluid model, solo: note how
 	// contention changed the answer above.
-	solo, err := sim.Predict(p, sim.DefaultConfig(), []sim.Transfer{
+	solo, err := sim.Predict(snap, sim.DefaultConfig(), []sim.Transfer{
 		{Src: "alice", Dst: "bob", Size: 1e9},
 	})
 	if err != nil {

@@ -166,13 +166,14 @@ func (p RetryPolicy) Do(hc *http.Client, build func() (*http.Request, error)) (*
 	return nil, lastErr
 }
 
-// doJSON performs one API call with the retry policy: body (nil for GET)
-// is replayed on each attempt, transient failures back off, and the
-// 200 answer is decoded into out.
-func (c *Client) doJSON(method, path string, query url.Values, body []byte, out interface{}) error {
+// doJSON performs one API call with the retry policy: query is the
+// encoded query string ("" for none), body (nil for GET) is replayed on
+// each attempt, transient failures back off, and the 200 answer is
+// decoded into out.
+func (c *Client) doJSON(method, path, query string, body []byte, out interface{}) error {
 	u := c.BaseURL + path
-	if len(query) > 0 {
-		u += "?" + query.Encode()
+	if query != "" {
+		u += "?" + query
 	}
 	resp, err := c.Retry.Do(c.httpClient(), func() (*http.Request, error) {
 		var rd io.Reader
@@ -224,14 +225,14 @@ func NewFleetTransport(perHost int) *http.Transport {
 	}
 }
 
-func (c *Client) getJSON(path string, query url.Values, out interface{}) error {
+func (c *Client) getJSON(path, query string, out interface{}) error {
 	return c.doJSON(http.MethodGet, path, query, nil, out)
 }
 
 // Platforms lists the platforms the server can predict on.
 func (c *Client) Platforms() ([]string, error) {
 	var out []string
-	if err := c.getJSON("/pilgrim/platforms", nil, &out); err != nil {
+	if err := c.getJSON("/pilgrim/platforms", "", &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -249,21 +250,32 @@ func (c *Client) PredictTransfers(platform string, transfers []TransferRequest) 
 // future times within the server's horizon cap answer from the
 // NWS-extrapolated forecast epoch.
 func (c *Client) PredictTransfersAt(platform string, at int64, transfers []TransferRequest) ([]Prediction, error) {
-	q := url.Values{}
-	q.Set("at", strconv.FormatInt(at, 10))
-	return c.predictTransfers(platform, q, transfers)
+	return c.predictTransfers(platform, strconv.AppendInt([]byte("at="), at, 10), transfers)
 }
 
-func (c *Client) predictTransfers(platform string, q url.Values, transfers []TransferRequest) ([]Prediction, error) {
-	if q == nil {
-		q = url.Values{}
-	}
+// predictTransfers appends the transfer= parameters to query in the
+// server's strict query subset, so the request decodes in one pass:
+// commas raw, and sizes in 'g' form without '+' ("5e08" parses to the same
+// bits as "5e+08"). Host names are query-escaped; a name that needs an
+// escape only sends the request down the server's generic path.
+func (c *Client) predictTransfers(platform string, query []byte, transfers []TransferRequest) ([]Prediction, error) {
 	for _, t := range transfers {
-		q.Add("transfer", fmt.Sprintf("%s,%s,%s", t.Src, t.Dst,
-			strconv.FormatFloat(t.Size, 'g', -1, 64)))
+		if len(query) > 0 {
+			query = append(query, '&')
+		}
+		query = append(query, "transfer="...)
+		query = append(query, url.QueryEscape(t.Src)...)
+		query = append(query, ',')
+		query = append(query, url.QueryEscape(t.Dst)...)
+		query = append(query, ',')
+		n := len(query)
+		query = strconv.AppendFloat(query, t.Size, 'g', -1, 64)
+		if i := bytes.IndexByte(query[n:], '+'); i >= 0 {
+			query = append(query[:n+i], query[n+i+1:]...)
+		}
 	}
 	var out []Prediction
-	if err := c.getJSON("/pilgrim/predict_transfers/"+url.PathEscape(platform), q, &out); err != nil {
+	if err := c.getJSON("/pilgrim/predict_transfers/"+url.PathEscape(platform), string(query), &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -300,7 +312,7 @@ func (c *Client) selectFastest(platform string, q url.Values, hyps []Hypothesis)
 		Best    int                `json:"best"`
 		Results []HypothesisResult `json:"results"`
 	}
-	if err := c.getJSON("/pilgrim/select_fastest/"+url.PathEscape(platform), q, &out); err != nil {
+	if err := c.getJSON("/pilgrim/select_fastest/"+url.PathEscape(platform), q.Encode(), &out); err != nil {
 		return 0, nil, err
 	}
 	return out.Best, out.Results, nil
@@ -315,7 +327,7 @@ func (c *Client) UpdateLinks(platform string, req UpdateLinksRequest) (UpdateLin
 		return UpdateLinksResponse{}, fmt.Errorf("pilgrim: encoding link updates: %w", err)
 	}
 	var out UpdateLinksResponse
-	if err := c.doJSON(http.MethodPost, "/pilgrim/update_links/"+url.PathEscape(platform), nil, body, &out); err != nil {
+	if err := c.doJSON(http.MethodPost, "/pilgrim/update_links/"+url.PathEscape(platform), "", body, &out); err != nil {
 		return UpdateLinksResponse{}, err
 	}
 	return out, nil
@@ -326,7 +338,7 @@ func (c *Client) UpdateLinks(platform string, req UpdateLinksRequest) (UpdateLin
 // bound, and the server's forecast horizon cap.
 func (c *Client) TimelineStats(platform string) (TimelineStatsResponse, error) {
 	var out TimelineStatsResponse
-	if err := c.getJSON("/pilgrim/timeline_stats/"+url.PathEscape(platform), nil, &out); err != nil {
+	if err := c.getJSON("/pilgrim/timeline_stats/"+url.PathEscape(platform), "", &out); err != nil {
 		return TimelineStatsResponse{}, err
 	}
 	return out, nil
@@ -341,7 +353,7 @@ func (c *Client) Evaluate(platform string, req EvaluateRequest) (*EvaluateRespon
 		return nil, fmt.Errorf("pilgrim: encoding evaluate request: %w", err)
 	}
 	var out EvaluateResponse
-	if err := c.doJSON(http.MethodPost, "/pilgrim/evaluate/"+url.PathEscape(platform), nil, body, &out); err != nil {
+	if err := c.doJSON(http.MethodPost, "/pilgrim/evaluate/"+url.PathEscape(platform), "", body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -351,7 +363,7 @@ func (c *Client) Evaluate(platform string, req EvaluateRequest) (*EvaluateRespon
 // estimate (the flows bg_estimate scenario mutations inject).
 func (c *Client) BgEstimate(platform string) (BgEstimateResponse, error) {
 	var out BgEstimateResponse
-	if err := c.getJSON("/pilgrim/bg_estimate/"+url.PathEscape(platform), nil, &out); err != nil {
+	if err := c.getJSON("/pilgrim/bg_estimate/"+url.PathEscape(platform), "", &out); err != nil {
 		return BgEstimateResponse{}, err
 	}
 	return out, nil
@@ -365,7 +377,7 @@ func (c *Client) PredictWorkflow(platform string, wf *workflow.Workflow) (*workf
 		return nil, fmt.Errorf("pilgrim: encoding workflow: %w", err)
 	}
 	var out workflow.Forecast
-	if err := c.doJSON(http.MethodPost, "/pilgrim/predict_workflow/"+url.PathEscape(platform), nil, body, &out); err != nil {
+	if err := c.doJSON(http.MethodPost, "/pilgrim/predict_workflow/"+url.PathEscape(platform), "", body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -374,7 +386,7 @@ func (c *Client) PredictWorkflow(platform string, wf *workflow.Workflow) (*workf
 // CacheStats fetches the server's forecast-cache hit/miss counters.
 func (c *Client) CacheStats() (CacheStats, error) {
 	var out CacheStats
-	if err := c.getJSON("/pilgrim/cache_stats", nil, &out); err != nil {
+	if err := c.getJSON("/pilgrim/cache_stats", "", &out); err != nil {
 		return CacheStats{}, err
 	}
 	return out, nil
@@ -395,7 +407,7 @@ func (c *Client) FetchMetric(tool, site, host, metric string, begin, end int64) 
 	path := fmt.Sprintf("/pilgrim/rrd/%s/%s/%s/%s.rrd/",
 		url.PathEscape(tool), url.PathEscape(site), url.PathEscape(host), url.PathEscape(metric))
 	var raw [][2]float64
-	if err := c.getJSON(path, q, &raw); err != nil {
+	if err := c.getJSON(path, q.Encode(), &raw); err != nil {
 		return nil, err
 	}
 	out := make([]RRDPoint, len(raw))

@@ -3,6 +3,8 @@ package pilgrim
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"reflect"
 	"strconv"
@@ -225,9 +227,9 @@ func clientEvaluateBody(req *EvaluateRequest) []byte {
 
 // TestClientBodiesTakeTheFastPath holds the strict decoders to the traffic
 // actually sent: the system benchmark's whatif-grid body, every body
-// pilgrim.Client.Evaluate would marshal for the evaluate fuzz grids, and
-// the benchmarks' predict_transfers queries must all be accepted, not
-// declined, and decode as their generic counterparts do.
+// pilgrim.Client.Evaluate would marshal for the evaluate fuzz grids, the
+// benchmarks' predict_transfers queries and pilgrim.Client's own must all
+// be accepted, not declined, and decode as their generic counterparts do.
 func TestClientBodiesTakeTheFastPath(t *testing.T) {
 	entry := miniEntry(t)
 	hosts := entry.Platform.Hosts()
@@ -284,6 +286,34 @@ func TestClientBodiesTakeTheFastPath(t *testing.T) {
 	for _, raw := range []string{query, transferQuery(transfers, [][2]string{{hosts[0].ID, hosts[1].ID}}), query + "&at=1336111200&deadline=30"} {
 		if !checkStrictPredict(t, raw) {
 			t.Fatalf("a predict_transfers query was declined: %s", raw)
+		}
+	}
+
+	// pilgrim.Client's own predict_transfers queries, captured at a server:
+	// accepted, and decoded to the transfers the client sent.
+	queries := make(chan string, 2)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		queries <- r.URL.RawQuery
+		w.Write([]byte("[]"))
+	}))
+	defer srv.Close()
+	client := NewClient(srv.URL)
+	sent := append([]TransferRequest{{Src: hosts[0].ID, Dst: hosts[1].ID, Size: 5e8}, {Src: hosts[2].ID, Dst: hosts[3].ID, Size: 1.5e-3}}, transfers...)
+	if _, err := client.PredictTransfers("g5k_test", sent); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.PredictTransfersAt("g5k_test", 1336111200, sent); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []string{"", "1336111200"} {
+		raw := <-queries
+		if !checkStrictPredict(t, raw) {
+			t.Fatalf("a pilgrim.Client query was declined: %s", raw)
+		}
+		var q predictQuery
+		q.decodeStrict(raw)
+		if !reflect.DeepEqual(q.transfers, sent) || q.at != at {
+			t.Fatalf("pilgrim.Client query %s decodes to transfers %+v at %q, want %+v at %q", raw, q.transfers, q.at, sent, at)
 		}
 	}
 }

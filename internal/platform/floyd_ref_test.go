@@ -89,12 +89,12 @@ func TestBuildFloydMatchesMapReference(t *testing.T) {
 		}
 
 		want := buildFloydMapRef(as)
-		as.buildFloyd()
+		next := as.buildFloyd()
 		nn := int32(len(as.points))
 		got := 0
 		for i := int32(0); i < nn; i++ {
 			for j := int32(0); j < nn; j++ {
-				nx := as.floydNext[i*nn+j]
+				nx := next[i*nn+j]
 				key := pairKey{as.points[i].name, as.points[j].name}
 				wantNext, ok := want[key]
 				if nx < 0 {

@@ -24,12 +24,12 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // SharingPolicy describes how concurrent flows share one link.
@@ -246,11 +246,6 @@ type AS struct {
 	// guesses at the next declaration's (see lookup).
 	lastSrc, lastDst int32
 
-	// Floyd routing: the all-pairs next-hop table over ordinals, built
-	// lazily (the flattened len(points)² matrix, -1 when unreachable).
-	floydNext  []int32
-	floydBuilt bool
-
 	// Cluster routing: per-host private link and optional backbone.
 	clusterPrivate map[string]*Link
 	clusterBB      *Link
@@ -272,10 +267,11 @@ type netpoint struct {
 // and links have platform-unique names (as on Grid'5000, where node names
 // embed their site).
 //
-// The builder declares; the snapshot routes. Building a platform is not
-// safe for concurrent use. Routes are resolved only through Snapshot:
-// Compile lowers the platform into an immutable integer-indexed form,
-// memoized here and invalidated on mutation.
+// The builder declares; the snapshot routes. A platform is declared
+// first and compiled once: the first Snapshot lowers it into an immutable
+// integer-indexed form and seals the builder, so every later declaration
+// is refused and changes nothing. The builder stays readable (Hosts,
+// Links, WriteXML). Declaring is not safe for concurrent use; Snapshot is.
 type Platform struct {
 	root     *AS
 	hosts    map[string]*Host
@@ -283,16 +279,16 @@ type Platform struct {
 	links    map[string]*Link
 	linkList []*Link // creation order: the link ordinals route tables store
 
-	// mu serializes compiles: compile is the only builder of Floyd
-	// tables, and two compiles would otherwise build and store the same
-	// AS's table together. Snapshot holds it from its second look at
-	// snap to the store, so racing first callers compile once.
-	mu sync.Mutex
-
-	// snap memoizes the compiled base-epoch snapshot (see snapshot.go);
-	// builders drop it on every mutation via InvalidateRouteCache.
-	snap atomic.Pointer[Snapshot]
+	// compileOnce runs the one compile, so racing first Snapshot callers
+	// share it; snap holds its result, and a non-nil snap seals the
+	// builder.
+	compileOnce sync.Once
+	snap        *Snapshot
 }
+
+// errSealed is the error every declaration returns once the platform has
+// been compiled.
+var errSealed = errors.New("platform: declaration after the first Snapshot")
 
 // New creates a platform whose root AS has the given id and routing kind.
 func New(rootID string, routing RoutingKind) *Platform {
@@ -367,16 +363,6 @@ func (p *Platform) NumHosts() int { return len(p.hosts) }
 // NumLinks returns the number of links on the platform.
 func (p *Platform) NumLinks() int { return len(p.links) }
 
-// InvalidateRouteCache drops the compiled snapshot memo, so the next
-// Snapshot call recompiles. Builders call it automatically; it is exported
-// for tests and tooling. Snapshots already handed out are immutable and
-// unaffected.
-func (p *Platform) InvalidateRouteCache() {
-	if p.snap.Load() != nil {
-		p.snap.Store(nil)
-	}
-}
-
 // checkLinks rejects a route whose traversals name no link or a link of
 // another platform (whose ordinal would address the wrong link here).
 func (p *Platform) checkLinks(links []LinkUse, src, dst string) error {
@@ -396,8 +382,15 @@ func (p *Platform) checkLinks(links []LinkUse, src, dst string) error {
 func (as *AS) declare(id string, kind PointKind) {
 	as.ords[id] = int32(len(as.points))
 	as.points = append(as.points, netpoint{id, kind})
-	as.floydBuilt = false
-	as.platform.InvalidateRouteCache()
+}
+
+// checkOpen refuses a declaration in this AS once the platform is
+// compiled.
+func (as *AS) checkOpen() error {
+	if as.platform.snap != nil {
+		return fmt.Errorf("%w (AS %q)", errSealed, as.ID)
+	}
+	return nil
 }
 
 // AddAS creates a child AS.
@@ -452,6 +445,9 @@ func (as *AS) AddRouter(id string) (*Router, error) {
 
 // AddLink creates a link owned by this AS. Link ids are platform-unique.
 func (as *AS) AddLink(id string, bandwidth, latency float64, policy SharingPolicy) (*Link, error) {
+	if err := as.checkOpen(); err != nil {
+		return nil, err
+	}
 	if bandwidth <= 0 || math.IsNaN(bandwidth) {
 		return nil, fmt.Errorf("platform: link %q has invalid bandwidth %v", id, bandwidth)
 	}
@@ -467,11 +463,15 @@ func (as *AS) AddLink(id string, bandwidth, latency float64, policy SharingPolic
 	as.linkIDs = append(as.linkIDs, id)
 	p.links[id] = l
 	p.linkList = append(p.linkList, l)
-	p.InvalidateRouteCache()
 	return l, nil
 }
 
+// checkFresh refuses a new point named id: the platform is sealed, the
+// name is empty, or it is taken in this AS.
 func (as *AS) checkFresh(id string) error {
+	if err := as.checkOpen(); err != nil {
+		return err
+	}
 	if id == "" {
 		return fmt.Errorf("platform: empty identifier in AS %q", as.ID)
 	}
@@ -498,6 +498,9 @@ func (as *AS) Parent() *AS { return as.parent }
 // true the reverse route is derived automatically with reversed link order
 // and flipped directions. A rejected declaration changes nothing.
 func (as *AS) AddRoute(src, dst string, links []LinkUse, symmetrical bool) error {
+	if err := as.checkOpen(); err != nil {
+		return err
+	}
 	if as.Routing == RoutingCluster {
 		return fmt.Errorf("platform: AS %q uses Cluster routing; routes are implicit", as.ID)
 	}
@@ -527,8 +530,6 @@ func (as *AS) AddRoute(src, dst string, links []LinkUse, symmetrical bool) error
 	}
 	as.routes.add(si, di, links, symmetrical, int32(len(as.points)))
 	as.lastSrc, as.lastDst = si, di
-	as.floydBuilt = false
-	as.platform.InvalidateRouteCache()
 	return nil
 }
 
@@ -549,6 +550,9 @@ func (as *AS) lookup(name string, hint int32) (int32, bool) {
 // endpoint the gateway must be the endpoint itself (or empty). A rejected
 // declaration changes nothing.
 func (as *AS) AddASRoute(srcAS, gwSrc, dstAS, gwDst string, links []LinkUse, symmetrical bool) error {
+	if err := as.checkOpen(); err != nil {
+		return err
+	}
 	checkEnd := func(end, gw string) error {
 		o, ok := as.ords[end]
 		if !ok {
@@ -597,7 +601,6 @@ func (as *AS) AddASRoute(srcAS, gwSrc, dstAS, gwDst string, links []LinkUse, sym
 		}
 		as.asRoutes[rkey] = rev
 	}
-	as.platform.InvalidateRouteCache()
 	return nil
 }
 
@@ -610,6 +613,9 @@ func (as *AS) AddASRoute(srcAS, gwSrc, dstAS, gwDst string, links []LinkUse, sym
 //
 // Private links are created per host with id "<host>_link".
 func (as *AS) SetClusterTopology(routerID string, privateBW, privateLat float64, privatePolicy SharingPolicy, backbone *Link) error {
+	if err := as.checkOpen(); err != nil {
+		return err
+	}
 	if as.Routing != RoutingCluster {
 		return fmt.Errorf("platform: AS %q is not Cluster routing", as.ID)
 	}
@@ -625,7 +631,6 @@ func (as *AS) SetClusterTopology(routerID string, privateBW, privateLat float64,
 		}
 		as.clusterPrivate[id] = l
 	}
-	as.platform.InvalidateRouteCache()
 	return nil
 }
 

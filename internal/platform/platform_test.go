@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -74,15 +75,19 @@ func buildTwoSitePlatform(t *testing.T) *Platform {
 	return p
 }
 
-// snapshotRoute resolves src->dst through p's memoized snapshot, in
-// builder form.
+// snapshotRoute resolves src->dst through p's snapshot, in builder form:
+// each traversal's link is p's link of the compiled name.
 func snapshotRoute(p *Platform, src, dst string) (linkRoute, error) {
 	s := p.Snapshot()
 	r, err := s.Route(src, dst)
 	if err != nil {
 		return linkRoute{}, err
 	}
-	return linkRoute{Links: s.ExpandRoute(r), Latency: r.Latency}, nil
+	out := linkRoute{Latency: r.Latency}
+	for _, ref := range r.Refs {
+		out.Links = append(out.Links, LinkUse{Link: p.links[s.LinkName(ref.LinkIndex())], Direction: ref.Direction()})
+	}
+	return out, nil
 }
 
 func TestIntraSiteRoute(t *testing.T) {
@@ -355,42 +360,102 @@ func TestFloydPicksShortestPath(t *testing.T) {
 	}
 }
 
-// TestRouteCacheInvalidation checks that a mutation is visible at once:
-// the snapshot memo is dropped, and the recompiled snapshot routes it.
-func TestRouteCacheInvalidation(t *testing.T) {
-	p := buildTwoSitePlatform(t)
+// TestDeclarationAfterSnapshotIsRefused checks the sealed contract: once
+// the first Snapshot has compiled the platform, each of the seven
+// declarations returns an error and changes nothing — the snapshot stays
+// the one handed out, no epoch is minted, and the XML export is
+// byte-identical. Each declaration is first shown to succeed on an
+// uncompiled twin, so the seal is the only reason it is refused.
+func TestDeclarationAfterSnapshotIsRefused(t *testing.T) {
+	type declaration struct {
+		name    string
+		declare func(p *Platform) error
+	}
+	// build returns the two-site platform plus an empty Cluster AS, a
+	// third site with no ASroute yet, and a host with a link but no route.
+	build := func() *Platform {
+		p := buildTwoSitePlatform(t)
+		root := p.Root()
+		lyon := root.Children()[0]
+		if _, err := lyon.AddHost("sagittaire-4", 1e9); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lyon.AddLink("sagittaire-4_nic", 125e6, 1e-4, Shared); err != nil {
+			t.Fatal(err)
+		}
+		cl, err := root.AddAS("AS_cl", RoutingCluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.AddHost("cl-1", 1e9); err != nil {
+			t.Fatal(err)
+		}
+		rennes, err := root.AddAS("AS_rennes", RoutingFull)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rennes.AddRouter("gw.rennes"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := root.AddLink("bb_rennes_lyon", 1.25e9, 3e-3, FullDuplex); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	child := func(p *Platform, i int) *AS { return p.Root().Children()[i] }
+	declarations := []declaration{
+		{"AddAS", func(p *Platform) error { _, err := p.Root().AddAS("AS_nantes", RoutingFull); return err }},
+		{"AddHost", func(p *Platform) error { _, err := child(p, 0).AddHost("sagittaire-5", 1e9); return err }},
+		{"AddRouter", func(p *Platform) error { _, err := child(p, 0).AddRouter("gw2.lyon"); return err }},
+		{"AddLink", func(p *Platform) error { _, err := p.Root().AddLink("late", 1e9, 1e-3, Shared); return err }},
+		{"AddRoute", func(p *Platform) error {
+			return child(p, 0).AddRoute("sagittaire-4", "gw.lyon", []LinkUse{{p.Link("sagittaire-4_nic"), Up}}, true)
+		}},
+		{"AddASRoute", func(p *Platform) error {
+			return p.Root().AddASRoute("AS_rennes", "gw.rennes", "AS_lyon", "gw.lyon", []LinkUse{{p.Link("bb_rennes_lyon"), Up}}, true)
+		}},
+		{"SetClusterTopology", func(p *Platform) error { return child(p, 2).SetClusterTopology("", 125e6, 1e-4, Shared, nil) }},
+	}
+
+	open := build()
+	for _, d := range declarations {
+		if err := d.declare(open); err != nil {
+			t.Fatalf("%s on an uncompiled platform: %v", d.name, err)
+		}
+	}
+
+	p := build()
 	s := p.Snapshot()
-	lyon := p.Root().Children()[0]
-	if _, err := lyon.AddHost("sagittaire-4", 1e9); err != nil {
+	var before strings.Builder
+	if err := p.WriteXML(&before); err != nil {
 		t.Fatal(err)
 	}
-	if p.Snapshot() == s {
-		t.Fatal("snapshot memo not invalidated by mutation")
+	epochs := snapshotEpochs.Load()
+	for _, d := range declarations {
+		if err := d.declare(p); !errors.Is(err, errSealed) {
+			t.Errorf("%s after the first Snapshot: err = %v, want the seal", d.name, err)
+		}
 	}
-	if _, err := snapshotRoute(p, "gw.lyon", "sagittaire-4"); err == nil {
-		t.Fatal("route resolved before it was declared")
+	if p.Snapshot() != s {
+		t.Error("Snapshot returned a different snapshot after refused declarations")
 	}
-	l, err := lyon.AddLink("sagittaire-4_nic", 125e6, 1e-4, Shared)
-	if err != nil {
+	if n := snapshotEpochs.Load() - epochs; n != 0 {
+		t.Errorf("refused declarations minted %d epochs", n)
+	}
+	var after strings.Builder
+	if err := p.WriteXML(&after); err != nil {
 		t.Fatal(err)
 	}
-	if err := lyon.AddRoute("sagittaire-4", "gw.lyon", []LinkUse{{l, Up}}, true); err != nil {
-		t.Fatal(err)
-	}
-	r, err := snapshotRoute(p, "gw.lyon", "sagittaire-4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Links) != 1 || r.Links[0] != (LinkUse{l, Down}) {
-		t.Fatalf("reverse of a fresh declaration = %+v", r.Links)
+	if after.String() != before.String() {
+		t.Error("refused declarations changed the XML export")
 	}
 }
 
 // TestRejectedDeclarationChangesNothing checks that a symmetric
 // declaration whose reverse is already taken is refused as a whole: its
-// forward half must reach neither the reference resolver, nor a
-// recompiled snapshot, nor the XML export — for host routes and AS routes
-// alike.
+// forward half must reach neither the XML export, nor the reference
+// resolver, nor the snapshot compiled afterwards — for host routes and AS
+// routes alike.
 func TestRejectedDeclarationChangesNothing(t *testing.T) {
 	p := buildTwoSitePlatform(t)
 	root := p.Root()
@@ -428,7 +493,6 @@ func TestRejectedDeclarationChangesNothing(t *testing.T) {
 	if err := p.WriteXML(&before); err != nil {
 		t.Fatal(err)
 	}
-	s := p.Snapshot()
 	if err := lyon.AddRoute("sagittaire-4", "gw.lyon", []LinkUse{{nic, Up}}, true); err == nil {
 		t.Fatal("symmetric route over a declared reverse accepted")
 	}
@@ -443,16 +507,12 @@ func TestRejectedDeclarationChangesNothing(t *testing.T) {
 	if after.String() != before.String() {
 		t.Error("rejected declarations changed the XML export")
 	}
-	if p.Snapshot() != s {
-		t.Fatal("rejected declarations dropped the snapshot memo")
-	}
-	p.InvalidateRouteCache()
-	recompiled := p.Snapshot()
+	compiled := p.Snapshot()
 	for _, pair := range [][2]string{{"sagittaire-4", "gw.lyon"}, {"sagittaire-1", "paravance-1"}} {
 		if r, err := p.refRouteBetween(pair[0], pair[1]); err == nil {
 			t.Errorf("refRouteBetween %s->%s resolves a rejected declaration: %+v", pair[0], pair[1], r.Links)
 		}
-		if _, err := recompiled.Route(pair[0], pair[1]); err == nil {
+		if _, err := compiled.Route(pair[0], pair[1]); err == nil {
 			t.Errorf("Snapshot.Route %s->%s resolves a rejected declaration", pair[0], pair[1])
 		}
 	}
@@ -461,7 +521,7 @@ func TestRejectedDeclarationChangesNothing(t *testing.T) {
 		if _, err := p.refRouteBetween(pair[0], pair[1]); err != nil {
 			t.Error(err)
 		}
-		if _, err := recompiled.Route(pair[0], pair[1]); err != nil {
+		if _, err := compiled.Route(pair[0], pair[1]); err != nil {
 			t.Error(err)
 		}
 	}

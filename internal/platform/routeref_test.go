@@ -4,11 +4,11 @@ import "fmt"
 
 // This file is the reference resolver that Snapshot.Route is tested
 // against: the AS walk run on the builder's own tables (string-keyed AS
-// routes, the routes declared in each AS, Floyd tables built on first
-// use), memoizing nothing. It shares the route records and their readers
+// routes, the routes declared in each AS, Floyd tables built per
+// resolution), memoizing nothing. It shares the route records and their readers
 // (appendTo, floydPath) with the snapshot, but none of the compiled
 // indices, the route memo or the link re-addressing. Production code
-// routes only through Compile and Snapshot.Route.
+// routes only through Snapshot.Route.
 
 // linkRoute is a resolved end-to-end path in builder form: the ordered
 // links it traverses and the sum of their latencies.
@@ -38,15 +38,12 @@ func concat(rs ...linkRoute) linkRoute {
 //  3. when an endpoint is a child AS, recurse from the endpoint to that
 //     AS's gateway for the chosen AS-level route, and splice.
 //
-// Nothing is memoized: every call builds a fresh route. Concurrent calls
-// are safe but serialized, since a resolution may build an AS's Floyd
-// table.
+// Nothing is memoized: every call builds a fresh route, and only reads
+// the builder, so concurrent calls are safe.
 func (p *Platform) refRouteBetween(src, dst string) (linkRoute, error) {
 	if src == dst {
 		return linkRoute{}, fmt.Errorf("platform: route from %q to itself", src)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	srcAS, err := p.asOf(src)
 	if err != nil {
 		return linkRoute{}, err
@@ -192,11 +189,8 @@ func (as *AS) clusterRoute(src, dst string) (linkRoute, error) {
 }
 
 // floydRoute computes shortest paths (by latency, then hop count) over the
-// declared edges, building the all-pairs table on first use.
+// declared edges, building the all-pairs table afresh.
 func (as *AS) floydRoute(src, dst string) (linkRoute, error) {
-	if !as.floydBuilt {
-		as.buildFloyd()
-	}
 	si, ok := as.ords[src]
 	if !ok {
 		return linkRoute{}, fmt.Errorf("platform: %q unknown in Floyd AS %q", src, as.ID)
@@ -205,7 +199,7 @@ func (as *AS) floydRoute(src, dst string) (linkRoute, error) {
 	if !ok {
 		return linkRoute{}, fmt.Errorf("platform: %q unknown in Floyd AS %q", dst, as.ID)
 	}
-	refs, lat, ok := as.routes.floydPath(nil, as.floydNext, int32(len(as.points)), si, di)
+	refs, lat, ok := as.routes.floydPath(nil, as.buildFloyd(), int32(len(as.points)), si, di)
 	if !ok {
 		return linkRoute{}, fmt.Errorf("platform: no Floyd path %s->%s in AS %q", src, dst, as.ID)
 	}

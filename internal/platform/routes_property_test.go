@@ -112,8 +112,8 @@ type asModelRoute struct {
 // randomRoutingPlatform builds a root AS over 2-4 child ASes of random
 // routing kinds and declares random routes, recording each declaration.
 // With interleaved, a Full or Floyd AS declares each point's routes to the
-// earlier points right after the point itself, and compiles now and then,
-// so its route index grows (and is copied) as it fills.
+// earlier points right after the point itself, so its route index grows
+// as it fills.
 func randomRoutingPlatform(t *testing.T, rng *rand.Rand, interleaved bool) (*Platform, map[string]*modelAS, map[[2]string]asModelRoute) {
 	t.Helper()
 	p := New("root", RoutingFull)
@@ -199,14 +199,11 @@ func randomRoutingPlatform(t *testing.T, rng *rand.Rand, interleaved bool) (*Pla
 			}
 		}
 		// grow adds point i, then has declare(i) declare its routes to
-		// the earlier points, compiling now and then.
+		// the earlier points.
 		grow := func(declare func(i int)) {
 			for i := range names {
 				addPoint(i)
 				declare(i)
-				if rng.Intn(3) == 0 {
-					p.Snapshot()
-				}
 			}
 		}
 		switch kind {
@@ -326,7 +323,7 @@ func randomRoutingPlatform(t *testing.T, rng *rand.Rand, interleaved bool) (*Pla
 // each other, so a defect shared by the builder and the compiled tables
 // cannot hide.
 // The interleaved mode declares points after routes, so the route index
-// regrows under compiled snapshots.
+// regrows before the one compile.
 func TestRoutesMatchDeclarations(t *testing.T) {
 	t.Run("points-first", func(t *testing.T) { checkRoutesMatchDeclarations(t, false) })
 	t.Run("interleaved", func(t *testing.T) { checkRoutesMatchDeclarations(t, true) })

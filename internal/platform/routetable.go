@@ -15,8 +15,9 @@ import (
 // and its latency is the forward sum, bit for bit.
 //
 // The builder's arena addresses links by creation ordinal
-// (Platform.linkList); a compiled copy addresses them by compiled link
-// index. Both read routes through appendTo.
+// (Platform.linkList); the compiled copy addresses them by compiled link
+// index and shares the records and index, which the sealed builder never
+// writes again. Both read routes through appendTo.
 type routeTable struct {
 	refs []LinkRef
 	recs []routeRec
@@ -26,11 +27,6 @@ type routeTable struct {
 	// grows to the AS's point count when a declaration names one.
 	idx []uint32
 	n   int32
-
-	// shared marks idx as also read by a compiled snapshot: the next add
-	// copies it before writing. Records are shared without a copy, since
-	// the builder only ever appends past the length a snapshot holds.
-	shared bool
 }
 
 // routeRec is one declared route: refs[off:off+n] and its latency.
@@ -52,7 +48,7 @@ func (rt *routeTable) entry(src, dst int32) uint32 {
 // to. The caller has checked that neither entry is taken and that every
 // link is on the platform.
 func (rt *routeTable) add(src, dst int32, links []LinkUse, symmetrical bool, points int32) {
-	if max(src, dst) >= rt.n || rt.shared {
+	if max(src, dst) >= rt.n {
 		rt.resize(max(points, rt.n))
 	}
 	rec := routeRec{off: int32(len(rt.refs)), n: int32(len(links))}
@@ -68,14 +64,13 @@ func (rt *routeTable) add(src, dst int32, links []LinkUse, symmetrical bool, poi
 	}
 }
 
-// resize moves the index to a fresh n×n array, row by row, so that a
-// snapshot sharing the old one keeps it unchanged.
+// resize moves the index to a fresh n×n array, row by row.
 func (rt *routeTable) resize(n int32) {
 	idx := make([]uint32, int(n)*int(n))
 	for i := 0; i < int(rt.n); i++ {
 		copy(idx[i*int(n):], rt.idx[i*int(rt.n):(i+1)*int(rt.n)])
 	}
-	rt.idx, rt.n, rt.shared = idx, n, false
+	rt.idx, rt.n = idx, n
 }
 
 // each calls f with every declared pair and its latency, row by row.
@@ -129,8 +124,9 @@ func (rt *routeTable) floydPath(out []LinkRef, next []int32, n, si, di int32) ([
 // implementation (see TestBuildFloydMatchesMapReference): intermediate
 // points are taken in sorted-name order, an unreachable pair behaves as
 // +Inf, and the same epsilons apply. (Within one intermediate's pass no
-// entry it reads changes, so only the intermediates' order matters.)
-func (as *AS) buildFloyd() {
+// entry it reads changes, so only the intermediates' order matters.) It
+// returns the flattened len(points)² next-hop matrix, -1 when unreachable.
+func (as *AS) buildFloyd() []int32 {
 	n := len(as.points)
 	order := make([]int, n)
 	for i := range order {
@@ -174,20 +170,18 @@ func (as *AS) buildFloyd() {
 			}
 		}
 	}
-	as.floydNext = next
-	as.floydBuilt = true
+	return next
 }
 
-// compiled returns the table a snapshot reads: the arena re-addressed
+// compiled returns the table the snapshot reads: the arena re-addressed
 // through linkIdx (creation ordinal -> compiled link index) in one linear
-// pass, records and index shared with the builder.
+// pass, records and index shared with the sealed builder.
 func (rt *routeTable) compiled(linkIdx []int32) routeTable {
 	refs := make([]LinkRef, len(rt.refs))
 	for i, r := range rt.refs {
 		refs[i] = MakeLinkRef(linkIdx[r.LinkIndex()], r.Direction())
 	}
-	rt.shared = true
-	return routeTable{refs: refs, recs: rt.recs[:len(rt.recs):len(rt.recs)], idx: rt.idx, n: rt.n}
+	return routeTable{refs: refs, recs: rt.recs, idx: rt.idx, n: rt.n}
 }
 
 func packPair(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }

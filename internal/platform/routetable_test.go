@@ -1,78 +1,11 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"testing"
 )
-
-// TestDeclarationAfterCompileIsInvisibleToSnapshot pins copy-on-write of
-// the route index: a compiled snapshot shares the builder's index, so a
-// declaration after the compile must land in a copy, both when the index
-// keeps its size and when new points make it grow.
-func TestDeclarationAfterCompileIsInvisibleToSnapshot(t *testing.T) {
-	p := New("root", RoutingFull)
-	root := p.Root()
-	for i := 0; i < 4; i++ {
-		if _, err := root.AddHost(fmt.Sprintf("h%d", i), 1e9); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l, err := root.AddLink("l", 1e9, 1e-4, Shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	route := []LinkUse{{l, Up}}
-	declare := func(a, b string) {
-		t.Helper()
-		if err := root.AddRoute(a, b, route, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resolves := func(s *Snapshot, a, b string) bool {
-		_, err := s.Route(a, b)
-		return err == nil
-	}
-	declare("h0", "h1")
-
-	// (a) Between points the compiled index already covers.
-	old := p.Snapshot()
-	declare("h2", "h3")
-	if resolves(old, "h2", "h3") || resolves(old, "h3", "h2") {
-		t.Fatal("(a) a snapshot resolves a route declared after its compile")
-	}
-	if !resolves(old, "h0", "h1") {
-		t.Fatal("(a) the old snapshot lost a route declared before its compile")
-	}
-	fresh := p.Snapshot()
-	for _, pr := range [][2]string{{"h0", "h1"}, {"h1", "h0"}, {"h2", "h3"}, {"h3", "h2"}} {
-		if !resolves(fresh, pr[0], pr[1]) {
-			t.Fatalf("(a) a fresh snapshot does not resolve %s->%s", pr[0], pr[1])
-		}
-	}
-
-	// (b) After new points force the index to grow.
-	for i := 4; i < 6; i++ {
-		if _, err := root.AddHost(fmt.Sprintf("h%d", i), 1e9); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old = p.Snapshot()
-	declare("h5", "h2")
-	if resolves(old, "h5", "h2") || resolves(old, "h2", "h5") {
-		t.Fatal("(b) a snapshot resolves a route declared after its compile")
-	}
-	fresh = p.Snapshot()
-	for _, pr := range [][2]string{{"h0", "h1"}, {"h1", "h0"}, {"h2", "h3"}, {"h3", "h2"}, {"h5", "h2"}, {"h2", "h5"}} {
-		if !resolves(fresh, pr[0], pr[1]) {
-			t.Fatalf("(b) a fresh snapshot does not resolve %s->%s", pr[0], pr[1])
-		}
-	}
-	if resolves(fresh, "h4", "h0") {
-		t.Fatal("(b) a fresh snapshot resolves an undeclared route")
-	}
-}
 
 // routeIndexModel is the route table's former representation, kept as the
 // oracle of FuzzRouteIndex: keys maps packPair(src, dst) to record<<1 |
@@ -86,9 +19,10 @@ type routeIndexModel struct {
 
 // FuzzRouteIndex drives one Full or Floyd AS through random interleaved
 // point and route declarations (symmetric and one-way, duplicates, taken
-// reverses) and compiles, then checks every ordered pair of the builder's
-// table and of every snapshot compiled on the way against the map model
-// frozen at that point.
+// reverses) and checkpoints, checking every ordered pair of the builder's
+// table against the map model at each checkpoint. It then compiles once,
+// checks the builder and the snapshot against the final model, and checks
+// that a declaration after the compile is refused and changes nothing.
 func FuzzRouteIndex(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 3, 0, 1, 0, 6, 11, 2, 3, 1, 7, 0})
 	f.Add([]byte{1, 0, 2, 8, 3, 0, 1, 0, 6, 0, 19, 2, 0, 1, 6, 4, 5, 1, 0})
@@ -115,11 +49,6 @@ func checkRouteIndexScript(t *testing.T, script []byte) {
 	}
 	var names []string
 	m := routeIndexModel{keys: make(map[uint64]uint32)}
-	type compiledAt struct {
-		s    *Snapshot
-		keys map[uint64]uint32
-	}
-	var snaps []compiledAt
 
 	pos := 1
 	next := func() int {
@@ -154,45 +83,13 @@ func checkRouteIndexScript(t *testing.T, script []byte) {
 			m.pairs = append(m.pairs, rev)
 		}
 	}
-	for pos < len(script) {
-		op := next()
-		switch op % 8 {
-		case 0, 1, 2:
-			if len(names) == 64 {
-				continue
-			}
-			name := fmt.Sprintf("p%d", len(names))
-			var err error
-			if op%8 == 2 {
-				_, err = as.AddRouter(name)
-			} else {
-				_, err = as.AddHost(name, 1e9)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			names = append(names, name)
-		case 3, 4, 5:
-			if len(names) > 0 {
-				declare(next()%len(names), next()%len(names), op&8 != 0)
-			}
-		case 6:
-			snaps = append(snaps, compiledAt{p.Snapshot(), maps.Clone(m.keys)})
-		case 7: // declare the reverse of a declared route
-			if len(m.pairs) > 0 {
-				key := m.pairs[next()%len(m.pairs)]
-				declare(int(uint32(key)), int(key>>32), op&8 != 0)
-			}
-		}
-	}
-
-	// check compares rt with the model keys over every ordered pair;
-	// linkName renders an arena reference as the link's name.
-	check := func(who string, rt *routeTable, keys map[uint64]uint32, linkName func(LinkRef) string) {
+	// check compares rt with the model over every ordered pair; linkName
+	// renders an arena reference as the link's name.
+	check := func(who string, rt *routeTable, linkName func(LinkRef) string) {
 		for a := range names {
 			for b := range names {
 				e := rt.entry(int32(a), int32(b))
-				v, ok := keys[packPair(int32(a), int32(b))]
+				v, ok := m.keys[packPair(int32(a), int32(b))]
 				if !ok {
 					if e != 0 {
 						t.Fatalf("%s: %s->%s undeclared, index entry %#x", who, names[a], names[b], e)
@@ -219,9 +116,48 @@ func checkRouteIndexScript(t *testing.T, script []byte) {
 			}
 		}
 	}
-	snaps = append(snaps, compiledAt{p.Snapshot(), m.keys})
-	check("builder", &as.routes, m.keys, func(r LinkRef) string { return p.linkList[r.LinkIndex()].ID })
-	for i, c := range snaps {
-		check(fmt.Sprintf("snapshot %d", i), &c.s.topo.ases[0].routes, c.keys, func(r LinkRef) string { return c.s.LinkName(r.LinkIndex()) })
+	builderLink := func(r LinkRef) string { return p.linkList[r.LinkIndex()].ID }
+	for pos < len(script) {
+		op := next()
+		switch op % 8 {
+		case 0, 1, 2:
+			if len(names) == 64 {
+				continue
+			}
+			name := fmt.Sprintf("p%d", len(names))
+			var err error
+			if op%8 == 2 {
+				_, err = as.AddRouter(name)
+			} else {
+				_, err = as.AddHost(name, 1e9)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, name)
+		case 3, 4, 5:
+			if len(names) > 0 {
+				declare(next()%len(names), next()%len(names), op&8 != 0)
+			}
+		case 6:
+			check(fmt.Sprintf("builder at op %d", pos), &as.routes, builderLink)
+		case 7: // declare the reverse of a declared route
+			if len(m.pairs) > 0 {
+				key := m.pairs[next()%len(m.pairs)]
+				declare(int(uint32(key)), int(key>>32), op&8 != 0)
+			}
+		}
 	}
+
+	s := p.Snapshot()
+	if len(names) >= 2 {
+		if err := as.AddRoute(names[0], names[1], []LinkUse{{pool[0], Up}}, false); !errors.Is(err, errSealed) {
+			t.Fatalf("AddRoute after the compile: err = %v, want the seal", err)
+		}
+	}
+	if _, err := as.AddHost("late", 1e9); !errors.Is(err, errSealed) {
+		t.Fatalf("AddHost after the compile: err = %v, want the seal", err)
+	}
+	check("builder", &as.routes, builderLink)
+	check("snapshot", &s.topo.ases[0].routes, func(r LinkRef) string { return s.LinkName(r.LinkIndex()) })
 }

@@ -8,11 +8,11 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the compiled platform layer: Compile lowers the
-// builder-friendly, string-keyed Platform into an immutable Snapshot in
-// which hosts, routers and links carry dense int32 indices, resolved
-// routes are index slices, and link state (bandwidth/latency) lives in
-// flat arrays separate from the topology.
+// This file implements the compiled platform layer: the first Snapshot
+// call lowers the builder-friendly, string-keyed Platform, once, into an
+// immutable Snapshot in which hosts, routers and links carry dense int32
+// indices, resolved routes are index slices, and link state
+// (bandwidth/latency) lives in flat arrays separate from the topology.
 //
 // The split mirrors what SimGrid itself converged on to stay scalable
 // (Casanova et al., arXiv:1309.1630): a mutable description you build
@@ -23,7 +23,7 @@ import (
 // between epochs — so folding a batch of live measurements (NWS/iperf)
 // into the forecast picture costs O(changed links), not O(platform).
 //
-// Concurrency: a Snapshot is immutable after Compile apart from its
+// Concurrency: a Snapshot is immutable once compiled apart from its
 // published-route memo; every read — index lookups, link state, warm
 // route resolution — is lock-free. A cold route is resolved outside any
 // lock and published under one short mutex, so concurrent forecast
@@ -69,7 +69,7 @@ const (
 type statePage [statePageSize]float64
 
 // snapshotEpochs hands out process-unique epoch numbers. Epochs are never
-// reused — across platforms, recompiles and link-state updates — so an
+// reused — across platforms and link-state updates — so an
 // epoch number identifies one exact network picture forever. The forecast
 // cache keys entries by it instead of pinning platform pointers.
 //
@@ -137,8 +137,6 @@ type Snapshot struct {
 // platform: dense indices, per-AS route tables, the eager route arena and
 // the published route memo.
 type topology struct {
-	src *Platform // the builder this snapshot was compiled from
-
 	hostNames []string
 	hostSpeed []float64
 
@@ -276,22 +274,11 @@ type snapAS struct {
 	asRoutes map[uint64]snapASRoute
 }
 
-// Compile lowers the platform into a fresh base-epoch snapshot. The
-// platform must not be mutated concurrently (the builder API is already
-// documented as single-threaded); the result is immutable and safe to
-// share. Most callers want Snapshot, which memoizes the compilation until
-// the next mutation.
-func (p *Platform) Compile() *Snapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.compile()
-}
-
-// compile is Compile's body; the caller holds p.mu. It is the only
-// builder of Floyd tables, which it builds lazily and stores on the AS,
-// so the lock keeps two compiles from building and storing them together.
+// compile lowers the platform into its base-epoch snapshot. It only
+// reads the builder: Floyd tables are built here and kept only in the
+// snapshot. Snapshot runs it once.
 func (p *Platform) compile() *Snapshot {
-	t := &topology{src: p}
+	t := &topology{}
 
 	// Dense host/link indices in sorted-name order (matching Hosts/Links).
 	hostNames := make([]string, 0, len(p.hosts))
@@ -402,11 +389,8 @@ func (p *Platform) compile() *Snapshot {
 		sa.routes = as.routes.compiled(linkOfOrd)
 		switch as.Routing {
 		case RoutingFloyd:
-			if !as.floydBuilt {
-				as.buildFloyd()
-			}
 			sa.fN = int32(len(as.points))
-			sa.fNext = as.floydNext // never written after buildFloyd returns it
+			sa.fNext = as.buildFloyd()
 		case RoutingCluster:
 			sa.clPrivate = make(map[int32]int32, len(as.clusterPrivate))
 			for host, l := range as.clusterPrivate {
@@ -461,25 +445,13 @@ func buildPages(vals []float64) []*statePage {
 	return pages
 }
 
-// Snapshot returns the platform's memoized base-epoch snapshot, compiling
-// it on first use. Builder mutations invalidate the memo (via
-// InvalidateRouteCache), so the returned snapshot always reflects the
-// current structure — but once handed out it never changes: callers that
-// must answer a coherent batch of queries hold on to one Snapshot.
+// Snapshot returns the platform's base-epoch snapshot. The first call
+// compiles the platform and seals the builder: every later declaration is
+// refused, so every call returns the same snapshot. Racing first callers
+// wait for the one compile. Safe for concurrent use.
 func (p *Platform) Snapshot() *Snapshot {
-	if s := p.snap.Load(); s != nil {
-		return s
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	// Racing first callers queue on mu; all but the first find the
-	// snapshot it published.
-	if s := p.snap.Load(); s != nil {
-		return s
-	}
-	s := p.compile()
-	p.snap.Store(s)
-	return s
+	p.compileOnce.Do(func() { p.snap = p.compile() })
+	return p.snap
 }
 
 // Epoch returns the process-unique epoch number of this snapshot's
@@ -491,9 +463,6 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // observation epochs (observation provenance is recorded per Timeline
 // entry instead).
 func (s *Snapshot) Provenance() string { return s.provenance }
-
-// Platform returns the builder platform this snapshot was compiled from.
-func (s *Snapshot) Platform() *Platform { return s.topo.src }
 
 // NumHosts returns the number of hosts.
 func (s *Snapshot) NumHosts() int { return len(s.topo.hostNames) }
@@ -932,18 +901,4 @@ func (t *topology) clusterRoute(sa *snapAS, src, dst int32, refs []LinkRef) ([]L
 		return nil, 0, fmt.Errorf("platform: %q not in cluster AS %q", t.codeName(dst), sa.id)
 	}
 	return refs, lat, nil
-}
-
-// ExpandRoute converts a compiled route back to the builder-level link
-// representation (for tooling, diffing and tests; the hot path stays in
-// index form).
-func (s *Snapshot) ExpandRoute(r *CompiledRoute) []LinkUse {
-	out := make([]LinkUse, len(r.Refs))
-	for i, ref := range r.Refs {
-		out[i] = LinkUse{
-			Link:      s.topo.src.links[s.topo.linkNames[ref.LinkIndex()]],
-			Direction: ref.Direction(),
-		}
-	}
-	return out
 }

@@ -202,31 +202,6 @@ func TestSnapshotRouteErrors(t *testing.T) {
 	}
 }
 
-// TestSnapshotMemoInvalidation checks that builder mutations recompile.
-func TestSnapshotMemoInvalidation(t *testing.T) {
-	p := buildMixedPlatform(t, 2)
-	s1 := p.Snapshot()
-	if s2 := p.Snapshot(); s1 != s2 {
-		t.Fatal("snapshot memo not reused")
-	}
-	if _, err := p.Root().AddLink("late", 1e9, 1e-3, Shared); err != nil {
-		t.Fatal(err)
-	}
-	s3 := p.Snapshot()
-	if s3 == s1 {
-		t.Fatal("mutation did not invalidate the snapshot memo")
-	}
-	if s3.Epoch() <= s1.Epoch() {
-		t.Fatalf("epochs must be strictly increasing: %d then %d", s1.Epoch(), s3.Epoch())
-	}
-	if _, ok := s3.LinkIndex("late"); !ok {
-		t.Fatal("recompiled snapshot misses the new link")
-	}
-	if _, ok := s1.LinkIndex("late"); ok {
-		t.Fatal("old snapshot must not see the new link")
-	}
-}
-
 // TestWithLinkState checks copy-on-write epoch derivation: updates land in
 // the new epoch only, unrelated links share state, and a round trip back
 // to the original values restores bit-identical route latencies.
@@ -346,7 +321,6 @@ func TestWithLinkStateAllocBound(t *testing.T) {
 // the sequentially resolved truth.
 func TestSnapshotConcurrentAccess(t *testing.T) {
 	p := buildMixedPlatform(t, 6)
-	s := p.Snapshot()
 	hosts := p.Hosts()
 	truth := make(map[[2]string]float64)
 	for _, a := range hosts {
@@ -361,9 +335,9 @@ func TestSnapshotConcurrentAccess(t *testing.T) {
 			truth[[2]string{a.ID, b.ID}] = r.Latency
 		}
 	}
-	// Fresh snapshot so every pair starts cold and resolutions race.
-	p.InvalidateRouteCache()
-	s = p.Snapshot()
+	// The platform's first snapshot, so every pair starts cold and
+	// resolutions race.
+	s := p.Snapshot()
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -432,7 +406,7 @@ func TestSnapshotConcurrentPublication(t *testing.T) {
 		t.Fatalf("platform too small to grow the memo: %d pairs, %d links", len(pairs), links)
 	}
 
-	s := p.Compile()
+	s := p.Snapshot()
 	const workers = 8
 	got := make([][]*CompiledRoute, workers)
 	var wg sync.WaitGroup
@@ -502,10 +476,10 @@ func TestSnapshotConcurrentPublication(t *testing.T) {
 }
 
 // TestConcurrentFirstSnapshot races the first Snapshot calls of fresh
-// platforms holding a Floyd AS (run it under -race: Platform.mu is what
-// serializes the Floyd builds). The platform must compile once per
-// round — each compile mints an epoch — every caller must get that one
-// snapshot, and its routes through the Floyd AS must match the reference.
+// platforms holding a Floyd AS (run it under -race). The platform must
+// compile once per round — each compile mints an epoch — every caller must
+// get that one snapshot, and its routes through the Floyd AS, whose table
+// that compile builds, must match the reference.
 func TestConcurrentFirstSnapshot(t *testing.T) {
 	pairs := [][2]string{{"mesh-0", "m-out"}, {"lyon-1", "mesh-0"}, {"m-out", "cl-2"}}
 	const workers = 8

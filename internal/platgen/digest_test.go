@@ -44,7 +44,7 @@ func TestRouteDigestsG5K(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := p.Compile()
+		s := p.Snapshot()
 		h := sha256.New()
 		var buf [8]byte
 		hosts := p.Hosts()

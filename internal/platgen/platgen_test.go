@@ -282,7 +282,7 @@ func TestSimulationOnGeneratedPlatform(t *testing.T) {
 	p := genTest(t, g5k.Default(), Options{Variant: G5KTest})
 	cfg := sim.DefaultConfig()
 	cfg.GammaUsesLatencyFactor = true
-	res, err := sim.Predict(p, cfg, []sim.Transfer{
+	res, err := sim.Predict(p.Snapshot(), cfg, []sim.Transfer{
 		{Src: "capricorne-36.lyon.grid5000.fr", Dst: "griffon-50.nancy.grid5000.fr", Size: 5e8},
 		{Src: "capricorne-36.lyon.grid5000.fr", Dst: "capricorne-1.lyon.grid5000.fr", Size: 5e8},
 	})
@@ -312,7 +312,11 @@ func route(p *platform.Platform, src, dst string) (resolved, error) {
 	if err != nil {
 		return resolved{}, err
 	}
-	return resolved{Links: s.ExpandRoute(r), Latency: r.Latency}, nil
+	out := resolved{Latency: r.Latency}
+	for _, ref := range r.Refs {
+		out.Links = append(out.Links, platform.LinkUse{Link: p.Link(s.LinkName(ref.LinkIndex())), Direction: ref.Direction()})
+	}
+	return out, nil
 }
 
 // requireRoutes resolves every ordered pair of p's hosts through its

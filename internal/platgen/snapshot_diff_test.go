@@ -89,8 +89,8 @@ func randomReference(rng *rand.Rand) *g5k.Reference {
 // TestSnapshotDifferentialRandomPlatforms is the snapshot-equivalence
 // property test: over randomized platgen platforms (both flavours),
 // forecast results must be bit-identical across (a) an independent
-// recompilation and (b) a WithLinkState round trip back to the original
-// values. Its route-identity half, every host-pair route against the
+// platform generated again from the same seed and compiled on its own and
+// (b) a WithLinkState round trip back to the original values. Its route-identity half, every host-pair route against the
 // reference resolver on the same seeds, is
 // platform.TestSnapshotMatchesReferenceRandomPlatforms.
 func TestSnapshotDifferentialRandomPlatforms(t *testing.T) {
@@ -106,8 +106,9 @@ func TestSnapshotDifferentialRandomPlatforms(t *testing.T) {
 		hosts := plat.Hosts()
 
 		// Forecast equivalence: the same workload through the engine on
-		// (1) the memoized snapshot, (2) a fresh independent compilation,
-		// (3) a WithLinkState round trip — all bit-identical.
+		// (1) the platform's snapshot, (2) the snapshot of a second
+		// Generate of the same reference, (3) a WithLinkState round trip —
+		// all bit-identical.
 		var reqs []pilgrim.TransferRequest
 		for k := 0; k < 6 && k < len(hosts)/2; k++ {
 			reqs = append(reqs, pilgrim.TransferRequest{
@@ -125,7 +126,11 @@ func TestSnapshotDifferentialRandomPlatforms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		recompiled, err := pilgrim.PredictTransfers(pilgrim.PlatformEntry{Platform: plat, Config: cfg, Snapshot: plat.Compile()}, reqs, nil)
+		twin, err := Generate(ref, Options{Variant: variant})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		recompiled, err := pilgrim.PredictTransfers(pilgrim.PlatformEntry{Platform: twin, Config: cfg, Snapshot: twin.Snapshot()}, reqs, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

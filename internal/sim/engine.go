@@ -144,14 +144,8 @@ type Engine struct {
 
 	events int // sharing recomputations, for benchmarks
 
-	pooled   bool // eligible for the engine pool (created by AcquireEngine)
+	pooled   bool // eligible for the engine pool (created by AcquireEngineSnapshot)
 	released bool // handed back by ReleaseEngine; snap is nil until re-acquired
-}
-
-// NewEngine creates an engine over the given platform's current base
-// snapshot with the given model configuration.
-func NewEngine(plat *platform.Platform, cfg Config) *Engine {
-	return NewEngineSnapshot(plat.Snapshot(), cfg)
 }
 
 // NewEngineSnapshot creates an engine over one compiled platform epoch.
@@ -172,9 +166,9 @@ func NewEngineSnapshot(snap *platform.Snapshot, cfg Config) *Engine {
 // keeping every internal buffer: the arena structs, the event heap's
 // storage, the flow system's recycled variables and constraints, and the
 // constraint map's buckets. A reset engine is observably identical to a
-// fresh NewEngine (same ids, same solver serials, bit-identical results)
-// but re-running a same-shaped workload allocates almost nothing. Callers
-// must drop any ActivityID obtained before the reset.
+// fresh NewEngineSnapshot (same ids, same solver serials, bit-identical
+// results) but re-running a same-shaped workload allocates almost
+// nothing. Callers must drop any ActivityID obtained before the reset.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.nextID = 0
@@ -264,9 +258,6 @@ func (e *Engine) SharingStats() SharingStats {
 		VariablesKept:    e.sys.VariablesKept(),
 	}
 }
-
-// Platform returns the builder platform behind the engine's snapshot.
-func (e *Engine) Platform() *platform.Platform { return e.snap.Platform() }
 
 // Snapshot returns the compiled platform epoch the engine simulates.
 func (e *Engine) Snapshot() *platform.Snapshot { return e.snap }

@@ -57,7 +57,7 @@ type refConstraintKey struct {
 type refEngine struct {
 	cfg   Config
 	plat  *platform.Platform
-	snap  *platform.Snapshot // a fresh compile, sharing no memo with the engine
+	snap  *platform.Snapshot
 	now   float64
 	acts  []*refActivity // id order
 	dirty bool
@@ -71,7 +71,7 @@ func newRefEngine(plat *platform.Platform, cfg Config) *refEngine {
 	return &refEngine{
 		cfg:   cfg,
 		plat:  plat,
-		snap:  plat.Compile(),
+		snap:  plat.Snapshot(),
 		sys:   flow.NewSystem(),
 		cnsts: make(map[refConstraintKey]*flow.Constraint),
 	}
@@ -89,13 +89,22 @@ func (e *refEngine) addComm(src, dst string, size, start float64) (ActivityID, e
 		start:     start,
 		latLeft:   e.cfg.LatencyFactor * route.Latency,
 		remaining: size,
-		links:     e.snap.ExpandRoute(route),
+		links:     e.linkUses(route),
 		weight:    1 / e.cfg.rttWeight(route.Latency),
 		bound:     e.cfg.windowBound(route.Latency),
 	}
 	e.acts = append(e.acts, a)
 	e.dirty = true
 	return a.id, nil
+}
+
+// linkUses maps a compiled route's traversals to the builder's links.
+func (e *refEngine) linkUses(r *platform.CompiledRoute) []platform.LinkUse {
+	out := make([]platform.LinkUse, len(r.Refs))
+	for i, ref := range r.Refs {
+		out[i] = platform.LinkUse{Link: e.plat.Link(e.snap.LinkName(ref.LinkIndex())), Direction: ref.Direction()}
+	}
+	return out
 }
 
 func (e *refEngine) addBackgroundFlow(src, dst string, start float64) (ActivityID, error) {
@@ -503,7 +512,7 @@ func TestHeapKernelMatchesScanReference(t *testing.T) {
 				cfg.TCPGamma = 0 // exercise the unbounded-variable path too
 			}
 
-			eng := NewEngine(plat, cfg)
+			eng := NewEngineSnapshot(plat.Snapshot(), cfg)
 			engDates, engChain, engOff := runWorkload(t, w, kernelOps{
 				addComm:  eng.AddComm,
 				addExec:  eng.AddExec,
@@ -567,7 +576,7 @@ func TestEnginePoolReuseAfterAbandonedRun(t *testing.T) {
 	plat := buildRandomPlatform(t, rng, 7)
 	cfg := DefaultConfig()
 
-	e := AcquireEngine(plat, cfg)
+	e := AcquireEngineSnapshot(plat.Snapshot(), cfg)
 	for i := 0; i < 6; i++ {
 		if _, err := e.AddComm(fmt.Sprintf("h%d", i), fmt.Sprintf("h%d", i+1), 1e8, 0); err != nil {
 			t.Fatal(err)
@@ -592,7 +601,7 @@ func TestEnginePoolReuseAfterAbandonedRun(t *testing.T) {
 	}
 	ReleaseEngine(e)
 
-	e = AcquireEngine(plat, cfg)
+	e = AcquireEngineSnapshot(plat.Snapshot(), cfg)
 	defer ReleaseEngine(e)
 	if _, err := e.AddComm("h0", "h1", 1e6, 0); err != nil {
 		t.Fatal(err)
@@ -624,15 +633,15 @@ func TestEnginePoolBitIdentical(t *testing.T) {
 		return dates, chain, e.Resharings()
 	}
 
-	fresh := NewEngine(plat, cfg)
+	fresh := NewEngineSnapshot(plat.Snapshot(), cfg)
 	fd, fc, fr := run(fresh)
 
 	// Churn the pool: acquire, run, release, then run the real comparison
 	// on a recycled engine.
-	warm := AcquireEngine(plat, cfg)
+	warm := AcquireEngineSnapshot(plat.Snapshot(), cfg)
 	run(warm)
 	ReleaseEngine(warm)
-	recycled := AcquireEngine(plat, cfg)
+	recycled := AcquireEngineSnapshot(plat.Snapshot(), cfg)
 	defer ReleaseEngine(recycled)
 	rd, rc, rr := run(recycled)
 

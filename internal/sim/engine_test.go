@@ -9,7 +9,7 @@ import (
 
 func TestResharingsCounted(t *testing.T) {
 	p := buildPair(t, 100e6, 0)
-	e := NewEngine(p, DefaultConfig())
+	e := NewEngineSnapshot(p.Snapshot(), DefaultConfig())
 	if _, err := e.AddComm("a", "b", 1e6, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestSharingStatsIncremental(t *testing.T) {
 	as.AddRoute("c", "d", []platform.LinkUse{{Link: l2, Direction: platform.None}}, true)
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0
-	e := NewEngine(p, cfg)
+	e := NewEngineSnapshot(p.Snapshot(), cfg)
 	// Same size, but the c->d link is half as fast: a->b finishes first.
 	if _, err := e.AddComm("a", "b", 92e6, 0); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestSharingStatsWarmResolve(t *testing.T) {
 	as.AddRoute("b", "c", []platform.LinkUse{{Link: trunk, Direction: platform.None}}, true)
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0
-	e := NewEngine(p, cfg)
+	e := NewEngineSnapshot(p.Snapshot(), cfg)
 	// a->c saturates the slow link first and is fixed there; the two b->c
 	// transfers then split what is left of the trunk. The small one
 	// completes first.
@@ -111,7 +111,7 @@ func TestEngineNowAdvances(t *testing.T) {
 	p := buildPair(t, 100e6, 0)
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0
-	e := NewEngine(p, cfg)
+	e := NewEngineSnapshot(p.Snapshot(), cfg)
 	if e.Now() != 0 {
 		t.Fatalf("initial now = %v", e.Now())
 	}
@@ -144,7 +144,7 @@ func TestLatencyPhaseDelaysSharing(t *testing.T) {
 
 	// A transfers 9.2e6 bytes: exactly 0.1s at full 92e6 B/s — it must
 	// finish just as B's latency phase ends, never sharing.
-	res, err := Predict(p, cfg, []Transfer{
+	res, err := Predict(p.Snapshot(), cfg, []Transfer{
 		{Src: "a", Dst: "b", Size: 9.2e6},
 		{Src: "c", Dst: "b", Size: 9.2e6},
 	})
@@ -166,7 +166,7 @@ func TestEngineMixedCommExec(t *testing.T) {
 	p := buildPair(t, 100e6, 0)
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0
-	e := NewEngine(p, cfg)
+	e := NewEngineSnapshot(p.Snapshot(), cfg)
 	comm, err := e.AddComm("a", "b", 92e6, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestActivityAddedMidRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0
 	cfg.LatencyFactor = 1
-	e := NewEngine(p, cfg)
+	e := NewEngineSnapshot(p.Snapshot(), cfg)
 	first, err := e.AddComm("a", "b", 92e6, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestActivityAddedMidRun(t *testing.T) {
 
 func TestDoneQueries(t *testing.T) {
 	p := buildPair(t, 100e6, 0)
-	e := NewEngine(p, DefaultConfig())
+	e := NewEngineSnapshot(p.Snapshot(), DefaultConfig())
 	id, err := e.AddComm("a", "b", 1e6, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestZeroCapacityStallDetected(t *testing.T) {
 	as.AddRoute("a", "b", []platform.LinkUse{{Link: l, Direction: platform.None}}, true)
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0
-	_, err = Predict(p, cfg, []Transfer{{Src: "a", Dst: "b", Size: 1e9}})
+	_, err = Predict(p.Snapshot(), cfg, []Transfer{{Src: "a", Dst: "b", Size: 1e9}})
 	// Either an explicit stall error or an astronomically long duration
 	// is acceptable; silence/hang is not. Predict returning is the test.
 	_ = err

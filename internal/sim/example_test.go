@@ -19,7 +19,7 @@ func ExamplePredict() {
 
 	cfg := sim.DefaultConfig()
 	cfg.TCPGamma = 0 // disable the window bound for a clean closed form
-	results, err := sim.Predict(p, cfg, []sim.Transfer{
+	results, err := sim.Predict(p.Snapshot(), cfg, []sim.Transfer{
 		{Src: "a", Dst: "b", Size: 46e6},
 		{Src: "a", Dst: "b", Size: 46e6},
 	})

@@ -48,8 +48,7 @@ import (
 // two topology-sized pointer arrays, the arena, the heap, the flow
 // system's recycled variables and constraints) and cfg — and no snapshot:
 // Release drops the reference, so a parked engine never pins a superseded
-// epoch. The flavour's map key holds the topology (and through it the
-// builder Platform) alive.
+// epoch. The flavour's map key holds the compiled topology alive.
 //
 // Bounds. Memory is bounded by flavours × maxFreePerPool engines: one
 // flavour per (platform, Config) in use, at most maxPoolKeys of them (a
@@ -104,16 +103,10 @@ func PoolStats() PoolCounters {
 	return s
 }
 
-// AcquireEngine returns a ready-to-use engine for the given platform's
-// current base snapshot, recycled from the process-wide pool when one is
-// available. Pass it back with ReleaseEngine when the simulation's
-// results have been read.
-func AcquireEngine(plat *platform.Platform, cfg Config) *Engine {
-	return AcquireEngineSnapshot(plat.Snapshot(), cfg)
-}
-
-// AcquireEngineSnapshot is AcquireEngine for one compiled platform epoch:
-// any parked engine of snap's topology and cfg, rebound to snap.
+// AcquireEngineSnapshot returns a ready-to-use engine for one compiled
+// platform epoch: any parked engine of snap's topology and cfg, rebound to
+// snap, or a new one when none is parked. Pass it back with ReleaseEngine
+// when the simulation's results have been read.
 func AcquireEngineSnapshot(snap *platform.Snapshot, cfg Config) *Engine {
 	key := poolKey{topo: snap.TopologyID(), cfg: cfg}
 	var e *Engine
@@ -143,7 +136,7 @@ func AcquireEngineSnapshot(snap *platform.Snapshot, cfg Config) *Engine {
 // it for the next acquire on any epoch of the same topology, unless its
 // flavour was evicted meanwhile or parks enough engines already. The caller
 // must not use the engine — or any ActivityID it handed out — afterwards.
-// Engines that did not come from AcquireEngine, and engines already
+// Engines that did not come from AcquireEngineSnapshot, and engines already
 // released, are ignored, so Release is always safe to call.
 func ReleaseEngine(e *Engine) {
 	if e == nil || !e.pooled || e.released {

@@ -36,28 +36,18 @@ type Simulation struct {
 	ran    bool
 }
 
-// NewSimulation creates a simulation over the platform's current base
-// snapshot with the given model configuration.
-func NewSimulation(plat *platform.Platform, cfg Config) *Simulation {
-	return &Simulation{engine: NewEngine(plat, cfg)}
-}
-
 // NewSnapshotSimulation creates a simulation over one compiled platform
-// epoch — the entry point of the measure→update→forecast loop, where each
-// forecast must be answered against a specific link-state picture.
+// epoch with the given model configuration — the entry point of the
+// measure→update→forecast loop, where each forecast must be answered
+// against a specific link-state picture.
 func NewSnapshotSimulation(snap *platform.Snapshot, cfg Config) *Simulation {
 	return &Simulation{engine: NewEngineSnapshot(snap, cfg)}
 }
 
-// NewPooledSimulation is NewSimulation over a recycled engine from the
-// process-wide pool (see AcquireEngine). The behaviour is identical; the
-// caller must call Release once the results have been read.
-func NewPooledSimulation(plat *platform.Platform, cfg Config) *Simulation {
-	return &Simulation{engine: AcquireEngine(plat, cfg)}
-}
-
 // NewPooledSnapshotSimulation is NewSnapshotSimulation over a recycled
-// engine from the process-wide pool.
+// engine from the process-wide pool (see AcquireEngineSnapshot). The
+// behaviour is identical; the caller must call Release once the results
+// have been read.
 func NewPooledSnapshotSimulation(snap *platform.Snapshot, cfg Config) *Simulation {
 	return &Simulation{engine: AcquireEngineSnapshot(snap, cfg)}
 }
@@ -105,10 +95,10 @@ func (s *Simulation) Run() ([]TransferResult, error) {
 func (s *Simulation) Engine() *Engine { return s.engine }
 
 // Predict is a convenience one-shot: simulate the given concurrent
-// transfers (all starting at time 0) on plat and return their durations.
-// The engine comes from (and returns to) the process-wide pool.
-func Predict(plat *platform.Platform, cfg Config, transfers []Transfer) ([]TransferResult, error) {
-	s := NewPooledSimulation(plat, cfg)
+// transfers on snap and return their durations. The engine comes from
+// (and returns to) the process-wide pool.
+func Predict(snap *platform.Snapshot, cfg Config, transfers []Transfer) ([]TransferResult, error) {
+	s := NewPooledSnapshotSimulation(snap, cfg)
 	defer s.Release()
 	for _, t := range transfers {
 		s.AddTransferAt(t.Src, t.Dst, t.Size, t.Start)

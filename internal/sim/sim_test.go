@@ -89,7 +89,7 @@ func TestSingleTransferDuration(t *testing.T) {
 	// duration = 10.4*1e-4 + size/(0.92*125e6).
 	p := buildPair(t, 125e6, 1e-4)
 	cfg := DefaultConfig()
-	res, err := Predict(p, cfg, []Transfer{{Src: "a", Dst: "b", Size: 1e9}})
+	res, err := Predict(p.Snapshot(), cfg, []Transfer{{Src: "a", Dst: "b", Size: 1e9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestWindowBoundLimitsLongPath(t *testing.T) {
 	// High-latency path: rate capped at gamma/(2*RTT_raw).
 	p := buildPair(t, 1.25e9, 10e-3) // 10 Gb/s, 10 ms
 	cfg := DefaultConfig()
-	res, err := Predict(p, cfg, []Transfer{{Src: "a", Dst: "b", Size: 1e9}})
+	res, err := Predict(p.Snapshot(), cfg, []Transfer{{Src: "a", Dst: "b", Size: 1e9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTwoFlowsShareEvenly(t *testing.T) {
 	p := buildPair(t, 100e6, 1e-4)
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0 // isolate sharing behaviour
-	res, err := Predict(p, cfg, []Transfer{
+	res, err := Predict(p.Snapshot(), cfg, []Transfer{
 		{Src: "a", Dst: "b", Size: 4.6e8},
 		{Src: "a", Dst: "b", Size: 4.6e8},
 	})
@@ -143,7 +143,7 @@ func TestShorterFlowReleasesBandwidth(t *testing.T) {
 	p := buildPair(t, 100e6, 0)
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0
-	res, err := Predict(p, cfg, []Transfer{
+	res, err := Predict(p.Snapshot(), cfg, []Transfer{
 		{Src: "a", Dst: "b", Size: 46e6},
 		{Src: "a", Dst: "b", Size: 138e6},
 	})
@@ -183,7 +183,7 @@ func TestRTTAwareSharing(t *testing.T) {
 	// Measure instantaneous shares via a long simulation where both stay
 	// active: give both huge equal sizes; the near flow (RTT 2*10.4*1e-4)
 	// must finish ~10x faster than the far flow (RTT 2*10.4*1e-3).
-	res, err := Predict(p, cfg, []Transfer{
+	res, err := Predict(p.Snapshot(), cfg, []Transfer{
 		{Src: "src", Dst: "near", Size: 1e9},
 		{Src: "src", Dst: "far", Size: 1e9},
 	})
@@ -213,7 +213,7 @@ func TestPaperWorkedExample(t *testing.T) {
 	p := buildLyonNancy(t)
 	cfg := DefaultConfig()
 	cfg.GammaUsesLatencyFactor = true
-	res, err := Predict(p, cfg, []Transfer{
+	res, err := Predict(p.Snapshot(), cfg, []Transfer{
 		{Src: "capricorne-36", Dst: "griffon-50", Size: 5e8},
 		{Src: "capricorne-36", Dst: "capricorne-1", Size: 5e8},
 	})
@@ -238,7 +238,7 @@ func TestStaggeredStarts(t *testing.T) {
 	p := buildPair(t, 100e6, 0)
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0
-	s := NewSimulation(p, cfg)
+	s := NewSnapshotSimulation(p.Snapshot(), cfg)
 	s.AddTransferAt("a", "b", 92e6, 0)  // takes 1s alone
 	s.AddTransferAt("a", "b", 92e6, 10) // starts at 10, takes 1s
 	res, err := s.Run()
@@ -261,11 +261,11 @@ func TestBackgroundFlowSlowsTransfer(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0
 
-	solo, err := Predict(p, cfg, []Transfer{{Src: "a", Dst: "b", Size: 92e6}})
+	solo, err := Predict(p.Snapshot(), cfg, []Transfer{{Src: "a", Dst: "b", Size: 92e6}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSimulation(p, cfg)
+	s := NewSnapshotSimulation(p.Snapshot(), cfg)
 	s.AddTransfer("a", "b", 92e6)
 	s.AddBackgroundFlow("b", "a")
 	loaded, err := s.Run()
@@ -298,7 +298,7 @@ func TestFullDuplexIndependence(t *testing.T) {
 		{Src: "b", Dst: "a", Size: 92e6},
 	}
 
-	full, err := Predict(build(platform.FullDuplex), cfg, transfers)
+	full, err := Predict(build(platform.FullDuplex).Snapshot(), cfg, transfers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestFullDuplexIndependence(t *testing.T) {
 		t.Errorf("full duplex durations = %v, %v, want 1, 1", full[0].Duration, full[1].Duration)
 	}
 
-	shared, err := Predict(build(platform.Shared), cfg, transfers)
+	shared, err := Predict(build(platform.Shared).Snapshot(), cfg, transfers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestFatpipeNoContention(t *testing.T) {
 	as.AddRoute("a", "b", []platform.LinkUse{{Link: l, Direction: platform.None}}, true)
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0
-	res, err := Predict(p, cfg, []Transfer{
+	res, err := Predict(p.Snapshot(), cfg, []Transfer{
 		{Src: "a", Dst: "b", Size: 92e6},
 		{Src: "a", Dst: "b", Size: 92e6},
 	})
@@ -341,20 +341,20 @@ func TestFatpipeNoContention(t *testing.T) {
 
 func TestInvalidTransfers(t *testing.T) {
 	p := buildPair(t, 1e8, 0)
-	if _, err := Predict(p, DefaultConfig(), []Transfer{{Src: "a", Dst: "nope", Size: 1}}); err == nil {
+	if _, err := Predict(p.Snapshot(), DefaultConfig(), []Transfer{{Src: "a", Dst: "nope", Size: 1}}); err == nil {
 		t.Error("unknown destination accepted")
 	}
-	if _, err := Predict(p, DefaultConfig(), []Transfer{{Src: "a", Dst: "b", Size: -5}}); err == nil {
+	if _, err := Predict(p.Snapshot(), DefaultConfig(), []Transfer{{Src: "a", Dst: "b", Size: -5}}); err == nil {
 		t.Error("negative size accepted")
 	}
-	if _, err := Predict(p, DefaultConfig(), []Transfer{{Src: "a", Dst: "a", Size: 5}}); err == nil {
+	if _, err := Predict(p.Snapshot(), DefaultConfig(), []Transfer{{Src: "a", Dst: "a", Size: 5}}); err == nil {
 		t.Error("self transfer accepted")
 	}
 }
 
 func TestRunTwiceFails(t *testing.T) {
 	p := buildPair(t, 1e8, 0)
-	s := NewSimulation(p, DefaultConfig())
+	s := NewSnapshotSimulation(p.Snapshot(), DefaultConfig())
 	s.AddTransfer("a", "b", 1e6)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func TestRunTwiceFails(t *testing.T) {
 
 func TestEngineExecSharing(t *testing.T) {
 	p := buildPair(t, 1e8, 0)
-	e := NewEngine(p, DefaultConfig())
+	e := NewEngineSnapshot(p.Snapshot(), DefaultConfig())
 	var ids [2]ActivityID
 	for i := range ids {
 		var err error
@@ -387,7 +387,7 @@ func TestEngineExecSharing(t *testing.T) {
 
 func TestEngineRejectsPastStart(t *testing.T) {
 	p := buildPair(t, 1e8, 0)
-	e := NewEngine(p, DefaultConfig())
+	e := NewEngineSnapshot(p.Snapshot(), DefaultConfig())
 	if _, err := e.AddComm("a", "b", 1e6, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestRemoveBackgroundFlow(t *testing.T) {
 	p := buildPair(t, 100e6, 0)
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0
-	e := NewEngine(p, cfg)
+	e := NewEngineSnapshot(p.Snapshot(), cfg)
 	id, err := e.AddBackgroundFlow("b", "a", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +455,7 @@ func TestWorkConservation(t *testing.T) {
 			total += size
 			transfers = append(transfers, Transfer{Src: "a", Dst: "b", Size: size})
 		}
-		res, err := Predict(p, cfg, transfers)
+		res, err := Predict(p.Snapshot(), cfg, transfers)
 		if err != nil {
 			return false
 		}
@@ -480,12 +480,12 @@ func TestContentionNeverHelps(t *testing.T) {
 		p := buildPair(t, 100e6, 1e-4)
 		cfg := DefaultConfig()
 		base := []Transfer{{Src: "a", Dst: "b", Size: 1e6 + g.Float64()*1e8}}
-		solo, err := Predict(p, cfg, base)
+		solo, err := Predict(p.Snapshot(), cfg, base)
 		if err != nil {
 			return false
 		}
 		crowd := append(base, Transfer{Src: "a", Dst: "b", Size: 1e6 + g.Float64()*1e8})
-		both, err := Predict(p, cfg, crowd)
+		both, err := Predict(p.Snapshot(), cfg, crowd)
 		if err != nil {
 			return false
 		}
@@ -501,7 +501,7 @@ func BenchmarkPredictSingleTransfer(b *testing.B) {
 	cfg := DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Predict(p, cfg, []Transfer{{Src: "a", Dst: "b", Size: 1e9}}); err != nil {
+		if _, err := Predict(p.Snapshot(), cfg, []Transfer{{Src: "a", Dst: "b", Size: 1e9}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -517,7 +517,7 @@ func BenchmarkPredictWorkedExample(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Predict(p, cfg, transfers); err != nil {
+		if _, err := Predict(p.Snapshot(), cfg, transfers); err != nil {
 			b.Fatal(err)
 		}
 	}
