@@ -25,7 +25,7 @@ BENCH_COUNT := 5
 # plus Registry.Add over a 2000-observation log tail).
 KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkCold60CrossSite|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPPredict60CrossSite|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs|BenchmarkRegistryRestart
 
-.PHONY: all build test vet orphans race bench bench-smoke bench-check bench-baseline bench-fleet campaign-check recovery-check fleet-smoke loadgen-smoke profile clean
+.PHONY: all build test vet orphans fma-check race bench bench-smoke bench-check bench-baseline bench-fleet campaign-check recovery-check fleet-smoke loadgen-smoke profile clean
 
 all: vet build test
 
@@ -45,6 +45,23 @@ orphans:
 	for p in $$(go list ./internal/...); do \
 		echo "$$imports" | grep -qx "$$p" || { echo "orphan: $$p is imported by no non-test package"; bad=1; }; \
 	done; [ -z "$$bad" ]
+
+# fma-check cross-compiles every non-test package for the architectures
+# whose compiler fuses x*y+z into one fused multiply-add, and fails on any
+# such instruction in this module's code. An FMA rounds once instead of
+# twice, so a forecast computed there would differ in its last bits from
+# amd64's; an explicit float64(...) around the product rounds it and keeps
+# the compiler from fusing.
+FMA_ARCHS := arm64 ppc64le s390x riscv64
+
+fma-check:
+	@fail=0; for arch in $(FMA_ARCHS); do \
+		asm=$$(GOARCH=$$arch go build -trimpath -gcflags='pilgrim/...=-S' ./... 2>&1) || { echo "$$asm"; exit 1; }; \
+		sites=$$(echo "$$asm" | grep -E '\sFN?M(ADD|SUB)[DS]?\s' | grep -oE '\(pilgrim/[^)]*\.go:[0-9]+\)' | sort -u); \
+		if [ -n "$$sites" ]; then echo "fma-check: $$arch fuses at"; echo "$$sites"; fail=1; fi; \
+	done; \
+	if [ $$fail = 0 ]; then echo "fma-check: no fused multiply-add on $(FMA_ARCHS)"; fi; \
+	exit $$fail
 
 race:
 	go test -race ./internal/keyed/... ./internal/platform/... ./internal/pilgrim/... ./internal/sim/... ./internal/flow/... ./internal/campaign/... ./internal/store/... ./internal/shard/... ./internal/gateway/...

@@ -40,12 +40,13 @@ type Entry struct {
 
 // quantile returns the q-quantile of sorted by linear interpolation.
 func quantile(sorted []float64, q float64) float64 {
-	pos := q * float64(len(sorted)-1)
+	// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(pos)
 	if lo+1 >= len(sorted) {
 		return sorted[len(sorted)-1]
 	}
-	return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
+	return sorted[lo] + float64((pos-float64(lo))*(sorted[lo+1]-sorted[lo]))
 }
 
 func median(vals []float64) float64 {

@@ -224,7 +224,8 @@ func buildQueries(server, platform string, transfers, distinct int, seed int64) 
 		sb.WriteString(base)
 		for i := 0; i < transfers; i++ {
 			pair := rng.Sample(len(hosts), 2)
-			size := math.Trunc(1e8 * (1 + 9*rng.Float64()))
+			// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+			size := math.Trunc(1e8 * (1 + float64(9*rng.Float64())))
 			if i == 0 {
 				sb.WriteByte('?')
 			} else {

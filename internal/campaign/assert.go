@@ -53,7 +53,8 @@ type Tolerance struct {
 func (tol Tolerance) slack(ref float64) float64 {
 	s := tol.Abs
 	if tol.Rel > 0 && !math.IsInf(ref, 0) && !math.IsNaN(ref) {
-		s += tol.Rel * math.Abs(ref)
+		// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+		s += float64(tol.Rel * math.Abs(ref))
 	}
 	return s
 }

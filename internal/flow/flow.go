@@ -684,6 +684,9 @@ func (s *System) Solve() error {
 
 	unfixed := len(dirtyV)
 	fix := func(v *Variable, rate float64) {
+		// rate may be an inlined product: float64() rounds it, so no
+		// GOARCH fuses it into the updates below (make fma-check).
+		rate = float64(rate)
 		v.fixed = true
 		v.value = rate
 		v.round = s.round

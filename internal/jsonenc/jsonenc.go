@@ -1,8 +1,11 @@
 // Package jsonenc holds the byte-level rules encoding/json applies to a
-// string and to a float64, as append functions. The hand-written encoders
-// that must write exactly what encoding/json writes — the serving path's
-// response writer (internal/pilgrim) and the WAL record codec
-// (internal/store) — call these instead of each keeping a copy.
+// string and to a float64, both ways. The writers are append functions:
+// the hand-written encoders that must write exactly what encoding/json
+// writes — the serving path's response writer (internal/pilgrim) and the
+// WAL record codec (internal/store) — call these instead of each keeping
+// a copy. The one reader, Reader, is a strict JSON scanner that decodes
+// as encoding/json does: the WAL record decoder and the evaluate body
+// decoder are field tables over it.
 package jsonenc
 
 import (

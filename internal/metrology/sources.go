@@ -19,7 +19,8 @@ func PowerSource(baseline, loadSwing float64, seed int64) Source {
 	return func(ts int64) float64 {
 		// Diurnal component: peaks mid-day (86400 s period).
 		day := float64(ts%86400) / 86400
-		diurnal := loadSwing * 0.5 * (1 - math.Cos(2*math.Pi*day))
+		// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+		diurnal := float64(loadSwing * 0.5 * (1 - math.Cos(2*math.Pi*day)))
 		noise := rng.Normal(0, 0.06)
 		return baseline + diurnal + noise
 	}
@@ -32,7 +33,8 @@ func LatencySource(floor float64, seed int64) Source {
 	return func(ts int64) float64 {
 		day := float64(ts%86400) / 86400
 		busy := 0.5 * (1 - math.Cos(2*math.Pi*day)) // 0..1
-		excess := floor * 0.2 * busy * rng.LogNormal(0, 0.3)
+		// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+		excess := float64(floor * 0.2 * busy * rng.LogNormal(0, 0.3))
 		return floor + excess
 	}
 }
@@ -51,8 +53,9 @@ func TrafficCounterSource(meanRate float64, seed int64) Source {
 		dt := float64(ts - lastTS)
 		lastTS = ts
 		day := float64(ts%86400) / 86400
-		rate := meanRate * (0.4 + 0.6*0.5*(1-math.Cos(2*math.Pi*day))) * rng.LogNormal(0, 0.2)
-		total += rate * dt
+		// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+		rate := meanRate * (0.4 + float64(0.6*0.5*(1-math.Cos(2*math.Pi*day)))) * rng.LogNormal(0, 0.2)
+		total += float64(rate * dt)
 		return total
 	}
 }

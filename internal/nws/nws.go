@@ -269,7 +269,8 @@ func (e *expSmoothing) Update(v float64) {
 		e.v, e.ok = v, true
 		return
 	}
-	e.v = e.gain*v + (1-e.gain)*e.v
+	// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+	e.v = float64(e.gain*v) + float64((1-e.gain)*e.v)
 }
 func (e *expSmoothing) Predict() (float64, bool) { return e.v, e.ok }
 

@@ -1,7 +1,6 @@
 package pilgrim
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/url"
@@ -9,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"pilgrim/internal/jsonenc"
 	"pilgrim/internal/scenario"
 )
 
@@ -18,7 +18,8 @@ import (
 // predict_transfers query — accepts, produces exactly the value that
 // counterpart would, and declines everything else; the handler then runs
 // the generic decoder on the same bytes, so error texts, case-folded keys,
-// escapes, nulls, duplicate and unknown keys keep their generic meaning.
+// nulls, duplicate and unknown keys, and a query's %-escapes keep their
+// generic meaning.
 
 // predictQuery is a decoded predict_transfers query string. The handler
 // takes one from predictQueries and releases it on return: nothing a request
@@ -142,14 +143,17 @@ func (p *predictQuery) decodeStrict(raw string) bool {
 	return true
 }
 
-// evalDecoder decodes an EvaluateRequest body. Elements are gathered on
-// per-type stacks and copied out into exactly sized slices, so a decode
-// allocates the slices and strings json.Unmarshal would and nothing else.
-// No element type contains itself, so an element being decoded never sits
+// evalDecoder decodes an EvaluateRequest body: field tables over
+// internal/jsonenc's strict reader. Elements are gathered on per-type
+// stacks and copied out into exactly sized slices, so a decode allocates
+// the slices and strings json.Unmarshal would and nothing else. No
+// element type contains itself, so an element being decoded never sits
 // on the stack it is decoding into.
 type evalDecoder struct {
-	data []byte
-	i    int
+	r jsonenc.Reader
+	// out is decoded into, then copied out: passed through the field
+	// tables' calls, a local request would move to the heap.
+	out EvaluateRequest
 
 	scenarios  []scenario.Scenario
 	mutations  []scenario.Mutation
@@ -161,18 +165,17 @@ type evalDecoder struct {
 
 var evalDecoders = sync.Pool{New: func() any { return new(evalDecoder) }}
 
-// decodeStrict decodes data into req when data lies in the strict subset:
-// JSON whitespace; keys spelled exactly as the json tags, each at most
-// once per object; strings of bytes 0x20–0x7E other than '"' and '\';
-// numbers in the JSON grammar (floats through strconv.ParseFloat, at, time
-// and flows in integer grammar and in range); no null, no workflow, and
-// nothing but whitespace after the top-level object. It reports false and
+// decodeStrict decodes data into req when data lies in the reader's strict
+// subset (jsonenc.Reader: keys spelled exactly as the json tags, each at
+// most once per object; no null; numbers in the JSON grammar, at, time
+// and flows integers in range) and uses no workflow. It reports false and
 // leaves req untouched otherwise.
 func (req *EvaluateRequest) decodeStrict(data []byte) bool {
 	d := evalDecoders.Get().(*evalDecoder)
-	d.data, d.i = data, 0
-	var out EvaluateRequest
-	ok := d.request(&out) && d.end()
+	d.r.Reset(data)
+	d.request(&d.out)
+	ok := d.r.End() == nil
+	out := d.out
 	d.reset()
 	if max(cap(d.scenarios), cap(d.mutations), cap(d.queries), cap(d.transfers), cap(d.hypotheses), cap(d.pairs)) <= maxPooledElems {
 		evalDecoders.Put(d)
@@ -183,8 +186,9 @@ func (req *EvaluateRequest) decodeStrict(data []byte) bool {
 	return ok
 }
 
-// reset empties the stacks, keeping their capacity. A whole decode leaves
-// them empty already; a declined one may leave elements behind.
+// reset empties the stacks, keeping their capacity, and drops the reader
+// (and the body it holds) and the request. A whole decode leaves the
+// stacks empty already; a declined one may leave elements behind.
 func (d *evalDecoder) reset() {
 	*d = evalDecoder{
 		scenarios: clearStack(d.scenarios), mutations: clearStack(d.mutations),
@@ -202,309 +206,104 @@ func clearStack[T any](s []T) []T {
 // one-off huge body should not pin its stacks forever.
 const maxPooledElems = 1 << 12
 
-func (d *evalDecoder) ws() {
-	for d.i < len(d.data) {
-		switch d.data[d.i] {
-		case ' ', '\t', '\n', '\r':
-			d.i++
-		default:
-			return
-		}
-	}
-}
-
-// next skips whitespace and consumes c if it comes next.
-func (d *evalDecoder) next(c byte) bool {
-	d.ws()
-	if d.i < len(d.data) && d.data[d.i] == c {
-		d.i++
-		return true
-	}
-	return false
-}
-
-func (d *evalDecoder) end() bool {
-	d.ws()
-	return d.i == len(d.data)
-}
-
-// chars consumes a string's contents up to and including its closing
-// quote, which must follow only bytes 0x20–0x7E other than '"' and '\'.
-func (d *evalDecoder) chars() ([]byte, bool) {
-	n := bytes.IndexByte(d.data[d.i:], '"')
-	if n < 0 {
-		return nil, false
-	}
-	s := d.data[d.i : d.i+n]
-	for _, c := range s {
-		if c < 0x20 || c > 0x7e || c == '\\' {
-			return nil, false
-		}
-	}
-	d.i += n + 1
-	return s, true
-}
-
-func (d *evalDecoder) str(s *string) bool {
-	if !d.next('"') {
-		return false
-	}
-	b, ok := d.chars()
-	*s = string(b) // a copy: nothing aliases the pooled body buffer
-	return ok
-}
-
-// number consumes a number in the JSON grammar — only its integer part
-// when wholeOnly is set, so a fraction or exponent then fails the caller's
-// next structural check.
-func (d *evalDecoder) number(wholeOnly bool) ([]byte, bool) {
-	d.ws()
-	start := d.i
-	if d.peek() == '-' {
-		d.i++
-	}
-	switch c := d.peek(); {
-	case c == '0':
-		d.i++
-	case '1' <= c && c <= '9':
-		d.digits()
-	default:
-		return nil, false
-	}
-	if !wholeOnly {
-		if d.peek() == '.' {
-			d.i++
-			if !d.digits() {
-				return nil, false
-			}
-		}
-		if c := d.peek(); c == 'e' || c == 'E' {
-			d.i++
-			if c := d.peek(); c == '+' || c == '-' {
-				d.i++
-			}
-			if !d.digits() {
-				return nil, false
-			}
-		}
-	}
-	return d.data[start:d.i], true
-}
-
-func (d *evalDecoder) peek() byte {
-	if d.i < len(d.data) {
-		return d.data[d.i]
-	}
-	return 0
-}
-
-// digits consumes a run of decimal digits and reports whether it was
-// non-empty.
-func (d *evalDecoder) digits() bool {
-	start := d.i
-	for d.i < len(d.data) && '0' <= d.data[d.i] && d.data[d.i] <= '9' {
-		d.i++
-	}
-	return d.i > start
-}
-
-func (d *evalDecoder) float(f *float64) bool {
-	b, ok := d.number(false)
-	if !ok {
-		return false
-	}
-	v, err := strconv.ParseFloat(string(b), 64)
-	*f = v
-	return err == nil
-}
-
-func (d *evalDecoder) integer(n *int64, bits int) bool {
-	b, ok := d.number(true)
-	if !ok {
-		return false
-	}
-	v, err := strconv.ParseInt(string(b), 10, bits)
-	*n = v
-	return err == nil
-}
-
-// object walks an object, handing each key to member, which reads the
-// key's value and reports false on a key outside the strict set or a
-// malformed value. A key repeated within the object declines.
-func (d *evalDecoder) object(member func(key []byte) bool) bool {
-	if !d.next('{') {
-		return false
-	}
-	if d.next('}') {
-		return true
-	}
-	var seen [maxKeys][]byte
-	for n := 0; ; n++ {
-		if n == maxKeys || !d.next('"') {
-			return false
-		}
-		key, ok := d.chars()
-		if !ok {
-			return false
-		}
-		for _, k := range seen[:n] {
-			if bytes.Equal(k, key) {
-				return false
-			}
-		}
-		seen[n] = key
-		if !d.next(':') || !member(key) {
-			return false
-		}
-		if d.next('}') {
-			return true
-		}
-		if !d.next(',') {
-			return false
-		}
-	}
-}
-
-// maxKeys is the most keys an object of the strict subset has: a
-// mutation's 11.
-const maxKeys = 11
-
-// array decodes an array whose elements elem decodes, gathering them on
-// stack and returning a slice of their own: a non-nil empty slice for
-// [], as json.Unmarshal leaves.
-func array[T any](d *evalDecoder, stack *[]T, elem func(*evalDecoder, *T) bool) ([]T, bool) {
-	if !d.next('[') {
-		return nil, false
-	}
-	if d.next(']') {
-		return []T{}, true
-	}
+// gather reads an array whose elements elem decodes, gathering them on
+// stack and returning a slice of their own: a non-nil empty slice for [],
+// as json.Unmarshal leaves.
+func gather[T any](d *evalDecoder, stack *[]T, elem func(*evalDecoder, *T)) []T {
 	base := len(*stack)
-	for {
+	for i := 0; d.r.Item(i); i++ {
 		var zero T
 		*stack = append(*stack, zero)
-		if !elem(d, &(*stack)[len(*stack)-1]) {
-			return nil, false
-		}
-		if d.next(']') {
-			break
-		}
-		if !d.next(',') {
-			return nil, false
-		}
+		elem(d, &(*stack)[len(*stack)-1])
+	}
+	if d.r.Err() != nil {
+		return nil
 	}
 	out := make([]T, len(*stack)-base)
 	copy(out, (*stack)[base:])
 	clear((*stack)[base:])
 	*stack = (*stack)[:base]
-	return out, true
+	return out
 }
 
-func (d *evalDecoder) request(req *EvaluateRequest) bool {
-	return d.object(func(key []byte) (ok bool) {
-		switch string(key) {
-		case "at":
-			return d.integer(&req.At, 64)
-		case "scenarios":
-			req.Scenarios, ok = array(d, &d.scenarios, (*evalDecoder).scenario)
-		case "queries":
-			req.Queries, ok = array(d, &d.queries, (*evalDecoder).query)
-		}
-		return ok
-	})
+// text reads a string value as a copy: nothing aliases the pooled body
+// buffer.
+func (d *evalDecoder) text() string { return string(d.r.StringBytes()) }
+
+func copyText(b []byte) string { return string(b) }
+
+var requestFields = []jsonenc.Field[*evalDecoder, *EvaluateRequest]{
+	{Key: "at", Read: func(d *evalDecoder, req *EvaluateRequest) { req.At = d.r.Int(64) }},
+	{Key: "scenarios", Read: func(d *evalDecoder, req *EvaluateRequest) {
+		req.Scenarios = gather(d, &d.scenarios, (*evalDecoder).scenario)
+	}},
+	{Key: "queries", Read: func(d *evalDecoder, req *EvaluateRequest) {
+		req.Queries = gather(d, &d.queries, (*evalDecoder).query)
+	}},
 }
 
-func (d *evalDecoder) scenario(sc *scenario.Scenario) bool {
-	return d.object(func(key []byte) (ok bool) {
-		switch string(key) {
-		case "name":
-			return d.str(&sc.Name)
-		case "mutations":
-			sc.Mutations, ok = array(d, &d.mutations, (*evalDecoder).mutation)
-		}
-		return ok
-	})
+var scenarioFields = []jsonenc.Field[*evalDecoder, *scenario.Scenario]{
+	{Key: "name", Read: func(d *evalDecoder, sc *scenario.Scenario) { sc.Name = d.text() }},
+	{Key: "mutations", Read: func(d *evalDecoder, sc *scenario.Scenario) {
+		sc.Mutations = gather(d, &d.mutations, (*evalDecoder).mutation)
+	}},
 }
 
-func (d *evalDecoder) mutation(m *scenario.Mutation) bool {
-	return d.object(func(key []byte) bool {
-		switch string(key) {
-		case "op":
-			var op string
-			ok := d.str(&op)
-			m.Op = scenario.Op(op)
-			return ok
-		case "link":
-			return d.str(&m.Link)
-		case "host":
-			return d.str(&m.Host)
-		case "bandwidth_factor":
-			return d.float(&m.BandwidthFactor)
-		case "latency_factor":
-			return d.float(&m.LatencyFactor)
-		case "bandwidth":
-			m.Bandwidth = new(float64)
-			return d.float(m.Bandwidth)
-		case "latency":
-			m.Latency = new(float64)
-			return d.float(m.Latency)
-		case "src":
-			return d.str(&m.Src)
-		case "dst":
-			return d.str(&m.Dst)
-		case "flows":
-			var n int64
-			ok := d.integer(&n, strconv.IntSize)
-			m.Flows = int(n)
-			return ok
-		case "time":
-			return d.integer(&m.Time, 64)
-		}
-		return false
-	})
+var mutationFields = []jsonenc.Field[*evalDecoder, *scenario.Mutation]{
+	{Key: "op", Read: func(d *evalDecoder, m *scenario.Mutation) { m.Op = scenario.Op(d.text()) }},
+	{Key: "link", Read: func(d *evalDecoder, m *scenario.Mutation) { m.Link = d.text() }},
+	{Key: "host", Read: func(d *evalDecoder, m *scenario.Mutation) { m.Host = d.text() }},
+	{Key: "bandwidth_factor", Read: func(d *evalDecoder, m *scenario.Mutation) { m.BandwidthFactor = d.r.Float() }},
+	{Key: "latency_factor", Read: func(d *evalDecoder, m *scenario.Mutation) { m.LatencyFactor = d.r.Float() }},
+	{Key: "bandwidth", Read: func(d *evalDecoder, m *scenario.Mutation) {
+		m.Bandwidth = new(float64)
+		*m.Bandwidth = d.r.Float()
+	}},
+	{Key: "latency", Read: func(d *evalDecoder, m *scenario.Mutation) {
+		m.Latency = new(float64)
+		*m.Latency = d.r.Float()
+	}},
+	{Key: "src", Read: func(d *evalDecoder, m *scenario.Mutation) { m.Src = d.text() }},
+	{Key: "dst", Read: func(d *evalDecoder, m *scenario.Mutation) { m.Dst = d.text() }},
+	{Key: "flows", Read: func(d *evalDecoder, m *scenario.Mutation) { m.Flows = int(d.r.Int(strconv.IntSize)) }},
+	{Key: "time", Read: func(d *evalDecoder, m *scenario.Mutation) { m.Time = d.r.Int(64) }},
 }
 
-func (d *evalDecoder) query(q *EvalQuery) bool {
-	return d.object(func(key []byte) (ok bool) {
-		switch string(key) {
-		case "kind":
-			return d.str(&q.Kind)
-		case "transfers":
-			q.Transfers, ok = array(d, &d.transfers, (*evalDecoder).transfer)
-		case "bg":
-			q.Background, ok = array(d, &d.pairs, (*evalDecoder).pair)
-		case "hypotheses":
-			q.Hypotheses, ok = array(d, &d.hypotheses, (*evalDecoder).hypothesis)
-		}
-		return ok
-	})
+var queryFields = []jsonenc.Field[*evalDecoder, *EvalQuery]{
+	{Key: "kind", Read: func(d *evalDecoder, q *EvalQuery) { q.Kind = d.text() }},
+	{Key: "transfers", Read: func(d *evalDecoder, q *EvalQuery) {
+		q.Transfers = gather(d, &d.transfers, (*evalDecoder).transfer)
+	}},
+	{Key: "bg", Read: func(d *evalDecoder, q *EvalQuery) { q.Background = gather(d, &d.pairs, (*evalDecoder).pair) }},
+	{Key: "hypotheses", Read: func(d *evalDecoder, q *EvalQuery) {
+		q.Hypotheses = gather(d, &d.hypotheses, (*evalDecoder).hypothesis)
+	}},
 }
 
-func (d *evalDecoder) hypothesis(h *Hypothesis) bool {
-	return d.object(func(key []byte) (ok bool) {
-		if string(key) == "transfers" {
-			h.Transfers, ok = array(d, &d.transfers, (*evalDecoder).transfer)
-		}
-		return ok
-	})
+var hypothesisFields = []jsonenc.Field[*evalDecoder, *Hypothesis]{
+	{Key: "transfers", Read: func(d *evalDecoder, h *Hypothesis) {
+		h.Transfers = gather(d, &d.transfers, (*evalDecoder).transfer)
+	}},
 }
 
-func (d *evalDecoder) transfer(t *TransferRequest) bool {
-	return d.object(func(key []byte) bool {
-		switch string(key) {
-		case "src":
-			return d.str(&t.Src)
-		case "dst":
-			return d.str(&t.Dst)
-		case "size":
-			return d.float(&t.Size)
-		}
-		return false
-	})
+var transferFields = []jsonenc.Field[*evalDecoder, *TransferRequest]{
+	{Key: "src", Read: func(d *evalDecoder, t *TransferRequest) { t.Src = d.text() }},
+	{Key: "dst", Read: func(d *evalDecoder, t *TransferRequest) { t.Dst = d.text() }},
+	{Key: "size", Read: func(d *evalDecoder, t *TransferRequest) { t.Size = d.r.Float() }},
 }
+
+func (d *evalDecoder) request(req *EvaluateRequest) { jsonenc.Object(&d.r, d, req, requestFields) }
+
+func (d *evalDecoder) scenario(sc *scenario.Scenario) { jsonenc.Object(&d.r, d, sc, scenarioFields) }
+
+func (d *evalDecoder) mutation(m *scenario.Mutation) { jsonenc.Object(&d.r, d, m, mutationFields) }
+
+func (d *evalDecoder) query(q *EvalQuery) { jsonenc.Object(&d.r, d, q, queryFields) }
+
+func (d *evalDecoder) hypothesis(h *Hypothesis) { jsonenc.Object(&d.r, d, h, hypothesisFields) }
+
+func (d *evalDecoder) transfer(t *TransferRequest) { jsonenc.Object(&d.r, d, t, transferFields) }
 
 // pair decodes a bg element: exactly two strings (json.Unmarshal zero-fills
 // a shorter array and drops the rest of a longer one; both decline here).
-func (d *evalDecoder) pair(p *[2]string) bool {
-	return d.next('[') && d.str(&p[0]) && d.next(',') && d.str(&p[1]) && d.next(']')
-}
+func (d *evalDecoder) pair(p *[2]string) { *p = d.r.Pair(copyText) }

@@ -83,6 +83,9 @@ func FuzzDecodeEvaluate(f *testing.F) {
 		`{"unknown":1,"queries":[]}`,
 		`{"queries":[],}`,
 		`[]`,
+		`{"scenarios":[{"name":"caf\u00e9 \ud83d\ude00 \ud800 \udc00x \/"}],"queries":[]}`,
+		`{"scenarios":[{"name":"bad` + "\xff\xfe" + ` utf8 ` + "\xed\xa0\x80" + `"}],"queries":[]}`,
+		`{"queries":[{"kind":"predict_transfers","transfers":[{"\u0073rc":"a","dst":"b","size":1}]}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -278,6 +281,24 @@ func TestClientBodiesTakeTheFastPath(t *testing.T) {
 	}
 	if marshaled < 5 {
 		t.Fatalf("only %d evaluate fuzz seeds are json.Marshal output", marshaled)
+	}
+
+	// A Go client's body whose strings json.Marshal escapes: accepted, and
+	// decoded as json.Unmarshal decodes it. Keys are matched as the json
+	// tags spell them, so the same body with an escaped key declines.
+	odd := "é \"q\" \\ <b> & \t \u2028"
+	escaped, err := json.Marshal(EvaluateRequest{
+		Scenarios: []scenario.Scenario{{Name: "scenario " + odd}},
+		Queries:   []EvalQuery{{Kind: QueryPredictTransfers, Transfers: []TransferRequest{{Src: hosts[0].ID + odd, Dst: hosts[1].ID, Size: 5e8}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !checkStrictEvaluate(t, escaped) {
+		t.Fatalf("a json.Marshal-encoded request with escaped strings was declined: %s", escaped)
+	}
+	if checkStrictEvaluate(t, bytes.Replace(escaped, []byte(`"src"`), []byte(`"\u0073rc"`), 1)) {
+		t.Fatal("a key spelled with an escape was accepted")
 	}
 
 	// transferQuery spells transfers as the benchmarks' predictURLOf and

@@ -855,7 +855,7 @@ func (s *Server) handleUpdateLinks(w http.ResponseWriter, r *http.Request) {
 	when := time.Now().Unix()
 	source := "update_links"
 	var body []LinkObservation
-	if trimmed := strings.TrimLeft(string(raw), " \t\r\n"); strings.HasPrefix(trimmed, "[") {
+	if trimmed := bytes.TrimLeft(raw, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
 		// Legacy body: a bare update array, stamped with the arrival time.
 		if err := json.Unmarshal(raw, &body); err != nil {
 			http.Error(w, fmt.Sprintf("decoding link updates: %v", err), http.StatusBadRequest)

@@ -77,8 +77,9 @@ func (f *Figure) RenderASCII(height int) string {
 	if span <= 0 {
 		span = 1
 	}
-	lo -= span * 0.05
-	hi += span * 0.05
+	// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+	lo -= float64(span * 0.05)
+	hi += float64(span * 0.05)
 	span = hi - lo
 
 	// Duration axis: log10 over observed range.
@@ -110,7 +111,8 @@ func (f *Figure) RenderASCII(height int) string {
 		if d <= 0 {
 			return height - 1
 		}
-		frac := (dhi - math.Log10(d)) / (dhi - dlo)
+		// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+		frac := (dhi - float64(math.Log10(d))) / (dhi - dlo)
 		r := int(math.Round(frac * float64(height-1)))
 		if r < 0 {
 			r = 0
@@ -166,7 +168,8 @@ func (f *Figure) RenderASCII(height int) string {
 	fmt.Fprintf(&out, "error log2(prediction)-log2(measure) [left], median duration 'd' [right, log10 %.2g..%.2g s]\n",
 		math.Pow(10, dlo), math.Pow(10, dhi))
 	for r := 0; r < height; r++ {
-		v := hi - float64(r)/float64(height-1)*span
+		// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+		v := hi - float64(float64(r)/float64(height-1)*span)
 		fmt.Fprintf(&out, "%7.2f %s\n", v, string(grid[r]))
 	}
 	// X axis labels: one tick per size column.

@@ -269,7 +269,8 @@ func (r *RRD) Update(ts int64, values []float64) error {
 		span := float64(segEnd - cur)
 		for d := range r.dss {
 			if !math.IsNaN(rates[d]) {
-				r.pdpSum[d] += rates[d] * span
+				// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+				r.pdpSum[d] += float64(rates[d] * span)
 				r.pdpCover[d] += span
 			}
 		}

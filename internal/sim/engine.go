@@ -649,7 +649,8 @@ func (e *Engine) reshare() error {
 		// held since lastUpdate, then project the completion date under
 		// the new rate.
 		if e.now > a.lastUpdate {
-			a.remaining -= a.rate * (e.now - a.lastUpdate)
+			// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+			a.remaining -= float64(a.rate * (e.now - a.lastUpdate))
 			if a.remaining < 0 {
 				a.remaining = 0
 			}

@@ -32,7 +32,8 @@ func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Normal returns a sample from N(mu, sigma^2).
 func (g *RNG) Normal(mu, sigma float64) float64 {
-	return mu + sigma*g.r.NormFloat64()
+	// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+	return mu + float64(sigma*g.r.NormFloat64())
 }
 
 // LogNormal returns a sample whose logarithm is N(mu, sigma^2) distributed.

@@ -76,7 +76,8 @@ func Variance(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - mu
-		s += d * d
+		// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+		s += float64(d * d)
 	}
 	return s / float64(n-1)
 }
@@ -117,8 +118,9 @@ func Quantile(xs []float64, q float64) float64 {
 	if lo == hi {
 		return c[lo]
 	}
-	frac := pos - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
+	// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+	frac := float64(pos) - float64(lo)
+	return float64(c[lo]*(1-frac)) + float64(c[hi]*frac)
 }
 
 // BoxSummary is the five-number summary drawn as one box in the paper's
@@ -146,8 +148,9 @@ func Box(xs []float64) BoxSummary {
 		N:      len(xs),
 	}
 	iqr := b.Q3 - b.Q1
-	loFence := b.Q1 - 1.5*iqr
-	hiFence := b.Q3 + 1.5*iqr
+	// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+	loFence := b.Q1 - float64(1.5*iqr)
+	hiFence := b.Q3 + float64(1.5*iqr)
 	b.WhiskLo = math.Inf(1)
 	b.WhiskHi = math.Inf(-1)
 	for _, x := range xs {

@@ -9,21 +9,19 @@ package store
 // and float rules from internal/jsonenc), and the decoder parses them
 // without reflection.
 //
-// The decoder accepts exactly that layout: json.Marshal's member order and
-// keys, no whitespace, no nulls, [2]string flows of exactly two strings —
-// with strings unquoted and numbers converted as encoding/json does. So
-// whatever it accepts, json.Unmarshal accepts too and decodes to the same
-// Record; FuzzWALRecord holds it to that, with encoding/json as the
+// The decoder is a field table over internal/jsonenc's strict reader: the
+// keys json.Marshal writes, in any order and with any whitespace, each at
+// most once, with op and platform required (json.Marshal always writes
+// both); no nulls, no unknown keys, [2]string flows of exactly two
+// strings; strings unquoted and numbers converted as encoding/json does.
+// So whatever it accepts, json.Unmarshal accepts too and decodes to the
+// same Record; FuzzWALRecord holds it to that, with encoding/json as the
 // oracle. What it refuses never came from json.Marshal; recovery reports
 // it rather than guessing.
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
-	"unicode"
-	"unicode/utf16"
-	"unicode/utf8"
 
 	"pilgrim/internal/jsonenc"
 	"pilgrim/internal/platform"
@@ -99,127 +97,78 @@ func unsupportedFloat(f float64) error {
 	return fmt.Errorf("unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
 }
 
-// recordDecoder parses record payloads. One decoder serves a whole log, so
-// its scratch (escaped strings, the update list being read) is reused and
-// its strings are shared. Errors are sticky: after the first, every read
-// returns a zero value and decode reports that first error.
+// recordDecoder decodes record payloads. One decoder serves a whole log,
+// so its scratch (the reader's, the update list being read, the record
+// itself) is reused and its strings are shared.
 type recordDecoder struct {
-	data    []byte
-	off     int
-	err     error
-	str     []byte
+	r jsonenc.Reader
+	// rec is decoded into, then copied out: passed through the field
+	// table's calls, the caller's Record would move to the heap.
+	rec     Record
 	updates []platform.LinkUpdate
 	names   map[string]string
 }
 
-// decode parses one payload into rec, which must be the zero Record: the
-// members json.Marshal writes, in its order, each optional one present
-// only when its key is.
+// opAndPlatform is recordFields' first two members, the ones json.Marshal
+// always writes.
+const opAndPlatform = 1<<0 | 1<<1
+
+var recordFields = []jsonenc.Field[*recordDecoder, *Record]{
+	{Key: "op", Read: func(d *recordDecoder, rec *Record) { rec.Op = Op(d.intern(d.r.StringBytes())) }},
+	{Key: "platform", Read: func(d *recordDecoder, rec *Record) { rec.Platform = d.intern(d.r.StringBytes()) }},
+	{Key: "time", Read: func(d *recordDecoder, rec *Record) { rec.Time = d.r.Int(64) }},
+	{Key: "source", Read: func(d *recordDecoder, rec *Record) { rec.Source = d.intern(d.r.StringBytes()) }},
+	{Key: "epoch", Read: func(d *recordDecoder, rec *Record) { rec.Epoch = d.r.Uint() }},
+	{Key: "base_epoch", Read: func(d *recordDecoder, rec *Record) { rec.BaseEpoch = d.r.Uint() }},
+	{Key: "links", Read: func(d *recordDecoder, rec *Record) { rec.Links = int(d.r.Int(strconv.IntSize)) }},
+	{Key: "updates", Read: (*recordDecoder).linkUpdates},
+	{Key: "flows", Read: (*recordDecoder).flows},
+}
+
+var linkUpdateFields = []jsonenc.Field[*recordDecoder, *platform.LinkUpdate]{
+	{Key: "Link", Read: func(d *recordDecoder, u *platform.LinkUpdate) { u.Link = d.intern(d.r.StringBytes()) }},
+	{Key: "Bandwidth", Read: func(d *recordDecoder, u *platform.LinkUpdate) { u.Bandwidth = d.r.Float() }},
+	{Key: "Latency", Read: func(d *recordDecoder, u *platform.LinkUpdate) { u.Latency = d.r.Float() }},
+}
+
+// decode parses one payload into rec.
 func (d *recordDecoder) decode(data []byte, rec *Record) error {
-	d.data, d.off, d.err = data, 0, nil
-	d.lit(`{"op":`)
-	rec.Op = Op(d.string())
-	d.lit(`,"platform":`)
-	rec.Platform = d.string()
-	if d.skip(`,"time":`) {
-		rec.Time = d.int()
+	d.r.Reset(data)
+	d.rec = Record{}
+	if jsonenc.Object(&d.r, d, &d.rec, recordFields)&opAndPlatform != opAndPlatform {
+		d.r.Fail("want op and platform")
 	}
-	if d.skip(`,"source":`) {
-		rec.Source = d.string()
+	if err := d.r.End(); err != nil {
+		return fmt.Errorf("payload %w", err)
 	}
-	if d.skip(`,"epoch":`) {
-		rec.Epoch = d.uint()
-	}
-	if d.skip(`,"base_epoch":`) {
-		rec.BaseEpoch = d.uint()
-	}
-	if d.skip(`,"links":`) {
-		n := d.int()
-		if rec.Links = int(n); int64(rec.Links) != n {
-			d.fail("links %d overflows int", n)
-		}
-	}
-	if d.skip(`,"updates":[`) {
-		rec.Updates = d.linkUpdates()
-	}
-	if d.skip(`,"flows":[`) {
-		rec.Flows = d.flows()
-	}
-	d.lit("}")
-	if d.err == nil && d.off != len(d.data) {
-		d.fail("trailing data after the record")
-	}
-	return d.err
+	*rec = d.rec
+	return nil
 }
 
-// linkUpdates reads the rest of the updates array. An empty array decodes
-// to an empty, non-nil slice, as in encoding/json.
-func (d *recordDecoder) linkUpdates() []platform.LinkUpdate {
+// linkUpdates reads the updates array. An empty array decodes to an
+// empty, non-nil slice, as in encoding/json.
+func (d *recordDecoder) linkUpdates(rec *Record) {
 	d.updates = d.updates[:0]
-	for d.err == nil && !d.skip("]") {
-		if len(d.updates) > 0 {
-			d.lit(",")
-		}
-		var u platform.LinkUpdate
-		d.lit(`{"Link":`)
-		u.Link = d.string()
-		d.lit(`,"Bandwidth":`)
-		u.Bandwidth = d.float()
-		d.lit(`,"Latency":`)
-		u.Latency = d.float()
-		d.lit("}")
-		d.updates = append(d.updates, u)
+	for i := 0; d.r.Item(i); i++ {
+		d.updates = append(d.updates, platform.LinkUpdate{})
+		jsonenc.Object(&d.r, d, &d.updates[i], linkUpdateFields)
 	}
-	return append(make([]platform.LinkUpdate, 0, len(d.updates)), d.updates...)
+	rec.Updates = append(make([]platform.LinkUpdate, 0, len(d.updates)), d.updates...)
 }
 
-// flows reads the rest of the background flow pairs, each exactly two
-// strings.
-func (d *recordDecoder) flows() [][2]string {
-	out := [][2]string{}
-	for d.err == nil && !d.skip("]") {
-		if len(out) > 0 {
-			d.lit(",")
-		}
-		var f [2]string
-		d.lit("[")
-		f[0] = d.string()
-		d.lit(",")
-		f[1] = d.string()
-		d.lit("]")
-		out = append(out, f)
-	}
-	return out
-}
-
-func (d *recordDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("payload byte %d: %s", d.off, fmt.Sprintf(format, args...))
+// flows reads the background flow pairs.
+func (d *recordDecoder) flows(rec *Record) {
+	rec.Flows = [][2]string{}
+	for i := 0; d.r.Item(i); i++ {
+		rec.Flows = append(rec.Flows, d.r.Pair(d.intern))
 	}
 }
 
-// skip consumes s if the payload continues with it.
-func (d *recordDecoder) skip(s string) bool {
-	if d.err != nil || len(d.data)-d.off < len(s) || string(d.data[d.off:d.off+len(s)]) != s {
-		return false
-	}
-	d.off += len(s)
-	return true
-}
-
-// lit consumes s, which the payload must continue with.
-func (d *recordDecoder) lit(s string) {
-	if !d.skip(s) {
-		d.fail("want %s", s)
-	}
-}
-
-// string reads a string value. A log repeats a handful of platform, source
-// and link names thousands of times, so each distinct one is allocated once
-// per decoder.
-func (d *recordDecoder) string() string {
-	b := d.stringBytes()
-	if s, ok := d.names[string(b)]; ok || d.err != nil {
+// intern returns b as a string. A log repeats a handful of platform,
+// source and link names thousands of times, so each distinct one is
+// allocated once per decoder.
+func (d *recordDecoder) intern(b []byte) string {
+	if s, ok := d.names[string(b)]; ok || d.r.Err() != nil {
 		return s
 	}
 	if d.names == nil {
@@ -228,246 +177,4 @@ func (d *recordDecoder) string() string {
 	s := string(b)
 	d.names[s] = s
 	return s
-}
-
-// stringBytes reads a JSON string with encoding/json's unquoting: the
-// standard escapes, \uXXXX with surrogate pairs combined (a lone
-// surrogate becomes U+FFFD), and each byte of invalid UTF-8 replaced by
-// U+FFFD. An unescaped string comes back as a slice of the payload, an
-// escaped one in d.str; either is valid until the next string is read.
-func (d *recordDecoder) stringBytes() []byte {
-	if d.lit(`"`); d.err != nil {
-		return nil
-	}
-	data, start := d.data, d.off
-	i := start
-	for i < len(data) {
-		c := data[i]
-		if plainASCII[c] {
-			i++
-			continue
-		}
-		if c == '"' {
-			d.off = i + 1
-			return data[start:i]
-		}
-		if c < utf8.RuneSelf {
-			break // an escape or a control byte
-		}
-		r, size := utf8.DecodeRune(data[i:])
-		if r == utf8.RuneError && size == 1 {
-			break
-		}
-		i += size
-	}
-	b := append(d.str[:0], data[start:i]...)
-	for d.off = i; i < len(data); d.off = i {
-		switch c := data[i]; {
-		case c == '"':
-			d.off, d.str = i+1, b
-			return b
-		case c == '\\':
-			if i+1 == len(data) {
-				i++
-				continue
-			}
-			switch e := data[i+1]; e {
-			case '"', '\\', '/':
-				b = append(b, e)
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				r := hex4(data[i:])
-				if r < 0 {
-					d.fail("malformed \\u escape")
-					return nil
-				}
-				i += 6
-				if utf16.IsSurrogate(r) {
-					if dec := utf16.DecodeRune(r, hex4(data[i:])); dec != unicode.ReplacementChar {
-						b = utf8.AppendRune(b, dec)
-						i += 6
-						continue
-					}
-					r = unicode.ReplacementChar
-				}
-				b = utf8.AppendRune(b, r)
-				continue
-			default:
-				d.fail("invalid escape \\%c", e)
-				return nil
-			}
-			i += 2
-		case c < 0x20:
-			d.fail("control byte 0x%02x in string", c)
-			return nil
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			i++
-		default:
-			r, size := utf8.DecodeRune(data[i:])
-			b = utf8.AppendRune(b, r)
-			i += size
-		}
-	}
-	d.fail("unterminated string")
-	return nil
-}
-
-// plainASCII marks the bytes a string holds as themselves: printable
-// ASCII other than '"' and '\\'.
-var plainASCII = func() (t [256]bool) {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
-		t[c] = c != '"' && c != '\\'
-	}
-	return t
-}()
-
-// hex4 decodes the \uXXXX escape at the front of s, or returns -1.
-func hex4(s []byte) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return -1
-	}
-	var r rune
-	for _, c := range s[2:6] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c = c - 'a' + 10
-		case 'A' <= c && c <= 'F':
-			c = c - 'A' + 10
-		default:
-			return -1
-		}
-		r = r<<4 | rune(c)
-	}
-	return r
-}
-
-// number reads a JSON number literal (RFC 8259 grammar: no leading '+',
-// no leading zeros, digits on both sides of a '.'), which strconv alone
-// would not enforce.
-func (d *recordDecoder) number() []byte {
-	if d.err != nil {
-		return nil
-	}
-	data, start := d.data, d.off
-	i := start
-	if i < len(data) && data[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(data) && data[i] == '0':
-		i++
-	case i < len(data) && '1' <= data[i] && data[i] <= '9':
-		i = skipDigits(data, i)
-	default:
-		d.fail("want a number")
-		return nil
-	}
-	if i < len(data) && data[i] == '.' {
-		if i = skipDigits(data, i+1); data[i-1] == '.' {
-			d.fail("malformed number")
-			return nil
-		}
-	}
-	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
-		i++
-		if i < len(data) && (data[i] == '+' || data[i] == '-') {
-			i++
-		}
-		if j := skipDigits(data, i); j > i {
-			i = j
-		} else {
-			d.fail("malformed number")
-			return nil
-		}
-	}
-	d.off = i
-	return data[start:i]
-}
-
-func skipDigits(data []byte, i int) int {
-	for i < len(data) && '0' <= data[i] && data[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// int, uint and float convert a number literal the way encoding/json
-// does for an int, uint64 or float64 field: strconv on the literal, so an
-// integer field refuses a fraction or exponent and every field refuses an
-// out-of-range value.
-func (d *recordDecoder) int() int64 {
-	lit := d.number()
-	if d.err != nil {
-		return 0
-	}
-	n, err := strconv.ParseInt(string(lit), 10, 64)
-	if err != nil {
-		d.fail("%v", errors.Unwrap(err))
-	}
-	return n
-}
-
-func (d *recordDecoder) uint() uint64 {
-	lit := d.number()
-	if d.err != nil {
-		return 0
-	}
-	n, err := strconv.ParseUint(string(lit), 10, 64)
-	if err != nil {
-		d.fail("%v", errors.Unwrap(err))
-	}
-	return n
-}
-
-func (d *recordDecoder) float() float64 {
-	lit := d.number()
-	if d.err != nil {
-		return 0
-	}
-	if f, ok := exactInt(lit); ok {
-		return f
-	}
-	f, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		d.fail("%v", errors.Unwrap(err))
-	}
-	return f
-}
-
-// exactInt converts an integer literal of at most 15 digits, the common
-// case of a logged bandwidth. Such a value is exactly representable, so
-// the conversion is the correctly rounded one ParseFloat returns, -0
-// included; anything else is left to ParseFloat.
-func exactInt(lit []byte) (float64, bool) {
-	digits := lit
-	if lit[0] == '-' {
-		digits = lit[1:]
-	}
-	if len(digits) > 15 {
-		return 0, false
-	}
-	var n uint64
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + uint64(c-'0')
-	}
-	f := float64(n)
-	if len(digits) < len(lit) {
-		f = -f
-	}
-	return f, true
 }

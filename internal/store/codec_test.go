@@ -126,45 +126,57 @@ func TestWALRecoversEncodingJSONSegment(t *testing.T) {
 // TestWALRefusesUndecodableRecord puts a checksummed frame that is not a
 // record between two good ones. That is no torn write, and truncating at
 // it would silently drop the acknowledged record after it: Open must fail
-// naming the segment and the offset, and leave the file as it was.
+// naming the segment and the offset, and leave the file as it was. None
+// of the payloads is one json.Marshal writes for a Record.
 func TestWALRefusesUndecodableRecord(t *testing.T) {
-	dir := t.TempDir()
-	w, _ := mustOpen(t, Options{Dir: dir, Fsync: FsyncAlways})
-	if err := w.Append(Record{Op: OpAddPlatform, Platform: "g5k", BaseEpoch: 1, Links: 4}); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	path := w.walPath(1)
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	badAt := len(img)
-	img = appendFrame(img, []byte(`{"op":"observe","platform":"g5k","updates":[{"Link":"l","Bandwidth":"fast"}]}`))
-	img, err = frameRecord(img, &Record{Op: OpReject, Platform: "g5k"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, payload := range []string{
+		`{"op":"observe","platform":"g5k","updates":[{"Link":"l","Bandwidth":"fast"}]}`,
+		`{}`,
+		`{"op":"observe","time":5}`,
+		`{"op":"observe","platform":"g5k","source":null}`,
+		`{"op":"observe","platform":"g5k","comment":"x"}`,
+		`{"op":"observe","platform":"g5k","epoch":3,"epoch":4}`,
+	} {
+		t.Run(payload, func(t *testing.T) {
+			dir := t.TempDir()
+			w, _ := mustOpen(t, Options{Dir: dir, Fsync: FsyncAlways})
+			if err := w.Append(Record{Op: OpAddPlatform, Platform: "g5k", BaseEpoch: 1, Links: 4}); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			path := w.walPath(1)
+			img, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			badAt := len(img)
+			img = appendFrame(img, []byte(payload))
+			img, err = frameRecord(img, &Record{Op: OpReject, Platform: "g5k"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	w2, _, err := Open(Options{Dir: dir})
-	if err == nil {
-		w2.Close()
-		t.Fatal("Open accepted a log with an undecodable record before an acknowledged one")
-	}
-	for _, want := range []string{path, fmt.Sprintf("byte offset %d", badAt)} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
-		}
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, img) {
-		t.Fatalf("Open changed the log: %d bytes, was %d", len(after), len(img))
+			w2, _, err := Open(Options{Dir: dir})
+			if err == nil {
+				w2.Close()
+				t.Fatal("Open accepted a log with an undecodable record before an acknowledged one")
+			}
+			for _, want := range []string{path, fmt.Sprintf("byte offset %d", badAt)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, img) {
+				t.Fatalf("Open changed the log: %d bytes, was %d", len(after), len(img))
+			}
+		})
 	}
 }
 
@@ -283,6 +295,17 @@ func FuzzWALRecord(f *testing.F) {
 	} {
 		f.Add([]byte(payload), "", "", "", "", "", "", int64(0), uint64(0), uint64(0), int64(0), 0.0, 0.0, uint8(0))
 	}
+	// Whitespace and member order are not json.Marshal's, and
+	// json.Unmarshal decodes them to the same Record.
+	for _, r := range segmentRecords() {
+		payload, err := json.MarshalIndent(r, "", "\t")
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload, "", "", "", "", "", "", int64(0), uint64(0), uint64(0), int64(0), 0.0, 0.0, uint8(0))
+	}
+	f.Add([]byte(`{"flows":[["a","b"]],"updates":[{"Latency":-1,"Bandwidth":1e8,"Link":"l"}],"links":2,"base_epoch":3,"epoch":4,"source":"s","time":5,"platform":"p","op":"observe"}`),
+		"", "", "", "", "", "", int64(0), uint64(0), uint64(0), int64(0), 0.0, 0.0, uint8(0))
 	f.Add([]byte(nil), "observe", "g5k<>&", "src\"\\\n\x01\b\f", "l\xffx", "a\xe2\x80\xa8b", "\x7f\xe2\x80\xa9", int64(-1), uint64(math.MaxUint64), uint64(1), int64(-7), 1e-7, negZero, uint8(2|2<<2))
 	f.Add([]byte(nil), "add_platform", "p", "", "l", "a", "b", int64(math.MinInt64), uint64(0), uint64(math.MaxUint64), int64(math.MaxInt64), 1e21, 9.999999999999999e20, uint8(3|3<<2))
 	f.Add([]byte(nil), "bg_estimate", "p", "s", "l", "a", "b", int64(0), uint64(0), uint64(0), int64(0), 1e-6, 9.99e-7, uint8(1|1<<2))

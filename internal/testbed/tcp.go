@@ -171,7 +171,8 @@ func (tb *Testbed) RunTransfers(transfers []Transfer) ([]Measurement, error) {
 	out := make([]Measurement, len(transfers))
 	for i, f := range flows {
 		dataTime := f.doneAt - f.activateAt
-		measured := f.activateAt + dataTime*f.rateJit + f.overhead
+		// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+		measured := f.activateAt + float64(dataTime*f.rateJit) + f.overhead
 		out[i] = Measurement{
 			Transfer:  transfers[i],
 			Duration:  measured,
@@ -315,7 +316,8 @@ func (tb *Testbed) simulate(flows []*tcpFlow) error {
 		}
 		for _, f := range flows {
 			if f.state == fsSlowStart || f.state == fsSteady {
-				f.remaining -= f.rate * dt
+				// float64() rounds: no fused multiply-add on any GOARCH (make fma-check).
+				f.remaining -= float64(f.rate * dt)
 			}
 		}
 		now = next
