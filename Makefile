@@ -46,21 +46,25 @@ orphans:
 		echo "$$imports" | grep -qx "$$p" || { echo "orphan: $$p is imported by no non-test package"; bad=1; }; \
 	done; [ -z "$$bad" ]
 
-# fma-check cross-compiles every non-test package for the architectures
-# whose compiler fuses x*y+z into one fused multiply-add, and fails on any
-# such instruction in this module's code. An FMA rounds once instead of
-# twice, so a forecast computed there would differ in its last bits from
-# amd64's; an explicit float64(...) around the product rounds it and keeps
-# the compiler from fusing.
+# fma-check cross-compiles every package and every test variant for the
+# architectures whose compiler fuses x*y+z into one fused multiply-add,
+# and fails on any such instruction in this module's code. An FMA rounds
+# once instead of twice, so a forecast (or a test oracle's expectation)
+# computed there would differ in its last bits from amd64's; an explicit
+# float64(...) around the product rounds it and keeps the compiler from
+# fusing. `go list -test -export` compiles test packages without linking
+# them. The listing goes through printf, not echo: dash's echo stops at a
+# \c in its hex dumps.
 FMA_ARCHS := arm64 ppc64le s390x riscv64
 
 fma-check:
 	@fail=0; for arch in $(FMA_ARCHS); do \
-		asm=$$(GOARCH=$$arch go build -trimpath -gcflags='pilgrim/...=-S' ./... 2>&1) || { echo "$$asm"; exit 1; }; \
-		sites=$$(echo "$$asm" | grep -E '\sFN?M(ADD|SUB)[DS]?\s' | grep -oE '\(pilgrim/[^)]*\.go:[0-9]+\)' | sort -u); \
+		asm=$$(GOARCH=$$arch go list -test -export -trimpath -gcflags='pilgrim/...=-S' ./... 2>&1 >/dev/null) || \
+			{ GOARCH=$$arch go list -test -export ./... >/dev/null; exit 1; }; \
+		sites=$$(printf '%s\n' "$$asm" | grep -E '\sFN?M(ADD|SUB)[DS]?\s' | grep -oE '\(pilgrim/[^)]*\.go:[0-9]+\)' | sort -u); \
 		if [ -n "$$sites" ]; then echo "fma-check: $$arch fuses at"; echo "$$sites"; fail=1; fi; \
 	done; \
-	if [ $$fail = 0 ]; then echo "fma-check: no fused multiply-add on $(FMA_ARCHS)"; fi; \
+	if [ $$fail = 0 ]; then echo "fma-check: no fused multiply-add on $(FMA_ARCHS), test code included"; fi; \
 	exit $$fail
 
 race:

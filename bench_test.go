@@ -288,7 +288,7 @@ func selectFastestHypotheses(b *testing.B, n int) []pilgrim.Hypothesis {
 		for k := 0; k < 8; k++ {
 			i := (h*8 + k) * 2
 			hyps[h].Transfers = append(hyps[h].Transfers, pilgrim.TransferRequest{
-				Src: hosts[idx[i]].ID, Dst: hosts[idx[i+1]].ID, Size: 5e8 + float64(h)*1e6,
+				Src: hosts[idx[i]].ID, Dst: hosts[idx[i+1]].ID, Size: 5e8 + float64(float64(h)*1e6),
 			})
 		}
 	}
@@ -431,7 +431,7 @@ func BenchmarkPredictAtHorizon(b *testing.B) {
 		var ups []platform.LinkUpdate
 		for l := 0; l < 4; l++ {
 			ups = append(ups, platform.LinkUpdate{
-				Link: links[l].ID, Bandwidth: 9e7 + float64((i*31+l*7)%13)*1e6, Latency: -1,
+				Link: links[l].ID, Bandwidth: 9e7 + float64(float64((i*31+l*7)%13)*1e6), Latency: -1,
 			})
 		}
 		if _, err := reg.ObserveLinkState("g5k_test", int64(1000+i), "bench", ups); err != nil {
@@ -479,7 +479,7 @@ func BenchmarkApplyOverlay(b *testing.B) {
 		if !ok {
 			b.Fatal("missing link")
 		}
-		overlay[i] = platform.OverlayLink{Link: li, Bandwidth: 6e7 + float64(i)*1e6, Latency: nan}
+		overlay[i] = platform.OverlayLink{Link: li, Bandwidth: 6e7 + float64(float64(i)*1e6), Latency: nan}
 	}
 	hosts := []platform.OverlayHost{{Host: 0, Speed: 0}}
 	b.ReportAllocs()
@@ -792,7 +792,7 @@ func BenchmarkBaselineNWS(b *testing.B) {
 	for i := range forecasters {
 		forecasters[i] = nws.NewPathForecaster()
 		for probe := 0; probe < 50; probe++ {
-			forecasters[i].Observe(100e6+rng.Float64()*20e6, 1e-3)
+			forecasters[i].Observe(100e6+float64(rng.Float64()*20e6), 1e-3)
 		}
 	}
 	b.ResetTimer()
@@ -940,7 +940,7 @@ func benchEvaluateDifferential(b *testing.B, arm string) {
 					Link: spareNICs[s],
 					// Fresh factor per iteration: a new overlay key, a new
 					// derived epoch, no member-level cache warmth.
-					BandwidthFactor: 0.5 + float64(s)*0.01 + float64(i)*1e-9,
+					BandwidthFactor: 0.5 + float64(float64(s)*0.01) + float64(float64(i)*1e-9),
 				}},
 			})
 		}

@@ -275,7 +275,7 @@ func evaluateGrid30x8(b *testing.B) func(n int) []byte {
 }
 
 func renderGrid30x8(transfers []pilgrim.TransferRequest, onPath, offPath []string, n int) []byte {
-	factor := func(k int) float64 { return 0.3 + float64(k)*0.05 + float64(n%100000)*1e-6 }
+	factor := func(k int) float64 { return 0.3 + float64(float64(k)*0.05) + float64(float64(n%100000)*1e-6) }
 	var body bytes.Buffer
 	body.WriteString(`{"scenarios":[{"name":"baseline"}`)
 	for k := 0; k < 3; k++ {

@@ -197,14 +197,14 @@ func buildRandomSystem(seed int64, nC, nV int) (*System, bool) {
 	s := NewSystem()
 	cs := make([]*Constraint, nC)
 	for i := range cs {
-		cs[i] = s.NewConstraint("c", 1+g.Float64()*99)
+		cs[i] = s.NewConstraint("c", 1+float64(g.Float64()*99))
 	}
 	for i := 0; i < nV; i++ {
 		bound := 0.0
 		if g.Float64() < 0.3 {
-			bound = 0.5 + g.Float64()*20
+			bound = 0.5 + float64(g.Float64()*20)
 		}
-		v := s.NewVariable("v", 0.1+g.Float64()*9.9, bound)
+		v := s.NewVariable("v", 0.1+float64(g.Float64()*9.9), bound)
 		k := 1 + g.Intn(3)
 		if k > nC {
 			k = nC
@@ -228,7 +228,7 @@ func TestSolveFeasibility(t *testing.T) {
 			for _, v := range c.Variables() {
 				total += v.Rate()
 			}
-			if total > c.Capacity()*(1+1e-9)+1e-9 {
+			if total > float64(c.Capacity()*(1+1e-9))+1e-9 {
 				return false
 			}
 		}
@@ -302,7 +302,7 @@ func TestContentionMonotonicity(t *testing.T) {
 	f := func(seed int64) bool {
 		g := stats.NewRNG(seed)
 		n := 1 + g.Intn(10)
-		cap := 10 + g.Float64()*90
+		cap := 10 + float64(g.Float64()*90)
 
 		rates := func(k int) []float64 {
 			s := NewSystem()

@@ -41,11 +41,11 @@ func mutateRandomly(s *System, g *stats.RNG, n int) {
 		case g.Float64() < 0.35 && len(s.Variables()) > 0:
 			s.RemoveVariable(s.Variables()[g.Intn(len(s.Variables()))])
 		case g.Float64() < 0.2 && len(s.Variables()) > 0:
-			s.SetBound(s.Variables()[g.Intn(len(s.Variables()))], 0.5+g.Float64()*30)
+			s.SetBound(s.Variables()[g.Intn(len(s.Variables()))], 0.5+float64(g.Float64()*30))
 		default:
 			bound := 0.0
 			if g.Float64() < 0.3 {
-				bound = 0.5 + g.Float64()*20
+				bound = 0.5 + float64(g.Float64()*20)
 			}
 			cs := s.Constraints()
 			k := 1 + g.Intn(3)
@@ -56,7 +56,7 @@ func mutateRandomly(s *System, g *stats.RNG, n int) {
 			for _, ci := range g.Sample(len(cs), k) {
 				picked = append(picked, cs[ci])
 			}
-			s.AddVariable("v", 0.1+g.Float64()*9.9, bound, picked...)
+			s.AddVariable("v", 0.1+float64(g.Float64()*9.9), bound, picked...)
 		}
 	}
 }
@@ -70,7 +70,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		g := stats.NewRNG(seed)
 		s := NewSystem()
 		for i := 0; i < 6; i++ {
-			s.NewConstraint("c", 1+g.Float64()*99)
+			s.NewConstraint("c", 1+float64(g.Float64()*99))
 		}
 		mutateRandomly(s, g, 10)
 		if err := s.Solve(); err != nil {
@@ -272,7 +272,7 @@ func BenchmarkIncrementalChurn(b *testing.B) {
 	s := NewSystem()
 	cs := make([]*Constraint, 400)
 	for i := range cs {
-		cs[i] = s.NewConstraint("c", 50+g.Float64()*100)
+		cs[i] = s.NewConstraint("c", 50+float64(g.Float64()*100))
 	}
 	pickTwo := func() (*Constraint, *Constraint) {
 		i := g.Intn(len(cs))
@@ -281,7 +281,7 @@ func BenchmarkIncrementalChurn(b *testing.B) {
 	}
 	for i := 0; i < 800; i++ {
 		c1, c2 := pickTwo()
-		s.AddVariable("v", 0.1+g.Float64()*9.9, 0, c1, c2)
+		s.AddVariable("v", 0.1+float64(g.Float64()*9.9), 0, c1, c2)
 	}
 	if err := s.Solve(); err != nil {
 		b.Fatal(err)
@@ -291,7 +291,7 @@ func BenchmarkIncrementalChurn(b *testing.B) {
 		vs := s.Variables()
 		s.RemoveVariable(vs[g.Intn(len(vs))])
 		c1, c2 := pickTwo()
-		s.AddVariable("v", 0.1+g.Float64()*9.9, 0, c1, c2)
+		s.AddVariable("v", 0.1+float64(g.Float64()*9.9), 0, c1, c2)
 		if err := s.Solve(); err != nil {
 			b.Fatal(err)
 		}

@@ -108,6 +108,9 @@ func referenceFill(t testing.TB, s *System) (rates, usages []float64, privateWin
 	usages = make([]float64, len(cnsts))
 	fixed := make([]bool, len(vars))
 	fix := func(i int, rate float64) {
+		// rate may be an inlined product: float64() rounds it, so no
+		// GOARCH fuses it into the updates below (make fma-check).
+		rate = float64(rate)
 		fixed[i] = true
 		rates[i] = rate
 		for _, j := range crossed[i] {

@@ -471,19 +471,23 @@ func (g *Gateway) handleShards(w http.ResponseWriter, r *http.Request) {
 // Worker metrics are scraped from each pilgrimd directly; the gateway
 // exports only its control-plane counters.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	e := pilgrim.NewExposition()
-	e.Add("pilgrim_gateway_shards", "Workers in the current shard map.", pilgrim.Gauge, float64(g.table.Ring().Len()))
-	e.Add("pilgrim_gateway_reloads_total", "Shard-map reloads that changed membership.", pilgrim.Counter, float64(g.reloads.Load()))
-	e.Add("pilgrim_gateway_fanouts_total", "Scatter-gather reads served.", pilgrim.Counter, float64(g.fanouts.Load()))
+	var e pilgrim.Exposition
+	e.Add("pilgrim_gateway_shards", "Workers in the current shard map.", float64(g.table.Ring().Len()))
+	e.Add("pilgrim_gateway_reloads_total", "Shard-map reloads that changed membership.", float64(g.reloads.Load()))
+	e.Add("pilgrim_gateway_fanouts_total", "Scatter-gather reads served.", float64(g.fanouts.Load()))
 	g.mu.Lock()
-	e.Add("pilgrim_gateway_coalesced_fanouts_total", "Fleet-wide reads answered by another request's in-flight fan-out.", pilgrim.Counter, float64(g.fans.Counts().Coalesced))
-	e.Add("pilgrim_gateway_fan_shard_errors_total", "Scatter-gather legs that failed (partial answers).", pilgrim.Counter, float64(g.fanErrors.Load()))
-	e.Add("pilgrim_gateway_proxy_errors_total", "Proxied requests whose owning shard was unreachable (502).", pilgrim.Counter, float64(g.proxyErrors.Load()))
-	for name, n := range g.proxied {
-		e.Add("pilgrim_gateway_proxied_total", "Platform requests proxied, by owning shard.", pilgrim.Counter, float64(n), pilgrim.Label{Name: "shard", Value: name})
+	e.Add("pilgrim_gateway_coalesced_fanouts_total", "Fleet-wide reads answered by another request's in-flight fan-out.", float64(g.fans.Counts().Coalesced))
+	e.Add("pilgrim_gateway_fan_shard_errors_total", "Scatter-gather legs that failed (partial answers).", float64(g.fanErrors.Load()))
+	e.Add("pilgrim_gateway_proxy_errors_total", "Proxied requests whose owning shard was unreachable (502).", float64(g.proxyErrors.Load()))
+	shards := make([]string, 0, len(g.proxied))
+	for name := range g.proxied {
+		shards = append(shards, name)
+	}
+	sort.Strings(shards)
+	for _, name := range shards {
+		e.Add("pilgrim_gateway_proxied_total", "Platform requests proxied, by owning shard.", float64(g.proxied[name]), pilgrim.Label{Name: "shard", Value: name})
 	}
 	g.mu.Unlock()
-	e.SortFamily("pilgrim_gateway_proxied_total")
 	e.WriteTo(w)
 }
 

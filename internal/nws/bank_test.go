@@ -24,9 +24,9 @@ func TestBankMatchesStandaloneSelectors(t *testing.T) {
 		x := float64(step)
 		switch link % 3 {
 		case 0:
-			return 1e8 + 1e5*x
+			return 1e8 + float64(1e5*x)
 		case 1:
-			return 1e8 + 3e6*math.Sin(x/3)
+			return 1e8 + float64(3e6*math.Sin(x/3))
 		default:
 			if step > 20 {
 				return 5e7
@@ -37,7 +37,7 @@ func TestBankMatchesStandaloneSelectors(t *testing.T) {
 	for step := 0; step < 40; step++ {
 		for link := 0; link < links; link++ {
 			bw := v(link, step)
-			lat := 1e-3 + 1e-5*float64(link) + 1e-6*float64(step%5)
+			lat := 1e-3 + float64(1e-5*float64(link)) + float64(1e-6*float64(step%5))
 			bank.ObserveBandwidth(int32(link), bw)
 			bank.ObserveLatency(int32(link), lat)
 			refBW[link].Update(bw)
@@ -128,8 +128,8 @@ func BenchmarkBankForecast1k(b *testing.B) {
 	bank := NewBank(links)
 	for step := 0; step < 50; step++ {
 		for link := int32(0); link < links; link++ {
-			bank.ObserveBandwidth(link, 1e8+1e4*float64(step))
-			bank.ObserveLatency(link, 1e-3+1e-7*float64(step%7))
+			bank.ObserveBandwidth(link, 1e8+float64(1e4*float64(step)))
+			bank.ObserveLatency(link, 1e-3+float64(1e-7*float64(step%7)))
 		}
 	}
 	var sink float64

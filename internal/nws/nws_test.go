@@ -193,7 +193,7 @@ func TestSelectorPredictsWithinRange(t *testing.T) {
 		s := NewSelector()
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for i := 0; i < 60; i++ {
-			v := 10 + g.Float64()*90
+			v := 10 + float64(g.Float64()*90)
 			if v < lo {
 				lo = v
 			}

@@ -14,7 +14,7 @@ func TestSelectorStateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	orig := NewSelector()
 	for i := 0; i < 137; i++ {
-		orig.Update(1e8 + 3e7*rng.Float64())
+		orig.Update(1e8 + float64(3e7*rng.Float64()))
 	}
 
 	raw, err := json.Marshal(orig.ExportState())
@@ -45,7 +45,7 @@ func TestSelectorStateRoundTrip(t *testing.T) {
 			}
 		}
 		check("pre")
-		v := 9e7 + 5e7*rng.Float64()
+		v := 9e7 + float64(5e7*rng.Float64())
 		orig.Update(v)
 		restored.Update(v)
 		check("post")
@@ -72,7 +72,7 @@ func TestBankStateRoundTrip(t *testing.T) {
 	links := []int32{3, 17, 4, 29}
 	for i := 0; i < 90; i++ {
 		li := links[i%len(links)]
-		orig.ObserveBandwidth(li, 5e7+4e7*rng.Float64())
+		orig.ObserveBandwidth(li, 5e7+float64(4e7*rng.Float64()))
 		if i%3 == 0 {
 			orig.ObserveLatency(li, 1e-3*rng.Float64())
 		}
@@ -119,7 +119,7 @@ func TestBankStateRoundTrip(t *testing.T) {
 	// Further observations keep the banks in lockstep.
 	for i := 0; i < 40; i++ {
 		li := links[i%len(links)]
-		v := 6e7 + 3e7*rng.Float64()
+		v := 6e7 + float64(3e7*rng.Float64())
 		orig.ObserveBandwidth(li, v)
 		restored.ObserveBandwidth(li, v)
 		ov, _ := orig.ForecastBandwidth(li)

@@ -96,19 +96,19 @@ func (a *Admission) RetryAfter() time.Duration {
 type AdmissionStats struct {
 	// Enabled is false when no admission bound is configured (every
 	// request proceeds; the remaining fields are zero).
-	Enabled bool `json:"enabled"`
+	Enabled bool `json:"enabled" metric:"pilgrim_admission_enabled" help:"1 when -max-inflight bounds the simulation endpoints."`
 	// MaxInflight/MaxQueue are the configured bounds (MaxQueue -1 =
 	// unbounded queue).
-	MaxInflight int `json:"max_inflight,omitempty"`
-	MaxQueue    int `json:"max_queue,omitempty"`
+	MaxInflight int `json:"max_inflight,omitempty" metric:"-"`
+	MaxQueue    int `json:"max_queue,omitempty" metric:"-"`
 	// Inflight/Waiting are instantaneous.
-	Inflight int64 `json:"inflight"`
-	Waiting  int64 `json:"waiting"`
+	Inflight int64 `json:"inflight" metric:"pilgrim_admission_inflight" help:"Simulation requests currently admitted."`
+	Waiting  int64 `json:"waiting" metric:"pilgrim_admission_waiting" help:"Simulation requests queued for admission."`
 	// Admitted counts requests that got a slot; Shed those answered 429;
 	// Expired those whose deadline passed while queued (504).
-	Admitted uint64 `json:"admitted"`
-	Shed     uint64 `json:"shed"`
-	Expired  uint64 `json:"expired"`
+	Admitted uint64 `json:"admitted" metric:"pilgrim_admission_admitted_total" help:"Requests that got an admission slot."`
+	Shed     uint64 `json:"shed" metric:"pilgrim_admission_shed_total" help:"Requests shed with 429 + Retry-After."`
+	Expired  uint64 `json:"expired" metric:"pilgrim_admission_expired_total" help:"Requests whose deadline expired while queued (504)."`
 }
 
 // Stats returns a snapshot of the controller counters.

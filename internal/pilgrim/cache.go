@@ -62,12 +62,12 @@ func NewForecastCache(capacity int) *ForecastCache {
 // RenderedHits is the subset of Hits answered from the exact-request
 // index (the stored response body, no canonicalization or encode).
 type CacheStats struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	CoalescedHits uint64 `json:"coalesced_hits"`
-	RenderedHits  uint64 `json:"rendered_hits"`
-	Size          int    `json:"size"`
-	Capacity      int    `json:"capacity"`
+	Hits          uint64 `json:"hits" metric:"pilgrim_forecast_cache_hits_total" help:"Forecast cache hits."`
+	Misses        uint64 `json:"misses" metric:"pilgrim_forecast_cache_misses_total" help:"Forecast cache misses (each paid one simulation)."`
+	CoalescedHits uint64 `json:"coalesced_hits" metric:"pilgrim_forecast_cache_coalesced_hits_total" help:"Requests answered by another request's in-flight simulation."`
+	RenderedHits  uint64 `json:"rendered_hits" metric:"pilgrim_forecast_cache_rendered_hits_total" help:"Forecast cache hits answered from the stored response body of the exact request line (a subset of hits)."`
+	Size          int    `json:"size" metric:"pilgrim_forecast_cache_entries" help:"Forecast cache entries currently held."`
+	Capacity      int    `json:"capacity" metric:"pilgrim_forecast_cache_capacity" help:"Forecast cache capacity (-forecast-cache)."`
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -250,7 +250,7 @@ func TestClientBodiesTakeTheFastPath(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		grid.Scenarios = append(grid.Scenarios, scenario.Scenario{
 			Name:      "off-path-" + strconv.Itoa(i),
-			Mutations: []scenario.Mutation{{Op: scenario.OpScaleLink, Link: links[i].ID, BandwidthFactor: 0.30 + float64(i)*0.013579}},
+			Mutations: []scenario.Mutation{{Op: scenario.OpScaleLink, Link: links[i].ID, BandwidthFactor: 0.30 + float64(float64(i)*0.013579)}},
 		})
 	}
 	grid.Scenarios = append(grid.Scenarios, scenario.Scenario{

@@ -57,7 +57,7 @@ func TestEvaluateDifferentialMatchesCold(t *testing.T) {
 			out := make([]TransferRequest, 1+rng.Intn(4))
 			for i := range out {
 				src, dst := pair()
-				out[i] = TransferRequest{Src: src, Dst: dst, Size: 1e6 + rng.Float64()*1e9}
+				out[i] = TransferRequest{Src: src, Dst: dst, Size: 1e6 + float64(rng.Float64()*1e9)}
 			}
 			return out
 		}
@@ -69,7 +69,7 @@ func TestEvaluateDifferentialMatchesCold(t *testing.T) {
 				switch rng.Intn(5) {
 				case 0:
 					sc.Mutations = append(sc.Mutations, scenario.Mutation{
-						Op: scenario.OpScaleLink, Link: link, BandwidthFactor: 0.2 + rng.Float64()})
+						Op: scenario.OpScaleLink, Link: link, BandwidthFactor: 0.2 + float64(rng.Float64())})
 				case 1:
 					sc.Mutations = append(sc.Mutations, scenario.Mutation{
 						Op: scenario.OpSetLink, Link: link, Latency: fptr(rng.Float64() * 1e-2)})

@@ -235,10 +235,10 @@ func (oc *OverlayCache) derive(ctx context.Context, base *platform.Snapshot, res
 // OverlayStats is the overlay cache accounting surfaced by cache_stats.
 // Hits counts derivations shared with a concurrent request too.
 type OverlayStats struct {
-	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
-	Size     int    `json:"size"`
-	Capacity int    `json:"capacity"`
+	Hits     uint64 `json:"hits" metric:"pilgrim_overlay_cache_hits_total" help:"Scenario-overlay cache hits (derived epochs reused)."`
+	Misses   uint64 `json:"misses" metric:"pilgrim_overlay_cache_misses_total" help:"Scenario-overlay cache misses (fresh ApplyOverlay)."`
+	Size     int    `json:"size" metric:"pilgrim_overlay_cache_entries" help:"Derived epochs currently cached."`
+	Capacity int    `json:"capacity" metric:"-"`
 }
 
 // Stats returns a snapshot of the overlay cache counters.

@@ -938,7 +938,7 @@ func TestEvaluateConcurrentWithIngest(t *testing.T) {
 			default:
 			}
 			_, err := ev.Platforms.ObserveLinkState("p", ts, "ingest", []platform.LinkUpdate{
-				{Link: testNIC, Bandwidth: 8e7 + float64(ts%7)*1e6, Latency: -1}})
+				{Link: testNIC, Bandwidth: 8e7 + float64(float64(ts%7)*1e6), Latency: -1}})
 			if err != nil {
 				t.Error(err)
 				return

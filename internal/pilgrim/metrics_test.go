@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -20,10 +21,8 @@ import (
 // promSample matches one exposition sample line: name{labels} value.
 var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (-?[0-9.e+-]+|NaN)$`)
 
-// scrapeMetrics fetches /metrics and validates the text exposition
-// format 0.0.4 line by line: content type, HELP+TYPE before samples,
-// well-formed sample lines. Returns sample values keyed by the full
-// sample name (including labels).
+// scrapeMetrics fetches /metrics, checks its content type and validates
+// the document with parseExposition.
 func scrapeMetrics(t *testing.T, baseURL string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/metrics")
@@ -41,10 +40,20 @@ func scrapeMetrics(t *testing.T, baseURL string) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return parseExposition(t, string(body))
+}
+
+// parseExposition validates the text exposition format 0.0.4 line by
+// line: one HELP and one TYPE per family, both before its samples, the
+// type counter exactly when the name ends in _total, well-formed sample
+// lines. Returns sample values keyed by the full sample name (including
+// labels).
+func parseExposition(t *testing.T, body string) map[string]float64 {
+	t.Helper()
 	families := map[string]bool{}
 	typed := map[string]bool{}
 	values := map[string]float64{}
-	for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
 		switch {
 		case strings.HasPrefix(line, "# HELP "):
 			parts := strings.SplitN(line, " ", 4)
@@ -52,12 +61,21 @@ func scrapeMetrics(t *testing.T, baseURL string) map[string]float64 {
 				t.Errorf("malformed HELP line: %q", line)
 				continue
 			}
+			if families[parts[2]] {
+				t.Errorf("second HELP line for %s", parts[2])
+			}
 			families[parts[2]] = true
 		case strings.HasPrefix(line, "# TYPE "):
 			parts := strings.SplitN(line, " ", 4)
 			if len(parts) != 4 || (parts[3] != "counter" && parts[3] != "gauge") {
 				t.Errorf("malformed TYPE line: %q", line)
 				continue
+			}
+			if typed[parts[2]] {
+				t.Errorf("second TYPE line for %s", parts[2])
+			}
+			if want := strings.HasSuffix(parts[2], "_total"); want != (parts[3] == "counter") {
+				t.Errorf("%s: type %s disagrees with its name", parts[2], parts[3])
 			}
 			typed[parts[2]] = true
 		case line == "":
@@ -279,4 +297,135 @@ func TestMetricsShardIdentity(t *testing.T) {
 	if v := values["pilgrim_shard_misdirected_total"]; v < 1 {
 		t.Errorf("misdirected counter = %v, want >= 1", v)
 	}
+}
+
+// TestStatsRenderingsAgree gives every field of the cache_stats document
+// a distinct value, renders it as JSON and as exposition text, and checks
+// that each metric-tagged field's sample equals the JSON value at the
+// same field, that no JSON-only field leaks into the exposition, and that
+// the text is well-formed.
+func TestStatsRenderingsAgree(t *testing.T) {
+	type field struct {
+		path   []string
+		metric string
+		value  float64
+	}
+	var fields []field
+	next := 2.0
+	var fill func(v reflect.Value, path []string)
+	fill = func(v reflect.Value, path []string) {
+		if v.Kind() == reflect.Pointer {
+			v.Set(reflect.New(v.Type().Elem()))
+			v = v.Elem()
+		}
+		for i := 0; i < v.NumField(); i++ {
+			f, fv := v.Type().Field(i), v.Field(i)
+			p := path
+			if !f.Anonymous {
+				name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+				p = append(path[:len(path):len(path)], name)
+			}
+			x := next
+			switch fv.Kind() {
+			case reflect.Struct, reflect.Pointer:
+				fill(fv, p)
+				continue
+			case reflect.String:
+				continue
+			case reflect.Bool:
+				fv.SetBool(true)
+				x = 1
+			case reflect.Int, reflect.Int64:
+				fv.SetInt(int64(x))
+			case reflect.Uint64:
+				fv.SetUint(uint64(x))
+			default:
+				t.Fatalf("field %s: unhandled kind %s", f.Name, fv.Kind())
+			}
+			next++
+			fields = append(fields, field{p, f.Tag.Get("metric"), x})
+		}
+	}
+	var doc serverStats
+	fill(reflect.ValueOf(&doc).Elem(), nil)
+
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tree map[string]any
+	if err := json.Unmarshal(raw, &tree); err != nil {
+		t.Fatal(err)
+	}
+	var e Exposition
+	e.addFields(reflect.ValueOf(doc))
+	samples := parseExposition(t, e.b.String())
+
+	exported := map[float64]string{}
+	for name, v := range samples {
+		exported[v] = name
+	}
+	tagged := 0
+	for _, f := range fields {
+		var node any = tree
+		for _, k := range f.path {
+			node = node.(map[string]any)[k]
+		}
+		jv, ok := node.(float64)
+		if b, isBool := node.(bool); isBool && b {
+			jv, ok = 1, true
+		}
+		if !ok || jv != f.value {
+			t.Fatalf("%s: JSON holds %v, want %v", strings.Join(f.path, "."), node, f.value)
+		}
+		if f.metric == "-" {
+			if name, leaked := exported[jv]; leaked {
+				t.Errorf("JSON-only field %s appears in the exposition as %s", strings.Join(f.path, "."), name)
+			}
+			continue
+		}
+		tagged++
+		if got, ok := samples[f.metric]; !ok || got != jv {
+			t.Errorf("%s: exposition %s = %v (present %v), JSON %v", strings.Join(f.path, "."), f.metric, got, ok, jv)
+		}
+	}
+	if len(samples) != tagged {
+		t.Errorf("exposition has %d samples, the document %d metric-tagged fields", len(samples), tagged)
+	}
+
+	// Without a WAL-backed registry the store families are absent.
+	doc.Storage = nil
+	var bare Exposition
+	bare.addFields(reflect.ValueOf(doc))
+	if text := bare.b.String(); strings.Contains(text, "pilgrim_store_") {
+		t.Errorf("nil storage still exported store families:\n%s", text)
+	}
+}
+
+// TestExpositionRefusesStaticBugs pins the panics that keep the listing
+// honest: a numeric stats field without a metric tag, and a family that
+// comes back after another one was started.
+func TestExpositionRefusesStaticBugs(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("untagged field", func() {
+		var e Exposition
+		e.addFields(reflect.ValueOf(struct {
+			Tagged   int `metric:"pilgrim_a" help:"A."`
+			Untagged int
+		}{}))
+	})
+	mustPanic("family reopened", func() {
+		var e Exposition
+		e.Add("pilgrim_a_total", "A.", 1)
+		e.Add("pilgrim_b", "B.", 1)
+		e.Add("pilgrim_a_total", "A.", 2)
+	})
 }

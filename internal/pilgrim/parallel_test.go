@@ -56,7 +56,7 @@ func testHypotheses(n int) []Hypothesis {
 	hyps := make([]Hypothesis, n)
 	for i := range hyps {
 		hyps[i] = Hypothesis{Transfers: []TransferRequest{
-			{Src: fmt.Sprintf("h%d", i%7), Dst: fmt.Sprintf("h%d", (i+1)%7+1), Size: 1e8 + float64(i)*1e6},
+			{Src: fmt.Sprintf("h%d", i%7), Dst: fmt.Sprintf("h%d", (i+1)%7+1), Size: 1e8 + float64(float64(i)*1e6)},
 			{Src: fmt.Sprintf("h%d", (i+2)%8), Dst: fmt.Sprintf("h%d", (i+5)%8), Size: 2e8},
 		}}
 	}

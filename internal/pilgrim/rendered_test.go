@@ -470,7 +470,7 @@ func TestRenderedConcurrentPollersAndWriter(t *testing.T) {
 		predictTarget(transferQuery([]TransferRequest{{lyon(3), nancy(1), 5e8}, {lyon(1), lyon(2), 1e8}}, nil)),
 	}
 	const epochs = 12
-	bandwidth := func(e int) float64 { return 4e7 + float64(e)*5e6 }
+	bandwidth := func(e int) float64 { return 4e7 + float64(float64(e)*5e6) }
 	// The legal answers: each target against the base epoch and against
 	// every epoch the writer will publish, from an oracle fed in order.
 	oracle, oracleReg := renderedServer(t, entry)

@@ -499,27 +499,36 @@ func decodePredict(w http.ResponseWriter, r *http.Request) *predictQuery {
 	return p
 }
 
-// handleCacheStats reports the forecast cache's hit/miss counters, the
-// worker pool's telemetry (hypothesis and evaluate fan-out), the
-// scenario-overlay cache counters, admission-control accounting, the
-// process-wide simulation-engine pool's counters, and — when the registry
-// is WAL-backed — the durable-store counters:
-//
-//	GET /pilgrim/cache_stats
-func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
+// serverStats is the cache_stats document and, through its fields'
+// metric tags, the /metrics listing: the forecast cache's hit/miss
+// counters, the worker pool's telemetry (hypothesis and evaluate
+// fan-out), the scenario-overlay cache counters, admission-control
+// accounting, the process-wide simulation-engine pool's counters, and —
+// when the registry is WAL-backed — the durable-store counters.
+type serverStats struct {
+	CacheStats
+	Forecast  WorkerStats      `json:"forecast_workers"`
+	Overlays  OverlayStats     `json:"scenario_overlays"`
+	Admission AdmissionStats   `json:"admission"`
+	Engines   sim.PoolCounters `json:"engine_pool"`
+	Storage   *store.WALStats  `json:"storage,omitempty"`
+}
+
+// stats snapshots every component's counters into one document.
+func (s *Server) stats() serverStats {
 	var storage *store.WALStats
 	if st, ok := s.platforms.StorageStats(); ok {
 		storage = &st
 	}
-	writeJSON(w, struct {
-		CacheStats
-		Forecast  WorkerStats      `json:"forecast_workers"`
-		Overlays  OverlayStats     `json:"scenario_overlays"`
-		Admission AdmissionStats   `json:"admission"`
-		Engines   sim.PoolCounters `json:"engine_pool"`
-		Storage   *store.WALStats  `json:"storage,omitempty"`
-	}{s.cache.Load().Stats(), s.pool.Load().Stats(), s.overlays.Stats(),
-		s.admission.Load().Stats(), sim.PoolStats(), storage})
+	return serverStats{s.cache.Load().Stats(), s.pool.Load().Stats(), s.overlays.Stats(),
+		s.admission.Load().Stats(), sim.PoolStats(), storage}
+}
+
+// handleCacheStats reports the server's counters as JSON:
+//
+//	GET /pilgrim/cache_stats
+func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, s.stats())
 }
 
 // handleEvaluate implements batched what-if evaluation: POST N scenarios
@@ -827,8 +836,9 @@ type UpdateLinksError struct {
 //	{"time": 1336111200, "source": "iperf",
 //	 "updates": [{"link": "sagittaire-1.lyon.grid5000.fr_nic", "bandwidth": 9.1e7}]}
 //
-// time is Unix seconds or "2006-01-02 15:04:05" (UTC), defaulting to the
-// arrival time; it must not precede the newest recorded observation.
+// time is Unix seconds or "2006-01-02 15:04:05" (UTC), as a number or a
+// JSON string; absent or null, it is the arrival time. It must not
+// precede the newest recorded observation.
 // source is free provenance text (default "update_links"). Each update
 // carries bandwidth in bytes/s and/or latency in seconds; omitted fields
 // keep the current value. A bare JSON array of updates (the pre-timeline
@@ -871,8 +881,15 @@ func (s *Server) handleUpdateLinks(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("decoding link updates: %v", err), http.StatusBadRequest)
 			return
 		}
-		if len(req.Time) > 0 {
-			ts, err := parseTimestamp(strings.Trim(string(req.Time), `"`))
+		// null means absent; a JSON string is unquoted as encoding/json
+		// does (escapes included); a number goes to parseTimestamp as is.
+		if len(req.Time) > 0 && string(req.Time) != "null" {
+			text := string(req.Time)
+			if req.Time[0] == '"' {
+				// Cannot fail: json.Unmarshal has already validated req.Time.
+				_ = json.Unmarshal(req.Time, &text)
+			}
+			ts, err := parseTimestamp(text)
 			if err != nil {
 				http.Error(w, fmt.Sprintf("time: %v", err), http.StatusBadRequest)
 				return

@@ -139,7 +139,7 @@ func TestRegistryWarmRestartAcrossCompaction(t *testing.T) {
 	dir := t.TempDir()
 	reg := walRegistry(t, dir, store.Options{Fsync: store.FsyncAlways, CompactEvery: 5})
 	for i := 0; i < 9; i++ {
-		observe(t, reg, int64(1000+10*i), 1e8+float64(i)*1e6)
+		observe(t, reg, int64(1000+10*i), 1e8+float64(float64(i)*1e6))
 	}
 	// The compactor runs off the request path; wait for it.
 	deadline := time.Now().Add(5 * time.Second)
@@ -153,7 +153,7 @@ func TestRegistryWarmRestartAcrossCompaction(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	for i := 9; i < 12; i++ {
-		observe(t, reg, int64(1000+10*i), 1e8+float64(i)*1e6)
+		observe(t, reg, int64(1000+10*i), 1e8+float64(float64(i)*1e6))
 	}
 	wantStats := statsJSON(t, reg)
 	fut, err := reg.GetAt("p", 1110+60)
@@ -185,7 +185,7 @@ func TestRegistryRecoveryWithoutClose(t *testing.T) {
 	dir := t.TempDir()
 	reg := walRegistry(t, dir, store.Options{Fsync: store.FsyncAlways})
 	for i := 0; i < 4; i++ {
-		observe(t, reg, int64(1000+10*i), 1e8+float64(i)*1e6)
+		observe(t, reg, int64(1000+10*i), 1e8+float64(float64(i)*1e6))
 	}
 	wantStats := statsJSON(t, reg)
 	// No Close: the process "dies" here.

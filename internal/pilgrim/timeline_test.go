@@ -304,7 +304,7 @@ func TestConcurrentIngestAndForecast(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			if _, err := reg.ObserveLinkState("p", int64(1000+i), "race",
-				[]platform.LinkUpdate{{Link: testNIC, Bandwidth: 9e7 + float64(i)*1e5, Latency: -1}}); err != nil {
+				[]platform.LinkUpdate{{Link: testNIC, Bandwidth: 9e7 + float64(float64(i)*1e5), Latency: -1}}); err != nil {
 				t.Error(err)
 				return
 			}

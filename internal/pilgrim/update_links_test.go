@@ -2,10 +2,13 @@ package pilgrim
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"pilgrim/internal/g5k"
 	"pilgrim/internal/platform"
@@ -286,5 +289,52 @@ func TestUpdateLinksStructuredReject(t *testing.T) {
 	}
 	if st.RejectedUpdates != 2 {
 		t.Errorf("rejected_updates = %d, want 2", st.RejectedUpdates)
+	}
+}
+
+// TestUpdateLinksTimeForms pins how the timestamped body's time decodes:
+// a number or a JSON string (escapes unquoted as encoding/json does) in
+// either accepted spelling, null as absent (the arrival time), and
+// anything else a 400 naming the value. Rows run in time order because
+// an observation may not precede the newest one.
+func TestUpdateLinksTimeForms(t *testing.T) {
+	srv, _ := newTestServer(t)
+	start := time.Now().Unix()
+	for _, c := range []struct {
+		time string
+		want int64  // recorded time; 0 = the arrival time
+		err  string // 400 text, for a rejected value
+	}{
+		{time: `1336111200`, want: 1336111200},
+		{time: `"1336111201"`, want: 1336111201},
+		{time: `"\u0031336111202"`, want: 1336111202},
+		{time: `"2012-05-04 08:00:00"`, want: 1336118400},
+		{time: `"2012-05-04\u002008:00:01"`, want: 1336118401},
+		{time: `"yesterday"`, err: `time: timestamp "yesterday" is neither Unix seconds nor YYYY-MM-DD HH:MM:SS`},
+		{time: `true`, err: `time: timestamp "true" is neither Unix seconds nor YYYY-MM-DD HH:MM:SS`},
+		{time: `""`, err: `time: missing timestamp`},
+		{time: `null`},
+	} {
+		body := `{"time": ` + c.time + `, "updates": [{"link": "` + testNIC + `", "bandwidth": 9e7}]}`
+		resp, err := http.Post(srv.URL+"/pilgrim/update_links/g5k_test", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if c.err != "" {
+			if got := strings.TrimSpace(string(raw)); resp.StatusCode != http.StatusBadRequest || got != c.err {
+				t.Errorf("time %s: %d %q, want 400 %q", c.time, resp.StatusCode, got, c.err)
+			}
+			continue
+		}
+		var out UpdateLinksResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &out) != nil {
+			t.Errorf("time %s: %d %s", c.time, resp.StatusCode, raw)
+			continue
+		}
+		if c.want == 0 && out.Time < start || c.want != 0 && out.Time != c.want {
+			t.Errorf("time %s: recorded %d, want %d (0: arrival, at least %d)", c.time, out.Time, c.want, start)
+		}
 	}
 }

@@ -66,36 +66,28 @@ func (p *WorkerPool) release() {
 	<-p.slots
 }
 
-// WorkerStats is the pool telemetry surfaced by /pilgrim/cache_stats.
+// WorkerStats is the pool telemetry surfaced by /pilgrim/cache_stats
+// (under "forecast_workers") and, through the metric tags, /metrics.
 type WorkerStats struct {
-	// Workers is the configured pool width (-forecast-workers).
-	Workers int `json:"workers"`
-	// Busy and Queued are instantaneous: batch workers running right now
-	// and workers waiting for a free slot (each worker drains many items).
-	Busy   int64 `json:"busy"`
-	Queued int64 `json:"queued"`
-	// MaxBusy is the high-water mark of concurrently running workers.
-	MaxBusy int64 `json:"max_busy"`
-	// Hypotheses counts hypothesis simulations completed through the
-	// pool; Batches counts the select_fastest calls that spawned them.
-	Hypotheses uint64 `json:"hypotheses_evaluated"`
-	Batches    uint64 `json:"select_fastest_calls"`
-	// EvaluateCalls counts evaluate batches fanned over the pool;
-	// EvaluateCells the scenario×query cells they requested;
-	// EvaluateGroupRuns the distinct per-snapshot groups actually run
-	// after dedup; EvaluateSims the sub-simulations those groups executed
+	Workers    int    `json:"workers" metric:"pilgrim_workers" help:"Configured worker-pool width (-forecast-workers)."`
+	Busy       int64  `json:"busy" metric:"pilgrim_workers_busy" help:"Batch workers running right now."`
+	Queued     int64  `json:"queued" metric:"pilgrim_workers_queued" help:"Workers waiting for a free pool slot."`
+	MaxBusy    int64  `json:"max_busy" metric:"pilgrim_workers_max_busy" help:"High-water mark of concurrently running workers."`
+	Hypotheses uint64 `json:"hypotheses_evaluated" metric:"pilgrim_hypotheses_total" help:"Hypothesis simulations completed through the pool."`
+	Batches    uint64 `json:"select_fastest_calls" metric:"pilgrim_select_fastest_calls_total" help:"select_fastest calls served."`
+	// EvaluateSims counts the sub-simulations evaluate groups executed
 	// (cache hits and deduplicated cells pay none).
-	EvaluateCalls     uint64 `json:"evaluate_calls"`
-	EvaluateCells     uint64 `json:"evaluate_cells"`
-	EvaluateGroupRuns uint64 `json:"evaluate_group_runs"`
-	EvaluateSims      uint64 `json:"evaluate_simulations"`
+	EvaluateCalls     uint64 `json:"evaluate_calls" metric:"pilgrim_evaluate_calls_total" help:"Evaluate batches fanned over the pool."`
+	EvaluateCells     uint64 `json:"evaluate_cells" metric:"pilgrim_evaluate_cells_total" help:"Scenario×query cells requested by evaluate batches."`
+	EvaluateGroupRuns uint64 `json:"evaluate_group_runs" metric:"pilgrim_evaluate_group_runs_total" help:"Distinct per-snapshot groups run after dedup."`
+	EvaluateSims      uint64 `json:"evaluate_simulations" metric:"pilgrim_evaluate_simulations_total" help:"Sub-simulations executed by evaluate groups."`
 	// Differential-evaluation totals: derived cells answered by provable
 	// base-answer reuse (no simulation), and derived cells run on their own
 	// epoch whose footprint crosses bandwidth changes only (fork) or a
 	// latency or availability change (cold).
-	EvaluateForkReused uint64 `json:"evaluate_fork_reused"`
-	EvaluateForkRuns   uint64 `json:"evaluate_fork_runs"`
-	EvaluateForkCold   uint64 `json:"evaluate_fork_cold"`
+	EvaluateForkReused uint64 `json:"evaluate_fork_reused" metric:"pilgrim_evaluate_fork_total{tier=\"reused\"}" help:"Derived evaluate cells by differential tier."`
+	EvaluateForkRuns   uint64 `json:"evaluate_fork_runs" metric:"pilgrim_evaluate_fork_total{tier=\"forked\"}"`
+	EvaluateForkCold   uint64 `json:"evaluate_fork_cold" metric:"pilgrim_evaluate_fork_total{tier=\"cold\"}"`
 }
 
 // Stats returns a snapshot of the pool counters.

@@ -91,11 +91,11 @@ func TestDiffSnapshotsMatchesFullScan(t *testing.T) {
 				case 0:
 					u.Bandwidth = 0 // fail
 				case 1:
-					u.Bandwidth = 1e6 + rng.Float64()*2e8
+					u.Bandwidth = 1e6 + float64(rng.Float64()*2e8)
 				case 2:
 					u.Latency = rng.Float64() * 1e-2
 				case 3:
-					u.Bandwidth = 1e6 + rng.Float64()*2e8
+					u.Bandwidth = 1e6 + float64(rng.Float64()*2e8)
 					u.Latency = rng.Float64() * 1e-2
 				}
 				links = append(links, u)
@@ -109,7 +109,7 @@ func TestDiffSnapshotsMatchesFullScan(t *testing.T) {
 				seenH[hi] = true
 				speed := 0.0
 				if rng.Intn(2) == 0 {
-					speed = 1e8 + rng.Float64()*1e9
+					speed = 1e8 + float64(rng.Float64()*1e9)
 				}
 				hosts = append(hosts, OverlayHost{Host: hi, Speed: speed})
 			}

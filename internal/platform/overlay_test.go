@@ -32,7 +32,7 @@ func TestApplyOverlayMatchesChainedWithLinkStateIdx(t *testing.T) {
 			ou := OverlayLink{Link: li, Bandwidth: math.NaN(), Latency: math.NaN()}
 			cu := LinkUpdateIdx{Link: li, Bandwidth: -1, Latency: -1}
 			if rng.Intn(3) > 0 { // revise bandwidth
-				bw := 1e6 + rng.Float64()*2e8
+				bw := 1e6 + float64(rng.Float64()*2e8)
 				ou.Bandwidth, cu.Bandwidth = bw, bw
 			}
 			if rng.Intn(3) == 0 { // revise latency

@@ -43,7 +43,7 @@ func randomReference(rng *rand.Rand) *g5k.Reference {
 		for ci := 0; ci < nClusters; ci++ {
 			cid := fmt.Sprintf("c%d%s", ci, sid)
 			cluster := &g5k.Cluster{
-				UID: cid, GFlops: 8 + rng.Float64()*8,
+				UID: cid, GFlops: 8 + float64(rng.Float64()*8),
 				Nodes: map[string]*g5k.Node{}, NodeClass: "default",
 			}
 			// All nodes of a cluster plug into one equipment.
@@ -72,14 +72,14 @@ func randomReference(rng *rand.Rand) *g5k.Reference {
 		for i, gw := range gws {
 			ref.Backbone = append(ref.Backbone, &g5k.BackboneLink{
 				ID: fmt.Sprintf("bb%d", i), From: gw, To: "hub0",
-				RateBps: 1e10, LatencyS: 1e-3 + rng.Float64()*4e-3,
+				RateBps: 1e10, LatencyS: 1e-3 + float64(rng.Float64()*4e-3),
 			})
 		}
 	} else {
 		for i := 0; i+1 < len(gws); i++ {
 			ref.Backbone = append(ref.Backbone, &g5k.BackboneLink{
 				ID: fmt.Sprintf("bb%d", i), From: gws[i], To: gws[i+1],
-				RateBps: 1e10, LatencyS: 1e-3 + rng.Float64()*4e-3,
+				RateBps: 1e10, LatencyS: 1e-3 + float64(rng.Float64()*4e-3),
 			})
 		}
 	}

@@ -122,7 +122,7 @@ func randomRoutingPlatform(t *testing.T, rng *rand.Rand, interleaved bool) (*Pla
 	newLink := func(as *AS) *Link {
 		nl++
 		pol := []SharingPolicy{Shared, FullDuplex, Fatpipe}[rng.Intn(3)]
-		l, err := as.AddLink(fmt.Sprintf("l%03d", nl), 1e8+rng.Float64()*1e9, 1e-5+rng.Float64()*1e-3, pol)
+		l, err := as.AddLink(fmt.Sprintf("l%03d", nl), 1e8+float64(rng.Float64()*1e9), 1e-5+float64(rng.Float64()*1e-3), pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func randomRoutingPlatform(t *testing.T, rng *rand.Rand, interleaved bool) (*Pla
 			if rng.Intn(2) == 0 {
 				bb = newLink(as)
 			}
-			if err := as.SetClusterTopology(m.gw, 1e8, 1e-5+rng.Float64()*1e-4, Shared, bb); err != nil {
+			if err := as.SetClusterTopology(m.gw, 1e8, 1e-5+float64(rng.Float64()*1e-4), Shared, bb); err != nil {
 				t.Fatal(err)
 			}
 			m.bb = bb

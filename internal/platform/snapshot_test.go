@@ -30,7 +30,7 @@ func buildMixedPlatform(t testing.TB, nHosts int) *Platform {
 			if _, err := as.AddHost(h, 1e9); err != nil {
 				t.Fatal(err)
 			}
-			l, err := as.AddLink(h+"_nic", 125e6+float64(i)*1e4, 1e-4, Shared)
+			l, err := as.AddLink(h+"_nic", 125e6+float64(float64(i)*1e4), 1e-4, Shared)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -124,11 +124,11 @@ func TestWithLinkStateIdxEquivalence(t *testing.T) {
 		bw, lat := -1.0, -1.0
 		switch i % 3 {
 		case 0:
-			bw = 1e7 + float64(i)*1e3
+			bw = 1e7 + float64(float64(i)*1e3)
 		case 1:
-			lat = 1e-3 + float64(i)*1e-6
+			lat = 1e-3 + float64(float64(i)*1e-6)
 		default:
-			bw, lat = 2e7+float64(i)*1e3, 2e-3
+			bw, lat = 2e7+float64(float64(i)*1e3), 2e-3
 		}
 		byName = append(byName, LinkUpdate{Link: s.LinkName(i), Bandwidth: bw, Latency: lat})
 		byIdx = append(byIdx, LinkUpdateIdx{Link: i, Bandwidth: bw, Latency: lat})

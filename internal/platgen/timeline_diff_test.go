@@ -55,7 +55,7 @@ func TestTimelineDifferentialRandomPlatforms(t *testing.T) {
 		for k := 0; k < 5; k++ {
 			reqs = append(reqs, pilgrim.TransferRequest{
 				Src: hosts[rng.Intn(len(hosts))].ID, Dst: hosts[rng.Intn(len(hosts))].ID,
-				Size: 1e6 + rng.Float64()*1e9,
+				Size: 1e6 + float64(rng.Float64()*1e9),
 			})
 		}
 		for i := range reqs {
@@ -75,10 +75,10 @@ func TestTimelineDifferentialRandomPlatforms(t *testing.T) {
 				li := int32(rng.Intn(snap.NumLinks()))
 				u := platform.LinkUpdate{Link: snap.LinkName(li), Bandwidth: -1, Latency: -1}
 				if rng.Intn(3) != 0 {
-					u.Bandwidth = 1e7 + rng.Float64()*1e9
+					u.Bandwidth = 1e7 + float64(rng.Float64()*1e9)
 				}
 				if rng.Intn(3) == 0 {
-					u.Latency = 1e-4 + rng.Float64()*1e-2
+					u.Latency = 1e-4 + float64(rng.Float64()*1e-2)
 				}
 				ups = append(ups, u)
 			}

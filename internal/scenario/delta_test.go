@@ -25,7 +25,7 @@ func TestResolvedDeltaMatchesDiffSnapshots(t *testing.T) {
 			link := linkNames[rng.Intn(len(linkNames))]
 			switch rng.Intn(5) {
 			case 0:
-				muts = append(muts, Mutation{Op: OpScaleLink, Link: link, BandwidthFactor: 0.25 + rng.Float64()})
+				muts = append(muts, Mutation{Op: OpScaleLink, Link: link, BandwidthFactor: 0.25 + float64(rng.Float64())})
 			case 1:
 				// Scale by exactly 1: resolves to the current value, so the
 				// delta must report nothing for it.

@@ -107,11 +107,11 @@ func TestRunPlanDiffMatchesCold(t *testing.T) {
 				case 0:
 					u.Bandwidth = 0 // fail the link
 				case 1, 2, 3:
-					u.Bandwidth = base.LinkBandwidth(li) * (0.3 + rng.Float64())
+					u.Bandwidth = base.LinkBandwidth(li) * (0.3 + float64(rng.Float64()))
 				case 4:
 					u.Latency = rng.Float64() * 1e-3
 				default:
-					u.Bandwidth = base.LinkBandwidth(li) * (0.3 + rng.Float64())
+					u.Bandwidth = base.LinkBandwidth(li) * (0.3 + float64(rng.Float64()))
 					u.Latency = rng.Float64() * 1e-3
 				}
 				links = append(links, u)

@@ -234,7 +234,7 @@ func (e *refEngine) reshare() error {
 			continue
 		}
 		if e.now > a.lastUpdate {
-			a.remaining -= a.rate * (e.now - a.lastUpdate)
+			a.remaining -= float64(a.rate * (e.now - a.lastUpdate))
 			if a.remaining < 0 {
 				a.remaining = 0
 			}
@@ -344,7 +344,7 @@ func buildRandomPlatform(t *testing.T, rng *rand.Rand, hosts int) *platform.Plat
 	p := platform.New("root", platform.RoutingFull)
 	as := p.Root()
 	policies := []platform.SharingPolicy{platform.Shared, platform.FullDuplex, platform.Fatpipe}
-	bb, err := as.AddLink("bb", 1e9*(0.5+rng.Float64()), 1e-4*rng.Float64(), platform.Shared)
+	bb, err := as.AddLink("bb", 1e9*(0.5+float64(rng.Float64())), 1e-4*rng.Float64(), platform.Shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,16 +353,16 @@ func buildRandomPlatform(t *testing.T, rng *rand.Rand, hosts int) *platform.Plat
 	downs := make([]*platform.Link, hosts)
 	for i := 0; i < hosts; i++ {
 		names[i] = fmt.Sprintf("h%d", i)
-		if _, err := as.AddHost(names[i], 1e9*(0.5+rng.Float64())); err != nil {
+		if _, err := as.AddHost(names[i], 1e9*(0.5+float64(rng.Float64()))); err != nil {
 			t.Fatal(err)
 		}
 		ups[i], err = as.AddLink(fmt.Sprintf("up%d", i),
-			1e8*(0.2+rng.Float64()), 1e-3*rng.Float64(), policies[rng.Intn(len(policies))])
+			1e8*(0.2+float64(rng.Float64())), 1e-3*rng.Float64(), policies[rng.Intn(len(policies))])
 		if err != nil {
 			t.Fatal(err)
 		}
 		downs[i], err = as.AddLink(fmt.Sprintf("down%d", i),
-			1e8*(0.2+rng.Float64()), 1e-3*rng.Float64(), policies[rng.Intn(len(policies))])
+			1e8*(0.2+float64(rng.Float64())), 1e-3*rng.Float64(), policies[rng.Intn(len(policies))])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,12 +417,12 @@ func randomWorkload(rng *rand.Rand, hosts int) refWorkload {
 		})
 	}
 	for i := 0; i < 1+rng.Intn(3); i++ {
-		w.execs = append(w.execs, Transfer{Src: name(rng.Intn(hosts)), Size: 1e8 * (0.5 + rng.Float64())})
+		w.execs = append(w.execs, Transfer{Src: name(rng.Intn(hosts)), Size: 1e8 * (0.5 + float64(rng.Float64()))})
 	}
 	w.bgPair[0], w.bgPair[1] = pair()
-	w.bgOff = 0.5 + rng.Float64()
+	w.bgOff = 0.5 + float64(rng.Float64())
 	src, dst := pair()
-	w.chain = Transfer{Src: src, Dst: dst, Size: 1e6 * (1 + rng.Float64())}
+	w.chain = Transfer{Src: src, Dst: dst, Size: 1e6 * (1 + float64(rng.Float64()))}
 	return w
 }
 

@@ -80,13 +80,14 @@ var (
 
 // PoolCounters is a point-in-time view of the process-wide engine pool.
 // Built per request is the number to watch: in steady state it is zero —
-// every acquire, on whatever epoch, is served by a parked engine.
+// every acquire, on whatever epoch, is served by a parked engine. The
+// metric tags name the fields' pilgrimd /metrics families.
 type PoolCounters struct {
-	Acquired uint64 `json:"acquired"` // engines handed out since process start
-	Reused   uint64 `json:"reused"`   // ... of which were recycled from the pool
-	Built    uint64 `json:"built"`    // ... of which had to be constructed
-	Parked   int    `json:"parked"`   // idle engines currently held by the pool
-	Flavours int    `json:"flavours"` // (topology, Config) keys currently held
+	Acquired uint64 `json:"acquired" metric:"pilgrim_engine_pool_acquired_total" help:"Simulation engines handed out by the process-wide pool."`
+	Reused   uint64 `json:"reused" metric:"-"` // ... of which were recycled from the pool
+	Built    uint64 `json:"built" metric:"pilgrim_engine_pool_built_total" help:"Acquires that constructed an engine instead of recycling one (steady state: flat)."`
+	Parked   int    `json:"parked" metric:"pilgrim_engine_pool_parked" help:"Idle engines currently held by the pool."`
+	Flavours int    `json:"flavours" metric:"-"` // (topology, Config) keys currently held
 }
 
 // PoolStats returns the engine pool's counters.

@@ -95,7 +95,7 @@ func wildEpoch(t testing.TB, rng *rand.Rand, snap *platform.Snapshot) *platform.
 	for li := int32(0); li < int32(snap.NumLinks()); li++ {
 		u := platform.OverlayLink{Link: li, Bandwidth: math.NaN(), Latency: math.NaN()}
 		if rng.Intn(3) > 0 {
-			u.Bandwidth = snap.LinkBandwidth(li) * (0.3 + rng.Float64())
+			u.Bandwidth = snap.LinkBandwidth(li) * (0.3 + float64(rng.Float64()))
 		}
 		if rng.Intn(3) > 0 {
 			u.Latency = rng.Float64() * 2e-3
@@ -106,7 +106,7 @@ func wildEpoch(t testing.TB, rng *rand.Rand, snap *platform.Snapshot) *platform.
 	var hosts []platform.OverlayHost
 	for hi := int32(0); hi < int32(snap.NumHosts()); hi++ {
 		if rng.Intn(2) == 0 {
-			hosts = append(hosts, platform.OverlayHost{Host: hi, Speed: snap.HostSpeed(hi) * (0.5 + rng.Float64())})
+			hosts = append(hosts, platform.OverlayHost{Host: hi, Speed: snap.HostSpeed(hi) * (0.5 + float64(rng.Float64()))})
 		}
 	}
 	hosts = append(hosts, platform.OverlayHost{Host: int32(rng.Intn(snap.NumHosts())), Speed: 0})
@@ -257,10 +257,10 @@ func TestEnginePoolOneFlavourPerTopology(t *testing.T) {
 		var err error
 		if i%2 == 0 {
 			snap, err = snap.ApplyOverlay([]platform.OverlayLink{{Link: li,
-				Bandwidth: snap.LinkBandwidth(li) * (0.9 + 0.2*rng.Float64()), Latency: math.NaN()}}, nil, "churn")
+				Bandwidth: snap.LinkBandwidth(li) * (0.9 + float64(0.2*rng.Float64())), Latency: math.NaN()}}, nil, "churn")
 		} else {
 			snap, err = snap.WithLinkState([]platform.LinkUpdate{{Link: snap.LinkName(li),
-				Bandwidth: snap.LinkBandwidth(li) * (0.9 + 0.2*rng.Float64()), Latency: rng.Float64() * 1e-3}})
+				Bandwidth: snap.LinkBandwidth(li) * (0.9 + float64(0.2*rng.Float64())), Latency: rng.Float64() * 1e-3}})
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -451,7 +451,7 @@ func TestWorkConservation(t *testing.T) {
 		var transfers []Transfer
 		total := 0.0
 		for i := 0; i < n; i++ {
-			size := 1e6 + g.Float64()*1e8
+			size := 1e6 + float64(g.Float64()*1e8)
 			total += size
 			transfers = append(transfers, Transfer{Src: "a", Dst: "b", Size: size})
 		}
@@ -479,12 +479,12 @@ func TestContentionNeverHelps(t *testing.T) {
 		g := stats.NewRNG(seed)
 		p := buildPair(t, 100e6, 1e-4)
 		cfg := DefaultConfig()
-		base := []Transfer{{Src: "a", Dst: "b", Size: 1e6 + g.Float64()*1e8}}
+		base := []Transfer{{Src: "a", Dst: "b", Size: 1e6 + float64(g.Float64()*1e8)}}
 		solo, err := Predict(p.Snapshot(), cfg, base)
 		if err != nil {
 			return false
 		}
-		crowd := append(base, Transfer{Src: "a", Dst: "b", Size: 1e6 + g.Float64()*1e8})
+		crowd := append(base, Transfer{Src: "a", Dst: "b", Size: 1e6 + float64(g.Float64()*1e8)})
 		both, err := Predict(p.Snapshot(), cfg, crowd)
 		if err != nil {
 			return false

@@ -72,7 +72,9 @@ func Variance(xs []float64) float64 {
 	if n < 2 {
 		return 0
 	}
-	mu := Mean(xs)
+	// Inlined where len(xs) is a constant, Mean's division becomes a
+	// product: float64() rounds it, so no GOARCH fuses it into x - mu.
+	mu := float64(Mean(xs))
 	s := 0.0
 	for _, x := range xs {
 		d := x - mu

@@ -89,24 +89,25 @@ type Options struct {
 	CompactEvery int
 }
 
-// WALStats is the accounting surfaced alongside cache_stats.
+// WALStats is the accounting surfaced alongside cache_stats; the metric
+// tags name the fields' pilgrimd /metrics families.
 type WALStats struct {
 	Dir            string `json:"dir"`
 	Fsync          string `json:"fsync"`
-	Seq            uint64 `json:"seq"`
-	SegmentRecords int    `json:"segment_records"`
-	Appends        uint64 `json:"appends"`
-	Compactions    uint64 `json:"compactions"`
+	Seq            uint64 `json:"seq" metric:"-"`
+	SegmentRecords int    `json:"segment_records" metric:"pilgrim_store_segment_records" help:"Records in the live WAL segment."`
+	Appends        uint64 `json:"appends" metric:"pilgrim_store_appends_total" help:"WAL records appended."`
+	Compactions    uint64 `json:"compactions" metric:"pilgrim_store_compactions_total" help:"WAL snapshot compactions."`
 	// Fsyncs counts log fsyncs actually issued (per-record under
 	// `always`, per dirty tick under `interval`, explicit Sync/Close) —
-	// the durability cost metric the /metrics endpoint exports.
-	Fsyncs uint64 `json:"fsyncs"`
+	// the durability cost metric.
+	Fsyncs uint64 `json:"fsyncs" metric:"pilgrim_store_fsyncs_total" help:"WAL fsyncs issued (see -fsync policy)."`
 	// RecoveredRecords/RecoveredSkipped/TruncatedBytes describe what Open
 	// found: replayed tail records, records it had to skip, and torn
 	// bytes cut off the log.
-	RecoveredRecords int   `json:"recovered_records"`
-	RecoveredSkipped int   `json:"recovered_skipped"`
-	TruncatedBytes   int64 `json:"truncated_bytes"`
+	RecoveredRecords int   `json:"recovered_records" metric:"-"`
+	RecoveredSkipped int   `json:"recovered_skipped" metric:"-"`
+	TruncatedBytes   int64 `json:"truncated_bytes" metric:"-"`
 }
 
 // WAL is the append-only mutation log plus its snapshot generations. All

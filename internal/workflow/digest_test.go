@@ -48,7 +48,7 @@ func randomWorkflow(rng *rand.Rand, hosts []*platform.Host, seed int64) (*Workfl
 			t = w.Tasks[rng.Intn(i)]
 			t.DependsOn = append([]string(nil), t.DependsOn...)
 		} else if rng.Intn(2) == 0 {
-			t = Task{Kind: Compute, Host: pool[rng.Intn(len(pool))], Flops: 1e9 * (0.1 + 3*rng.Float64())}
+			t = Task{Kind: Compute, Host: pool[rng.Intn(len(pool))], Flops: 1e9 * (0.1 + float64(3*rng.Float64()))}
 		} else {
 			src, dst := pair()
 			t = Task{Kind: TransferData, Src: src, Dst: dst, Bytes: math.Exp(rng.Float64()*9) * 1e4}
