@@ -25,7 +25,7 @@ BENCH_COUNT := 5
 # plus Registry.Add over a 2000-observation log tail).
 KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkCold60CrossSite|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPPredict60CrossSite|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients|BenchmarkPlatformSetup|BenchmarkRouteMemoAllPairs|BenchmarkRegistryRestart
 
-.PHONY: all build test vet orphans fma-check race bench bench-smoke bench-check bench-baseline bench-fleet campaign-check recovery-check fleet-smoke loadgen-smoke profile clean
+.PHONY: all build test vet unlinked flag-docs fma-check race bench bench-smoke bench-check bench-baseline bench-fleet campaign-check recovery-check fleet-smoke loadgen-smoke profile clean
 
 all: vet build test
 
@@ -38,13 +38,63 @@ test:
 vet:
 	go vet ./...
 
-# orphans fails when an internal package is imported by no non-test code
-# outside itself: a library nothing reaches is deleted, not carried.
-orphans:
-	@imports=$$(go list -f '{{range .Imports}}{{println .}}{{end}}' ./... | sort -u); \
-	for p in $$(go list ./internal/...); do \
-		echo "$$imports" | grep -qx "$$p" || { echo "orphan: $$p is imported by no non-test package"; bad=1; }; \
-	done; [ -z "$$bad" ]
+# unlinked fails on a function or method declared in non-test code under
+# internal/ that no program of the module links, and on an internal
+# package no program imports: code nothing runs is deleted, not carried.
+# Every `package main` is built with inlining off (a function inlined at
+# every call site has no symbol of its own), and the pilgrim/internal/...
+# text symbols the programs link are compared with the `^func` lines of
+# the gofmt'd sources. nm's whole name is kept, because a generic
+# instantiation's name holds spaces (go.shape.struct { ... }); generic
+# brackets are stripped and (*T).M reads as T.M. A package archive's
+# symbols would not do: they also hold wrappers for interface methods.
+#
+# UNLINKED_KEEP lists what no program links but stays, each line under
+# its reason (names relative to pilgrim/internal/, extended regexes).
+# Test oracles: the XML reader checks WriteXML in a round trip, Equal
+# checks RRD Save/Load.
+UNLINKED_KEEP := platform\.(Parse|fillAS|ParseRoutingKind|ParseSharingPolicy) rrd\.RRD\.Equal
+# The paper's §III-B statistical baseline (BenchmarkBaselineNWS,
+# TestNWSContentionBlindness) and the predictor choice its tests read.
+UNLINKED_KEEP += nws\.(NewPathForecaster|PathForecaster\.(Observe|PredictTransfer)|Selector\.Best|Bank\.BestBandwidthPredictor)
+# The replay the crash-recovery drill (TestCrashRecoveryDrill) interrupts.
+UNLINKED_KEEP += campaign\.ReplaySteps
+# Durability: an explicit fsync of the write-ahead log.
+UNLINKED_KEEP += store\.WAL\.Sync
+# Solver state the max-min solver's oracle tests read.
+UNLINKED_KEEP += flow\.(Constraint\.(Capacity|Saturated|Usage|Variables)|System\.(AddVariable|Constraints|Solved|Variables)|Variable\.(Bound|Constraints|Weight))
+# Accessors, constructors and client calls tests of other packages use.
+UNLINKED_KEEP += keyed\.Cache\.Flights pilgrim\.Client\.(CacheStats|PredictTransfersAt|PredictWorkflow|TimelineStats)
+UNLINKED_KEEP += platform\.(Host\.Prop|Platform\.(Host|HostsWhere|Links)) sim\.(NewSnapshotSimulation|Simulation\.AddBackgroundFlow) stats\.RNG\.(Perm|Shuffle)
+# The emulated testbed's latency model, checked against the paper's RTTs.
+UNLINKED_KEEP += testbed\.Testbed\.RTT
+
+unlinked:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	mains=$$(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); \
+	go build -gcflags=all=-l -o "$$dir/" $$mains || exit 1; \
+	for b in "$$dir"/*; do go tool nm "$$b"; done \
+		| sed -nE 's/^ *[0-9a-f]+ T (pilgrim\/internal\/)/\1/p' \
+		| sed -E ':a; s/\[[^][]*\]//g; ta; s/\(\*?([A-Za-z0-9_]+)\)/\1/' | sort -u > "$$dir/linked"; \
+	grep -E '^func ' $$(find internal -name '*.go' ! -name '*_test.go') \
+		| sed -E 's#^(internal/[^:]*)/[^/:]*\.go:func \(([A-Za-z0-9_]+ )?\*?([A-Za-z0-9_]+)[^)]*\) ([A-Za-z0-9_]+).*#pilgrim/\1.\3.\4#; s#^(internal/[^:]*)/[^/:]*\.go:func ([A-Za-z0-9_]+).*#pilgrim/\1.\2#' \
+		| grep -vE '\.init$$' | sort -u > "$$dir/declared"; \
+	keep=$$(printf '%s' '$(strip $(UNLINKED_KEEP))' | tr ' ' '|'); \
+	bad=$$(comm -23 "$$dir/declared" "$$dir/linked" | grep -vxE "pilgrim/internal/($$keep)"; \
+		go list ./internal/... | grep -vxF "$$(go list -deps $$mains)"); \
+	if [ -n "$$bad" ]; then printf 'unlinked: no program links %s\n' $$bad; exit 1; fi; \
+	echo "unlinked: every internal function is linked into a program or kept in UNLINKED_KEEP"
+
+# flag-docs fails when a flag that `pilgrimd -h` or `pilgrimgw -h` lists
+# is named in none of docs/OPERATIONS.md, docs/API.md and README.md: an
+# operator reads the docs, not the source.
+flag-docs:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	go build -o "$$dir/" ./cmd/pilgrimd ./cmd/pilgrimgw || exit 1; \
+	missing=$$(for b in pilgrimd pilgrimgw; do "$$dir/$$b" -h 2>&1 | sed -nE "s/^  (-[a-z0-9-]+).*/$$b \1/p"; done \
+		| while read -r b f; do grep -qE -- "(^|[^a-z0-9-])$$f([^a-z0-9-]|$$)" docs/OPERATIONS.md docs/API.md README.md || echo "$$b $$f"; done); \
+	if [ -n "$$missing" ]; then printf '%s\n' "$$missing" | sed 's/^/flag-docs: documented nowhere: /'; exit 1; fi; \
+	echo "flag-docs: every pilgrimd and pilgrimgw flag is documented"
 
 # fma-check cross-compiles every package and every test variant for the
 # architectures whose compiler fuses x*y+z into one fused multiply-add,

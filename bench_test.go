@@ -11,6 +11,7 @@
 package pilgrim_bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -175,7 +176,7 @@ func BenchmarkPredict30TransfersCached(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cache.Predict("g5k_test", entry, reqs, nil); err != nil {
+		if _, err := cache.PredictCtx(context.Background(), "g5k_test", entry, reqs, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -263,7 +263,7 @@ func (s *Step) validate() error {
 		return fmt.Errorf("no queries")
 	}
 	for i := range s.Queries {
-		if err := validateQuery(&s.Queries[i], i); err != nil {
+		if err := s.Queries[i].Validate(i); err != nil {
 			return err
 		}
 	}
@@ -271,46 +271,6 @@ func (s *Step) validate() error {
 		if err := s.Assertions[i].validate(s); err != nil {
 			return fmt.Errorf("assertion %d: %w", i, err)
 		}
-	}
-	return nil
-}
-
-// validateQuery mirrors the evaluate endpoint's request checks so
-// `pilgrimsim validate` catches shape problems before any replay.
-func validateQuery(q *pilgrim.EvalQuery, i int) error {
-	switch q.Kind {
-	case pilgrim.QueryPredictTransfers:
-		if len(q.Transfers) == 0 {
-			return fmt.Errorf("query %d: predict_transfers needs transfers", i)
-		}
-		for _, t := range q.Transfers {
-			if t.Src == "" || t.Dst == "" || t.Size <= 0 || math.IsNaN(t.Size) || math.IsInf(t.Size, 0) {
-				return fmt.Errorf("query %d: invalid transfer %+v", i, t)
-			}
-		}
-	case pilgrim.QuerySelectFastest:
-		if len(q.Hypotheses) == 0 {
-			return fmt.Errorf("query %d: select_fastest needs hypotheses", i)
-		}
-		for hi, h := range q.Hypotheses {
-			if len(h.Transfers) == 0 {
-				return fmt.Errorf("query %d: hypothesis %d is empty", i, hi)
-			}
-			for _, t := range h.Transfers {
-				if t.Src == "" || t.Dst == "" || t.Size <= 0 || math.IsNaN(t.Size) || math.IsInf(t.Size, 0) {
-					return fmt.Errorf("query %d: hypothesis %d: invalid transfer %+v", i, hi, t)
-				}
-			}
-		}
-	case pilgrim.QueryPredictWorkflow:
-		if q.Workflow == nil {
-			return fmt.Errorf("query %d: predict_workflow needs a workflow", i)
-		}
-		if _, err := q.Workflow.Validate(); err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-	default:
-		return fmt.Errorf("query %d: unknown kind %q", i, q.Kind)
 	}
 	return nil
 }

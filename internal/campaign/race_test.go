@@ -6,17 +6,15 @@ import (
 	"sync"
 	"testing"
 
-	"pilgrim/internal/metrology"
 	"pilgrim/internal/pilgrim"
 	"pilgrim/internal/platform"
-	"pilgrim/internal/rrd"
 )
 
 // raceDoc deliberately carries no observe events: the concurrent
-// metrology ingestor is the timeline's only writer, so replays never
+// observation writer is the timeline's only writer, so replays never
 // race it on observation ordering. Assertions stay loose (bounds and
 // an error match, no selection) — the routes they touch are disjoint
-// from the link the ingestor feeds, so answers are stable no matter
+// from the link the writer feeds, so answers are stable no matter
 // how the goroutines interleave.
 const raceDoc = `name: race-drill
 platform: g5k_mini
@@ -50,8 +48,8 @@ steps:
 
 // TestReplayConcurrentWithIngestAndHTTP exercises the whole stack under
 // contention on one registry: campaign replays (in-process and through
-// a live HTTP server), a metrology ingestor folding fresh observations
-// into the platform timeline, and raw /pilgrim/evaluate traffic — all
+// a live HTTP server), a writer folding fresh observations into the
+// platform timeline, and raw /pilgrim/evaluate traffic — all
 // concurrently. Run under -race; assertion outcomes must not wobble.
 func TestReplayConcurrentWithIngestAndHTTP(t *testing.T) {
 	c, err := Load([]byte(raceDoc))
@@ -64,49 +62,25 @@ func TestReplayConcurrentWithIngestAndHTTP(t *testing.T) {
 	}
 	name := c.Platform.PlatformName()
 
-	// A gauge feeding graphene-8's NIC — a link no campaign query routes
-	// over, so the concurrent bandwidth updates cannot shift assertions.
-	metrics := metrology.NewRegistry()
-	path := metrology.MetricPath{Tool: "iperf", Site: "nancy", Host: "graphene-8.nancy.grid5000.fr", Metric: "bw"}
-	if err := metrics.Register(path, rrd.Gauge, 15, func(ts int64) float64 { return 9.0e7 + float64(ts%30) }); err != nil {
-		t.Fatal(err)
-	}
-	ing := metrology.NewIngestor(metrics, "racetest")
-	if err := ing.Bind(metrology.LinkBinding{Metric: path, Link: "graphene-8.nancy.grid5000.fr_nic", Quantity: metrology.LinkBandwidth}); err != nil {
-		t.Fatal(err)
-	}
-	// Collection starts at the campaign epoch, not 1970: without this,
-	// the first Ingest would scan one fetch row per 15s step since the
-	// Unix epoch.
-	ing.SetCursor(DefaultStart)
-
-	srv := httptest.NewServer(pilgrim.NewServer(registry, metrics))
+	srv := httptest.NewServer(pilgrim.NewServer(registry, nil))
 	defer srv.Close()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 
-	// Metrology ingest: 15-second collection slices starting at the
-	// campaign start, folded into the shared timeline as they land.
+	// Observations of graphene-8's NIC — a link no campaign query routes
+	// over, so the concurrent bandwidth updates cannot shift assertions:
+	// one every 15 seconds from the campaign start, as a gauge sampled
+	// on that step would report them.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		from := int64(DefaultStart)
-		for i := 0; i < 20; i++ {
-			to := from + 15
-			if err := metrics.Collect(from, to); err != nil {
-				errs <- fmt.Errorf("collect: %w", err)
+		for ts := int64(DefaultStart) + 15; ts <= DefaultStart+300; ts += 15 {
+			updates := []platform.LinkUpdate{{Link: "graphene-8.nancy.grid5000.fr_nic", Bandwidth: 9.0e7 + float64(ts%30), Latency: -1}}
+			if _, err := registry.ObserveLinkState(name, ts, "racetest", updates); err != nil {
+				errs <- fmt.Errorf("observe: %w", err)
 				return
 			}
-			_, err := ing.Ingest(to, func(ts int64, source string, updates []platform.LinkUpdate) error {
-				_, err := registry.ObserveLinkState(name, ts, source, updates)
-				return err
-			})
-			if err != nil {
-				errs <- fmt.Errorf("ingest: %w", err)
-				return
-			}
-			from = to
 		}
 	}()
 

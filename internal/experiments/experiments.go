@@ -156,15 +156,6 @@ type Result struct {
 	Cells []Cell
 }
 
-// AllSamples returns every sample of the experiment.
-func (r *Result) AllSamples() []Sample {
-	var out []Sample
-	for _, c := range r.Cells {
-		out = append(out, c.Samples...)
-	}
-	return out
-}
-
 // Runner executes experiments: the testbed provides measures, the
 // forecast entry provides predictions. A Runner is not safe for
 // concurrent use: draw pools and per-repetition buffers are cached on the

@@ -99,20 +99,6 @@ func itoa(i int) string {
 	return string(b[n:])
 }
 
-func TestNodeLookup(t *testing.T) {
-	r := Default()
-	n, c, s, ok := r.Node("capricorne-36")
-	if !ok {
-		t.Fatal("capricorne-36 not found")
-	}
-	if n.UID != "capricorne-36" || c.UID != "capricorne" || s.UID != "lyon" {
-		t.Errorf("lookup = %s/%s/%s", n.UID, c.UID, s.UID)
-	}
-	if _, _, _, ok := r.Node("ghost-1"); ok {
-		t.Error("ghost node found")
-	}
-}
-
 func TestNodeIDsNaturalOrder(t *testing.T) {
 	r := Default()
 	ids := r.Sites["lyon"].Clusters["sagittaire"].NodeIDs()

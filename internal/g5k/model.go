@@ -170,19 +170,6 @@ func splitTrailingInt(s string) (prefix string, n int, ok bool) {
 	return s[:i], v, true
 }
 
-// Node returns a node by uid, searching all sites, together with its
-// cluster and site; ok is false when absent.
-func (r *Reference) Node(uid string) (node *Node, cluster *Cluster, site *Site, ok bool) {
-	for _, s := range r.Sites {
-		for _, c := range s.Clusters {
-			if n, found := c.Nodes[uid]; found {
-				return n, c, s, true
-			}
-		}
-	}
-	return nil, nil, nil, false
-}
-
 // Validate checks referential integrity: every interface plugs into known
 // equipment, uplinks target known equipment, gateways exist, and backbone
 // endpoints resolve to site gateways or hubs.

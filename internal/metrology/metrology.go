@@ -145,23 +145,6 @@ func (r *Registry) Paths() []MetricPath {
 	return append([]MetricPath(nil), r.order...)
 }
 
-// Sync writes every RRD to the on-disk tree rooted at dir.
-func (r *Registry) Sync(dir string) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, p := range r.order {
-		s := r.byPath[p]
-		path := filepath.Join(dir, p.Tool, p.Site, p.Host, p.Metric+".rrd")
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return err
-		}
-		if err := s.db.SaveFile(path); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // LoadTree reads an on-disk tree into a registry with nil sources
 // (read-only serving, as the Pilgrim service does).
 func LoadTree(dir string) (*Registry, error) {

@@ -2,10 +2,17 @@ package metrology
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pilgrim/internal/rrd"
 )
+
+// constant is a source that always reads v.
+func constant(v float64) Source {
+	return func(int64) float64 { return v }
+}
 
 func TestMetricPathRoundTrip(t *testing.T) {
 	p := MetricPath{Tool: "ganglia", Site: "lyon", Host: "sagittaire-1.lyon.grid5000.fr", Metric: "pdu"}
@@ -41,10 +48,10 @@ func TestParseMetricPathErrors(t *testing.T) {
 func TestRegisterAndCollect(t *testing.T) {
 	reg := NewRegistry()
 	p := MetricPath{Tool: "ganglia", Site: "lyon", Host: "sagittaire-1.lyon.grid5000.fr", Metric: "pdu"}
-	if err := reg.Register(p, rrd.Gauge, 15, ConstantSource(168.9)); err != nil {
+	if err := reg.Register(p, rrd.Gauge, 15, constant(168.9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(p, rrd.Gauge, 15, ConstantSource(1)); err == nil {
+	if err := reg.Register(p, rrd.Gauge, 15, constant(1)); err == nil {
 		t.Error("duplicate registration accepted")
 	}
 	if err := reg.Collect(0, 3600); err != nil {
@@ -75,7 +82,7 @@ func TestRegisterAndCollect(t *testing.T) {
 func TestCollectIncremental(t *testing.T) {
 	reg := NewRegistry()
 	p := MetricPath{Tool: "munin", Site: "nancy", Host: "graphene-1.nancy.grid5000.fr", Metric: "load"}
-	if err := reg.Register(p, rrd.Gauge, 15, ConstantSource(0.5)); err != nil {
+	if err := reg.Register(p, rrd.Gauge, 15, constant(0.5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Collect(0, 600); err != nil {
@@ -129,18 +136,27 @@ func TestSyncAndLoadTree(t *testing.T) {
 		{Tool: "ganglia", Site: "lyon", Host: "sagittaire-1.lyon.grid5000.fr", Metric: "pdu"},
 		{Tool: "ganglia", Site: "nancy", Host: "graphene-1.nancy.grid5000.fr", Metric: "bytes_in"},
 	}
-	if err := reg.Register(paths[0], rrd.Gauge, 15, ConstantSource(168.9)); err != nil {
+	if err := reg.Register(paths[0], rrd.Gauge, 15, constant(168.9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(paths[1], rrd.Counter, 15, TrafficCounterSource(1e6, 7)); err != nil {
+	// A byte counter growing by 1 MB per 15-second step.
+	if err := reg.Register(paths[1], rrd.Counter, 15, func(ts int64) float64 { return float64(ts) * 1e6 / 15 }); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Collect(0, 3600); err != nil {
 		t.Fatal(err)
 	}
+	// Write the tree one RRD file per metric, as cmd/rrdtool saves them.
 	dir := t.TempDir()
-	if err := reg.Sync(dir); err != nil {
-		t.Fatal(err)
+	for _, p := range paths {
+		db, _ := reg.Database(p)
+		file := filepath.Join(dir, p.Tool, p.Site, p.Host, p.Metric+".rrd")
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.SaveFile(file); err != nil {
+			t.Fatal(err)
+		}
 	}
 	loaded, err := LoadTree(dir)
 	if err != nil {
@@ -167,28 +183,6 @@ func TestSourcesAreDeterministicPerSeed(t *testing.T) {
 	for ts := int64(0); ts < 10*900; ts += 900 {
 		if a(ts) != b(ts) {
 			t.Fatal("PowerSource nondeterministic for same seed")
-		}
-	}
-}
-
-func TestTrafficCounterMonotone(t *testing.T) {
-	src := TrafficCounterSource(1e6, 3)
-	prev := -1.0
-	for ts := int64(0); ts < 86400; ts += 60 {
-		v := src(ts)
-		if v < prev {
-			t.Fatalf("counter decreased: %v -> %v", prev, v)
-		}
-		prev = v
-	}
-}
-
-func TestLatencySourcePositive(t *testing.T) {
-	src := LatencySource(2.25e-3, 5)
-	for ts := int64(0); ts < 86400; ts += 300 {
-		v := src(ts)
-		if v < 2.25e-3 || v > 10e-3 {
-			t.Fatalf("implausible latency %v", v)
 		}
 	}
 }

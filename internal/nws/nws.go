@@ -351,9 +351,6 @@ func (s *Selector) best() (Forecaster, bool) {
 	return s.fs[bi], true
 }
 
-// N returns the number of observations seen.
-func (s *Selector) N() int { return s.n }
-
 // PathForecaster forecasts TCP transfer completion times for one network
 // path the NWS way: separate forecast series for available bandwidth
 // (bytes/s, from periodic probes) and latency (seconds), combined as

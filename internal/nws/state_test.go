@@ -30,8 +30,8 @@ func TestSelectorStateRoundTrip(t *testing.T) {
 		t.Fatalf("import: %v", err)
 	}
 
-	if restored.N() != orig.N() {
-		t.Fatalf("restored N=%d, want %d", restored.N(), orig.N())
+	if restored.n != orig.n {
+		t.Fatalf("restored n=%d, want %d", restored.n, orig.n)
 	}
 	for i := 0; i < 200; i++ {
 		check := func(tag string) {

@@ -48,7 +48,7 @@ type cacheEntry struct {
 }
 
 // NewForecastCache returns a cache holding up to capacity distinct
-// queries. A capacity <= 0 disables caching: every Predict simulates and
+// queries. A capacity <= 0 disables caching: every PredictCtx simulates and
 // counts as a miss.
 func NewForecastCache(capacity int) *ForecastCache {
 	fc := &ForecastCache{rendered: make(map[renderKey]rendering)}
@@ -236,14 +236,6 @@ func (fc *ForecastCache) forget(_ forecastKey, ent cacheEntry) {
 	}
 }
 
-// Store memoizes a canonical-order answer under its key (no-op when
-// caching is disabled; a concurrent filler's entry wins).
-func (fc *ForecastCache) Store(key forecastKey, canonical []Prediction) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	fc.entries.Add(key, cacheEntry{preds: canonical})
-}
-
 // lead probes the LRU and the flight table under one acquisition of fc.mu
 // (keyed.Cache.Lead): a hit returns the cached canonical answer (shared:
 // read, never mutate); leader means the caller owns f and must settle it;
@@ -348,17 +340,13 @@ func (fc *ForecastCache) attachRendering(key forecastKey, k renderKey, body []by
 	fc.rendered[k] = rendering{el: el, body: append([]byte(nil), body...)}
 }
 
-// Predict answers a PNFS request through the cache: platform names the
-// entry (it is the cache key namespace), and the remaining arguments
-// mirror PredictTransfers. Predictions are returned in request order.
-func (fc *ForecastCache) Predict(platform string, entry PlatformEntry, transfers []TransferRequest, background [][2]string) ([]Prediction, error) {
-	return fc.PredictCtx(context.Background(), platform, entry, transfers, background)
-}
-
-// PredictCtx is Predict under a request context. Concurrent identical
-// requests coalesce onto one in-flight simulation (internal/keyed): the
-// first requester simulates, duplicates wait for its answer — but give
-// up when their own ctx expires, even if the leader runs on.
+// PredictCtx answers a PNFS request through the cache under a request
+// context: platform names the entry (it is the cache key namespace), and
+// the remaining arguments mirror PredictTransfers. Predictions are
+// returned in request order. Concurrent identical requests coalesce onto
+// one in-flight simulation (internal/keyed): the first requester
+// simulates, duplicates wait for its answer — but give up when their own
+// ctx expires, even if the leader runs on.
 func (fc *ForecastCache) PredictCtx(ctx context.Context, platform string, entry PlatformEntry, transfers []TransferRequest, background [][2]string) ([]Prediction, error) {
 	canonical, q, err := fc.predictKeyed(ctx, platform, entry, transfers, background)
 	if err != nil {
@@ -389,14 +377,6 @@ func (fc *ForecastCache) predictKeyed(ctx context.Context, platform string, entr
 		return nil, canonicalQuery{}, err
 	}
 	return ent.preds, q, nil
-}
-
-// SelectFastest is SelectFastest routed through the cache: each
-// hypothesis is one cacheable prediction, so a scheduler polling the
-// same alternatives repeatedly pays for each simulation once. Cache
-// misses simulate concurrently over the package's default worker pool.
-func (fc *ForecastCache) SelectFastest(platform string, entry PlatformEntry, hyps []Hypothesis) (best int, results []HypothesisResult, err error) {
-	return defaultPool().SelectFastestCached(fc, platform, entry, hyps)
 }
 
 // reorder maps canonical-order predictions back to request order:

@@ -32,14 +32,14 @@ func TestForecastCacheHitsAndMisses(t *testing.T) {
 		{Src: "sagittaire-1.lyon.grid5000.fr", Dst: "graphene-1.nancy.grid5000.fr", Size: 5e8},
 		{Src: "sagittaire-2.lyon.grid5000.fr", Dst: "sagittaire-3.lyon.grid5000.fr", Size: 5e8},
 	}
-	first, err := fc.Predict("g5k_test", entry, reqs, nil)
+	first, err := fc.PredictCtx(context.Background(), "g5k_test", entry, reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := fc.Stats(); st.Hits != 0 || st.Misses != 1 || st.Size != 1 {
 		t.Fatalf("after first query: %+v", st)
 	}
-	second, err := fc.Predict("g5k_test", entry, reqs, nil)
+	second, err := fc.PredictCtx(context.Background(), "g5k_test", entry, reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestForecastCacheCanonicalizesOrder(t *testing.T) {
 	a := TransferRequest{Src: "sagittaire-1.lyon.grid5000.fr", Dst: "graphene-1.nancy.grid5000.fr", Size: 5e8}
 	b := TransferRequest{Src: "sagittaire-2.lyon.grid5000.fr", Dst: "sagittaire-3.lyon.grid5000.fr", Size: 5e8}
 
-	fwd, err := fc.Predict("g5k_test", entry, []TransferRequest{a, b}, nil)
+	fwd, err := fc.PredictCtx(context.Background(), "g5k_test", entry, []TransferRequest{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := fc.Predict("g5k_test", entry, []TransferRequest{b, a}, nil)
+	rev, err := fc.PredictCtx(context.Background(), "g5k_test", entry, []TransferRequest{b, a}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,20 +84,20 @@ func TestForecastCacheKeysDistinguishWorkloads(t *testing.T) {
 	entry := miniEntry(t)
 	fc := NewForecastCache(8)
 	base := []TransferRequest{{Src: "sagittaire-1.lyon.grid5000.fr", Dst: "sagittaire-2.lyon.grid5000.fr", Size: 5e8}}
-	if _, err := fc.Predict("g5k_test", entry, base, nil); err != nil {
+	if _, err := fc.PredictCtx(context.Background(), "g5k_test", entry, base, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Different size, different platform name, and added background
 	// traffic must all be distinct cache entries.
 	bigger := []TransferRequest{{Src: base[0].Src, Dst: base[0].Dst, Size: 6e8}}
-	if _, err := fc.Predict("g5k_test", entry, bigger, nil); err != nil {
+	if _, err := fc.PredictCtx(context.Background(), "g5k_test", entry, bigger, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fc.Predict("other_platform", entry, base, nil); err != nil {
+	if _, err := fc.PredictCtx(context.Background(), "other_platform", entry, base, nil); err != nil {
 		t.Fatal(err)
 	}
 	bg := [][2]string{{"sagittaire-2.lyon.grid5000.fr", "sagittaire-3.lyon.grid5000.fr"}}
-	if _, err := fc.Predict("g5k_test", entry, base, bg); err != nil {
+	if _, err := fc.PredictCtx(context.Background(), "g5k_test", entry, base, bg); err != nil {
 		t.Fatal(err)
 	}
 	if st := fc.Stats(); st.Hits != 0 || st.Misses != 4 || st.Size != 4 {
@@ -112,7 +112,7 @@ func TestForecastCacheEviction(t *testing.T) {
 		return []TransferRequest{{Src: "sagittaire-1.lyon.grid5000.fr", Dst: "sagittaire-2.lyon.grid5000.fr", Size: size}}
 	}
 	for _, size := range []float64{1e8, 2e8, 3e8} {
-		if _, err := fc.Predict("g5k_test", entry, mk(size), nil); err != nil {
+		if _, err := fc.PredictCtx(context.Background(), "g5k_test", entry, mk(size), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,10 +120,10 @@ func TestForecastCacheEviction(t *testing.T) {
 		t.Fatalf("size = %d, want capacity 2: %+v", st.Size, st)
 	}
 	// 1e8 was evicted (LRU); 3e8 still resident.
-	if _, err := fc.Predict("g5k_test", entry, mk(3e8), nil); err != nil {
+	if _, err := fc.PredictCtx(context.Background(), "g5k_test", entry, mk(3e8), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fc.Predict("g5k_test", entry, mk(1e8), nil); err != nil {
+	if _, err := fc.PredictCtx(context.Background(), "g5k_test", entry, mk(1e8), nil); err != nil {
 		t.Fatal(err)
 	}
 	st := fc.Stats()
@@ -137,7 +137,7 @@ func TestForecastCacheDisabled(t *testing.T) {
 	fc := NewForecastCache(0)
 	reqs := []TransferRequest{{Src: "sagittaire-1.lyon.grid5000.fr", Dst: "sagittaire-2.lyon.grid5000.fr", Size: 5e8}}
 	for i := 0; i < 2; i++ {
-		if _, err := fc.Predict("g5k_test", entry, reqs, nil); err != nil {
+		if _, err := fc.PredictCtx(context.Background(), "g5k_test", entry, reqs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -360,7 +360,9 @@ func TestForecastCacheEvictsUnderNaNConfig(t *testing.T) {
 		return forecastKey{pictureKeyOf("p", entry), fmt.Sprint("query-", i)}
 	}
 	for i := 0; i < 5; i++ {
-		fc.Store(key(i), canonical)
+		fc.mu.Lock()
+		fc.entries.Add(key(i), cacheEntry{preds: canonical})
+		fc.mu.Unlock()
 	}
 	if cached, _, _ := fc.lead(key(4)); cached == nil {
 		t.Error("an entry stored under a NaN config cannot be found")

@@ -284,22 +284,7 @@ func (c *Client) predictTransfers(platform string, query []byte, transfers []Tra
 // SelectFastest asks the server to simulate each hypothesis and pick the
 // one with the smallest makespan.
 func (c *Client) SelectFastest(platform string, hyps []Hypothesis) (best int, results []HypothesisResult, err error) {
-	return c.selectFastest(platform, nil, hyps)
-}
-
-// SelectFastestAt is SelectFastest against the link state at time at
-// (Unix seconds), with the same past/future semantics as
-// PredictTransfersAt.
-func (c *Client) SelectFastestAt(platform string, at int64, hyps []Hypothesis) (best int, results []HypothesisResult, err error) {
 	q := url.Values{}
-	q.Set("at", strconv.FormatInt(at, 10))
-	return c.selectFastest(platform, q, hyps)
-}
-
-func (c *Client) selectFastest(platform string, q url.Values, hyps []Hypothesis) (best int, results []HypothesisResult, err error) {
-	if q == nil {
-		q = url.Values{}
-	}
 	for _, h := range hyps {
 		parts := make([]string, len(h.Transfers))
 		for i, t := range h.Transfers {
@@ -357,16 +342,6 @@ func (c *Client) Evaluate(platform string, req EvaluateRequest) (*EvaluateRespon
 		return nil, err
 	}
 	return &out, nil
-}
-
-// BgEstimate fetches the platform's registered background-traffic
-// estimate (the flows bg_estimate scenario mutations inject).
-func (c *Client) BgEstimate(platform string) (BgEstimateResponse, error) {
-	var out BgEstimateResponse
-	if err := c.getJSON("/pilgrim/bg_estimate/"+url.PathEscape(platform), "", &out); err != nil {
-		return BgEstimateResponse{}, err
-	}
-	return out, nil
 }
 
 // PredictWorkflow posts a workflow DAG for simulation and returns the

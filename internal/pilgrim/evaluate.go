@@ -65,15 +65,17 @@ type EvalQuery struct {
 	Workflow *workflow.Workflow `json:"workflow,omitempty"`
 }
 
-// validate checks the query's shape.
-func (q *EvalQuery) validate(i int) error {
+// Validate checks the shape of query i of an evaluate request: the
+// checks the evaluate endpoint answers 400 for, which campaign files
+// share.
+func (q *EvalQuery) Validate(i int) error {
 	switch q.Kind {
 	case QueryPredictTransfers:
 		if len(q.Transfers) == 0 {
 			return fmt.Errorf("pilgrim: query %d: predict_transfers needs transfers", i)
 		}
 		for _, t := range q.Transfers {
-			if t.Src == "" || t.Dst == "" || t.Size <= 0 || math.IsNaN(t.Size) || math.IsInf(t.Size, 0) {
+			if !validTransfer(t) {
 				return fmt.Errorf("pilgrim: query %d: invalid transfer %+v", i, t)
 			}
 		}
@@ -84,6 +86,11 @@ func (q *EvalQuery) validate(i int) error {
 		for hi, h := range q.Hypotheses {
 			if len(h.Transfers) == 0 {
 				return fmt.Errorf("pilgrim: query %d: hypothesis %d is empty", i, hi)
+			}
+			for _, t := range h.Transfers {
+				if !validTransfer(t) {
+					return fmt.Errorf("pilgrim: query %d: hypothesis %d: invalid transfer %+v", i, hi, t)
+				}
 			}
 		}
 	case QueryPredictWorkflow:
@@ -97,6 +104,12 @@ func (q *EvalQuery) validate(i int) error {
 		return fmt.Errorf("pilgrim: query %d: unknown kind %q", i, q.Kind)
 	}
 	return nil
+}
+
+// validTransfer reports whether t names both ends and a finite, positive
+// size (a NaN size fails the comparison).
+func validTransfer(t TransferRequest) bool {
+	return t.Src != "" && t.Dst != "" && t.Size > 0 && !math.IsInf(t.Size, 0)
 }
 
 // EvaluateRequest is the evaluate body: N scenarios × M queries. An empty
@@ -332,7 +345,7 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, name string, req EvaluateR
 			cells, maxCells)
 	}
 	for i := range req.Queries {
-		if err := req.Queries[i].validate(i); err != nil {
+		if err := req.Queries[i].Validate(i); err != nil {
 			return nil, err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -836,6 +837,34 @@ func TestEvaluateHTTP(t *testing.T) {
 	if _, err := client.Evaluate("g5k_test", EvaluateRequest{}); err == nil ||
 		!strings.Contains(err.Error(), "400") {
 		t.Errorf("empty request: %v", err)
+	}
+}
+
+// TestEvaluateRejectsInvalidTransfers: a transfer without a source or
+// with a size that is not positive answers 400 before anything
+// simulates, inside a select_fastest hypothesis as in predict_transfers.
+func TestEvaluateRejectsInvalidTransfers(t *testing.T) {
+	srv, _ := newTestServer(t)
+	for _, tr := range []string{
+		`{"src":"` + evalSrc + `","dst":"` + evalDst + `","size":-1}`,
+		`{"src":"` + evalSrc + `","dst":"` + evalDst + `","size":0}`,
+		`{"src":"","dst":"` + evalDst + `","size":1e6}`,
+	} {
+		for _, query := range []string{
+			`{"kind":"predict_transfers","transfers":[` + tr + `]}`,
+			`{"kind":"select_fastest","hypotheses":[{"transfers":[` + tr + `]}]}`,
+		} {
+			resp, err := http.Post(srv.URL+"/pilgrim/evaluate/g5k_test", "application/json",
+				strings.NewReader(`{"queries":[`+query+`]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "invalid transfer") {
+				t.Errorf("%s: status %d, body %s; want 400 invalid transfer", query, resp.StatusCode, body)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package pilgrim
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -98,7 +99,7 @@ func TestSelectFastestConcurrentRequests(t *testing.T) {
 	cache := NewForecastCache(32)
 	hyps := testHypotheses(6)
 
-	wantBest, wantResults, err := pool.SelectFastestCached(cache, "p", entry, hyps)
+	wantBest, wantResults, err := pool.SelectFastestCachedCtx(context.Background(), cache, "p", entry, hyps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestSelectFastestConcurrentRequests(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			best, results, err := pool.SelectFastestCached(cache, "p", entry, hyps)
+			best, results, err := pool.SelectFastestCachedCtx(context.Background(), cache, "p", entry, hyps)
 			if err != nil {
 				errs[g] = err
 				return

@@ -380,13 +380,6 @@ func (r *Registry) ObserveLinkState(name string, t int64, source string, updates
 	return snap, nil
 }
 
-// UpdateLinkState folds a batch of measured link revisions into the named
-// platform at the current wall-clock time, with generic provenance — the
-// pre-timeline API, kept for callers without observation timestamps.
-func (r *Registry) UpdateLinkState(name string, updates []platform.LinkUpdate) (*platform.Snapshot, error) {
-	return r.ObserveLinkState(name, time.Now().Unix(), "update_links", updates)
-}
-
 // RecordUpdateReject counts one refused observation batch (unknown link
 // names) against the platform, for timeline_stats accounting. Logged
 // like any other mutation so a warm restart reports the same counter.

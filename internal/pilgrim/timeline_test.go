@@ -1,6 +1,7 @@
 package pilgrim
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -140,14 +141,14 @@ func TestForecastCacheSharesEpochKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := fc.Predict("p", e, reqs, nil)
+		out, err := fc.PredictCtx(context.Background(), "p", e, reqs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
 	live, _ := reg.Get("p")
-	if _, err := fc.Predict("p", live, reqs, nil); err != nil {
+	if _, err := fc.PredictCtx(context.Background(), "p", live, reqs, nil); err != nil {
 		t.Fatal(err)
 	}
 	predictAt(1000) // at = latest observation: same epoch, cache hit
@@ -321,7 +322,7 @@ func TestConcurrentIngestAndForecast(t *testing.T) {
 					return
 				}
 				if i%4 == 0 {
-					if _, err := fc.Predict("p", e, reqs, nil); err != nil {
+					if _, err := fc.PredictCtx(context.Background(), "p", e, reqs, nil); err != nil {
 						t.Error(err)
 						return
 					}

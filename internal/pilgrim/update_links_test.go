@@ -2,6 +2,7 @@ package pilgrim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -39,7 +40,7 @@ func TestRegistryUpdateLinkState(t *testing.T) {
 
 	link := "sagittaire-1.lyon.grid5000.fr_nic"
 	origBW := e0.Snapshot.LinkBandwidth(mustLinkIdx(t, e0.Snapshot, link))
-	if _, err := reg.UpdateLinkState("p", []platform.LinkUpdate{{Link: link, Bandwidth: origBW / 10, Latency: -1}}); err != nil {
+	if _, err := reg.ObserveLinkState("p", 1, "test", []platform.LinkUpdate{{Link: link, Bandwidth: origBW / 10, Latency: -1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,7 +66,7 @@ func TestRegistryUpdateLinkState(t *testing.T) {
 	}
 
 	// Round trip back to the measured original value.
-	if _, err := reg.UpdateLinkState("p", []platform.LinkUpdate{{Link: link, Bandwidth: origBW, Latency: -1}}); err != nil {
+	if _, err := reg.ObserveLinkState("p", 2, "test", []platform.LinkUpdate{{Link: link, Bandwidth: origBW, Latency: -1}}); err != nil {
 		t.Fatal(err)
 	}
 	e2, _ := reg.Get("p")
@@ -77,10 +78,10 @@ func TestRegistryUpdateLinkState(t *testing.T) {
 		t.Fatalf("round-trip prediction %v != original %v", restored[0].Duration, base[0].Duration)
 	}
 
-	if _, err := reg.UpdateLinkState("ghost", nil); err == nil {
+	if _, err := reg.ObserveLinkState("ghost", 3, "test", nil); err == nil {
 		t.Fatal("unknown platform must fail")
 	}
-	if _, err := reg.UpdateLinkState("p", []platform.LinkUpdate{{Link: "nope", Bandwidth: 1}}); err == nil {
+	if _, err := reg.ObserveLinkState("p", 4, "test", []platform.LinkUpdate{{Link: "nope", Bandwidth: 1}}); err == nil {
 		t.Fatal("unknown link must fail")
 	}
 }
@@ -113,7 +114,7 @@ func TestForecastCacheEpochKeying(t *testing.T) {
 
 	predict := func() []Prediction {
 		e, _ := reg.Get("p")
-		out, err := fc.Predict("p", e, reqs, nil)
+		out, err := fc.PredictCtx(context.Background(), "p", e, reqs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestForecastCacheEpochKeying(t *testing.T) {
 	link := "sagittaire-1.lyon.grid5000.fr_nic"
 	e, _ := reg.Get("p")
 	origBW := e.Snapshot.LinkBandwidth(mustLinkIdx(t, e.Snapshot, link))
-	if _, err := reg.UpdateLinkState("p", []platform.LinkUpdate{{Link: link, Bandwidth: origBW / 10, Latency: -1}}); err != nil {
+	if _, err := reg.ObserveLinkState("p", 1, "test", []platform.LinkUpdate{{Link: link, Bandwidth: origBW / 10, Latency: -1}}); err != nil {
 		t.Fatal(err)
 	}
 	degraded := predict()
@@ -138,7 +139,7 @@ func TestForecastCacheEpochKeying(t *testing.T) {
 	if degraded[0].Duration == base[0].Duration {
 		t.Fatal("stale answer served after link update")
 	}
-	if _, err := reg.UpdateLinkState("p", []platform.LinkUpdate{{Link: link, Bandwidth: origBW, Latency: -1}}); err != nil {
+	if _, err := reg.ObserveLinkState("p", 2, "test", []platform.LinkUpdate{{Link: link, Bandwidth: origBW, Latency: -1}}); err != nil {
 		t.Fatal(err)
 	}
 	restored := predict()

@@ -109,19 +109,14 @@ func (p *WorkerPool) Stats() WorkerStats {
 	}
 }
 
-// Run executes fn(0..n-1) over the pool and blocks until all calls
-// return. Each batch worker occupies one pool slot, so Run composes with
-// concurrent select_fastest and evaluate traffic under the same width
-// bound.
-func (p *WorkerPool) Run(n int, fn func(int)) {
-	p.RunCtx(context.Background(), n, fn)
-}
-
-// RunCtx is Run with a cancellation point at slot acquisition and between
-// items: once ctx is done, items not yet started are skipped (running
-// ones finish — a simulation is not interruptible mid-run) and the
-// context error is returned. Under a loaded pool this bounds how long a
-// deadline-carrying request can wait behind other traffic.
+// RunCtx executes fn(0..n-1) over the pool and blocks until all calls
+// return. Each batch worker occupies one pool slot, so RunCtx composes
+// with concurrent select_fastest and evaluate traffic under the same
+// width bound. It has a cancellation point at slot acquisition and
+// between items: once ctx is done, items not yet started are skipped
+// (running ones finish — a simulation is not interruptible mid-run) and
+// the context error is returned. Under a loaded pool this bounds how long
+// a deadline-carrying request can wait behind other traffic.
 //
 // The batch runs on min(pool width, GOMAXPROCS, n) workers, each holding
 // one slot and pulling the next index from a shared counter. With one
@@ -265,17 +260,12 @@ func (p *WorkerPool) SelectFastest(entry PlatformEntry, hyps []Hypothesis) (best
 	})
 }
 
-// SelectFastestCached is SelectFastest routed through a forecast cache:
-// each hypothesis is one cacheable prediction, so a scheduler polling the
-// same alternatives repeatedly pays for each simulation once — and the
-// misses simulate concurrently.
-func (p *WorkerPool) SelectFastestCached(fc *ForecastCache, platform string, entry PlatformEntry, hyps []Hypothesis) (best int, results []HypothesisResult, err error) {
-	return p.SelectFastestCachedCtx(context.Background(), fc, platform, entry, hyps)
-}
-
-// SelectFastestCachedCtx is SelectFastestCached under a request context:
-// the HTTP deadline path, answering 504 upstream when ctx expires before
-// every hypothesis got a worker.
+// SelectFastestCachedCtx is SelectFastest routed through a forecast
+// cache under a request context: each hypothesis is one cacheable
+// prediction, so a scheduler polling the same alternatives repeatedly
+// pays for each simulation once — and the misses simulate concurrently.
+// It is the HTTP deadline path, answering 504 upstream when ctx expires
+// before every hypothesis got a worker.
 func (p *WorkerPool) SelectFastestCachedCtx(ctx context.Context, fc *ForecastCache, platform string, entry PlatformEntry, hyps []Hypothesis) (best int, results []HypothesisResult, err error) {
 	return p.selectFastestCtx(ctx, hyps, func(transfers []TransferRequest) ([]Prediction, error) {
 		return fc.PredictCtx(ctx, platform, entry, transfers, nil)

@@ -29,14 +29,6 @@ func (d *EpochDelta) Empty() bool {
 		len(d.AvailLinks) == 0 && len(d.SpeedHosts) == 0 && len(d.AvailHosts) == 0)
 }
 
-// Size returns the total number of changed resources.
-func (d *EpochDelta) Size() int {
-	if d == nil {
-		return 0
-	}
-	return len(d.BwLinks) + len(d.LatLinks) + len(d.AvailLinks) + len(d.SpeedHosts) + len(d.AvailHosts)
-}
-
 // SameTopology reports whether two snapshots are epochs of one compiled
 // topology — same dense indices, routes, and routing policies — which is
 // the precondition for diffing them or sharing a pooled engine across them.

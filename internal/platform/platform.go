@@ -490,9 +490,6 @@ func (as *AS) Children() []*AS {
 	return out
 }
 
-// Parent returns the enclosing AS, or nil for the root.
-func (as *AS) Parent() *AS { return as.parent }
-
 // AddRoute declares an explicit route between two netpoints of this AS
 // (Full routing), or a one-hop edge (Floyd routing). If symmetrical is
 // true the reverse route is derived automatically with reversed link order

@@ -252,9 +252,6 @@ func (tl *Timeline) Depth() int {
 	return tl.count
 }
 
-// Capacity returns the history bound.
-func (tl *Timeline) Capacity() int { return len(tl.snaps) }
-
 // entriesLocked builds the retained history, oldest first. Callers hold
 // tl.mu.
 func (tl *Timeline) entriesLocked() []TimelineEntry {
@@ -269,13 +266,6 @@ func (tl *Timeline) entriesLocked() []TimelineEntry {
 		}
 	}
 	return out
-}
-
-// Entries returns the retained history, oldest first.
-func (tl *Timeline) Entries() []TimelineEntry {
-	tl.mu.RLock()
-	defer tl.mu.RUnlock()
-	return tl.entriesLocked()
 }
 
 // Stats returns a consistent snapshot of the timeline accounting.

@@ -84,8 +84,8 @@ func TestTimelineEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tl.Depth() != 4 || tl.Capacity() != 4 {
-		t.Fatalf("depth/capacity = %d/%d, want 4/4", tl.Depth(), tl.Capacity())
+	if tl.Depth() != 4 || tl.Stats().Capacity != 4 {
+		t.Fatalf("depth/capacity = %d/%d, want 4/4", tl.Depth(), tl.Stats().Capacity)
 	}
 	st := tl.Stats()
 	if st.Appends != 10 || st.Evictions != 6 {

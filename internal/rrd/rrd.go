@@ -359,18 +359,6 @@ type Series struct {
 	Rows  [][]float64
 }
 
-// End returns the end of the covered range.
-func (s *Series) End() int64 { return s.Start + int64(len(s.Rows))*s.Step }
-
-// Times returns the start timestamp of every row.
-func (s *Series) Times() []int64 {
-	out := make([]int64, len(s.Rows))
-	for i := range out {
-		out[i] = s.Start + int64(i)*s.Step
-	}
-	return out
-}
-
 // rowTime returns the start timestamp of ring row i (0 = oldest valid).
 func (r *RRD) rraRange(st *rraState) (first, last int64) {
 	res := st.def.resolution(r.step)
@@ -398,37 +386,6 @@ func (r *RRD) valueAt(st *rraState, t int64, d int) float64 {
 	back := (last - t) / res // 1 = most recent row
 	idx := (st.head - int(back) + st.def.Rows*2) % st.def.Rows
 	return st.ring[idx*len(r.dss)+d]
-}
-
-// Fetch returns data from the finest archive with the requested CF that
-// covers begin. The returned series is aligned to the archive resolution
-// and clipped to [begin, end].
-func (r *RRD) Fetch(cf CF, begin, end int64) (*Series, error) {
-	if end <= begin {
-		return nil, fmt.Errorf("rrd: empty fetch range [%d, %d)", begin, end)
-	}
-	// Candidate archives with the CF, finest first.
-	var cands []*rraState
-	for _, st := range r.rras {
-		if st.def.CF == cf {
-			cands = append(cands, st)
-		}
-	}
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("rrd: no archive with CF %v", cf)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		return cands[i].def.PdpPerRow < cands[j].def.PdpPerRow
-	})
-	chosen := cands[len(cands)-1]
-	for _, st := range cands {
-		first, _ := r.rraRange(st)
-		if first <= begin {
-			chosen = st
-			break
-		}
-	}
-	return r.extract(chosen, begin, end), nil
 }
 
 // FetchBest stitches the most accurate data available across all archives
@@ -472,21 +429,6 @@ func (r *RRD) FetchBest(cf CF, begin, end int64) (*Series, error) {
 		s.Rows = append(s.Rows, row)
 	}
 	return s, nil
-}
-
-// extract reads rows [begin, end) from a single archive.
-func (r *RRD) extract(st *rraState, begin, end int64) *Series {
-	res := st.def.resolution(r.step)
-	start := begin - mod(begin, res)
-	s := &Series{Start: start, Step: res, Names: dsNames(r.dss)}
-	for t := start; t < end; t += res {
-		row := make([]float64, len(r.dss))
-		for d := range r.dss {
-			row[d] = r.valueAt(st, t, d)
-		}
-		s.Rows = append(s.Rows, row)
-	}
-	return s
 }
 
 func dsNames(dss []DS) []string {

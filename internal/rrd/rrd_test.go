@@ -75,7 +75,7 @@ func TestGaugeFetch(t *testing.T) {
 	}
 	// The fine archive holds 20 rows = 5 minutes; after 30 PDPs it
 	// covers [1650, 1950). Query inside that window.
-	s, err := r.Fetch(Average, 1700, 1900)
+	s, err := r.FetchBest(Average, 1700, 1900)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,21 +105,35 @@ func TestFetchFallsBackToCoarseArchive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Old range: only coarse has it.
-	s, err := r.Fetch(Average, 600, 1200)
+	// changes counts the rows whose value differs from the row before.
+	changes := func(s *Series) int {
+		n := 0
+		for i := 1; i < len(s.Rows); i++ {
+			if math.IsNaN(s.Rows[i][0]) || math.IsNaN(s.Rows[i-1][0]) {
+				t.Fatalf("unknown row in a covered range: %v", s.Rows)
+			}
+			if s.Rows[i][0] != s.Rows[i-1][0] {
+				n++
+			}
+		}
+		return n
+	}
+	// Old range: only coarse has it, so the 15 s rows carry 1 min
+	// averages and the value moves at most once every four rows.
+	s, err := r.FetchBest(Average, 600, 1200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Step != 60 {
-		t.Errorf("step = %d, want 60 (coarse archive)", s.Step)
+	if n := changes(s); n == 0 || n > len(s.Rows)/4+1 {
+		t.Errorf("old range: %d value changes over %d rows, want coarse (1 min) data", n, len(s.Rows))
 	}
-	// Recent range: fine has it.
-	s2, err := r.Fetch(Average, 15*395, 15*399)
+	// Recent range: fine has it, one sample per row.
+	s2, err := r.FetchBest(Average, 15*395, 15*399)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Step != 15 {
-		t.Errorf("step = %d, want 15 (fine archive)", s2.Step)
+	if n := changes(s2); n != len(s2.Rows)-1 {
+		t.Errorf("recent range: %d value changes over %d rows, want fine (15 s) data", n, len(s2.Rows))
 	}
 }
 
@@ -165,7 +179,7 @@ func TestCounterRates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := r.Fetch(Average, 100, 200)
+	s, err := r.FetchBest(Average, 100, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +210,7 @@ func TestCounterResetYieldsUnknown(t *testing.T) {
 	must(20, 2000)
 	must(30, 100) // reset
 	must(40, 1100)
-	s, err := r.Fetch(Average, 20, 40)
+	s, err := r.FetchBest(Average, 20, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +237,7 @@ func TestHeartbeatGapUnknown(t *testing.T) {
 	if err := r.Update(615, []float64{5}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := r.Fetch(Average, 100, 600)
+	s, err := r.FetchBest(Average, 100, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +264,11 @@ func TestMinMaxConsolidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	smin, err := r.Fetch(Min, 0, 50)
+	smin, err := r.FetchBest(Min, 0, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smax, err := r.Fetch(Max, 0, 50)
+	smax, err := r.FetchBest(Max, 0, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,10 +296,10 @@ func TestMinMaxConsolidation(t *testing.T) {
 
 func TestFetchUnknownCF(t *testing.T) {
 	r := newSimple(t)
-	if _, err := r.Fetch(Last, 0, 100); err == nil {
+	if _, err := r.FetchBest(Last, 0, 100); err == nil {
 		t.Error("missing CF accepted")
 	}
-	if _, err := r.Fetch(Average, 100, 100); err == nil {
+	if _, err := r.FetchBest(Average, 100, 100); err == nil {
 		t.Error("empty range accepted")
 	}
 }
@@ -303,7 +317,7 @@ func TestRingWrapKeepsLatest(t *testing.T) {
 		}
 	}
 	// Only the last ~5 rows are retained.
-	s, err := r.Fetch(Average, 940, 990)
+	s, err := r.FetchBest(Average, 940, 990)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +334,7 @@ func TestRingWrapKeepsLatest(t *testing.T) {
 		t.Fatal("no recent values after wrap")
 	}
 	// Old data must be gone.
-	s2, err := r.Fetch(Average, 10, 100)
+	s2, err := r.FetchBest(Average, 10, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +360,7 @@ func TestMultiDS(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := r.Fetch(Average, 50, 150)
+	s, err := r.FetchBest(Average, 50, 150)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 	"strconv"
 	"strings"
 
-	"pilgrim/internal/bgtraffic"
 	"pilgrim/internal/platform"
 )
 
@@ -185,17 +184,6 @@ func (sc *Scenario) WantsBgEstimate() bool {
 		}
 	}
 	return false
-}
-
-// FromBgFlows converts synthesized background flows (bgtraffic.Estimate)
-// into injectable mutations — the bridge from the coarse traffic model to
-// a scenario.
-func FromBgFlows(flows []bgtraffic.Flow) []Mutation {
-	out := make([]Mutation, len(flows))
-	for i, f := range flows {
-		out[i] = Mutation{Op: OpBgTraffic, Src: f.Src, Dst: f.Dst}
-	}
-	return out
 }
 
 // Resolved is a scenario lowered against one base snapshot: the dense

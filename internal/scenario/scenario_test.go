@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"pilgrim/internal/bgtraffic"
 	"pilgrim/internal/platform"
 )
 
@@ -172,13 +171,6 @@ func TestBgEstimateExpansion(t *testing.T) {
 	}
 	if len(r.Background) != 2 || r.Background[0] != est[0] {
 		t.Errorf("background = %v", r.Background)
-	}
-}
-
-func TestFromBgFlows(t *testing.T) {
-	muts := FromBgFlows([]bgtraffic.Flow{{Src: "a", Dst: "b"}})
-	if len(muts) != 1 || muts[0].Op != OpBgTraffic || muts[0].Src != "a" || muts[0].Dst != "b" {
-		t.Errorf("FromBgFlows = %+v", muts)
 	}
 }
 

@@ -55,11 +55,6 @@ func (r *Ring) Owner(key string) Worker {
 	return r.workers[best]
 }
 
-// Owns reports whether the named worker owns the key.
-func (r *Ring) Owns(worker, key string) bool {
-	return r.Owner(key).Name == worker
-}
-
 // fnv64a is the 64-bit FNV-1a hash (inlined to keep the ring dependency-
 // free and its constants explicit — the on-disk shard map must route the
 // same way forever, so the hash is part of the wire format).

@@ -149,18 +149,3 @@ func TestTableConcurrentReload(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
-
-func TestOwns(t *testing.T) {
-	r := ringOf(t, "w1", "w2")
-	for _, k := range keys(50) {
-		o := r.Owner(k)
-		if !r.Owns(o.Name, k) {
-			t.Fatalf("Owns(%s, %s) = false for the owner", o.Name, k)
-		}
-		for _, w := range r.Workers() {
-			if w.Name != o.Name && r.Owns(w.Name, k) {
-				t.Fatalf("Owns(%s, %s) = true for a non-owner", w.Name, k)
-			}
-		}
-	}
-}

@@ -205,17 +205,10 @@ func (e *Engine) Reset() {
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Live returns the number of live (not yet completed) activities.
-func (e *Engine) Live() int { return e.live }
-
-// Resharings returns how many times bandwidth sharing was recomputed —
-// the cost driver of a simulation, reported by benchmarks.
-func (e *Engine) Resharings() int { return e.events }
-
-// SharingStats quantifies the solver work behind Resharings.
+// SharingStats quantifies the solver work of a simulation.
 type SharingStats struct {
-	// Resharings is the number of sharing recomputations (same as the
-	// Resharings method).
+	// Resharings is how many times bandwidth sharing was recomputed —
+	// the cost driver of a simulation, reported by benchmarks.
 	Resharings int
 	// VariablesTouched is the cumulative number of flow variables
 	// re-filled across all resharings. A rebuild-the-world solver would
@@ -469,19 +462,6 @@ func (e *Engine) AddBackgroundFlow(src, dst string, start float64) (ActivityID, 
 	}
 	e.lookup(id).persistent = true
 	return id, nil
-}
-
-// RemoveBackgroundFlow withdraws a persistent flow.
-func (e *Engine) RemoveBackgroundFlow(id ActivityID) error {
-	a := e.lookup(id)
-	if a == nil || !a.persistent || a.phase == phaseDone {
-		return fmt.Errorf("sim: no background flow %d", id)
-	}
-	a.phase = phaseDone
-	e.doneAt[id] = e.now
-	e.deactivate(a) // also drops the start event when removed before activation
-	e.retire(a)
-	return nil
 }
 
 // AddExec schedules a computation of the given flops on host, starting at
@@ -741,10 +721,9 @@ func (e *Engine) Step() (completed []ActivityID, ok bool, err error) {
 //
 // observe, when non-nil, is called for each completed activity after the
 // Step that completed it, in completion order, with Now equal to the
-// completion date. It may add activities (starting at Now or later) and
-// withdraw background flows, but must not Step; a non-nil error stops the
-// run and is returned as is. RunQuery passes nil and reads the Done
-// ledger once the run is over.
+// completion date. It may add activities (starting at Now or later) but
+// must not Step; a non-nil error stops the run and is returned as is.
+// RunQuery passes nil and reads the Done ledger once the run is over.
 //
 // A defensive event budget turns scheduling bugs (stalled zero-dt loops)
 // into diagnosable errors instead of hangs: each activity generates a

@@ -116,13 +116,6 @@ func (e *refEngine) addBackgroundFlow(src, dst string, start float64) (ActivityI
 	return id, nil
 }
 
-func (e *refEngine) removeBackgroundFlow(id ActivityID) {
-	a := e.acts[id]
-	a.phase = phaseDone
-	a.finished = e.now
-	e.deactivate(a)
-}
-
 func (e *refEngine) addExec(host string, flops, start float64) (ActivityID, error) {
 	h := e.plat.Host(host)
 	if h == nil {
@@ -386,12 +379,11 @@ func buildRandomPlatform(t *testing.T, rng *rand.Rand, hosts int) *platform.Plat
 }
 
 // refWorkload drives both engines identically: concurrent transfers with
-// random sizes and starts, execs, a background flow withdrawn mid-run, and
-// a completion-chained follow-up.
+// random sizes and starts, execs, a background flow, and a
+// completion-chained follow-up.
 type refWorkload struct {
 	comms  []Transfer
 	execs  []Transfer // Src = host, Size = flops
-	bgOff  float64    // the background flow is withdrawn at the first completion from this date on
 	bgPair [2]string
 	chain  Transfer // extra transfer launched when comms[0] completes
 }
@@ -420,7 +412,6 @@ func randomWorkload(rng *rand.Rand, hosts int) refWorkload {
 		w.execs = append(w.execs, Transfer{Src: name(rng.Intn(hosts)), Size: 1e8 * (0.5 + float64(rng.Float64()))})
 	}
 	w.bgPair[0], w.bgPair[1] = pair()
-	w.bgOff = 0.5 + float64(rng.Float64())
 	src, dst := pair()
 	w.chain = Transfer{Src: src, Dst: dst, Size: 1e6 * (1 + float64(rng.Float64()))}
 	return w
@@ -428,25 +419,22 @@ func randomWorkload(rng *rand.Rand, hosts int) refWorkload {
 
 // kernelOps wires runWorkload to one kernel.
 type kernelOps struct {
-	addComm  func(src, dst string, size, start float64) (ActivityID, error)
-	addExec  func(host string, flops, start float64) (ActivityID, error)
-	addBG    func(src, dst string, start float64) (ActivityID, error)
-	removeBG func(ActivityID) error
-	now      func() float64
-	run      func(observe func(ActivityID) error) (int, error)
+	addComm func(src, dst string, size, start float64) (ActivityID, error)
+	addExec func(host string, flops, start float64) (ActivityID, error)
+	addBG   func(src, dst string, start float64) (ActivityID, error)
+	now     func() float64
+	run     func(observe func(ActivityID) error) (int, error)
 }
 
 // runWorkload drives one kernel through the workload, reacting to
 // completions through the run observer: it reads each comm's date as the
-// completion is reported, launches the chained transfer when comms[0]
-// completes and withdraws the background flow at the first completion at
-// or after bgOff. It returns per-comm completion dates, the chained
-// transfer's, and whether the background flow was withdrawn.
-func runWorkload(t *testing.T, w refWorkload, ops kernelOps) (dates []float64, chainDate float64, withdrawn bool) {
+// completion is reported and launches the chained transfer when comms[0]
+// completes. It returns per-comm completion dates and the chained
+// transfer's.
+func runWorkload(t *testing.T, w refWorkload, ops kernelOps) (dates []float64, chainDate float64) {
 	t.Helper()
 	dates = make([]float64, len(w.comms))
-	bgID, err := ops.addBG(w.bgPair[0], w.bgPair[1], 0)
-	if err != nil {
+	if _, err := ops.addBG(w.bgPair[0], w.bgPair[1], 0); err != nil {
 		t.Fatal(err)
 	}
 	comm := make(map[ActivityID]int, len(w.comms))
@@ -465,12 +453,6 @@ func runWorkload(t *testing.T, w refWorkload, ops kernelOps) (dates []float64, c
 	chainID := ActivityID(-1)
 	observe := func(id ActivityID) error {
 		now := ops.now()
-		if !withdrawn && now >= w.bgOff {
-			withdrawn = true
-			if err := ops.removeBG(bgID); err != nil {
-				return fmt.Errorf("removeBG: %w", err)
-			}
-		}
 		if id == chainID {
 			chainDate = now
 			return nil
@@ -481,6 +463,7 @@ func runWorkload(t *testing.T, w refWorkload, ops kernelOps) (dates []float64, c
 		}
 		dates[i] = now
 		if i == 0 {
+			var err error
 			if chainID, err = ops.addComm(w.chain.Src, w.chain.Dst, w.chain.Size, now); err != nil {
 				return fmt.Errorf("chain: %w", err)
 			}
@@ -490,16 +473,15 @@ func runWorkload(t *testing.T, w refWorkload, ops kernelOps) (dates []float64, c
 	if _, err := ops.run(observe); err != nil {
 		t.Fatal(err)
 	}
-	return dates, chainDate, withdrawn
+	return dates, chainDate
 }
 
 // TestHeapKernelMatchesScanReference is the differential property test:
 // on randomized platforms and workloads, the indexed-heap kernel must
 // reproduce the scan-based reference's completion dates and SharingStats
-// exactly (bit-for-bit), including background-flow churn and mid-run
+// exactly (bit-for-bit), including a background flow and mid-run
 // activity chaining.
 func TestHeapKernelMatchesScanReference(t *testing.T) {
-	withdrawals := 0
 	for seed := int64(0); seed < 40; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -513,33 +495,22 @@ func TestHeapKernelMatchesScanReference(t *testing.T) {
 			}
 
 			eng := NewEngineSnapshot(plat.Snapshot(), cfg)
-			engDates, engChain, engOff := runWorkload(t, w, kernelOps{
-				addComm:  eng.AddComm,
-				addExec:  eng.AddExec,
-				addBG:    eng.AddBackgroundFlow,
-				removeBG: eng.RemoveBackgroundFlow,
-				now:      eng.Now,
-				run:      eng.RunToCompletion,
+			engDates, engChain := runWorkload(t, w, kernelOps{
+				addComm: eng.AddComm,
+				addExec: eng.AddExec,
+				addBG:   eng.AddBackgroundFlow,
+				now:     eng.Now,
+				run:     eng.RunToCompletion,
 			})
 
 			ref := newRefEngine(plat, cfg)
-			refDates, refChain, refOff := runWorkload(t, w, kernelOps{
+			refDates, refChain := runWorkload(t, w, kernelOps{
 				addComm: ref.addComm,
 				addExec: ref.addExec,
 				addBG:   ref.addBackgroundFlow,
-				removeBG: func(id ActivityID) error {
-					ref.removeBackgroundFlow(id)
-					return nil
-				},
-				now: func() float64 { return ref.now },
-				run: ref.runToCompletion,
+				now:     func() float64 { return ref.now },
+				run:     ref.runToCompletion,
 			})
-			if engOff != refOff {
-				t.Errorf("background withdrawn: heap=%v ref=%v", engOff, refOff)
-			}
-			if engOff {
-				withdrawals++
-			}
 
 			for i := range engDates {
 				if engDates[i] != refDates[i] {
@@ -551,8 +522,8 @@ func TestHeapKernelMatchesScanReference(t *testing.T) {
 			if engChain != refChain {
 				t.Errorf("chained comm: heap=%v ref=%v", engChain, refChain)
 			}
-			if eng.Resharings() != ref.events {
-				t.Errorf("resharings: heap=%d ref=%d", eng.Resharings(), ref.events)
+			if eng.SharingStats().Resharings != ref.events {
+				t.Errorf("resharings: heap=%d ref=%d", eng.SharingStats().Resharings, ref.events)
 			}
 			es, rs := eng.SharingStats(), ref.sys
 			if es.VariablesTouched != rs.TotalTouched() || es.LastTouched != rs.LastTouched() {
@@ -560,9 +531,6 @@ func TestHeapKernelMatchesScanReference(t *testing.T) {
 					es, rs.TotalTouched(), rs.LastTouched())
 			}
 		})
-	}
-	if withdrawals == 0 {
-		t.Error("coverage hole: no seed withdrew its background flow mid-run")
 	}
 }
 
@@ -622,15 +590,14 @@ func TestEnginePoolBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 
 	run := func(e *Engine) ([]float64, float64, int) {
-		dates, chain, _ := runWorkload(t, w, kernelOps{
-			addComm:  e.AddComm,
-			addExec:  e.AddExec,
-			addBG:    e.AddBackgroundFlow,
-			removeBG: e.RemoveBackgroundFlow,
-			now:      e.Now,
-			run:      e.RunToCompletion,
+		dates, chain := runWorkload(t, w, kernelOps{
+			addComm: e.AddComm,
+			addExec: e.AddExec,
+			addBG:   e.AddBackgroundFlow,
+			now:     e.Now,
+			run:     e.RunToCompletion,
 		})
-		return dates, chain, e.Resharings()
+		return dates, chain, e.SharingStats().Resharings
 	}
 
 	fresh := NewEngineSnapshot(plat.Snapshot(), cfg)

@@ -399,41 +399,6 @@ func TestEngineRejectsPastStart(t *testing.T) {
 	}
 }
 
-func TestRemoveBackgroundFlow(t *testing.T) {
-	p := buildPair(t, 100e6, 0)
-	cfg := DefaultConfig()
-	cfg.TCPGamma = 0
-	e := NewEngineSnapshot(p.Snapshot(), cfg)
-	id, err := e.AddBackgroundFlow("b", "a", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comm, err := e.AddComm("a", "b", 92e6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Run a few steps then drop the background flow; expect duration
-	// between 1s (no contention) and 2s (full contention).
-	if _, _, err := e.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RemoveBackgroundFlow(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RunToCompletion(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, done := e.Done(comm); math.Abs(done-1) > 1e-6 {
-		t.Errorf("duration with removed background = %v, want ~1", done)
-	}
-	if err := e.RemoveBackgroundFlow(id); err == nil {
-		t.Error("double removal accepted")
-	}
-	if err := e.RemoveBackgroundFlow(9999); err == nil {
-		t.Error("bogus id accepted")
-	}
-}
-
 // Property: on a single shared link with gamma off and zero latency,
 // total transferred bytes equal capacity * makespan (work conservation).
 func TestWorkConservation(t *testing.T) {

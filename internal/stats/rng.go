@@ -24,9 +24,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform sample in [0, n). It panics if n <= 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
@@ -64,41 +61,5 @@ func (g *RNG) Sample(n, k int) []int {
 	return out
 }
 
-// SampleWithReplacement draws k indices from [0, n) uniformly with
-// replacement. It panics if n <= 0 or k < 0.
-func (g *RNG) SampleWithReplacement(n, k int) []int {
-	if n <= 0 || k < 0 {
-		panic(errors.New("stats: invalid SampleWithReplacement parameters"))
-	}
-	out := make([]int, k)
-	for i := range out {
-		out[i] = g.r.Intn(n)
-	}
-	return out
-}
-
 // Shuffle permutes xs in place.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
-// Pick returns a uniformly chosen element index weighted by weights.
-// Weights must be non-negative and sum to a positive value.
-func (g *RNG) Pick(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic(errors.New("stats: negative weight"))
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic(errors.New("stats: weights sum to zero"))
-	}
-	x := g.r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

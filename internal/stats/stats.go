@@ -28,43 +28,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Min returns the smallest element of xs. It panics on empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs. It panics on empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Variance returns the unbiased sample variance of xs (n-1 denominator).
 // It returns 0 when fewer than two samples are given.
 func Variance(xs []float64) float64 {
@@ -232,26 +195,4 @@ func FractionBelow(xs []float64, threshold float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(xs))
-}
-
-// Histogram bins xs into nbins equal-width bins over [lo, hi]. Values
-// outside the range are clamped into the first/last bin. It panics if
-// nbins < 1 or hi <= lo.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins < 1 || hi <= lo {
-		panic(errors.New("stats: invalid histogram parameters"))
-	}
-	bins := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		bins[i]++
-	}
-	return bins
 }

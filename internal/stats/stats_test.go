@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -24,25 +25,6 @@ func TestMean(t *testing.T) {
 			t.Errorf("Mean(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -2, 7, 0.5}
-	if got := Min(xs); got != -2 {
-		t.Errorf("Min = %v, want -2", got)
-	}
-	if got := Max(xs); got != 7 {
-		t.Errorf("Max = %v, want 7", got)
-	}
-}
-
-func TestMinPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Min(nil) did not panic")
-		}
-	}()
-	Min(nil)
 }
 
 func TestVarianceAndStdDev(t *testing.T) {
@@ -167,14 +149,6 @@ func TestFractionBelow(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{-1, 0, 0.4, 0.5, 0.99, 2}
-	bins := Histogram(xs, 0, 1, 2)
-	if bins[0] != 3 || bins[1] != 3 {
-		t.Errorf("Histogram = %v, want [3 3]", bins)
-	}
-}
-
 // Property: the median is always between min and max, and quantiles are
 // monotone in q.
 func TestQuantileProperties(t *testing.T) {
@@ -191,7 +165,7 @@ func TestQuantileProperties(t *testing.T) {
 		q25 := Quantile(xs, 0.25)
 		q50 := Quantile(xs, 0.5)
 		q75 := Quantile(xs, 0.75)
-		lo, hi := Min(xs), Max(xs)
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		return lo <= q25 && q25 <= q50 && q50 <= q75 && q75 <= hi
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -299,35 +273,6 @@ func TestRNGJitter(t *testing.T) {
 		v := g.Jitter(1.0, 0.05)
 		if v <= 0 || v < 0.5 || v > 2.0 {
 			t.Fatalf("implausible jitter %v", v)
-		}
-	}
-}
-
-func TestRNGPick(t *testing.T) {
-	g := NewRNG(11)
-	counts := make([]int, 3)
-	w := []float64{0, 1, 3}
-	for i := 0; i < 4000; i++ {
-		counts[g.Pick(w)]++
-	}
-	if counts[0] != 0 {
-		t.Errorf("picked zero-weight index %d times", counts[0])
-	}
-	ratio := float64(counts[2]) / float64(counts[1])
-	if ratio < 2.4 || ratio > 3.6 {
-		t.Errorf("weight ratio off: %v", ratio)
-	}
-}
-
-func TestRNGSampleWithReplacement(t *testing.T) {
-	g := NewRNG(3)
-	s := g.SampleWithReplacement(5, 100)
-	if len(s) != 100 {
-		t.Fatalf("len = %d", len(s))
-	}
-	for _, v := range s {
-		if v < 0 || v >= 5 {
-			t.Fatalf("out of range value %d", v)
 		}
 	}
 }

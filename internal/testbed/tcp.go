@@ -44,7 +44,6 @@ type Testbed struct {
 	cnsts map[*resource]*flow.Constraint
 	flows []*tcpFlow // recycled flow structs, grown to the peak batch size
 
-	nodesCache   []string
 	clusterCache map[[2]string][]string
 }
 
@@ -380,20 +379,6 @@ func joinLines(lines []string) string {
 		out += "  " + l
 	}
 	return out
-}
-
-// Nodes returns the sorted FQDNs of all emulated nodes. The slice is
-// cached and shared; callers must not mutate it.
-func (tb *Testbed) Nodes() []string {
-	if tb.nodesCache == nil {
-		out := make([]string, 0, len(tb.net.nodes))
-		for fqdn := range tb.net.nodes {
-			out = append(out, fqdn)
-		}
-		sort.Strings(out)
-		tb.nodesCache = out
-	}
-	return tb.nodesCache
 }
 
 // NodesOfCluster returns the sorted FQDNs of one cluster's nodes. The

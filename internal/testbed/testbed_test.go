@@ -29,7 +29,7 @@ func quiet() Config {
 
 func TestNodesEnumerated(t *testing.T) {
 	tb := newTB(t, g5k.Default())
-	if got := len(tb.Nodes()); got != g5k.Default().NumNodes() {
+	if got := len(tb.net.nodes); got != g5k.Default().NumNodes() {
 		t.Errorf("nodes = %d", got)
 	}
 	sag := tb.NodesOfCluster("lyon", "sagittaire")
