@@ -58,7 +58,7 @@ var (
 	setupErr  error
 )
 
-func setup(b *testing.B) *experiments.Runner {
+func setup(b testing.TB) *experiments.Runner {
 	b.Helper()
 	setupOnce.Do(func() {
 		ref := g5k.Default()

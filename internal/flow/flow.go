@@ -51,7 +51,6 @@
 package flow
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -63,29 +62,39 @@ import (
 // Variable is one entity competing for capacity — in the network model,
 // one TCP flow. Its rate after Solve is Rate().
 type Variable struct {
-	id     string
-	weight float64
-	bound  float64 // +Inf when unbounded
-	value  float64
+	// The fields a solve reads for every variable it reaches come first,
+	// so they share as few cache lines as the struct allows.
 	cnsts  []*Constraint
-	fixed  bool
-	data   any // caller backreference (SetData), cleared on removal
-
-	sys    *System // owning system, nil once removed
-	index  int     // position in sys.vars
-	serial uint64  // creation order, for deterministic solve order
-
-	// lam is the variable's own fill level during a solve: the smallest of
-	// bound/weight and capacity/weight over its private constraints. by is
-	// the serial of the private constraint that set it, or byBound; it
-	// breaks ties with shared constraints the way a scan in serial order
-	// would. (scratch)
-	lam float64
-	by  uint64
-
+	weight float64
 	// round is the filling round that fixed the variable (System.round at
 	// that time), 0 until a solve has fixed it.
 	round uint64
+	index int // position in sys.vars
+
+	// shared lists, in attachment order, the constraints of cnsts that
+	// other variables cross too. lam is the variable's own fill level: the
+	// smallest of bound/weight and capacity/weight over its private
+	// constraints (the others). by is the serial of the private constraint
+	// that set it, or byBound; it breaks ties with shared constraints the
+	// way a scan in serial order would. All three hold while split is set;
+	// a mutation that changes the bound or moves a constraint of v between
+	// private and shared clears it, and the next solve to re-fill v splits
+	// again (see splitConstraints).
+	shared []*Constraint
+	lam    float64
+	by     uint64
+	split  bool
+
+	value  float64
+	bound  float64 // +Inf when unbounded
+	serial uint64  // creation order, for deterministic solve order
+	// kept is the number of the last solve that counted the variable as
+	// kept (see Solve); it makes that count once per variable. (scratch)
+	kept uint64
+
+	sys  *System // owning system, nil once removed
+	data any     // caller backreference (SetData), cleared on removal
+	id   string
 }
 
 // ID returns the identifier given at creation. Variables created with an
@@ -123,18 +132,16 @@ func (v *Variable) Constraints() []*Constraint { return v.cnsts }
 // Constraint is one capacity-limited resource — in the network model, one
 // link direction (or a shared half-duplex link).
 type Constraint struct {
-	id       string
-	capacity float64
-	vars     []*Variable
-	used     float64
-
-	serial    uint64      // creation order, for deterministic solve order
-	index     int         // position in sys.cnsts
-	remaining float64     // residual capacity during a solve (scratch)
-	unfixed   int         // unfixed crossing variables during a solve (scratch)
-	active    []*Variable // not-yet-fixed crossing variables, compacted per round (scratch)
-	wsum      float64     // Σ weight over active, valid while !wstale (scratch)
-	wstale    bool        // a crossing variable fixed since wsum was summed (scratch)
+	// Hot fields first, as in Variable.
+	vars      []*Variable
+	index     int     // position in sys.cnsts
+	remaining float64 // residual capacity during a solve (scratch)
+	used      float64
+	unfixed   int      // unfixed crossing variables during a solve (scratch)
+	wsum      float64  // Σ weight over active, valid while !wstale (scratch)
+	lam       float64  // fill level remaining/wsum, valid while !wstale (scratch)
+	wstale    bool     // a crossing variable fixed since wsum and lam were set (scratch)
+	active    []member // not-yet-fixed crossing variables, compacted per round (scratch)
 
 	// log holds the residual state after each fix that charged this
 	// constraint while it was shared, in fix order, so a later solve can
@@ -142,6 +149,18 @@ type Constraint struct {
 	// the last round the constraint was the bottleneck of.
 	log []fillRecord
 	won uint64
+
+	serial   uint64 // creation order, for deterministic solve order
+	capacity float64
+	id       string
+}
+
+// member is a variable in a constraint's active list: its position in
+// sys.vars and its weight, so the filling rounds re-sum weights and test
+// fixes without reading the variable.
+type member struct {
+	index  int
+	weight float64
 }
 
 // fillRecord is a constraint's (remaining, used) after one crossing
@@ -239,7 +258,10 @@ type System struct {
 	dirtyVBuf    []*Variable
 	dirtyCBuf    []*Constraint
 	stackBuf     []*Constraint
-	ownBuf       []*Variable
+	ownBuf       []ownEntry
+	sortBuf      []ownEntry // sortOwn's merge scratch
+	done         []bool     // by position in vars: fixed by the current solve
+	kept         int        // kept variables the current solve reached
 	vbits, cbits []uint64
 }
 
@@ -305,7 +327,7 @@ func (s *System) recycleVariable() *Variable {
 	v := s.varFree[n-1]
 	s.varFree[n-1] = nil
 	s.varFree = s.varFree[:n-1]
-	*v = Variable{cnsts: v.cnsts[:0]}
+	*v = Variable{cnsts: v.cnsts[:0], shared: v.shared[:0]}
 	return v
 }
 
@@ -380,6 +402,9 @@ func (s *System) RemoveVariable(v *Variable) {
 				break
 			}
 		}
+		if len(c.vars) == 1 {
+			c.vars[0].split = false // c turned private
+		}
 		if !quiet {
 			s.dirtyCnsts = append(s.dirtyCnsts, c)
 		}
@@ -446,8 +471,14 @@ func (c *Constraint) unlog(round uint64) {
 }
 
 // logIndex returns the position of the first record of round or later.
+// The log is in round order and callers ask for a round near its end — the
+// one a departed or re-filled variable was fixed in — so it scans back
+// from the tail, over the records the caller rewrites anyway.
 func (c *Constraint) logIndex(round uint64) int {
-	i, _ := slices.BinarySearchFunc(c.log, round, func(r fillRecord, round uint64) int { return cmp.Compare(r.round, round) })
+	i := len(c.log)
+	for i > 0 && c.log[i-1].round >= round {
+		i--
+	}
 	return i
 }
 
@@ -467,6 +498,7 @@ func (s *System) SetBound(v *Variable, bound float64) {
 		return
 	}
 	v.bound = bound
+	v.split = false
 	s.dirtyVars = append(s.dirtyVars, v)
 	s.cut = 0
 	s.solved = false
@@ -483,7 +515,15 @@ func (s *System) Attach(v *Variable, c *Constraint) error {
 	}
 	v.cnsts = append(v.cnsts, c)
 	c.vars = append(c.vars, v)
-	s.dirtyVars = append(s.dirtyVars, v)
+	v.split = false
+	if len(c.vars) == 2 {
+		c.vars[0].split = false // c turned shared
+	}
+	if n := len(s.dirtyVars); n == 0 || s.dirtyVars[n-1] != v {
+		// A variable attached right after its creation (or a previous
+		// attachment) is already a seed.
+		s.dirtyVars = append(s.dirtyVars, v)
+	}
 	s.cut = 0
 	s.solved = false
 	return nil
@@ -534,6 +574,15 @@ func (s *System) Solve() error {
 		return nil
 	}
 	s.solves++
+	if len(s.dirtyVars) == 0 && len(s.dirtyCnsts) == 0 {
+		// Only quiet departures since the last solve (or nothing at all):
+		// no seed, so the closure is empty and there is nothing to re-fill.
+		s.lastTouched = 0
+		s.touched = s.dirtyVBuf[:0]
+		s.cut = noCut
+		s.solved = true
+		return nil
+	}
 
 	// Gather the dirty sub-system: every shared constraint reachable from
 	// a mutation seed, and every variable to re-fill, walking shared
@@ -542,57 +591,67 @@ func (s *System) Solve() error {
 	// another component. (When cut is 0 nothing is kept and this is the
 	// closure over whole components. When it is not, only removals
 	// happened, so every variable reached was fixed by an earlier solve:
-	// none has round 0.) The traversal marks positions in two bitmaps, so
-	// its cost is proportional to the dirty set, and reading them back in
-	// position order lists the dirty set in creation order, so the solve
-	// visits resources in a stable order. The collection slices are
-	// per-system scratch, so steady-state solves allocate nothing.
+	// none has round 0.) The traversal marks the positions of re-filled
+	// variables and of shared constraints in two bitmaps, so its cost is
+	// proportional to the dirty set, and reading them back in position
+	// order lists the dirty set in creation order, so the solve visits
+	// resources in a stable order. A kept variable is only counted, once,
+	// by stamping it with this solve's number.
+	//
+	// The walk also sets up the filling rounds, so each attachment is
+	// read once for both: a shared constraint, when popped, snapshots its
+	// crossing variables that are not kept — those still to fix — into
+	// c.active, in attachment order, with their weight sum; a re-filled
+	// variable, when first marked, has its own level ready (see level).
+	//
+	// The collection slices are per-system scratch, so steady-state solves
+	// allocate nothing.
 	cut := s.cut
 	s.vbits = growBits(s.vbits, len(s.vars))
 	s.cbits = growBits(s.cbits, len(s.cnsts))
-	stack := s.stackBuf[:0]
-	markC := func(c *Constraint) {
-		if setBit(s.cbits, c.index) {
-			stack = append(stack, c)
-		}
-	}
-	markV := func(v *Variable) {
-		if !setBit(s.vbits, v.index) || v.round < cut {
-			return
-		}
-		for _, c := range v.cnsts {
-			if len(c.vars) > 1 {
-				markC(c)
-			}
-		}
-	}
+	s.stackBuf, s.kept = s.stackBuf[:0], 0
 	for _, v := range s.dirtyVars {
 		if v.sys == s { // skip variables removed after being added
-			markV(v)
+			s.reach(v, cut)
 		}
 	}
 	for _, c := range s.dirtyCnsts {
 		switch len(c.vars) {
 		case 0:
 		case 1: // turned private: only its variable can have changed
-			markV(c.vars[0])
+			s.reach(c.vars[0], cut)
 		default:
-			markC(c)
+			if setBit(s.cbits, c.index) {
+				s.stackBuf = append(s.stackBuf, c)
+			}
 		}
 	}
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	stamp := uint64(s.solves)
+	for n := len(s.stackBuf); n > 0; n = len(s.stackBuf) {
+		c := s.stackBuf[n-1]
+		s.stackBuf = s.stackBuf[:n-1]
+		act, w := c.active[:0], 0.0
 		for _, v := range c.vars {
-			markV(v)
+			// reach, inlined: this loop visits every membership of every
+			// dirty shared constraint.
+			if v.round < cut {
+				if v.kept != stamp {
+					v.kept = stamp
+					s.kept++
+				}
+				continue
+			}
+			w += v.weight
+			act = append(act, member{v.index, v.weight})
+			if setBit(s.vbits, v.index) {
+				s.level(v)
+			}
 		}
+		c.active, c.unfixed = act, len(act)
+		c.wsum, c.wstale = w, false
 	}
-	s.stackBuf = stack[:0]
 	dirtyC := collectBits(s.dirtyCBuf[:0], s.cbits, s.cnsts)
 	dirtyV := collectBits(s.dirtyVBuf[:0], s.vbits, s.vars)
-	kept := len(dirtyV)
-	dirtyV = slices.DeleteFunc(dirtyV, func(v *Variable) bool { return v.round < cut })
-	kept -= len(dirtyV)
 	s.dirtyVBuf = dirtyV
 	s.dirtyCBuf = dirtyC
 
@@ -610,10 +669,9 @@ func (s *System) Solve() error {
 	// Three working lists keep the progressive-filling rounds proportional
 	// to what is still unfixed rather than to the whole dirty set:
 	//
-	//   - each shared constraint snapshots its unfixed crossing variables
-	//     into c.active, compacted as variables fix (attachment order
-	//     preserved, so the per-round weight sums are bit-identical to a
-	//     full rescan);
+	//   - each shared constraint's c.active, compacted as variables fix
+	//     (attachment order preserved, so the per-round weight sums are
+	//     bit-identical to a full rescan);
 	//   - work compacts away constraints whose variables are all fixed
 	//     (relative serial order preserved, so λ* tie-breaking between
 	//     equal constraints is unchanged);
@@ -621,64 +679,37 @@ func (s *System) Solve() error {
 	//     private constraint), sorted once by (level, tie key, creation
 	//     order): each round its first unfixed entry is the candidate.
 	s.cut = 0
-	if kept > 0 {
+	if s.kept > 0 {
 		s.warmSolves++
-		s.totalKept += kept
+		s.totalKept += s.kept
 	}
+	s.done = slices.Grow(s.done[:0], len(s.vars))[:len(s.vars)]
+	done := s.done
 	own := s.ownBuf[:0]
 	for _, v := range dirtyV {
-		v.fixed = false
+		done[v.index] = false
 		v.value = 0
-		v.lam, v.by = math.Inf(1), byBound
-		if !math.IsInf(v.bound, 1) {
-			v.lam = v.bound / v.weight
-		}
-		for _, c := range v.cnsts {
-			// A private constraint's level is remaining/Σw with nothing
-			// else charged and nothing else summed: capacity/weight.
-			if l := c.capacity / v.weight; len(c.vars) == 1 && (l < v.lam || l == v.lam && c.serial < v.by) {
-				v.lam, v.by = l, c.serial
-			}
-		}
 		if !math.IsInf(v.lam, 1) {
-			own = append(own, v)
+			own = append(own, ownEntry{v.lam, v.by, v.index})
 		}
 	}
-	slices.SortFunc(own, func(a, b *Variable) int {
-		// Plain comparisons: levels are never NaN, and skipping
-		// cmp.Compare's NaN checks halves this sort, which every solve runs.
-		switch {
-		case a.lam < b.lam:
-			return -1
-		case a.lam > b.lam:
-			return 1
-		case a.by < b.by:
-			return -1
-		case a.by > b.by:
-			return 1
-		}
-		return cmp.Compare(a.serial, b.serial)
-	})
+	s.sortBuf = sortOwn(own, s.sortBuf)
 	for _, c := range dirtyC {
-		n := c.logIndex(cut)
+		// The records of round cut and later are at the log's tail, one
+		// per variable this solve re-fills or a departure freed: finding
+		// the rewind position from there costs what re-filling does.
+		n := 0
+		if cut > 0 {
+			n = c.logIndex(cut)
+		}
 		c.log = slices.Grow(c.log[:n], len(c.vars)-n) // one record per variable still to fix
 		c.remaining, c.used = c.capacity, 0
 		if n > 0 {
 			c.remaining, c.used = c.log[n-1].remaining, c.log[n-1].used
 		}
-		// Every fixed crossing variable logged one record, so the n left
-		// are the kept ones: a constraint they fill is not scanned.
-		act, w := c.active[:0], 0.0
-		if n < len(c.vars) {
-			for _, v := range c.vars {
-				if !v.fixed {
-					w += v.weight
-					act = append(act, v)
-				}
-			}
+		if c.unfixed > 0 {
+			c.lam = c.remaining / c.wsum
 		}
-		c.active, c.unfixed = act, len(act)
-		c.wsum, c.wstale = w, false
 	}
 	work := dirtyC
 
@@ -687,14 +718,11 @@ func (s *System) Solve() error {
 		// rate may be an inlined product: float64() rounds it, so no
 		// GOARCH fuses it into the updates below (make fma-check).
 		rate = float64(rate)
-		v.fixed = true
+		done[v.index] = true
 		v.value = rate
 		v.round = s.round
 		unfixed--
-		for _, c := range v.cnsts {
-			if len(c.vars) == 1 {
-				continue // private: its usage is v's rate
-			}
+		for _, c := range v.shared { // a private constraint's usage is v's rate
 			c.remaining -= rate
 			if c.remaining < 0 {
 				c.remaining = 0
@@ -714,8 +742,8 @@ func (s *System) Solve() error {
 		// maintained by subtraction, which accumulates floating-point
 		// residue that can make an exhausted constraint look populated and
 		// stall the loop — but only for constraints a fix actually
-		// disturbed (wstale): an undisturbed constraint's sum is the same
-		// bits either way.
+		// disturbed (wstale): an undisturbed constraint's sum, and its
+		// level, are the same bits as when they were last computed.
 		lambda := math.Inf(1)
 		var satCnst *Constraint
 		m := 0
@@ -726,21 +754,21 @@ func (s *System) Solve() error {
 			work[m] = c
 			m++
 			if c.wstale {
-				w := 0.0
-				act := c.active[:0]
-				for _, v := range c.active {
-					if !v.fixed {
-						w += v.weight
-						act = append(act, v)
+				w, k := 0.0, 0
+				for _, a := range c.active {
+					if !done[a.index] {
+						w += a.weight
+						c.active[k] = a
+						k++
 					}
 				}
-				c.active = act
+				c.active = c.active[:k]
 				c.wsum = w
+				c.lam = c.remaining / c.wsum
 				c.wstale = false
 			}
-			l := c.remaining / c.wsum
-			if l < lambda {
-				lambda, satCnst = l, c
+			if c.lam < lambda {
+				lambda, satCnst = c.lam, c
 			}
 		}
 		work = work[:m]
@@ -748,15 +776,15 @@ func (s *System) Solve() error {
 		// equal and set by a private constraint older than satCnst: the
 		// first minimum of a scan over every constraint in serial order,
 		// then a bound only below all of them.
-		for head < len(own) && own[head].fixed {
+		for head < len(own) && done[own[head].index] {
 			head++
 		}
 		if head < len(own) {
-			if v := own[head]; v.lam < lambda || v.lam == lambda && v.by < satCnst.serial {
-				if v.by == byBound {
+			if o := &own[head]; o.lam < lambda || o.lam == lambda && o.by < satCnst.serial {
+				if v := s.vars[o.index]; o.by == byBound {
 					fix(v, v.bound)
 				} else {
-					fix(v, v.weight*v.lam)
+					fix(v, v.weight*o.lam)
 				}
 				continue
 			}
@@ -774,9 +802,9 @@ func (s *System) Solve() error {
 		// Fix every unfixed variable crossing the saturated constraint at
 		// weight-proportional share of λ*.
 		satCnst.won = s.round
-		for _, v := range satCnst.active {
-			if !v.fixed {
-				fix(v, v.weight*lambda)
+		for _, a := range satCnst.active {
+			if !done[a.index] {
+				fix(s.vars[a.index], a.weight*lambda)
 			}
 		}
 	}
@@ -808,6 +836,130 @@ func setBit(bits []uint64, i int) bool {
 	}
 	bits[w] |= b
 	return true
+}
+
+// reach handles v, reached by the dirty closure of a solve resuming from
+// round cut: a kept variable (fixed before cut) is counted in s.kept the
+// first time this solve reaches it, any other is marked for re-filling the
+// first time (see level).
+func (s *System) reach(v *Variable, cut uint64) {
+	if v.round < cut {
+		if stamp := uint64(s.solves); v.kept != stamp {
+			v.kept = stamp
+			s.kept++
+		}
+		return
+	}
+	if setBit(s.vbits, v.index) {
+		s.level(v)
+	}
+}
+
+// level handles a variable the dirty closure has just marked for
+// re-filling: it pushes v's shared constraints not yet marked, after
+// splitting v's constraints if a mutation invalidated the last split.
+func (s *System) level(v *Variable) {
+	if !v.split {
+		v.splitConstraints()
+	}
+	for _, c := range v.shared {
+		if setBit(s.cbits, c.index) {
+			s.stackBuf = append(s.stackBuf, c)
+		}
+	}
+}
+
+// splitConstraints lists v's shared constraints and sets its own level:
+// the smallest of bound/weight and, over its private constraints,
+// remaining/Σw with nothing else charged and nothing else summed —
+// capacity/weight. Capacities and weights never change, so until a
+// constraint of v turns private or shared, or v's bound changes, the
+// split, and each of these divisions, would come out the same.
+func (v *Variable) splitConstraints() {
+	lam, by := math.Inf(1), uint64(byBound)
+	if !math.IsInf(v.bound, 1) {
+		lam = v.bound / v.weight
+	}
+	shared := v.shared[:0]
+	for _, c := range v.cnsts {
+		if len(c.vars) > 1 {
+			shared = append(shared, c)
+		} else if l := c.capacity / v.weight; l < lam || l == lam && c.serial < by {
+			lam, by = l, c.serial
+		}
+	}
+	v.shared, v.lam, v.by, v.split = shared, lam, by, true
+}
+
+// ownEntry is one variable of own: its level and tie key, and its
+// position in sys.vars, which is in creation order.
+type ownEntry struct {
+	lam   float64
+	by    uint64
+	index int
+}
+
+// before reports whether a ranks before b: by level, then tie key, then
+// creation order. Plain comparisons: levels are never NaN.
+func (a *ownEntry) before(b *ownEntry) bool {
+	if a.lam != b.lam {
+		return a.lam < b.lam
+	}
+	if a.by != b.by {
+		return a.by < b.by
+	}
+	return a.index < b.index
+}
+
+// ownRun is the length of the runs sortOwn orders by insertion before it
+// merges them.
+const ownRun = 16
+
+// sortOwn orders own, using buf (grown and returned) as merge scratch.
+// Every solve sorts the list it re-fills, usually a few dozen entries, so
+// the comparison must inline and read no variable: runs of ownRun are
+// insertion-sorted, then merged pairwise, which keeps a solve over
+// thousands of levels O(k log k). The order is total (positions are
+// unique), so any correct sort produces the same list.
+func sortOwn(own, buf []ownEntry) []ownEntry {
+	n := len(own)
+	for lo := 0; lo < n; lo += ownRun {
+		run := own[lo:min(lo+ownRun, n)]
+		for i := 1; i < len(run); i++ {
+			e, j := run[i], i
+			for ; j > 0 && e.before(&run[j-1]); j-- {
+				run[j] = run[j-1]
+			}
+			run[j] = e
+		}
+	}
+	if n <= ownRun {
+		return buf
+	}
+	buf = slices.Grow(buf[:0], n)[:n]
+	src, dst := own, buf
+	for width := ownRun; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			i, j, k := lo, mid, lo
+			for ; i < mid && j < hi; k++ {
+				if src[j].before(&src[i]) {
+					dst[k] = src[j]
+					j++
+				} else {
+					dst[k] = src[i]
+					i++
+				}
+			}
+			k += copy(dst[k:], src[i:mid])
+			copy(dst[k:], src[j:hi])
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &own[0] {
+		copy(own, src)
+	}
+	return buf[:0]
 }
 
 // collectBits appends all[i] for every set bit i, in position order, and

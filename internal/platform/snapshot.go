@@ -725,19 +725,29 @@ func (s *Snapshot) RouteLatency(r *CompiledRoute) float64 {
 // a pair, in every epoch derived from the same compilation, gets the same
 // pointer. The returned route is shared and must not be mutated.
 func (s *Snapshot) Route(src, dst string) (*CompiledRoute, error) {
+	r, _, _, err := s.RouteEnds(src, dst)
+	return r, err
+}
+
+// RouteEnds is Route that also returns the endpoints' point ordinals, so a
+// caller that needs the hosts too looks each name up once. Hosts come
+// first among points: an ordinal below NumHosts is that host's HostIndex,
+// a larger one a router's.
+func (s *Snapshot) RouteEnds(src, dst string) (*CompiledRoute, int32, int32, error) {
 	if src == dst {
-		return nil, fmt.Errorf("platform: route from %q to itself", src)
+		return nil, -1, -1, fmt.Errorf("platform: route from %q to itself", src)
 	}
 	t := s.topo
 	si, ok := t.pointIdx[src]
 	if !ok {
-		return nil, fmt.Errorf("platform: unknown endpoint %q", src)
+		return nil, -1, -1, fmt.Errorf("platform: unknown endpoint %q", src)
 	}
 	di, ok := t.pointIdx[dst]
 	if !ok {
-		return nil, fmt.Errorf("platform: unknown endpoint %q", dst)
+		return nil, -1, -1, fmt.Errorf("platform: unknown endpoint %q", dst)
 	}
-	return t.route(si, di)
+	r, err := t.route(si, di)
+	return r, si, di, err
 }
 
 func (t *topology) route(src, dst int32) (*CompiledRoute, error) {

@@ -300,13 +300,15 @@ func (r *RRD) finishPDP() {
 		r.pdpCover[d] = 0
 	}
 	for _, st := range r.rras {
-		consolidate(st, pdp, len(r.dss))
+		consolidate(st, pdp, len(r.dss), r.pdpStart+r.step, r.step)
 	}
 }
 
-// consolidate merges one PDP into an archive's accumulator, emitting a
-// row when full.
-func consolidate(st *rraState, pdp []float64, nDS int) {
+// consolidate merges one PDP, ending at end, into an archive's
+// accumulator, emitting a row when the PDP closes one. Rows are aligned
+// on multiples of the archive's resolution, as rrdtool's are, so the
+// first row after the first update may consolidate fewer PDPs.
+func consolidate(st *rraState, pdp []float64, nDS int, end, step int64) {
 	for d := 0; d < nDS; d++ {
 		v := pdp[d]
 		if math.IsNaN(v) {
@@ -331,7 +333,7 @@ func consolidate(st *rraState, pdp []float64, nDS int) {
 		}
 	}
 	st.accumN++
-	if st.accumN < st.def.PdpPerRow {
+	if end%st.def.resolution(step) != 0 {
 		return
 	}
 	// Emit the row.
@@ -375,15 +377,16 @@ func (r *RRD) rraRange(st *rraState) (first, last int64) {
 	return first, lastEnd
 }
 
-// valueAt returns the archive row covering [t, t+res) or NaN.
+// valueAt returns the value of the archive row containing t, or NaN.
 func (r *RRD) valueAt(st *rraState, t int64, d int) float64 {
 	res := st.def.resolution(r.step)
 	first, last := r.rraRange(st)
 	if t < first || t >= last {
 		return math.NaN()
 	}
-	// Row index counted back from head-1 (most recent).
-	back := (last - t) / res // 1 = most recent row
+	// Row index counted back from head-1 (most recent) to the row
+	// [t - t mod res, +res), which holds t.
+	back := (last - (t - mod(t, res))) / res // 1 = most recent row
 	idx := (st.head - int(back) + st.def.Rows*2) % st.def.Rows
 	return st.ring[idx*len(r.dss)+d]
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -134,6 +135,49 @@ func TestFetchFallsBackToCoarseArchive(t *testing.T) {
 	}
 	if n := changes(s2); n != len(s2.Rows)-1 {
 		t.Errorf("recent range: %d value changes over %d rows, want fine (15 s) data", n, len(s2.Rows))
+	}
+}
+
+// TestFetchBestCoarseRowsAlignToTheirResolution reads an old range that
+// only the 1-minute archives still hold, at the fine archive's 15 s rows:
+// each 15 s row must carry the 1-minute row that contains it, whatever
+// time the series started at. The gauge's value is the update time, so
+// the PDP [b, b+15) is b+15 and the row [600, 660) averages 615, 630, 645
+// and 660 (MAX keeps only a 1-minute archive, so its rows are the
+// minutes themselves). Rows are closed on multiples of the row resolution, as rrdtool
+// closes them, so a series that starts between two closes gets a short
+// first row instead of rows shifted off the minute.
+func TestFetchBestCoarseRowsAlignToTheirResolution(t *testing.T) {
+	for _, tc := range []struct {
+		first      int64 // time of the first update
+		cf         CF
+		begin, end int64
+		want       []float64
+	}{
+		{60, Average, 600, 720, []float64{637.5, 637.5, 637.5, 637.5, 697.5, 697.5, 697.5, 697.5}},
+		{15, Average, 600, 720, []float64{637.5, 637.5, 637.5, 637.5, 697.5, 697.5, 697.5, 697.5}},
+		{45, Average, 600, 720, []float64{637.5, 637.5, 637.5, 637.5, 697.5, 697.5, 697.5, 697.5}},
+		{15, Average, 615, 690, []float64{637.5, 637.5, 637.5, 697.5, 697.5}},
+		{15, Max, 600, 720, []float64{660, 720}}, // MAX has the 1-minute archive only
+		{30, Max, 645, 675, []float64{660, 720}},
+	} {
+		r := newSimple(t)
+		for ts := tc.first; ts <= 1200; ts += 15 {
+			if err := r.Update(ts, []float64{float64(ts)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := r.FetchBest(tc.cf, tc.begin, tc.end)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, len(s.Rows))
+		for i, row := range s.Rows {
+			got[i] = row[0]
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("updates from t=%d, FetchBest(%v, %d, %d) = %v, want %v", tc.first, tc.cf, tc.begin, tc.end, got, tc.want)
+		}
 	}
 }
 

@@ -55,7 +55,8 @@ type activity struct {
 	rate       float64 // current allocation
 
 	// comm fields. links is the compiled index route (shared with the
-	// platform snapshot; never mutated).
+	// platform snapshot; never mutated). bound is the TCP window bound,
+	// lowered to the route's fatpipe links (0: unbounded).
 	links  []platform.LinkRef
 	weight float64
 	bound  float64
@@ -417,26 +418,38 @@ func (e *Engine) AddComm(src, dst string, size, start float64) (ActivityID, erro
 	if start < e.now {
 		return 0, fmt.Errorf("sim: start date %v is in the past (now %v)", start, e.now)
 	}
-	route, err := e.snap.Route(src, dst)
+	route, si, di, err := e.snap.RouteEnds(src, dst)
 	if err != nil {
 		return 0, err
 	}
 	// Failed resources (scenario overlays set their bandwidth/speed to an
 	// exact 0) reject the communication up front with a precise error
-	// instead of stalling the whole simulation at run time.
-	if hi, ok := e.snap.HostIndex(src); ok && e.snap.HostDown(hi) {
+	// instead of stalling the whole simulation at run time. An endpoint
+	// is a host when its point ordinal is below NumHosts.
+	hosts := int32(e.snap.NumHosts())
+	if si < hosts && e.snap.HostDown(si) {
 		return 0, fmt.Errorf("sim: host %q is down", src)
 	}
-	if hi, ok := e.snap.HostIndex(dst); ok && e.snap.HostDown(hi) {
+	if di < hosts && e.snap.HostDown(di) {
 		return 0, fmt.Errorf("sim: host %q is down", dst)
 	}
+	// One pass over the route: a down link rejects the communication, a
+	// fatpipe one bounds the flow without sharing (below the TCP window
+	// bound, if any).
+	lat := e.snap.RouteLatency(route)
+	bound := e.cfg.windowBound(lat)
 	for _, ref := range route.Refs {
-		if li := ref.LinkIndex(); e.snap.LinkDown(li) {
+		li := ref.LinkIndex()
+		if e.snap.LinkDown(li) {
 			return 0, fmt.Errorf("sim: link %q on route %s->%s is down",
 				e.snap.LinkName(li), src, dst)
 		}
+		if e.snap.LinkPolicy(li) == platform.Fatpipe {
+			if cap := e.snap.LinkBandwidth(li) * e.cfg.BandwidthFactor; bound == 0 || cap < bound {
+				bound = cap
+			}
+		}
 	}
-	lat := e.snap.RouteLatency(route)
 	return e.add(activity{
 		kind:      commActivity,
 		phase:     phaseScheduled,
@@ -446,7 +459,7 @@ func (e *Engine) AddComm(src, dst string, size, start float64) (ActivityID, erro
 		links:     route.Refs,
 		host:      -1,
 		weight:    1 / e.cfg.rttWeight(lat),
-		bound:     e.cfg.windowBound(lat),
+		bound:     bound,
 	}), nil
 }
 
@@ -504,16 +517,17 @@ func (e *Engine) Done(id ActivityID) (bool, float64) {
 }
 
 // linkConstraint returns the persistent flow constraint for one link
-// direction, creating it on first use. ref is the dense address: Shared
-// links use the canonical None direction, FullDuplex links Up or Down.
-// Constraints are identified by index alone (lazy flow ids) — pooled
-// engines recreate every constraint per run, and formatting
-// "<link>:<dir>" names for each was measurable allocator churn.
-func (e *Engine) linkConstraint(ref platform.LinkRef, capacity float64) *flow.Constraint {
+// direction, creating it on first use with the link's bandwidth scaled by
+// BandwidthFactor. ref is the dense address: Shared links use the
+// canonical None direction, FullDuplex links Up or Down. Constraints are
+// identified by index alone (lazy flow ids) — pooled engines recreate
+// every constraint per run, and formatting "<link>:<dir>" names for each
+// was measurable allocator churn.
+func (e *Engine) linkConstraint(ref platform.LinkRef) *flow.Constraint {
 	if c := e.linkCnst[ref]; c != nil {
 		return c
 	}
-	c := e.sys.NewConstraint("", capacity)
+	c := e.sys.NewConstraint("", e.snap.LinkBandwidth(ref.LinkIndex())*e.cfg.BandwidthFactor)
 	e.linkCnst[ref] = c
 	return c
 }
@@ -537,18 +551,7 @@ func (e *Engine) activate(a *activity) {
 	a.lastUpdate = e.now
 	switch a.kind {
 	case commActivity:
-		bound := a.bound
-		// Fatpipe links bound the flow without sharing.
-		for _, u := range a.links {
-			li := u.LinkIndex()
-			if e.snap.LinkPolicy(li) == platform.Fatpipe {
-				cap := e.snap.LinkBandwidth(li) * e.cfg.BandwidthFactor
-				if bound == 0 || cap < bound {
-					bound = cap
-				}
-			}
-		}
-		v := e.sys.NewVariable("", a.weight, bound)
+		v := e.sys.NewVariable("", a.weight, a.bound)
 		v.SetData(a)
 		a.fv = v
 		a.rate = 0
@@ -556,8 +559,7 @@ func (e *Engine) activate(a *activity) {
 			li := u.LinkIndex()
 			switch e.snap.LinkPolicy(li) {
 			case platform.Shared:
-				c := e.linkConstraint(platform.MakeLinkRef(li, platform.None),
-					e.snap.LinkBandwidth(li)*e.cfg.BandwidthFactor)
+				c := e.linkConstraint(platform.MakeLinkRef(li, platform.None))
 				if err := e.sys.Attach(v, c); err != nil {
 					// A route may legitimately traverse the same
 					// shared link twice only in pathological
@@ -569,13 +571,12 @@ func (e *Engine) activate(a *activity) {
 				if dir == platform.None {
 					dir = platform.Up
 				}
-				c := e.linkConstraint(platform.MakeLinkRef(li, dir),
-					e.snap.LinkBandwidth(li)*e.cfg.BandwidthFactor)
+				c := e.linkConstraint(platform.MakeLinkRef(li, dir))
 				if err := e.sys.Attach(v, c); err != nil {
 					continue
 				}
 			case platform.Fatpipe:
-				// handled via bound above
+				// in the bound
 			}
 		}
 	case execActivity:
@@ -593,8 +594,7 @@ func (e *Engine) activate(a *activity) {
 // entry.
 func (e *Engine) deactivate(a *activity) {
 	if a.fv != nil {
-		a.fv.SetData(nil)
-		e.sys.RemoveVariable(a.fv)
+		e.sys.RemoveVariable(a.fv) // clears the variable's Data too
 		a.fv = nil
 	}
 	e.heapRemove(a.slot)

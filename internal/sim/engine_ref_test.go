@@ -534,6 +534,88 @@ func TestHeapKernelMatchesScanReference(t *testing.T) {
 	}
 }
 
+// byteSource is a rand.Source that plays back fuzzed bytes, eight per
+// value, and continues as a splitmix64 stream from the last value once
+// they run out, so any input drives the generators to completion.
+type byteSource struct {
+	data  []byte
+	state uint64
+}
+
+func (s *byteSource) Int63() int64 {
+	if len(s.data) >= 8 {
+		for _, b := range s.data[:8] {
+			s.state = s.state<<8 | uint64(b)
+		}
+		s.data = s.data[8:]
+		return int64(s.state >> 1)
+	}
+	s.state += 0x9e3779b97f4a7c15
+	z := s.state
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return int64((z ^ z>>31) >> 1)
+}
+
+func (s *byteSource) Seed(int64) {}
+
+// FuzzHeapKernel is TestHeapKernelMatchesScanReference with the random
+// platform, workload and configuration drawn from fuzzed bytes: the
+// indexed-heap kernel must reproduce the scan-based reference's
+// completion dates and solver counters bit for bit.
+func FuzzHeapKernel(f *testing.F) {
+	for _, seed := range []string{"", "\x00", "pilgrim", "\xff\xff\xff\xff\xff\xff\xff\xff\x01"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			t.Skip("long inputs only repeat what short ones cover")
+		}
+		rng := rand.New(&byteSource{data: data})
+		hosts := 3 + rng.Intn(6)
+		plat := buildRandomPlatform(t, rng, hosts)
+		w := randomWorkload(rng, hosts)
+		cfg := DefaultConfig()
+		if rng.Intn(2) == 0 {
+			cfg.TCPGamma = 0
+		}
+
+		eng := NewEngineSnapshot(plat.Snapshot(), cfg)
+		engDates, engChain := runWorkload(t, w, kernelOps{
+			addComm: eng.AddComm,
+			addExec: eng.AddExec,
+			addBG:   eng.AddBackgroundFlow,
+			now:     eng.Now,
+			run:     eng.RunToCompletion,
+		})
+		ref := newRefEngine(plat, cfg)
+		refDates, refChain := runWorkload(t, w, kernelOps{
+			addComm: ref.addComm,
+			addExec: ref.addExec,
+			addBG:   ref.addBackgroundFlow,
+			now:     func() float64 { return ref.now },
+			run:     ref.runToCompletion,
+		})
+		for i := range engDates {
+			if math.Float64bits(engDates[i]) != math.Float64bits(refDates[i]) {
+				t.Errorf("comm %d: heap=%v (bits %x) ref=%v (bits %x)",
+					i, engDates[i], math.Float64bits(engDates[i]),
+					refDates[i], math.Float64bits(refDates[i]))
+			}
+		}
+		if math.Float64bits(engChain) != math.Float64bits(refChain) {
+			t.Errorf("chained comm: heap=%v ref=%v", engChain, refChain)
+		}
+		es, rs := eng.SharingStats(), ref.sys
+		if es.Resharings != ref.events || es.VariablesTouched != rs.TotalTouched() ||
+			es.LastTouched != rs.LastTouched() || es.Rounds != rs.Rounds() ||
+			es.WarmSolves != rs.WarmSolves() || es.VariablesKept != rs.VariablesKept() {
+			t.Errorf("sharing stats: heap=%+v ref resharings=%d touched=%d last=%d rounds=%d warm=%d kept=%d",
+				es, ref.events, rs.TotalTouched(), rs.LastTouched(), rs.Rounds(), rs.WarmSolves(), rs.VariablesKept())
+		}
+	})
+}
+
 // TestEnginePoolReuseAfterAbandonedRun is a regression test: releasing
 // an engine mid-run (live activities still in flight, as PredictTransfers
 // does on error paths) must leave no stale arena state behind — the next,
