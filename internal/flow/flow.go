@@ -38,11 +38,16 @@
 // variable (a host NIC direction, in the network model) is that
 // variable's private cap: it couples nothing, so it stays out of the
 // dirty closure and the filling rounds, and enters only as a constant fill
-// level of its variable. A departing variable that was fixed by its own
-// cap or bound, on links that never saturated as the bottleneck from its
-// round on, freed nothing anybody was waiting for: RemoveVariable drops its
-// charge from those links' records directly and the next Solve re-fills
-// nothing.
+// level of its variable. A shared constraint whose capacity exceeds the
+// sum of its variables' rate ceilings by a fixed margin is slack: it can
+// never saturate, so it couples nothing either and enters nowhere, and the
+// flows only it joins are re-filled apart. A departing variable that was
+// fixed by its own cap or bound, on links that never saturated as the
+// bottleneck from its round on, freed nothing anybody was waiting for:
+// RemoveVariable drops its charge from those links' records directly and
+// the next Solve re-fills nothing. Each of these shortcuts lowers the work
+// counters (LastTouched, Rounds, VariablesKept) for the same answers; no
+// rate changes by a bit.
 //
 // RTT-awareness is achieved by the caller setting each flow's weight to
 // 1/RTT: on a shared bottleneck, flows then receive bandwidth inversely
@@ -71,23 +76,29 @@ type Variable struct {
 	round uint64
 	index int // position in sys.vars
 
-	// shared lists, in attachment order, the constraints of cnsts that
-	// other variables cross too. lam is the variable's own fill level: the
+	// shared lists, in attachment order, the binding constraints of cnsts
+	// (see Constraint.binding). lam is the variable's own fill level: the
 	// smallest of bound/weight and capacity/weight over its private
-	// constraints (the others). by is the serial of the private constraint
-	// that set it, or byBound; it breaks ties with shared constraints the
-	// way a scan in serial order would. All three hold while split is set;
-	// a mutation that changes the bound or moves a constraint of v between
-	// private and shared clears it, and the next solve to re-fill v splits
-	// again (see splitConstraints).
+	// constraints (those it alone crosses; a slack one is in neither).
+	// by is the serial of the private constraint that set it, or byBound;
+	// it breaks ties with shared constraints the way a scan in serial order
+	// would. All three hold while split is set; a mutation that changes the
+	// bound or moves a constraint of v between private, slack and binding
+	// clears it, and the next solve to re-fill v splits again (see
+	// splitConstraints).
 	shared []*Constraint
 	lam    float64
 	by     uint64
 	split  bool
 
-	value  float64
-	bound  float64 // +Inf when unbounded
-	serial uint64  // creation order, for deterministic solve order
+	value float64
+	bound float64 // +Inf when unbounded
+	// ceil is the rate the variable can never exceed: the smallest of its
+	// bound and the capacities of every constraint it crosses.
+	ceil   float64
+	serial uint64 // creation order, for deterministic solve order
+	// at[k] is the variable's position in cnsts[k].vars.
+	at []int
 	// kept is the number of the last solve that counted the variable as
 	// kept (see Solve); it makes that count once per variable. (scratch)
 	kept uint64
@@ -132,23 +143,27 @@ func (v *Variable) Constraints() []*Constraint { return v.cnsts }
 // Constraint is one capacity-limited resource — in the network model, one
 // link direction (or a shared half-duplex link).
 type Constraint struct {
-	// Hot fields first, as in Variable.
+	// Hot fields first, as in Variable. vars is in attachment order, with
+	// a nil hole where a variable left; holes counts them (see drop).
 	vars      []*Variable
-	index     int     // position in sys.cnsts
-	remaining float64 // residual capacity during a solve (scratch)
-	used      float64
+	holes     int
+	index     int      // position in sys.cnsts
+	remaining float64  // residual capacity during a solve (scratch)
 	unfixed   int      // unfixed crossing variables during a solve (scratch)
 	wsum      float64  // Σ weight over active, valid while !wstale (scratch)
 	lam       float64  // fill level remaining/wsum, valid while !wstale (scratch)
 	wstale    bool     // a crossing variable fixed since wsum and lam were set (scratch)
 	active    []member // not-yet-fixed crossing variables, compacted per round (scratch)
 
-	// log holds the residual state after each fix that charged this
-	// constraint while it was shared, in fix order, so a later solve can
-	// rewind the constraint to the start of any round (see Solve). won is
-	// the last round the constraint was the bottleneck of.
-	log []fillRecord
-	won uint64
+	// binding is set while the constraint is shared and was not found
+	// slack (see slack): it joins components, takes part in the filling
+	// rounds and is charged by every fix of its variables. log holds its
+	// residual capacity after each such fix, in fix order, so a later
+	// solve can rewind the constraint to the start of any round (see
+	// Solve). won is the last round the constraint was the bottleneck of.
+	binding bool
+	log     []fillRecord
+	won     uint64
 
 	serial   uint64 // creation order, for deterministic solve order
 	capacity float64
@@ -163,11 +178,11 @@ type member struct {
 	weight float64
 }
 
-// fillRecord is a constraint's (remaining, used) after one crossing
+// fillRecord is a constraint's remaining capacity after one crossing
 // variable was fixed at rate in the given round.
 type fillRecord struct {
-	round                 uint64
-	rate, remaining, used float64
+	round           uint64
+	rate, remaining float64
 }
 
 // ID returns the identifier given at creation. Constraints created with
@@ -187,20 +202,101 @@ func (c *Constraint) ID() string {
 func (c *Constraint) Capacity() float64 { return c.capacity }
 
 // Usage returns the total rate allocated on this constraint by the last
-// Solve. A private constraint keeps no sum of its own: its usage is its
-// one variable's rate.
+// Solve: the sum of its variables' rates, in attachment order.
 func (c *Constraint) Usage() float64 {
-	switch len(c.vars) {
-	case 0:
-		return 0
-	case 1:
-		return c.vars[0].value
+	used := 0.0
+	for _, v := range c.vars {
+		if v != nil {
+			used += v.value
+		}
 	}
-	return c.used
+	return used
 }
 
-// Variables returns the variables crossing this constraint.
-func (c *Constraint) Variables() []*Variable { return c.vars }
+// Variables returns the variables crossing this constraint, in attachment
+// order.
+func (c *Constraint) Variables() []*Variable {
+	if c.holes > 0 {
+		c.compact()
+	}
+	return c.vars
+}
+
+// live returns the number of variables crossing the constraint.
+func (c *Constraint) live() int { return len(c.vars) - c.holes }
+
+// first returns the first variable crossing the constraint, nil if none.
+func (c *Constraint) first() *Variable {
+	for _, v := range c.vars {
+		if v != nil {
+			return v
+		}
+	}
+	return nil
+}
+
+// unsplit clears the split of every variable crossing c: c moved between
+// slack and binding.
+func (c *Constraint) unsplit() {
+	for _, v := range c.vars {
+		if v != nil {
+			v.split = false
+		}
+	}
+}
+
+// slackMargin is 1+δ, δ = 2⁻²⁰: a shared constraint is slack when its
+// capacity exceeds slackMargin times the sum of its variables' ceilings.
+// The margin dwarfs the rounding of any sum of rates a solve computes,
+// so a slack constraint's fill level stays strictly above every round's
+// bottleneck level (docs/DESIGN.md, "Slack constraints couple nothing").
+const slackMargin = 1 + 1.0/(1<<20)
+
+// slack reports whether c can never be the bottleneck of a round: its
+// capacity exceeds the sum of its variables' ceilings, summed in
+// attachment order, by the margin. Dropping variables from the sum can
+// only lower it, so a slack constraint stays slack through removals.
+func (c *Constraint) slack() bool {
+	sum := 0.0
+	for _, v := range c.vars {
+		if v != nil {
+			sum += v.ceil
+		}
+	}
+	return c.capacity > slackMargin*sum
+}
+
+// drop empties position i of vars — the variable there has left — and
+// compacts vars once holes fill more than half of it, so a departure
+// costs amortized O(1) however many variables cross c.
+func (c *Constraint) drop(i int) {
+	c.vars[i] = nil
+	c.holes++
+	if 2*c.holes > len(c.vars) {
+		c.compact()
+	}
+}
+
+// compact closes the holes of vars, keeping attachment order, and moves
+// every variable's record of its position.
+func (c *Constraint) compact() {
+	n := 0
+	for _, v := range c.vars {
+		if v == nil {
+			continue
+		}
+		for k, vc := range v.cnsts {
+			if vc == c {
+				v.at[k] = n
+				break
+			}
+		}
+		c.vars[n] = v
+		n++
+	}
+	clear(c.vars[n:])
+	c.vars, c.holes = c.vars[:n], 0
+}
 
 // Saturated reports whether the last Solve used the full capacity, within
 // a relative tolerance.
@@ -215,14 +311,18 @@ func (c *Constraint) Saturated() bool {
 // RemoveVariable, Attach) between solves, and each Solve re-solves only
 // the components disturbed since the previous one.
 type System struct {
-	vars   []*Variable   // in creation-serial order
+	// vars is in creation-serial order, with a nil hole where a variable
+	// left; holes counts them (see RemoveVariable).
+	vars   []*Variable
+	holes  int
 	cnsts  []*Constraint // in creation-serial order
 	solved bool
 	serial uint64 // next creation serial
 
 	// Dirty bookkeeping between solves: dirtyVars/dirtyCnsts seed the
-	// affected-component closure; they may contain duplicates or removed
-	// variables, both filtered during closure.
+	// affected-component closure, and dirtyCnsts also lists the shared
+	// constraints to classify as slack or binding; they may contain
+	// duplicates or removed variables, both filtered during closure.
 	dirtyVars  []*Variable
 	dirtyCnsts []*Constraint
 
@@ -283,12 +383,16 @@ func NewSystem() *System { return &System{} }
 // almost nothing. The engine pool uses this to recycle whole simulations.
 func (s *System) Reset() {
 	for _, v := range s.vars {
+		if v == nil {
+			continue
+		}
 		v.sys = nil
 		v.data = nil
 		v.cnsts = v.cnsts[:0]
 		s.varFree = append(s.varFree, v)
 	}
-	s.vars = s.vars[:0]
+	clear(s.vars)
+	s.vars, s.holes = s.vars[:0], 0
 	for _, c := range s.cnsts {
 		c.vars = c.vars[:0]
 		s.conFree = append(s.conFree, c)
@@ -327,7 +431,7 @@ func (s *System) recycleVariable() *Variable {
 	v := s.varFree[n-1]
 	s.varFree[n-1] = nil
 	s.varFree = s.varFree[:n-1]
-	*v = Variable{cnsts: v.cnsts[:0], shared: v.shared[:0]}
+	*v = Variable{cnsts: v.cnsts[:0], shared: v.shared[:0], at: v.at[:0]}
 	return v
 }
 
@@ -356,7 +460,7 @@ func (s *System) NewVariable(id string, weight, bound float64) *Variable {
 		bound = math.Inf(1)
 	}
 	v := s.recycleVariable()
-	v.id, v.weight, v.bound = id, weight, bound
+	v.id, v.weight, v.bound, v.ceil = id, weight, bound, bound
 	v.sys, v.index, v.serial = s, len(s.vars), s.serial
 	s.serial++
 	s.vars = append(s.vars, v)
@@ -383,39 +487,43 @@ func (s *System) AddVariable(id string, weight, bound float64, cnsts ...*Constra
 // to the remaining flows at the next Solve, which re-runs only the filling
 // rounds from the one that fixed v onward (see Solve) — or none, when the
 // departure is quiet (see quiet). Removing a variable that does not belong
-// to this system (or was already removed) panics.
+// to this system (or was already removed) panics. A departure leaves a
+// hole in the system's and in each constraint's list, closed once holes
+// fill half of it, so it costs amortized O(1) per constraint crossed.
 func (s *System) RemoveVariable(v *Variable) {
 	if v.sys != s {
 		panic(fmt.Errorf("flow: variable %q is not in this system", v.ID()))
 	}
 	quiet := s.quiet(v)
-	for _, c := range v.cnsts {
-		if quiet && len(c.vars) > 1 {
+	for k, c := range v.cnsts {
+		// Holes keep c.vars in attachment order, so weight summations
+		// visit the survivors in the same order a from-scratch build would.
+		c.drop(v.at[k])
+		switch {
+		case !c.binding:
+		case !quiet:
+			// A seed, classified by the next solve. It stays binding until
+			// then: that solve must know c may have set its variables' rates.
+			s.dirtyCnsts = append(s.dirtyCnsts, c)
+		default:
 			c.unlog(v.round)
-		}
-		for i, w := range c.vars {
-			if w == v {
-				// Ordered removal keeps c.vars in attachment order, so
-				// weight summations visit the survivors in the same order
-				// a from-scratch build would.
-				c.vars = append(c.vars[:i], c.vars[i+1:]...)
-				break
+			if c.live() < 2 || c.slack() {
+				// Left private or slack, c won no round: not one before v's,
+				// which are unchanged, and not one since (see quiet). It set
+				// no rate, so it stops binding with nothing to re-fill.
+				c.binding = false
+				c.unsplit()
 			}
 		}
-		if len(c.vars) == 1 {
-			c.vars[0].split = false // c turned private
-		}
-		if !quiet {
-			s.dirtyCnsts = append(s.dirtyCnsts, c)
+		if c.live() == 1 {
+			c.first().split = false // c turned private
 		}
 	}
-	// Ordered removal, for the same reason: s.vars stays in serial order.
-	last := len(s.vars) - 1
-	copy(s.vars[v.index:], s.vars[v.index+1:])
-	s.vars[last] = nil
-	s.vars = s.vars[:last]
-	for i := v.index; i < last; i++ {
-		s.vars[i].index = i
+	// A hole, for the same reason: s.vars stays in serial order.
+	s.vars[v.index] = nil
+	s.holes++
+	if 2*s.holes > len(s.vars) {
+		s.compact()
 	}
 	if !quiet && v.round < s.cut {
 		s.cut = v.round
@@ -427,18 +535,35 @@ func (s *System) RemoveVariable(v *Variable) {
 	s.solved = false
 }
 
+// compact closes the holes of s.vars, keeping creation order, and
+// renumbers every variable's position. Between solves nothing else holds
+// a position.
+func (s *System) compact() {
+	n := 0
+	for _, v := range s.vars {
+		if v != nil {
+			v.index = n
+			s.vars[n] = v
+			n++
+		}
+	}
+	clear(s.vars[n:])
+	s.vars, s.holes = s.vars[:n], 0
+}
+
 // quiet reports whether removing v changes no other rate: the system is
-// as the last Solve (or a quiet departure) left it, and none of v's shared
-// constraints was the bottleneck of v's round or of a later one. Then v
-// was fixed alone, by its own level (a shared bottleneck would have won
-// v's round), and without it every later round finds the same bottleneck
-// with the same bits — docs/DESIGN.md, "Quiet departures".
+// as the last Solve (or a quiet departure) left it, and none of v's
+// binding constraints was the bottleneck of v's round or of a later one.
+// Then v was fixed alone, by its own level (a binding bottleneck would
+// have won v's round, and a slack constraint wins none), and without it
+// every later round finds the same bottleneck with the same bits —
+// docs/DESIGN.md, "Quiet departures".
 func (s *System) quiet(v *Variable) bool {
 	if s.cut != noCut {
 		return false
 	}
 	for _, c := range v.cnsts {
-		if len(c.vars) > 1 && c.won >= v.round {
+		if c.binding && c.won >= v.round {
 			return false
 		}
 	}
@@ -446,16 +571,17 @@ func (s *System) quiet(v *Variable) bool {
 }
 
 // unlog deletes the one record of the given round from the log and
-// replays the later records' charges onto the residual state before it,
-// as the fixes would have charged the constraint had that round not run.
+// replays the later records' charges onto the residual capacity before
+// it, as the fixes would have charged the constraint had that round not
+// run.
 func (c *Constraint) unlog(round uint64) {
 	i := c.logIndex(round)
 	if i == len(c.log) || c.log[i].round != round {
 		panic(fmt.Errorf("flow: internal error: constraint %q has no record of round %d", c.ID(), round))
 	}
-	remaining, used := c.capacity, 0.0
+	remaining := c.capacity
 	if i > 0 {
-		remaining, used = c.log[i-1].remaining, c.log[i-1].used
+		remaining = c.log[i-1].remaining
 	}
 	c.log = append(c.log[:i], c.log[i+1:]...)
 	for k := i; k < len(c.log); k++ {
@@ -464,10 +590,8 @@ func (c *Constraint) unlog(round uint64) {
 		if remaining < 0 {
 			remaining = 0
 		}
-		used += r.rate
-		r.remaining, r.used = remaining, used
+		r.remaining = remaining
 	}
-	c.used = used
 }
 
 // logIndex returns the position of the first record of round or later.
@@ -497,7 +621,13 @@ func (s *System) SetBound(v *Variable, bound float64) {
 	if bound == v.bound {
 		return
 	}
-	v.bound = bound
+	v.bound, v.ceil = bound, bound
+	for _, c := range v.cnsts {
+		v.ceil = min(v.ceil, c.capacity)
+		if !c.binding && c.live() > 1 {
+			s.dirtyCnsts = append(s.dirtyCnsts, c) // its ceilings' sum may have grown
+		}
+	}
 	v.split = false
 	s.dirtyVars = append(s.dirtyVars, v)
 	s.cut = 0
@@ -514,10 +644,18 @@ func (s *System) Attach(v *Variable, c *Constraint) error {
 		}
 	}
 	v.cnsts = append(v.cnsts, c)
+	v.at = append(v.at, len(c.vars))
 	c.vars = append(c.vars, v)
+	v.ceil = min(v.ceil, c.capacity)
 	v.split = false
-	if len(c.vars) == 2 {
-		c.vars[0].split = false // c turned shared
+	switch n := c.live(); {
+	case n == 2:
+		c.first().split = false // c turned shared
+		fallthrough
+	case n > 2 && !c.binding:
+		// A shared constraint that is not binding is classified again: the
+		// sum of its ceilings grew.
+		s.dirtyCnsts = append(s.dirtyCnsts, c)
 	}
 	if n := len(s.dirtyVars); n == 0 || s.dirtyVars[n-1] != v {
 		// A variable attached right after its creation (or a previous
@@ -538,7 +676,12 @@ func (s *System) MustAttach(v *Variable, c *Constraint) {
 }
 
 // Variables returns all variables in the system, in creation order.
-func (s *System) Variables() []*Variable { return s.vars }
+func (s *System) Variables() []*Variable {
+	if s.holes > 0 {
+		s.compact()
+	}
+	return s.vars
+}
 
 // Constraints returns all constraints in the system, in creation order.
 func (s *System) Constraints() []*Constraint { return s.cnsts }
@@ -563,12 +706,14 @@ var ErrUnboundedVariable = errors.New("flow: variable with no constraint and no 
 // ("Resuming a solve from the first disturbed level") has the argument in
 // full.
 //
-// Components are joined only by shared constraints — those crossed by
-// more than one variable. A private constraint, crossed by one, enters
-// the solve as a constant fill level of its variable, ranked against the
-// shared constraints exactly where a scan in serial order would have
-// found it (docs/DESIGN.md, "Private constraints"). Calling Solve on an
-// already-solved system is a no-op.
+// Components are joined only by binding constraints — shared ones (crossed
+// by more than one variable) that are not slack. A private constraint,
+// crossed by one, enters the solve as a constant fill level of its
+// variable, ranked against the shared constraints exactly where a scan in
+// serial order would have found it (docs/DESIGN.md, "Private
+// constraints"). A slack constraint can never be a round's bottleneck, so
+// it enters nowhere (docs/DESIGN.md, "Slack constraints couple nothing").
+// Calling Solve on an already-solved system is a no-op.
 func (s *System) Solve() error {
 	if s.solved {
 		return nil
@@ -583,23 +728,30 @@ func (s *System) Solve() error {
 		s.solved = true
 		return nil
 	}
+	// A variable that crosses no constraint is reached by no walk, so if
+	// it is to be re-filled it is a seed. Checked before any state moves.
+	for _, v := range s.dirtyVars {
+		if v.sys == s && len(v.cnsts) == 0 && math.IsInf(v.bound, 1) {
+			return fmt.Errorf("%w: %q", ErrUnboundedVariable, v.ID())
+		}
+	}
 
-	// Gather the dirty sub-system: every shared constraint reachable from
-	// a mutation seed, and every variable to re-fill, walking shared
+	// Gather the dirty sub-system: every binding constraint reachable from
+	// a mutation seed, and every variable to re-fill, walking binding
 	// constraints but not through the variables fixed before round cut —
 	// those are kept, and what lies behind them is as undisturbed as
 	// another component. (When cut is 0 nothing is kept and this is the
 	// closure over whole components. When it is not, only removals
 	// happened, so every variable reached was fixed by an earlier solve:
 	// none has round 0.) The traversal marks the positions of re-filled
-	// variables and of shared constraints in two bitmaps, so its cost is
-	// proportional to the dirty set, and reading them back in position
-	// order lists the dirty set in creation order, so the solve visits
-	// resources in a stable order. A kept variable is only counted, once,
-	// by stamping it with this solve's number.
+	// variables and of seeded or binding constraints in two bitmaps, so its
+	// cost is proportional to the dirty set, and reading them back in
+	// position order lists the dirty set in creation order, so the solve
+	// visits resources in a stable order. A kept variable is only counted,
+	// once, by stamping it with this solve's number.
 	//
 	// The walk also sets up the filling rounds, so each attachment is
-	// read once for both: a shared constraint, when popped, snapshots its
+	// read once for both: a binding constraint, when popped, snapshots its
 	// crossing variables that are not kept — those still to fix — into
 	// c.active, in attachment order, with their weight sum; a re-filled
 	// variable, when first marked, has its own level ready (see level).
@@ -610,20 +762,49 @@ func (s *System) Solve() error {
 	s.vbits = growBits(s.vbits, len(s.vars))
 	s.cbits = growBits(s.cbits, len(s.cnsts))
 	s.stackBuf, s.kept = s.stackBuf[:0], 0
+	// First classify every seeded shared constraint, before any variable
+	// is split. A seed is shared and not binding after an attachment or a
+	// rebound of one of its variables (the sum of its ceilings may have
+	// grown), and binding after a departure (it may have shrunk). Only a
+	// solve from round 0 turns a constraint binding: a resumed one follows
+	// removals only, which cannot make a slack constraint bind, and a slack
+	// constraint has no log to rewind. A constraint that turns binding
+	// reaches its variables when popped; one that turns slack may have set
+	// their rates, so it passes them to the walk once, as does one left
+	// with a single variable. Either flip invalidates its variables' splits.
+	pass := s.dirtyCnsts[:0]
+	for _, c := range s.dirtyCnsts {
+		switch n := c.live(); {
+		case n < 2:
+			if c.binding && n == 1 {
+				pass = append(pass, c) // turned private
+			}
+			c.binding = false
+		case setBit(s.cbits, c.index):
+			if c.binding || cut == 0 {
+				if binding := !c.slack(); binding != c.binding {
+					c.binding = binding
+					c.unsplit()
+					if !binding {
+						pass = append(pass, c)
+					}
+				}
+			}
+			if c.binding {
+				s.stackBuf = append(s.stackBuf, c)
+			}
+		}
+	}
+	for _, c := range pass {
+		for _, v := range c.vars {
+			if v != nil {
+				s.reach(v, cut)
+			}
+		}
+	}
 	for _, v := range s.dirtyVars {
 		if v.sys == s { // skip variables removed after being added
 			s.reach(v, cut)
-		}
-	}
-	for _, c := range s.dirtyCnsts {
-		switch len(c.vars) {
-		case 0:
-		case 1: // turned private: only its variable can have changed
-			s.reach(c.vars[0], cut)
-		default:
-			if setBit(s.cbits, c.index) {
-				s.stackBuf = append(s.stackBuf, c)
-			}
 		}
 	}
 	stamp := uint64(s.solves)
@@ -633,7 +814,10 @@ func (s *System) Solve() error {
 		act, w := c.active[:0], 0.0
 		for _, v := range c.vars {
 			// reach, inlined: this loop visits every membership of every
-			// dirty shared constraint.
+			// dirty binding constraint.
+			if v == nil {
+				continue
+			}
 			if v.round < cut {
 				if v.kept != stamp {
 					v.kept = stamp
@@ -655,21 +839,15 @@ func (s *System) Solve() error {
 	s.dirtyVBuf = dirtyV
 	s.dirtyCBuf = dirtyC
 
-	for _, v := range dirtyV {
-		if len(v.cnsts) == 0 && math.IsInf(v.bound, 1) {
-			return fmt.Errorf("%w: %q", ErrUnboundedVariable, v.ID())
-		}
-	}
-
 	// Rewind the dirty sub-system to the start of round cut: its variables
-	// restart unfixed at rate 0, its shared constraints at what the kept
+	// restart unfixed at rate 0, its binding constraints at what the kept
 	// variables left them. Until this solve completes there is no
 	// consistent state to resume from, hence the zeroed s.cut.
 	//
 	// Three working lists keep the progressive-filling rounds proportional
 	// to what is still unfixed rather than to the whole dirty set:
 	//
-	//   - each shared constraint's c.active, compacted as variables fix
+	//   - each binding constraint's c.active, compacted as variables fix
 	//     (attachment order preserved, so the per-round weight sums are
 	//     bit-identical to a full rescan);
 	//   - work compacts away constraints whose variables are all fixed
@@ -694,7 +872,11 @@ func (s *System) Solve() error {
 		}
 	}
 	s.sortBuf = sortOwn(own, s.sortBuf)
+	work := dirtyC[:0]
 	for _, c := range dirtyC {
+		if !c.binding {
+			continue // a seed that was only classified
+		}
 		// The records of round cut and later are at the log's tail, one
 		// per variable this solve re-fills or a departure freed: finding
 		// the rewind position from there costs what re-filling does.
@@ -702,16 +884,16 @@ func (s *System) Solve() error {
 		if cut > 0 {
 			n = c.logIndex(cut)
 		}
-		c.log = slices.Grow(c.log[:n], len(c.vars)-n) // one record per variable still to fix
-		c.remaining, c.used = c.capacity, 0
+		c.log = slices.Grow(c.log[:n], c.live()-n) // one record per variable still to fix
+		c.remaining = c.capacity
 		if n > 0 {
-			c.remaining, c.used = c.log[n-1].remaining, c.log[n-1].used
+			c.remaining = c.log[n-1].remaining
 		}
 		if c.unfixed > 0 {
 			c.lam = c.remaining / c.wsum
 		}
+		work = append(work, c)
 	}
-	work := dirtyC
 
 	unfixed := len(dirtyV)
 	fix := func(v *Variable, rate float64) {
@@ -722,15 +904,14 @@ func (s *System) Solve() error {
 		v.value = rate
 		v.round = s.round
 		unfixed--
-		for _, c := range v.shared { // a private constraint's usage is v's rate
+		for _, c := range v.shared { // only binding constraints are charged
 			c.remaining -= rate
 			if c.remaining < 0 {
 				c.remaining = 0
 			}
 			c.unfixed--
-			c.used += rate
 			c.wstale = true
-			c.log = append(c.log, fillRecord{s.round, rate, c.remaining, c.used})
+			c.log = append(c.log, fillRecord{s.round, rate, c.remaining})
 		}
 	}
 	head := 0
@@ -882,8 +1063,10 @@ func (v *Variable) splitConstraints() {
 	}
 	shared := v.shared[:0]
 	for _, c := range v.cnsts {
-		if len(c.vars) > 1 {
+		if c.binding {
 			shared = append(shared, c)
+		} else if c.live() > 1 {
+			continue // slack: it never sets a level
 		} else if l := c.capacity / v.weight; l < lam || l == lam && c.serial < by {
 			lam, by = l, c.serial
 		}

@@ -17,26 +17,8 @@ import (
 // solves must re-fill both lists long enough for sortOwn to merge runs
 // and lists short enough for one insertion run.
 func TestLargeSystemBitIdentical(t *testing.T) {
-	const flows = 5000
 	g := stats.NewRNG(11)
-	s := NewSystem()
-	backbone := s.NewConstraint("backbone", 1500)
-	var side *Constraint
-	for i := 0; i < flows; i++ {
-		cs := []*Constraint{s.NewConstraint("", warmCaps[g.Intn(len(warmCaps))])}
-		if i%10 == 0 {
-			if i%80 == 0 {
-				side = s.NewConstraint("", warmCaps[g.Intn(len(warmCaps))])
-			}
-			cs = append(cs, side)
-		} else {
-			cs = append(cs, backbone)
-		}
-		if g.Intn(2) == 0 {
-			cs = append(cs, s.NewConstraint("", warmCaps[g.Intn(len(warmCaps))]))
-		}
-		s.AddVariable("", warmWeights[g.Intn(len(warmWeights))], warmBounds[g.Intn(len(warmBounds))], cs...)
-	}
+	s, _ := largeSystem(g, 5000)
 
 	long, short := 0, 0
 	solve := func(step int) {
@@ -68,6 +50,68 @@ func TestLargeSystemBitIdentical(t *testing.T) {
 	if long == 0 || short == 0 {
 		t.Errorf("%d solves re-filled more than %d variables, %d between 2 and %d: want both kinds", long, ownRun, short, ownRun)
 	}
+}
+
+// largeSystem builds the shape of TestLargeSystemBitIdentical with the
+// given number of flows, and returns them in creation order.
+func largeSystem(g *stats.RNG, flows int) (*System, []*Variable) {
+	s := NewSystem()
+	backbone := s.NewConstraint("backbone", 1500)
+	var side *Constraint
+	vars := make([]*Variable, flows)
+	for i := range vars {
+		cs := []*Constraint{s.NewConstraint("", warmCaps[g.Intn(len(warmCaps))])}
+		if i%10 == 0 {
+			if i%80 == 0 {
+				side = s.NewConstraint("", warmCaps[g.Intn(len(warmCaps))])
+			}
+			cs = append(cs, side)
+		} else {
+			cs = append(cs, backbone)
+		}
+		if g.Intn(2) == 0 {
+			cs = append(cs, s.NewConstraint("", warmCaps[g.Intn(len(warmCaps))]))
+		}
+		vars[i] = s.AddVariable("", warmWeights[g.Intn(len(warmWeights))], warmBounds[g.Intn(len(warmBounds))], cs...)
+	}
+	return s, vars
+}
+
+// TestDeparturesAreNotQuadratic removes every flow of the 5 000-flow
+// system of TestLargeSystemBitIdentical, oldest first — the order that
+// shifts the most when a departure closes its gap in the system's list
+// and in the backbone's — and times it against removing eight systems of
+// an eighth the size each, the same number of flows. Departures that cost
+// amortized O(1) take about as long either way; O(n) departures take
+// eight times as long on the large system. The bound is loose enough for
+// a loaded machine or a race-instrumented build.
+func TestDeparturesAreNotQuadratic(t *testing.T) {
+	const flows, parts = 5000, 8
+	drain := func(systems int) time.Duration {
+		g := stats.NewRNG(11)
+		var elapsed time.Duration
+		for k := 0; k < systems; k++ {
+			s, vars := largeSystem(g, flows/systems)
+			if err := s.Solve(); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			for _, v := range vars {
+				s.RemoveVariable(v)
+			}
+			elapsed += time.Since(start)
+			if n := len(s.Variables()); n != 0 {
+				t.Fatalf("%d variables left after removing all", n)
+			}
+		}
+		return elapsed
+	}
+	small := drain(parts)
+	large := drain(1)
+	if large > 3*small+5*time.Millisecond {
+		t.Errorf("removing %d flows from one system took %v, from %d systems of %d flows %v", flows, large, parts, flows/parts, small)
+	}
+	t.Logf("one system %v, %d systems %v", large, parts, small)
 }
 
 // TestSortOwnIsNotQuadratic orders 131 072 entries given in descending

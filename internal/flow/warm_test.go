@@ -44,6 +44,9 @@ type warmTally struct {
 	privateWins     int // rounds the reference filler gave to a one-variable constraint
 	sharedToPrivate int // constraints shared at one solve and private at the next
 	quiet           int // removals that left nothing for the next solve to re-fill
+	// Shared constraints binding at one solve and slack at the next, with
+	// fewer variables; slack at one and binding at the next, with more.
+	bindingToSlack, slackToBinding int
 }
 
 func (t *warmTally) add(o warmTally) {
@@ -53,6 +56,8 @@ func (t *warmTally) add(o warmTally) {
 	t.privateWins += o.privateWins
 	t.sharedToPrivate += o.sharedToPrivate
 	t.quiet += o.quiet
+	t.bindingToSlack += o.bindingToSlack
+	t.slackToBinding += o.slackToBinding
 }
 
 // requireMatchesScratch fails unless s, just solved, matches a from-scratch
@@ -118,7 +123,6 @@ func referenceFill(t testing.TB, s *System) (rates, usages []float64, privateWin
 			if remaining[j] < 0 {
 				remaining[j] = 0
 			}
-			usages[j] += rate
 		}
 	}
 	for left := len(vars); left > 0; {
@@ -156,6 +160,13 @@ func referenceFill(t testing.TB, s *System) (rates, usages []float64, privateWin
 			}
 		default:
 			t.Fatalf("reference filler: nothing saturates with %d variables unfixed", left)
+		}
+	}
+	// A constraint's usage is the sum of its variables' rates in
+	// attachment order, as Constraint.Usage computes it.
+	for j := range cnsts {
+		for _, i := range members[j] {
+			usages[j] += rates[i]
 		}
 	}
 	return rates, usages, privateWins
@@ -228,9 +239,11 @@ func runWarmScript(t testing.TB, script []byte) warmTally {
 	for i := 0; i < nc; i++ {
 		s.NewConstraint("", warmCaps[(capSeed+i*5)%len(warmCaps)])
 	}
-	// shared holds the constraints shared at the last effective solve;
-	// onlyQuiet is whether every mutation since then was a quiet removal.
-	shared := make(map[*Constraint]bool)
+	// members and binding hold each constraint's variable count and class
+	// at the last effective solve; onlyQuiet is whether every mutation
+	// since then was a quiet removal.
+	members := make(map[*Constraint]int)
+	binding := make(map[*Constraint]bool)
 	onlyQuiet := true
 	remove := func(v *Variable) {
 		settled := s.cut == noCut
@@ -257,10 +270,16 @@ func runWarmScript(t testing.TB, script []byte) warmTally {
 		onlyQuiet = true
 		tally.privateWins += privateWins
 		for _, c := range s.Constraints() {
-			if shared[c] && len(c.Variables()) == 1 {
+			n, was := len(c.Variables()), members[c]
+			switch {
+			case was > 1 && n == 1:
 				tally.sharedToPrivate++
+			case binding[c] && !c.binding && n > 1 && n < was:
+				tally.bindingToSlack++
+			case was > 1 && !binding[c] && c.binding && n > was:
+				tally.slackToBinding++
 			}
-			shared[c] = len(c.Variables()) > 1
+			members[c], binding[c] = n, c.binding
 		}
 		if s.LastTouched() != len(s.Touched()) {
 			t.Fatalf("step %d: LastTouched %d, Touched() holds %d", step, s.LastTouched(), len(s.Touched()))
@@ -378,7 +397,8 @@ func randomWarmScript(g *stats.RNG, nics bool) []byte {
 // and the resume path really runs, re-filling less than the disturbed
 // components hold. A second batch gives flows NICs of their own, so
 // private levels win rounds, shared constraints turn private, and
-// departures are quiet.
+// departures are quiet. Shared constraints must turn slack on a
+// departure and binding again on an arrival.
 func TestWarmResolveBitIdentical(t *testing.T) {
 	var total warmTally
 	for _, nics := range []bool{false, true} {
@@ -401,6 +421,10 @@ func TestWarmResolveBitIdentical(t *testing.T) {
 	if total.privateWins == 0 || total.sharedToPrivate == 0 || total.quiet == 0 {
 		t.Errorf("private constraints not exercised: %d private-level wins, %d shared→private, %d quiet departures",
 			total.privateWins, total.sharedToPrivate, total.quiet)
+	}
+	t.Logf("%d binding→slack on a departure, %d slack→binding on an arrival", total.bindingToSlack, total.slackToBinding)
+	if total.bindingToSlack == 0 || total.slackToBinding == 0 {
+		t.Errorf("slack screen not exercised: %d binding→slack, %d slack→binding", total.bindingToSlack, total.slackToBinding)
 	}
 }
 

@@ -95,20 +95,36 @@ func NewServer(platforms *Registry, metrics *metrology.Registry) *Server {
 	}
 	s.cache.Store(NewForecastCache(DefaultForecastCacheSize))
 	s.pool.Store(NewWorkerPool(DefaultForecastWorkers))
-	s.mux.HandleFunc("GET /pilgrim/platforms", s.handlePlatforms)
-	s.mux.HandleFunc("GET /pilgrim/predict_transfers/{platform}", s.handlePredict)
-	s.mux.HandleFunc("GET /pilgrim/select_fastest/{platform}", s.handleSelectFastest)
-	s.mux.HandleFunc("POST /pilgrim/predict_workflow/{platform}", s.handleWorkflow)
-	s.mux.HandleFunc("POST /pilgrim/evaluate/{platform}", s.handleEvaluate)
-	s.mux.HandleFunc("GET /pilgrim/bg_estimate/{platform}", s.handleBgEstimateGet)
-	s.mux.HandleFunc("POST /pilgrim/bg_estimate/{platform}", s.handleBgEstimatePost)
-	s.mux.HandleFunc("POST /pilgrim/update_links/{platform}", s.handleUpdateLinks)
-	s.mux.HandleFunc("GET /pilgrim/timeline_stats/{platform}", s.handleTimelineStats)
-	s.mux.HandleFunc("GET /pilgrim/cache_stats", s.handleCacheStats)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /pilgrim/rrd/{tool}/{site}/{host}/{metric}/", s.handleRRD)
-	s.mux.HandleFunc("GET /pilgrim/rrd/{tool}/{site}/{host}/{metric}", s.handleRRD)
+	for _, r := range s.routes() {
+		s.mux.HandleFunc(r.pattern, r.handler)
+	}
 	return s
+}
+
+// route is one endpoint: a ServeMux pattern and its handler.
+type route struct {
+	pattern string
+	handler http.HandlerFunc
+}
+
+// routes lists every endpoint the server answers. docs/API.md has a
+// heading for each (TestAPIDocListsEveryRoute).
+func (s *Server) routes() []route {
+	return []route{
+		{"GET /pilgrim/platforms", s.handlePlatforms},
+		{"GET /pilgrim/predict_transfers/{platform}", s.handlePredict},
+		{"GET /pilgrim/select_fastest/{platform}", s.handleSelectFastest},
+		{"POST /pilgrim/predict_workflow/{platform}", s.handleWorkflow},
+		{"POST /pilgrim/evaluate/{platform}", s.handleEvaluate},
+		{"GET /pilgrim/bg_estimate/{platform}", s.handleBgEstimateGet},
+		{"POST /pilgrim/bg_estimate/{platform}", s.handleBgEstimatePost},
+		{"POST /pilgrim/update_links/{platform}", s.handleUpdateLinks},
+		{"GET /pilgrim/timeline_stats/{platform}", s.handleTimelineStats},
+		{"GET /pilgrim/cache_stats", s.handleCacheStats},
+		{"GET /metrics", s.handleMetrics},
+		{"GET /pilgrim/rrd/{tool}/{site}/{host}/{metric}/", s.handleRRD},
+		{"GET /pilgrim/rrd/{tool}/{site}/{host}/{metric}", s.handleRRD},
+	}
 }
 
 // SetForecastCache replaces the server's forecast cache with one of the

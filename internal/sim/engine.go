@@ -217,26 +217,31 @@ type SharingStats struct {
 	// VariablesTouched / (Resharings × live flows) measures how much the
 	// incremental solver saves. A quiet departure (a flow that left links
 	// which never bound anyone after it, see flow.System.RemoveVariable)
-	// re-fills nothing, so this falls for the same answers as the solver
-	// skips more.
+	// re-fills nothing, and a slack link (one its flows' ceilings cannot
+	// fill) joins no components, so this falls for the same answers as
+	// the solver skips more.
 	VariablesTouched int
 	// LastTouched is the number of variables re-filled by the most
-	// recent resharing — the components the last event disturbed, minus
-	// the variables a resumed solve kept; 0 after a quiet departure.
+	// recent resharing — the components the last event disturbed, joined
+	// by binding links only, minus the variables a resumed solve kept; 0
+	// after a quiet departure.
 	LastTouched int
 	// Rounds is the cumulative number of progressive-filling rounds the
-	// resharings ran. Quiet departures run none.
+	// resharings ran. Quiet departures run none, and flows kept apart by
+	// a slack link are not re-filled in each other's rounds.
 	Rounds int
 	// WarmSolves is how many resharings resumed from a round of the
 	// previous solve (a completion is the only event in between) instead
 	// of re-filling their components from zero. A quiet departure's
-	// resharing is not one of them: it resumes nothing.
+	// resharing is not one of them: it resumes nothing; nor is one whose
+	// closure, cut short at a slack link, reaches no variable to keep.
 	WarmSolves int
 	// VariablesKept is the cumulative number of variables those warm
 	// solves reached and kept fixed (see flow.System.VariablesKept):
 	// VariablesKept / (VariablesKept + VariablesTouched) is a lower bound
 	// on the share of re-filling that resuming skipped. Quiet departures
-	// keep nothing, so it falls when they replace a resume.
+	// keep nothing, and closures cut short at slack links reach fewer
+	// variables to keep, so it falls for the same answers.
 	VariablesKept int
 }
 

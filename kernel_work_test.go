@@ -11,9 +11,11 @@ import (
 // TestCold60CrossSiteWork pins the kernel's work, not its time, on
 // BenchmarkCold60CrossSite's ring of 64 distinct 60-transfer requests: the
 // summed solver counters and a digest of every completion date's bits
-// must equal the figures recorded before the solver's bookkeeping was
-// trimmed. A change that moves one of them changed what the kernel
-// computes (or how much of it), not only what that costs.
+// must equal the recorded figures. A change that moves one of them
+// changed what the kernel computes (or how much of it), not only what
+// that costs. The digest and Resharings have not moved since they were
+// first recorded; the work counters fell when slack links stopped being
+// re-filled.
 func TestCold60CrossSiteWork(t *testing.T) {
 	setup(t)
 	snap := entry.Platform.Snapshot()
@@ -46,10 +48,10 @@ func TestCold60CrossSiteWork(t *testing.T) {
 	}
 	want := sim.SharingStats{
 		Resharings:       4096,  // 64 per request
-		VariablesTouched: 59487, // ~929 per request
-		Rounds:           21467, // ~335 per request
-		WarmSolves:       1834,  // ~29 per request
-		VariablesKept:    30567, // ~478 per request
+		VariablesTouched: 54891, // ~858 per request (59487 before slack links were screened)
+		Rounds:           17291, // ~270 per request (21467)
+		WarmSolves:       1744,  // ~27 per request (1834)
+		VariablesKept:    25323, // ~396 per request (30567)
 	}
 	if sum != want {
 		t.Errorf("summed solver work over the ring\n got %+v\nwant %+v", sum, want)
