@@ -25,7 +25,7 @@ import (
 
 // benchServer builds a pilgrimd-shaped server with g5k_test registered
 // and a warm forecast cache in front of an httptest listener.
-func benchServer(b *testing.B) (*pilgrim.Server, *httptest.Server) {
+func benchServer(b testing.TB) (*pilgrim.Server, *httptest.Server) {
 	b.Helper()
 	setup(b)
 	reg := pilgrim.NewRegistry()
@@ -248,7 +248,7 @@ func BenchmarkHTTPPredict60CrossSite(b *testing.B) {
 // scenarios scaling links off every route (reuse), three scaling a link on
 // a route (fork) and one stretching an on-route latency (cold). Sizes and
 // factors derive from n, so distinct n share no forecast and no overlay.
-func evaluateGrid30x8(b *testing.B) func(n int) []byte {
+func evaluateGrid30x8(b testing.TB) func(n int) []byte {
 	transfers := benchTransfers30()
 	snap := entry.Platform.Snapshot()
 	on := make([]bool, snap.NumLinks())

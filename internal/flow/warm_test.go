@@ -36,6 +36,17 @@ const (
 // warmGroups partitions the constraints so scripts grow several components.
 const warmGroups = 3
 
+// A warmRemove record whose second and third operands are warmReshareB and
+// warmReshareC is a re-share: it removes a variable from a binding
+// constraint with two, leaving it private, and at once adds a flow that
+// crosses that constraint alone, sharing it again before the next solve
+// (the sequence of the corpus seed binding-turns-private-then-slack). With
+// no such constraint it is a plain removal.
+const (
+	warmReshareB = 0xa5
+	warmReshareC = 0x5a
+)
+
 // warmTally is what a script run reports about the solver's work.
 type warmTally struct {
 	solves          int
@@ -47,6 +58,9 @@ type warmTally struct {
 	// Shared constraints binding at one solve and slack at the next, with
 	// fewer variables; slack at one and binding at the next, with more.
 	bindingToSlack, slackToBinding int
+	// Re-shares whose removal was not quiet: the binding constraint it
+	// left private reached the solve shared again.
+	reshares int
 }
 
 func (t *warmTally) add(o warmTally) {
@@ -58,6 +72,7 @@ func (t *warmTally) add(o warmTally) {
 	t.quiet += o.quiet
 	t.bindingToSlack += o.bindingToSlack
 	t.slackToBinding += o.slackToBinding
+	t.reshares += o.reshares
 }
 
 // requireMatchesScratch fails unless s, just solved, matches a from-scratch
@@ -334,6 +349,18 @@ func runWarmScript(t testing.TB, script []byte) warmTally {
 			s.AddVariable("", warmWeights[a/warmGroups%len(warmWeights)], warmBounds[(c>>2)%len(warmBounds)], picked...)
 			onlyQuiet = false
 		case warmRemove:
+			if b == warmReshareB && c == warmReshareC {
+				if cn := twoMemberBinding(cnsts, a); cn != nil {
+					cut := s.cut
+					remove(cn.Variables()[a%2])
+					if s.cut != cut {
+						tally.reshares++
+					}
+					s.AddVariable("", warmWeights[a%len(warmWeights)], warmBounds[a/8%len(warmBounds)], cn)
+					onlyQuiet = false
+					break
+				}
+			}
 			if len(vars) > 0 {
 				remove(vars[a%len(vars)])
 			}
@@ -355,10 +382,23 @@ func runWarmScript(t testing.TB, script []byte) warmTally {
 	return tally
 }
 
+// twoMemberBinding returns the first constraint from position a on that
+// is binding with two variables, or nil.
+func twoMemberBinding(cnsts []*Constraint, a int) *Constraint {
+	for k := range cnsts {
+		if c := cnsts[(a+k)%len(cnsts)]; c.binding && c.live() == 2 {
+			return c
+		}
+	}
+	return nil
+}
+
 // randomWarmScript draws a removal-heavy script: a build-up of flows, then
 // mostly departures between solves, with the occasional arrival and
 // rebound. With nics, each arriving flow also crosses zero to two fresh
-// constraints of its own, as an engine flow crosses its hosts' NICs.
+// constraints of its own, as an engine flow crosses its hosts' NICs. One
+// script in three re-shares (see warmReshareB) one to three times, each
+// right before a solve.
 func randomWarmScript(g *stats.RNG, nics bool) []byte {
 	record := func(op int) []byte {
 		if op == warmAdd && nics {
@@ -386,6 +426,15 @@ func randomWarmScript(g *stats.RNG, nics bool) []byte {
 			op = warmSetBound
 		}
 		script = append(script, record(op)...)
+	}
+	if g.Intn(3) == 0 {
+		for k := 1 + g.Intn(3); k > 0; k-- {
+			// Records are 4 bytes; the first sizes the system.
+			at := 4 * (1 + g.Intn(len(script)/4-1))
+			pair := append(record(warmRemove)[:2:2], warmReshareB, warmReshareC)
+			pair = append(pair, record(warmSolve)...)
+			script = append(script[:at], append(pair, script[at:]...)...)
+		}
 	}
 	return script
 }
@@ -425,6 +474,10 @@ func TestWarmResolveBitIdentical(t *testing.T) {
 	t.Logf("%d binding→slack on a departure, %d slack→binding on an arrival", total.bindingToSlack, total.slackToBinding)
 	if total.bindingToSlack == 0 || total.slackToBinding == 0 {
 		t.Errorf("slack screen not exercised: %d binding→slack, %d slack→binding", total.bindingToSlack, total.slackToBinding)
+	}
+	t.Logf("%d binding constraints left private and shared again before a solve", total.reshares)
+	if total.reshares < 150 {
+		t.Errorf("re-shares not exercised: %d, want at least 150", total.reshares)
 	}
 }
 

@@ -253,3 +253,84 @@ func directPredict(entry PlatformEntry, transfers []TransferRequest, bg [][2]str
 	}
 	return out, nil
 }
+
+// TestEvaluatePartialCellsMatchCold holds partial cells to the same oracles:
+// every request carries a baseline scenario, so the base answers are at
+// hand, beside scenarios that scale a link's bandwidth or set its latency,
+// under queries of many transfers — the shape where a forked or cold cell
+// re-runs only the transfers its delta reaches and copies the rest. The
+// differential answer must be byte-identical to the all-cold evaluator's
+// and to the direct endpoints', and the sweep must really copy.
+func TestEvaluatePartialCellsMatchCold(t *testing.T) {
+	base := newEvaluator(t)
+	entry, _ := base.Platforms.Get("p")
+	var hosts, links []string
+	for _, h := range entry.Platform.Hosts() {
+		hosts = append(hosts, h.ID)
+	}
+	for _, l := range entry.Platform.Links() {
+		links = append(links, l.ID)
+	}
+	var work WorkerStats
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		transfers := func() []TransferRequest {
+			out := make([]TransferRequest, 8+rng.Intn(25))
+			for i := range out {
+				a, b := rng.Intn(len(hosts)), rng.Intn(len(hosts)-1)
+				if b >= a {
+					b++
+				}
+				out[i] = TransferRequest{Src: hosts[a], Dst: hosts[b], Size: 1e6 + float64(rng.Float64()*1e9)}
+			}
+			return out
+		}
+		req := EvaluateRequest{Scenarios: []scenario.Scenario{{Name: "baseline"}}}
+		for range 2 + rng.Intn(4) {
+			link := links[rng.Intn(len(links))]
+			m := scenario.Mutation{Op: scenario.OpScaleLink, Link: link, BandwidthFactor: 0.05 + float64(3*rng.Float64())}
+			if rng.Intn(3) == 0 {
+				m = scenario.Mutation{Op: scenario.OpSetLink, Link: link, Latency: fptr(rng.Float64() * 1e-2)}
+			}
+			req.Scenarios = append(req.Scenarios, scenario.Scenario{Name: "s", Mutations: []scenario.Mutation{m}})
+		}
+		req.Queries = []EvalQuery{{Kind: QueryPredictTransfers, Transfers: transfers()}}
+		if rng.Intn(2) == 0 {
+			req.Queries = append(req.Queries, EvalQuery{Kind: QuerySelectFastest,
+				Hypotheses: []Hypothesis{{Transfers: transfers()}, {Transfers: transfers()}}})
+		}
+
+		diff := &Evaluator{Platforms: base.Platforms, Cache: NewForecastCache(256),
+			Pool: NewWorkerPool(0), Overlays: NewOverlayCache(64)}
+		cold := &Evaluator{Platforms: base.Platforms, Cache: NewForecastCache(256),
+			Pool: NewWorkerPool(0), Overlays: NewOverlayCache(64), DisableDifferential: true}
+		respD, err := diff.Evaluate("p", req)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		respC, err := cold.Evaluate("p", req)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i := range respD.Scenarios {
+			respD.Scenarios[i].Epoch = 0
+			respC.Scenarios[i].Epoch = 0
+		}
+		gotD, _ := json.Marshal(respD.Scenarios)
+		gotC, _ := json.Marshal(respC.Scenarios)
+		gotDirect, _ := json.Marshal(directRows(entry, req))
+		if !bytes.Equal(gotD, gotC) || !bytes.Equal(gotD, gotDirect) {
+			t.Fatalf("seed %d: differential answer differs:\n%s\n--- cold\n%s\n--- direct\n%s", seed, gotD, gotC, gotDirect)
+		}
+		st := diff.Pool.Stats()
+		work.EvaluateTransfersRerun += st.EvaluateTransfersRerun
+		work.EvaluateTransfersCopied += st.EvaluateTransfersCopied
+		if c := cold.Pool.Stats(); c.EvaluateTransfersRerun != 0 || c.EvaluateTransfersCopied != 0 {
+			t.Fatalf("seed %d: the all-cold evaluator counted run-cell transfers: %+v", seed, c)
+		}
+	}
+	t.Logf("run-cell transfers: %d re-run, %d copied", work.EvaluateTransfersRerun, work.EvaluateTransfersCopied)
+	if work.EvaluateTransfersCopied == 0 || work.EvaluateTransfersRerun == 0 {
+		t.Fatalf("partial cells not exercised: %+v", work)
+	}
+}

@@ -215,17 +215,23 @@ func sameQuestion(a, b []Prediction) bool {
 }
 
 // replayRow renders preds from the template: the bytes between duration
-// values are copied, the durations formatted afresh, and the template moves
-// to the new rendering.
+// values are copied, and so is every duration whose bits equal the
+// template's; the others are formatted afresh. The template moves to the
+// new rendering.
 func (e *hotEnc) replayRow(preds []Prediction) {
 	t := &e.row
 	start, src := len(e.buf), t.start
 	for i := range preds {
 		from, to := t.durs[2*i], t.durs[2*i+1]
-		e.buf = append(e.buf, e.buf[src:from]...)
-		t.durs[2*i] = len(e.buf)
-		e.f64(preds[i].Duration)
-		t.durs[2*i+1] = len(e.buf)
+		if math.Float64bits(preds[i].Duration) == math.Float64bits(t.preds[i].Duration) {
+			e.buf = append(e.buf, e.buf[src:to]...)
+			t.durs[2*i], t.durs[2*i+1] = len(e.buf)-(to-from), len(e.buf)
+		} else {
+			e.buf = append(e.buf, e.buf[src:from]...)
+			t.durs[2*i] = len(e.buf)
+			e.f64(preds[i].Duration)
+			t.durs[2*i+1] = len(e.buf)
+		}
 		src = to
 	}
 	e.buf = append(e.buf, e.buf[src:t.end]...)

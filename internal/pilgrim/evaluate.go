@@ -300,6 +300,8 @@ type evalGroup struct {
 	reused    int                  // derived cells answered by base-result reuse
 	forked    int                  // derived cells run, footprint crossing bandwidth changes only
 	cold      int                  // derived cells run, footprint crossing a latency/availability change
+	rerun     int                  // transfers simulated by the forked and cold cells
+	copied    int                  // transfers of those cells that kept the base answer's prediction
 }
 
 // Evaluate answers one N×M batch for the named platform. Request-shape
@@ -456,6 +458,7 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, name string, req EvaluateR
 	}
 
 	// Phase 3 (serial): fan group results back into the scenario rows.
+	var rerun, copied int
 	for _, sg := range supers {
 		resp.Stats.Simulations += sg.baseSims
 	}
@@ -465,6 +468,8 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, name string, req EvaluateR
 		resp.Stats.ForkReused += g.reused
 		resp.Stats.ForkRuns += g.forked
 		resp.Stats.ForkCold += g.cold
+		rerun += g.rerun
+		copied += g.copied
 		for _, si := range g.scenarios {
 			resp.Scenarios[si].Results = g.results
 		}
@@ -473,6 +478,8 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, name string, req EvaluateR
 	pool.evalForkReused.Add(uint64(resp.Stats.ForkReused))
 	pool.evalForkRuns.Add(uint64(resp.Stats.ForkRuns))
 	pool.evalForkCold.Add(uint64(resp.Stats.ForkCold))
+	pool.evalRerun.Add(uint64(rerun))
+	pool.evalCopied.Add(uint64(copied))
 	return resp, nil
 }
 
@@ -698,11 +705,12 @@ type diffSub struct {
 	baseLed  *keyed.Flight[cacheEntry]
 }
 
-// footprint resolves (once) the sub's resource footprint on the base
-// epoch; routes are topology-level, so it is valid for every member.
-func (ds *diffSub) footprint(base *platform.Snapshot) *sim.Footprint {
+// footprint resolves (once) the sub's resource footprint and sharing
+// structure on the base epoch; routes are topology-level, so it is valid
+// for every member.
+func (ds *diffSub) footprint(base *platform.Snapshot, cfg sim.Config) *sim.Footprint {
 	if ds.fp == nil {
-		f := sim.PlanFootprint(base, &ds.plan)
+		f := sim.PlanFootprint(base, cfg, &ds.plan)
 		ds.fp = &f
 	}
 	return ds.fp
@@ -839,7 +847,7 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 				case alone:
 					sub.class = sim.ClassCold
 				case m.derived:
-					sub.class = dsubs[di].footprint(base).Classify(g.delta)
+					sub.class = dsubs[di].footprint(base, sg.base.Config).Classify(g.delta)
 				default: // no delta: the base answer is this member's answer
 					sub.class = sim.ClassReuse
 				}
@@ -939,14 +947,38 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 		}
 		// The member's other subs — bandwidth-only and cold alike, all of its
 		// misses when it has nothing to share — run one after another on one
-		// pooled engine bound to its epoch.
-		e := sim.AcquireEngineSnapshot(g.entry.snapshot(), g.entry.Config)
+		// pooled engine bound to its epoch. Where the base answer is at hand
+		// and error-free, only the transfers the member's delta reaches run,
+		// and the others keep their base predictions; a subset run that
+		// fails gives way to the whole query, whose error is the answer.
+		snap := g.entry.snapshot()
+		partial := m.derived && g.entry.Config == sg.base.Config
+		e := sim.AcquireEngineSnapshot(snap, g.entry.Config)
 		for di := range m.subs {
 			sub := &m.subs[di]
 			if !sub.need || sub.class == sim.ClassReuse {
 				continue
 			}
-			preds, err := simulate(e, &dsubs[di].plan, sc)
+			ds := &dsubs[di]
+			n := len(ds.plan.Transfers)
+			var preds []Prediction
+			var err error
+			all := true
+			if partial && ds.base.have && ds.base.err == nil {
+				sc.reached, all = ds.footprint(base, sg.base.Config).Reached(snap, g.delta, sc.reached[:0])
+				if !all {
+					if preds, err = simulateReached(e, &ds.plan, sc.reached, ds.base.preds, sc); err == nil {
+						g.rerun += len(sc.reached)
+						g.copied += n - len(sc.reached)
+					}
+				}
+			}
+			if all || err != nil {
+				preds, err = simulate(e, &ds.plan, sc)
+				if m.derived {
+					g.rerun += n
+				}
+			}
 			sub.subAnswer = subAnswer{preds: preds, err: err, have: true}
 			ev.Cache.entries.Complete(key(m.picture, di), sub.led, cacheEntry{preds: preds}, err)
 		}

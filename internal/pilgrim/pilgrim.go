@@ -550,8 +550,9 @@ func PredictTransfers(entry PlatformEntry, transfers []TransferRequest, backgrou
 // writes. Pooled, so a run allocates only the []Prediction it returns —
 // the slice the forecast cache keeps.
 type runScratch struct {
-	sims  []sim.Transfer
-	dates []float64
+	sims    []sim.Transfer
+	dates   []float64
+	reached []int32
 }
 
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -597,6 +598,26 @@ func simulate(e *sim.Engine, q *sim.PlanQuery, sc *runScratch) ([]Prediction, er
 	preds := make([]Prediction, n)
 	for i, t := range q.Transfers {
 		preds[i] = Prediction{Src: t.Src, Dst: t.Dst, Size: t.Size, Duration: sc.dates[i] - t.Start}
+	}
+	return preds, nil
+}
+
+// simulateReached answers q on e from base, q's answer on the epoch e's
+// derives from: only the transfers reached lists (sim.Footprint.Reached)
+// run, in that order, and every other prediction is base's.
+func simulateReached(e *sim.Engine, q *sim.PlanQuery, reached []int32, base []Prediction, sc *runScratch) ([]Prediction, error) {
+	n := len(reached)
+	sc.sims = sc.sims[:0]
+	for _, t := range reached {
+		sc.sims = append(sc.sims, q.Transfers[t])
+	}
+	sc.dates = slices.Grow(sc.dates[:0], n)[:n]
+	if err := e.RunQuery(&sim.PlanQuery{Transfers: sc.sims}, sc.dates); err != nil {
+		return nil, err
+	}
+	preds := slices.Clone(base)
+	for j, t := range reached {
+		preds[t].Duration = sc.dates[j] - q.Transfers[t].Start
 	}
 	return preds, nil
 }

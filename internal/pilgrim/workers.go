@@ -43,6 +43,10 @@ type WorkerPool struct {
 	evalForkReused atomic.Uint64
 	evalForkRuns   atomic.Uint64
 	evalForkCold   atomic.Uint64
+	// The transfers those run cells simulated, and the ones they left out
+	// because the base answer's prediction is theirs.
+	evalRerun  atomic.Uint64
+	evalCopied atomic.Uint64
 }
 
 // NewWorkerPool returns a pool running up to workers hypothesis
@@ -88,6 +92,11 @@ type WorkerStats struct {
 	EvaluateForkReused uint64 `json:"evaluate_fork_reused" metric:"pilgrim_evaluate_fork_total{tier=\"reused\"}" help:"Derived evaluate cells by differential tier."`
 	EvaluateForkRuns   uint64 `json:"evaluate_fork_runs" metric:"pilgrim_evaluate_fork_total{tier=\"forked\"}"`
 	EvaluateForkCold   uint64 `json:"evaluate_fork_cold" metric:"pilgrim_evaluate_fork_total{tier=\"cold\"}"`
+	// The transfers of the forked and cold cells: simulated on the cell's
+	// epoch, or copied from the base answer because no link that can
+	// saturate joins them to the cell's delta.
+	EvaluateTransfersRerun  uint64 `json:"evaluate_transfers_rerun" metric:"pilgrim_evaluate_cell_transfers_total{how=\"rerun\"}" help:"Transfers of forked and cold evaluate cells, by how each was answered."`
+	EvaluateTransfersCopied uint64 `json:"evaluate_transfers_copied" metric:"pilgrim_evaluate_cell_transfers_total{how=\"copied\"}"`
 }
 
 // Stats returns a snapshot of the pool counters.
@@ -106,6 +115,9 @@ func (p *WorkerPool) Stats() WorkerStats {
 		EvaluateForkReused: p.evalForkReused.Load(),
 		EvaluateForkRuns:   p.evalForkRuns.Load(),
 		EvaluateForkCold:   p.evalForkCold.Load(),
+
+		EvaluateTransfersRerun:  p.evalRerun.Load(),
+		EvaluateTransfersCopied: p.evalCopied.Load(),
 	}
 }
 

@@ -107,17 +107,19 @@ func RunPlan(snap *platform.Snapshot, cfg Config, queries []PlanQuery) []PlanRes
 	e := AcquireEngineSnapshot(snap, cfg)
 	defer ReleaseEngine(e)
 	for qi := range queries {
-		q := &queries[qi]
-		if len(q.Transfers) == 0 {
-			out[qi].Err = fmt.Errorf("sim: plan query has no transfers")
-			continue
-		}
-		done := make([]float64, len(q.Transfers))
-		if err := e.RunQuery(q, done); err != nil {
-			out[qi].Err = err
-			continue
-		}
-		out[qi].Results = transferResults(q.Transfers, done)
+		out[qi] = runPlanQuery(e, &queries[qi])
 	}
 	return out
+}
+
+// runPlanQuery answers one plan query on e.
+func runPlanQuery(e *Engine, q *PlanQuery) PlanResult {
+	if len(q.Transfers) == 0 {
+		return PlanResult{Err: fmt.Errorf("sim: plan query has no transfers")}
+	}
+	done := make([]float64, len(q.Transfers))
+	if err := e.RunQuery(q, done); err != nil {
+		return PlanResult{Err: err}
+	}
+	return PlanResult{Results: transferResults(q.Transfers, done)}
 }

@@ -33,6 +33,12 @@
 //     requested transfer" (§IV-C2) without a process layer.
 package sim
 
+import (
+	"math"
+
+	"pilgrim/internal/platform"
+)
+
 // Config carries the parameters of the fluid TCP model.
 type Config struct {
 	// BandwidthFactor scales nominal link bandwidths to usable payload
@@ -91,4 +97,43 @@ func (c Config) windowBound(pathLatency float64) float64 {
 		rtt = c.MinRTT
 	}
 	return c.TCPGamma / (2 * rtt)
+}
+
+// commBound returns the rate bound of a communication over route, whose
+// one-way latency on snap is lat: the TCP window bound lowered to the
+// capacity of every fatpipe link the route crosses (0: unbounded). One
+// pass over the route: the first down link it meets is returned instead
+// (down is -1 when there is none).
+func (c Config) commBound(snap *platform.Snapshot, route *platform.CompiledRoute, lat float64) (bound float64, down int32) {
+	bound = c.windowBound(lat)
+	for _, ref := range route.Refs {
+		li := ref.LinkIndex()
+		if snap.LinkDown(li) {
+			return 0, li
+		}
+		if snap.LinkPolicy(li) == platform.Fatpipe {
+			if cap := snap.LinkBandwidth(li) * c.BandwidthFactor; bound == 0 || cap < bound {
+				bound = cap
+			}
+		}
+	}
+	return bound, -1
+}
+
+// ceiling returns the rate a communication over route can never exceed on
+// snap — bit for bit the ceiling its flow variable holds in the engine's
+// max-min system: the smallest of its bound (commBound; unbounded reads
+// +Inf, as flow.System.NewVariable stores it) and the capacity of every
+// constraint it attaches to.
+func (c Config) ceiling(snap *platform.Snapshot, route *platform.CompiledRoute) float64 {
+	ceil, _ := c.commBound(snap, route, snap.RouteLatency(route))
+	if ceil <= 0 || math.IsNaN(ceil) {
+		ceil = math.Inf(1)
+	}
+	for _, ref := range route.Refs {
+		if cr, ok := constraintRef(snap, ref); ok {
+			ceil = min(ceil, snap.LinkBandwidth(cr.LinkIndex())*c.BandwidthFactor)
+		}
+	}
+	return ceil
 }

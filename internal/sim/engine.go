@@ -438,22 +438,11 @@ func (e *Engine) AddComm(src, dst string, size, start float64) (ActivityID, erro
 	if di < hosts && e.snap.HostDown(di) {
 		return 0, fmt.Errorf("sim: host %q is down", dst)
 	}
-	// One pass over the route: a down link rejects the communication, a
-	// fatpipe one bounds the flow without sharing (below the TCP window
-	// bound, if any).
 	lat := e.snap.RouteLatency(route)
-	bound := e.cfg.windowBound(lat)
-	for _, ref := range route.Refs {
-		li := ref.LinkIndex()
-		if e.snap.LinkDown(li) {
-			return 0, fmt.Errorf("sim: link %q on route %s->%s is down",
-				e.snap.LinkName(li), src, dst)
-		}
-		if e.snap.LinkPolicy(li) == platform.Fatpipe {
-			if cap := e.snap.LinkBandwidth(li) * e.cfg.BandwidthFactor; bound == 0 || cap < bound {
-				bound = cap
-			}
-		}
+	bound, down := e.cfg.commBound(e.snap, route, lat)
+	if down >= 0 {
+		return 0, fmt.Errorf("sim: link %q on route %s->%s is down",
+			e.snap.LinkName(down), src, dst)
 	}
 	return e.add(activity{
 		kind:      commActivity,
@@ -537,6 +526,25 @@ func (e *Engine) linkConstraint(ref platform.LinkRef) *flow.Constraint {
 	return c
 }
 
+// constraintRef maps a route's link traversal to the constraint a flow
+// over it attaches to: one per Shared link (direction None), one per
+// direction of a FullDuplex link (a None traversal reads as Up). A Fatpipe
+// link bounds the flow instead and has none (ok false).
+func constraintRef(snap *platform.Snapshot, ref platform.LinkRef) (c platform.LinkRef, ok bool) {
+	li := ref.LinkIndex()
+	switch snap.LinkPolicy(li) {
+	case platform.Shared:
+		return platform.MakeLinkRef(li, platform.None), true
+	case platform.FullDuplex:
+		dir := ref.Direction()
+		if dir == platform.None {
+			dir = platform.Up
+		}
+		return platform.MakeLinkRef(li, dir), true
+	}
+	return 0, false
+}
+
 // hostConstraint returns the persistent CPU constraint of one host,
 // creating it on first use.
 func (e *Engine) hostConstraint(hi int32) *flow.Constraint {
@@ -561,27 +569,12 @@ func (e *Engine) activate(a *activity) {
 		a.fv = v
 		a.rate = 0
 		for _, u := range a.links {
-			li := u.LinkIndex()
-			switch e.snap.LinkPolicy(li) {
-			case platform.Shared:
-				c := e.linkConstraint(platform.MakeLinkRef(li, platform.None))
-				if err := e.sys.Attach(v, c); err != nil {
-					// A route may legitimately traverse the same
-					// shared link twice only in pathological
-					// platforms; treat as single attachment.
-					continue
-				}
-			case platform.FullDuplex:
-				dir := u.Direction()
-				if dir == platform.None {
-					dir = platform.Up
-				}
-				c := e.linkConstraint(platform.MakeLinkRef(li, dir))
-				if err := e.sys.Attach(v, c); err != nil {
-					continue
-				}
-			case platform.Fatpipe:
-				// in the bound
+			// Fatpipe links have no constraint: they are in the bound.
+			if ref, ok := constraintRef(e.snap, u); ok {
+				// A route may legitimately traverse the same constraint
+				// twice only in pathological platforms; the second
+				// Attach fails and the flow is attached once.
+				_ = e.sys.Attach(v, e.linkConstraint(ref))
 			}
 		}
 	case execActivity:

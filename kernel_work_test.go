@@ -1,10 +1,17 @@
 package pilgrim_bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"hash/fnv"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"testing"
 
+	"pilgrim/internal/pilgrim"
 	"pilgrim/internal/sim"
 )
 
@@ -59,4 +66,59 @@ func TestCold60CrossSiteWork(t *testing.T) {
 	if got, want := digest.Sum64(), uint64(0x7c32c84e447e7ff0); got != want {
 		t.Errorf("completion-date digest %#x, want %#x", got, want)
 	}
+}
+
+// TestEvaluateGridWork pins what BenchmarkHTTPEvaluate30x8/fresh's ring of
+// 64 what-if grids computes, on a server of its own: an FNV-64a digest of
+// every answer byte (epoch ids, which come from a process-wide counter,
+// numbered by first appearance), and how many transfers the server
+// simulated for them. The digest was recorded before forked and cold
+// cells re-ran only the transfers their delta reaches, when every one of
+// the 5 simulations per grid ran all 30 transfers.
+func TestEvaluateGridWork(t *testing.T) {
+	s, srv := benchServer(t)
+	url := srv.URL + "/pilgrim/evaluate/g5k_test"
+	grid := evaluateGrid30x8(t)
+	digest := fnv.New64a()
+	for n := 1; n <= 64; n++ {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(grid(n))))
+		if w.Code != http.StatusOK {
+			t.Fatalf("grid %d: status %d: %s", n, w.Code, w.Body.Bytes())
+		}
+		digest.Write(numberEpochs(w.Body.Bytes()))
+	}
+	if got, want := digest.Sum64(), uint64(0x10ac2133d67306ac); got != want {
+		t.Errorf("answer digest %#x, want %#x", got, want)
+	}
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, srv.URL+"/pilgrim/cache_stats", nil))
+	var st struct {
+		Workers pilgrim.WorkerStats `json:"forecast_workers"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	// Per grid: the base run's 30 transfers plus the four run cells'.
+	type work struct{ Sims, Rerun, Copied uint64 }
+	got := work{st.Workers.EvaluateSims, st.Workers.EvaluateTransfersRerun, st.Workers.EvaluateTransfersCopied}
+	if want := (work{Sims: 320, Rerun: 1255, Copied: 6425}); got != want {
+		t.Errorf("work over the ring %+v, want %+v (transfers simulated per grid: %.2f)",
+			got, want, float64(64*30+got.Rerun)/64)
+	}
+}
+
+var epochField = regexp.MustCompile(`"epoch": [0-9]+`)
+
+// numberEpochs rewrites every "epoch": N to its order of first appearance.
+func numberEpochs(b []byte) []byte {
+	seen := map[string]int{}
+	return epochField.ReplaceAllFunc(b, func(m []byte) []byte {
+		k, ok := seen[string(m)]
+		if !ok {
+			k = len(seen)
+			seen[string(m)] = k
+		}
+		return []byte(`"epoch": #` + strconv.Itoa(k))
+	})
 }
