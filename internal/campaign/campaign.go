@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -37,15 +36,6 @@ const (
 	actionUpdateLinks = "update_links"
 )
 
-// LinkObservation is one measured link revision inside an observe event.
-// Nil fields leave that dimension untouched (the timeline's keep-current
-// sentinel).
-type LinkObservation struct {
-	Link      string   `json:"link"`
-	Bandwidth *float64 `json:"bandwidth,omitempty"` // bytes per second
-	Latency   *float64 `json:"latency,omitempty"`   // seconds, one way
-}
-
 // Event is one timed world change replayed into the platform. Exactly
 // one action's field set applies.
 type Event struct {
@@ -57,8 +47,8 @@ type Event struct {
 
 	// Source and Links describe an observe batch (Source defaults to
 	// "campaign").
-	Source string            `json:"source,omitempty"`
-	Links  []LinkObservation `json:"links,omitempty"`
+	Source string                    `json:"source,omitempty"`
+	Links  []pilgrim.LinkObservation `json:"links,omitempty"`
 
 	// Link / Host name the failed resource (fail_link / fail_host).
 	Link string `json:"link,omitempty"`
@@ -213,17 +203,8 @@ func (e *Event) validate() error {
 			return fmt.Errorf("observe needs at least one link")
 		}
 		for i, l := range e.Links {
-			if l.Link == "" {
-				return fmt.Errorf("observe link %d: missing link name", i)
-			}
-			if l.Bandwidth == nil && l.Latency == nil {
-				return fmt.Errorf("observe link %q: needs bandwidth and/or latency", l.Link)
-			}
-			if l.Bandwidth != nil && (*l.Bandwidth <= 0 || math.IsNaN(*l.Bandwidth) || math.IsInf(*l.Bandwidth, 0)) {
-				return fmt.Errorf("observe link %q: invalid bandwidth %v (observations cannot fail a link; use a fail_link event)", l.Link, *l.Bandwidth)
-			}
-			if l.Latency != nil && (*l.Latency < 0 || math.IsNaN(*l.Latency) || math.IsInf(*l.Latency, 0)) {
-				return fmt.Errorf("observe link %q: invalid latency %v", l.Link, *l.Latency)
+			if _, err := l.Update(); err != nil {
+				return fmt.Errorf("observe link %d %q: %w (an observation only measures; a fail_link event fails a link)", i, l.Link, err)
 			}
 		}
 	case ActionFailLink:

@@ -15,7 +15,7 @@ import (
 type Backend interface {
 	// Observe folds one timestamped observation batch into the
 	// campaign's platform.
-	Observe(t int64, source string, updates []LinkObservation) error
+	Observe(t int64, source string, updates []pilgrim.LinkObservation) error
 	// Evaluate answers one scenario×query grid.
 	Evaluate(req pilgrim.EvaluateRequest) (*pilgrim.EvaluateResponse, error)
 	// Snapshot returns the platform's compiled snapshot for static
@@ -49,17 +49,14 @@ func NewInProcessBackend(reg *pilgrim.Registry, name string) *InProcessBackend {
 }
 
 // Observe implements Backend.
-func (b *InProcessBackend) Observe(t int64, source string, updates []LinkObservation) error {
+func (b *InProcessBackend) Observe(t int64, source string, updates []pilgrim.LinkObservation) error {
 	batch := make([]platform.LinkUpdate, len(updates))
-	for i, u := range updates {
-		lu := platform.LinkUpdate{Link: u.Link, Bandwidth: -1, Latency: -1}
-		if u.Bandwidth != nil {
-			lu.Bandwidth = *u.Bandwidth
+	for i, o := range updates {
+		u, err := o.Update()
+		if err != nil {
+			return fmt.Errorf("observe link %d %q: %w", i, o.Link, err)
 		}
-		if u.Latency != nil {
-			lu.Latency = *u.Latency
-		}
-		batch[i] = lu
+		batch[i] = u
 	}
 	_, err := b.Registry.ObserveLinkState(b.Name, t, source, batch)
 	return err
@@ -93,12 +90,8 @@ func NewRemoteBackend(client *pilgrim.Client, name string) *RemoteBackend {
 }
 
 // Observe implements Backend.
-func (b *RemoteBackend) Observe(t int64, source string, updates []LinkObservation) error {
-	batch := make([]pilgrim.LinkObservation, len(updates))
-	for i, u := range updates {
-		batch[i] = pilgrim.LinkObservation{Link: u.Link, Bandwidth: u.Bandwidth, Latency: u.Latency}
-	}
-	_, err := b.Client.UpdateLinks(b.Name, pilgrim.UpdateLinksRequest{Time: t, Source: source, Updates: batch})
+func (b *RemoteBackend) Observe(t int64, source string, updates []pilgrim.LinkObservation) error {
+	_, err := b.Client.UpdateLinks(b.Name, pilgrim.UpdateLinksRequest{Time: t, Source: source, Updates: updates})
 	return err
 }
 

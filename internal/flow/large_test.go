@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -83,8 +84,10 @@ func largeSystem(g *stats.RNG, flows int) (*System, []*Variable) {
 // and in the backbone's — and times it against removing eight systems of
 // an eighth the size each, the same number of flows. Departures that cost
 // amortized O(1) take about as long either way; O(n) departures take
-// eight times as long on the large system. The bound is loose enough for
-// a loaded machine or a race-instrumented build.
+// eight times as long on the large system. The two sides alternate for
+// five rounds and each keeps its fastest, so a burst of load on a shared
+// machine must hit every round of one side to move the comparison. The
+// bound is loose enough for a loaded machine or a race-instrumented build.
 func TestDeparturesAreNotQuadratic(t *testing.T) {
 	const flows, parts = 5000, 8
 	drain := func(systems int) time.Duration {
@@ -106,8 +109,11 @@ func TestDeparturesAreNotQuadratic(t *testing.T) {
 		}
 		return elapsed
 	}
-	small := drain(parts)
-	large := drain(1)
+	small, large := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for round := 0; round < 5; round++ {
+		small = min(small, drain(parts))
+		large = min(large, drain(1))
+	}
 	if large > 3*small+5*time.Millisecond {
 		t.Errorf("removing %d flows from one system took %v, from %d systems of %d flows %v", flows, large, parts, flows/parts, small)
 	}

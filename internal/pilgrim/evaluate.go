@@ -408,9 +408,10 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, name string, req EvaluateR
 		baseEntry, delta := entry, &platform.EpochDelta{}
 		if snap != base && !ev.DisableDifferential {
 			baseEntry.Snapshot = base
-			// O(mutations), no epoch walk: the resolved overlay knows
-			// exactly which resources it changed away from base values.
-			delta = resolved.Delta(base)
+			// O(changed pages): the derived epoch shares every page its
+			// overlay left untouched with base, and snap always derives
+			// from base, so the topologies match.
+			delta, _ = platform.DiffSnapshots(base, snap)
 		}
 		row.Epoch = snap.Epoch()
 		row.Provenance = snap.Provenance()

@@ -114,7 +114,7 @@ type regEntry struct {
 
 	fmu     sync.Mutex
 	bank    *nws.Bank
-	scratch []platform.LinkUpdateIdx
+	scratch []platform.OverlayLink
 	// fsnap memoizes the synthetic forecast epoch derived from the latest
 	// observation state (fbase). NWS predictors extrapolate the next value
 	// — the forecast is the same for every in-horizon future T — so one
@@ -311,7 +311,9 @@ func (re *regEntry) forecastEpoch() *platform.Snapshot {
 			lat = -1
 		}
 		if okBW || okLat {
-			re.scratch = append(re.scratch, platform.LinkUpdateIdx{Link: li, Bandwidth: bw, Latency: lat})
+			// A forecast is held to the rule a measurement is: an
+			// extrapolated bandwidth <= 0 or latency < 0 keeps the value.
+			re.scratch = append(re.scratch, platform.LinkUpdate{Bandwidth: bw, Latency: lat}.Overlay(li))
 		}
 	}
 	if len(re.scratch) == 0 {
@@ -319,10 +321,11 @@ func (re *regEntry) forecastEpoch() *platform.Snapshot {
 		// reusing it keeps cache keys shared with current-time queries.
 		re.fsnap = latest
 	} else {
-		fs, err := latest.WithLinkStateIdx(re.scratch)
+		fs, err := latest.ApplyOverlay(re.scratch, nil, "")
 		if err != nil {
-			// Bank indices come from this platform's snapshots; out-of-range
-			// is impossible. Fall back to the latest epoch defensively.
+			// Bank indices come from this platform's snapshots and Overlay
+			// yields only valid values: unreachable. Fall back to the
+			// latest epoch defensively.
 			fs = latest
 		}
 		re.fsnap = fs

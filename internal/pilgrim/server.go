@@ -794,12 +794,43 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, forecast)
 }
 
-// LinkObservation is one element of the update_links request body.
-// Omitted fields keep the link's current value.
+// LinkObservation is one measured link revision: an element of the
+// update_links request body and of a campaign observe event. Omitted
+// fields keep the link's current value.
 type LinkObservation struct {
 	Link      string   `json:"link"`
 	Bandwidth *float64 `json:"bandwidth,omitempty"` // bytes per second
 	Latency   *float64 `json:"latency,omitempty"`   // seconds, one way
+}
+
+// Update turns the observation into the link revision it carries, or
+// says why it is refused: it must name a link and carry a bandwidth or a
+// latency, and every value it carries must take effect under the
+// observation rule (platform.LinkUpdate.Overlay) — an observation that
+// would silently keep a value it states, a zero bandwidth above all, is
+// an error, never a link failure.
+func (o LinkObservation) Update() (platform.LinkUpdate, error) {
+	if o.Link == "" {
+		return platform.LinkUpdate{}, errors.New("missing link id")
+	}
+	if o.Bandwidth == nil && o.Latency == nil {
+		return platform.LinkUpdate{}, errors.New("bandwidth or latency required")
+	}
+	u := platform.LinkUpdate{Link: o.Link, Bandwidth: -1, Latency: -1}
+	if o.Bandwidth != nil {
+		u.Bandwidth = *o.Bandwidth
+	}
+	if o.Latency != nil {
+		u.Latency = *o.Latency
+	}
+	applied := u.Overlay(0)
+	if o.Bandwidth != nil && math.IsNaN(applied.Bandwidth) {
+		return platform.LinkUpdate{}, fmt.Errorf("invalid bandwidth %v", *o.Bandwidth)
+	}
+	if o.Latency != nil && math.IsNaN(applied.Latency) {
+		return platform.LinkUpdate{}, fmt.Errorf("invalid latency %v", *o.Latency)
+	}
+	return u, nil
 }
 
 // UpdateLinksRequest is the timestamped update_links body: when the
@@ -922,31 +953,17 @@ func (s *Server) handleUpdateLinks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	updates := make([]platform.LinkUpdate, len(body))
-	for i, u := range body {
-		if u.Link == "" {
-			http.Error(w, fmt.Sprintf("update %d: missing link id", i), http.StatusBadRequest)
+	for i, o := range body {
+		u, err := o.Update()
+		if err != nil {
+			if o.Link == "" {
+				http.Error(w, fmt.Sprintf("update %d: %v", i, err), http.StatusBadRequest)
+			} else {
+				http.Error(w, fmt.Sprintf("update %d (%s): %v", i, o.Link, err), http.StatusBadRequest)
+			}
 			return
 		}
-		if u.Bandwidth == nil && u.Latency == nil {
-			http.Error(w, fmt.Sprintf("update %d (%s): bandwidth or latency required", i, u.Link), http.StatusBadRequest)
-			return
-		}
-		upd := platform.LinkUpdate{Link: u.Link, Bandwidth: -1, Latency: -1}
-		if u.Bandwidth != nil {
-			if *u.Bandwidth <= 0 || math.IsNaN(*u.Bandwidth) || math.IsInf(*u.Bandwidth, 0) {
-				http.Error(w, fmt.Sprintf("update %d (%s): invalid bandwidth %v", i, u.Link, *u.Bandwidth), http.StatusBadRequest)
-				return
-			}
-			upd.Bandwidth = *u.Bandwidth
-		}
-		if u.Latency != nil {
-			if *u.Latency < 0 || math.IsNaN(*u.Latency) || math.IsInf(*u.Latency, 0) {
-				http.Error(w, fmt.Sprintf("update %d (%s): invalid latency %v", i, u.Link, *u.Latency), http.StatusBadRequest)
-				return
-			}
-			upd.Latency = *u.Latency
-		}
-		updates[i] = upd
+		updates[i] = u
 	}
 	// Unknown links reject the whole batch with a structured answer
 	// naming every offender (both body forms; historically the legacy

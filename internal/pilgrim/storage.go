@@ -271,22 +271,22 @@ func (r *Registry) restoreEntry(entry PlatformEntry, pr *store.PlatformRecovery)
 	return re, nil
 }
 
-// feedBank teaches the forecaster bank one applied observation batch,
-// mirroring WithLinkState's keep-current sentinels so the bank only
-// learns values that actually entered the epoch. Shared by the live
-// observation path and WAL tail replay — the two must match exactly for
-// recovered forecasts to be byte-identical.
+// feedBank teaches the forecaster bank one applied observation batch:
+// exactly the values the observation rule (LinkUpdate.Overlay) let into
+// the epoch. Shared by the live observation path and WAL tail replay —
+// the two must match exactly for recovered forecasts to be byte-identical.
 func feedBank(bank *nws.Bank, snap *platform.Snapshot, updates []platform.LinkUpdate) {
 	for _, u := range updates {
 		li, ok := snap.LinkIndex(u.Link)
 		if !ok {
 			continue // unreachable: the append validated every link
 		}
-		if u.Bandwidth > 0 && !math.IsNaN(u.Bandwidth) && !math.IsInf(u.Bandwidth, 0) {
-			bank.ObserveBandwidth(li, u.Bandwidth)
+		o := u.Overlay(li)
+		if !math.IsNaN(o.Bandwidth) {
+			bank.ObserveBandwidth(li, o.Bandwidth)
 		}
-		if u.Latency >= 0 && !math.IsNaN(u.Latency) && !math.IsInf(u.Latency, 0) {
-			bank.ObserveLatency(li, u.Latency)
+		if !math.IsNaN(o.Latency) {
+			bank.ObserveLatency(li, o.Latency)
 		}
 	}
 }

@@ -274,6 +274,72 @@ func TestHTTPTimeline(t *testing.T) {
 	}
 }
 
+// TestForecastEpochKeepsDegenerateForecasts: a bank forecast the
+// observation rule would refuse from a measurement (bandwidth <= 0, NaN or
+// infinite; latency negative, NaN or infinite) keeps that link's value in
+// the forecast epoch, while another link's valid forecast still applies.
+func TestForecastEpochKeepsDegenerateForecasts(t *testing.T) {
+	const other = "sagittaire-2.lyon.grid5000.fr_nic"
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name    string
+		latency bool
+		v       float64
+	}{
+		{"bandwidth 0", false, 0},
+		{"bandwidth negative", false, -5},
+		{"bandwidth NaN", false, math.NaN()},
+		{"bandwidth +Inf", false, inf},
+		{"bandwidth -Inf", false, -inf},
+		{"latency negative", true, -1e-3},
+		{"latency NaN", true, math.NaN()},
+		{"latency +Inf", true, inf},
+		{"latency -Inf", true, -inf},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plat, err := platgen.Generate(g5k.Mini(), platgen.Options{Variant: platgen.G5KTest})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := NewRegistry()
+			if err := reg.Add("p", PlatformEntry{Platform: plat, Config: sim.DefaultConfig()}); err != nil {
+				t.Fatal(err)
+			}
+			latest := observe(t, reg, 1, 9e7)
+			li, oi := mustLinkIdx(t, latest, testNIC), mustLinkIdx(t, latest, other)
+			re, _ := reg.lookup("p")
+			re.fmu.Lock()
+			var forecast float64
+			var ok bool
+			if tc.latency {
+				re.bank.ObserveLatency(oi, tc.v)
+				forecast, ok = re.bank.ForecastLatency(oi)
+			} else {
+				re.bank.ObserveBandwidth(oi, tc.v)
+				forecast, ok = re.bank.ForecastBandwidth(oi)
+			}
+			re.fmu.Unlock()
+			if !ok || (forecast > 0 && !math.IsInf(forecast, 0)) || (tc.latency && forecast == 0) {
+				t.Fatalf("bank forecast %v (ok %v) is not degenerate", forecast, ok)
+			}
+
+			e, err := reg.GetAt("p", 120)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := e.Snapshot
+			if fs.LinkBandwidth(li) != 9e7 {
+				t.Fatalf("valid forecast not applied: %v", fs.LinkBandwidth(li))
+			}
+			if math.Float64bits(fs.LinkBandwidth(oi)) != math.Float64bits(latest.LinkBandwidth(oi)) ||
+				math.Float64bits(fs.LinkLatency(oi)) != math.Float64bits(latest.LinkLatency(oi)) {
+				t.Fatalf("degenerate forecast %v changed %s: bw %v lat %v, latest bw %v lat %v", forecast, other,
+					fs.LinkBandwidth(oi), fs.LinkLatency(oi), latest.LinkBandwidth(oi), latest.LinkLatency(oi))
+			}
+		})
+	}
+}
+
 func mustUnmarshal(t *testing.T, body string, v any) {
 	t.Helper()
 	if err := json.Unmarshal([]byte(body), v); err != nil {

@@ -7,14 +7,15 @@ import (
 	"testing"
 )
 
-// TestApplyOverlayMatchesChainedWithLinkStateIdx is the differential
+// TestApplyOverlayMatchesChainedWithLinkState is the differential
 // property test of the scenario-overlay tentpole: for random batches of
 // link revisions whose values a measurement could report (positive
 // bandwidth, non-negative latency), ApplyOverlay in one batch must be
 // bit-identical — every link's bandwidth and latency bits, latDirty
 // behaviour included via RouteLatency — to chaining the equivalent
-// WithLinkStateIdx calls one revision at a time.
-func TestApplyOverlayMatchesChainedWithLinkStateIdx(t *testing.T) {
+// name-addressed WithLinkState calls one revision at a time, "not
+// measured" sentinels included.
+func TestApplyOverlayMatchesChainedWithLinkState(t *testing.T) {
 	p := buildMixedPlatform(t, 4)
 	base := p.Snapshot()
 	n := int32(base.NumLinks())
@@ -26,11 +27,11 @@ func TestApplyOverlayMatchesChainedWithLinkStateIdx(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		count := 1 + rng.Intn(int(n))
 		overlay := make([]OverlayLink, count)
-		chain := make([]LinkUpdateIdx, count)
+		chain := make([]LinkUpdate, count)
 		for i := range overlay {
 			li := int32(rng.Intn(int(n)))
 			ou := OverlayLink{Link: li, Bandwidth: math.NaN(), Latency: math.NaN()}
-			cu := LinkUpdateIdx{Link: li, Bandwidth: -1, Latency: -1}
+			cu := LinkUpdate{Link: base.LinkName(li), Bandwidth: -1, Latency: -1}
 			if rng.Intn(3) > 0 { // revise bandwidth
 				bw := 1e6 + float64(rng.Float64()*2e8)
 				ou.Bandwidth, cu.Bandwidth = bw, bw
@@ -49,9 +50,9 @@ func TestApplyOverlayMatchesChainedWithLinkStateIdx(t *testing.T) {
 		}
 		want := base
 		for _, cu := range chain {
-			want, err = want.WithLinkStateIdx([]LinkUpdateIdx{cu})
+			want, err = want.WithLinkState([]LinkUpdate{cu})
 			if err != nil {
-				t.Fatalf("seed %d: WithLinkStateIdx: %v", seed, err)
+				t.Fatalf("seed %d: WithLinkState: %v", seed, err)
 			}
 		}
 

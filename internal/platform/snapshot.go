@@ -101,13 +101,29 @@ func EnsureEpochAtLeast(n uint64) {
 }
 
 // LinkUpdate revises one link's state in a new epoch, typically from a
-// live measurement. Bandwidth is in bytes per second; a value <= 0 (or
-// NaN) keeps the current bandwidth. Latency is in seconds; a value < 0
-// (or NaN) keeps the current latency.
+// live measurement. Bandwidth is in bytes per second and Latency in
+// seconds; Overlay says which of the two take effect.
 type LinkUpdate struct {
 	Link      string
 	Bandwidth float64
 	Latency   float64
+}
+
+// Overlay is the observation rule, the one place that decides which
+// values of a measured revision take effect: a bandwidth > 0 and finite,
+// a latency >= 0 and finite. It returns the revision as an overlay of
+// link i in which every other value (the -1 "not measured" sentinel, 0,
+// NaN, ±Inf) is NaN, "keep the current value"; a measurement therefore
+// never fails a link.
+func (u LinkUpdate) Overlay(i int32) OverlayLink {
+	o := OverlayLink{Link: i, Bandwidth: math.NaN(), Latency: math.NaN()}
+	if u.Bandwidth > 0 && !math.IsInf(u.Bandwidth, 0) {
+		o.Bandwidth = u.Bandwidth
+	}
+	if u.Latency >= 0 && !math.IsInf(u.Latency, 0) {
+		o.Latency = u.Latency
+	}
+	return o
 }
 
 // Snapshot is one epoch of a compiled platform: shared immutable topology
@@ -520,16 +536,6 @@ func (s *Snapshot) LinkLatency(i int32) float64 {
 	return s.lat[i>>statePageShift][i&statePageMask]
 }
 
-// LinkUpdateIdx is LinkUpdate addressed by dense link index — the form
-// the forecaster bank emits, skipping the name lookup on the hot path.
-// The keep-current sentinels are the same: Bandwidth <= 0 (or NaN) keeps
-// the bandwidth, Latency < 0 (or NaN) keeps the latency.
-type LinkUpdateIdx struct {
-	Link      int32
-	Bandwidth float64
-	Latency   float64
-}
-
 // newEpochFrom starts a derived epoch sharing all state pages with the
 // receiver.
 func (s *Snapshot) newEpochFrom() *Snapshot {
@@ -555,24 +561,40 @@ func cowSet(pages, parent []*statePage, i int32, val float64) {
 	pages[pi][i&statePageMask] = val
 }
 
-// applyLinkUpdate folds one link revision into the derived epoch ns.
-func (ns *Snapshot) applyLinkUpdate(parent *Snapshot, i int32, bandwidth, latency float64) {
-	if bandwidth > 0 && !math.IsNaN(bandwidth) && !math.IsInf(bandwidth, 0) {
-		cowSet(ns.bw, parent.bw, i, bandwidth)
+// setLink writes one link revision into the derived epoch ns, whose
+// pages are still shared with parent: NaN keeps a value, any other value
+// must be non-negative and finite and is set verbatim. It is the only
+// writer of link state, shared by ApplyOverlay and WithLinkState.
+func (ns *Snapshot) setLink(parent *Snapshot, u OverlayLink) error {
+	if u.Link < 0 || u.Link >= int32(len(ns.topo.linkNames)) {
+		return fmt.Errorf("platform: link index %d out of range in overlay", u.Link)
 	}
-	if latency >= 0 && !math.IsNaN(latency) && !math.IsInf(latency, 0) {
-		if latency != ns.LinkLatency(i) {
+	if !math.IsNaN(u.Bandwidth) {
+		if u.Bandwidth < 0 || math.IsInf(u.Bandwidth, 0) {
+			return fmt.Errorf("platform: invalid overlay bandwidth %v for link %q",
+				u.Bandwidth, ns.topo.linkNames[u.Link])
+		}
+		cowSet(ns.bw, parent.bw, u.Link, u.Bandwidth)
+	}
+	if !math.IsNaN(u.Latency) {
+		if u.Latency < 0 || math.IsInf(u.Latency, 0) {
+			return fmt.Errorf("platform: invalid overlay latency %v for link %q",
+				u.Latency, ns.topo.linkNames[u.Link])
+		}
+		if u.Latency != ns.LinkLatency(u.Link) {
 			ns.latDirty = true
 		}
-		cowSet(ns.lat, parent.lat, i, latency)
+		cowSet(ns.lat, parent.lat, u.Link, u.Latency)
 	}
+	return nil
 }
 
-// WithLinkState derives a new epoch with the given link revisions applied.
-// Topology, compiled routes and unchanged link-state pages are shared with
-// the receiver; only the page table and the pages holding changed entries
-// are copied, so the cost is O(changed links) regardless of platform
-// size. The receiver is unaffected.
+// WithLinkState derives a new epoch with the given measured link
+// revisions applied, each through the observation rule
+// (LinkUpdate.Overlay). Topology, compiled routes and unchanged
+// link-state pages are shared with the receiver; only the page table and
+// the pages holding changed entries are copied, so the cost is O(changed
+// links) regardless of platform size. The receiver is unaffected.
 func (s *Snapshot) WithLinkState(updates []LinkUpdate) (*Snapshot, error) {
 	ns := s.newEpochFrom()
 	for _, u := range updates {
@@ -580,23 +602,9 @@ func (s *Snapshot) WithLinkState(updates []LinkUpdate) (*Snapshot, error) {
 		if !ok {
 			return nil, fmt.Errorf("platform: unknown link %q in link-state update", u.Link)
 		}
-		ns.applyLinkUpdate(s, i, u.Bandwidth, u.Latency)
-	}
-	return ns, nil
-}
-
-// WithLinkStateIdx is WithLinkState over dense link indices: the same
-// copy-on-write derivation without the name lookups. State semantics are
-// identical — an index-addressed batch and its name-addressed equivalent
-// produce bit-identical link state.
-func (s *Snapshot) WithLinkStateIdx(updates []LinkUpdateIdx) (*Snapshot, error) {
-	ns := s.newEpochFrom()
-	n := int32(len(s.topo.linkNames))
-	for _, u := range updates {
-		if u.Link < 0 || u.Link >= n {
-			return nil, fmt.Errorf("platform: link index %d out of range in link-state update", u.Link)
+		if err := ns.setLink(s, u.Overlay(i)); err != nil {
+			return nil, err
 		}
-		ns.applyLinkUpdate(s, u.Link, u.Bandwidth, u.Latency)
 	}
 	return ns, nil
 }
@@ -626,11 +634,11 @@ func (s *Snapshot) withLinkStateEpoch(updates []LinkUpdate, epoch uint64) (*Snap
 }
 
 // OverlayLink is one link revision of a scenario overlay, addressed by
-// dense link index. Unlike LinkUpdate (whose keep-current sentinels
-// mirror what a measurement can report), an overlay states hypothetical
-// values explicitly: NaN keeps the current value, any other value — zero
-// included, marking the link failed — is set verbatim. Negative and
-// infinite values are rejected.
+// dense link index. Unlike LinkUpdate (which LinkUpdate.Overlay maps onto
+// this form through what a measurement can report), an overlay states
+// hypothetical values explicitly: NaN keeps the current value, any other
+// value — zero included, marking the link failed — is set verbatim.
+// Negative and infinite values are rejected.
 type OverlayLink struct {
 	Link      int32
 	Bandwidth float64 // bytes/s; NaN keeps, 0 fails the link
@@ -653,33 +661,15 @@ type OverlayHost struct {
 // mutation list — is recorded on the epoch for later inspection. The
 // receiver is unaffected. Link revisions with values a measurement could
 // report produce bit-identical state to chaining the equivalent
-// WithLinkStateIdx calls by hand; what ApplyOverlay adds is explicit
+// WithLinkState calls by hand; what ApplyOverlay adds is explicit
 // failure (zero bandwidth / zero speed), host mutations, and the
 // one-epoch batch semantics scenarios need.
 func (s *Snapshot) ApplyOverlay(links []OverlayLink, hosts []OverlayHost, provenance string) (*Snapshot, error) {
 	ns := s.newEpochFrom()
 	ns.provenance = provenance
-	nl := int32(len(s.topo.linkNames))
 	for _, u := range links {
-		if u.Link < 0 || u.Link >= nl {
-			return nil, fmt.Errorf("platform: link index %d out of range in overlay", u.Link)
-		}
-		if !math.IsNaN(u.Bandwidth) {
-			if u.Bandwidth < 0 || math.IsInf(u.Bandwidth, 0) {
-				return nil, fmt.Errorf("platform: invalid overlay bandwidth %v for link %q",
-					u.Bandwidth, s.topo.linkNames[u.Link])
-			}
-			cowSet(ns.bw, s.bw, u.Link, u.Bandwidth)
-		}
-		if !math.IsNaN(u.Latency) {
-			if u.Latency < 0 || math.IsInf(u.Latency, 0) {
-				return nil, fmt.Errorf("platform: invalid overlay latency %v for link %q",
-					u.Latency, s.topo.linkNames[u.Link])
-			}
-			if u.Latency != ns.LinkLatency(u.Link) {
-				ns.latDirty = true
-			}
-			cowSet(ns.lat, s.lat, u.Link, u.Latency)
+		if err := ns.setLink(s, u); err != nil {
+			return nil, err
 		}
 	}
 	nh := int32(len(s.topo.hostNames))

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -108,49 +107,5 @@ func TestTimelineEviction(t *testing.T) {
 	}
 	if got := tl.AtTime(650).LinkBandwidth(li); got != base.LinkBandwidth(li) {
 		t.Fatalf("evicted range must answer base, got %v", got)
-	}
-}
-
-// TestWithLinkStateIdxEquivalence checks the dense-index derivation is
-// bit-identical to the name-addressed one across every link, including
-// keep-current sentinels and latency revisions.
-func TestWithLinkStateIdxEquivalence(t *testing.T) {
-	p := buildMixedPlatform(t, 4)
-	s := p.Snapshot()
-
-	var byName []LinkUpdate
-	var byIdx []LinkUpdateIdx
-	for i := int32(0); i < int32(s.NumLinks()); i++ {
-		bw, lat := -1.0, -1.0
-		switch i % 3 {
-		case 0:
-			bw = 1e7 + float64(float64(i)*1e3)
-		case 1:
-			lat = 1e-3 + float64(float64(i)*1e-6)
-		default:
-			bw, lat = 2e7+float64(float64(i)*1e3), 2e-3
-		}
-		byName = append(byName, LinkUpdate{Link: s.LinkName(i), Bandwidth: bw, Latency: lat})
-		byIdx = append(byIdx, LinkUpdateIdx{Link: i, Bandwidth: bw, Latency: lat})
-	}
-	a, err := s.WithLinkState(byName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.WithLinkStateIdx(byIdx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int32(0); i < int32(s.NumLinks()); i++ {
-		if math.Float64bits(a.LinkBandwidth(i)) != math.Float64bits(b.LinkBandwidth(i)) ||
-			math.Float64bits(a.LinkLatency(i)) != math.Float64bits(b.LinkLatency(i)) {
-			t.Fatalf("link %s: state diverges between name and index derivation", s.LinkName(i))
-		}
-	}
-	if a.latDirty != b.latDirty {
-		t.Fatal("latDirty diverges between name and index derivation")
-	}
-	if _, err := s.WithLinkStateIdx([]LinkUpdateIdx{{Link: int32(s.NumLinks()), Bandwidth: 1}}); err == nil {
-		t.Fatal("out-of-range index must fail")
 	}
 }

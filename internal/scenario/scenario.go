@@ -373,44 +373,6 @@ func (r *Resolved) Key() string {
 	return b.String()
 }
 
-// Delta reports the dense touched-resource delta this overlay would make
-// when applied to base, classified exactly like platform.DiffSnapshots on
-// (base, Apply(base)): overlay values equal to the base value (and NaN
-// "keep" markers) are not changes. Costs O(mutations) and never derives
-// an epoch — the differential evaluation path uses it to classify queries
-// before deciding whether a derived snapshot is worth simulating cold.
-func (r *Resolved) Delta(base *platform.Snapshot) *platform.EpochDelta {
-	d := &platform.EpochDelta{}
-	for _, u := range r.Links {
-		if !math.IsNaN(u.Bandwidth) {
-			if cur := base.LinkBandwidth(u.Link); cur != u.Bandwidth {
-				if cur == 0 || u.Bandwidth == 0 {
-					d.AvailLinks = append(d.AvailLinks, u.Link)
-				} else {
-					d.BwLinks = append(d.BwLinks, u.Link)
-				}
-			}
-		}
-		if !math.IsNaN(u.Latency) {
-			if base.LinkLatency(u.Link) != u.Latency {
-				d.LatLinks = append(d.LatLinks, u.Link)
-			}
-		}
-	}
-	for _, u := range r.Hosts {
-		if !math.IsNaN(u.Speed) {
-			if cur := base.HostSpeed(u.Host); cur != u.Speed {
-				if cur == 0 || u.Speed == 0 {
-					d.AvailHosts = append(d.AvailHosts, u.Host)
-				} else {
-					d.SpeedHosts = append(d.SpeedHosts, u.Host)
-				}
-			}
-		}
-	}
-	return d
-}
-
 // Apply derives the scenario's epoch from base: the base snapshot itself
 // when the overlay is empty (so baseline scenarios share cache entries
 // with plain queries), otherwise one ApplyOverlay batch.
